@@ -409,6 +409,42 @@ func BenchmarkRBFPredict(b *testing.B) {
 	}
 }
 
+// BenchmarkRBFPredictLevels is BenchmarkRBFPredict on the path a
+// level-driven sweep takes: a network trained on Table 2 designs with the
+// canonical feature levels declared, evaluated at on-level designs, so
+// each call is one shared exponential plus one level-table lookup. Each
+// op evaluates 1024 designs, keeping a 10-iteration CI run well above
+// timer resolution.
+func BenchmarkRBFPredictLevels(b *testing.B) {
+	rng := mathx.NewRNG(9)
+	train := space.SampleDesign(48, space.TrainLevels(), space.Baseline(), 4, rng)
+	xs := make([][]float64, len(train))
+	ys := make([]float64, len(xs))
+	for i, cfg := range train {
+		x := cfg.Vector()
+		xs[i] = x
+		ys[i] = math.Sin(3*x[0]) + 0.5*x[1]*x[2] + 0.1*x[8]
+	}
+	net, err := rbf.Train(xs, ys, rbf.Options{DimLevels: space.FeatureLevels(false)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	designs := space.Random(1024, space.TrainLevels(), space.Baseline(), rng)
+	probes := make([][]float64, len(designs))
+	for i, cfg := range designs {
+		probes[i] = cfg.Vector()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, x := range probes {
+			if v := net.Predict(x); math.IsNaN(v) {
+				b.Fatal("NaN prediction")
+			}
+		}
+	}
+	b.ReportMetric(float64(len(probes))*float64(b.N)/b.Elapsed().Seconds(), "designs/s")
+}
+
 // bruteDominates mirrors the O(n²) reference scan so BenchmarkParetoFrontier
 // can report the speedup of the sorted algorithms over it.
 func bruteDominates(a, b explore.Candidate) bool {

@@ -505,7 +505,8 @@ func (ps *peerServer) runFleet(job fleetJob, early []space.Config, resume *wire.
 			seed = seedFromReplica(resume)
 			ledger = append(ledger, resume.Ledger...)
 		}
-		rep := ps.newReplicator(ctx, pub.JobID(), job, len(designs), jobSpan.Context(), ledger)
+		rep := ps.newReplicator(pub.JobID(), job, len(designs), jobSpan.Context(), ledger)
+		go rep.run()
 		defer rep.finish()
 		// The opening snapshot: a subscriber sees the job's shape — and on
 		// an adopted job the inherited cumulative counters — before the
@@ -692,8 +693,8 @@ type replicator struct {
 	once   sync.Once
 }
 
-func (ps *peerServer) newReplicator(ctx context.Context, jobID string, job fleetJob, designs int, root obs.SpanContext, ledger []wire.ShardRange) *replicator {
-	r := &replicator{
+func (ps *peerServer) newReplicator(jobID string, job fleetJob, designs int, root obs.SpanContext, ledger []wire.ShardRange) *replicator {
+	return &replicator{
 		ps:      ps,
 		jobID:   jobID,
 		job:     job,
@@ -703,8 +704,6 @@ func (ps *peerServer) newReplicator(ctx context.Context, jobID string, job fleet
 		notify:  make(chan struct{}, 1),
 		quit:    make(chan struct{}),
 	}
-	go r.run(ctx)
-	return r
 }
 
 // push records the post-merge state as the newest replication payload.
@@ -778,11 +777,14 @@ func (r *replicator) finish() {
 	r.once.Do(func() { close(r.quit) })
 }
 
-func (r *replicator) run(ctx context.Context) {
+// run ships payloads until finish closes quit, then the newest state
+// and the Done notice. It deliberately does not watch the job's context:
+// a cancelled job must be retired at its replicas too, and on completion
+// the job context is cancelled right after finish, so a select over both
+// would drop the notice about half the time.
+func (r *replicator) run() {
 	for {
 		select {
-		case <-ctx.Done():
-			return
 		case <-r.quit:
 			r.sendLatest()
 			r.send(wire.ReplicateRequest{JobID: r.jobID, Owner: r.ps.self, Done: true})

@@ -1,12 +1,18 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/wire"
 )
 
@@ -166,4 +172,144 @@ func TestAdoptOrphansGuards(t *testing.T) {
 	if _, ok := ps.replicas.get("job-running"); ok {
 		t.Fatal("adopted job's replica entry should be dropped by the adopter")
 	}
+}
+
+// replicaRecorder stands in for a replica peer and counts the Done
+// notices it receives per job.
+type replicaRecorder struct {
+	mu   sync.Mutex
+	done map[string]int
+}
+
+func (rr *replicaRecorder) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path != "/v1/jobs/replicate" {
+		http.NotFound(w, r)
+		return
+	}
+	var req wire.ReplicateRequest
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	if req.Done {
+		rr.mu.Lock()
+		rr.done[req.JobID]++
+		rr.mu.Unlock()
+	}
+	w.Header().Set("Content-Type", "application/json")
+	_ = json.NewEncoder(w).Encode(wire.ReplicateResponse{JobID: req.JobID, Seq: req.Seq})
+}
+
+// awaitDone waits for job id's Done notice; the replicator sends it off
+// the job's own goroutine, so it may trail the job's final state.
+func (rr *replicaRecorder) awaitDone(t *testing.T, id string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		rr.mu.Lock()
+		n := rr.done[id]
+		rr.mu.Unlock()
+		if n > 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s: no Done notice reached its replica", id)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// localShardGate, once armed, holds local-scope shard dispatches until
+// released, so a fleet job is still running when the test cancels it.
+// Client submissions (fleet scope) pass straight through.
+type localShardGate struct {
+	next    http.Handler
+	armed   atomic.Bool
+	held    chan struct{}
+	release chan struct{}
+}
+
+func (g *localShardGate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if g.armed.Load() && shardSubmission(r) {
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		if bytes.Contains(body, []byte(`"scope":"local"`)) {
+			select {
+			case g.held <- struct{}{}:
+			default:
+			}
+			<-g.release
+		}
+	}
+	g.next.ServeHTTP(w, r)
+}
+
+// Every fleet job must retire its replica state, whatever its outcome:
+// a Done tombstone has to reach the replica after each completed job
+// and after a DELETE. The replicator used to return on the job
+// context's cancellation — always first on DELETE, and racing the
+// finish signal on completion — so the notice was lost.
+func TestFleetJobRetiresReplicas(t *testing.T) {
+	rec := &replicaRecorder{done: make(map[string]int)}
+	recTS := httptest.NewServer(rec)
+	defer recTS.Close()
+	recAddr := strings.TrimPrefix(recTS.URL, "http://")
+
+	gate := &localShardGate{held: make(chan struct{}, 1), release: make(chan struct{})}
+	peerTS := httptest.NewServer(gate)
+	defer peerTS.Close()
+	defer close(gate.release)
+	ps := testPeer(t, strings.TrimPrefix(peerTS.URL, "http://"))
+	gate.next = ps.Handler()
+
+	// Project only this peer into the scheduling fleet, then list the
+	// recorder as an alive peer: it becomes every job's replica without
+	// ever being placed a shard.
+	ps.table.SetLocalInfo(ps.srv.workers, ps.srv.store.Trained(), nil)
+	ps.syncGossipMembership()
+	ps.table.Merge([]wire.GossipEntry{{Addr: recAddr, Incarnation: 1, State: wire.GossipAlive}})
+	if got := ps.pickReplicas("any-job"); len(got) != 1 || got[0] != recAddr {
+		t.Fatalf("replica set = %v, want the recorder %s", got, recAddr)
+	}
+
+	c := testClient(peerTS.URL)
+	ctx := t.Context()
+	req := wire.ParetoRequest{
+		Benchmark:  "gcc",
+		Objectives: []wire.ObjectiveSpec{{Metric: "CPI"}, {Metric: "Power"}},
+		SpaceSpec:  wire.SpaceSpec{Space: "test", Sample: 64},
+	}
+	const jobs = 8
+	for i := 0; i < jobs; i++ {
+		st, err := c.SubmitPareto(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if state := awaitJob(t, peerTS, st.ID); state != string(api.StateDone) {
+			t.Fatalf("job %d settled %q, want done", i, state)
+		}
+		rec.awaitDone(t, st.ID)
+	}
+
+	gate.armed.Store(true)
+	st, err := c.SubmitPareto(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-gate.held:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the job never dispatched a shard")
+	}
+	if _, err := c.Cancel(ctx, st.ID); err != nil {
+		t.Fatal(err)
+	}
+	if state := awaitJob(t, peerTS, st.ID); state != string(api.StateCanceled) {
+		t.Fatalf("cancelled job settled %q, want canceled", state)
+	}
+	rec.awaitDone(t, st.ID)
 }

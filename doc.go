@@ -405,11 +405,20 @@
 //     engine encodes each design once and shares the vector across
 //     models (the plain feature encoding is a strict prefix of the DVM
 //     encoding).
-//   - internal/rbf: Network.PredictBatch with reused scratch, per-level
-//     reciprocal-radius tables so the distance loop is multiply-add, a
-//     factored kernel that shares per-(dimension, level) factors across
-//     centers, and a table-driven ExpFast (relative error under 1e-10)
-//     for the Gaussian.
+//   - internal/rbf: the Gaussian has axis-aligned radii, so each network
+//     with declared levels (core declares the Table 2 feature levels) is
+//     one function f(x) = s(x)·g(x_V) + b. The shared factor s is a single
+//     table-driven ExpFast (relative error under 1e-10) over the
+//     dimensions the regression tree never split on. The varying part g
+//     is tabulated over the product of the 2–6 varying dimensions'
+//     levels (at most 1<<14 entries; ≤3,072 for every gcc network), so an
+//     on-level design costs each network one exponential and one table
+//     lookup. Off-level values fall back to computing g from per-level
+//     factor columns and on-the-fly factors through the very function
+//     that filled the table, so hits and misses are bit-identical.
+//     core.Predictor resolves a design's level indices once and shares
+//     them across its k networks. The table is derived on training and
+//     on load, never persisted.
 //   - internal/explore: evalChunks workers hold per-worker scratch (one
 //     trace buffer per model, one flat score matrix per chunk) and emit
 //     scores only — zero heap allocations per design in steady state,
@@ -420,16 +429,19 @@
 //     (api.EncodeJSON) — one marshal, one Write per response or stream
 //     line, no per-update allocation at shard rate.
 //
-// The trajectory is recorded, not remembered. BENCH_PR7.json at the
-// repository root is the committed baseline for the hot-path benchmarks
-// (BenchmarkExploreSweep, BenchmarkPredictBatch, BenchmarkRBFPredict).
-// Record a new point (and commit it when a PR moves the needle) with:
+// The trajectory is recorded, not remembered. The BENCH_PR<N>.json files
+// at the repository root are committed baselines for the hot-path
+// benchmarks (BenchmarkExploreSweep, BenchmarkPredictBatch,
+// BenchmarkRBFPredict and its on-level twin BenchmarkRBFPredictLevels);
+// the one with the highest N is current. Record a new point (and commit
+// it under the PR's number when a PR moves the needle) with:
 //
 //	go test -run='^$' -bench='ExploreSweep|PredictBatch|RBFPredict' \
-//	  -benchtime=10x -count=3 . | go run ./tools/benchjson > BENCH_PR7.json
+//	  -benchtime=10x -count=3 . | go run ./tools/benchjson > BENCH_PR<N>.json
 //
 // CI's perf gate re-runs those benchmarks on every push and compares
-// against the committed baseline via `benchjson -compare -tolerance 25`:
+// against the newest committed baseline, read from HEAD with git show,
+// via `benchjson -compare -tolerance 25`:
 // ns/op may grow at most 25%, rate metrics (designs/s) may drop at most
 // 25%, judged on the best of the repeated runs so scheduler noise cannot
 // fail the gate, and a gated benchmark that disappears from the run is

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"testing"
 
@@ -165,5 +166,89 @@ func TestPredictIntoZeroAllocs(t *testing.T) {
 		batch = p.PredictBatch(test, batch)
 	}); allocs != 0 {
 		t.Errorf("PredictBatch allocates %v per call after warm-up, want 0", allocs)
+	}
+}
+
+// TestSharedLevelResolution proves that resolving a design's level indices
+// once per design and handing them to every network forecasts bit-for-bit
+// like each network resolving its own — for trained and loaded
+// predictors, both feature encodings, and on- and off-level inputs.
+func TestSharedLevelResolution(t *testing.T) {
+	for _, dvm := range []bool{false, true} {
+		p, test := trainVariant(t, wavelet.Haar{}, dvm)
+		var buf bytes.Buffer
+		if err := p.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := Load(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range []*Predictor{p, loaded} {
+			if q.levels == nil {
+				t.Fatalf("dvm=%v: predictor has no shared level declaration", dvm)
+			}
+			perNet := *q
+			perNet.levels = nil
+			var xs [][]float64
+			for i, cfg := range test {
+				x := q.opts.featureVector(cfg)
+				off := append([]float64(nil), x...)
+				off[i%len(off)] += 0.0137
+				xs = append(xs, x, off)
+			}
+			for i, x := range xs {
+				got := q.PredictVecInto(x, nil)
+				want := perNet.PredictVecInto(x, nil)
+				for j := range want {
+					if got[j] != want[j] {
+						t.Fatalf("dvm=%v input %d sample %d: shared resolution %v, per-network %v", dvm, i, j, got[j], want[j])
+					}
+				}
+			}
+		}
+	}
+}
+
+// A saved model whose networks declare different levels (hand-edited, or
+// written by another tool) must not share one resolution: each network
+// resolves against its own declaration. Dropping a declared level only
+// moves that value to the on-the-fly path, so forecasts stay
+// bit-identical.
+func TestLoadMismatchedLevelsResolvesPerNetwork(t *testing.T) {
+	p, test := trainVariant(t, wavelet.Haar{}, false)
+	var buf bytes.Buffer
+	if err := p.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var file map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &file); err != nil {
+		t.Fatal(err)
+	}
+	net := file["nets"].([]any)[1].(map[string]any)
+	levels := net["dim_levels"].([]any)
+	for j, l := range levels {
+		if vs := l.([]any); len(vs) > 1 {
+			levels[j] = vs[1:]
+		}
+	}
+	edited, err := json.Marshal(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := Load(bytes.NewReader(edited))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.levels != nil {
+		t.Fatal("networks with different declarations share one level resolution")
+	}
+	for i, cfg := range test {
+		want, got := p.Predict(cfg), q.Predict(cfg)
+		for j := range want {
+			if got[j] != want[j] {
+				t.Fatalf("design %d sample %d: edited model %v, original %v", i, j, got[j], want[j])
+			}
+		}
 	}
 }

@@ -23,6 +23,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/rbf"
@@ -74,11 +75,12 @@ func (o Options) withDefaults() Options {
 	}
 	if o.RBF.DimLevels == nil {
 		// Declare the canonical Table 2 feature levels so the RBF networks
-		// adopt the factored kernel and precompute per-level factors:
-		// level-driven sweeps then evaluate every basis function without
-		// computing exponentials. Off-level inputs still work (the factor
-		// is computed on the fly), so this is purely an optimisation
-		// default; callers may override with their own declaration.
+		// adopt the factored kernel and tabulate it over the declared
+		// levels: a level-driven sweep then costs each network one shared
+		// exponential and one table lookup. Off-level inputs still work
+		// (the factors are computed on the fly), so this only chooses the
+		// kernel's evaluation strategy; callers may override it with their
+		// own declaration.
 		o.RBF.DimLevels = space.FeatureLevels(o.UseDVMFeatures)
 	}
 	return o
@@ -103,6 +105,31 @@ type Predictor struct {
 	basis   [][]float64
 	basisLo []int
 	basisHi []int
+
+	// levels is the level declaration every factored network shares
+	// (nil when they do not share one). PredictVecInto resolves a design's
+	// level indices against it once and hands them to all k networks.
+	levels [][]float64
+}
+
+// bindLevels records the networks' shared level declaration. A network on
+// the fused kernel ignores level indices; if two factored networks were
+// bound to different declarations, levels stays nil and each network
+// resolves its own.
+func (p *Predictor) bindLevels() {
+	p.levels = nil
+	for _, net := range p.nets {
+		l := net.DimLevels()
+		if l == nil {
+			continue
+		}
+		if p.levels == nil {
+			p.levels = l
+		} else if !slices.EqualFunc(p.levels, l, slices.Equal[[]float64]) {
+			p.levels = nil
+			return
+		}
+	}
 }
 
 // featureVector applies the configured input encoding.
@@ -241,6 +268,7 @@ func Train(configs []space.Config, traces [][]float64, opts Options) (*Predictor
 	}
 	p.basis = waveletBasis(opts.Wavelet, n, selected)
 	p.basisLo, p.basisHi = basisSpans(p.basis)
+	p.bindLevels()
 	return p, nil
 }
 
@@ -315,8 +343,21 @@ func (p *Predictor) PredictVecInto(x []float64, dst []float64) []float64 {
 	for i := hi0; i < len(dst); i++ {
 		dst[i] = 0
 	}
+	// Resolve x's level indices once for all k networks; PredictLevels
+	// with them is bit-identical to each network's own Predict.
+	var lbuf [space.MaxFeatures]int
+	lvl := lbuf[:0]
+	if p.levels != nil && len(x) <= len(lbuf) {
+		lvl = lbuf[:len(x)]
+		rbf.ResolveLevels(p.levels, x, lvl)
+	}
 	for i := range p.selected {
-		c := p.nets[i].Predict(x)
+		var c float64
+		if len(lvl) > 0 {
+			c = p.nets[i].PredictLevels(x, lvl)
+		} else {
+			c = p.nets[i].Predict(x)
+		}
 		// Accumulate only over the basis vector's nonzero support —
 		// fine-scale wavelets touch a handful of samples, so most passes
 		// are short. Skipped entries would only ever add exact zeros.

@@ -166,7 +166,7 @@ func TestNoFrontierPointDominated(t *testing.T) {
 	res := sweepOrFatal(t)
 	for i, a := range res.Frontier {
 		for j, b := range res.Frontier {
-			if i != j && dominates(a, b) {
+			if i != j && dominatesScores(a.Scores, b.Scores) {
 				t.Errorf("frontier point %v dominates frontier point %v", a, b)
 			}
 		}
@@ -235,7 +235,7 @@ func referenceFrontier(cands []Candidate) []Candidate {
 	for i, c := range cands {
 		dominated := false
 		for j, o := range cands {
-			if i != j && dominates(o, c) {
+			if i != j && dominatesScores(o.Scores, c.Scores) {
 				dominated = true
 				break
 			}
@@ -317,7 +317,7 @@ func TestFrontierCoversProperty(t *testing.T) {
 		for _, c := range cands {
 			covered := false
 			for _, fc := range frontier {
-				if dominates(fc, c) ||
+				if dominatesScores(fc.Scores, c.Scores) ||
 					(fc.Scores[0] == c.Scores[0] && fc.Scores[1] == c.Scores[1]) {
 					covered = true
 					break

@@ -5,12 +5,8 @@ import (
 	"slices"
 )
 
-// dominates reports whether a is at least as good as b everywhere and
-// strictly better somewhere (minimisation).
-func dominates(a, b Candidate) bool {
-	return dominatesScores(a.Scores, b.Scores)
-}
-
+// dominatesScores reports whether scores a are at least as good as b
+// everywhere and strictly better somewhere (minimisation).
 func dominatesScores(a, b []float64) bool {
 	strictly := false
 	for i := range a {

@@ -200,23 +200,29 @@ func (f *FrontierCollector) Collect(_ int, c Candidate) {
 
 // add is Collect without the seen counter.
 func (f *FrontierCollector) add(c Candidate) {
-	kept := f.frontier[:0]
-	for _, old := range f.frontier {
-		if dominates(old, c) {
+	// Members are visited in place and moved only when an eviction opens a
+	// gap: a Candidate carries a whole Config, and this runs per design.
+	kept := 0
+	for i := range f.frontier {
+		old := &f.frontier[i]
+		if dominatesScores(old.Scores, c.Scores) {
 			return // arriving candidate loses; survivors were already mutually non-dominated
 		}
-		if dominates(c, old) {
+		if dominatesScores(c.Scores, old.Scores) {
 			f.free = append(f.free, old.Scores[:0])
-		} else {
-			kept = append(kept, old)
+			continue
 		}
+		if kept != i {
+			f.frontier[kept] = *old
+		}
+		kept++
 	}
 	var buf []float64
 	if n := len(f.free); n > 0 {
 		buf, f.free = f.free[n-1], f.free[:n-1]
 	}
 	c.Scores = append(buf, c.Scores...)
-	f.frontier = append(kept, c)
+	f.frontier = append(f.frontier[:kept], c)
 }
 
 // Merge folds another frontier into f, so a sweep can be partitioned into

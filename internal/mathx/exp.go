@@ -11,10 +11,11 @@ import "math"
 // than math.Exp calls.
 //
 // Callers must treat ExpFast as the definition of the kernel, not an
-// approximation of one: RBF training builds its design matrix through the
-// same function, so fitted weights are exactly consistent with inference,
-// and the ~1e-10 kernel-shape deviation from a true Gaussian is orders of
-// magnitude below model error. Every arithmetic step is a separate
+// approximation of one: RBF training and inference evaluate one kernel
+// function built on it, so the fitted weights and Predict differ only by
+// summation-order rounding (≤1e-12 relative), and the ~1e-10
+// kernel-shape deviation from a true Gaussian is orders of magnitude
+// below model error. Every arithmetic step is a separate
 // statement, so no platform may fuse multiply-add pairs (Go permits
 // fusing only within single expressions) and results are bit-identical
 // across architectures.

@@ -17,8 +17,9 @@ type networkFile struct {
 	GCV         float64     `json:"gcv"`
 	RadiusScale float64     `json:"radius_scale"`
 	// DimLevels persists the factored-kernel declaration (Options.DimLevels)
-	// so a loaded network evaluates through the same kernel — and the same
-	// precomputed factors — its weights were fit against.
+	// so a loaded network evaluates through the same kernel its weights
+	// were fit against. The factor columns and level table derived from it
+	// are rebuilt on load, never stored.
 	DimLevels [][]float64 `json:"dim_levels,omitempty"`
 }
 
@@ -75,10 +76,11 @@ func (n *Network) UnmarshalJSON(data []byte) error {
 	n.gcv = f.GCV
 	n.radiusScale = f.RadiusScale
 	n.tree = nil
-	// Rebuild the flattened inference tables (centres, 1/radius
-	// reciprocals, factored-kernel factor tables): a loaded network must
+	// Rebuild the derived inference tables (centres, 1/radius
+	// reciprocals, factor columns, level table): a loaded network must
 	// predict exactly like the one that was saved.
 	n.finalize()
 	n.bindDimLevels(f.DimLevels)
+	n.buildLevelTable()
 	return nil
 }

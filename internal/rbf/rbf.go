@@ -47,15 +47,18 @@ type Options struct {
 	// DimLevels, when non-nil, lists per input dimension the values
 	// inference will overwhelmingly see (e.g. normalised design-space
 	// levels; an empty list marks a continuous dimension). The network
-	// then adopts the factored kernel: each basis function is evaluated as
-	// exp(−Σshared) times the product of the varying dimensions' factors
-	// exp(−((xⱼ−μⱼ)/θⱼ)²) in ascending dimension order, and the factors of
-	// every listed value are precomputed, so on-level inputs evaluate the
-	// whole basis with a single exponential per network. Off-level values
-	// fall back to computing the identical per-dimension factor on the
-	// fly. The factored product differs from the fused exp-of-sum kernel
-	// only by ~1e-15 relative rounding, and training fits weights through
-	// the same evaluation, so the model remains exactly self-consistent.
+	// then adopts the factored kernel f(x) = s(x) · g(x_V) + b: s is one
+	// exponential of the shared dimensions' squared distance, and
+	// g = Σ_c w_c · P_c, where P_c multiplies the varying dimensions'
+	// factors exp(−((xⱼ−μⱼ)/θⱼ)²) in ascending dimension order. Factors
+	// of every listed value are precomputed, and when every varying
+	// dimension lists its levels and their product is at most
+	// maxLevelTable, g itself is tabulated, so an on-level input costs
+	// one exponential and one table lookup. Off-level values fall back to
+	// computing the identical factors on the fly, bit-identically. The
+	// training design matrix holds the activations s · P_c, so H·w and
+	// Predict's s · Σ w_c·P_c differ only by ~1e-12 relative rounding. The
+	// factor columns and level table are derived, never persisted.
 	DimLevels [][]float64
 }
 
@@ -103,13 +106,17 @@ type Network struct {
 	flatInvRad   []float64 // varying 1/radius components, row-major per centre
 
 	// Factored-kernel tables (Options.DimLevels). When factored is true
-	// each basis function is defined as exp(−sharedSum) times the product
-	// of per-varying-dimension factors, and these tables cache the
-	// m-length factor columns of the declared level values.
-	factored   bool
-	dimLevels  [][]float64 // bound declaration, persisted with the model
-	varyTabVal [][]float64 // per varying dim: declared values
-	varyTabFac [][]float64 // per varying dim: columns, flattened [vi*m+c]
+	// the network is f(x) = s(x) · g(x_V) + b, where s = exp(−sharedSum)
+	// and g = Σ_c w_c · P_c with P_c the product of the varying
+	// dimensions' factors. varyTabFac caches the m-length factor columns
+	// of the declared level values; levelTab caches g itself over every
+	// combination of varying-dimension levels. Neither is persisted.
+	factored    bool
+	dimLevels   [][]float64 // bound declaration, persisted with the model
+	varyTabVal  [][]float64 // per varying dim: declared values
+	varyTabFac  [][]float64 // per varying dim: columns, flattened [vi*m+c]
+	levelTab    []float64   // g per level combination; nil when not built
+	levelStride []int       // per varying dim: mixed-radix stride into levelTab
 
 	lambda      float64
 	gcv         float64
@@ -162,6 +169,12 @@ const (
 	maxFactoredDims    = 16
 )
 
+// maxLevelTable caps the entries of a network's level table (8 bytes
+// each). Every Table 2 network needs at most a few thousand; a declaration
+// whose varying-dimension level product exceeds the cap keeps evaluating
+// the varying sum on the fly.
+const maxLevelTable = 1 << 14
+
 // dimFactor is the single definition of one dimension's kernel factor —
 // table construction and on-the-fly fallback both call it, so hits and
 // misses are bit-identical.
@@ -178,23 +191,18 @@ func (n *Network) bindDimLevels(levels [][]float64) {
 	n.factored = false
 	n.dimLevels = nil
 	n.varyTabVal, n.varyTabFac = nil, nil
+	n.levelTab, n.levelStride = nil, nil
 	m := len(n.centers)
 	if len(levels) == 0 || m == 0 || m > maxFactoredCenters || n.dim > maxFactoredDims {
 		return
 	}
 	n.factored = true
 	n.dimLevels = levels
-	at := func(j int) []float64 {
-		if j < len(levels) {
-			return levels[j]
-		}
-		return nil
-	}
 	stride := len(n.varyIdx)
 	n.varyTabVal = make([][]float64, stride)
 	n.varyTabFac = make([][]float64, stride)
 	for k, j := range n.varyIdx {
-		vs := at(j)
+		vs := levelsAt(levels, j)
 		n.varyTabVal[k] = vs
 		fac := make([]float64, len(vs)*m)
 		for vi, v := range vs {
@@ -206,6 +214,82 @@ func (n *Network) bindDimLevels(levels [][]float64) {
 	}
 }
 
+// levelsAt returns dimension j's declared levels (nil past the end of the
+// declaration: a continuous dimension).
+func levelsAt(levels [][]float64, j int) []float64 {
+	if j < len(levels) {
+		return levels[j]
+	}
+	return nil
+}
+
+// buildLevelTable tabulates the varying sum g over the mixed-radix product
+// of the varying dimensions' declared levels, row-major (the last varying
+// dimension is the least significant digit, so a full-factorial sweep,
+// whose last parameter varies fastest, walks the table nearly in order).
+// It must run once the weights exist. Each entry is computed by
+// varyingSum — the function off-level inputs fall back to — so table hits
+// are bit-identical to misses. A continuous varying dimension, or a
+// product above maxLevelTable, leaves no table.
+func (n *Network) buildLevelTable() {
+	n.levelTab, n.levelStride = nil, nil
+	if !n.factored {
+		return
+	}
+	size := 1
+	for k := range n.varyIdx {
+		nl := len(n.varyTabVal[k])
+		if nl == 0 || size*nl > maxLevelTable {
+			return
+		}
+		size *= nl
+	}
+	n.levelStride = make([]int, len(n.varyIdx))
+	st := 1
+	for k := len(n.varyIdx) - 1; k >= 0; k-- {
+		n.levelStride[k] = st
+		st *= len(n.varyTabVal[k])
+	}
+	m := len(n.centers)
+	tab := make([]float64, size)
+	var digit [maxFactoredDims]int
+	var cols [maxFactoredDims][]float64
+	for i := range tab {
+		for k, l := range digit[:len(n.varyIdx)] {
+			cols[k] = n.varyTabFac[k][l*m : (l+1)*m]
+		}
+		// Every column is resolved, so varyingSum never reads x.
+		tab[i] = n.varyingSum(nil, &cols)
+		for k := len(n.varyIdx) - 1; k >= 0; k-- {
+			if digit[k]++; digit[k] < len(n.varyTabVal[k]) {
+				break
+			}
+			digit[k] = 0
+		}
+	}
+	n.levelTab = tab
+}
+
+// ResolveLevels writes into lvl[j], for every j < len(lvl), the index of
+// x[j] in the declared levels[j] (first exact match), or -1 when x[j] is
+// off-level or the dimension is continuous. A caller evaluating several
+// networks that share one declaration resolves once and passes lvl to
+// each network's PredictLevels.
+func ResolveLevels(levels [][]float64, x []float64, lvl []int) {
+	for j := range lvl {
+		lvl[j] = indexOf(levelsAt(levels, j), x[j])
+	}
+}
+
+func indexOf(vs []float64, v float64) int {
+	for i, w := range vs {
+		if w == v {
+			return i
+		}
+	}
+	return -1
+}
+
 // sharedFactor computes the shared dimensions' common factor
 // exp(−sharedSum): one fused exponential for all of them, since the
 // result is identical for every centre anyway.
@@ -213,31 +297,27 @@ func (n *Network) sharedFactor(x []float64) float64 {
 	return mathx.ExpFast(-n.sharedSum(x))
 }
 
-// resolveCols looks up, once per evaluation, the precomputed factor column
-// for x's value in each varying dimension (nil when the value is
-// off-level and must be computed on the fly).
-func (n *Network) resolveCols(x []float64, cols *[maxFactoredDims][]float64) {
+// levelCols picks, per varying dimension, the precomputed factor column of
+// level lvl[j] (nil when the value is off-level and must be computed on
+// the fly).
+func (n *Network) levelCols(lvl []int, cols *[maxFactoredDims][]float64) {
 	m := len(n.centers)
 	for k, j := range n.varyIdx {
-		xv := x[j]
 		cols[k] = nil
-		for vi, v := range n.varyTabVal[k] {
-			if v == xv {
-				cols[k] = n.varyTabFac[k][vi*m : (vi+1)*m]
-				break
-			}
+		if l := lvl[j]; l >= 0 {
+			cols[k] = n.varyTabFac[k][l*m : (l+1)*m]
 		}
 	}
 }
 
-// factoredBlock fills prod[0:cn] with the activations of centres
-// [c0, c0+cn) under the factored kernel: the shared-dimension product s
-// times each varying dimension's factor in ascending dimension order —
-// the same multiply order whether a dimension hits its table or falls
-// back, so hits and misses are bit-identical.
-func (n *Network) factoredBlock(x []float64, s float64, cols *[maxFactoredDims][]float64, c0, cn int, prod *[blockSize]float64) {
+// varyingBlock fills prod[0:cn] with init times the varying-dimension
+// factors of centres [c0, c0+cn), multiplied on in ascending dimension
+// order — the same order whether a dimension hits its column or falls
+// back to dimFactor, so hits and misses are bit-identical. With init 1
+// this is P_c.
+func (n *Network) varyingBlock(init float64, x []float64, cols *[maxFactoredDims][]float64, c0, cn int, prod *[blockSize]float64) {
 	for i := 0; i < cn; i++ {
-		prod[i] = s
+		prod[i] = init
 	}
 	stride := len(n.varyIdx)
 	for k, j := range n.varyIdx {
@@ -256,24 +336,50 @@ func (n *Network) factoredBlock(x []float64, s float64, cols *[maxFactoredDims][
 	}
 }
 
-// evalFactored writes every basis activation into dst[0:NumCenters] under
-// the factored kernel. Declared level values hit the precomputed tables;
-// anything else falls back to dimFactor, bit-identically.
+// varyingSum is the single definition of the factored kernel's varying
+// part g(x_V) = Σ_c w_c · P_c, summed in centre order. Level-table
+// construction and every table miss call it.
+func (n *Network) varyingSum(x []float64, cols *[maxFactoredDims][]float64) float64 {
+	var prod [blockSize]float64
+	var g float64
+	m := len(n.centers)
+	for c0 := 0; c0 < m; c0 += blockSize {
+		cn := min(m-c0, blockSize)
+		n.varyingBlock(1, x, cols, c0, cn, &prod)
+		for i := 0; i < cn; i++ {
+			g += n.weights[c0+i] * prod[i]
+		}
+	}
+	return g
+}
+
+// evalFactored writes every basis activation s · P_c into
+// dst[0:NumCenters] under the factored kernel, multiplying s in first and
+// then each varying factor, which keeps the design matrix — and so the
+// fitted weights — independent of how inference groups the kernel.
+// Declared level values hit the precomputed columns; anything else falls
+// back to dimFactor, bit-identically.
 func (n *Network) evalFactored(x []float64, dst []float64) {
 	s := n.sharedFactor(x)
+	var lvl [maxFactoredDims]int
+	n.resolveVarying(x, &lvl)
 	var cols [maxFactoredDims][]float64
-	n.resolveCols(x, &cols)
+	n.levelCols(lvl[:], &cols)
 	var prod [blockSize]float64
 	m := len(n.centers)
 	for c0 := 0; c0 < m; c0 += blockSize {
-		cn := m - c0
-		if cn > blockSize {
-			cn = blockSize
-		}
-		n.factoredBlock(x, s, &cols, c0, cn, &prod)
-		for i := 0; i < cn; i++ {
-			dst[c0+i] = prod[i]
-		}
+		cn := min(m-c0, blockSize)
+		n.varyingBlock(s, x, &cols, c0, cn, &prod)
+		copy(dst[c0:c0+cn], prod[:cn])
+	}
+}
+
+// resolveVarying is ResolveLevels against the network's own declaration,
+// restricted to the varying dimensions (the only ones the factored kernel
+// indexes).
+func (n *Network) resolveVarying(x []float64, lvl *[maxFactoredDims]int) {
+	for k, j := range n.varyIdx {
+		lvl[j] = indexOf(n.varyTabVal[k], x[j])
 	}
 }
 
@@ -310,6 +416,7 @@ func trainWithTree(tree *regtree.Tree, xs [][]float64, ys []float64, opts Option
 	if best == nil {
 		return nil, fmt.Errorf("rbf: no (radius scale, ridge penalty) pair produced a well-posed fit (n=%d, centers≤%d)", len(xs), len(nodes))
 	}
+	best.buildLevelTable()
 	return best, nil
 }
 
@@ -330,8 +437,9 @@ func fitAtScale(tree *regtree.Tree, nodes []*regtree.Node, xs [][]float64, ys []
 		net.radii = append(net.radii, radius)
 	}
 	// Finalize (and bind the declared level factors) before building H so
-	// training evaluates the basis through exactly the arithmetic Predict
-	// will use — the fitted weights then match inference bit-for-bit.
+	// training evaluates each activation s · P_c through the same factor
+	// columns Predict uses. Predict groups the kernel as s · Σ w_c·P_c, so
+	// H·w and Predict agree to ~1e-12 relative rounding.
 	net.finalize()
 	net.bindDimLevels(opts.DimLevels)
 
@@ -412,9 +520,9 @@ func (n *Network) sharedSum(x []float64) float64 {
 // blockSums writes the negated squared-distance sums for centres
 // [c0, c0+cn) into sums, accumulating only the varying dimensions on top
 // of the precomputed shared contribution. This is the single definition of
-// the basis-function argument: Predict, evalBasisInto (and through it the
-// training design matrix) all evaluate distances through this function, so
-// fitted weights match inference bit-for-bit.
+// the fused kernel's basis-function argument: predictFused and
+// evalBasisInto (and through it the training design matrix) both evaluate
+// distances through this function.
 func (n *Network) blockSums(x []float64, shared float64, c0, cn int, sums *[blockSize]float64) {
 	stride := len(n.varyIdx)
 	base := c0 * stride
@@ -433,7 +541,7 @@ func (n *Network) blockSums(x []float64, shared float64, c0, cn int, sums *[bloc
 
 // evalBasisInto writes every basis activation exp(−‖(x−μᵢ)/θᵢ‖²) into
 // dst[0:NumCenters]. Training builds the design matrix through this
-// function so the fitted weights are exactly consistent with Predict.
+// function, so the fitted weights see the kernel Predict evaluates.
 func (n *Network) evalBasisInto(x []float64, dst []float64) {
 	if n.factored {
 		n.evalFactored(x, dst)
@@ -455,42 +563,71 @@ func (n *Network) evalBasisInto(x []float64, dst []float64) {
 }
 
 // Predict evaluates the network at x. It allocates nothing, so concurrent
-// sweep workers can call it on shared networks at full speed. Centres are
-// processed in blocks: squared distances for a block are accumulated
-// first, then the exponentials are taken back to back so their
-// independent dependency chains overlap in the pipeline.
+// sweep workers can call it on shared networks at full speed. A factored
+// network resolves x's level indices in its varying dimensions and
+// evaluates through PredictLevels, so the two are bit-identical.
 func (n *Network) Predict(x []float64) float64 {
-	if n.factored {
-		s := n.sharedFactor(x)
-		var cols [maxFactoredDims][]float64
-		n.resolveCols(x, &cols)
-		var prod [blockSize]float64
-		var out float64
-		m := len(n.centers)
-		for c0 := 0; c0 < m; c0 += blockSize {
-			cn := m - c0
-			if cn > blockSize {
-				cn = blockSize
-			}
-			n.factoredBlock(x, s, &cols, c0, cn, &prod)
-			for i := 0; i < cn; i++ {
-				out += n.weights[c0+i] * prod[i]
-			}
-		}
-		if n.hasBias {
-			out += n.weights[m]
-		}
-		return out
+	if !n.factored {
+		return n.predictFused(x)
 	}
+	var lvl [maxFactoredDims]int
+	n.resolveVarying(x, &lvl)
+	return n.PredictLevels(x, lvl[:])
+}
+
+// PredictLevels evaluates the network at x given lvl, x's per-dimension
+// level indices as ResolveLevels writes them against this network's
+// declaration (DimLevels). When every varying dimension is on-level and
+// the level table exists, the factored kernel costs one shared exponential
+// and one table lookup; otherwise the varying sum is computed from the
+// factor columns, falling back to on-the-fly factors for off-level values.
+// lvl must cover every input dimension; networks without a declaration
+// ignore it.
+func (n *Network) PredictLevels(x []float64, lvl []int) float64 {
+	if !n.factored {
+		return n.predictFused(x)
+	}
+	g, ok := n.tableLookup(lvl)
+	if !ok {
+		var cols [maxFactoredDims][]float64
+		n.levelCols(lvl, &cols)
+		g = n.varyingSum(x, &cols)
+	}
+	out := n.sharedFactor(x) * g
+	if n.hasBias {
+		out += n.weights[len(n.centers)]
+	}
+	return out
+}
+
+// tableLookup returns the tabulated varying sum for level indices lvl, or
+// false when there is no table or some varying dimension is off-level.
+func (n *Network) tableLookup(lvl []int) (float64, bool) {
+	if n.levelTab == nil {
+		return 0, false
+	}
+	idx := 0
+	for k, j := range n.varyIdx {
+		l := lvl[j]
+		if l < 0 {
+			return 0, false
+		}
+		idx += l * n.levelStride[k]
+	}
+	return n.levelTab[idx], true
+}
+
+// predictFused evaluates the fused exp-of-sum kernel (no declaration).
+// Centres are processed in blocks: squared distances for a block are
+// accumulated first, then the exponentials are taken back to back so
+// their independent dependency chains overlap in the pipeline.
+func (n *Network) predictFused(x []float64) float64 {
 	shared := n.sharedSum(x)
 	var sums [blockSize]float64
 	var out float64
 	m := len(n.centers)
 	for c0 := 0; c0 < m; c0 += blockSize {
-		cn := m - c0
-		if cn > blockSize {
-			cn = blockSize
-		}
+		cn := min(m-c0, blockSize)
 		n.blockSums(x, shared, c0, cn, &sums)
 		for i := 0; i < cn; i++ {
 			out += n.weights[c0+i] * mathx.ExpFast(sums[i])
@@ -514,6 +651,10 @@ func (n *Network) PredictBatch(xs [][]float64, dst []float64) []float64 {
 	}
 	return dst
 }
+
+// DimLevels returns the level declaration the network's factored kernel is
+// bound to (nil for the fused kernel). Callers must not modify it.
+func (n *Network) DimLevels() [][]float64 { return n.dimLevels }
 
 // NumCenters returns the number of basis functions (excluding the bias).
 func (n *Network) NumCenters() int { return len(n.centers) }

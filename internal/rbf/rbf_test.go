@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/mathx"
 	"repro/internal/regtree"
+	"repro/internal/space"
 )
 
 // makeSmooth samples a smooth 2-D function on [0,1]².
@@ -240,6 +241,26 @@ func TestPredictZeroAllocs(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("PredictBatch allocates %v per call, want 0", allocs)
 	}
+
+	// On-level probes take the level-table path; off-level ones the
+	// on-the-fly fallback. Neither may allocate.
+	levels := gridLevels(4, 5)
+	lxs, lys := makeLevelData(rng, levels, 200)
+	lnet := trainLevels(t, lxs, lys, levels)
+	lvl := make([]int, len(levels))
+	for _, x := range [][]float64{lxs[3], offLevel(lxs[5], lnet.varyIdx[0])} {
+		if allocs := testing.AllocsPerRun(100, func() {
+			sink = lnet.Predict(x)
+		}); allocs != 0 {
+			t.Errorf("level-table Predict(%v) allocates %v per call, want 0", x, allocs)
+		}
+		if allocs := testing.AllocsPerRun(100, func() {
+			ResolveLevels(levels, x, lvl)
+			sink = lnet.PredictLevels(x, lvl)
+		}); allocs != 0 {
+			t.Errorf("ResolveLevels+PredictLevels(%v) allocates %v per call, want 0", x, allocs)
+		}
+	}
 	_ = sink
 }
 
@@ -250,18 +271,294 @@ func TestPersistRoundTripBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := net.MarshalJSON()
+	levels := gridLevels(4, 5)
+	lxs, lys := makeLevelData(rng, levels, 200)
+	lnet := trainLevels(t, lxs, lys, levels)
+	continuous, _ := makeSmooth(rng, 30)
+	onLevel, _ := makeLevelData(rng, levels, 30)
+	var offLevelProbes [][]float64
+	for i, x := range onLevel {
+		offLevelProbes = append(offLevelProbes, offLevel(x, lnet.varyIdx[i%len(lnet.varyIdx)]))
+	}
+	for _, tc := range []struct {
+		name   string
+		net    *Network
+		probes [][]float64
+	}{
+		{"fused/continuous", net, continuous},
+		{"levels/on-level", lnet, onLevel},
+		{"levels/off-level", lnet, offLevelProbes},
+	} {
+		blob, err := tc.net.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var restored Network
+		if err := restored.UnmarshalJSON(blob); err != nil {
+			t.Fatal(err)
+		}
+		if (restored.levelTab == nil) != (tc.net.levelTab == nil) {
+			t.Fatalf("%s: level table rebuilt %v, original %v", tc.name, restored.levelTab != nil, tc.net.levelTab != nil)
+		}
+		for i, x := range tc.probes {
+			if got, want := restored.Predict(x), tc.net.Predict(x); got != want {
+				t.Errorf("%s probe %d: restored Predict = %v, original = %v (must be bit-identical)", tc.name, i, got, want)
+			}
+		}
+	}
+}
+
+// gridLevels declares dims dimensions of n evenly spaced levels on [0,1].
+func gridLevels(dims, n int) [][]float64 {
+	levels := make([][]float64, dims)
+	for j := range levels {
+		for i := 0; i < n; i++ {
+			levels[j] = append(levels[j], float64(i)/float64(n-1))
+		}
+	}
+	return levels
+}
+
+// makeLevelData samples n on-level inputs whose response depends on the
+// first three dimensions, so the tree splits on (and the basis varies in)
+// several of them.
+func makeLevelData(rng *mathx.RNG, levels [][]float64, n int) ([][]float64, []float64) {
+	xs := make([][]float64, n)
+	ys := make([]float64, n)
+	for i := range xs {
+		x := make([]float64, len(levels))
+		for j, vs := range levels {
+			x[j] = vs[rng.Intn(len(vs))]
+		}
+		xs[i] = x
+		ys[i] = math.Sin(3*x[0]) + x[1]*x[2] + 0.2*x[2]
+	}
+	return xs, ys
+}
+
+func trainLevels(t *testing.T, xs [][]float64, ys []float64, levels [][]float64) *Network {
+	t.Helper()
+	net, err := Train(xs, ys, Options{Tree: regtree.Options{MinLeafSize: 5}, DimLevels: levels})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var restored Network
-	if err := restored.UnmarshalJSON(blob); err != nil {
+	if !net.factored || net.levelTab == nil {
+		t.Fatalf("network with declared levels has factored=%v, level table %v", net.factored, net.levelTab != nil)
+	}
+	if len(net.varyIdx) < 2 {
+		t.Fatalf("varying dims %v: test data must make the basis vary in ≥2 dimensions", net.varyIdx)
+	}
+	return net
+}
+
+// offLevel copies x with dimension j moved off every declared level.
+func offLevel(x []float64, j int) []float64 {
+	y := append([]float64(nil), x...)
+	y[j] += 0.0137
+	return y
+}
+
+// onTheFly evaluates the factored kernel with every factor computed by
+// dimFactor — no factor column, no level table.
+func onTheFly(n *Network, x []float64) float64 {
+	var cols [maxFactoredDims][]float64
+	out := n.sharedFactor(x) * n.varyingSum(x, &cols)
+	if n.hasBias {
+		out += n.weights[len(n.centers)]
+	}
+	return out
+}
+
+// closedForm is the network's defining formula evaluated with math.Exp.
+func closedForm(n *Network, x []float64) float64 {
+	var out float64
+	for c := range n.centers {
+		var sum float64
+		for j := range x {
+			d := (x[j] - n.centers[c][j]) / n.radii[c][j]
+			sum += d * d
+		}
+		out += n.weights[c] * math.Exp(-sum)
+	}
+	if n.hasBias {
+		out += n.weights[len(n.centers)]
+	}
+	return out
+}
+
+// closedFormTol is the agreement bound with closedForm: 1e-9 of the
+// weights' total magnitude (ExpFast is within 1e-10 relative per factor).
+func closedFormTol(n *Network) float64 {
+	var s float64
+	for _, w := range n.weights {
+		s += math.Abs(w)
+	}
+	return 1e-9 * s
+}
+
+// forEachLevelCombo calls fn with base overwritten by every combination of
+// the varying dimensions' declared levels (the last varying dimension
+// fastest, matching the level table's row-major order).
+func forEachLevelCombo(n *Network, base []float64, fn func(i int, x []float64)) {
+	x := append([]float64(nil), base...)
+	var digit [maxFactoredDims]int
+	for i := 0; ; i++ {
+		for k, j := range n.varyIdx {
+			x[j] = n.varyTabVal[k][digit[k]]
+		}
+		fn(i, x)
+		k := len(n.varyIdx) - 1
+		for ; k >= 0; k-- {
+			if digit[k]++; digit[k] < len(n.varyTabVal[k]) {
+				break
+			}
+			digit[k] = 0
+		}
+		if k < 0 {
+			return
+		}
+	}
+}
+
+// TestLevelTableBitIdenticalTable2 trains a network on Table 2 designs
+// with the canonical train ∪ test feature levels declared, then checks
+// every level combination of its varying dimensions: the tabulated value,
+// Predict and PredictLevels must equal the on-the-fly kernel bit for bit,
+// also with one dimension moved off-level (which misses the table).
+func TestLevelTableBitIdenticalTable2(t *testing.T) {
+	rng := mathx.NewRNG(12)
+	designs := space.SampleDesign(60, space.TrainLevels(), space.Baseline(), 4, rng)
+	levels := space.FeatureLevels(false)
+	xs := make([][]float64, len(designs))
+	ys := make([]float64, len(designs))
+	for i, d := range designs {
+		x := d.Vector()
+		xs[i] = x
+		ys[i] = 2*(1-x[0]) + 0.6*x[3]*x[5] + 0.3*math.Sin(4*x[6])
+	}
+	net := trainLevels(t, xs, ys, levels)
+	want := 1
+	for _, k := range net.varyIdx {
+		want *= len(levels[k])
+	}
+	if len(net.levelTab) != want {
+		t.Fatalf("level table has %d entries, want the product %d", len(net.levelTab), want)
+	}
+	// The design matrix row H(x)·w is the kernel training fit; Predict
+	// groups the same products differently, within ~1e-12 relative.
+	act := make([]float64, net.NumCenters())
+	for i, x := range xs {
+		net.evalBasisInto(x, act)
+		hw := net.weights[len(act)]
+		for c, a := range act {
+			hw += net.weights[c] * a
+		}
+		if got := net.Predict(x); math.Abs(got-hw) > closedFormTol(net)*1e-3 {
+			t.Fatalf("training row %d: Predict %v, H·w %v", i, got, hw)
+		}
+	}
+	lvl := make([]int, len(levels))
+	tol := closedFormTol(net)
+	for _, base := range [][]float64{space.Baseline().Vector(), xs[7]} {
+		forEachLevelCombo(net, base, func(i int, x []float64) {
+			ref := onTheFly(net, x)
+			var cols [maxFactoredDims][]float64
+			if g := net.varyingSum(x, &cols); net.levelTab[i] != g {
+				t.Fatalf("combo %d: table entry %v, on-the-fly varying sum %v", i, net.levelTab[i], g)
+			}
+			if got := net.Predict(x); got != ref {
+				t.Fatalf("combo %d %v: Predict %v, on-the-fly %v (must be bit-identical)", i, x, got, ref)
+			}
+			ResolveLevels(levels, x, lvl)
+			if got := net.PredictLevels(x, lvl); got != ref {
+				t.Fatalf("combo %d: PredictLevels %v, on-the-fly %v", i, got, ref)
+			}
+			if cf := closedForm(net, x); math.Abs(ref-cf) > tol {
+				t.Fatalf("combo %d: kernel %v, closed form %v (tolerance %v)", i, ref, cf, tol)
+			}
+			// One dimension off-level: a table miss through the factor
+			// columns of the others plus one on-the-fly factor.
+			off := offLevel(x, net.varyIdx[i%len(net.varyIdx)])
+			ResolveLevels(levels, off, lvl)
+			offRef := onTheFly(net, off)
+			if got := net.PredictLevels(off, lvl); got != offRef {
+				t.Fatalf("combo %d off-level: PredictLevels %v, on-the-fly %v", i, got, offRef)
+			}
+			if got := net.Predict(off); got != offRef {
+				t.Fatalf("combo %d off-level: Predict %v, on-the-fly %v", i, got, offRef)
+			}
+		})
+	}
+}
+
+// TestPredictMatchesClosedForm checks every kernel path against the
+// defining formula Σ w·exp(−‖(x−μ)/θ‖²) + b.
+func TestPredictMatchesClosedForm(t *testing.T) {
+	rng := mathx.NewRNG(13)
+	xs, ys := makeSmooth(rng, 150)
+	fused, err := Train(xs, ys, Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	probes, _ := makeSmooth(rng, 30)
+	continuous, _ := makeSmooth(rng, 50)
+	levels := gridLevels(4, 5)
+	lxs, lys := makeLevelData(rng, levels, 200)
+	factored := trainLevels(t, lxs, lys, levels)
+	onLevel, _ := makeLevelData(rng, levels, 50)
+	offLevelProbes := make([][]float64, len(onLevel))
+	for i, x := range onLevel {
+		offLevelProbes[i] = offLevel(x, i%len(x))
+	}
+	for _, tc := range []struct {
+		name   string
+		net    *Network
+		probes [][]float64
+	}{
+		{"fused", fused, continuous},
+		{"levels/on-level", factored, onLevel},
+		{"levels/off-level", factored, offLevelProbes},
+	} {
+		tol := closedFormTol(tc.net)
+		for i, x := range tc.probes {
+			if got, want := tc.net.Predict(x), closedForm(tc.net, x); math.Abs(got-want) > tol {
+				t.Errorf("%s probe %d: Predict %v, closed form %v (tolerance %v)", tc.name, i, got, want, tol)
+			}
+		}
+	}
+}
+
+// TestLevelTableCapFallback declares a superset of the training levels
+// whose varying-dimension product exceeds maxLevelTable. The network must
+// skip the table yet predict bit-identically to one trained on the same
+// data with the small declaration: both fit through the same factor
+// values, so even their weights agree.
+func TestLevelTableCapFallback(t *testing.T) {
+	rng := mathx.NewRNG(14)
+	small := gridLevels(4, 5)
+	xs, ys := makeLevelData(rng, small, 200)
+	tabled := trainLevels(t, xs, ys, small)
+	big := gridLevels(4, 201) // contains every level of small exactly
+	capped, err := Train(xs, ys, Options{Tree: regtree.Options{MinLeafSize: 5}, DimLevels: big})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !capped.factored || capped.levelTab != nil {
+		t.Fatalf("201 levels in %d varying dims: factored=%v, level table built=%v; want factored without a table",
+			len(capped.varyIdx), capped.factored, capped.levelTab != nil)
+	}
+	probes, _ := makeLevelData(rng, small, 100)
+	for i := range probes[:50] {
+		probes = append(probes, offLevel(probes[i], i%len(small)))
+	}
+	lvl := make([]int, len(big))
 	for i, x := range probes {
-		if got, want := restored.Predict(x), net.Predict(x); got != want {
-			t.Errorf("probe %d: restored Predict = %v, original = %v (must be bit-identical)", i, got, want)
+		want := tabled.Predict(x)
+		if got := capped.Predict(x); got != want {
+			t.Fatalf("probe %d %v: capped Predict %v, tabled %v (must be bit-identical)", i, x, got, want)
+		}
+		ResolveLevels(big, x, lvl)
+		if got := capped.PredictLevels(x, lvl); got != want {
+			t.Fatalf("probe %d: capped PredictLevels %v, tabled %v", i, got, want)
 		}
 	}
 }

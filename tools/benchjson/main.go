@@ -1,7 +1,8 @@
 // Command benchjson converts `go test -bench` text output (stdin) into
-// a JSON benchmark summary (stdout) — the format CI uploads as the
-// BENCH_PR7.json artifact so successive runs build a queryable perf
-// trajectory instead of a pile of logs.
+// a JSON benchmark summary (stdout) — the format of the committed
+// BENCH_PR<N>.json baselines and of CI's bench-snapshot artifact, so
+// successive runs build a queryable perf trajectory instead of a pile of
+// logs.
 //
 //	go test -bench=. -benchtime=1x -run='^$' ./... | benchjson > BENCH.json
 //
