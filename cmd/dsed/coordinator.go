@@ -276,19 +276,32 @@ func (s *coordServer) handleWarm(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// queryFromSweep builds the cluster query from a validated request.
-func queryFromSweep(req wire.SweepRequest) cluster.Query {
-	constraints := make([]explore.Constraint, len(req.Constraints))
-	for i, c := range req.Constraints {
-		constraints[i] = explore.Constraint{Objective: c.Objective, Max: c.Max}
+// clusterQuery builds the distributed query of a validated request;
+// exactly one of sweep and pareto is non-nil. The query carries the
+// request's space selector, so shards of a named, unsampled space travel
+// as windows. An unnamed space is the train space, named explicitly here
+// because cluster.Query treats an unnamed space as pinned.
+func clusterQuery(sweep *wire.SweepRequest, pareto *wire.ParetoRequest) cluster.Query {
+	var q cluster.Query
+	if sweep != nil {
+		q = cluster.Query{
+			Benchmark:   sweep.Benchmark,
+			Objectives:  sweep.Objectives,
+			Space:       sweep.SpaceSpec,
+			TopK:        sweep.TopK,
+			Objective:   sweep.Objective,
+			Constraints: make([]explore.Constraint, len(sweep.Constraints)),
+		}
+		for i, c := range sweep.Constraints {
+			q.Constraints[i] = explore.Constraint{Objective: c.Objective, Max: c.Max}
+		}
+	} else {
+		q = cluster.Query{Benchmark: pareto.Benchmark, Objectives: pareto.Objectives, Space: pareto.SpaceSpec}
 	}
-	return cluster.Query{
-		Benchmark:   req.Benchmark,
-		Objectives:  req.Objectives,
-		TopK:        req.TopK,
-		Objective:   req.Objective,
-		Constraints: constraints,
+	if q.Space.Space == "" && len(q.Space.Designs) == 0 {
+		q.Space.Space = "train"
 	}
+	return q
 }
 
 // objectiveNames labels the specs through the same Build path a worker
@@ -348,7 +361,7 @@ func (s *coordServer) runSweep(req wire.SweepRequest, early []space.Config) api.
 	return func(ctx context.Context, pub api.Publisher) (any, api.Update, error) {
 		ctx, jobSpan := startJobSpan(s.tel, ctx, "job:sweep", pub, req.Benchmark)
 		defer jobSpan.End()
-		q := queryFromSweep(req)
+		q := clusterQuery(&req, nil)
 		designs := req.ResolveLate(early)
 		names := objectiveNames(req.Objectives)
 		start := time.Now()
@@ -440,7 +453,7 @@ func (s *coordServer) runPareto(req wire.ParetoRequest, early []space.Config) ap
 	return func(ctx context.Context, pub api.Publisher) (any, api.Update, error) {
 		ctx, jobSpan := startJobSpan(s.tel, ctx, "job:pareto", pub, req.Benchmark)
 		defer jobSpan.End()
-		q := cluster.Query{Benchmark: req.Benchmark, Objectives: req.Objectives}
+		q := clusterQuery(nil, &req)
 		designs := req.ResolveLate(early)
 		names := objectiveNames(req.Objectives)
 		start := time.Now()

@@ -456,12 +456,7 @@ func (f fleetJob) replicaKind() string {
 	return wire.ReplicaPareto
 }
 
-func (f fleetJob) query() cluster.Query {
-	if f.sweep != nil {
-		return queryFromSweep(*f.sweep)
-	}
-	return cluster.Query{Benchmark: f.pareto.Benchmark, Objectives: f.pareto.Objectives}
-}
+func (f fleetJob) query() cluster.Query { return clusterQuery(f.sweep, f.pareto) }
 
 func (f fleetJob) resolve(early []space.Config) []space.Config {
 	if f.sweep != nil {

@@ -302,6 +302,20 @@ func TestV1ErrorModel(t *testing.T) {
 	if !isAPIStatus(err, http.StatusNotFound) {
 		t.Errorf("unknown-benchmark job = %v, want 404 APIError", err)
 	}
+
+	// An oversized sample is refused at submit: sampling cannot be
+	// cancelled, so an accepted one would pin a core however the job ends.
+	st, err := c.SubmitPareto(context.Background(), wire.ParetoRequest{
+		Benchmark:  "gcc",
+		Objectives: []wire.ObjectiveSpec{{Metric: "CPI"}},
+		SpaceSpec:  wire.SpaceSpec{Space: "train", Sample: wire.MaxSample + 1},
+	})
+	if !isAPIStatus(err, http.StatusBadRequest) {
+		if err == nil {
+			_, _ = c.Cancel(context.Background(), st.ID)
+		}
+		t.Errorf("oversized-sample submit = %v, want 400 APIError", err)
+	}
 }
 
 // TestLegacyShimsUnchanged pins the deprecation contract: legacy routes

@@ -160,7 +160,12 @@
 // (Legacy blocking shims: /cluster/pareto and /cluster/sweep.) The
 // coordinator's shard transport is itself a dsedclient: each shard is a
 // /v1 job on its worker, submitted and streamed, so any /v1 daemon is a
-// worker with no extra surface. /v1/healthz reports per-worker liveness
+// worker with no extra surface. A shard of a named, unsampled space
+// travels as a window on it — {"space":"train","offset":o,"count":n},
+// a few dozen bytes the worker resolves to exactly the designs the
+// coordinator carved (space.Levels.FactorialRange) — while shards of
+// explicit or sampled jobs still pin their designs, since those lists
+// have no positional name. /v1/healthz reports per-worker liveness
 // and accumulated shard failures; /v1/warm trains each benchmark on its
 // consistent-hash home workers ahead of the first query. The remote CLI:
 //
@@ -240,7 +245,10 @@
 // Any peer accepts POST /v1/sweeps (and /v1/pareto, /v1/warm) and
 // coordinates that job over the fleet; shard dispatches are stamped
 // scope=local so a shard is evaluated where it lands instead of
-// re-distributed forever. While a fleet-scope job runs, its owner
+// re-distributed forever. As in coordinator mode, a shard of a named,
+// unsampled space is an [offset, count) window on it (composed with the
+// job's own window, and absolute on an adopted job's ledger complement),
+// and a shard of an explicit or sampled job pins its designs. While a fleet-scope job runs, its owner
 // replicates a compact recovery state to -replicate peers after each
 // merged shard: the job spec, the latest merged cumulative snapshot
 // (with original design indices, so top-K tie-breaking survives the

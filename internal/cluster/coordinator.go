@@ -118,10 +118,13 @@ type Options struct {
 	Tracer *obs.Tracer
 }
 
-// maxShardSize caps shard sizes, configured or adaptive: a pinned design
-// is ~170 bytes of JSON, so 4096 designs stay comfortably inside the
-// worker's 1 MiB request-body limit. A larger value would make every
-// shard 413 on every worker.
+// maxShardSize caps shard sizes, configured or adaptive. The body-size
+// rationale binds only pinned shards (explicit or sampled jobs): a pinned
+// design is ~170 bytes of JSON, so 4096 designs stay comfortably inside
+// the worker's 1 MiB request-body limit, and a larger value would make
+// every such shard 413 on every worker. A windowed shard is a few dozen
+// bytes at any size, but shares the cap so shard granularity — and with
+// it retry cost and load balance — does not depend on the job's space.
 const maxShardSize = 4096
 
 // minShardSize floors adaptive sizing: below this the HTTP round trip

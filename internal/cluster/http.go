@@ -7,18 +7,19 @@ import (
 	"net/http"
 	"time"
 
-	"repro/internal/space"
 	"repro/internal/wire"
 	"repro/pkg/dsedclient"
 )
 
 // HTTP is a Transport over the daemon's versioned /v1 API, built on the
 // shared typed client (pkg/dsedclient) so the coordinator speaks to
-// workers exactly like any other consumer. Shards become explicit-design
-// /v1/pareto and /v1/sweeps jobs — the transport submits the job,
-// follows its stream, and hands the coordinator the final partial, so a
-// worker's own progress plumbing is exercised on every shard. Warm
-// drives /v1/warm and Healthy probes /v1/healthz.
+// workers exactly like any other consumer. Shards become /v1/pareto and
+// /v1/sweeps jobs — an [offset, count) window when the query's space is
+// named and unsampled, pinned designs otherwise (see shardSpace). The
+// transport submits the job, follows its stream, and hands the
+// coordinator the final partial, so a worker's own progress plumbing is
+// exercised on every shard. Warm drives /v1/warm and Healthy probes
+// /v1/healthz.
 type HTTP struct {
 	c *dsedclient.Client
 }
@@ -77,13 +78,20 @@ func (h *HTTP) classify(err error) error {
 	return fmt.Errorf("cluster: worker %s: %w", h.Name(), err)
 }
 
-// shardSpecs pins a shard's materialised designs into explicit wire specs.
-func shardSpecs(designs []space.Config) []wire.ConfigSpec {
-	out := make([]wire.ConfigSpec, len(designs))
-	for i, c := range designs {
-		out[i] = wire.SpecFromConfig(c)
+// shardSpace is the wire selector of one shard. A shard of a named,
+// unsampled space is a window on it, a few dozen bytes that the worker
+// resolves to exactly the designs the coordinator carved; Shard.Start is
+// relative to the job's own list, which Window composes with the job's
+// offset. Anything else pins the shard's designs explicitly.
+func shardSpace(q Query, s Shard) wire.SpaceSpec {
+	if w, ok := q.Space.Window(s.Start, len(s.Designs)); ok {
+		return w
 	}
-	return out
+	specs := make([]wire.ConfigSpec, len(s.Designs))
+	for i, c := range s.Designs {
+		specs[i] = wire.SpecFromConfig(c)
+	}
+	return wire.SpaceSpec{Designs: specs}
 }
 
 // Pareto implements Transport.
@@ -91,7 +99,7 @@ func (h *HTTP) Pareto(ctx context.Context, q Query, s Shard) (*Partial, error) {
 	req := wire.ParetoRequest{
 		Benchmark:  q.Benchmark,
 		Objectives: q.Objectives,
-		SpaceSpec:  wire.SpaceSpec{Designs: shardSpecs(s.Designs)},
+		SpaceSpec:  shardSpace(q, s),
 		// Shards must evaluate where they land: without the local scope a
 		// symmetric peer would re-distribute its shard to the fleet,
 		// recursing forever.
@@ -118,7 +126,7 @@ func (h *HTTP) Sweep(ctx context.Context, q Query, s Shard) (*Partial, error) {
 	req := wire.SweepRequest{
 		Benchmark:   q.Benchmark,
 		Objectives:  q.Objectives,
-		SpaceSpec:   wire.SpaceSpec{Designs: shardSpecs(s.Designs)},
+		SpaceSpec:   shardSpace(q, s),
 		TopK:        q.TopK,
 		Objective:   q.Objective,
 		Constraints: constraints,

@@ -17,6 +17,11 @@ import (
 type Query struct {
 	Benchmark  string
 	Objectives []wire.ObjectiveSpec
+	// Space is the job's design selector, when the design list came from
+	// one. A shard of a named, unsampled space travels as a window on it
+	// (wire.SpaceSpec.Window) instead of as pinned designs; the zero value
+	// pins every shard.
+	Space wire.SpaceSpec
 	// TopK, Objective and Constraints apply to Sweep shards only.
 	TopK        int
 	Objective   int

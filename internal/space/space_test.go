@@ -1,6 +1,7 @@
 package space
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -234,6 +235,76 @@ func TestFullFactorialSmallSpace(t *testing.T) {
 	}
 	if len(seen) != 4 {
 		t.Errorf("duplicate designs in full factorial: %v", seen)
+	}
+}
+
+// recursiveFactorial is the defining enumeration FactorialRange must
+// reproduce: nested loops over the parameters, the last one innermost.
+func recursiveFactorial(l Levels, base Config) []Config {
+	var out []Config
+	var idx [NumParams]int
+	var rec func(p int)
+	rec = func(p int) {
+		if p == NumParams {
+			out = append(out, l.Design(base, idx))
+			return
+		}
+		for i := range l[p] {
+			idx[p] = i
+			rec(p + 1)
+		}
+	}
+	rec(0)
+	return out
+}
+
+func equalDesigns(t *testing.T, what string, got, want []Config) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d designs, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: design %d = %v, want %v", what, i, got[i], want[i])
+		}
+	}
+}
+
+// FactorialRange must equal the matching slice of the full factorial —
+// the invariant a windowed shard relies on to name its designs by
+// offset — at every fleet shard boundary, a ragged tail, and [0, N).
+func TestFactorialRangeMatchesFullFactorial(t *testing.T) {
+	const shard = 2048
+	for _, tc := range []struct {
+		name   string
+		levels Levels
+	}{{"train", TrainLevels()}, {"test", TestLevels()}} {
+		base := Baseline()
+		full := tc.levels.FullFactorial(base)
+		n := tc.levels.NumDesigns()
+		equalDesigns(t, tc.name+" full factorial vs nested loops", full, recursiveFactorial(tc.levels, base))
+		for start := 0; start < n; start += shard {
+			end := min(start+shard, n)
+			equalDesigns(t, fmt.Sprintf("%s [%d,%d)", tc.name, start, end), tc.levels.FactorialRange(base, start, end), full[start:end])
+		}
+		ragged := [][2]int{{0, n}, {n - 1, n}, {n, n}, {0, 1}, {shard - 1, shard + 1}, {n - shard/3, n}, {777, 777 + 1001}}
+		for _, r := range ragged {
+			equalDesigns(t, fmt.Sprintf("%s [%d,%d)", tc.name, r[0], r[1]), tc.levels.FactorialRange(base, r[0], r[1]), full[r[0]:r[1]])
+		}
+	}
+}
+
+func TestFactorialRangeRejectsOutOfBounds(t *testing.T) {
+	n := TestLevels().NumDesigns()
+	for _, r := range [][2]int{{-1, 3}, {5, 4}, {0, n + 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("FactorialRange(%d, %d) did not panic", r[0], r[1])
+				}
+			}()
+			TestLevels().FactorialRange(Baseline(), r[0], r[1])
+		}()
 	}
 }
 

@@ -1,5 +1,7 @@
 package space
 
+import "fmt"
+
 // Levels lists the admissible values of each swept parameter for one of the
 // two sampling regimes of Table 2.
 type Levels [NumParams][]int
@@ -75,19 +77,42 @@ func (l Levels) Design(base Config, levelIdx [NumParams]int) Config {
 // FullFactorial enumerates every design in the space (use with care: the
 // Table 2 training space holds 245,760 designs).
 func (l Levels) FullFactorial(base Config) []Config {
-	out := make([]Config, 0, l.NumDesigns())
-	var idx [NumParams]int
-	var rec func(p int)
-	rec = func(p int) {
-		if p == NumParams {
-			out = append(out, l.Design(base, idx))
-			return
-		}
-		for i := range l[p] {
-			idx[p] = i
-			rec(p + 1)
+	return l.FactorialRange(base, 0, l.NumDesigns())
+}
+
+// FactorialRange returns FullFactorial(base)[start:end] without building
+// the rest of the space, so a shard names its designs by position alone.
+// The enumeration order is a mixed-radix odometer with the first
+// parameter most significant; design i's level indices are the digits of
+// i. It panics unless 0 ≤ start ≤ end ≤ NumDesigns(), like a slice
+// expression would.
+func (l Levels) FactorialRange(base Config, start, end int) []Config {
+	if start < 0 || end < start || end > l.NumDesigns() {
+		panic(fmt.Sprintf("space: factorial range [%d, %d) does not fit %d designs", start, end, l.NumDesigns()))
+	}
+	out := make([]Config, 0, end-start)
+	if start == end {
+		return out
+	}
+	// Seek: peel start's digits off, least significant parameter first.
+	var idx, vals [NumParams]int
+	for p, rest := NumParams-1, start; p >= 0; p-- {
+		idx[p] = rest % len(l[p])
+		rest /= len(l[p])
+		vals[p] = l[p][idx[p]]
+	}
+	for i := start; i < end; i++ {
+		out = append(out, base.WithSweptValues(vals))
+		// Tick: carry into the more significant digits.
+		for p := NumParams - 1; p >= 0; p-- {
+			idx[p]++
+			if idx[p] < len(l[p]) {
+				vals[p] = l[p][idx[p]]
+				break
+			}
+			idx[p] = 0
+			vals[p] = l[p][0]
 		}
 	}
-	rec(0)
 	return out
 }

@@ -142,12 +142,61 @@ func (o ObjectiveSpec) Build() (explore.Objective, error) {
 
 // SpaceSpec selects the candidate designs of a sweep: an explicit list,
 // or a named Table 2 space ("train" or "test") — full factorial by
-// default, optionally LHS-subsampled to Sample designs.
+// default, optionally LHS-subsampled to Sample designs. A window
+// (Offset, Count) narrows an unsampled named space to designs
+// [Offset, Offset+Count) of its full-factorial order; that is how a
+// fleet ships a shard of a named space without pinning its designs.
 type SpaceSpec struct {
 	Designs []ConfigSpec `json:"designs,omitempty"`
 	Space   string       `json:"space,omitempty"`
 	Sample  int          `json:"sample,omitempty"`
 	Seed    uint64       `json:"seed,omitempty"`
+	Offset  int          `json:"offset,omitempty"`
+	Count   int          `json:"count,omitempty"`
+}
+
+// MaxSample bounds Sample. Sampling (space.SampleDesign) is quadratic in
+// the sample size and cannot be cancelled, so an unbounded request could
+// pin a core for hours: 5,000 designs took 6 s and 20,000 took 98 s on
+// one core of a 2-vCPU x86-64 VM. 20,000 is the largest sample the
+// operations runbook and examples/paretosearch use.
+const MaxSample = 20000
+
+// windowed reports whether the spec carries a window.
+func (sp SpaceSpec) windowed() bool { return sp.Offset != 0 || sp.Count != 0 }
+
+// Validate checks the selector's shape without resolving anything: the
+// sample bound, and that a window narrows a named, unsampled space.
+// ResolveEarly checks the rest (the space name and the window's fit).
+func (sp SpaceSpec) Validate() error {
+	if sp.Sample < 0 || sp.Sample > MaxSample {
+		return fmt.Errorf("sample %d outside [0, %d]", sp.Sample, MaxSample)
+	}
+	if !sp.windowed() {
+		return nil
+	}
+	switch {
+	case len(sp.Designs) > 0:
+		return errors.New("offset/count window needs a named space, not an explicit design list")
+	case sp.Sample > 0:
+		return errors.New("offset/count window cannot be combined with sample")
+	case sp.Offset < 0:
+		return fmt.Errorf("window offset %d is negative", sp.Offset)
+	case sp.Count < 1:
+		return fmt.Errorf("window count %d must be at least 1", sp.Count)
+	}
+	return nil
+}
+
+// Window returns the spec selecting designs [start, start+count) of the
+// list sp resolves to, composed with sp's own window. ok is false unless
+// sp names an unsampled space explicitly: explicit lists and LHS samples
+// have no positional name and must travel as pinned designs.
+func (sp SpaceSpec) Window(start, count int) (w SpaceSpec, ok bool) {
+	if sp.Space == "" || len(sp.Designs) > 0 || sp.Sample > 0 {
+		return SpaceSpec{}, false
+	}
+	return SpaceSpec{Space: sp.Space, Offset: sp.Offset + start, Count: count}, true
 }
 
 // explicitDesigns resolves the explicit design list (empty when a named
@@ -177,32 +226,45 @@ func (sp SpaceSpec) levels() (space.Levels, error) {
 
 // ResolveEarly materialises the design list when that is cheap (an
 // explicit list, bounded by the body limit) and otherwise only checks
-// the named space — handlers run it before resolving models (which may
-// train on demand) and call ResolveLate afterwards, so a malformed or
-// unknown request never pays training or a full-factorial allocation,
-// and no request validates the same designs twice.
+// the named space and its window — handlers run it before resolving
+// models (which may train on demand) and call ResolveLate afterwards, so
+// a malformed or unknown request never pays training or a full-factorial
+// allocation, and no request validates the same designs twice.
 func (sp SpaceSpec) ResolveEarly() ([]space.Config, error) {
+	if err := sp.Validate(); err != nil {
+		return nil, err
+	}
 	if len(sp.Designs) > 0 {
 		return sp.explicitDesigns()
 	}
-	_, err := sp.levels()
-	return nil, err
+	levels, err := sp.levels()
+	if err != nil {
+		return nil, err
+	}
+	if n := levels.NumDesigns(); sp.windowed() && sp.Count > n-sp.Offset {
+		return nil, fmt.Errorf("window offset %d + count %d overruns space %q's %d designs", sp.Offset, sp.Count, sp.Space, n)
+	}
+	return nil, nil
 }
 
 // ResolveLate materialises the named space after model resolution; early
-// is ResolveEarly's result, returned as-is for explicit lists.
+// is ResolveEarly's result, returned as-is for explicit lists. A window
+// builds only its own designs.
 func (sp SpaceSpec) ResolveLate(early []space.Config) []space.Config {
 	if early != nil {
 		return early
 	}
 	// levels cannot fail here: ResolveEarly validated the name.
 	levels, _ := sp.levels()
-	if sp.Sample > 0 {
+	switch {
+	case sp.Sample > 0:
 		seed := sp.Seed
 		if seed == 0 {
 			seed = 1
 		}
 		return space.SampleDesign(sp.Sample, levels, space.Baseline(), 4, mathx.NewRNG(seed))
+	case sp.windowed():
+		return levels.FactorialRange(space.Baseline(), sp.Offset, sp.Offset+sp.Count)
 	}
 	return levels.FullFactorial(space.Baseline())
 }
@@ -305,6 +367,9 @@ func (r SweepRequest) Validate() error {
 	if err := validateObjectives(r.Objectives); err != nil {
 		return err
 	}
+	if err := r.SpaceSpec.Validate(); err != nil {
+		return err
+	}
 	if r.Objective < 0 || r.Objective >= len(r.Objectives) {
 		return fmt.Errorf("objective index %d out of range", r.Objective)
 	}
@@ -375,6 +440,9 @@ type ParetoRequest struct {
 // /pareto and a coordinator's /cluster/pareto.
 func (r ParetoRequest) Validate() error {
 	if err := validateObjectives(r.Objectives); err != nil {
+		return err
+	}
+	if err := r.SpaceSpec.Validate(); err != nil {
 		return err
 	}
 	return validateScope(r.Scope)
