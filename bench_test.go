@@ -570,3 +570,36 @@ func BenchmarkExtThermal(b *testing.B) {
 		b.ReportMetric(mathx.Median(all), "temp-med-MSE%")
 	}
 }
+
+// BenchmarkExploreSweepFactorial is the daemon's frontier-full shape in
+// process: both mean objectives through a FrontierCollector over the
+// whole 245,760-design train factorial, enumerated by the workers as a
+// window rather than materialised, so it measures coefficient-space mean
+// scoring plus window enumeration end to end.
+func BenchmarkExploreSweepFactorial(b *testing.B) {
+	models := benchExploreModels(b)
+	levels := space.TrainLevels()
+	w := space.Window{Levels: levels, Base: space.Baseline(), Count: levels.NumDesigns()}
+	objectives := []explore.Objective{
+		explore.MeanObjective("cpi"),
+		explore.MeanObjective("power"),
+	}
+	for _, bc := range []struct {
+		name    string
+		workers int
+	}{{"workers=1", 1}, {"workers=max", 0}} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				fc := explore.NewFrontierCollector()
+				if err := explore.SweepWindow(context.Background(), w, models, objectives,
+					explore.Options{Workers: bc.workers}, fc); err != nil {
+					b.Fatal(err)
+				}
+				if fc.Seen() != w.Count || len(fc.Frontier()) == 0 {
+					b.Fatal("incomplete sweep")
+				}
+			}
+			b.ReportMetric(float64(w.Count)*float64(b.N)/b.Elapsed().Seconds(), "designs/s")
+		})
+	}
+}

@@ -181,13 +181,15 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		httpError(w, r, status, "%v", err)
 		return
 	}
+	// The mean is scored in coefficient space, exactly as a sweep's mean
+	// objective scores this config.
 	trace := p.Predict(cfg)
 	writeJSON(w, r, http.StatusOK, wire.PredictResponse{
 		Benchmark: req.Benchmark,
 		Metric:    m.String(),
 		Config:    wire.ToConfigJSON(cfg),
 		Trace:     trace,
-		Mean:      mathx.Mean(trace),
+		Mean:      p.PredictMean(cfg),
 		Worst:     mathx.Max(trace),
 	})
 }
@@ -270,7 +272,7 @@ func (s *Server) handleBatchPredict(w http.ResponseWriter, r *http.Request, req 
 		row := make([]wire.PredictResult, len(preds))
 		for j, p := range preds {
 			trace := p.Predict(configs[i])
-			row[j] = wire.PredictResult{Mean: mathx.Mean(trace), Worst: mathx.Max(trace)}
+			row[j] = wire.PredictResult{Mean: p.PredictMean(configs[i]), Worst: mathx.Max(trace)}
 			if req.IncludeTraces {
 				row[j].Trace = trace
 			}
@@ -395,9 +397,7 @@ func (s *Server) runSweep(req wire.SweepRequest, early []space.Config) api.RunFu
 		if err != nil {
 			return nil, api.Update{}, err
 		}
-		// Named spaces (possibly the full factorial) materialise only for
-		// requests that resolved models.
-		designs := s.phaseEncode(ctx, func() []space.Config { return req.ResolveLate(early) })
+		designs := s.candidates(ctx, req.SpaceSpec, early)
 		topK := req.TopK
 		if topK <= 0 {
 			topK = 10
@@ -410,12 +410,12 @@ func (s *Server) runSweep(req wire.SweepRequest, early []space.Config) api.RunFu
 		names := wire.ObjectiveNames(objectives)
 		// The opening snapshot: a subscriber sees the job's shape (design
 		// total, objectives) before the first results land.
-		pub.Publish(api.Update{Designs: len(designs), Objectives: names})
+		pub.Publish(api.Update{Designs: designs.count(), Objectives: names})
 		var evaluated gauge
 		stopTicks := startSnapshotTicker(ctx, pub, func() api.Update {
 			u := api.Update{
 				Evaluated:  evaluated.value(),
-				Designs:    len(designs),
+				Designs:    designs.count(),
 				Objectives: names,
 			}
 			// The partial top-K payload is built only for an attached
@@ -428,10 +428,7 @@ func (s *Server) runSweep(req wire.SweepRequest, early []space.Config) api.RunFu
 			return u
 		})
 		start := time.Now()
-		_, predictSpan := s.tel.tracer.Start(ctx, "phase:predict")
-		err = explore.SweepStream(ctx, designs, models, objectives,
-			explore.Options{Workers: s.workers, Progress: evaluated.observe, ChunkDone: s.chunkDone}, top)
-		predictSpan.End()
+		err = s.phasePredict(ctx, designs, models, objectives, &evaluated, top)
 		stopTicks()
 		if err != nil {
 			return nil, api.Update{}, err
@@ -448,7 +445,7 @@ func (s *Server) runSweep(req wire.SweepRequest, early []space.Config) api.RunFu
 		}
 		final := api.Update{
 			Evaluated:  seen,
-			Designs:    len(designs),
+			Designs:    designs.count(),
 			Feasible:   feasible,
 			Objectives: names,
 			Candidates: resp.Candidates,
@@ -508,15 +505,15 @@ func (s *Server) runPareto(req wire.ParetoRequest, early []space.Config) api.Run
 		if err != nil {
 			return nil, api.Update{}, err
 		}
-		designs := s.phaseEncode(ctx, func() []space.Config { return req.ResolveLate(early) })
+		designs := s.candidates(ctx, req.SpaceSpec, early)
 		fc := &lockedFrontier{inner: explore.NewFrontierCollector()}
 		names := wire.ObjectiveNames(objectives)
-		pub.Publish(api.Update{Designs: len(designs), Objectives: names})
+		pub.Publish(api.Update{Designs: designs.count(), Objectives: names})
 		var evaluated gauge
 		stopTicks := startSnapshotTicker(ctx, pub, func() api.Update {
 			u := api.Update{
 				Evaluated:  evaluated.value(),
-				Designs:    len(designs),
+				Designs:    designs.count(),
 				Objectives: names,
 			}
 			if pub.Streaming() {
@@ -526,10 +523,7 @@ func (s *Server) runPareto(req wire.ParetoRequest, early []space.Config) api.Run
 			return u
 		})
 		start := time.Now()
-		_, predictSpan := s.tel.tracer.Start(ctx, "phase:predict")
-		err = explore.SweepStream(ctx, designs, models, objectives,
-			explore.Options{Workers: s.workers, Progress: evaluated.observe, ChunkDone: s.chunkDone}, fc)
-		predictSpan.End()
+		err = s.phasePredict(ctx, designs, models, objectives, &evaluated, fc)
 		stopTicks()
 		if err != nil {
 			return nil, api.Update{}, err
@@ -545,7 +539,7 @@ func (s *Server) runPareto(req wire.ParetoRequest, early []space.Config) api.Run
 		}
 		final := api.Update{
 			Evaluated:  seen,
-			Designs:    len(designs),
+			Designs:    designs.count(),
 			Objectives: names,
 			Candidates: resp.Frontier,
 			ElapsedMS:  resp.ElapsedMS,
@@ -586,14 +580,47 @@ func (s *Server) phaseTrain(ctx context.Context, benchmark string, specs []wire.
 	return models, objectives, err
 }
 
-// phaseEncode materialises the design list under a "phase:encode" span
-// (a named space can expand to the full factorial here).
-func (s *Server) phaseEncode(ctx context.Context, resolve func() []space.Config) []space.Config {
+// candidateSpace is a job's candidate designs: either a window of a
+// named factorial that the sweep workers enumerate chunk by chunk, or a
+// materialised list (explicit designs or an LHS sample).
+type candidateSpace struct {
+	window  space.Window
+	designs []space.Config
+}
+
+// count is the number of candidate designs.
+func (c candidateSpace) count() int {
+	if c.designs != nil {
+		return len(c.designs)
+	}
+	return c.window.Count
+}
+
+// candidates resolves a job's space after its models. An unsampled named
+// space, windowed or whole, stays a window and never materialises; an
+// explicit list is early itself, and a sample is drawn under a
+// "phase:encode" span.
+func (s *Server) candidates(ctx context.Context, sp wire.SpaceSpec, early []space.Config) candidateSpace {
+	if w, ok := sp.FactorialWindow(); ok {
+		return candidateSpace{window: w}
+	}
 	_, span := s.tel.tracer.Start(ctx, "phase:encode")
-	designs := resolve()
+	designs := sp.ResolveLate(early)
 	span.SetAttr("designs", strconv.Itoa(len(designs)))
 	span.End()
-	return designs
+	return candidateSpace{designs: designs}
+}
+
+// phasePredict streams the candidates through the collector under a
+// "phase:predict" span, reporting progress into evaluated.
+func (s *Server) phasePredict(ctx context.Context, c candidateSpace, models []core.DynamicsModel, objectives []explore.Objective, evaluated *gauge, col explore.Collector) error {
+	_, span := s.tel.tracer.Start(ctx, "phase:predict")
+	defer span.End()
+	opts := explore.Options{Workers: s.workers, Progress: evaluated.observe, ChunkDone: s.chunkDone}
+	if c.designs != nil {
+		return explore.SweepStream(ctx, c.designs, models, objectives, opts, col)
+	}
+	return explore.SweepWindow(ctx, c.window, models, objectives, opts, col)
 }
 
 // chunkDone is the explore engine's per-chunk observer: pre-registered

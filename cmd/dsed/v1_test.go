@@ -437,3 +437,51 @@ func TestWorkerQueueDepths(t *testing.T) {
 		t.Errorf("finished job still counted in queue depths: %v", depths)
 	}
 }
+
+// TestParetoMeanMatchesPredict pins one definition of "mean" across the
+// API: every point of a /v1/pareto frontier over an unsampled named space
+// (the window path) scores its mean objectives bit for bit like
+// /v1/predict's mean for the same config, in the single and batch forms.
+func TestParetoMeanMatchesPredict(t *testing.T) {
+	ts := httptest.NewServer(testServer(t).Handler())
+	defer ts.Close()
+	c := testClient(ts.URL)
+	ctx := context.Background()
+
+	metrics := []string{"CPI", "Power"}
+	res, err := c.ParetoJob(ctx, wire.ParetoRequest{
+		Benchmark:  "gcc",
+		Objectives: []wire.ObjectiveSpec{{Metric: metrics[0]}, {Metric: metrics[1]}},
+		SpaceSpec:  wire.SpaceSpec{Space: "test", Offset: 1001, Count: 3001},
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Evaluated != 3001 || len(res.Frontier) < 2 {
+		t.Fatalf("pareto evaluated %d designs into %d frontier points", res.Evaluated, len(res.Frontier))
+	}
+	configs := make([]wire.ConfigSpec, len(res.Frontier))
+	for i, p := range res.Frontier {
+		configs[i] = wire.SpecFromConfig(p.Config.ToConfig())
+		for m, metric := range metrics {
+			one, err := c.Predict(ctx, wire.PredictRequest{Benchmark: "gcc", Metric: metric, Config: configs[i]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if one.Mean != p.Scores[m] {
+				t.Fatalf("point %d: pareto %s mean %v, /v1/predict mean %v", i, metric, p.Scores[m], one.Mean)
+			}
+		}
+	}
+	batch, err := c.PredictBatch(ctx, wire.PredictRequest{Benchmark: "gcc", Metrics: metrics, Configs: configs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range res.Frontier {
+		for m, metric := range metrics {
+			if got := batch.Results[i][m].Mean; got != p.Scores[m] {
+				t.Fatalf("point %d: pareto %s mean %v, batch /v1/predict mean %v", i, metric, p.Scores[m], got)
+			}
+		}
+	}
+}

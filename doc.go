@@ -412,7 +412,15 @@
 //     (PredictVecInto) accepts a pre-encoded feature vector so the sweep
 //     engine encodes each design once and shares the vector across
 //     models (the plain feature encoding is a strict prefix of the DVM
-//     encoding).
+//     encoding). A trace's mean is linear in the coefficients, so each
+//     Predictor also precomputes its basis vectors' means and
+//     PredictMeanVec (the MeanVecPredictor refinement) scores a mean as
+//     Σ c_i·mean(basis_i) over only the networks with a nonzero basis
+//     mean. In the paper's Haar form the average coefficient's basis
+//     mean is exactly 1 and every detail's exactly 0, so a mean costs one
+//     network instead of k plus a trace reconstruction. It agrees with
+//     the trace mean to rounding (within 1e-15 relative, tested), and
+//     /v1/predict reports the same value.
 //   - internal/rbf: the Gaussian has axis-aligned radii, so each network
 //     with declared levels (core declares the Table 2 feature levels) is
 //     one function f(x) = s(x)·g(x_V) + b. The shared factor s is a single
@@ -429,17 +437,27 @@
 //     on load, never persisted.
 //   - internal/explore: evalChunks workers hold per-worker scratch (one
 //     trace buffer per model, one flat score matrix per chunk) and emit
-//     scores only — zero heap allocations per design in steady state,
-//     property-tested bit-identical to the naive path. ParetoFrontier
-//     prefilters against a strong pivot and sorts two-objective inputs
-//     by flat value keys.
+//     scores only — zero heap allocations per design in steady state.
+//     A MeanObjective is scored through PredictMeanVec when the model
+//     offers it; trace objectives (worst case, exceedance) stay
+//     bit-identical to the naive path. Workers draw designs from a
+//     source: a list, or a space.Window of a named factorial that each
+//     worker enumerates into a reused ≤512-design chunk
+//     (Levels.FactorialRangeInto), so SweepWindow sweeps the 245,760-design
+//     train space without materialising it, and cmd/dsed runs every
+//     unsampled named space that way. FrontierCollector checks the member
+//     that rejected the previous arrival first, so neighbouring designs
+//     are usually rejected without a scan. ParetoFrontier prefilters
+//     against a strong pivot and sorts two-objective inputs by flat value
+//     keys.
 //   - cmd/dsed: JSON and NDJSON responses encode through pooled buffers
 //     (api.EncodeJSON) — one marshal, one Write per response or stream
 //     line, no per-update allocation at shard rate.
 //
 // The trajectory is recorded, not remembered. The BENCH_PR<N>.json files
 // at the repository root are committed baselines for the hot-path
-// benchmarks (BenchmarkExploreSweep, BenchmarkPredictBatch,
+// benchmarks (BenchmarkExploreSweep and its full-factorial window twin
+// BenchmarkExploreSweepFactorial, BenchmarkPredictBatch,
 // BenchmarkRBFPredict and its on-level twin BenchmarkRBFPredictLevels);
 // the one with the highest N is current. Record a new point (and commit
 // it under the PR's number when a PR moves the needle) with:

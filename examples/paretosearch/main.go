@@ -148,10 +148,12 @@ func runLocal(ctx context.Context) {
 	}
 
 	// Sweep the ENTIRE factorial training space (245,760 designs) through
-	// the models on all cores, streaming candidates into a Pareto-frontier
-	// collector and a constrained top-K selector so nothing but the
-	// answers stays alive.
-	designs := space.TrainLevels().FullFactorial(space.Baseline())
+	// the models on all cores. The space is a window the workers enumerate
+	// chunk by chunk, and candidates stream into a Pareto-frontier
+	// collector and a constrained top-K selector, so nothing but the
+	// answers stays alive — not even the design list.
+	levels := space.TrainLevels()
+	designs := space.Window{Levels: levels, Base: space.Baseline(), Count: levels.NumDesigns()}
 	models := []core.DynamicsModel{cpiModel, powModel}
 	objectives := []explore.Objective{
 		explore.MeanObjective("cpi"),
@@ -160,15 +162,15 @@ func runLocal(ctx context.Context) {
 	frontier := explore.NewFrontierCollector()
 	top := explore.NewTopK(1, 0, []explore.Constraint{{Objective: 1, Max: powerBudget}})
 	start := time.Now()
-	err = explore.SweepStream(ctx, designs, models, objectives,
+	err = explore.SweepWindow(ctx, designs, models, objectives,
 		explore.Options{}, frontier, top)
 	if err != nil {
 		log.Fatal(err)
 	}
 	elapsed := time.Since(start)
 	fmt.Printf("swept %d designs through the models on %d workers in %v (%.0f designs/sec)\n\n",
-		len(designs), runtime.GOMAXPROCS(0), elapsed.Round(time.Millisecond),
-		float64(len(designs))/elapsed.Seconds())
+		designs.Count, runtime.GOMAXPROCS(0), elapsed.Round(time.Millisecond),
+		float64(designs.Count)/elapsed.Seconds())
 
 	// Show the frontier.
 	front := frontier.Frontier()

@@ -52,10 +52,23 @@ type VecPredictor interface {
 	PredictVecInto(x []float64, dst []float64) []float64
 }
 
+// MeanVecPredictor is the linear-objective refinement of VecPredictor:
+// the model scores the mean of its forecast trace straight from the
+// encoded feature vector, without producing the trace. PredictMeanVec(x)
+// must agree with mathx.Mean(PredictVecInto(x, nil)) to rounding (the two
+// sum in different orders, so they may differ in the last bits). Sweeps
+// scoring a mean objective use it when the model offers it.
+type MeanVecPredictor interface {
+	VecPredictor
+	// PredictMeanVec returns the forecast trace's mean at feature vector
+	// x (length NumFeatures()).
+	PredictMeanVec(x []float64) float64
+}
+
 var (
-	_ VecPredictor = (*Predictor)(nil)
-	_ VecPredictor = (*GlobalANN)(nil)
-	_ VecPredictor = (*LinearWavelet)(nil)
+	_ MeanVecPredictor = (*Predictor)(nil)
+	_ VecPredictor     = (*GlobalANN)(nil)
+	_ VecPredictor     = (*LinearWavelet)(nil)
 )
 
 // GlobalANN is the monolithic neural-network baseline of prior work

@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/mathx"
 	"repro/internal/space"
 	"repro/internal/wavelet"
 )
@@ -161,6 +162,20 @@ func TestPredictIntoZeroAllocs(t *testing.T) {
 		}
 	}
 
+	x := test[0].Vector()
+	var mean float64
+	if allocs := testing.AllocsPerRun(100, func() {
+		mean = p.PredictMeanVec(x)
+	}); allocs != 0 {
+		t.Errorf("Predictor.PredictMeanVec allocates %v per call, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		mean = p.PredictMean(test[0])
+	}); allocs != 0 {
+		t.Errorf("Predictor.PredictMean allocates %v per call, want 0", allocs)
+	}
+	_ = mean
+
 	batch := p.PredictBatch(test, nil)
 	if allocs := testing.AllocsPerRun(100, func() {
 		batch = p.PredictBatch(test, batch)
@@ -249,6 +264,82 @@ func TestLoadMismatchedLevelsResolvesPerNetwork(t *testing.T) {
 			if got[j] != want[j] {
 				t.Fatalf("design %d sample %d: edited model %v, original %v", i, j, got[j], want[j])
 			}
+		}
+	}
+}
+
+// TestPredictMeanVecMatchesTraceMean holds coefficient-space mean scoring
+// to the trace it summarises: over the whole test factorial, for every
+// wavelet family, PredictMeanVec agrees with mathx.Mean of PredictVecInto
+// to within 1e-15 relative, and PredictMean is PredictMeanVec on the
+// design's own encoding. A restored model scores bit-identically.
+func TestPredictMeanVecMatchesTraceMean(t *testing.T) {
+	designs := space.TestLevels().FullFactorial(space.Baseline())
+	for _, w := range []wavelet.Transform{
+		wavelet.Haar{}, wavelet.HaarOrthonormal{}, wavelet.Daubechies4{},
+	} {
+		t.Run(w.Name(), func(t *testing.T) {
+			p, _ := trainVariant(t, w, false)
+			var buf bytes.Buffer
+			if err := p.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := Load(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var trace []float64
+			worst := 0.0
+			for i := range designs {
+				x := designs[i].Vector()
+				got := p.PredictMeanVec(x)
+				trace = p.PredictVecInto(x, trace)
+				want := mathx.Mean(trace)
+				rel := math.Abs(got-want) / math.Abs(want)
+				worst = math.Max(worst, rel)
+				if rel > 1e-15 {
+					t.Fatalf("design %d: PredictMeanVec %v, trace mean %v (relative error %.3g)", i, got, want, rel)
+				}
+				if m := p.PredictMean(designs[i]); m != got {
+					t.Fatalf("design %d: PredictMean %v != PredictMeanVec %v", i, m, got)
+				}
+				if m := loaded.PredictMeanVec(x); m != got {
+					t.Fatalf("design %d: loaded PredictMeanVec %v != trained %v", i, m, got)
+				}
+			}
+			t.Logf("max relative error %.3g over %d designs", worst, len(designs))
+		})
+	}
+}
+
+// In the paper's Haar form the average coefficient's basis vector is all
+// ones and every detail's sums to exactly zero, so a mean costs exactly
+// one network — and a model without the average coefficient scores 0.
+func TestHaarMeanUsesOneNetwork(t *testing.T) {
+	p, test := trainVariant(t, wavelet.Haar{}, false)
+	if p.selected[0] != 0 {
+		t.Fatalf("selected %v, want the average coefficient 0 first", p.selected)
+	}
+	if p.basisMean[0] != 1 {
+		t.Errorf("average coefficient's basis mean = %v, want exactly 1", p.basisMean[0])
+	}
+	for i, bm := range p.basisMean[1:] {
+		if bm != 0 {
+			t.Errorf("detail coefficient %d's basis mean = %v, want exactly 0", p.selected[i+1], bm)
+		}
+	}
+	for _, cfg := range test {
+		x := cfg.Vector()
+		if got, want := p.PredictMeanVec(x), p.nets[0].Predict(x); got != want {
+			t.Fatalf("Haar mean %v, average-coefficient network %v", got, want)
+		}
+	}
+
+	details := &Predictor{opts: p.opts, traceLen: p.traceLen, selected: p.selected[1:], nets: p.nets[1:]}
+	details.bindBasis()
+	for _, cfg := range test {
+		if got := details.PredictMeanVec(cfg.Vector()); got != 0 {
+			t.Fatalf("model without the average coefficient scores mean %v, want 0", got)
 		}
 	}
 }

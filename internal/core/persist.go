@@ -98,11 +98,9 @@ func Load(r io.Reader) (*Predictor, error) {
 		traceLen: f.TraceLen,
 		selected: f.Selected,
 		nets:     f.Nets,
-		// Rebuild the reconstruction basis cache: a loaded predictor must
-		// run the same zero-allocation inference path as a trained one.
-		basis: waveletBasis(w, f.TraceLen, f.Selected),
 	}
-	p.basisLo, p.basisHi = basisSpans(p.basis)
-	p.bindLevels()
+	// Rebuild the basis caches: a loaded predictor must run the same
+	// zero-allocation inference paths as a trained one.
+	p.bindBasis()
 	return p, nil
 }

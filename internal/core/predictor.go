@@ -26,6 +26,7 @@ import (
 	"slices"
 	"sort"
 
+	"repro/internal/mathx"
 	"repro/internal/rbf"
 	"repro/internal/space"
 	"repro/internal/wavelet"
@@ -105,11 +106,28 @@ type Predictor struct {
 	basis   [][]float64
 	basisLo []int
 	basisHi []int
+	// basisMean[i] is mathx.Mean(basis[i]). The trace mean is linear in
+	// the coefficients, so PredictMeanVec scores it as Σ c_i·basisMean[i]
+	// without reconstructing the trace. In the paper's Haar form the
+	// average coefficient's basis mean is exactly 1 and every detail's is
+	// exactly 0, so a mean costs one network.
+	basisMean []float64
 
 	// levels is the level declaration every factored network shares
 	// (nil when they do not share one). PredictVecInto resolves a design's
 	// level indices against it once and hands them to all k networks.
 	levels [][]float64
+}
+
+// bindBasis precomputes everything inference derives from the transform
+// and the selected positions: the reconstruction basis, its supports and
+// means, and the networks' shared level declaration. Train and Load both
+// end here, so a loaded predictor runs exactly the trained one's paths.
+func (p *Predictor) bindBasis() {
+	p.basis = waveletBasis(p.opts.Wavelet, p.traceLen, p.selected)
+	p.basisLo, p.basisHi = basisSpans(p.basis)
+	p.basisMean = basisMeans(p.basis)
+	p.bindLevels()
 }
 
 // bindLevels records the networks' shared level declaration. A network on
@@ -177,6 +195,16 @@ func waveletBasis(w wavelet.Transform, traceLen int, selected []int) [][]float64
 		unit[pos] = 0
 	}
 	return basis
+}
+
+// basisMeans returns each basis vector's mean, the weight of its
+// coefficient in the predicted trace's mean.
+func basisMeans(basis [][]float64) []float64 {
+	out := make([]float64, len(basis))
+	for i, b := range basis {
+		out[i] = mathx.Mean(b)
+	}
+	return out
 }
 
 // basisSpans returns, per basis vector, the [lo, hi) bounds of its
@@ -266,9 +294,7 @@ func Train(configs []space.Config, traces [][]float64, opts Options) (*Predictor
 		}
 		p.nets = append(p.nets, net)
 	}
-	p.basis = waveletBasis(opts.Wavelet, n, selected)
-	p.basisLo, p.basisHi = basisSpans(p.basis)
-	p.bindLevels()
+	p.bindBasis()
 	return p, nil
 }
 
@@ -343,21 +369,10 @@ func (p *Predictor) PredictVecInto(x []float64, dst []float64) []float64 {
 	for i := hi0; i < len(dst); i++ {
 		dst[i] = 0
 	}
-	// Resolve x's level indices once for all k networks; PredictLevels
-	// with them is bit-identical to each network's own Predict.
 	var lbuf [space.MaxFeatures]int
-	lvl := lbuf[:0]
-	if p.levels != nil && len(x) <= len(lbuf) {
-		lvl = lbuf[:len(x)]
-		rbf.ResolveLevels(p.levels, x, lvl)
-	}
+	lvl := p.resolveLevels(x, &lbuf)
 	for i := range p.selected {
-		var c float64
-		if len(lvl) > 0 {
-			c = p.nets[i].PredictLevels(x, lvl)
-		} else {
-			c = p.nets[i].Predict(x)
-		}
+		c := p.coefficient(i, x, lvl)
 		// Accumulate only over the basis vector's nonzero support —
 		// fine-scale wavelets touch a handful of samples, so most passes
 		// are short. Skipped entries would only ever add exact zeros.
@@ -377,6 +392,54 @@ func (p *Predictor) PredictVecInto(x []float64, dst []float64) []float64 {
 		}
 	}
 	return dst
+}
+
+// resolveLevels resolves x's level indices once for all k networks into
+// buf, returning an empty slice when the networks share no declaration.
+func (p *Predictor) resolveLevels(x []float64, buf *[space.MaxFeatures]int) []int {
+	if p.levels == nil || len(x) > len(buf) {
+		return buf[:0]
+	}
+	lvl := buf[:len(x)]
+	rbf.ResolveLevels(p.levels, x, lvl)
+	return lvl
+}
+
+// coefficient evaluates network i at x. With resolved level indices it
+// runs PredictLevels, which is bit-identical to the network's own Predict.
+func (p *Predictor) coefficient(i int, x []float64, lvl []int) float64 {
+	if len(lvl) > 0 {
+		return p.nets[i].PredictLevels(x, lvl)
+	}
+	return p.nets[i].Predict(x)
+}
+
+// PredictMean returns the mean of the forecast trace for cfg, scored in
+// coefficient space; it is PredictMeanVec on cfg's own encoding, so it is
+// bit-identical to the score a sweep's mean objective gives cfg.
+func (p *Predictor) PredictMean(cfg space.Config) float64 {
+	var fbuf [space.MaxFeatures]float64
+	return p.PredictMeanVec(p.opts.featureVectorInto(&cfg, fbuf[:0]))
+}
+
+// PredictMeanVec returns the mean of the forecast trace for the
+// already-encoded feature vector x; see MeanVecPredictor. The mean is
+// linear in the coefficients, so it is Σ c_i·basisMean[i] over only the
+// networks whose basis mean is nonzero: no trace is reconstructed, and
+// under the paper's Haar transform one network (the average coefficient)
+// is evaluated instead of k. It agrees with mathx.Mean of PredictVecInto
+// to rounding; a model that does not select a coefficient with a nonzero
+// basis mean scores 0.
+func (p *Predictor) PredictMeanVec(x []float64) float64 {
+	var lbuf [space.MaxFeatures]int
+	lvl := p.resolveLevels(x, &lbuf)
+	mean := 0.0
+	for i, bm := range p.basisMean {
+		if bm != 0 {
+			mean += p.coefficient(i, x, lvl) * bm
+		}
+	}
+	return mean
 }
 
 // PredictBatch forecasts every configuration in cfgs, writing trace i into

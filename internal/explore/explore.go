@@ -16,6 +16,9 @@
 //   - SweepStream feeds candidates through Collectors (TopK,
 //     FrontierCollector) without retaining them, so million-design sweeps
 //     hold only the answer alive.
+//   - SweepWindow is SweepStream over a space.Window of a full-factorial
+//     space: the workers enumerate the designs themselves, so not even
+//     the design list is materialised.
 package explore
 
 import (
@@ -39,11 +42,18 @@ type Objective struct {
 	Name string
 	// Score reduces a predicted trace to a scalar (lower is better).
 	Score func(trace []float64) float64
+
+	// mean marks MeanObjective, whose score is linear in the model's
+	// coefficients: sweeps score it through core.MeanVecPredictor without
+	// predicting the trace.
+	mean bool
 }
 
-// MeanObjective scores by trace mean — aggregate behaviour.
+// MeanObjective scores by trace mean — aggregate behaviour. Sweeps score
+// it in coefficient space (core.MeanVecPredictor) when the model supports
+// that, which agrees with mathx.Mean of the predicted trace to rounding.
 func MeanObjective(name string) Objective {
-	return Objective{Name: name, Score: mathx.Mean}
+	return Objective{Name: name, Score: mathx.Mean, mean: true}
 }
 
 // WorstCaseObjective scores by trace maximum — the worst execution
@@ -137,12 +147,12 @@ func SweepContext(ctx context.Context, designs []space.Config, models []core.Dyn
 	// result exactly once.
 	m := len(models)
 	backing := make([]float64, len(designs)*m)
-	err := evalChunks(ctx, designs, models, objectives, opts, func(start int, sc []float64) {
-		for j := 0; j < len(sc)/m; j++ {
+	err := evalChunks(ctx, len(designs), listSource(designs), models, objectives, opts, func(start int, cfgs []space.Config, sc []float64) {
+		for j := range cfgs {
 			i := start + j
 			dst := backing[i*m : (i+1)*m : (i+1)*m]
 			copy(dst, sc[j*m:(j+1)*m])
-			res.Evaluated[i] = Candidate{Config: designs[i], Scores: dst}
+			res.Evaluated[i] = Candidate{Config: cfgs[j], Scores: dst}
 		}
 	})
 	if err != nil {
@@ -184,14 +194,45 @@ func SweepStream(ctx context.Context, designs []space.Config, models []core.Dyna
 	if err := validateSweep(designs, models, objectives); err != nil {
 		return err
 	}
+	return collect(ctx, len(designs), listSource(designs), models, objectives, opts, collectors)
+}
+
+// SweepWindow is SweepStream over w.Designs() without materialising
+// them: each worker enumerates its chunk of the window into reused
+// scratch. Collectors see the same candidates with the same indices
+// (counted from the window's start), so results are byte-identical to
+// SweepStream over the materialised window.
+func SweepWindow(ctx context.Context, w space.Window, models []core.DynamicsModel, objectives []Objective, opts Options, collectors ...Collector) error {
+	if err := validateModels(models, objectives); err != nil {
+		return err
+	}
+	if err := w.Validate(); err != nil {
+		return fmt.Errorf("explore: %w", err)
+	}
+	return collect(ctx, w.Count, w.Fill, models, objectives, opts, collectors)
+}
+
+// source supplies designs [start, end) of a sweep. It may write them into
+// dst (worker scratch, reused across calls) or return a view of a list it
+// already holds; either way the result is valid until the next call.
+type source func(dst []space.Config, start, end int) []space.Config
+
+// listSource serves a materialised design list without copying.
+func listSource(designs []space.Config) source {
+	return func(_ []space.Config, start, end int) []space.Config { return designs[start:end] }
+}
+
+// collect streams n designs from src into the collectors, serialising
+// Collect calls behind one lock.
+func collect(ctx context.Context, n int, src source, models []core.DynamicsModel, objectives []Objective, opts Options, collectors []Collector) error {
 	var mu sync.Mutex
 	nm := len(models)
-	return evalChunks(ctx, designs, models, objectives, opts, func(start int, sc []float64) {
+	return evalChunks(ctx, n, src, models, objectives, opts, func(start int, cfgs []space.Config, sc []float64) {
 		mu.Lock()
 		defer mu.Unlock()
-		for j := 0; j < len(sc)/nm; j++ {
+		for j := range cfgs {
 			cand := Candidate{
-				Config: designs[start+j],
+				Config: cfgs[j],
 				Scores: sc[j*nm : (j+1)*nm : (j+1)*nm],
 			}
 			for _, col := range collectors {
@@ -233,9 +274,16 @@ func ParallelFor(ctx context.Context, n, workers int, fn func(i int)) error {
 	return ctx.Err()
 }
 
-func validateSweep(designs []space.Config, models []core.DynamicsModel, objectives []Objective) error {
+func validateModels(models []core.DynamicsModel, objectives []Objective) error {
 	if len(models) == 0 || len(models) != len(objectives) {
 		return fmt.Errorf("explore: need matching models (%d) and objectives (%d)", len(models), len(objectives))
+	}
+	return nil
+}
+
+func validateSweep(designs []space.Config, models []core.DynamicsModel, objectives []Objective) error {
+	if err := validateModels(models, objectives); err != nil {
+		return err
 	}
 	if len(designs) == 0 {
 		return fmt.Errorf("explore: no designs to sweep")
@@ -243,21 +291,21 @@ func validateSweep(designs []space.Config, models []core.DynamicsModel, objectiv
 	return nil
 }
 
-// evalChunks shards designs into contiguous chunks claimed by workers off
-// an atomic cursor (cheaper than a per-design channel at model-query
-// rates of millions per second). emit is called once per finished chunk,
-// possibly concurrently, with the chunk's start index and its flat score
-// matrix (len(models) scores per design, in design order) — callers
-// reconstruct Candidates from designs[start+j], keeping the 200-byte
-// Config out of the worker hot loop. The score slice is worker scratch
-// reused for the next chunk, so emit must copy out values it retains.
+// evalChunks shards the n designs src supplies into contiguous chunks
+// claimed by workers off an atomic cursor (cheaper than a per-design
+// channel at model-query rates of millions per second). emit is called
+// once per finished chunk, possibly concurrently, with the chunk's start
+// index, its designs, and its flat score matrix (len(models) scores per
+// design, in design order). The designs and scores are worker scratch
+// reused for the next chunk, so emit must copy out what it retains.
 //
 // Each worker holds its own scratch — one trace buffer per model (reused
-// through core.IntoPredictor when the model supports it) and one flat
-// backing array for the chunk's scores — so the steady-state sweep
-// performs zero heap allocations per design.
-func evalChunks(ctx context.Context, designs []space.Config, models []core.DynamicsModel, objectives []Objective, opts Options, emit func(start int, scores []float64)) error {
-	n := len(designs)
+// through core.IntoPredictor when the model supports it), one flat
+// backing array for the chunk's scores, and whatever src fills designs
+// into — so the steady-state sweep performs zero heap allocations per
+// design. A mean objective on a core.MeanVecPredictor is scored in
+// coefficient space and never produces a trace.
+func evalChunks(ctx context.Context, n int, src source, models []core.DynamicsModel, objectives []Objective, opts Options, emit func(start int, designs []space.Config, scores []float64)) error {
 	workers := opts.workers()
 	if workers > n {
 		workers = n
@@ -274,9 +322,11 @@ func evalChunks(ctx context.Context, designs []space.Config, models []core.Dynam
 	// once per design. intos[m] is nil when models[m] only offers Predict.
 	// Vector-level models (vecs[m]) additionally share one feature encoding
 	// per design: the plain encoding is a prefix of the DVM encoding, so a
-	// single VectorDVMInto pass feeds models of either flavour.
+	// single VectorDVMInto pass feeds models of either flavour. means[m] is
+	// set when objective m is a mean the model scores without a trace.
 	intos := make([]core.IntoPredictor, len(models))
 	vecs := make([]core.VecPredictor, len(models))
+	means := make([]core.MeanVecPredictor, len(models))
 	nfeat := make([]int, len(models))
 	needVec, needDVM := false, false
 	for i, model := range models {
@@ -289,6 +339,9 @@ func evalChunks(ctx context.Context, designs []space.Config, models []core.Dynam
 			needVec = true
 			needDVM = needDVM || nfeat[i] > space.NumParams
 		}
+		if mp, ok := model.(core.MeanVecPredictor); ok && objectives[i].mean {
+			means[i] = mp
+		}
 	}
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
@@ -299,6 +352,7 @@ func evalChunks(ctx context.Context, designs []space.Config, models []core.Dynam
 			nm := len(models)
 			scores := make([]float64, chunk*nm)
 			traces := make([][]float64, nm)
+			var cfgs []space.Config
 			var fbuf [space.MaxFeatures]float64
 			for {
 				start := int(cursor.Add(int64(chunk))) - chunk
@@ -313,33 +367,37 @@ func evalChunks(ctx context.Context, designs []space.Config, models []core.Dynam
 				if opts.ChunkDone != nil {
 					t0 = time.Now()
 				}
-				for i := start; i < end; i++ {
-					j := i - start
+				cfgs = src(cfgs, start, end)
+				for j := range cfgs {
+					cfg := &cfgs[j]
 					s := scores[j*nm : (j+1)*nm : (j+1)*nm]
 					var x []float64
 					if needVec {
 						if needDVM {
-							x = designs[i].VectorDVMInto(fbuf[:0])
+							x = cfg.VectorDVMInto(fbuf[:0])
 						} else {
-							x = designs[i].VectorInto(fbuf[:0])
+							x = cfg.VectorInto(fbuf[:0])
 						}
 					}
 					for m := range models {
 						var trace []float64
 						switch {
+						case means[m] != nil:
+							s[m] = means[m].PredictMeanVec(x[:nfeat[m]])
+							continue
 						case vecs[m] != nil:
 							traces[m] = vecs[m].PredictVecInto(x[:nfeat[m]], traces[m])
 							trace = traces[m]
 						case intos[m] != nil:
-							traces[m] = intos[m].PredictInto(designs[i], traces[m])
+							traces[m] = intos[m].PredictInto(*cfg, traces[m])
 							trace = traces[m]
 						default:
-							trace = models[m].Predict(designs[i])
+							trace = models[m].Predict(*cfg)
 						}
 						s[m] = objectives[m].Score(trace)
 					}
 				}
-				emit(start, scores[:(end-start)*nm])
+				emit(start, cfgs, scores[:len(cfgs)*nm])
 				if opts.ChunkDone != nil {
 					opts.ChunkDone(end-start, time.Since(t0))
 				}

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"context"
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -17,20 +18,13 @@ import (
 // through genuine wavelet/RBF inference.
 func trainedModels(t testing.TB) []core.DynamicsModel {
 	t.Helper()
-	rng := mathx.NewRNG(40)
-	train := space.LHS(100, space.TrainLevels(), space.Baseline(), rng)
-	traces := make([][]float64, len(train))
-	for i, cfg := range train {
-		x := cfg.Vector()
-		tr := make([]float64, 64)
-		for s := range tr {
-			tr[s] = 1 + 2*x[0]
-			if s >= 16 && s < 32 {
-				tr[s] += 3 * x[4]
-			}
+	train, traces := syntheticSet(func(x []float64, s int) float64 {
+		v := 1 + 2*x[0]
+		if s >= 16 && s < 32 {
+			v += 3 * x[4]
 		}
-		traces[i] = tr
-	}
+		return v
+	})
 	opts := core.Options{NumCoefficients: 8}
 	p, err := core.Train(train, traces, opts)
 	if err != nil {
@@ -43,6 +37,23 @@ func trainedModels(t testing.TB) []core.DynamicsModel {
 	return []core.DynamicsModel{p, g}
 }
 
+// syntheticSet draws trainedModels' 100 training designs and gives each a
+// 64-sample trace whose sample s is trace(design features, s).
+func syntheticSet(trace func(x []float64, s int) float64) ([]space.Config, [][]float64) {
+	rng := mathx.NewRNG(40)
+	train := space.LHS(100, space.TrainLevels(), space.Baseline(), rng)
+	traces := make([][]float64, len(train))
+	for i, cfg := range train {
+		x := cfg.Vector()
+		tr := make([]float64, 64)
+		for s := range tr {
+			tr[s] = trace(x, s)
+		}
+		traces[i] = tr
+	}
+	return train, traces
+}
+
 // predictOnly hides a model's PredictInto so sweeps fall back to the
 // allocating Predict route.
 type predictOnly struct{ m core.DynamicsModel }
@@ -50,9 +61,11 @@ type predictOnly struct{ m core.DynamicsModel }
 func (p predictOnly) Predict(cfg space.Config) []float64 { return p.m.Predict(cfg) }
 
 // TestSweepScratchPathMatchesReference is the old-vs-new property test:
-// the scratch-reusing engine must score every design identically to the
-// reference sequential loop over DynamicsModel.Predict, and identically
-// whether or not models expose PredictInto.
+// the scratch-reusing engine must score every design like the reference
+// sequential loop over DynamicsModel.Predict. Trace objectives (worst
+// case) match it exactly. A mean objective on a model with coefficient-
+// space scoring matches PredictMeanVec exactly and the trace mean to
+// rounding; with the fast interfaces hidden, it is the trace mean again.
 func TestSweepScratchPathMatchesReference(t *testing.T) {
 	models := trainedModels(t)
 	fallback := make([]core.DynamicsModel, len(models))
@@ -71,6 +84,10 @@ func TestSweepScratchPathMatchesReference(t *testing.T) {
 			want[i][m] = objectives[m].Score(model.Predict(cfg))
 		}
 	}
+	meanModel, ok := models[0].(core.MeanVecPredictor)
+	if !ok {
+		t.Fatalf("model 0 is %T, want a core.MeanVecPredictor", models[0])
+	}
 
 	for _, tc := range []struct {
 		name   string
@@ -83,11 +100,18 @@ func TestSweepScratchPathMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := range designs {
+			for i, cfg := range designs {
 				for m := range tc.models {
-					if res.Evaluated[i].Scores[m] != want[i][m] {
+					got, exact := res.Evaluated[i].Scores[m], want[i][m]
+					if m == 0 && tc.name == "into" {
+						exact = meanModel.PredictMeanVec(cfg.VectorDVM()[:meanModel.NumFeatures()])
+						if math.Abs(got-want[i][m]) > 1e-15*math.Abs(want[i][m]) {
+							t.Fatalf("%s/workers=%d: design %d mean %v, trace mean %v", tc.name, workers, i, got, want[i][m])
+						}
+					}
+					if got != exact {
 						t.Fatalf("%s/workers=%d: design %d objective %d = %v, want %v",
-							tc.name, workers, i, m, res.Evaluated[i].Scores[m], want[i][m])
+							tc.name, workers, i, m, got, exact)
 					}
 				}
 			}
@@ -158,6 +182,36 @@ func TestInstrumentedSweepSteadyStateAllocs(t *testing.T) {
 	}
 	if got := progress.Value(); got != n {
 		t.Errorf("progress gauge = %v, want %d", got, n)
+	}
+}
+
+// TestWindowSweepSteadyStateAllocs extends the zero-alloc contract to
+// the window source: enumerating designs into worker scratch instead of
+// reading a materialised list must not cost a per-design allocation.
+func TestWindowSweepSteadyStateAllocs(t *testing.T) {
+	models := trainedModels(t)
+	objectives := []Objective{MeanObjective("cpi"), WorstCaseObjective("cpi_peak")}
+	const n = 8192
+	w := space.Window{Levels: space.TrainLevels(), Base: space.Baseline(), Offset: 4321, Count: n}
+	ctx := context.Background()
+
+	var completed int
+	opts := Options{
+		Workers:   1,
+		Progress:  func(c int) { completed = c },
+		ChunkDone: func(int, time.Duration) {},
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		top := NewTopK(8, 0, nil)
+		if err := SweepWindow(ctx, w, models, objectives, opts, top, NewFrontierCollector()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perDesign := allocs / n; perDesign > 0.01 {
+		t.Errorf("window sweep allocates %.4f/design (%.0f total), want ≤0.01", perDesign, allocs)
+	}
+	if completed != n {
+		t.Errorf("progress reached %d, want %d", completed, n)
 	}
 }
 

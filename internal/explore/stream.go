@@ -185,6 +185,11 @@ type FrontierCollector struct {
 	// candidates carry caller scratch — see Collector — and retained ones
 	// need their own copy).
 	free [][]float64
+	// hint indexes the member that last rejected an arrival. Designs that
+	// arrive together score alike, so it is checked first and usually
+	// rejects the next arrival without a scan. Rejecting on any member's
+	// dominance is correct, so the hint needs no upkeep when members move.
+	hint int
 }
 
 // NewFrontierCollector builds an empty streaming frontier.
@@ -200,12 +205,16 @@ func (f *FrontierCollector) Collect(_ int, c Candidate) {
 
 // add is Collect without the seen counter.
 func (f *FrontierCollector) add(c Candidate) {
+	if f.hint < len(f.frontier) && dominatesScores(f.frontier[f.hint].Scores, c.Scores) {
+		return
+	}
 	// Members are visited in place and moved only when an eviction opens a
 	// gap: a Candidate carries a whole Config, and this runs per design.
 	kept := 0
 	for i := range f.frontier {
 		old := &f.frontier[i]
 		if dominatesScores(old.Scores, c.Scores) {
+			f.hint = i
 			return // arriving candidate loses; survivors were already mutually non-dominated
 		}
 		if dominatesScores(c.Scores, old.Scores) {

@@ -308,6 +308,62 @@ func TestFactorialRangeRejectsOutOfBounds(t *testing.T) {
 	}
 }
 
+// FactorialRangeInto must equal FactorialRange at offsets that are not
+// chunk-aligned, append after dst's existing entries, and reuse dst's
+// backing array when it is large enough.
+func TestFactorialRangeIntoMatchesFactorialRange(t *testing.T) {
+	base := Baseline()
+	for _, levels := range []Levels{TrainLevels(), TestLevels()} {
+		n := levels.NumDesigns()
+		scratch := make([]Config, 0, 600)
+		for _, r := range [][2]int{{0, 1}, {1, 513}, {511, 1023}, {777, 1290}, {n - 300, n}, {n - 1, n}, {n, n}} {
+			want := levels.FactorialRange(base, r[0], r[1])
+			got := levels.FactorialRangeInto(scratch[:0], base, r[0], r[1])
+			equalDesigns(t, fmt.Sprintf("into [%d,%d)", r[0], r[1]), got, want)
+			if len(got) > 0 && &got[0] != &scratch[:1][0] {
+				t.Errorf("[%d,%d): FactorialRangeInto reallocated a large-enough dst", r[0], r[1])
+			}
+		}
+		head := []Config{base}
+		got := levels.FactorialRangeInto(head, base, 5, 9)
+		equalDesigns(t, "append after existing entries", got, append([]Config{base}, levels.FactorialRange(base, 5, 9)...))
+	}
+	scratch := make([]Config, 0, 512)
+	if allocs := testing.AllocsPerRun(10, func() {
+		scratch = TrainLevels().FactorialRangeInto(scratch[:0], base, 1000, 1512)
+	}); allocs != 0 {
+		t.Errorf("FactorialRangeInto into adequate scratch allocates %v per call, want 0", allocs)
+	}
+}
+
+// A Window fills window-relative ranges of its slice of the factorial and
+// rejects windows that leave the space.
+func TestWindowFillAndValidate(t *testing.T) {
+	levels := TestLevels()
+	n := levels.NumDesigns()
+	w := Window{Levels: levels, Base: Baseline(), Offset: 1001, Count: 700}
+	if err := w.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	all := w.Designs()
+	equalDesigns(t, "Designs", all, levels.FactorialRange(Baseline(), 1001, 1701))
+	var dst []Config
+	for start := 0; start < w.Count; start += 256 {
+		end := min(start+256, w.Count)
+		dst = w.Fill(dst, start, end)
+		equalDesigns(t, fmt.Sprintf("Fill [%d,%d)", start, end), dst, all[start:end])
+	}
+	for _, bad := range []Window{
+		{Levels: levels, Offset: -1, Count: 1},
+		{Levels: levels, Offset: 0, Count: 0},
+		{Levels: levels, Offset: n - 1, Count: 2},
+	} {
+		if bad.Validate() == nil {
+			t.Errorf("window offset %d count %d accepted in %d designs", bad.Offset, bad.Count, n)
+		}
+	}
+}
+
 // Property: LHS marginal counts per level never differ by more than one
 // when n is a multiple of the level count, and designs stay on-grid.
 func TestLHSMarginalProperty(t *testing.T) {

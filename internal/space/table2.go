@@ -1,6 +1,9 @@
 package space
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Levels lists the admissible values of each swept parameter for one of the
 // two sampling regimes of Table 2.
@@ -87,12 +90,19 @@ func (l Levels) FullFactorial(base Config) []Config {
 // i. It panics unless 0 ≤ start ≤ end ≤ NumDesigns(), like a slice
 // expression would.
 func (l Levels) FactorialRange(base Config, start, end int) []Config {
+	return l.FactorialRangeInto(make([]Config, 0, max(end-start, 0)), base, start, end)
+}
+
+// FactorialRangeInto appends FactorialRange(base, start, end) to dst and
+// returns the extended slice. With cap(dst)-len(dst) ≥ end-start it
+// allocates nothing, which is how sweep workers enumerate a window of the
+// space chunk by chunk into reused scratch. It panics like FactorialRange.
+func (l Levels) FactorialRangeInto(dst []Config, base Config, start, end int) []Config {
 	if start < 0 || end < start || end > l.NumDesigns() {
 		panic(fmt.Sprintf("space: factorial range [%d, %d) does not fit %d designs", start, end, l.NumDesigns()))
 	}
-	out := make([]Config, 0, end-start)
 	if start == end {
-		return out
+		return dst
 	}
 	// Seek: peel start's digits off, least significant parameter first.
 	var idx, vals [NumParams]int
@@ -102,7 +112,7 @@ func (l Levels) FactorialRange(base Config, start, end int) []Config {
 		vals[p] = l[p][idx[p]]
 	}
 	for i := start; i < end; i++ {
-		out = append(out, base.WithSweptValues(vals))
+		dst = append(dst, base.WithSweptValues(vals))
 		// Tick: carry into the more significant digits.
 		for p := NumParams - 1; p >= 0; p-- {
 			idx[p]++
@@ -114,5 +124,36 @@ func (l Levels) FactorialRange(base Config, start, end int) []Config {
 			vals[p] = l[p][0]
 		}
 	}
-	return out
+	return dst
+}
+
+// Window names designs [Offset, Offset+Count) of Levels' full factorial
+// over Base without materialising them: a sweep enumerates it chunk by
+// chunk through Fill, so memory stays proportional to a chunk, not to the
+// space.
+type Window struct {
+	Levels Levels
+	Base   Config
+	Offset int
+	Count  int
+}
+
+// Validate checks that the window is non-empty and lies inside its space.
+func (w Window) Validate() error {
+	if n := w.Levels.NumDesigns(); w.Offset < 0 || w.Count < 1 || w.Count > n-w.Offset {
+		return fmt.Errorf("space: window [%d, %d+%d) does not fit %d designs", w.Offset, w.Offset, w.Count, n)
+	}
+	return nil
+}
+
+// Fill writes the window's designs [start, end), counted from the
+// window's own start, into dst[:0] and returns the filled slice; it
+// allocates only when dst is too small.
+func (w Window) Fill(dst []Config, start, end int) []Config {
+	return w.Levels.FactorialRangeInto(slices.Grow(dst[:0], end-start), w.Base, w.Offset+start, w.Offset+end)
+}
+
+// Designs materialises the window.
+func (w Window) Designs() []Config {
+	return w.Levels.FactorialRange(w.Base, w.Offset, w.Offset+w.Count)
 }

@@ -247,6 +247,25 @@ func (sp SpaceSpec) ResolveEarly() ([]space.Config, error) {
 	return nil, nil
 }
 
+// FactorialWindow reports the unsampled named space sp selects, windowed
+// or whole, as a window of its full factorial that a sweep can enumerate
+// without materialising it. ok is false for explicit lists and LHS
+// samples, and for names ResolveEarly rejects.
+func (sp SpaceSpec) FactorialWindow() (w space.Window, ok bool) {
+	if len(sp.Designs) > 0 || sp.Sample > 0 {
+		return space.Window{}, false
+	}
+	levels, err := sp.levels()
+	if err != nil {
+		return space.Window{}, false
+	}
+	w = space.Window{Levels: levels, Base: space.Baseline(), Offset: sp.Offset, Count: sp.Count}
+	if !sp.windowed() {
+		w.Count = levels.NumDesigns()
+	}
+	return w, true
+}
+
 // ResolveLate materialises the named space after model resolution; early
 // is ResolveEarly's result, returned as-is for explicit lists. A window
 // builds only its own designs.
@@ -254,19 +273,16 @@ func (sp SpaceSpec) ResolveLate(early []space.Config) []space.Config {
 	if early != nil {
 		return early
 	}
+	if w, ok := sp.FactorialWindow(); ok {
+		return w.Designs()
+	}
 	// levels cannot fail here: ResolveEarly validated the name.
 	levels, _ := sp.levels()
-	switch {
-	case sp.Sample > 0:
-		seed := sp.Seed
-		if seed == 0 {
-			seed = 1
-		}
-		return space.SampleDesign(sp.Sample, levels, space.Baseline(), 4, mathx.NewRNG(seed))
-	case sp.windowed():
-		return levels.FactorialRange(space.Baseline(), sp.Offset, sp.Offset+sp.Count)
+	seed := sp.Seed
+	if seed == 0 {
+		seed = 1
 	}
-	return levels.FullFactorial(space.Baseline())
+	return space.SampleDesign(sp.Sample, levels, space.Baseline(), 4, mathx.NewRNG(seed))
 }
 
 // Constraint is the wire form of explore.Constraint.

@@ -132,3 +132,38 @@ func TestSpaceSpecWindowComposes(t *testing.T) {
 		}
 	}
 }
+
+// FactorialWindow names exactly the designs ResolveLate materialises for
+// an unsampled named space, whole or windowed, and declines everything
+// that has no positional name.
+func TestSpaceSpecFactorialWindow(t *testing.T) {
+	for _, sp := range []SpaceSpec{
+		{Space: "test"},
+		{Space: "test", Offset: 777, Count: 1001},
+		{Space: "train", Offset: 245760 - 3, Count: 3},
+	} {
+		early, err := sp.ResolveEarly()
+		if err != nil {
+			t.Fatalf("%+v: %v", sp, err)
+		}
+		w, ok := sp.FactorialWindow()
+		if !ok {
+			t.Fatalf("%+v: no factorial window", sp)
+		}
+		if got, want := w.Designs(), sp.ResolveLate(early); !reflect.DeepEqual(got, want) {
+			t.Errorf("%+v: window names %d designs that differ from ResolveLate's %d", sp, len(got), len(want))
+		}
+	}
+	if w, _ := (SpaceSpec{}).FactorialWindow(); w.Count != space.TrainLevels().NumDesigns() {
+		t.Errorf("default space's window counts %d designs, want the train factorial", w.Count)
+	}
+	for _, sp := range []SpaceSpec{
+		{Space: "train", Sample: 300},
+		{Designs: []ConfigSpec{{}}},
+		{Space: "nope"},
+	} {
+		if _, ok := sp.FactorialWindow(); ok {
+			t.Errorf("%+v reported as a factorial window", sp)
+		}
+	}
+}
