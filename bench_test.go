@@ -603,3 +603,17 @@ func BenchmarkExploreSweepFactorial(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkSampleDesign draws the sampled-space shape a `sample` job
+// draws: the best of 4 LHS candidates of 128 train-level designs by
+// L2-star discrepancy. Each op is one draw; designs/s counts the designs
+// it returns.
+func BenchmarkSampleDesign(b *testing.B) {
+	const n, candidates = 128, 4
+	for i := 0; i < b.N; i++ {
+		if got := space.SampleDesign(n, space.TrainLevels(), space.Baseline(), candidates, mathx.NewRNG(uint64(i)+1)); len(got) != n {
+			b.Fatalf("sample drew %d designs, want %d", len(got), n)
+		}
+	}
+	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "designs/s")
+}

@@ -362,7 +362,10 @@ func (s *coordServer) runSweep(req wire.SweepRequest, early []space.Config) api.
 		ctx, jobSpan := startJobSpan(s.tel, ctx, "job:sweep", pub, req.Benchmark)
 		defer jobSpan.End()
 		q := clusterQuery(&req, nil)
-		designs := req.ResolveLate(early)
+		designs, err := req.ResolveLate(ctx, early)
+		if err != nil {
+			return nil, api.Update{}, err
+		}
 		names := objectiveNames(req.Objectives)
 		start := time.Now()
 		res, err := s.coord.SweepObserved(ctx, q, designs, func(p cluster.Progress) {
@@ -454,7 +457,10 @@ func (s *coordServer) runPareto(req wire.ParetoRequest, early []space.Config) ap
 		ctx, jobSpan := startJobSpan(s.tel, ctx, "job:pareto", pub, req.Benchmark)
 		defer jobSpan.End()
 		q := clusterQuery(nil, &req)
-		designs := req.ResolveLate(early)
+		designs, err := req.ResolveLate(ctx, early)
+		if err != nil {
+			return nil, api.Update{}, err
+		}
 		names := objectiveNames(req.Objectives)
 		start := time.Now()
 		res, err := s.coord.ParetoObserved(ctx, q, designs, func(p cluster.Progress) {

@@ -397,7 +397,10 @@ func (s *Server) runSweep(req wire.SweepRequest, early []space.Config) api.RunFu
 		if err != nil {
 			return nil, api.Update{}, err
 		}
-		designs := s.candidates(ctx, req.SpaceSpec, early)
+		designs, err := s.candidates(ctx, req.SpaceSpec, early)
+		if err != nil {
+			return nil, api.Update{}, err
+		}
 		topK := req.TopK
 		if topK <= 0 {
 			topK = 10
@@ -505,7 +508,10 @@ func (s *Server) runPareto(req wire.ParetoRequest, early []space.Config) api.Run
 		if err != nil {
 			return nil, api.Update{}, err
 		}
-		designs := s.candidates(ctx, req.SpaceSpec, early)
+		designs, err := s.candidates(ctx, req.SpaceSpec, early)
+		if err != nil {
+			return nil, api.Update{}, err
+		}
 		fc := &lockedFrontier{inner: explore.NewFrontierCollector()}
 		names := wire.ObjectiveNames(objectives)
 		pub.Publish(api.Update{Designs: designs.count(), Objectives: names})
@@ -599,16 +605,20 @@ func (c candidateSpace) count() int {
 // candidates resolves a job's space after its models. An unsampled named
 // space, windowed or whole, stays a window and never materialises; an
 // explicit list is early itself, and a sample is drawn under a
-// "phase:encode" span.
-func (s *Server) candidates(ctx context.Context, sp wire.SpaceSpec, early []space.Config) candidateSpace {
+// "phase:encode" span, stopping with ctx's error if the job is cancelled.
+func (s *Server) candidates(ctx context.Context, sp wire.SpaceSpec, early []space.Config) (candidateSpace, error) {
 	if w, ok := sp.FactorialWindow(); ok {
-		return candidateSpace{window: w}
+		return candidateSpace{window: w}, nil
 	}
-	_, span := s.tel.tracer.Start(ctx, "phase:encode")
-	designs := sp.ResolveLate(early)
+	spanCtx, span := s.tel.tracer.Start(ctx, "phase:encode")
+	defer span.End()
+	designs, err := sp.ResolveLate(spanCtx, early)
+	if err != nil {
+		span.SetAttr("error", err.Error())
+		return candidateSpace{}, err
+	}
 	span.SetAttr("designs", strconv.Itoa(len(designs)))
-	span.End()
-	return candidateSpace{designs: designs}
+	return candidateSpace{designs: designs}, nil
 }
 
 // phasePredict streams the candidates through the collector under a

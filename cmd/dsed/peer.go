@@ -458,11 +458,11 @@ func (f fleetJob) replicaKind() string {
 
 func (f fleetJob) query() cluster.Query { return clusterQuery(f.sweep, f.pareto) }
 
-func (f fleetJob) resolve(early []space.Config) []space.Config {
+func (f fleetJob) resolve(ctx context.Context, early []space.Config) ([]space.Config, error) {
 	if f.sweep != nil {
-		return f.sweep.ResolveLate(early)
+		return f.sweep.ResolveLate(ctx, early)
 	}
-	return f.pareto.ResolveLate(early)
+	return f.pareto.ResolveLate(ctx, early)
 }
 
 // runFleet is the peer's distributed job body, serving both fresh jobs
@@ -490,7 +490,10 @@ func (ps *peerServer) runFleet(job fleetJob, early []space.Config, resume *wire.
 		}
 		defer jobSpan.End()
 		q := job.query()
-		designs := job.resolve(early)
+		designs, err := job.resolve(ctx, early)
+		if err != nil {
+			return nil, api.Update{}, err
+		}
 		names := objectiveNames(job.objectives())
 		segments := []cluster.Segment{{Designs: designs}}
 		var seed cluster.Seed

@@ -37,7 +37,10 @@ func (t *simTrainer) logf(format string, args ...any) {
 // restart) trains on the same design points.
 func (t *simTrainer) TrainBenchmark(ctx context.Context, benchmark string, metrics []sim.Metric) (map[sim.Metric]*core.Predictor, error) {
 	rng := mathx.NewRNG(t.Spec.Seed)
-	designs := space.SampleDesign(t.Spec.Train, space.TrainLevels(), space.Baseline(), t.Spec.Candidates, rng)
+	designs, err := space.SampleDesignContext(ctx, t.Spec.Train, space.TrainLevels(), space.Baseline(), t.Spec.Candidates, rng)
+	if err != nil {
+		return nil, fmt.Errorf("dsed: sampling %s training set: %w", benchmark, err)
+	}
 	jobs := make([]sim.Job, len(designs))
 	for i, d := range designs {
 		jobs[i] = sim.Job{Config: d, Benchmark: benchmark}

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/cluster"
+	"repro/internal/obs"
 	"repro/internal/wire"
 	"repro/pkg/dsedclient"
 )
@@ -483,5 +484,116 @@ func TestParetoMeanMatchesPredict(t *testing.T) {
 				t.Fatalf("point %d: pareto %s mean %v, batch /v1/predict mean %v", i, metric, p.Scores[m], got)
 			}
 		}
+	}
+}
+
+// awaitFinal streams a job to its final update.
+func awaitFinal(t *testing.T, c *dsedclient.Client, id string) *api.Update {
+	t.Helper()
+	stream := c.Stream(context.Background(), id)
+	defer stream.Close()
+	for {
+		u, err := stream.Next()
+		if err != nil {
+			t.Fatalf("streaming job %s: %v", id, err)
+		}
+		if u.Final {
+			return u
+		}
+	}
+}
+
+// spanNames collects the names of every span in a trace tree.
+func spanNames(nodes []*obs.TraceNode, into map[string]bool) map[string]bool {
+	for _, n := range nodes {
+		into[n.Name] = true
+		spanNames(n.Children, into)
+	}
+	return into
+}
+
+// TestV1CancelDuringSampling cancels a job while it draws the largest
+// sample a request may ask for. Sampling checks the job's context, so
+// the job settles canceled within a bound instead of running the
+// quadratic draw to completion.
+func TestV1CancelDuringSampling(t *testing.T) {
+	ts := httptest.NewServer(testServer(t).Handler())
+	defer ts.Close()
+	c := testClient(ts.URL)
+	ctx := context.Background()
+	st, err := c.SubmitSweep(ctx, wire.SweepRequest{
+		Benchmark:  "gcc",
+		Objectives: []wire.ObjectiveSpec{{Metric: "CPI"}},
+		SpaceSpec:  wire.SpaceSpec{Space: "train", Sample: wire.MaxSample},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Sampling runs between the end of phase:train and the end of
+	// phase:encode, and spans reach the job's trace when they end.
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		tr, err := c.Trace(ctx, st.ID)
+		if err != nil && !isAPIStatus(err, http.StatusNotFound) {
+			t.Fatal(err)
+		}
+		if tr != nil {
+			names := spanNames(tr.Tree, map[string]bool{})
+			if names["phase:encode"] {
+				t.Fatal("a 20,000-design sample finished before the test could cancel it")
+			}
+			if names["phase:train"] {
+				break
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("job never reached phase:encode")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	start := time.Now()
+	if _, err := c.Cancel(ctx, st.ID); err != nil {
+		t.Fatal(err)
+	}
+	final := awaitFinal(t, c, st.ID)
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Fatalf("job took %v to settle after DELETE during sampling, want < 2s", elapsed)
+	}
+	if final.State != api.StateCanceled {
+		t.Fatalf("job cancelled during sampling settled %q, want canceled", final.State)
+	}
+}
+
+// TestJobTracesStayBounded runs more jobs than the trace store keeps.
+// Every job binds its trace before any span ends; the binding must
+// evict like a span does, so the first job's trace is gone.
+func TestJobTracesStayBounded(t *testing.T) {
+	srv := NewServer(context.Background(), testServer(t).store, 0, nil, nil)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	c := testClient(ts.URL)
+	req := wire.SweepRequest{
+		Benchmark:  "gcc",
+		Objectives: []wire.ObjectiveSpec{{Metric: "CPI"}},
+		SpaceSpec:  wire.SpaceSpec{Designs: []wire.ConfigSpec{{}}},
+	}
+	var first string
+	for i := 0; i < 300; i++ {
+		st, err := c.SubmitSweep(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if final := awaitFinal(t, c, st.ID); final.State != api.StateDone {
+			t.Fatalf("job %d settled %q", i, final.State)
+		}
+		if i == 0 {
+			first = st.ID
+			if _, ok := srv.tel.traces.TraceForJob(first); !ok {
+				t.Fatal("first job has no trace binding")
+			}
+		}
+	}
+	if _, ok := srv.tel.traces.TraceForJob(first); ok {
+		t.Fatal("first job's trace survived 299 newer jobs; the store keeps 256")
 	}
 }

@@ -227,7 +227,11 @@ func TestFleetSampledShardsStayPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameCandidates(t, "sampled fleet frontier", resp.Frontier, singleFrontier(t, req.ResolveLate(early)))
+	designs, err := req.ResolveLate(context.Background(), early)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameCandidates(t, "sampled fleet frontier", resp.Frontier, singleFrontier(t, designs))
 }
 
 // A client's own window composes with the shard offsets: the fleet's
@@ -289,7 +293,10 @@ func TestResumedWindowedJobSendsAbsoluteOffsets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	designs := req.ResolveLate(early)
+	designs, err := req.ResolveLate(context.Background(), early)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// The owner merged [1000, 2500) and [4000, 4500) of the job's list
 	// before it died; the seed is their merged frontier.

@@ -282,21 +282,30 @@ func (s *TraceStore) ImportSpans(spans []Span) {
 	}
 }
 
-func (s *TraceStore) addLocked(sp Span) {
-	e, ok := s.traces[sp.TraceID]
-	if !ok {
-		for len(s.order) >= s.cap {
-			old := s.order[0]
-			s.order = s.order[1:]
-			for _, j := range s.traces[old].jobs {
-				delete(s.jobs, j)
-			}
-			delete(s.traces, old)
-		}
-		e = &traceEntry{}
-		s.traces[sp.TraceID] = e
-		s.order = append(s.order, sp.TraceID)
+// entryLocked returns the trace's entry, creating it when absent. A new
+// entry first evicts the oldest traces, with their job bindings, down to
+// cap: Add, ImportSpans and Bind all create entries, so every path is
+// bounded.
+func (s *TraceStore) entryLocked(traceID string) *traceEntry {
+	if e, ok := s.traces[traceID]; ok {
+		return e
 	}
+	for len(s.order) >= s.cap {
+		old := s.order[0]
+		s.order = s.order[1:]
+		for _, j := range s.traces[old].jobs {
+			delete(s.jobs, j)
+		}
+		delete(s.traces, old)
+	}
+	e := &traceEntry{}
+	s.traces[traceID] = e
+	s.order = append(s.order, traceID)
+	return e
+}
+
+func (s *TraceStore) addLocked(sp Span) {
+	e := s.entryLocked(sp.TraceID)
 	if sp.SpanID != "" {
 		if e.seen == nil {
 			e.seen = make(map[string]struct{})
@@ -321,12 +330,7 @@ func (s *TraceStore) Bind(jobID, traceID string) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.traces[traceID]
-	if !ok {
-		e = &traceEntry{}
-		s.traces[traceID] = e
-		s.order = append(s.order, traceID)
-	}
+	e := s.entryLocked(traceID)
 	e.jobs = append(e.jobs, jobID)
 	s.jobs[jobID] = traceID
 }

@@ -121,6 +121,34 @@ func TestTraceStoreEviction(t *testing.T) {
 	}
 }
 
+// TestTraceStoreBindFirstEviction is the daemon's order: a job binds its
+// trace when it starts, before any of its spans end. Binding creates the
+// entry, so binding must evict too, or every job stays in memory.
+func TestTraceStoreBindFirstEviction(t *testing.T) {
+	const capTraces, extra = 4, 7
+	store := NewTraceStore(capTraces)
+	for i := 0; i < capTraces+extra; i++ {
+		id := fmt.Sprintf("%032d", i)
+		store.Bind(fmt.Sprintf("job-%d", i), id)
+		store.Add(Span{TraceID: id, SpanID: newID(8)})
+		if len(store.traces) > capTraces || len(store.order) > capTraces || len(store.jobs) > capTraces {
+			t.Fatalf("after %d jobs the store holds %d traces, %d order entries, %d bindings; cap is %d",
+				i+1, len(store.traces), len(store.order), len(store.jobs), capTraces)
+		}
+	}
+	if _, ok := store.TraceForJob("job-0"); ok {
+		t.Fatal("oldest job still resolves after its trace was evicted")
+	}
+	for i := extra; i < capTraces+extra; i++ {
+		if _, ok := store.TraceForJob(fmt.Sprintf("job-%d", i)); !ok {
+			t.Fatalf("job-%d, among the newest %d, does not resolve", i, capTraces)
+		}
+		if got := store.Spans(fmt.Sprintf("%032d", i)); len(got) != 1 {
+			t.Fatalf("trace %d holds %d spans, want 1", i, len(got))
+		}
+	}
+}
+
 func TestImportedSpansJoinTrace(t *testing.T) {
 	store := NewTraceStore(0)
 	tr := NewTracer("coordinator", store, testClock(time.Millisecond))

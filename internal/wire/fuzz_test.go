@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"testing"
 )
@@ -59,7 +60,11 @@ func checkAccepted(t *testing.T, sp SpaceSpec) {
 	if !sp.windowed() || sp.Count > maxFuzzWindow {
 		return
 	}
-	if got := len(sp.ResolveLate(early)); got != sp.Count {
+	designs, err := sp.ResolveLate(context.Background(), early)
+	if err != nil {
+		t.Fatalf("window offset %d count %d: %v", sp.Offset, sp.Count, err)
+	}
+	if got := len(designs); got != sp.Count {
 		t.Fatalf("window offset %d count %d resolved %d designs", sp.Offset, sp.Count, got)
 	}
 }

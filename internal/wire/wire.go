@@ -7,6 +7,7 @@
 package wire
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -156,10 +157,11 @@ type SpaceSpec struct {
 }
 
 // MaxSample bounds Sample. Sampling (space.SampleDesign) is quadratic in
-// the sample size and cannot be cancelled, so an unbounded request could
-// pin a core for hours: 5,000 designs took 6 s and 20,000 took 98 s on
-// one core of a 2-vCPU x86-64 VM. 20,000 is the largest sample the
-// operations runbook and examples/paretosearch use.
+// the sample size: 5,000 designs take ~1 s and 20,000 ~17 s on one
+// core of a 2-vCPU x86-64 VM. A job's sampling stops when the job is
+// cancelled, but an unbounded request would still pin a core for as long
+// as nobody cancels it. 20,000 is the largest sample the operations
+// runbook and examples/paretosearch use.
 const MaxSample = 20000
 
 // windowed reports whether the spec carries a window.
@@ -268,13 +270,14 @@ func (sp SpaceSpec) FactorialWindow() (w space.Window, ok bool) {
 
 // ResolveLate materialises the named space after model resolution; early
 // is ResolveEarly's result, returned as-is for explicit lists. A window
-// builds only its own designs.
-func (sp SpaceSpec) ResolveLate(early []space.Config) []space.Config {
+// builds only its own designs. Drawing a sample stops when ctx is done,
+// returning ctx's error.
+func (sp SpaceSpec) ResolveLate(ctx context.Context, early []space.Config) ([]space.Config, error) {
 	if early != nil {
-		return early
+		return early, nil
 	}
 	if w, ok := sp.FactorialWindow(); ok {
-		return w.Designs()
+		return w.Designs(), nil
 	}
 	// levels cannot fail here: ResolveEarly validated the name.
 	levels, _ := sp.levels()
@@ -282,7 +285,7 @@ func (sp SpaceSpec) ResolveLate(early []space.Config) []space.Config {
 	if seed == 0 {
 		seed = 1
 	}
-	return space.SampleDesign(sp.Sample, levels, space.Baseline(), 4, mathx.NewRNG(seed))
+	return space.SampleDesignContext(ctx, sp.Sample, levels, space.Baseline(), 4, mathx.NewRNG(seed))
 }
 
 // Constraint is the wire form of explore.Constraint.

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -100,7 +101,10 @@ func TestSpaceSpecWindowResolves(t *testing.T) {
 		if err != nil {
 			t.Fatalf("window %v: %v", w, err)
 		}
-		got := sp.ResolveLate(early)
+		got, err := sp.ResolveLate(context.Background(), early)
+		if err != nil {
+			t.Fatalf("window %v: %v", w, err)
+		}
 		if len(got) != w[1] {
 			t.Fatalf("window %v resolved %d designs, want %d", w, len(got), w[1])
 		}
@@ -150,7 +154,11 @@ func TestSpaceSpecFactorialWindow(t *testing.T) {
 		if !ok {
 			t.Fatalf("%+v: no factorial window", sp)
 		}
-		if got, want := w.Designs(), sp.ResolveLate(early); !reflect.DeepEqual(got, want) {
+		want, err := sp.ResolveLate(context.Background(), early)
+		if err != nil {
+			t.Fatalf("%+v: %v", sp, err)
+		}
+		if got := w.Designs(); !reflect.DeepEqual(got, want) {
 			t.Errorf("%+v: window names %d designs that differ from ResolveLate's %d", sp, len(got), len(want))
 		}
 	}
