@@ -571,11 +571,14 @@ func BenchmarkExtThermal(b *testing.B) {
 	}
 }
 
-// BenchmarkExploreSweepFactorial is the daemon's frontier-full shape in
-// process: both mean objectives through a FrontierCollector over the
-// whole 245,760-design train factorial, enumerated by the workers as a
-// window rather than materialised, so it measures coefficient-space mean
-// scoring plus window enumeration end to end.
+// BenchmarkExploreSweepFactorial sweeps the whole 245,760-design train
+// factorial through two synthetic Haar models under two mean objectives,
+// enumerated by the workers as a window in level-index space rather than
+// materialised. The collector=frontier cases feed a FrontierCollector;
+// these synthetic models put 3,543 points on the frontier, so collection
+// dominates those ops (the gcc CPI/Power frontier has ~50). The
+// collector=topk cases feed a constrained TopK, which keeps almost
+// nothing, and so measure the scoring path itself.
 func BenchmarkExploreSweepFactorial(b *testing.B) {
 	models := benchExploreModels(b)
 	levels := space.TrainLevels()
@@ -587,15 +590,27 @@ func BenchmarkExploreSweepFactorial(b *testing.B) {
 	for _, bc := range []struct {
 		name    string
 		workers int
-	}{{"workers=1", 1}, {"workers=max", 0}} {
+		topk    bool
+	}{
+		{"workers=1", 1, false}, {"workers=max", 0, false},
+		{"collector=topk/workers=1", 1, true}, {"collector=topk/workers=max", 0, true},
+	} {
 		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				fc := explore.NewFrontierCollector()
+				var seen func() int
+				var col explore.Collector
+				if bc.topk {
+					top := explore.NewTopK(10, 0, []explore.Constraint{{Objective: 1, Max: 60}})
+					seen, col = top.Seen, top
+				} else {
+					fc := explore.NewFrontierCollector()
+					seen, col = fc.Seen, fc
+				}
 				if err := explore.SweepWindow(context.Background(), w, models, objectives,
-					explore.Options{Workers: bc.workers}, fc); err != nil {
+					explore.Options{Workers: bc.workers}, col); err != nil {
 					b.Fatal(err)
 				}
-				if fc.Seen() != w.Count || len(fc.Frontier()) == 0 {
+				if seen() != w.Count {
 					b.Fatal("incomplete sweep")
 				}
 			}

@@ -304,6 +304,24 @@ func clusterQuery(sweep *wire.SweepRequest, pareto *wire.ParetoRequest) cluster.
 	return q
 }
 
+// fleetSegments resolves a distributed job's space to its size and the
+// segments its coordinator still has to carve once the ranges in ledger
+// (nil on a fresh job) are merged. Owner and coordinator modes, fresh and
+// adopted jobs, all take this one path. An unsampled named space stays a
+// count: its shards travel as windows on it, so the owner never
+// materialises it. An explicit list or a sample is resolved (a sample is
+// drawn, stopping if ctx ends) and its segments pinned.
+func fleetSegments(ctx context.Context, sp wire.SpaceSpec, early []space.Config, ledger []wire.ShardRange) (int, []cluster.Segment, error) {
+	if w, ok := sp.FactorialWindow(); ok {
+		return w.Count, cluster.SegmentsAfter(w.Count, ledger), nil
+	}
+	designs, err := sp.ResolveLate(ctx, early)
+	if err != nil {
+		return 0, nil, err
+	}
+	return len(designs), cluster.Pin(cluster.SegmentsAfter(len(designs), ledger), designs), nil
+}
+
 // objectiveNames labels the specs through the same Build path a worker
 // uses. Validate ran first and calls Build itself, so a failure here is
 // drift between the two and must not pass silently as an empty name.
@@ -362,16 +380,16 @@ func (s *coordServer) runSweep(req wire.SweepRequest, early []space.Config) api.
 		ctx, jobSpan := startJobSpan(s.tel, ctx, "job:sweep", pub, req.Benchmark)
 		defer jobSpan.End()
 		q := clusterQuery(&req, nil)
-		designs, err := req.ResolveLate(ctx, early)
+		designs, segments, err := fleetSegments(ctx, req.SpaceSpec, early, nil)
 		if err != nil {
 			return nil, api.Update{}, err
 		}
 		names := objectiveNames(req.Objectives)
 		start := time.Now()
-		res, err := s.coord.SweepObserved(ctx, q, designs, func(p cluster.Progress) {
+		res, err := s.coord.SweepResumeObserved(ctx, q, segments, cluster.Seed{}, func(p cluster.Progress) {
 			u := api.Update{
 				Evaluated:  p.Evaluated,
-				Designs:    len(designs),
+				Designs:    designs,
 				Feasible:   p.Feasible,
 				Shards:     p.Shards,
 				Workers:    p.Workers,
@@ -404,7 +422,7 @@ func (s *coordServer) runSweep(req wire.SweepRequest, early []space.Config) api.
 		}
 		final := api.Update{
 			Evaluated:  res.Evaluated,
-			Designs:    len(designs),
+			Designs:    designs,
 			Feasible:   res.Feasible,
 			Shards:     res.Shards,
 			Retries:    res.Retries,
@@ -457,16 +475,16 @@ func (s *coordServer) runPareto(req wire.ParetoRequest, early []space.Config) ap
 		ctx, jobSpan := startJobSpan(s.tel, ctx, "job:pareto", pub, req.Benchmark)
 		defer jobSpan.End()
 		q := clusterQuery(nil, &req)
-		designs, err := req.ResolveLate(ctx, early)
+		designs, segments, err := fleetSegments(ctx, req.SpaceSpec, early, nil)
 		if err != nil {
 			return nil, api.Update{}, err
 		}
 		names := objectiveNames(req.Objectives)
 		start := time.Now()
-		res, err := s.coord.ParetoObserved(ctx, q, designs, func(p cluster.Progress) {
+		res, err := s.coord.ParetoResumeObserved(ctx, q, segments, cluster.Seed{}, func(p cluster.Progress) {
 			u := api.Update{
 				Evaluated:  p.Evaluated,
-				Designs:    len(designs),
+				Designs:    designs,
 				Shards:     p.Shards,
 				Workers:    p.Workers,
 				Worker:     p.Worker,
@@ -495,7 +513,7 @@ func (s *coordServer) runPareto(req wire.ParetoRequest, early []space.Config) ap
 		}
 		final := api.Update{
 			Evaluated:  res.Evaluated,
-			Designs:    len(designs),
+			Designs:    designs,
 			Shards:     res.Shards,
 			Retries:    res.Retries,
 			Workers:    resp.Workers,

@@ -386,9 +386,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 }
 
 // runSweep is the worker's top-K job body: resolve models (training on
-// demand), materialise the space, and stream the sweep through a
-// snapshot-capable collector, publishing the partial feasible top-K on a
-// ticker while the engine runs.
+// demand), resolve the space, and stream the sweep through a TopK,
+// publishing its partial feasible top-K on a ticker while the engine
+// runs (the collector's snapshots are safe mid-sweep).
 func (s *Server) runSweep(req wire.SweepRequest, early []space.Config) api.RunFunc {
 	return func(ctx context.Context, pub api.Publisher) (any, api.Update, error) {
 		ctx, jobSpan := startJobSpan(s.tel, ctx, "job:sweep", pub, req.Benchmark)
@@ -409,7 +409,7 @@ func (s *Server) runSweep(req wire.SweepRequest, early []space.Config) api.RunFu
 		for i, c := range req.Constraints {
 			constraints[i] = explore.Constraint{Objective: c.Objective, Max: c.Max}
 		}
-		top := &lockedTopK{inner: explore.NewTopK(topK, req.Objective, constraints)}
+		top := explore.NewTopK(topK, req.Objective, constraints)
 		names := wire.ObjectiveNames(objectives)
 		// The opening snapshot: a subscriber sees the job's shape (design
 		// total, objectives) before the first results land.
@@ -424,9 +424,8 @@ func (s *Server) runSweep(req wire.SweepRequest, early []space.Config) api.RunFu
 			// The partial top-K payload is built only for an attached
 			// stream; pollers still see the counters advance.
 			if pub.Streaming() {
-				_, feasible, results := top.snapshot()
-				u.Feasible = feasible
-				u.Candidates = wire.ToCandidates(results)
+				u.Feasible = top.Feasible()
+				u.Candidates = wire.ToCandidates(top.Results())
 			}
 			return u
 		})
@@ -437,7 +436,7 @@ func (s *Server) runSweep(req wire.SweepRequest, early []space.Config) api.RunFu
 			return nil, api.Update{}, err
 		}
 		_, mergeSpan := s.tel.tracer.Start(ctx, "phase:merge")
-		seen, feasible, results := top.snapshot()
+		seen, feasible, results := top.Seen(), top.Feasible(), top.Results()
 		resp := wire.SweepResponse{
 			Benchmark:  req.Benchmark,
 			Objectives: names,
@@ -512,7 +511,7 @@ func (s *Server) runPareto(req wire.ParetoRequest, early []space.Config) api.Run
 		if err != nil {
 			return nil, api.Update{}, err
 		}
-		fc := &lockedFrontier{inner: explore.NewFrontierCollector()}
+		fc := explore.NewFrontierCollector()
 		names := wire.ObjectiveNames(objectives)
 		pub.Publish(api.Update{Designs: designs.count(), Objectives: names})
 		var evaluated gauge
@@ -523,8 +522,7 @@ func (s *Server) runPareto(req wire.ParetoRequest, early []space.Config) api.Run
 				Objectives: names,
 			}
 			if pub.Streaming() {
-				_, frontier := fc.snapshot()
-				u.Candidates = wire.ToCandidates(frontier)
+				u.Candidates = wire.ToCandidates(fc.Frontier())
 			}
 			return u
 		})
@@ -535,7 +533,7 @@ func (s *Server) runPareto(req wire.ParetoRequest, early []space.Config) api.Run
 			return nil, api.Update{}, err
 		}
 		_, mergeSpan := s.tel.tracer.Start(ctx, "phase:merge")
-		seen, frontier := fc.snapshot()
+		seen, frontier := fc.Seen(), fc.Frontier()
 		resp := wire.ParetoResponse{
 			Benchmark:  req.Benchmark,
 			Objectives: names,

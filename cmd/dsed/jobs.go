@@ -5,20 +5,17 @@ import (
 	"errors"
 	"net/http"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/api"
-	"repro/internal/explore"
 	"repro/internal/obs"
 )
 
 // This file is the serving side of the async job API shared by worker
 // and coordinator modes: the /v1/jobs/{id} route family (status, NDJSON
 // stream, cancel), the submit/await glue the legacy blocking shims
-// reuse, and the snapshot-friendly collector wrappers the worker's job
-// runners stream partial results through.
+// reuse, and the progress gauge the worker's job runners publish.
 
 // jobAPI embeds the job table into a serving layer.
 type jobAPI struct {
@@ -261,40 +258,3 @@ func (g *gauge) observe(n int) {
 }
 
 func (g *gauge) value() int { return int(g.v.Load()) }
-
-// lockedFrontier wraps a FrontierCollector so the job's snapshot ticker
-// can read the partial frontier while the sweep keeps collecting.
-type lockedFrontier struct {
-	mu    sync.Mutex
-	inner *explore.FrontierCollector
-}
-
-func (l *lockedFrontier) Collect(i int, c explore.Candidate) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.inner.Collect(i, c)
-}
-
-func (l *lockedFrontier) snapshot() (seen int, frontier []explore.Candidate) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.inner.Seen(), l.inner.Frontier()
-}
-
-// lockedTopK is lockedFrontier for constrained top-K collection.
-type lockedTopK struct {
-	mu    sync.Mutex
-	inner *explore.TopK
-}
-
-func (l *lockedTopK) Collect(i int, c explore.Candidate) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.inner.Collect(i, c)
-}
-
-func (l *lockedTopK) snapshot() (seen, feasible int, results []explore.Candidate) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.inner.Seen(), l.inner.Feasible(), l.inner.Results()
-}

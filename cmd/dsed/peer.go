@@ -458,11 +458,11 @@ func (f fleetJob) replicaKind() string {
 
 func (f fleetJob) query() cluster.Query { return clusterQuery(f.sweep, f.pareto) }
 
-func (f fleetJob) resolve(ctx context.Context, early []space.Config) ([]space.Config, error) {
+func (f fleetJob) space() wire.SpaceSpec {
 	if f.sweep != nil {
-		return f.sweep.ResolveLate(ctx, early)
+		return f.sweep.SpaceSpec
 	}
-	return f.pareto.ResolveLate(ctx, early)
+	return f.pareto.SpaceSpec
 }
 
 // runFleet is the peer's distributed job body, serving both fresh jobs
@@ -490,27 +490,25 @@ func (ps *peerServer) runFleet(job fleetJob, early []space.Config, resume *wire.
 		}
 		defer jobSpan.End()
 		q := job.query()
-		designs, err := job.resolve(ctx, early)
+		var seed cluster.Seed
+		var ledger []wire.ShardRange
+		if resume != nil {
+			seed = seedFromReplica(resume)
+			ledger = append(ledger, resume.Ledger...)
+		}
+		designs, segments, err := fleetSegments(ctx, job.space(), early, ledger)
 		if err != nil {
 			return nil, api.Update{}, err
 		}
 		names := objectiveNames(job.objectives())
-		segments := []cluster.Segment{{Designs: designs}}
-		var seed cluster.Seed
-		var ledger []wire.ShardRange
-		if resume != nil {
-			segments = cluster.SegmentsAfter(designs, resume.Ledger)
-			seed = seedFromReplica(resume)
-			ledger = append(ledger, resume.Ledger...)
-		}
-		rep := ps.newReplicator(pub.JobID(), job, len(designs), jobSpan.Context(), ledger)
+		rep := ps.newReplicator(pub.JobID(), job, designs, jobSpan.Context(), ledger)
 		go rep.run()
 		defer rep.finish()
 		// The opening snapshot: a subscriber sees the job's shape — and on
 		// an adopted job the inherited cumulative counters — before the
 		// first newly merged shard lands.
 		pub.Publish(api.Update{
-			Designs:    len(designs),
+			Designs:    designs,
 			Objectives: names,
 			Evaluated:  seed.Evaluated,
 			Feasible:   seed.Feasible,
@@ -524,7 +522,7 @@ func (ps *peerServer) runFleet(job fleetJob, early []space.Config, resume *wire.
 		observer := func(p cluster.Progress) {
 			u := api.Update{
 				Evaluated:  p.Evaluated,
-				Designs:    len(designs),
+				Designs:    designs,
 				Feasible:   p.Feasible,
 				Shards:     p.Shards,
 				Workers:    p.Workers,
@@ -558,7 +556,7 @@ func (ps *peerServer) runFleet(job fleetJob, early []space.Config, resume *wire.
 			}
 			final := api.Update{
 				Evaluated:  res.Evaluated,
-				Designs:    len(designs),
+				Designs:    designs,
 				Feasible:   res.Feasible,
 				Shards:     res.Shards,
 				Retries:    res.Retries,
@@ -589,7 +587,7 @@ func (ps *peerServer) runFleet(job fleetJob, early []space.Config, resume *wire.
 		}
 		final := api.Update{
 			Evaluated:  res.Evaluated,
-			Designs:    len(designs),
+			Designs:    designs,
 			Shards:     res.Shards,
 			Retries:    res.Retries,
 			Workers:    resp.Workers,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/cluster"
 	"repro/internal/explore"
 	"repro/internal/space"
@@ -308,7 +310,7 @@ func TestResumedWindowedJobSendsAbsoluteOffsets(t *testing.T) {
 	}
 
 	res, err := coord.ParetoResumeObserved(context.Background(), clusterQuery(nil, &req),
-		cluster.SegmentsAfter(designs, ledger), seed, nil)
+		cluster.SegmentsAfter(len(designs), ledger), seed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,4 +319,101 @@ func TestResumedWindowedJobSendsAbsoluteOffsets(t *testing.T) {
 	}
 	requireCover(t, windowsOf(t, shards(rec), "test"), [][2]int{{300, 1000}, {2800, 1500}, {4800, 500}})
 	requireSameCandidates(t, "resumed frontier", wire.ToCandidates(res.Frontier), singleFrontier(t, designs))
+}
+
+// An adopted windowed job resumes from a mid-space ledger through the
+// path every fleet job takes (fleetSegments, count-only segments, window
+// shards) and answers exactly what the uninterrupted run did. The seed
+// is the uninterrupted run's own replicated state after k merged shards,
+// round-tripped through the replicate wire form and seedFromReplica, so
+// top-K tie-breaking indices must survive the handoff for the ranks to
+// match.
+func TestAdoptedWindowedJobMatchesUninterrupted(t *testing.T) {
+	worker := httptest.NewServer(testServer(t).Handler())
+	t.Cleanup(worker.Close)
+	coord, err := cluster.New([]cluster.Transport{cluster.NewHTTP(worker.URL, nil)}, cluster.Options{ShardSize: 400, Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	sp := wire.SpaceSpec{Space: "test", Offset: 300, Count: 5000}
+	sweep := wire.SweepRequest{
+		Benchmark:   "gcc",
+		Objectives:  []wire.ObjectiveSpec{{Metric: "CPI"}, {Metric: "Power", Kind: "worst"}},
+		SpaceSpec:   sp,
+		TopK:        7,
+		Constraints: []wire.Constraint{{Objective: 1, Max: 1000}},
+	}
+	pareto := wire.ParetoRequest{Benchmark: "gcc", Objectives: frontierObjectives, SpaceSpec: sp}
+	for _, job := range []fleetJob{{kind: api.JobSweep, sweep: &sweep}, {kind: api.JobPareto, pareto: &pareto}} {
+		q := job.query()
+		run := func(ledger []wire.ShardRange, seed cluster.Seed, obs cluster.Observer) (int, []wire.Candidate) {
+			t.Helper()
+			n, segs, err := fleetSegments(ctx, job.space(), nil, ledger)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != sp.Count {
+				t.Fatalf("%s: fleetSegments sized the job %d, want %d", job.kind, n, sp.Count)
+			}
+			for _, s := range segs {
+				if s.Designs != nil {
+					t.Fatalf("%s: a named space's segment pinned %d designs", job.kind, len(s.Designs))
+				}
+			}
+			if job.sweep != nil {
+				res, err := coord.SweepResumeObserved(ctx, q, segs, seed, obs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res.Evaluated, wire.ToCandidates(res.Candidates)
+			}
+			res, err := coord.ParetoResumeObserved(ctx, q, segs, seed, obs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.Evaluated, wire.ToCandidates(res.Frontier)
+		}
+
+		// The uninterrupted run, replicating its state after every merge.
+		var states []wire.ReplicateRequest
+		var ledger []wire.ShardRange
+		wantN, want := run(nil, cluster.Seed{}, func(p cluster.Progress) {
+			ledger = wire.AddRange(ledger, wire.ShardRange{Start: p.ShardStart, Count: p.ShardLen})
+			st := wire.ReplicateRequest{
+				Evaluated: p.Evaluated, Feasible: p.Feasible, Shards: p.Shards,
+				Snapshot: replicaSnapshot(p), Ledger: append([]wire.ShardRange(nil), ledger...),
+			}
+			body, err := json.Marshal(st)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			var back wire.ReplicateRequest
+			if err := json.Unmarshal(body, &back); err != nil {
+				t.Error(err)
+				return
+			}
+			states = append(states, back)
+		})
+		if len(states) != (sp.Count+399)/400 {
+			t.Fatalf("%s: uninterrupted run merged %d shards, want %d", job.kind, len(states), (sp.Count+399)/400)
+		}
+		for _, k := range []int{1, len(states) / 2, len(states) - 1} {
+			st := states[k-1]
+			gotN, got := run(st.Ledger, seedFromReplica(&st), nil)
+			if gotN != wantN {
+				t.Fatalf("%s adopted after %d shards: evaluated %d, want %d", job.kind, k, gotN, wantN)
+			}
+			if job.sweep != nil {
+				g, _ := json.Marshal(got)
+				w, _ := json.Marshal(want)
+				if string(g) != string(w) {
+					t.Fatalf("%s adopted after %d shards: top-K differs rank for rank:\n  got  %s\n  want %s", job.kind, k, g, w)
+				}
+				continue
+			}
+			requireSameCandidates(t, fmt.Sprintf("%s adopted after %d shards", job.kind, k), got, want)
+		}
+	}
 }

@@ -420,7 +420,12 @@
 //     mean is exactly 1 and every detail's exactly 0, so a mean costs one
 //     network instead of k plus a trace reconstruction. It agrees with
 //     the trace mean to rounding (within 1e-15 relative, tested), and
-//     /v1/predict reports the same value.
+//     /v1/predict reports the same value. The LevelPredictor refinement
+//     (PredictMeanLevels, PredictVecLevelsInto) takes a design's level
+//     indices against the networks' shared declaration (DimLevels) from
+//     the caller; PredictMeanVec and PredictVecInto resolve and delegate
+//     to it, so each computation has one body and the sweep engine can
+//     resolve once for every model sharing a declaration.
 //   - internal/rbf: the Gaussian has axis-aligned radii, so each network
 //     with declared levels (core declares the Table 2 feature levels) is
 //     one function f(x) = s(x)·g(x_V) + b. The shared factor s is a single
@@ -436,21 +441,35 @@
 //     them across its k networks. The table is derived on training and
 //     on load, never persisted.
 //   - internal/explore: evalChunks workers hold per-worker scratch (one
-//     trace buffer per model, one flat score matrix per chunk) and emit
-//     scores only — zero heap allocations per design in steady state.
-//     A MeanObjective is scored through PredictMeanVec when the model
-//     offers it; trace objectives (worst case, exceedance) stay
-//     bit-identical to the naive path. Workers draw designs from a
-//     source: a list, or a space.Window of a named factorial that each
-//     worker enumerates into a reused ≤512-design chunk
-//     (Levels.FactorialRangeInto), so SweepWindow sweeps the 245,760-design
-//     train space without materialising it, and cmd/dsed runs every
-//     unsampled named space that way. FrontierCollector checks the member
-//     that rejected the previous arrival first, so neighbouring designs
-//     are usually rejected without a scan. ParetoFrontier prefilters
-//     against a strong pivot and sorts two-objective inputs by flat value
-//     keys.
-//   - internal/space: SampleDesign, which draws every `sample` job's
+//     trace buffer per model, one flat score matrix per chunk, the
+//     current design's encoding and level indices) and emit scores only —
+//     zero heap allocations per design in steady state. A MeanObjective
+//     is scored through PredictMeanLevels (or PredictMeanVec) when the
+//     model offers it; trace objectives (worst case, exceedance) stay
+//     bit-identical to the naive path. On a list each design is encoded
+//     once and its level indices resolved once per distinct declaration,
+//     for every model. SweepWindow never builds a Config per design: it
+//     precomputes, per parameter and level of the window's space, the
+//     feature value and each declaration's level index (by encoding and
+//     resolving real designs, so they are bit-identical to the list
+//     path), and each worker ticks the odometer (Levels.Seek/Tick),
+//     rewriting only the digits that changed. TopK and FrontierCollector
+//     take a whole chunk under their own mutex, test each candidate's
+//     scores first, and decode a Config (Window.Design) only for the
+//     candidates they keep; their snapshot methods are safe mid-sweep, so
+//     cmd/dsed publishes partials without a second per-design lock. A
+//     Collector from outside the package keeps the serialised per-design
+//     Collect contract. cmd/dsed runs every unsampled named space as a
+//     window, and a fleet owner carves such a space's shards as counts,
+//     never materialising it. FrontierCollector checks the member that
+//     rejected the previous arrival first, so neighbouring designs are
+//     usually rejected without a scan. ParetoFrontier prefilters against
+//     a strong pivot and sorts two-objective inputs by flat value keys.
+//   - internal/space: Levels.Seek and Levels.Tick are the one mixed-radix
+//     enumerator of a full factorial (first parameter most significant);
+//     FactorialRangeInto is a thin wrapper over them, and Tick reports
+//     the most significant digit it changed so index-space sweeps update
+//     only what moved. SampleDesign, which draws every `sample` job's
 //     space and every model's training set, scores each LHS candidate's
 //     L2-star discrepancy in one flat row-major kernel. The designs are
 //     encoded once into a single []float64, overwritten with 1−x, and
@@ -469,7 +488,9 @@
 // The trajectory is recorded, not remembered. The BENCH_PR<N>.json files
 // at the repository root are committed baselines for the hot-path
 // benchmarks (BenchmarkExploreSweep and its full-factorial window twin
-// BenchmarkExploreSweepFactorial, BenchmarkPredictBatch,
+// BenchmarkExploreSweepFactorial, whose collector=topk cases time the
+// scoring path and whose frontier cases are dominated by their synthetic
+// models' 3,543-point frontier, BenchmarkPredictBatch,
 // BenchmarkRBFPredict and its on-level twin BenchmarkRBFPredictLevels,
 // BenchmarkSampleDesign); the one with the highest N is current. Record
 // a new point (and commit it under the PR's number when a PR moves the

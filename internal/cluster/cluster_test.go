@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -163,6 +164,74 @@ func TestCoordinatorSweepMatchesSingleProcess(t *testing.T) {
 					i, j, got.Candidates[i].Scores[j], wantCands[i].Scores[j])
 			}
 		}
+	}
+}
+
+// TestLocalWindowShardsMatchPinnedShards: a named space's shards reach
+// Local as design-less windows and run through SweepWindow. Each window
+// shard's partial must equal the pinned shard's over the same designs,
+// and a fleet job carved from count-only segments must answer exactly
+// what the pinned job does.
+func TestLocalWindowShardsMatchPinnedShards(t *testing.T) {
+	ctx := context.Background()
+	q := testQuery()
+	q.TopK = 9
+	q.Constraints = []explore.Constraint{{Objective: 1, Max: 12}}
+	q.Space = wire.SpaceSpec{Space: "test", Offset: 100, Count: 3000}
+	w, ok := q.Space.FactorialWindow()
+	if !ok {
+		t.Fatal("named space has no factorial window")
+	}
+	designs := w.Designs()
+	local := NewLocal("local", resolveFake)
+	local.Workers = 1
+	for _, s := range []Shard{{Start: 0, Count: 3000}, {Start: 517, Count: 1031}, {Start: 2999, Count: 1}} {
+		pinned := s
+		pinned.Designs = designs[s.Start : s.Start+s.Count]
+		for kind, call := range map[string]func(Transport, context.Context, Query, Shard) (*Partial, error){
+			"pareto": Transport.Pareto, "sweep": Transport.Sweep,
+		} {
+			got, err := call(local, ctx, q, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := call(local, ctx, q, pinned)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s shard [%d,+%d): window partial differs from the pinned one", kind, s.Start, s.Count)
+			}
+		}
+	}
+	if _, err := local.Pareto(ctx, testQuery(), Shard{Count: 10}); err == nil {
+		t.Error("a design-less shard of a pinned space was accepted")
+	}
+
+	coord := newTestCoordinator(t, localFleet(3), Options{ShardSize: 256})
+	pinnedQ := q
+	pinnedQ.Space = wire.SpaceSpec{}
+	gotP, err := coord.ParetoResumeObserved(ctx, q, SegmentsAfter(len(designs), nil), Seed{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantP, err := coord.ParetoObserved(ctx, pinnedQ, designs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotP.Evaluated != wantP.Evaluated || !reflect.DeepEqual(candKeys(gotP.Frontier), candKeys(wantP.Frontier)) {
+		t.Error("windowed fleet frontier differs from the pinned fleet's")
+	}
+	gotS, err := coord.SweepResumeObserved(ctx, q, SegmentsAfter(len(designs), nil), Seed{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantS, err := coord.SweepObserved(ctx, pinnedQ, designs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotS.Evaluated != wantS.Evaluated || gotS.Feasible != wantS.Feasible || !reflect.DeepEqual(gotS.Candidates, wantS.Candidates) {
+		t.Error("windowed fleet top-K differs from the pinned fleet's")
 	}
 }
 

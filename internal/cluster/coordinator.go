@@ -290,7 +290,7 @@ func (c *Coordinator) ParetoObserved(ctx context.Context, q Query, designs []spa
 	if len(designs) == 0 {
 		return nil, fmt.Errorf("cluster: no designs to sweep")
 	}
-	return c.ParetoResumeObserved(ctx, q, []Segment{{Designs: designs}}, Seed{}, obs)
+	return c.ParetoResumeObserved(ctx, q, []Segment{{Count: len(designs), Designs: designs}}, Seed{}, obs)
 }
 
 // Sweep distributes a constrained top-K sweep: each shard answers its own
@@ -306,7 +306,7 @@ func (c *Coordinator) SweepObserved(ctx context.Context, q Query, designs []spac
 	if len(designs) == 0 {
 		return nil, fmt.Errorf("cluster: no designs to sweep")
 	}
-	return c.SweepResumeObserved(ctx, q, []Segment{{Designs: designs}}, Seed{}, obs)
+	return c.SweepResumeObserved(ctx, q, []Segment{{Count: len(designs), Designs: designs}}, Seed{}, obs)
 }
 
 // run is the shared distribution engine: a bounded pool of dispatchers
@@ -501,17 +501,17 @@ func (c *Coordinator) runShard(ctx context.Context, q Query, s Shard, first *mem
 			spanCtx, span := c.tracer.Start(attemptCtx, "dispatch")
 			span.SetAttr("worker", m.name)
 			span.SetAttr("shard_start", strconv.Itoa(s.Start))
-			span.SetAttr("designs", strconv.Itoa(len(s.Designs)))
+			span.SetAttr("designs", strconv.Itoa(s.Count))
 			if hedge {
 				span.SetAttr("hedge", "true")
 			}
 			start := c.now()
 			p, err := call(m.transport, spanCtx, q, s)
 			elapsed := c.now().Sub(start)
-			if err == nil && p.Evaluated != len(s.Designs) {
+			if err == nil && p.Evaluated != s.Count {
 				// A short count means the worker silently dropped designs;
 				// trust the fleet over the answer.
-				err = fmt.Errorf("cluster: worker %s evaluated %d of %d shard designs", m.name, p.Evaluated, len(s.Designs))
+				err = fmt.Errorf("cluster: worker %s evaluated %d of %d shard designs", m.name, p.Evaluated, s.Count)
 			}
 			if err == nil {
 				span.SetAttr("status", "ok")
@@ -538,7 +538,7 @@ func (c *Coordinator) runShard(ctx context.Context, q Query, s Shard, first *mem
 			running--
 			if o.err == nil {
 				c.tracer.Import(o.p.Spans)
-				c.observe(o.m, len(s.Designs), o.elapsed)
+				c.observe(o.m, s.Count, o.elapsed)
 			} else {
 				c.release(o.m)
 			}
@@ -570,7 +570,7 @@ func (c *Coordinator) runShard(ctx context.Context, q Query, s Shard, first *mem
 			launch(m, false)
 			m = nil
 			if c.opts.HedgeFactor > 0 && !hedged {
-				if d := c.hedgeDelay(primary, len(s.Designs)); d > 0 {
+				if d := c.hedgeDelay(primary, s.Count); d > 0 {
 					armHedge(d)
 				} else {
 					// No latency estimate anywhere yet: poll until one
@@ -581,10 +581,10 @@ func (c *Coordinator) runShard(ctx context.Context, q Query, s Shard, first *mem
 		}
 		if running == 0 {
 			if attempts == 0 {
-				return fmt.Errorf("cluster: shard [%d,%d): no live workers", s.Start, s.Start+len(s.Designs))
+				return fmt.Errorf("cluster: shard [%d,%d): no live workers", s.Start, s.Start+s.Count)
 			}
 			return fmt.Errorf("cluster: shard [%d,%d) failed on all %d workers: %w",
-				s.Start, s.Start+len(s.Designs), attempts, lastErr)
+				s.Start, s.Start+s.Count, attempts, lastErr)
 		}
 
 		select {
@@ -600,7 +600,7 @@ func (c *Coordinator) runShard(ctx context.Context, q Query, s Shard, first *mem
 					}
 				}
 				c.tracer.Import(o.p.Spans)
-				c.observe(o.m, len(s.Designs), o.elapsed)
+				c.observe(o.m, s.Count, o.elapsed)
 				merge(o.m.name, s, o.p)
 				settle()
 				return nil
@@ -660,7 +660,7 @@ func (c *Coordinator) runShard(ctx context.Context, q Query, s Shard, first *mem
 			if hedged || primary == nil {
 				break
 			}
-			d := c.hedgeDelay(primary, len(s.Designs))
+			d := c.hedgeDelay(primary, s.Count)
 			if d <= 0 {
 				// Still unpriceable (cold fleet): keep polling.
 				armHedge(c.opts.HedgeMinDelay)

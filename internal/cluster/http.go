@@ -84,7 +84,7 @@ func (h *HTTP) classify(err error) error {
 // relative to the job's own list, which Window composes with the job's
 // offset. Anything else pins the shard's designs explicitly.
 func shardSpace(q Query, s Shard) wire.SpaceSpec {
-	if w, ok := q.Space.Window(s.Start, len(s.Designs)); ok {
+	if w, ok := q.Space.Window(s.Start, s.Count); ok {
 		return w
 	}
 	specs := make([]wire.ConfigSpec, len(s.Designs))

@@ -70,32 +70,41 @@ func (l *Local) build(ctx context.Context, q Query) ([]core.DynamicsModel, []exp
 	return models, objectives, nil
 }
 
-// Pareto implements Transport.
-func (l *Local) Pareto(ctx context.Context, q Query, s Shard) (*Partial, error) {
+// sweep streams the shard through the collector: a pinned shard's
+// designs, or the window a design-less shard names on the query's space.
+func (l *Local) sweep(ctx context.Context, q Query, s Shard, col explore.Collector) error {
 	models, objectives, err := l.build(ctx, q)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	res, err := explore.SweepContext(ctx, s.Designs, models, objectives, explore.Options{Workers: l.Workers})
-	if err != nil {
+	opts := explore.Options{Workers: l.Workers}
+	if s.Designs != nil {
+		return explore.SweepStream(ctx, s.Designs, models, objectives, opts, col)
+	}
+	w, ok := q.Window(s)
+	if !ok {
+		return fmt.Errorf("cluster: shard [%d,%d) has no designs and its space %q names no window", s.Start, s.Start+s.Count, q.Space.Space)
+	}
+	return explore.SweepWindow(ctx, w, models, objectives, opts, col)
+}
+
+// Pareto implements Transport.
+func (l *Local) Pareto(ctx context.Context, q Query, s Shard) (*Partial, error) {
+	fc := explore.NewFrontierCollector()
+	if err := l.sweep(ctx, q, s, fc); err != nil {
 		return nil, err
 	}
 	return &Partial{
-		Evaluated:  len(res.Evaluated),
-		Feasible:   len(res.Evaluated),
-		Candidates: indexed(res.Frontier, s.Start),
+		Evaluated:  fc.Seen(),
+		Feasible:   fc.Seen(),
+		Candidates: indexed(fc.Frontier(), s.Start),
 	}, nil
 }
 
 // Sweep implements Transport.
 func (l *Local) Sweep(ctx context.Context, q Query, s Shard) (*Partial, error) {
-	models, objectives, err := l.build(ctx, q)
-	if err != nil {
-		return nil, err
-	}
 	top := explore.NewTopK(q.TopK, q.Objective, q.Constraints)
-	err = explore.SweepStream(ctx, s.Designs, models, objectives, explore.Options{Workers: l.Workers}, top)
-	if err != nil {
+	if err := l.sweep(ctx, q, s, top); err != nil {
 		return nil, err
 	}
 	return &Partial{

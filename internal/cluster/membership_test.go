@@ -148,7 +148,7 @@ func TestRejoinKeepsAccountingClean(t *testing.T) {
 	if _, err := coord.Join(NewLocal("w", resolveFake), MemberInfo{}); err != nil {
 		t.Fatal(err)
 	}
-	cv := &carver{segments: []Segment{{Designs: testDesigns(8)}}}
+	cv := &carver{segments: []Segment{{Count: 8, Designs: testDesigns(8)}}}
 	_, old, ok := coord.nextAssignment(cv, "gcc")
 	if !ok || old == nil || old.name != "w" {
 		t.Fatalf("assignment did not claim w: %+v", old)
@@ -183,7 +183,7 @@ func TestAffinitySpillsOnlyUnderLoad(t *testing.T) {
 	if _, err := coord.Join(NewLocal("other", resolveFake), MemberInfo{Capacity: 2}); err != nil {
 		t.Fatal(err)
 	}
-	cv := &carver{segments: []Segment{{Designs: testDesigns(64)}}}
+	cv := &carver{segments: []Segment{{Count: 64, Designs: testDesigns(64)}}}
 	var names []string
 	for {
 		_, m, ok := coord.nextAssignment(cv, "gcc")
@@ -323,12 +323,12 @@ type sleepy struct {
 }
 
 func (s *sleepy) Pareto(ctx context.Context, q Query, sh Shard) (*Partial, error) {
-	time.Sleep(time.Duration(len(sh.Designs)) * s.perDesign)
+	time.Sleep(time.Duration(sh.Count) * s.perDesign)
 	return s.Transport.Pareto(ctx, q, sh)
 }
 
 func (s *sleepy) Sweep(ctx context.Context, q Query, sh Shard) (*Partial, error) {
-	time.Sleep(time.Duration(len(sh.Designs)) * s.perDesign)
+	time.Sleep(time.Duration(sh.Count) * s.perDesign)
 	return s.Transport.Sweep(ctx, q, sh)
 }
 

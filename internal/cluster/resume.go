@@ -21,12 +21,16 @@ import (
 // the PR 9 invariant — dedup at the coordinator, not the collector —
 // guarantees it within each run).
 
-// Segment is one contiguous, not-yet-merged range of a sweep's design
-// list. Start is the range's offset in the full list; preserving it
-// keeps candidate indices — and therefore top-K tie-breaking — identical
-// to the uninterrupted run.
+// Segment is one contiguous, not-yet-merged range [Start, Start+Count)
+// of a sweep's design list. Start is the range's offset in the full
+// list; preserving it keeps candidate indices — and therefore top-K
+// tie-breaking — identical to the uninterrupted run. Designs is set only
+// for a pinned space (an explicit list or an LHS sample) and then holds
+// the range's Count designs; a range of a named, unsampled space is its
+// position alone, and its shards travel as windows (Query.Space).
 type Segment struct {
 	Start   int
+	Count   int
 	Designs []space.Config
 }
 
@@ -40,30 +44,33 @@ type Seed struct {
 	Candidates []IndexedCandidate
 }
 
-// SegmentsAfter computes the complement of a merged-shard ledger over
-// the full design list — the segments an adopter still has to dispatch.
-// The ledger must be sorted and coalesced (wire.AddRange maintains
-// both); out-of-bounds ranges are clamped.
-func SegmentsAfter(designs []space.Config, done []wire.ShardRange) []Segment {
+// SegmentsAfter computes the complement of a merged-shard ledger over a
+// design list of n designs — the segments a job still has to dispatch:
+// all of [0, n) for a fresh job's empty ledger, what the dead owner left
+// for an adopter. The ledger must be sorted and coalesced (wire.AddRange
+// maintains both); out-of-bounds ranges are clamped. The segments name
+// positions only; Pin attaches a pinned list's designs.
+func SegmentsAfter(n int, done []wire.ShardRange) []Segment {
 	var segs []Segment
 	pos := 0
 	for _, r := range done {
-		start, end := r.Start, r.Start+r.Count
-		if start > len(designs) {
-			start = len(designs)
-		}
-		if end > len(designs) {
-			end = len(designs)
-		}
+		start, end := min(r.Start, n), min(r.Start+r.Count, n)
 		if start > pos {
-			segs = append(segs, Segment{Start: pos, Designs: designs[pos:start]})
+			segs = append(segs, Segment{Start: pos, Count: start - pos})
 		}
-		if end > pos {
-			pos = end
-		}
+		pos = max(pos, end)
 	}
-	if pos < len(designs) {
-		segs = append(segs, Segment{Start: pos, Designs: designs[pos:]})
+	if pos < n {
+		segs = append(segs, Segment{Start: pos, Count: n - pos})
+	}
+	return segs
+}
+
+// Pin attaches to each segment its range of the pinned design list,
+// aliasing it, and returns segs.
+func Pin(segs []Segment, designs []space.Config) []Segment {
+	for i, s := range segs {
+		segs[i].Designs = designs[s.Start : s.Start+s.Count]
 	}
 	return segs
 }
@@ -71,7 +78,7 @@ func SegmentsAfter(designs []space.Config, done []wire.ShardRange) []Segment {
 func segmentsTotal(segs []Segment) int {
 	n := 0
 	for _, s := range segs {
-		n += len(s.Designs)
+		n += s.Count
 	}
 	return n
 }
@@ -119,7 +126,7 @@ func (c *Coordinator) ParetoResumeObserved(ctx context.Context, q Query, segment
 				Workers:    c.memberCount(),
 				Candidates: merged.Frontier(),
 				ShardStart: s.Start,
-				ShardLen:   len(s.Designs),
+				ShardLen:   s.Count,
 			})
 		}
 	})
@@ -181,7 +188,7 @@ func (c *Coordinator) SweepResumeObserved(ctx context.Context, q Query, segments
 				Workers:    c.memberCount(),
 				Candidates: merged.Results(),
 				ShardStart: s.Start,
-				ShardLen:   len(s.Designs),
+				ShardLen:   s.Count,
 				Indexed:    indexedEntries(merged),
 			})
 		}

@@ -64,7 +64,7 @@ func TestParetoAdoptionAtEveryShardBoundary(t *testing.T) {
 	}
 
 	for k, st := range states {
-		segments := SegmentsAfter(designs, st.ledger)
+		segments := Pin(SegmentsAfter(len(designs), st.ledger), designs)
 		if got := segmentsTotal(segments) + wire.RangesTotal(st.ledger); got != len(designs) {
 			t.Fatalf("boundary %d: ledger+complement covers %d designs, want %d", k, got, len(designs))
 		}
@@ -110,7 +110,7 @@ func TestSweepAdoptionAtEveryShardBoundary(t *testing.T) {
 	})
 
 	for k, st := range states {
-		segments := SegmentsAfter(designs, st.ledger)
+		segments := Pin(SegmentsAfter(len(designs), st.ledger), designs)
 		adopter := newTestCoordinator(t, localFleet(2), Options{ShardSize: 16})
 		res, err := adopter.SweepResumeObserved(context.Background(), q, segments, st.seed, nil)
 		if err != nil {
@@ -151,7 +151,7 @@ func TestResumeWithEverythingMerged(t *testing.T) {
 		return err
 	})
 	last := states[len(states)-1]
-	if segs := SegmentsAfter(designs, last.ledger); len(segs) != 0 {
+	if segs := SegmentsAfter(len(designs), last.ledger); len(segs) != 0 {
 		t.Fatalf("full ledger leaves %d segments, want 0", len(segs))
 	}
 	// The adopter has no live workers at all — and must not need any.
@@ -187,19 +187,22 @@ func TestSegmentsAfter(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			segs := SegmentsAfter(designs, tc.ledger)
+			segs := SegmentsAfter(len(designs), tc.ledger)
 			if len(segs) != len(tc.want) {
 				t.Fatalf("got %d segments, want %d", len(segs), len(tc.want))
 			}
 			for i, w := range tc.want {
-				if segs[i].Start != w[0] || len(segs[i].Designs) != w[1] {
-					t.Fatalf("segment %d: (start %d, len %d), want (%d, %d)",
-						i, segs[i].Start, len(segs[i].Designs), w[0], w[1])
+				if segs[i].Start != w[0] || segs[i].Count != w[1] || segs[i].Designs != nil {
+					t.Fatalf("segment %d: (start %d, count %d, %d pinned), want (%d, %d) unpinned",
+						i, segs[i].Start, segs[i].Count, len(segs[i].Designs), w[0], w[1])
 				}
 			}
-			// Segments must alias the original list, not copy it: Start
-			// indexes into designs.
-			for _, s := range segs {
+			// Pinned segments must alias the original list, not copy it:
+			// Start indexes into designs.
+			for _, s := range Pin(segs, designs) {
+				if len(s.Designs) != s.Count {
+					t.Fatalf("segment at %d pins %d designs, want %d", s.Start, len(s.Designs), s.Count)
+				}
 				if len(s.Designs) > 0 && s.Designs[0].SweptValues() != designs[s.Start].SweptValues() {
 					t.Fatalf("segment at %d does not alias the design list", s.Start)
 				}

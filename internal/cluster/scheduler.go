@@ -26,7 +26,7 @@ type carver struct {
 // segment is exhausted. A shard never spans segments: the ranges between
 // them are already merged, and re-evaluating them would double-count.
 func (cv *carver) take(n int) (Shard, bool) {
-	for cv.seg < len(cv.segments) && cv.off >= len(cv.segments[cv.seg].Designs) {
+	for cv.seg < len(cv.segments) && cv.off >= cv.segments[cv.seg].Count {
 		cv.seg++
 		cv.off = 0
 	}
@@ -37,10 +37,11 @@ func (cv *carver) take(n int) (Shard, bool) {
 		n = 1
 	}
 	s := cv.segments[cv.seg]
-	if rest := len(s.Designs) - cv.off; n > rest {
-		n = rest
+	n = min(n, s.Count-cv.off)
+	shard := Shard{Start: s.Start + cv.off, Count: n}
+	if s.Designs != nil {
+		shard.Designs = s.Designs[cv.off : cv.off+n]
 	}
-	shard := Shard{Start: s.Start + cv.off, Designs: s.Designs[cv.off : cv.off+n]}
 	cv.off += n
 	return shard, true
 }

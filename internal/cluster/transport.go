@@ -28,13 +28,29 @@ type Query struct {
 	Constraints []explore.Constraint
 }
 
-// Shard is one contiguous range of a sweep's design list.
+// Shard is one contiguous range [Start, Start+Count) of a sweep's design
+// list.
 type Shard struct {
 	// Start is the shard's offset in the full design list; transports tag
 	// returned candidates with Start-relative indexes so merged top-K
 	// tie-breaking is deterministic no matter which worker ran the shard.
-	Start   int
+	Start int
+	Count int
+	// Designs holds the shard's designs for a pinned space (an explicit
+	// list or an LHS sample) and is nil for a named, unsampled space,
+	// whose shard is a window on Query.Space (see Query.Window).
 	Designs []space.Config
+}
+
+// Window returns the factorial window shard s names on the query's
+// space. ok is false unless the query names an unsampled space; such a
+// shard must carry its designs.
+func (q Query) Window(s Shard) (w space.Window, ok bool) {
+	spec, ok := q.Space.Window(s.Start, s.Count)
+	if !ok {
+		return space.Window{}, false
+	}
+	return spec.FactorialWindow()
 }
 
 // Partial is one shard's contribution to a distributed sweep.

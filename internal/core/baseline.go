@@ -65,10 +65,30 @@ type MeanVecPredictor interface {
 	PredictMeanVec(x []float64) float64
 }
 
+// LevelPredictor is the resolved-levels refinement of MeanVecPredictor:
+// a model whose networks share one level declaration (DimLevels) scores a
+// design from its encoding x plus x's level indices lvl against that
+// declaration, exactly as rbf.ResolveLevels writes them. A sweep resolves
+// once per design for every model sharing the declaration — or, on a
+// full-factorial window, precomputes the indices per parameter level — so
+// no network resolves its own. PredictMeanLevels(x, lvl) and
+// PredictVecLevelsInto(x, lvl, dst) are bit-identical to PredictMeanVec(x)
+// and PredictVecInto(x, dst), which resolve and delegate to them.
+type LevelPredictor interface {
+	MeanVecPredictor
+	// DimLevels is the declaration lvl resolves against; nil when the
+	// model has none, and then callers use the Vec entry points.
+	DimLevels() [][]float64
+	// PredictMeanLevels is PredictMeanVec with x's level indices given.
+	PredictMeanLevels(x []float64, lvl []int) float64
+	// PredictVecLevelsInto is PredictVecInto with x's level indices given.
+	PredictVecLevelsInto(x []float64, lvl []int, dst []float64) []float64
+}
+
 var (
-	_ MeanVecPredictor = (*Predictor)(nil)
-	_ VecPredictor     = (*GlobalANN)(nil)
-	_ VecPredictor     = (*LinearWavelet)(nil)
+	_ LevelPredictor = (*Predictor)(nil)
+	_ VecPredictor   = (*GlobalANN)(nil)
+	_ VecPredictor   = (*LinearWavelet)(nil)
 )
 
 // GlobalANN is the monolithic neural-network baseline of prior work

@@ -347,9 +347,18 @@ func (p *Predictor) PredictInto(cfg space.Config, dst []float64) []float64 {
 func (p *Predictor) NumFeatures() int { return p.opts.numFeatures() }
 
 // PredictVecInto writes the forecast for the already-encoded feature
-// vector x into dst; see VecPredictor. PredictInto delegates here, so the
-// two are bit-identical by construction.
+// vector x into dst; see VecPredictor. It resolves x's level indices once
+// for all k networks and delegates to PredictVecLevelsInto, so
+// PredictInto, PredictVecInto and a sweep's resolved-levels path are
+// bit-identical by construction.
 func (p *Predictor) PredictVecInto(x []float64, dst []float64) []float64 {
+	var lbuf [space.MaxFeatures]int
+	return p.PredictVecLevelsInto(x, p.resolveLevels(x, &lbuf), dst)
+}
+
+// PredictVecLevelsInto is PredictVecInto given x's level indices lvl
+// against DimLevels (empty when DimLevels is nil); see LevelPredictor.
+func (p *Predictor) PredictVecLevelsInto(x []float64, lvl []int, dst []float64) []float64 {
 	dst = sizeTrace(dst, p.traceLen)
 	if len(p.selected) == 0 {
 		for i := range dst {
@@ -369,8 +378,6 @@ func (p *Predictor) PredictVecInto(x []float64, dst []float64) []float64 {
 	for i := hi0; i < len(dst); i++ {
 		dst[i] = 0
 	}
-	var lbuf [space.MaxFeatures]int
-	lvl := p.resolveLevels(x, &lbuf)
 	for i := range p.selected {
 		c := p.coefficient(i, x, lvl)
 		// Accumulate only over the basis vector's nonzero support —
@@ -429,10 +436,16 @@ func (p *Predictor) PredictMean(cfg space.Config) float64 {
 // under the paper's Haar transform one network (the average coefficient)
 // is evaluated instead of k. It agrees with mathx.Mean of PredictVecInto
 // to rounding; a model that does not select a coefficient with a nonzero
-// basis mean scores 0.
+// basis mean scores 0. It resolves x's level indices and delegates to
+// PredictMeanLevels.
 func (p *Predictor) PredictMeanVec(x []float64) float64 {
 	var lbuf [space.MaxFeatures]int
-	lvl := p.resolveLevels(x, &lbuf)
+	return p.PredictMeanLevels(x, p.resolveLevels(x, &lbuf))
+}
+
+// PredictMeanLevels is PredictMeanVec given x's level indices lvl against
+// DimLevels (empty when DimLevels is nil); see LevelPredictor.
+func (p *Predictor) PredictMeanLevels(x []float64, lvl []int) float64 {
 	mean := 0.0
 	for i, bm := range p.basisMean {
 		if bm != 0 {
@@ -441,6 +454,12 @@ func (p *Predictor) PredictMeanVec(x []float64) float64 {
 	}
 	return mean
 }
+
+// DimLevels returns the level declaration every factored network shares
+// — the one PredictMeanLevels and PredictVecLevelsInto take level indices
+// against — or nil when the networks share none. Callers must not modify
+// it.
+func (p *Predictor) DimLevels() [][]float64 { return p.levels }
 
 // PredictBatch forecasts every configuration in cfgs, writing trace i into
 // dst[i] (rows are grown or reused like PredictInto's dst) and returning

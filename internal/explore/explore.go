@@ -8,7 +8,7 @@
 // The evaluation engine shards candidates across a bounded worker pool
 // (models are immutable after training, so concurrent Predict calls are
 // safe), honours context cancellation, and always reports results in
-// design order regardless of which worker scored which candidate. Two
+// design order regardless of which worker scored which candidate. Three
 // sweep shapes are offered:
 //
 //   - SweepContext materialises every candidate and its Pareto frontier —
@@ -17,8 +17,10 @@
 //     FrontierCollector) without retaining them, so million-design sweeps
 //     hold only the answer alive.
 //   - SweepWindow is SweepStream over a space.Window of a full-factorial
-//     space: the workers enumerate the designs themselves, so not even
-//     the design list is materialised.
+//     space: the workers walk the window in level-index space, scoring
+//     precomputed per-level features and level indices, so neither the
+//     design list nor a Config per design is built — a collector decodes
+//     a Config only for the candidates it keeps.
 package explore
 
 import (
@@ -147,12 +149,12 @@ func SweepContext(ctx context.Context, designs []space.Config, models []core.Dyn
 	// result exactly once.
 	m := len(models)
 	backing := make([]float64, len(designs)*m)
-	err := evalChunks(ctx, len(designs), listSource(designs), models, objectives, opts, func(start int, cfgs []space.Config, sc []float64) {
-		for j := range cfgs {
-			i := start + j
+	err := evalChunks(ctx, source{designs: designs}, models, objectives, opts, func(c *chunk) {
+		for j := 0; j < c.n; j++ {
+			i := c.start + j
 			dst := backing[i*m : (i+1)*m : (i+1)*m]
-			copy(dst, sc[j*m:(j+1)*m])
-			res.Evaluated[i] = Candidate{Config: cfgs[j], Scores: dst}
+			copy(dst, c.scoresOf(j))
+			res.Evaluated[i] = Candidate{Config: c.cfgs[j], Scores: dst}
 		}
 	})
 	if err != nil {
@@ -180,7 +182,10 @@ func SweepContext(ctx context.Context, designs []space.Config, models []core.Dyn
 // duration of the Collect call — implementations must copy the values
 // (not the slice) for anything they retain. TopK and FrontierCollector
 // already do, recycling evicted buffers so steady-state collection stays
-// allocation-free.
+// allocation-free. Those two take a whole chunk at a time under their own
+// lock instead, check each candidate's scores first, and decode its
+// Config only when they keep it; their snapshot methods may be called
+// while a sweep runs.
 type Collector interface {
 	Collect(index int, c Candidate)
 }
@@ -194,14 +199,14 @@ func SweepStream(ctx context.Context, designs []space.Config, models []core.Dyna
 	if err := validateSweep(designs, models, objectives); err != nil {
 		return err
 	}
-	return collect(ctx, len(designs), listSource(designs), models, objectives, opts, collectors)
+	return collect(ctx, source{designs: designs}, models, objectives, opts, collectors)
 }
 
 // SweepWindow is SweepStream over w.Designs() without materialising
-// them: each worker enumerates its chunk of the window into reused
-// scratch. Collectors see the same candidates with the same indices
-// (counted from the window's start), so results are byte-identical to
-// SweepStream over the materialised window.
+// them: each worker walks its chunk of the window as level indices (see
+// the package doc). Collectors see the same candidates with the same
+// indices (counted from the window's start), so results are
+// byte-identical to SweepStream over the materialised window.
 func SweepWindow(ctx context.Context, w space.Window, models []core.DynamicsModel, objectives []Objective, opts Options, collectors ...Collector) error {
 	if err := validateModels(models, objectives); err != nil {
 		return err
@@ -209,37 +214,7 @@ func SweepWindow(ctx context.Context, w space.Window, models []core.DynamicsMode
 	if err := w.Validate(); err != nil {
 		return fmt.Errorf("explore: %w", err)
 	}
-	return collect(ctx, w.Count, w.Fill, models, objectives, opts, collectors)
-}
-
-// source supplies designs [start, end) of a sweep. It may write them into
-// dst (worker scratch, reused across calls) or return a view of a list it
-// already holds; either way the result is valid until the next call.
-type source func(dst []space.Config, start, end int) []space.Config
-
-// listSource serves a materialised design list without copying.
-func listSource(designs []space.Config) source {
-	return func(_ []space.Config, start, end int) []space.Config { return designs[start:end] }
-}
-
-// collect streams n designs from src into the collectors, serialising
-// Collect calls behind one lock.
-func collect(ctx context.Context, n int, src source, models []core.DynamicsModel, objectives []Objective, opts Options, collectors []Collector) error {
-	var mu sync.Mutex
-	nm := len(models)
-	return evalChunks(ctx, n, src, models, objectives, opts, func(start int, cfgs []space.Config, sc []float64) {
-		mu.Lock()
-		defer mu.Unlock()
-		for j := range cfgs {
-			cand := Candidate{
-				Config: cfgs[j],
-				Scores: sc[j*nm : (j+1)*nm : (j+1)*nm],
-			}
-			for _, col := range collectors {
-				col.Collect(start+j, cand)
-			}
-		}
-	})
+	return collect(ctx, source{win: &w}, models, objectives, opts, collectors)
 }
 
 // ParallelFor runs fn(i) for every i in [0, n) on a bounded worker pool
@@ -289,126 +264,6 @@ func validateSweep(designs []space.Config, models []core.DynamicsModel, objectiv
 		return fmt.Errorf("explore: no designs to sweep")
 	}
 	return nil
-}
-
-// evalChunks shards the n designs src supplies into contiguous chunks
-// claimed by workers off an atomic cursor (cheaper than a per-design
-// channel at model-query rates of millions per second). emit is called
-// once per finished chunk, possibly concurrently, with the chunk's start
-// index, its designs, and its flat score matrix (len(models) scores per
-// design, in design order). The designs and scores are worker scratch
-// reused for the next chunk, so emit must copy out what it retains.
-//
-// Each worker holds its own scratch — one trace buffer per model (reused
-// through core.IntoPredictor when the model supports it), one flat
-// backing array for the chunk's scores, and whatever src fills designs
-// into — so the steady-state sweep performs zero heap allocations per
-// design. A mean objective on a core.MeanVecPredictor is scored in
-// coefficient space and never produces a trace.
-func evalChunks(ctx context.Context, n int, src source, models []core.DynamicsModel, objectives []Objective, opts Options, emit func(start int, designs []space.Config, scores []float64)) error {
-	workers := opts.workers()
-	if workers > n {
-		workers = n
-	}
-	var completed atomic.Int64
-	chunk := n / (workers * 8)
-	if chunk < 1 {
-		chunk = 1
-	}
-	if chunk > 512 {
-		chunk = 512
-	}
-	// Models supporting scratch-reusing inference, resolved once instead of
-	// once per design. intos[m] is nil when models[m] only offers Predict.
-	// Vector-level models (vecs[m]) additionally share one feature encoding
-	// per design: the plain encoding is a prefix of the DVM encoding, so a
-	// single VectorDVMInto pass feeds models of either flavour. means[m] is
-	// set when objective m is a mean the model scores without a trace.
-	intos := make([]core.IntoPredictor, len(models))
-	vecs := make([]core.VecPredictor, len(models))
-	means := make([]core.MeanVecPredictor, len(models))
-	nfeat := make([]int, len(models))
-	needVec, needDVM := false, false
-	for i, model := range models {
-		if ip, ok := model.(core.IntoPredictor); ok {
-			intos[i] = ip
-		}
-		if vp, ok := model.(core.VecPredictor); ok {
-			vecs[i] = vp
-			nfeat[i] = vp.NumFeatures()
-			needVec = true
-			needDVM = needDVM || nfeat[i] > space.NumParams
-		}
-		if mp, ok := model.(core.MeanVecPredictor); ok && objectives[i].mean {
-			means[i] = mp
-		}
-	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			nm := len(models)
-			scores := make([]float64, chunk*nm)
-			traces := make([][]float64, nm)
-			var cfgs []space.Config
-			var fbuf [space.MaxFeatures]float64
-			for {
-				start := int(cursor.Add(int64(chunk))) - chunk
-				if start >= n || ctx.Err() != nil {
-					return
-				}
-				end := start + chunk
-				if end > n {
-					end = n
-				}
-				var t0 time.Time
-				if opts.ChunkDone != nil {
-					t0 = time.Now()
-				}
-				cfgs = src(cfgs, start, end)
-				for j := range cfgs {
-					cfg := &cfgs[j]
-					s := scores[j*nm : (j+1)*nm : (j+1)*nm]
-					var x []float64
-					if needVec {
-						if needDVM {
-							x = cfg.VectorDVMInto(fbuf[:0])
-						} else {
-							x = cfg.VectorInto(fbuf[:0])
-						}
-					}
-					for m := range models {
-						var trace []float64
-						switch {
-						case means[m] != nil:
-							s[m] = means[m].PredictMeanVec(x[:nfeat[m]])
-							continue
-						case vecs[m] != nil:
-							traces[m] = vecs[m].PredictVecInto(x[:nfeat[m]], traces[m])
-							trace = traces[m]
-						case intos[m] != nil:
-							traces[m] = intos[m].PredictInto(*cfg, traces[m])
-							trace = traces[m]
-						default:
-							trace = models[m].Predict(*cfg)
-						}
-						s[m] = objectives[m].Score(trace)
-					}
-				}
-				emit(start, cfgs, scores[:len(cfgs)*nm])
-				if opts.ChunkDone != nil {
-					opts.ChunkDone(end-start, time.Since(t0))
-				}
-				if opts.Progress != nil {
-					opts.Progress(int(completed.Add(int64(end - start))))
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return ctx.Err()
 }
 
 // Constraint bounds one objective during constrained selection.

@@ -3,6 +3,7 @@ package explore
 import (
 	"context"
 	"math"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -212,6 +213,85 @@ func TestWindowSweepSteadyStateAllocs(t *testing.T) {
 	}
 	if completed != n {
 		t.Errorf("progress reached %d, want %d", completed, n)
+	}
+}
+
+// TestWindowWorstCaseSweepSteadyStateAllocs is the zero-alloc contract
+// on the window source's trace route: worst-case objectives make every
+// model predict a whole trace (PredictVecLevelsInto on the predictor,
+// PredictVecInto on the GlobalANN) into worker scratch.
+func TestWindowWorstCaseSweepSteadyStateAllocs(t *testing.T) {
+	models := trainedModels(t)
+	objectives := []Objective{WorstCaseObjective("cpi_peak"), WorstCaseObjective("global_peak")}
+	const n = 8192
+	w := space.Window{Levels: space.TrainLevels(), Base: space.Baseline(), Offset: 777, Count: n}
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(3, func() {
+		if err := SweepWindow(ctx, w, models, objectives, Options{Workers: 1}, NewTopK(8, 0, nil), NewFrontierCollector()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perDesign := allocs / n; perDesign > 0.01 {
+		t.Errorf("worst-case window sweep allocates %.4f/design (%.0f total), want ≤0.01", perDesign, allocs)
+	}
+}
+
+// TestCollectorSnapshotsDuringSweep polls every snapshot method of TopK
+// and FrontierCollector from another goroutine while SweepWindow and
+// SweepStream collect into them. Under -race it proves the collectors'
+// own locks cover chunk collection and snapshots; the polled sweeps must
+// still answer exactly what unpolled ones do.
+func TestCollectorSnapshotsDuringSweep(t *testing.T) {
+	models := trainedModels(t)
+	objectives := []Objective{MeanObjective("cpi"), WorstCaseObjective("cpi_peak")}
+	w := space.Window{Levels: space.TestLevels(), Base: space.Baseline(), Count: space.TestLevels().NumDesigns()}
+	designs := w.Designs()
+	ctx := context.Background()
+	opts := Options{Workers: runtime.GOMAXPROCS(0)}
+	for _, tc := range []struct {
+		name  string
+		sweep func(cols ...Collector) error
+	}{
+		{"window", func(cols ...Collector) error { return SweepWindow(ctx, w, models, objectives, opts, cols...) }},
+		{"list", func(cols ...Collector) error { return SweepStream(ctx, designs, models, objectives, opts, cols...) }},
+	} {
+		wantTop, wantFront := NewTopK(5, 0, nil), NewFrontierCollector()
+		if err := tc.sweep(wantTop, wantFront); err != nil {
+			t.Fatal(err)
+		}
+		top, fc := NewTopK(5, 0, nil), NewFrontierCollector()
+		stop, done := make(chan struct{}), make(chan struct{})
+		var polls int
+		go func() {
+			defer close(done)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if n := top.Seen(); n > w.Count || top.Feasible() > w.Count || len(top.Results()) > 5 || len(top.Entries()) > 5 {
+					t.Errorf("%s: top-K snapshot out of bounds (seen %d)", tc.name, n)
+				}
+				if n := fc.Seen(); n > w.Count {
+					t.Errorf("%s: frontier saw %d of %d designs", tc.name, n, w.Count)
+				}
+				_ = fc.Frontier()
+				polls++
+			}
+		}()
+		err := tc.sweep(top, fc)
+		close(stop)
+		<-done
+		if err != nil {
+			t.Fatal(err)
+		}
+		if polls == 0 {
+			t.Errorf("%s: the snapshot reader never ran", tc.name)
+		}
+		if !reflect.DeepEqual(top.Entries(), wantTop.Entries()) || !reflect.DeepEqual(frontierSet(fc.Frontier()), frontierSet(wantFront.Frontier())) {
+			t.Errorf("%s: a polled sweep answered differently from an unpolled one", tc.name)
+		}
 	}
 }
 

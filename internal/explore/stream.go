@@ -1,17 +1,23 @@
 package explore
 
-import "sort"
+import (
+	"sort"
+	"sync"
+)
 
 // TopK is a streaming Collector that retains the k best feasible
 // candidates by one objective (lower is better), so constrained selection
 // over a million-design sweep holds k candidates alive instead of all of
 // them. Ties break towards the lower design index, which makes the
-// result deterministic no matter how a parallel sweep interleaves.
+// result deterministic no matter how a parallel sweep interleaves. Its
+// methods are safe for concurrent use, so a snapshot may be taken while a
+// sweep collects.
 type TopK struct {
 	objective   int
 	k           int
 	constraints []Constraint
 
+	mu       sync.Mutex
 	seen     int
 	feasible int
 	heap     []topkEntry // max-heap: worst retained candidate at the root
@@ -31,25 +37,57 @@ func NewTopK(k, objective int, constraints []Constraint) *TopK {
 	return &TopK{objective: objective, k: k, constraints: constraints}
 }
 
+// before reports whether score sa at index ia ranks strictly better
+// than score sb at index ib: lower score first, then lower index.
+func before(sa float64, ia int, sb float64, ib int) bool {
+	if sa != sb {
+		return sa < sb
+	}
+	return ia < ib
+}
+
 // worse orders heap entries: higher score first, then higher index.
 func (t *TopK) worse(a, b topkEntry) bool {
-	sa, sb := a.c.Scores[t.objective], b.c.Scores[t.objective]
-	if sa != sb {
-		return sa > sb
-	}
-	return a.index > b.index
+	return before(b.c.Scores[t.objective], b.index, a.c.Scores[t.objective], a.index)
 }
 
 // Collect offers one candidate. It implements Collector.
 func (t *TopK) Collect(index int, c Candidate) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.offer(index, c.Scores) {
+		t.insert(topkEntry{c: c, index: index})
+	}
+}
+
+// collectChunk offers a sweep chunk's candidates, decoding the Config of
+// only those the heap takes. It implements chunkCollector.
+func (t *TopK) collectChunk(c *chunk) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for j := 0; j < c.n; j++ {
+		if s := c.scoresOf(j); t.offer(c.start+j, s) {
+			t.insert(topkEntry{c: Candidate{Config: c.config(j), Scores: s}, index: c.start + j})
+		}
+	}
+}
+
+// offer counts one candidate and reports whether the heap takes it: it
+// is feasible, and the heap has room or it ranks before the worst
+// retained entry.
+func (t *TopK) offer(index int, scores []float64) bool {
 	t.seen++
 	for _, con := range t.constraints {
-		if c.Scores[con.Objective] > con.Max {
-			return
+		if scores[con.Objective] > con.Max {
+			return false
 		}
 	}
 	t.feasible++
-	t.insert(topkEntry{c: c, index: index})
+	if len(t.heap) < t.k {
+		return true
+	}
+	root := t.heap[0]
+	return before(scores[t.objective], index, root.c.Scores[t.objective], root.index)
 }
 
 // insert offers one already-feasible entry to the bounded heap. The
@@ -82,7 +120,7 @@ func (t *TopK) insert(e topkEntry) {
 // transports' shard-start-plus-rank tagging (ranks are order-preserving
 // within a shard and shard ranges do not overlap). Both collectors must
 // have been built with the same k, objective, and constraints; o must not
-// be t.
+// be t, nor be merging t into itself at the same time.
 func (t *TopK) Merge(o *TopK) {
 	if o.k != t.k || o.objective != t.objective || len(o.constraints) != len(t.constraints) {
 		panic("explore: merging TopK collectors with different selection rules")
@@ -92,6 +130,10 @@ func (t *TopK) Merge(o *TopK) {
 			panic("explore: merging TopK collectors with different constraints")
 		}
 	}
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	t.seen += o.seen
 	t.feasible += o.feasible
 	for _, e := range o.heap {
@@ -130,11 +172,10 @@ func (t *TopK) siftDown(i int) {
 // copies: the collector recycles its internal buffers as collection
 // continues, so snapshots taken mid-sweep must not alias them.
 func (t *TopK) Results() []Candidate {
-	entries := append([]topkEntry(nil), t.heap...)
-	sort.Slice(entries, func(a, b int) bool { return t.worse(entries[b], entries[a]) })
+	entries := t.Entries()
 	out := make([]Candidate, len(entries))
 	for i, e := range entries {
-		out[i] = Candidate{Config: e.c.Config, Scores: append([]float64(nil), e.c.Scores...)}
+		out[i] = e.Candidate
 	}
 	return out
 }
@@ -153,6 +194,8 @@ type IndexedEntry struct {
 // Entries returns the retained candidates with their original design
 // indices, best first. Scores are deep copies, like Results.
 func (t *TopK) Entries() []IndexedEntry {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	entries := append([]topkEntry(nil), t.heap...)
 	sort.Slice(entries, func(a, b int) bool { return t.worse(entries[b], entries[a]) })
 	out := make([]IndexedEntry, len(entries))
@@ -166,18 +209,28 @@ func (t *TopK) Entries() []IndexedEntry {
 }
 
 // Seen returns how many candidates were offered.
-func (t *TopK) Seen() int { return t.seen }
+func (t *TopK) Seen() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.seen
+}
 
 // Feasible returns how many offered candidates satisfied the constraints.
-func (t *TopK) Feasible() int { return t.feasible }
+func (t *TopK) Feasible() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.feasible
+}
 
 // FrontierCollector is a streaming Collector that maintains the Pareto
 // frontier incrementally: each arriving candidate is dropped if a
 // retained one dominates it, and evicts any retained candidates it
 // dominates. The non-dominated set is unique, so the result is
 // independent of arrival order. Memory stays proportional to the
-// frontier, not the sweep.
+// frontier, not the sweep. Its methods are safe for concurrent use, so a
+// snapshot may be taken while a sweep collects.
 type FrontierCollector struct {
+	mu       sync.Mutex
 	seen     int
 	frontier []Candidate
 	// free holds the Scores buffers of evicted frontier members for reuse,
@@ -199,25 +252,50 @@ func NewFrontierCollector() *FrontierCollector {
 
 // Collect offers one candidate. It implements Collector.
 func (f *FrontierCollector) Collect(_ int, c Candidate) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	f.seen++
 	f.add(c)
 }
 
-// add is Collect without the seen counter.
+// collectChunk offers a sweep chunk's candidates, decoding the Config of
+// only those that join the frontier. It implements chunkCollector.
+func (f *FrontierCollector) collectChunk(c *chunk) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.seen += c.n
+	for j := 0; j < c.n; j++ {
+		if m := f.admit(c.scoresOf(j)); m != nil {
+			m.Config = c.config(j)
+		}
+	}
+}
+
+// add is Collect without the lock and the seen counter.
 func (f *FrontierCollector) add(c Candidate) {
-	if f.hint < len(f.frontier) && dominatesScores(f.frontier[f.hint].Scores, c.Scores) {
-		return
+	if m := f.admit(c.Scores); m != nil {
+		m.Config = c.Config
+	}
+}
+
+// admit offers a candidate's scores to the frontier. When no member
+// dominates them it evicts the members they dominate, appends a member
+// holding a copy of the scores, and returns it for the caller to fill in
+// its Config; otherwise it returns nil.
+func (f *FrontierCollector) admit(scores []float64) *Candidate {
+	if f.hint < len(f.frontier) && dominatesScores(f.frontier[f.hint].Scores, scores) {
+		return nil
 	}
 	// Members are visited in place and moved only when an eviction opens a
 	// gap: a Candidate carries a whole Config, and this runs per design.
 	kept := 0
 	for i := range f.frontier {
 		old := &f.frontier[i]
-		if dominatesScores(old.Scores, c.Scores) {
+		if dominatesScores(old.Scores, scores) {
 			f.hint = i
-			return // arriving candidate loses; survivors were already mutually non-dominated
+			return nil // arriving candidate loses; survivors were already mutually non-dominated
 		}
-		if dominatesScores(c.Scores, old.Scores) {
+		if dominatesScores(scores, old.Scores) {
 			f.free = append(f.free, old.Scores[:0])
 			continue
 		}
@@ -230,8 +308,8 @@ func (f *FrontierCollector) add(c Candidate) {
 	if n := len(f.free); n > 0 {
 		buf, f.free = f.free[n-1], f.free[:n-1]
 	}
-	c.Scores = append(buf, c.Scores...)
-	f.frontier = append(f.frontier[:kept], c)
+	f.frontier = append(f.frontier[:kept], Candidate{Scores: append(buf, scores...)})
+	return &f.frontier[kept]
 }
 
 // Merge folds another frontier into f, so a sweep can be partitioned into
@@ -239,8 +317,12 @@ func (f *FrontierCollector) add(c Candidate) {
 // the frontier of a union is the frontier of the union of the parts'
 // frontiers, so the merged collector holds exactly the frontier (and total
 // seen count) one collector would have accumulated over the whole sweep.
-// o must not be f itself.
+// o must not be f itself, nor be merging f into itself at the same time.
 func (f *FrontierCollector) Merge(o *FrontierCollector) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	f.seen += o.seen
 	for _, c := range o.frontier {
 		f.add(c)
@@ -248,13 +330,19 @@ func (f *FrontierCollector) Merge(o *FrontierCollector) {
 }
 
 // Seen returns how many candidates were offered.
-func (f *FrontierCollector) Seen() int { return f.seen }
+func (f *FrontierCollector) Seen() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.seen
+}
 
 // Frontier returns the current non-dominated set sorted by the first
 // objective (ascending, ties by the second and so on). Scores are deep
 // copies: the collector recycles evicted members' buffers as collection
 // continues, so snapshots taken mid-sweep must not alias them.
 func (f *FrontierCollector) Frontier() []Candidate {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	out := make([]Candidate, len(f.frontier))
 	for i, c := range f.frontier {
 		out[i] = Candidate{Config: c.Config, Scores: append([]float64(nil), c.Scores...)}

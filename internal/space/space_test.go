@@ -336,9 +336,39 @@ func TestFactorialRangeIntoMatchesFactorialRange(t *testing.T) {
 	}
 }
 
-// A Window fills window-relative ranges of its slice of the factorial and
-// rejects windows that leave the space.
-func TestWindowFillAndValidate(t *testing.T) {
+// Seek and Tick are the odometer every enumeration of a factorial walks:
+// Seek(i) is design i's level indices, Tick steps to design i+1 and
+// reports the most significant digit it changed (every digit from there
+// on may have changed, none before it did), and ticking past the last
+// design wraps to design 0.
+func TestSeekTickOdometer(t *testing.T) {
+	for _, levels := range []Levels{TrainLevels(), TestLevels()} {
+		n := levels.NumDesigns()
+		idx := levels.Seek(0)
+		for i := 0; i < n; i++ {
+			if idx != levels.Seek(i) {
+				t.Fatalf("after %d ticks the digits are %v, Seek(%d) = %v", i, idx, i, levels.Seek(i))
+			}
+			prev := idx
+			p := levels.Tick(&idx)
+			for q := 0; q < p; q++ {
+				if idx[q] != prev[q] {
+					t.Fatalf("tick %d reported digit %d as the first change, but digit %d changed", i, p, q)
+				}
+			}
+			if idx[p] == prev[p] {
+				t.Fatalf("tick %d reported digit %d as changed, but it did not", i, p)
+			}
+		}
+		if idx != levels.Seek(0) {
+			t.Errorf("ticking past the last design reached %v, want design 0", idx)
+		}
+	}
+}
+
+// A Window decodes window-relative designs of its slice of the factorial
+// and rejects windows that leave the space.
+func TestWindowDesignAndValidate(t *testing.T) {
 	levels := TestLevels()
 	n := levels.NumDesigns()
 	w := Window{Levels: levels, Base: Baseline(), Offset: 1001, Count: 700}
@@ -347,11 +377,10 @@ func TestWindowFillAndValidate(t *testing.T) {
 	}
 	all := w.Designs()
 	equalDesigns(t, "Designs", all, levels.FactorialRange(Baseline(), 1001, 1701))
-	var dst []Config
-	for start := 0; start < w.Count; start += 256 {
-		end := min(start+256, w.Count)
-		dst = w.Fill(dst, start, end)
-		equalDesigns(t, fmt.Sprintf("Fill [%d,%d)", start, end), dst, all[start:end])
+	for i, want := range all {
+		if got := w.Design(i); got != want {
+			t.Fatalf("Design(%d) = %v, want %v", i, got, want)
+		}
 	}
 	for _, bad := range []Window{
 		{Levels: levels, Offset: -1, Count: 1},

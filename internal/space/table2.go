@@ -1,9 +1,6 @@
 package space
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // Levels lists the admissible values of each swept parameter for one of the
 // two sampling regimes of Table 2.
@@ -97,6 +94,7 @@ func (l Levels) FactorialRange(base Config, start, end int) []Config {
 // returns the extended slice. With cap(dst)-len(dst) ≥ end-start it
 // allocates nothing, which is how sweep workers enumerate a window of the
 // space chunk by chunk into reused scratch. It panics like FactorialRange.
+// It is a thin wrapper over the digit enumerator (Seek and Tick).
 func (l Levels) FactorialRangeInto(dst []Config, base Config, start, end int) []Config {
 	if start < 0 || end < start || end > l.NumDesigns() {
 		panic(fmt.Sprintf("space: factorial range [%d, %d) does not fit %d designs", start, end, l.NumDesigns()))
@@ -104,33 +102,49 @@ func (l Levels) FactorialRangeInto(dst []Config, base Config, start, end int) []
 	if start == end {
 		return dst
 	}
-	// Seek: peel start's digits off, least significant parameter first.
-	var idx, vals [NumParams]int
-	for p, rest := NumParams-1, start; p >= 0; p-- {
-		idx[p] = rest % len(l[p])
-		rest /= len(l[p])
-		vals[p] = l[p][idx[p]]
-	}
+	idx := l.Seek(start)
 	for i := start; i < end; i++ {
-		dst = append(dst, base.WithSweptValues(vals))
-		// Tick: carry into the more significant digits.
-		for p := NumParams - 1; p >= 0; p-- {
-			idx[p]++
-			if idx[p] < len(l[p]) {
-				vals[p] = l[p][idx[p]]
-				break
-			}
-			idx[p] = 0
-			vals[p] = l[p][0]
-		}
+		dst = append(dst, l.Design(base, idx))
+		l.Tick(&idx)
 	}
 	return dst
 }
 
+// Seek returns the level indices of design i of the full factorial: the
+// digits of i in the mixed radix of the per-parameter level counts, the
+// first parameter most significant. i must lie in [0, NumDesigns()).
+func (l *Levels) Seek(i int) [NumParams]int {
+	var idx [NumParams]int
+	for p := NumParams - 1; p >= 0; p-- {
+		idx[p] = i % len(l[p])
+		i /= len(l[p])
+	}
+	return idx
+}
+
+// Tick advances idx to the next design of the full factorial — the
+// odometer step every enumeration of the space takes — and returns the
+// most significant parameter whose level changed: digits p through
+// NumParams-1 changed, the rest did not. Ticking past the last design
+// wraps to design 0.
+func (l *Levels) Tick(idx *[NumParams]int) int {
+	p := NumParams - 1
+	for ; p > 0; p-- {
+		if idx[p]++; idx[p] < len(l[p]) {
+			return p
+		}
+		idx[p] = 0
+	}
+	if idx[0]++; idx[0] == len(l[0]) {
+		idx[0] = 0
+	}
+	return 0
+}
+
 // Window names designs [Offset, Offset+Count) of Levels' full factorial
-// over Base without materialising them: a sweep enumerates it chunk by
-// chunk through Fill, so memory stays proportional to a chunk, not to the
-// space.
+// over Base without materialising them: a sweep walks it by level indices
+// (Seek, Tick) and decodes a design (Design) only where it needs one, so
+// memory stays proportional to what the sweep keeps, not to the space.
 type Window struct {
 	Levels Levels
 	Base   Config
@@ -146,11 +160,11 @@ func (w Window) Validate() error {
 	return nil
 }
 
-// Fill writes the window's designs [start, end), counted from the
-// window's own start, into dst[:0] and returns the filled slice; it
-// allocates only when dst is too small.
-func (w Window) Fill(dst []Config, start, end int) []Config {
-	return w.Levels.FactorialRangeInto(slices.Grow(dst[:0], end-start), w.Base, w.Offset+start, w.Offset+end)
+// Design decodes the window's design i, counted from the window's own
+// start: the Config FactorialRange would place there. A sweep scoring in
+// level-index space calls it only for the designs a collector keeps.
+func (w *Window) Design(i int) Config {
+	return w.Levels.Design(w.Base, w.Levels.Seek(w.Offset+i))
 }
 
 // Designs materialises the window.

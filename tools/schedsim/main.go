@@ -206,14 +206,14 @@ func (d delayed) stall(ctx context.Context, n int) error {
 }
 
 func (d delayed) Pareto(ctx context.Context, q cluster.Query, s cluster.Shard) (*cluster.Partial, error) {
-	if err := d.stall(ctx, len(s.Designs)); err != nil {
+	if err := d.stall(ctx, s.Count); err != nil {
 		return nil, err
 	}
 	return d.Transport.Pareto(ctx, q, s)
 }
 
 func (d delayed) Sweep(ctx context.Context, q cluster.Query, s cluster.Shard) (*cluster.Partial, error) {
-	if err := d.stall(ctx, len(s.Designs)); err != nil {
+	if err := d.stall(ctx, s.Count); err != nil {
 		return nil, err
 	}
 	return d.Transport.Sweep(ctx, q, s)
