@@ -127,21 +127,8 @@ func (s *Server) handleWarm(w http.ResponseWriter, r *http.Request) {
 // trains here or fans out across the fleet).
 func (s *Server) warmLocal(w http.ResponseWriter, r *http.Request, req wire.WarmRequest) {
 	start := time.Now()
-	before := s.store.Trainings()
-	err := s.store.Warm(r.Context(), req.Benchmarks)
-	// Partial failure still warmed something: only a warm that placed
-	// nothing is an error status. The failures of a partial warm are
-	// itemised in the 200 response instead, so a coordinator fanning this
-	// out keeps the successful placements.
-	var failures []error
+	trainings, failures, err := s.warm(r.Context(), req.Benchmarks)
 	if err != nil {
-		if joined, ok := err.(interface{ Unwrap() []error }); ok {
-			failures = joined.Unwrap()
-		} else {
-			failures = []error{err}
-		}
-	}
-	if len(failures) == len(req.Benchmarks) {
 		httpError(w, r, registryStatus(err), "%v", err)
 		return
 	}
@@ -151,13 +138,37 @@ func (s *Server) warmLocal(w http.ResponseWriter, r *http.Request, req wire.Warm
 	}
 	writeJSON(w, r, http.StatusOK, wire.WarmResponse{
 		Benchmarks: req.Benchmarks,
-		// The before/after diff approximates this warm's own cost; a
-		// concurrent on-demand training can inflate it, but the number
-		// stays a per-call delta rather than an uncomparable lifetime sum.
-		Trainings: s.store.Trainings() - before,
-		ElapsedMS: float64(time.Since(start).Microseconds()) / 1000,
-		Errors:    errStrings,
+		Trainings:  trainings,
+		ElapsedMS:  float64(time.Since(start).Microseconds()) / 1000,
+		Errors:     errStrings,
 	})
+}
+
+// warm trains the benchmarks into this daemon's registry, returning how
+// many training runs it triggered and each benchmark that failed.
+// Partial failure still warmed something: only a warm that placed
+// nothing is an error (err). The failures of a partial warm are itemised
+// instead, so a coordinator fanning the warm out keeps the successful
+// placements.
+func (s *Server) warm(ctx context.Context, benchmarks []string) (trainings int, failures []error, err error) {
+	before := s.store.Trainings()
+	err = s.store.Warm(ctx, benchmarks)
+	// The before/after diff approximates this warm's own cost; a
+	// concurrent on-demand training can inflate it, but the number stays
+	// a per-call delta rather than an uncomparable lifetime sum.
+	trainings = s.store.Trainings() - before
+	if err == nil {
+		return trainings, nil, nil
+	}
+	if joined, ok := err.(interface{ Unwrap() []error }); ok {
+		failures = joined.Unwrap()
+	} else {
+		failures = []error{err}
+	}
+	if len(failures) == len(benchmarks) {
+		return trainings, nil, err
+	}
+	return trainings, failures, nil
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
@@ -311,30 +322,70 @@ func (s *Server) buildObjectives(ctx context.Context, benchmark string, specs []
 		if err != nil {
 			return nil, nil, err
 		}
-		p, err := s.store.LoadOrTrain(ctx, benchmark, mustMetric(spec.Metric))
+		m, err := s.sweepModel(ctx, benchmark, mustMetric(spec.Metric))
 		if err != nil {
 			return nil, nil, err
 		}
-		models[i], objectives[i] = p, obj
-		if s.straggle > 0 {
-			models[i] = straggleModel{inner: p, delay: s.straggle}
-		}
+		models[i], objectives[i] = m, obj
 	}
 	return models, objectives, nil
 }
 
-// straggleModel is -straggle-per-design fault injection: it hides the
-// predictor's fast-path interfaces (IntoPredictor, VecPredictor) and
-// sleeps per prediction, turning this worker into a deterministic
-// straggler so hedged dispatch can be exercised against a real fleet.
+// sweepModel resolves the model one objective of a sweep scores with:
+// the registry's predictor (trained on demand), behind the
+// -straggle-per-design fault injection when it is on.
+func (s *Server) sweepModel(ctx context.Context, benchmark string, metric sim.Metric) (core.DynamicsModel, error) {
+	p, err := s.store.LoadOrTrain(ctx, benchmark, metric)
+	if err != nil {
+		return nil, err
+	}
+	if s.straggle > 0 {
+		return straggleModel{Predictor: p, delay: s.straggle}, nil
+	}
+	return p, nil
+}
+
+// straggleModel is -straggle-per-design fault injection: it sleeps once
+// per scored design in every scoring entry point of the predictor it
+// wraps, turning this worker into a deterministic straggler so hedged
+// dispatch can be exercised against a real fleet. It offers the
+// predictor's own entry points, so a sweep takes the same route through
+// it and a straggler answers bit for bit what a healthy worker does.
 type straggleModel struct {
-	inner core.DynamicsModel
+	*core.Predictor
 	delay time.Duration
 }
 
+var _ core.LevelPredictor = straggleModel{}
+
 func (m straggleModel) Predict(cfg space.Config) []float64 {
 	time.Sleep(m.delay)
-	return m.inner.Predict(cfg)
+	return m.Predictor.Predict(cfg)
+}
+
+func (m straggleModel) PredictInto(cfg space.Config, dst []float64) []float64 {
+	time.Sleep(m.delay)
+	return m.Predictor.PredictInto(cfg, dst)
+}
+
+func (m straggleModel) PredictVecInto(x, dst []float64) []float64 {
+	time.Sleep(m.delay)
+	return m.Predictor.PredictVecInto(x, dst)
+}
+
+func (m straggleModel) PredictMeanVec(x []float64) float64 {
+	time.Sleep(m.delay)
+	return m.Predictor.PredictMeanVec(x)
+}
+
+func (m straggleModel) PredictMeanLevels(x []float64, lvl []int) float64 {
+	time.Sleep(m.delay)
+	return m.Predictor.PredictMeanLevels(x, lvl)
+}
+
+func (m straggleModel) PredictVecLevelsInto(x []float64, lvl []int, dst []float64) []float64 {
+	time.Sleep(m.delay)
+	return m.Predictor.PredictVecLevelsInto(x, lvl, dst)
 }
 
 // mustMetric parses a metric name that already passed Validate; drift

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/explore"
 	"repro/internal/gossip"
 	"repro/internal/obs"
@@ -63,6 +64,9 @@ type peerServer struct {
 	seeds []string
 	coord *cluster.Coordinator
 	table *gossip.Table
+	// local is this peer's own scheduling member: its shards run in
+	// process (see newSelfWorker).
+	local cluster.Transport
 
 	repFactor int
 	interval  time.Duration
@@ -116,6 +120,7 @@ func newPeerServer(srv *Server, self string, peers []string, opts peerOptions, l
 		seeds:     peers,
 		coord:     coord,
 		table:     table,
+		local:     newSelfWorker(srv, "http://"+self),
 		repFactor: opts.replicate,
 		interval:  interval,
 		replicas:  &replicaTable{entries: make(map[string]replicaEntry)},
@@ -933,7 +938,8 @@ func (ps *peerServer) exchange(ctx context.Context, target string) {
 // code). Alive peers, self included, become schedulable members with
 // their gossiped inventory; anything suspect or dead leaves the
 // scheduling fleet immediately, even though adoption waits for the
-// stronger dead verdict.
+// stronger dead verdict. Self joins as the in-process ps.local, remote
+// peers as HTTP transports; both are named "http://"+addr.
 func (ps *peerServer) syncGossipMembership() {
 	known := make(map[string]bool)
 	for _, m := range ps.coord.Members() {
@@ -949,7 +955,11 @@ func (ps *peerServer) syncGossipMembership() {
 				}
 				continue
 			}
-			if _, err := ps.coord.Join(cluster.NewHTTP(e.Addr, nil), info); err != nil {
+			var t cluster.Transport = ps.local
+			if e.Addr != ps.self {
+				t = cluster.NewHTTP(e.Addr, nil)
+			}
+			if _, err := ps.coord.Join(t, info); err != nil {
 				ps.logf("membership: join %s: %v", name, err)
 				continue
 			}
@@ -960,6 +970,58 @@ func (ps *peerServer) syncGossipMembership() {
 			ps.logf("membership: peer %s left the scheduling fleet (%s)", e.Addr, e.State)
 		}
 	}
+}
+
+// selfWorker is a peer's transport to itself: a cluster.Local over the
+// peer's own registry, so the shards the owner places on itself skip the
+// submit, stream and DELETE round trips and the job-table entry a remote
+// shard costs. It keeps a worker's observable behaviour: models resolve
+// through Server.sweepModel (so -straggle-per-design applies), the
+// registry's deterministic verdicts stay WorkerRejections, phase spans
+// and chunk histograms are recorded as a shard job records them, and a
+// running shard counts in the gossiped queue depths.
+type selfWorker struct {
+	*cluster.Local
+	srv *Server
+}
+
+func newSelfWorker(srv *Server, name string) *selfWorker {
+	l := cluster.NewLocal(name, func(ctx context.Context, benchmark, metric string) (core.DynamicsModel, error) {
+		m, err := srv.sweepModel(ctx, benchmark, mustMetric(metric))
+		return m, selfVerdict(name, err)
+	})
+	l.Workers = srv.workers
+	l.Tracer = srv.tel.tracer
+	l.ChunkDone = srv.chunkDone
+	l.WarmFunc = func(ctx context.Context, benchmarks []string) (int, error) {
+		n, _, err := srv.warm(ctx, benchmarks)
+		return n, selfVerdict(name, err)
+	}
+	return &selfWorker{Local: l, srv: srv}
+}
+
+// selfVerdict classifies a registry error the way the HTTP transport
+// classifies the 4xx the same error becomes on a remote peer: a
+// deterministic verdict on the request is a WorkerRejection, so it
+// aborts the job instead of booking a failure and retrying the shard
+// on every peer.
+func selfVerdict(name string, err error) error {
+	if st := registryStatus(err); err != nil && st >= 400 && st < 500 {
+		return &cluster.WorkerRejection{Worker: name, Status: st, Msg: err.Error()}
+	}
+	return err
+}
+
+// Pareto implements cluster.Transport.
+func (w *selfWorker) Pareto(ctx context.Context, q cluster.Query, s cluster.Shard) (*cluster.Partial, error) {
+	defer w.srv.shardStarted(q.Benchmark)()
+	return w.Local.Pareto(ctx, q, s)
+}
+
+// Sweep implements cluster.Transport.
+func (w *selfWorker) Sweep(ctx context.Context, q cluster.Query, s cluster.Shard) (*cluster.Partial, error) {
+	defer w.srv.shardStarted(q.Benchmark)()
+	return w.Local.Sweep(ctx, q, s)
 }
 
 // adoptOrphans scans the replica table for jobs whose owner the fleet

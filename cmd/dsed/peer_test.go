@@ -1,19 +1,19 @@
 package main
 
 import (
-	"bytes"
+	"context"
 	"encoding/json"
-	"io"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/api"
 	"repro/internal/wire"
+	"repro/pkg/dsedclient"
 )
 
 // testPeer wires a peer server around the shared test Server: enough
@@ -219,35 +219,6 @@ func (rr *replicaRecorder) awaitDone(t *testing.T, id string) {
 	}
 }
 
-// localShardGate, once armed, holds local-scope shard dispatches until
-// released, so a fleet job is still running when the test cancels it.
-// Client submissions (fleet scope) pass straight through.
-type localShardGate struct {
-	next    http.Handler
-	armed   atomic.Bool
-	held    chan struct{}
-	release chan struct{}
-}
-
-func (g *localShardGate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if g.armed.Load() && shardSubmission(r) {
-		body, err := io.ReadAll(r.Body)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		r.Body = io.NopCloser(bytes.NewReader(body))
-		if bytes.Contains(body, []byte(`"scope":"local"`)) {
-			select {
-			case g.held <- struct{}{}:
-			default:
-			}
-			<-g.release
-		}
-	}
-	g.next.ServeHTTP(w, r)
-}
-
 // Every fleet job must retire its replica state, whatever its outcome:
 // a Done tombstone has to reach the replica after each completed job
 // and after a DELETE. The replicator used to return on the job
@@ -259,12 +230,23 @@ func TestFleetJobRetiresReplicas(t *testing.T) {
 	defer recTS.Close()
 	recAddr := strings.TrimPrefix(recTS.URL, "http://")
 
-	gate := &localShardGate{held: make(chan struct{}, 1), release: make(chan struct{})}
-	peerTS := httptest.NewServer(gate)
+	// The peer straggles, so the in-process shard it places on itself is
+	// still running when the test cancels the job.
+	srv := NewServer(context.Background(), testServer(t).store, 1, nil, nil)
+	srv.straggle = time.Millisecond
+	var handler http.Handler
+	peerTS := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		handler.ServeHTTP(w, r)
+	}))
 	defer peerTS.Close()
-	defer close(gate.release)
-	ps := testPeer(t, strings.TrimPrefix(peerTS.URL, "http://"))
-	gate.next = ps.Handler()
+	ps, err := newPeerServer(srv, strings.TrimPrefix(peerTS.URL, "http://"), nil, peerOptions{
+		coordOptions: coordOptions{policy: "affinity", heartbeat: time.Second},
+		replicate:    1,
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	handler = ps.Handler()
 
 	// Project only this peer into the scheduling fleet, then list the
 	// recorder as an alive peer: it becomes every job's replica without
@@ -295,15 +277,18 @@ func TestFleetJobRetiresReplicas(t *testing.T) {
 		rec.awaitDone(t, st.ID)
 	}
 
-	gate.armed.Store(true)
 	st, err := c.SubmitPareto(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case <-gate.held:
-	case <-time.After(10 * time.Second):
-		t.Fatal("the job never dispatched a shard")
+	// Mid-flight: the fleet job and the shard it runs in process both
+	// count in the peer's queue depth.
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.QueueDepths()["gcc"] < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("the job never dispatched a shard")
+		}
+		time.Sleep(time.Millisecond)
 	}
 	if _, err := c.Cancel(ctx, st.ID); err != nil {
 		t.Fatal(err)
@@ -312,4 +297,146 @@ func TestFleetJobRetiresReplicas(t *testing.T) {
 		t.Fatalf("cancelled job settled %q, want canceled", state)
 	}
 	rec.awaitDone(t, st.ID)
+}
+
+// A peer evaluates the shards it places on itself in process: no shard
+// request reaches its own handler, each of its dispatches records the
+// phase spans a worker's shard job would, the chunk histograms see its
+// evaluation, and the fleet frontier is the single daemon's.
+func TestPeerOwnShardsStayInProcess(t *testing.T) {
+	entry, recs, peers := twoPeerFleet(t, 500)
+	single := httptest.NewServer(testServer(t).Handler())
+	t.Cleanup(single.Close)
+	req := wire.ParetoRequest{
+		Benchmark:  "gcc",
+		Objectives: frontierObjectives,
+		SpaceSpec:  wire.SpaceSpec{Space: "test"},
+	}
+	ctx := context.Background()
+	want, err := testClient(single.URL).ParetoJob(ctx, req, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := testClient(entry.URL).ParetoJob(ctx, req, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(shards(recs[0])); n != 0 {
+		t.Fatalf("%d shard requests reached the owner's own handler, want 0", n)
+	}
+	own := inProcessWindows(t, got.Spans, peers[0].self, 0)
+	if len(own) == 0 {
+		t.Fatal("the owner placed no shard on itself")
+	}
+	if remote := len(shards(recs[1])); remote+len(own) != got.Shards {
+		t.Fatalf("%d remote and %d in-process shards for %d shards", remote, len(own), got.Shards)
+	}
+	requireCover(t, append(windowsOf(t, shards(recs[1]), "test"), own...), [][2]int{{0, got.Evaluated}})
+
+	// Each in-process dispatch parents its shard's phases.
+	phases := make(map[string]map[string]int) // dispatch span ID -> phase -> count
+	for _, sp := range got.Spans {
+		if strings.HasPrefix(sp.Name, "phase:") {
+			if phases[sp.ParentID] == nil {
+				phases[sp.ParentID] = make(map[string]int)
+			}
+			phases[sp.ParentID][sp.Name]++
+		}
+	}
+	for _, sp := range got.Spans {
+		if sp.Name != "dispatch" || sp.Attrs["worker"] != "http://"+peers[0].self {
+			continue
+		}
+		for _, phase := range []string{"phase:train", "phase:predict", "phase:merge"} {
+			if phases[sp.SpanID][phase] != 1 {
+				t.Fatalf("in-process dispatch %s has %d %s spans, want 1", sp.SpanID, phases[sp.SpanID][phase], phase)
+			}
+		}
+	}
+	if n := peers[0].srv.chunkN.Count(); n == 0 {
+		t.Fatal("in-process shards fed no dsed_explore_chunk_designs observation")
+	}
+
+	if got.Evaluated != want.Evaluated {
+		t.Fatalf("fleet evaluated %d designs, single daemon %d", got.Evaluated, want.Evaluated)
+	}
+	requireSameCandidates(t, "fleet frontier vs single daemon", got.Frontier, want.Frontier)
+}
+
+// An unknown benchmark is the fleet's deterministic verdict whether the
+// owner runs the shard itself or sends it to a peer: the job answers
+// 404, the shard books one rejection and no failure, and no peer is
+// retried.
+func TestPeerUnknownBenchmarkIsRejection(t *testing.T) {
+	var handler http.Handler
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		handler.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	solo := testPeer(t, strings.TrimPrefix(ts.URL, "http://"))
+	handler = solo.Handler()
+	solo.table.SetLocalInfo(solo.srv.workers, solo.srv.store.Trained(), nil)
+	solo.syncGossipMembership()
+	duoEntry, _, duo := twoPeerFleet(t, 64)
+
+	for _, fleet := range []struct {
+		name  string
+		entry string
+		owner *peerServer
+	}{
+		{"1 peer", ts.URL, solo},
+		{"2 peers", duoEntry.URL, duo[0]},
+	} {
+		_, err := testClient(fleet.entry).ParetoJob(context.Background(), wire.ParetoRequest{
+			Benchmark:  "doom",
+			Objectives: []wire.ObjectiveSpec{{Metric: "CPI"}},
+			SpaceSpec:  wire.SpaceSpec{Space: "test", Sample: 50},
+		}, nil)
+		var ae *dsedclient.APIError
+		if !errors.As(err, &ae) || ae.Status != http.StatusNotFound {
+			t.Fatalf("%s: unknown benchmark answered %v, want a 404", fleet.name, err)
+		}
+		rejections, failures := 0, 0
+		for _, h := range fleet.owner.coord.Health(context.Background()) {
+			rejections += h.Rejections
+			failures += h.Failures
+		}
+		if rejections != 1 || failures != 0 {
+			t.Fatalf("%s: %d rejections and %d failures, want 1 and 0", fleet.name, rejections, failures)
+		}
+	}
+}
+
+// A fleet-scope warm on a lone peer trains on the peer itself through
+// its in-process transport, reports that training, and forwards an
+// unknown benchmark as the 404 a remote peer would answer.
+func TestPeerFleetWarmTrainsOnOwner(t *testing.T) {
+	ct := &countTrainer{Trainer: tinyTrainer()}
+	srv := NewServer(context.Background(), openTestStore(t, "", ct), 0, nil, nil)
+	var handler http.Handler
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		handler.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	ps, err := newPeerServer(srv, strings.TrimPrefix(ts.URL, "http://"), nil, peerOptions{
+		coordOptions: coordOptions{policy: "affinity", heartbeat: time.Second},
+		replicate:    1,
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	handler = ps.Handler()
+	ps.table.SetLocalInfo(srv.workers, nil, nil)
+	ps.syncGossipMembership()
+
+	var resp wire.WarmResponse
+	if status := postJSON(t, ts, "/v1/warm", wire.WarmRequest{Benchmarks: []string{"twolf"}}, &resp); status != http.StatusOK {
+		t.Fatalf("fleet warm status %d", status)
+	}
+	if ct.calls.Load() != 1 || resp.Trainings != 1 {
+		t.Fatalf("fleet warm ran %d trainings and reported %d, want 1 and 1", ct.calls.Load(), resp.Trainings)
+	}
+	if status := postJSON(t, ts, "/v1/warm", wire.WarmRequest{Benchmarks: []string{"doom"}}, nil); status != http.StatusNotFound {
+		t.Fatalf("fleet warm of an unknown benchmark answered %d, want 404", status)
+	}
 }

@@ -13,6 +13,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/registry"
@@ -675,3 +676,43 @@ type errStatus struct {
 func (e errStatus) Error() string { return e.endpoint + ": unexpected status" }
 
 func intp(v int) *int { return &v }
+
+// -straggle-per-design slows a worker down without changing its answers:
+// the straggling models offer the predictor's own scoring entry points,
+// so a window sweep and a pinned-list sweep, under mean and worst-case
+// objectives, answer byte for byte what a healthy daemon does.
+func TestStragglerAnswersMatchHealthyWorker(t *testing.T) {
+	slow := NewServer(context.Background(), testServer(t).store, 0, nil, nil)
+	slow.straggle = time.Microsecond
+	slowTS := httptest.NewServer(slow.Handler())
+	t.Cleanup(slowTS.Close)
+	healthyTS := httptest.NewServer(testServer(t).Handler())
+	t.Cleanup(healthyTS.Close)
+	ctx := context.Background()
+	for _, sp := range []wire.SpaceSpec{
+		{Space: "test", Offset: 100, Count: 400},
+		{Space: "test", Sample: 200, Seed: 3},
+	} {
+		req := wire.SweepRequest{
+			Benchmark:  "gcc",
+			Objectives: []wire.ObjectiveSpec{{Metric: "CPI"}, {Metric: "Power", Kind: "worst"}},
+			SpaceSpec:  sp,
+			TopK:       20,
+		}
+		var answers [2]string
+		for i, base := range []string{slowTS.URL, healthyTS.URL} {
+			resp, err := testClient(base).SweepJob(ctx, req, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, err := json.Marshal(resp.Candidates)
+			if err != nil {
+				t.Fatal(err)
+			}
+			answers[i] = string(raw)
+		}
+		if answers[0] != answers[1] {
+			t.Fatalf("space %+v: straggler's top-K differs from a healthy daemon's:\n  straggler %.300s\n  healthy   %.300s", sp, answers[0], answers[1])
+		}
+	}
+}

@@ -8,7 +8,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -17,13 +19,17 @@ import (
 	"repro/internal/api"
 	"repro/internal/cluster"
 	"repro/internal/explore"
+	"repro/internal/obs"
 	"repro/internal/space"
 	"repro/internal/wire"
 )
 
 // The fleet oracle over windows: shards of a named, unsampled space
 // travel as [offset, count) windows on it, and the merged answer stays
-// byte-identical to the single-process one.
+// byte-identical to the single-process one. A peer runs the shards it
+// places on itself in process, so a job's shards are the remote peer's
+// recorded HTTP windows plus the owner's own dispatches, read off the
+// job's trace.
 
 // shardRecorder records the shard bodies (local-scope submissions) a
 // peer or worker receives before serving them.
@@ -84,7 +90,29 @@ func windowsOf(t *testing.T, bodies [][]byte, spaceName string) [][2]int {
 		}
 		out = append(out, [2]int{sp.Offset, sp.Count})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
+	return out
+}
+
+// inProcessWindows returns the windows of the shards owner evaluated
+// on itself, from the job's dispatch spans (worker = the owner, status
+// ok), made absolute by the job's own offset.
+func inProcessWindows(t *testing.T, spans []obs.Span, owner string, offset int) [][2]int {
+	t.Helper()
+	var out [][2]int
+	for _, sp := range spans {
+		if sp.Name != "dispatch" || sp.Attrs["worker"] != "http://"+owner || sp.Attrs["status"] != "ok" {
+			continue
+		}
+		start, err := strconv.Atoi(sp.Attrs["shard_start"])
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := strconv.Atoi(sp.Attrs["designs"])
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, [2]int{offset + start, n})
+	}
 	return out
 }
 
@@ -92,6 +120,8 @@ func windowsOf(t *testing.T, bodies [][]byte, spaceName string) [][2]int {
 // of every range once, none outside.
 func requireCover(t *testing.T, windows [][2]int, want [][2]int) {
 	t.Helper()
+	windows = append([][2]int(nil), windows...)
+	sort.Slice(windows, func(i, j int) bool { return windows[i][0] < windows[j][0] })
 	var got [][2]int
 	for _, w := range windows {
 		if n := len(got); n > 0 && got[n-1][0]+got[n-1][1] == w[0] {
@@ -113,11 +143,10 @@ func requireCover(t *testing.T, windows [][2]int, want [][2]int) {
 // twoPeerFleet boots two peers over the shared test registry, each
 // with its own job table behind a shard recorder, and joins them into
 // one scheduling fleet with a single gossip exchange (no background
-// loop, so the view holds still).
-func twoPeerFleet(t *testing.T, shardSize int) (entry *httptest.Server, recs []*shardRecorder) {
+// loop, so the view holds still). The entry is peers[0].
+func twoPeerFleet(t *testing.T, shardSize int) (entry *httptest.Server, recs []*shardRecorder, peers []*peerServer) {
 	t.Helper()
 	store := testServer(t).store
-	var peers []*peerServer
 	for i := 0; i < 2; i++ {
 		rec := &shardRecorder{}
 		ts := httptest.NewServer(rec)
@@ -145,7 +174,7 @@ func twoPeerFleet(t *testing.T, shardSize int) (entry *httptest.Server, recs []*
 			t.Fatalf("peer %s schedules over %d members, want 2", ps.self, n)
 		}
 	}
-	return entry, recs
+	return entry, recs, peers
 }
 
 var frontierObjectives = []wire.ObjectiveSpec{{Metric: "CPI"}, {Metric: "Power"}}
@@ -178,12 +207,13 @@ func requireSameCandidates(t *testing.T, what string, got, want []wire.Candidate
 	}
 }
 
-// A full-factorial job on a named space ships every shard as a window —
-// no pinned designs, each body under 1 KB, the windows tiling the space
-// with a ragged last shard — and answers the single-process frontier.
+// A full-factorial job on a named space ships every remote shard as a
+// window — no pinned designs, each body under 1 KB — and the remote
+// windows with the owner's in-process shards tile the space with a
+// ragged last shard; the answer is the single-process frontier.
 func TestFleetWindowedShardsMatchSingleProcess(t *testing.T) {
 	const shardSize = 500 // 5,832 test designs: 11 full shards + 332
-	entry, recs := twoPeerFleet(t, shardSize)
+	entry, recs, peers := twoPeerFleet(t, shardSize)
 	resp, err := testClient(entry.URL).ParetoJob(context.Background(), wire.ParetoRequest{
 		Benchmark:  "gcc",
 		Objectives: frontierObjectives,
@@ -196,17 +226,21 @@ func TestFleetWindowedShardsMatchSingleProcess(t *testing.T) {
 	if resp.Evaluated != len(designs) || resp.Shards != 12 {
 		t.Fatalf("fleet evaluated %d designs in %d shards, want %d in 12", resp.Evaluated, resp.Shards, len(designs))
 	}
-	windows := windowsOf(t, shards(recs...), "test")
-	if last := windows[len(windows)-1]; last != [2]int{5500, 332} {
-		t.Errorf("last shard window = %v, want the ragged [5500,+332)", last)
+	windows := append(windowsOf(t, shards(recs...), "test"), inProcessWindows(t, resp.Spans, peers[0].self, 0)...)
+	if len(windows) != resp.Shards {
+		t.Fatalf("found %d shard windows for %d shards", len(windows), resp.Shards)
+	}
+	if !slices.Contains(windows, [2]int{5500, 332}) {
+		t.Errorf("shard windows %v lack the ragged last shard [5500,+332)", windows)
 	}
 	requireCover(t, windows, [][2]int{{0, len(designs)}})
 	requireSameCandidates(t, "windowed fleet frontier", resp.Frontier, singleFrontier(t, designs))
 }
 
-// A sampled space has no positional name: its shards still pin designs.
+// A sampled space has no positional name: its remote shards still pin
+// designs.
 func TestFleetSampledShardsStayPinned(t *testing.T) {
-	entry, recs := twoPeerFleet(t, 64)
+	entry, recs, peers := twoPeerFleet(t, 64)
 	req := wire.ParetoRequest{
 		Benchmark:  "gcc",
 		Objectives: frontierObjectives,
@@ -217,8 +251,10 @@ func TestFleetSampledShardsStayPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	bodies := shards(recs...)
-	if len(bodies) != resp.Shards || resp.Shards != (300+63)/64 {
-		t.Fatalf("recorded %d shard bodies for %d shards, want %d", len(bodies), resp.Shards, (300+63)/64)
+	own := inProcessWindows(t, resp.Spans, peers[0].self, 0)
+	if len(bodies)+len(own) != resp.Shards || resp.Shards != (300+63)/64 {
+		t.Fatalf("recorded %d remote shard bodies and %d in-process shards for %d shards, want %d",
+			len(bodies), len(own), resp.Shards, (300+63)/64)
 	}
 	for _, body := range bodies {
 		if !bytes.Contains(body, []byte(`"designs"`)) || bytes.Contains(body, []byte(`"offset"`)) || bytes.Contains(body, []byte(`"count"`)) {
@@ -239,7 +275,7 @@ func TestFleetSampledShardsStayPinned(t *testing.T) {
 // A client's own window composes with the shard offsets: the fleet's
 // top-K over [1000, 4000) must equal a single daemon's, rank for rank.
 func TestFleetClientWindowMatchesSingleDaemon(t *testing.T) {
-	entry, recs := twoPeerFleet(t, 700)
+	entry, recs, peers := twoPeerFleet(t, 700)
 	single := httptest.NewServer(testServer(t).Handler())
 	t.Cleanup(single.Close)
 	req := wire.SweepRequest{
@@ -261,7 +297,8 @@ func TestFleetClientWindowMatchesSingleDaemon(t *testing.T) {
 	if got.Evaluated != 3000 || got.Evaluated != want.Evaluated || got.Feasible != want.Feasible {
 		t.Fatalf("fleet evaluated/feasible %d/%d, single daemon %d/%d", got.Evaluated, got.Feasible, want.Evaluated, want.Feasible)
 	}
-	requireCover(t, windowsOf(t, shards(recs...), "test"), [][2]int{{1000, 3000}})
+	windows := append(windowsOf(t, shards(recs...), "test"), inProcessWindows(t, got.Spans, peers[0].self, 1000)...)
+	requireCover(t, windows, [][2]int{{1000, 3000}})
 	if len(got.Candidates) != len(want.Candidates) {
 		t.Fatalf("fleet kept %d candidates, single daemon %d", len(got.Candidates), len(want.Candidates))
 	}

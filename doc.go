@@ -140,9 +140,11 @@
 // rest of the fleet when a worker dies mid-sweep, and folds the partial
 // answers through the mergeable collectors
 // (explore.FrontierCollector.Merge, explore.TopK.Merge). Two transports
-// implement the worker link: an in-process Local (deterministic -race
-// tests, one-binary fallback) and HTTP, which speaks the ordinary dsed
-// wire format — any running dsed is already a cluster worker.
+// implement the worker link, interchangeable answer for answer: an
+// in-process Local, through which a peer evaluates the shards it places
+// on itself (and which gives the coordinator deterministic -race tests),
+// and HTTP, which speaks the ordinary dsed wire format — any running
+// dsed is already a cluster worker.
 //
 // The same dsed binary serves coordinator mode, with the same /v1 job
 // API — a coordinator job's stream publishes the merged partial frontier
@@ -243,10 +245,14 @@
 // subset of live peers keeps accepting and finishing work.
 //
 // Any peer accepts POST /v1/sweeps (and /v1/pareto, /v1/warm) and
-// coordinates that job over the fleet; shard dispatches are stamped
-// scope=local so a shard is evaluated where it lands instead of
-// re-distributed forever. As in coordinator mode, a shard of a named,
-// unsampled space is an [offset, count) window on it (composed with the
+// coordinates that job over the fleet. The shards it places on itself
+// run in process (a cluster.Local over its own registry, named like
+// the HTTP transport its peers use for it): no HTTP round trip and no
+// job-table entry, while their phase spans, chunk histograms and queue
+// depths are recorded as a shard job's would be. Only remote shards
+// travel, as /v1 jobs stamped scope=local so a shard is evaluated where
+// it lands instead of re-distributed forever. As in coordinator mode, a
+// shard of a named, unsampled space is an [offset, count) window on it (composed with the
 // job's own window, and absolute on an adopted job's ledger complement),
 // and a shard of an explicit or sampled job pins its designs. While a fleet-scope job runs, its owner
 // replicates a compact recovery state to -replicate peers after each

@@ -3,9 +3,11 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/explore"
+	"repro/internal/obs"
 )
 
 // ModelResolver resolves the predictor scoring one (benchmark, metric)
@@ -14,11 +16,11 @@ import (
 type ModelResolver func(ctx context.Context, benchmark, metric string) (core.DynamicsModel, error)
 
 // Local is an in-process Transport: shards run directly on the exploration
-// engine with no sockets or serialisation. It exists for deterministic
-// -race coverage of the coordinator and as the degenerate one-binary
-// deployment (a coordinator over Local workers is just a sharded local
-// sweep). Results are tagged exactly like HTTP results, so the two
-// transports are interchangeable answer-for-answer.
+// engine with no sockets or serialisation. A peer schedules itself through
+// one (over its own registry), so the shards it places on itself cost no
+// HTTP round trip and no job-table entry; it also gives the coordinator
+// deterministic -race coverage. Results are tagged exactly like HTTP
+// results, so the two transports are interchangeable answer-for-answer.
 type Local struct {
 	name    string
 	resolve ModelResolver
@@ -26,8 +28,16 @@ type Local struct {
 	// (0 = GOMAXPROCS).
 	Workers int
 	// WarmFunc, when set, handles Warm calls (e.g. registry pre-training)
-	// and reports the lifetime completed-training count.
+	// and reports how many training runs the call itself triggered.
 	WarmFunc func(ctx context.Context, benchmarks []string) (int, error)
+	// Tracer, when set, records each shard's phase:train, phase:predict
+	// and phase:merge spans under the caller's span (the coordinator's
+	// dispatch span), the phases a worker's shard job records. They land
+	// in the tracer's own store, so a Partial from Local carries no Spans.
+	Tracer *obs.Tracer
+	// ChunkDone, when set, observes every evaluation chunk
+	// (explore.Options.ChunkDone).
+	ChunkDone func(designs int, elapsed time.Duration)
 }
 
 // NewLocal builds an in-process worker over a model source.
@@ -73,11 +83,18 @@ func (l *Local) build(ctx context.Context, q Query) ([]core.DynamicsModel, []exp
 // sweep streams the shard through the collector: a pinned shard's
 // designs, or the window a design-less shard names on the query's space.
 func (l *Local) sweep(ctx context.Context, q Query, s Shard, col explore.Collector) error {
-	models, objectives, err := l.build(ctx, q)
+	trainCtx, span := l.Tracer.Start(ctx, "phase:train")
+	models, objectives, err := l.build(trainCtx, q)
+	if err != nil {
+		span.SetAttr("error", err.Error())
+	}
+	span.End()
 	if err != nil {
 		return err
 	}
-	opts := explore.Options{Workers: l.Workers}
+	_, span = l.Tracer.Start(ctx, "phase:predict")
+	defer span.End()
+	opts := explore.Options{Workers: l.Workers, ChunkDone: l.ChunkDone}
 	if s.Designs != nil {
 		return explore.SweepStream(ctx, s.Designs, models, objectives, opts, col)
 	}
@@ -94,6 +111,8 @@ func (l *Local) Pareto(ctx context.Context, q Query, s Shard) (*Partial, error) 
 	if err := l.sweep(ctx, q, s, fc); err != nil {
 		return nil, err
 	}
+	_, span := l.Tracer.Start(ctx, "phase:merge")
+	defer span.End()
 	return &Partial{
 		Evaluated:  fc.Seen(),
 		Feasible:   fc.Seen(),
@@ -107,6 +126,8 @@ func (l *Local) Sweep(ctx context.Context, q Query, s Shard) (*Partial, error) {
 	if err := l.sweep(ctx, q, s, top); err != nil {
 		return nil, err
 	}
+	_, span := l.Tracer.Start(ctx, "phase:merge")
+	defer span.End()
 	return &Partial{
 		Evaluated:  top.Seen(),
 		Feasible:   top.Feasible(),

@@ -120,9 +120,10 @@ func (e *WorkerBusy) Error() string {
 // be safe for concurrent use: the coordinator dispatches many shards to
 // the same worker at once.
 //
-// Two implementations exist: Local runs shards in-process through the
-// exploration engine (deterministic -race tests, single-binary fallback),
-// and HTTP speaks the dsed JSON wire format to a remote daemon.
+// Two implementations exist, interchangeable answer for answer: Local
+// runs shards in-process through the exploration engine (a peer's
+// transport to itself, and deterministic -race tests), and HTTP speaks
+// the dsed JSON wire format to a remote daemon.
 type Transport interface {
 	// Name identifies the worker in placement, logs and health reports.
 	// Names must be unique within a coordinator.

@@ -221,6 +221,10 @@ func (t *Tracer) Import(spans []Span) {
 const (
 	defaultTraceCap  = 256
 	maxSpansPerTrace = 4096
+	// spanBudget bounds the spans held across every trace. The trace cap
+	// alone admits ~1M spans, and a fleet job's trace holds hundreds, so
+	// without it a busy peer's store grows to tens of MB.
+	spanBudget = 4 * maxSpansPerTrace
 )
 
 type traceEntry struct {
@@ -235,14 +239,15 @@ type traceEntry struct {
 
 // TraceStore is a ring buffer of recent traces: the newest
 // defaultTraceCap trace IDs are retained, each holding at most
-// maxSpansPerTrace spans, with job-ID → trace-ID bindings so
-// /v1/jobs/{id}/trace can find a job's tree.
+// maxSpansPerTrace spans and together at most spanBudget, with job-ID →
+// trace-ID bindings so /v1/jobs/{id}/trace can find a job's tree.
 type TraceStore struct {
 	mu     sync.Mutex
 	cap    int
 	order  []string // trace IDs, oldest first
 	traces map[string]*traceEntry
 	jobs   map[string]string
+	spans  int // held across every trace
 }
 
 // NewTraceStore builds a store retaining the most recent capTraces
@@ -291,17 +296,39 @@ func (s *TraceStore) entryLocked(traceID string) *traceEntry {
 		return e
 	}
 	for len(s.order) >= s.cap {
-		old := s.order[0]
-		s.order = s.order[1:]
-		for _, j := range s.traces[old].jobs {
-			delete(s.jobs, j)
-		}
-		delete(s.traces, old)
+		s.evictLocked(0)
 	}
 	e := &traceEntry{}
 	s.traces[traceID] = e
 	s.order = append(s.order, traceID)
 	return e
+}
+
+// evictLocked drops the trace at position i of order with its job
+// bindings.
+func (s *TraceStore) evictLocked(i int) {
+	id := s.order[i]
+	s.order = append(s.order[:i], s.order[i+1:]...)
+	e := s.traces[id]
+	for _, j := range e.jobs {
+		delete(s.jobs, j)
+	}
+	s.spans -= len(e.spans)
+	delete(s.traces, id)
+}
+
+// makeRoomLocked evicts the oldest traces other than keep, the one about
+// to grow, until one more span fits the span budget. keep itself is
+// bounded by maxSpansPerTrace, which the budget exceeds, so it always
+// fits once the others are gone.
+func (s *TraceStore) makeRoomLocked(keep *traceEntry) {
+	for i := 0; s.spans >= spanBudget && i < len(s.order); {
+		if s.traces[s.order[i]] == keep {
+			i++
+			continue
+		}
+		s.evictLocked(i)
+	}
 }
 
 func (s *TraceStore) addLocked(sp Span) {
@@ -319,7 +346,9 @@ func (s *TraceStore) addLocked(sp Span) {
 		e.dropped++
 		return
 	}
+	s.makeRoomLocked(e)
 	e.spans = append(e.spans, sp)
+	s.spans++
 }
 
 // Bind associates a job ID with its trace so TraceForJob can resolve

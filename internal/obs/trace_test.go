@@ -149,6 +149,76 @@ func TestTraceStoreBindFirstEviction(t *testing.T) {
 	}
 }
 
+// TestTraceStoreSpanBudget feeds fleet-sized traces (~600 spans, one
+// per shard phase) well past the span budget: the store must hold at
+// most spanBudget spans in total, evicting whole traces oldest first
+// with their bindings, and the newest trace must stay complete.
+func TestTraceStoreSpanBudget(t *testing.T) {
+	const perTrace = 600
+	traces := 3 * spanBudget / perTrace
+	store := NewTraceStore(0)
+	for i := 0; i < traces; i++ {
+		id := fmt.Sprintf("%032d", i)
+		store.Bind(fmt.Sprintf("job-%d", i), id)
+		batch := make([]Span, perTrace)
+		for j := range batch {
+			batch[j] = Span{TraceID: id, SpanID: newID(8)}
+		}
+		store.ImportSpans(batch[:perTrace/2])
+		for _, sp := range batch[perTrace/2:] {
+			store.Add(sp)
+		}
+		total := 0
+		for _, e := range store.traces {
+			total += len(e.spans)
+		}
+		if total > spanBudget || total != store.spans {
+			t.Fatalf("after %d traces the store holds %d spans (counted %d); budget is %d", i+1, total, store.spans, spanBudget)
+		}
+		if len(store.jobs) != len(store.traces) {
+			t.Fatalf("after %d traces: %d bindings for %d traces", i+1, len(store.jobs), len(store.traces))
+		}
+	}
+	newest := fmt.Sprintf("%032d", traces-1)
+	if got := store.Spans(newest); len(got) != perTrace {
+		t.Fatalf("newest trace holds %d spans, want all %d", len(got), perTrace)
+	}
+	if id, ok := store.TraceForJob(fmt.Sprintf("job-%d", traces-1)); !ok || id != newest {
+		t.Fatalf("newest job resolves to %q, %v", id, ok)
+	}
+	if _, ok := store.TraceForJob("job-0"); ok {
+		t.Fatal("oldest job still resolves after the span budget evicted its trace")
+	}
+	if got := len(store.traces); got != spanBudget/perTrace {
+		t.Fatalf("store keeps %d traces, want the %d newest that fit the budget", got, spanBudget/perTrace)
+	}
+}
+
+// A trace that keeps growing while newer traces arrive is the one being
+// written; the budget evicts the others, never it.
+func TestTraceStoreSpanBudgetKeepsGrowingTrace(t *testing.T) {
+	store := NewTraceStore(0)
+	const growing = "00000000000000000000000000000001"
+	store.Bind("job-long", growing)
+	// Newer traces of 100 spans each fill the budget long before the
+	// trace cap is reached.
+	for i := 0; store.spans < spanBudget; i++ {
+		store.Add(Span{TraceID: fmt.Sprintf("%032x", i/100+2), SpanID: newID(8)})
+	}
+	for j := 0; j < maxSpansPerTrace; j++ {
+		store.Add(Span{TraceID: growing, SpanID: newID(8)})
+	}
+	if got := len(store.Spans(growing)); got != maxSpansPerTrace {
+		t.Fatalf("growing trace holds %d spans, want %d", got, maxSpansPerTrace)
+	}
+	if _, ok := store.TraceForJob("job-long"); !ok {
+		t.Fatal("growing trace lost its binding")
+	}
+	if store.spans > spanBudget {
+		t.Fatalf("store holds %d spans, budget %d", store.spans, spanBudget)
+	}
+}
+
 func TestImportedSpansJoinTrace(t *testing.T) {
 	store := NewTraceStore(0)
 	tr := NewTracer("coordinator", store, testClock(time.Millisecond))
