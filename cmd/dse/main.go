@@ -14,7 +14,7 @@
 // With -daemon the driver becomes a remote exploration CLI over the
 // versioned /v1 job API (through pkg/dsedclient): it submits a frontier
 // (-exp pareto, the default) or constrained top-K (-exp sweep) job to
-// the daemon or coordinator at that address, prints each streamed
+// the daemon or peer fleet at that address, prints each streamed
 // partial result as it arrives, and reports the final answer:
 //
 //	dse -daemon localhost:8090 -exp pareto -benchmarks gcc -sample 2000
@@ -306,7 +306,7 @@ func pickBenchmark(c *experiments.Campaign, preferred string) string {
 	return c.Scale.Benchmarks[0]
 }
 
-// runRemote drives a daemon (or coordinator fleet) through the typed
+// runRemote drives a daemon (or peer fleet) through the typed
 // /v1 client: submit the job, print every streamed partial result, then
 // the final answer. exp picks the job shape: "pareto" (also the
 // experiment-driver default "fig8", for bare `dse -daemon host`) or

@@ -12,7 +12,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
+	"repro/internal/api"
 	"repro/internal/wire"
 )
 
@@ -25,7 +25,7 @@ func TestWarmEndpoint(t *testing.T) {
 	defer ts.Close()
 
 	var resp wire.WarmResponse
-	if status := postJSON(t, ts, "/warm", wire.WarmRequest{Benchmarks: []string{"twolf"}}, &resp); status != http.StatusOK {
+	if status := postJSON(t, ts, "/v1/warm", wire.WarmRequest{Benchmarks: []string{"twolf"}}, &resp); status != http.StatusOK {
 		t.Fatalf("warm status %d", status)
 	}
 	if ct.calls.Load() != 1 {
@@ -36,24 +36,24 @@ func TestWarmEndpoint(t *testing.T) {
 	}
 
 	// Re-warming answers from memory.
-	if status := postJSON(t, ts, "/warm", wire.WarmRequest{Benchmarks: []string{"twolf"}}, nil); status != http.StatusOK {
+	if status := postJSON(t, ts, "/v1/warm", wire.WarmRequest{Benchmarks: []string{"twolf"}}, nil); status != http.StatusOK {
 		t.Fatalf("re-warm status %d", status)
 	}
 	if ct.calls.Load() != 1 {
 		t.Fatalf("re-warming retrained (%d total runs)", ct.calls.Load())
 	}
 
-	if status := postJSON(t, ts, "/warm", wire.WarmRequest{Benchmarks: []string{"doom"}}, nil); status != http.StatusNotFound {
+	if status := postJSON(t, ts, "/v1/warm", wire.WarmRequest{Benchmarks: []string{"doom"}}, nil); status != http.StatusNotFound {
 		t.Errorf("unknown benchmark warm status %d, want 404", status)
 	}
-	if status := postJSON(t, ts, "/warm", wire.WarmRequest{}, nil); status != http.StatusBadRequest {
+	if status := postJSON(t, ts, "/v1/warm", wire.WarmRequest{}, nil); status != http.StatusBadRequest {
 		t.Errorf("empty warm status %d, want 400", status)
 	}
 
 	// A partially bad list still warms the good benchmarks and reports
 	// the failures in a 200, so a coordinator keeps the placements.
 	var partial wire.WarmResponse
-	if status := postJSON(t, ts, "/warm", wire.WarmRequest{Benchmarks: []string{"doom", "gap"}}, &partial); status != http.StatusOK {
+	if status := postJSON(t, ts, "/v1/warm", wire.WarmRequest{Benchmarks: []string{"doom", "gap"}}, &partial); status != http.StatusOK {
 		t.Fatalf("partial warm status %d, want 200", status)
 	}
 	if partial.Trainings != 1 || len(partial.Errors) != 1 {
@@ -92,29 +92,24 @@ func (k *killable) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	k.next.ServeHTTP(w, r)
 }
 
-// clusterFixture boots two HTTP workers over the shared test registry
-// (identical models, so any worker answers any shard identically) and a
-// coordinator over both; worker 2 dies after budget sweep requests.
-func clusterFixture(t *testing.T, shardSize int, worker2Budget int64) (coordTS, worker1TS *httptest.Server) {
+// clusterFixture boots a two-peer fleet over the shared test registry
+// (identical models, so any peer answers any shard identically) whose
+// remote peer dies after budget shard submissions, and a single daemon
+// over the same registry as the reference. Jobs enter through the owner,
+// peers[0].
+func clusterFixture(t *testing.T, shardSize int, peer2Budget int64) (fleetTS, singleTS *httptest.Server, owner *peerServer) {
 	t.Helper()
-	srv := testServer(t)
-	worker1TS = httptest.NewServer(srv.Handler())
-	t.Cleanup(worker1TS.Close)
-	k := &killable{next: srv.Handler()}
-	k.budget.Store(worker2Budget)
-	worker2TS := httptest.NewServer(k)
-	t.Cleanup(worker2TS.Close)
-
-	coord, err := cluster.New([]cluster.Transport{
-		cluster.NewHTTP(worker1TS.URL, nil),
-		cluster.NewHTTP(worker2TS.URL, nil),
-	}, cluster.Options{ShardSize: shardSize})
-	if err != nil {
-		t.Fatal(err)
-	}
-	coordTS = httptest.NewServer(newCoordServer(context.Background(), coord, 15*time.Second, nil, nil).Handler())
-	t.Cleanup(coordTS.Close)
-	return coordTS, worker1TS
+	fleetTS, _, peers := peerFleet(t, fleetSpec{shardSize: shardSize, wrap: func(i int, next http.Handler) http.Handler {
+		if i == 0 {
+			return next
+		}
+		k := &killable{next: next}
+		k.budget.Store(peer2Budget)
+		return k
+	}})
+	singleTS = httptest.NewServer(testServer(t).Handler())
+	t.Cleanup(singleTS.Close)
+	return fleetTS, singleTS, peers[0]
 }
 
 func sortedCandidateJSON(t *testing.T, cands []wire.Candidate) []string {
@@ -141,105 +136,69 @@ func paretoBody() map[string]any {
 }
 
 // TestClusterParetoMatchesSingleProcess is the acceptance scenario: a
-// coordinator over two live workers answers /cluster/pareto with a
-// frontier byte-identical (up to ordering) to a single worker's /pareto
-// on the same sweep spec.
+// two-peer fleet answers /v1/pareto with a frontier byte-identical (up
+// to ordering) to a single daemon's on the same sweep spec.
 func TestClusterParetoMatchesSingleProcess(t *testing.T) {
-	coordTS, worker1TS := clusterFixture(t, 32, 1<<30)
+	fleetTS, singleTS, _ := clusterFixture(t, 32, 1<<30)
 
 	var single wire.ParetoResponse
-	if status := postJSON(t, worker1TS, "/pareto", paretoBody(), &single); status != http.StatusOK {
+	if status := runJob(t, singleTS, "/v1/pareto", paretoBody(), &single); status != http.StatusOK {
 		t.Fatalf("single-process pareto status %d", status)
 	}
 	var dist wire.ClusterParetoResponse
-	if status := postJSON(t, coordTS, "/cluster/pareto", paretoBody(), &dist); status != http.StatusOK {
-		t.Fatalf("cluster pareto status %d", status)
+	if status := runJob(t, fleetTS, "/v1/pareto", paretoBody(), &dist); status != http.StatusOK {
+		t.Fatalf("fleet pareto status %d", status)
 	}
 
 	if dist.Evaluated != single.Evaluated {
-		t.Fatalf("cluster evaluated %d designs, single process %d", dist.Evaluated, single.Evaluated)
+		t.Fatalf("fleet evaluated %d designs, single process %d", dist.Evaluated, single.Evaluated)
 	}
 	if dist.Workers != 2 || dist.Shards != (300+31)/32 {
 		t.Errorf("distribution accounting workers=%d shards=%d, want 2/%d", dist.Workers, dist.Shards, (300+31)/32)
 	}
-	wantKeys := sortedCandidateJSON(t, single.Frontier)
-	gotKeys := sortedCandidateJSON(t, dist.Frontier)
-	if len(wantKeys) != len(gotKeys) {
-		t.Fatalf("cluster frontier has %d points, single-process %d", len(gotKeys), len(wantKeys))
-	}
-	for i := range wantKeys {
-		if wantKeys[i] != gotKeys[i] {
-			t.Fatalf("frontier point %d differs:\n  cluster %s\n  single  %s", i, gotKeys[i], wantKeys[i])
-		}
-	}
+	requireSameCandidates(t, "fleet frontier", dist.Frontier, single.Frontier)
 }
 
-// TestClusterParetoSurvivesWorkerDeath kills worker 2 mid-sweep (it
-// serves two shards, then aborts every connection): the coordinator must
-// re-dispatch its shards to worker 1 and still produce the single-process
-// frontier.
+// TestClusterParetoSurvivesWorkerDeath kills the remote peer mid-sweep
+// (it serves two shards, then aborts every connection): the owner must
+// re-dispatch its shards and still produce the single-process frontier.
 func TestClusterParetoSurvivesWorkerDeath(t *testing.T) {
-	coordTS, worker1TS := clusterFixture(t, 16, 2)
+	fleetTS, singleTS, owner := clusterFixture(t, 16, 2)
 
 	var single wire.ParetoResponse
-	if status := postJSON(t, worker1TS, "/pareto", paretoBody(), &single); status != http.StatusOK {
+	if status := runJob(t, singleTS, "/v1/pareto", paretoBody(), &single); status != http.StatusOK {
 		t.Fatalf("single-process pareto status %d", status)
 	}
 	var dist wire.ClusterParetoResponse
-	if status := postJSON(t, coordTS, "/cluster/pareto", paretoBody(), &dist); status != http.StatusOK {
-		t.Fatalf("cluster pareto with a dying worker status %d", status)
+	if status := runJob(t, fleetTS, "/v1/pareto", paretoBody(), &dist); status != http.StatusOK {
+		t.Fatalf("fleet pareto with a dying peer status %d", status)
 	}
 	if dist.Retries == 0 {
-		t.Fatal("killed worker produced no retries — the death was not exercised")
+		t.Fatal("killed peer produced no retries — the death was not exercised")
 	}
 	if dist.Evaluated != single.Evaluated {
-		t.Fatalf("cluster evaluated %d designs after worker death, want %d", dist.Evaluated, single.Evaluated)
+		t.Fatalf("fleet evaluated %d designs after peer death, want %d", dist.Evaluated, single.Evaluated)
 	}
-	wantKeys := sortedCandidateJSON(t, single.Frontier)
-	gotKeys := sortedCandidateJSON(t, dist.Frontier)
-	if len(wantKeys) != len(gotKeys) {
-		t.Fatalf("frontier has %d points after worker death, want %d", len(gotKeys), len(wantKeys))
-	}
-	for i := range wantKeys {
-		if wantKeys[i] != gotKeys[i] {
-			t.Fatalf("frontier point %d differs after worker death", i)
-		}
-	}
+	requireSameCandidates(t, "frontier after peer death", dist.Frontier, single.Frontier)
 
-	// The fleet health report notices the dead worker.
-	resp, err := http.Get(coordTS.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var health struct {
-		Status  string `json:"status"`
-		Retries int    `json:"retries"`
-		Workers []struct {
-			Name     string `json:"name"`
-			OK       bool   `json:"ok"`
-			Failures int    `json:"failures"`
-		} `json:"workers"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
-		t.Fatal(err)
-	}
-	if len(health.Workers) != 2 {
-		t.Fatalf("healthz lists %d workers, want 2", len(health.Workers))
+	// The owner's member table attributes the failures to the dead peer.
+	members := owner.coord.Members()
+	if len(members) != 2 {
+		t.Fatalf("owner lists %d members, want 2", len(members))
 	}
 	failures := 0
-	for _, w := range health.Workers {
-		failures += w.Failures
+	for _, m := range members {
+		failures += m.Failures
 	}
 	if failures == 0 {
-		t.Error("healthz attributes no failures despite the killed worker")
+		t.Error("no failures attributed despite the killed peer")
 	}
 }
 
 // TestClusterSweepMatchesSingleProcess: the distributed constrained top-K
-// agrees with a single worker's /sweep.
+// agrees with a single daemon's, rank for rank.
 func TestClusterSweepMatchesSingleProcess(t *testing.T) {
-	coordTS, worker1TS := clusterFixture(t, 32, 1<<30)
+	fleetTS, singleTS, _ := clusterFixture(t, 32, 1<<30)
 	body := map[string]any{
 		"benchmark":   "gcc",
 		"objectives":  []map[string]any{{"metric": "CPI"}, {"metric": "Power", "kind": "worst"}},
@@ -249,19 +208,19 @@ func TestClusterSweepMatchesSingleProcess(t *testing.T) {
 		"constraints": []map[string]any{{"objective": 1, "max": 1000.0}},
 	}
 	var single wire.SweepResponse
-	if status := postJSON(t, worker1TS, "/sweep", body, &single); status != http.StatusOK {
+	if status := runJob(t, singleTS, "/v1/sweeps", body, &single); status != http.StatusOK {
 		t.Fatalf("single-process sweep status %d", status)
 	}
 	var dist wire.ClusterSweepResponse
-	if status := postJSON(t, coordTS, "/cluster/sweep", body, &dist); status != http.StatusOK {
-		t.Fatalf("cluster sweep status %d", status)
+	if status := runJob(t, fleetTS, "/v1/sweeps", body, &dist); status != http.StatusOK {
+		t.Fatalf("fleet sweep status %d", status)
 	}
 	if dist.Evaluated != single.Evaluated || dist.Feasible != single.Feasible {
-		t.Fatalf("cluster evaluated/feasible %d/%d, single %d/%d",
+		t.Fatalf("fleet evaluated/feasible %d/%d, single %d/%d",
 			dist.Evaluated, dist.Feasible, single.Evaluated, single.Feasible)
 	}
 	if len(dist.Candidates) != len(single.Candidates) {
-		t.Fatalf("cluster kept %d candidates, single %d", len(dist.Candidates), len(single.Candidates))
+		t.Fatalf("fleet kept %d candidates, single %d", len(dist.Candidates), len(single.Candidates))
 	}
 	for i := range single.Candidates {
 		sc, err := json.Marshal(single.Candidates[i])
@@ -273,27 +232,37 @@ func TestClusterSweepMatchesSingleProcess(t *testing.T) {
 			t.Fatal(err)
 		}
 		if string(sc) != string(dc) {
-			t.Fatalf("rank %d differs:\n  cluster %s\n  single  %s", i, dc, sc)
+			t.Fatalf("rank %d differs:\n  fleet  %s\n  single %s", i, dc, sc)
 		}
 	}
 }
 
 // gatedHandler parks matching requests until released, holding a sweep
-// in flight while the test mutates the fleet around it.
+// in flight while the test mutates the fleet around it. Every shard
+// submission parks until the first one is released; parked closes when
+// the first one arrives.
 type gatedHandler struct {
 	next    http.Handler
 	release chan struct{}
+	parked  chan struct{}
 	once    sync.Once
+}
+
+func newGate(next http.Handler) *gatedHandler {
+	return &gatedHandler{next: next, release: make(chan struct{}), parked: make(chan struct{})}
 }
 
 func (g *gatedHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if shardSubmission(r) {
-		g.once.Do(func() { <-g.release })
+		g.once.Do(func() {
+			close(g.parked)
+			<-g.release
+		})
 	}
 	g.next.ServeHTTP(w, r)
 }
 
-// countingHandler counts served sweep requests.
+// countingHandler counts served shard submissions.
 type countingHandler struct {
 	next  http.Handler
 	calls atomic.Int64
@@ -307,251 +276,167 @@ func (c *countingHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // TestElasticFleetSweep is the acceptance scenario for dynamic
-// membership: a fleet formed entirely through POST /register serves a
-// sweep during which a third worker registers and one original dies —
-// and the merged frontier is still byte-identical (up to ordering) to
-// the single-process /pareto answer.
+// membership: a two-peer fleet serves a sweep during which a third peer
+// joins through gossip and the original remote peer dies — and the
+// merged frontier is still byte-identical (up to ordering) to a single
+// daemon's answer.
 func TestElasticFleetSweep(t *testing.T) {
-	srv := testServer(t)
-
-	// Original worker 1 parks its first sweep request until released, so
-	// the sweep is verifiably in flight while the fleet changes shape.
-	gate := &gatedHandler{next: srv.Handler(), release: make(chan struct{})}
-	worker1TS := httptest.NewServer(gate)
-	t.Cleanup(worker1TS.Close)
-	// Original worker 2 serves one sweep request, then aborts every
-	// connection — the mid-sweep death.
-	k := &killable{next: srv.Handler()}
-	k.budget.Store(1)
-	worker2TS := httptest.NewServer(k)
-	t.Cleanup(worker2TS.Close)
-	// The late joiner counts the shards it serves.
-	late := &countingHandler{next: srv.Handler()}
-	worker3TS := httptest.NewServer(late)
-	t.Cleanup(worker3TS.Close)
-
-	// An empty coordinator: the whole fleet joins over HTTP.
-	coord, err := cluster.New(nil, cluster.Options{ShardSize: 16})
-	if err != nil {
-		t.Fatal(err)
+	// The remote peer parks its shards until released, so the sweep is
+	// verifiably in flight while the fleet changes shape, then serves
+	// one shard and aborts every connection — the mid-sweep death. The
+	// owner straggles, so its own shards cannot finish the job alone
+	// before the joiner arrives. The late joiner counts the shards it
+	// serves.
+	var gate *gatedHandler
+	late := &countingHandler{}
+	fleetTS, _, peers := peerFleet(t, fleetSpec{
+		peers:     3,
+		joined:    2,
+		shardSize: 16,
+		straggle:  time.Millisecond,
+		wrap: func(i int, next http.Handler) http.Handler {
+			switch i {
+			case 1:
+				k := &killable{next: next}
+				k.budget.Store(1)
+				gate = newGate(k)
+				return gate
+			case 2:
+				late.next = next
+				return late
+			}
+			return next
+		},
+	})
+	if n := len(peers[0].coord.Workers()); n != 2 {
+		t.Fatalf("the sweep starts on %d members, want 2", n)
 	}
-	coordTS := httptest.NewServer(newCoordServer(context.Background(), coord, 15*time.Second, nil, nil).Handler())
-	t.Cleanup(coordTS.Close)
 
-	register := func(workerURL string) {
-		t.Helper()
-		var resp wire.RegisterResponse
-		if status := postJSON(t, coordTS, "/register", wire.RegisterRequest{Addr: workerURL}, &resp); status != http.StatusOK {
-			t.Fatalf("registering %s: status %d", workerURL, status)
-		}
-		if resp.TTLSeconds <= 0 {
-			t.Fatalf("register response advertises no TTL: %+v", resp)
-		}
+	req := wire.ParetoRequest{
+		Benchmark:  "gcc",
+		Objectives: frontierObjectives,
+		SpaceSpec:  wire.SpaceSpec{Space: "test", Sample: 300},
 	}
-	register(worker1TS.URL)
-	register(worker2TS.URL)
-
-	// Start the sweep against the 2-worker fleet; worker 1's gate parks
-	// it mid-flight.
 	type answer struct {
-		status int
-		resp   wire.ClusterParetoResponse
+		resp *wire.ClusterParetoResponse
+		err  error
 	}
 	done := make(chan answer, 1)
 	go func() {
-		var dist wire.ClusterParetoResponse
-		status := postJSON(t, coordTS, "/cluster/pareto", paretoBody(), &dist)
-		done <- answer{status, dist}
+		resp, err := testClient(fleetTS.URL).ParetoJob(context.Background(), req, nil)
+		done <- answer{resp, err}
 	}()
 
-	// Mid-sweep: the third worker registers, then the gate opens (and
-	// worker 2's budget ensures it dies under load).
-	register(worker3TS.URL)
+	// Mid-sweep: the third peer joins the owner's gossip view and its
+	// scheduling fleet, then the gate opens (and the remote peer's
+	// budget ensures it dies under load).
+	<-gate.parked
+	joinFleet(t, peers[0], peers[2])
 	close(gate.release)
 
 	a := <-done
-	if a.status != http.StatusOK {
-		t.Fatalf("elastic sweep status %d", a.status)
+	if a.err != nil {
+		t.Fatalf("elastic sweep: %v", a.err)
 	}
-	// Record the joiner's shard count before anything else talks to it:
-	// the assertion below must count sweep shards only.
 	joinerShards := late.calls.Load()
-	// The reference answer comes from worker 1 (its gate is long open),
-	// NOT the counted joiner.
-	var single wire.ParetoResponse
-	if status := postJSON(t, worker1TS, "/pareto", paretoBody(), &single); status != http.StatusOK {
-		t.Fatalf("single-process pareto status %d", status)
+	single := httptest.NewServer(testServer(t).Handler())
+	t.Cleanup(single.Close)
+	want, err := testClient(single.URL).ParetoJob(context.Background(), req, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if a.resp.Evaluated != single.Evaluated {
-		t.Fatalf("elastic sweep evaluated %d designs, single process %d", a.resp.Evaluated, single.Evaluated)
+	if a.resp.Evaluated != want.Evaluated {
+		t.Fatalf("elastic sweep evaluated %d designs, single process %d", a.resp.Evaluated, want.Evaluated)
 	}
 	if a.resp.Retries == 0 {
-		t.Error("the dying worker produced no retries — the death was not exercised")
+		t.Error("the dying peer produced no retries — the death was not exercised")
 	}
 	if joinerShards == 0 {
 		t.Error("the mid-sweep joiner served no shards")
 	}
-	wantKeys := sortedCandidateJSON(t, single.Frontier)
-	gotKeys := sortedCandidateJSON(t, a.resp.Frontier)
-	if len(wantKeys) != len(gotKeys) {
-		t.Fatalf("elastic frontier has %d points, single-process %d", len(gotKeys), len(wantKeys))
-	}
-	for i := range wantKeys {
-		if wantKeys[i] != gotKeys[i] {
-			t.Fatalf("elastic frontier point %d differs:\n  cluster %s\n  single  %s", i, gotKeys[i], wantKeys[i])
-		}
-	}
+	requireSameCandidates(t, "elastic frontier", a.resp.Frontier, want.Frontier)
 }
 
-// TestMembershipEndpoints drives the register/heartbeat protocol over
-// HTTP: join, renew, the 404 re-register signal, validation, and the
-// /healthz membership report with its failures/rejections split.
-func TestMembershipEndpoints(t *testing.T) {
-	srv := testServer(t)
-	workerTS := httptest.NewServer(srv.Handler())
-	t.Cleanup(workerTS.Close)
-	coord, err := cluster.New(nil, cluster.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	coordTS := httptest.NewServer(newCoordServer(context.Background(), coord, 15*time.Second, nil, nil).Handler())
-	t.Cleanup(coordTS.Close)
-
-	// Heartbeat before registering: 404, the re-register signal.
-	hb := wire.HeartbeatRequest{Addr: workerTS.URL, Benchmarks: []string{"gcc"}}
-	if status := postJSON(t, coordTS, "/heartbeat", hb, nil); status != http.StatusNotFound {
-		t.Fatalf("heartbeat before register: status %d, want 404", status)
-	}
-
-	// Register, then heartbeat successfully.
-	var reg wire.RegisterResponse
-	if status := postJSON(t, coordTS, "/register", wire.RegisterRequest(hb), &reg); status != http.StatusOK {
-		t.Fatalf("register status %d", status)
-	}
-	if reg.Workers != 1 {
-		t.Errorf("register reports %d workers, want 1", reg.Workers)
-	}
-	var beat wire.HeartbeatResponse
-	if status := postJSON(t, coordTS, "/heartbeat", hb, &beat); status != http.StatusOK {
-		t.Fatalf("heartbeat after register: status %d", status)
-	}
-	if beat.Worker != reg.Worker {
-		t.Errorf("heartbeat canonical name %q differs from register's %q", beat.Worker, reg.Worker)
-	}
-
-	// Malformed registrations are rejected.
-	if status := postJSON(t, coordTS, "/register", wire.RegisterRequest{}, nil); status != http.StatusBadRequest {
-		t.Errorf("empty register status %d, want 400", status)
-	}
-	if status := postJSON(t, coordTS, "/register", wire.RegisterRequest{Addr: "portless"}, nil); status != http.StatusBadRequest {
-		t.Errorf("portless register status %d, want 400", status)
-	}
-
-	// The membership report lists the worker with its advertised
-	// inventory and the failures/rejections split.
-	resp, err := http.Get(coordTS.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var health struct {
-		Status  string `json:"status"`
-		Members int    `json:"members"`
-		Workers []struct {
-			Name       string   `json:"name"`
-			OK         bool     `json:"ok"`
-			Static     bool     `json:"static"`
-			Failures   int      `json:"failures"`
-			Rejections int      `json:"rejections"`
-			Benchmarks []string `json:"benchmarks"`
-		} `json:"workers"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
-		t.Fatal(err)
-	}
-	if health.Members != 1 || len(health.Workers) != 1 {
-		t.Fatalf("healthz members=%d workers=%d, want 1/1", health.Members, len(health.Workers))
-	}
-	w := health.Workers[0]
-	if !w.OK || w.Static {
-		t.Errorf("registered worker reported ok=%v static=%v, want true/false", w.OK, w.Static)
-	}
-	if len(w.Benchmarks) != 1 || w.Benchmarks[0] != "gcc" {
-		t.Errorf("advertised inventory not reported: %+v", w)
-	}
-
-	// A deterministic 4xx (unknown benchmark) books a rejection, not a
-	// failure: operators can tell a bad request from a dead worker.
-	body := map[string]any{
-		"benchmark":  "doom",
-		"objectives": []map[string]any{{"metric": "CPI"}},
-		"space":      "test",
-		"sample":     40,
-	}
-	if status := postJSON(t, coordTS, "/cluster/pareto", body, nil); status != http.StatusNotFound {
-		t.Fatalf("unknown benchmark status %d, want the worker's 404", status)
-	}
-	resp2, err := http.Get(coordTS.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	if err := json.NewDecoder(resp2.Body).Decode(&health); err != nil {
-		t.Fatal(err)
-	}
-	w = health.Workers[0]
-	if w.Failures != 0 {
-		t.Errorf("a 4xx verdict booked %d transport failures, want 0", w.Failures)
-	}
-	if w.Rejections == 0 {
-		t.Error("a 4xx verdict booked no rejection")
-	}
-	if health.Status != "ok" {
-		t.Errorf("a 4xx verdict degraded fleet health to %q", health.Status)
-	}
-}
-
-// TestClusterRequestValidation: malformed distributed requests die at the
-// coordinator without touching the fleet.
+// TestClusterRequestValidation: malformed fleet requests die at the
+// owner without touching the fleet.
 func TestClusterRequestValidation(t *testing.T) {
-	coordTS, _ := clusterFixture(t, 32, 0) // worker 2 dead from the start
+	fleetTS, _, _ := clusterFixture(t, 32, 0) // the remote peer dead from the start
 	cases := []struct {
 		name string
 		path string
 		body map[string]any
 		want int
 	}{
-		{"no objectives", "/cluster/pareto", map[string]any{"benchmark": "gcc", "objectives": []map[string]any{}}, http.StatusBadRequest},
-		{"bad space", "/cluster/pareto", map[string]any{"benchmark": "gcc", "objectives": []map[string]any{{"metric": "CPI"}}, "space": "warp"}, http.StatusBadRequest},
-		{"bad kind", "/cluster/sweep", map[string]any{"benchmark": "gcc", "objectives": []map[string]any{{"metric": "CPI", "kind": "median"}}}, http.StatusBadRequest},
-		{"unknown metric pareto", "/cluster/pareto", map[string]any{"benchmark": "gcc", "objectives": []map[string]any{{"metric": "Tempo"}}, "space": "test", "sample": 10}, http.StatusBadRequest},
-		{"unknown metric sweep", "/cluster/sweep", map[string]any{"benchmark": "gcc", "objectives": []map[string]any{{"metric": "Tempo"}}, "space": "test", "sample": 10}, http.StatusBadRequest},
-		{"bad objective index", "/cluster/sweep", map[string]any{"benchmark": "gcc", "objectives": []map[string]any{{"metric": "CPI"}}, "objective": 4}, http.StatusBadRequest},
-		{"bad constraint index", "/cluster/sweep", map[string]any{"benchmark": "gcc", "objectives": []map[string]any{{"metric": "CPI"}}, "constraints": []map[string]any{{"objective": 2, "max": 1.0}}}, http.StatusBadRequest},
+		{"no objectives", "/v1/pareto", map[string]any{"benchmark": "gcc", "objectives": []map[string]any{}}, http.StatusBadRequest},
+		{"bad space", "/v1/pareto", map[string]any{"benchmark": "gcc", "objectives": []map[string]any{{"metric": "CPI"}}, "space": "warp"}, http.StatusBadRequest},
+		{"bad kind", "/v1/sweeps", map[string]any{"benchmark": "gcc", "objectives": []map[string]any{{"metric": "CPI", "kind": "median"}}}, http.StatusBadRequest},
+		{"unknown metric pareto", "/v1/pareto", map[string]any{"benchmark": "gcc", "objectives": []map[string]any{{"metric": "Tempo"}}, "space": "test", "sample": 10}, http.StatusBadRequest},
+		{"unknown metric sweep", "/v1/sweeps", map[string]any{"benchmark": "gcc", "objectives": []map[string]any{{"metric": "Tempo"}}, "space": "test", "sample": 10}, http.StatusBadRequest},
+		{"bad objective index", "/v1/sweeps", map[string]any{"benchmark": "gcc", "objectives": []map[string]any{{"metric": "CPI"}}, "objective": 4}, http.StatusBadRequest},
+		{"bad constraint index", "/v1/sweeps", map[string]any{"benchmark": "gcc", "objectives": []map[string]any{{"metric": "CPI"}}, "constraints": []map[string]any{{"objective": 2, "max": 1.0}}}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
-		if status := postJSON(t, coordTS, tc.path, tc.body, nil); status != tc.want {
+		if status := postJSON(t, fleetTS, tc.path, tc.body, nil); status != tc.want {
 			t.Errorf("%s: status %d, want %d", tc.name, status, tc.want)
 		}
 	}
 }
 
-// TestClusterUnknownBenchmark: a benchmark no worker can train is the
-// fleet's deterministic 404 verdict, forwarded unchanged — the cluster
-// answers exactly like a single daemon, with no fleet-wide retry storm.
+// TestClusterUnknownBenchmark: a benchmark no peer can train is the
+// fleet's deterministic 404 verdict, forwarded unchanged — the fleet
+// answers exactly like a single daemon, booking a rejection and no
+// failure, with no fleet-wide retry storm.
 func TestClusterUnknownBenchmark(t *testing.T) {
-	coordTS, _ := clusterFixture(t, 32, 1<<30)
+	fleetTS, _, owner := clusterFixture(t, 32, 1<<30)
 	body := map[string]any{
 		"benchmark":  "doom",
 		"objectives": []map[string]any{{"metric": "CPI"}},
 		"space":      "test",
 		"sample":     50,
 	}
-	var errResp wire.Error
-	if status := postJSON(t, coordTS, "/cluster/pareto", body, &errResp); status != http.StatusNotFound {
-		t.Errorf("unknown benchmark cluster status %d, want 404 (the worker's own verdict)", status)
+	if status := runJob(t, fleetTS, "/v1/pareto", body, nil); status != http.StatusNotFound {
+		t.Errorf("unknown benchmark fleet status %d, want 404 (the worker's own verdict)", status)
 	}
-	if errResp.Error == "" {
-		t.Error("rejection carried no error message")
+	rejections, failures := 0, 0
+	for _, m := range owner.coord.Members() {
+		rejections += m.Rejections
+		failures += m.Failures
+	}
+	if rejections == 0 || failures != 0 {
+		t.Errorf("unknown benchmark booked %d rejections and %d failures, want >0 and 0", rejections, failures)
+	}
+}
+
+// TestUnversionedRoutesGone: every route outside /v1 — the deleted
+// deprecation shims and the registration plane — answers the structured
+// 404, on a single daemon and on a peer alike.
+func TestUnversionedRoutesGone(t *testing.T) {
+	single := httptest.NewServer(testServer(t).Handler())
+	t.Cleanup(single.Close)
+	peerTS, _, _ := twoPeerFleet(t, 64)
+	paths := []string{
+		"/healthz", "/benchmarks", "/metrics", "/predict", "/warm", "/sweep", "/pareto",
+		"/register", "/heartbeat", "/cluster/sweep", "/cluster/pareto",
+		"/v1/register", "/v1/heartbeat",
+	}
+	for _, ts := range []*httptest.Server{single, peerTS} {
+		for _, path := range paths {
+			for _, method := range []string{http.MethodGet, http.MethodPost} {
+				req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(`{}`))
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var env api.ErrorEnvelope
+				err = json.NewDecoder(resp.Body).Decode(&env)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusNotFound || err != nil || env.Error.Code != api.CodeNotFound {
+					t.Errorf("%s %s answered %d (code %q, decode %v), want the structured 404", method, path, resp.StatusCode, env.Error.Code, err)
+				}
+			}
+		}
 	}
 }

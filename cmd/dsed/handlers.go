@@ -17,7 +17,8 @@ import (
 	"repro/internal/wire"
 )
 
-// modelInfo describes one registry entry in /healthz and /benchmarks.
+// modelInfo describes one registry entry in /v1/healthz and
+// /v1/benchmarks.
 type modelInfo struct {
 	Benchmark string `json:"benchmark"`
 	Metric    string `json:"metric"`
@@ -106,7 +107,7 @@ func metricStrings(ms []sim.Metric) []string {
 }
 
 // handleWarm is the admin pre-warm hook: it drives registry.LoadOrTrain
-// for every configured metric of the listed benchmarks, so a coordinator
+// for every configured metric of the listed benchmarks, so a fleet owner
 // (or an operator ahead of a demo) can place models before the first
 // sweep pays for them.
 func (s *Server) handleWarm(w http.ResponseWriter, r *http.Request) {
@@ -148,8 +149,7 @@ func (s *Server) warmLocal(w http.ResponseWriter, r *http.Request, req wire.Warm
 // many training runs it triggered and each benchmark that failed.
 // Partial failure still warmed something: only a warm that placed
 // nothing is an error (err). The failures of a partial warm are itemised
-// instead, so a coordinator fanning the warm out keeps the successful
-// placements.
+// instead, so a fleet warm fanning out keeps the successful placements.
 func (s *Server) warm(ctx context.Context, benchmarks []string) (trainings int, failures []error, err error) {
 	before := s.store.Trainings()
 	err = s.store.Warm(ctx, benchmarks)
@@ -205,7 +205,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// maxBatchConfigs bounds one batch /predict request; with metrics capped
+// maxBatchConfigs bounds one batch /v1/predict request; with metrics capped
 // at sim.NumMetrics, the result matrix stays small even at the body
 // limit.
 const maxBatchConfigs = 4096
@@ -398,41 +398,10 @@ func mustMetric(name string) sim.Metric {
 	return m
 }
 
-// submitSweep decodes, validates and starts an async top-K job; it
-// writes the error response itself and returns nil when the request
-// died. Shared by POST /v1/sweeps (which answers 202 + job) and the
-// legacy blocking /sweep shim (which awaits the same job).
-func (s *Server) submitSweep(w http.ResponseWriter, r *http.Request) *api.Job {
-	var req wire.SweepRequest
-	if !decodePost(w, r, &req) {
-		return nil
-	}
-	// Validate the cheap request shape before a job exists: a malformed
-	// request must fail at submit, not as a dead job — and must never
-	// trigger an on-demand training run.
-	if err := req.Validate(); err != nil {
-		httpError(w, r, http.StatusBadRequest, "%v", err)
-		return nil
-	}
-	early, err := req.ResolveEarly()
-	if err != nil {
-		httpError(w, r, http.StatusBadRequest, "%v", err)
-		return nil
-	}
-	return s.startJob(w, r, api.JobSweep, req.Benchmark, len(early), s.runSweep(req, early))
-}
-
 func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
-	if job := s.submitSweep(w, r); job != nil {
-		s.submitted(w, r, job)
-	}
-}
-
-// handleSweep is the legacy blocking shim: same request, same response,
-// implemented as submit + await over the /v1 job machinery.
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	if job := s.submitSweep(w, r); job != nil {
-		s.await(w, r, job)
+	var req wire.SweepRequest
+	if early, ok := decodeJob(w, r, &req); ok {
+		s.submit(w, r, api.JobSweep, req.Benchmark, len(early), s.runSweep(req, early))
 	}
 }
 
@@ -511,34 +480,10 @@ func (s *Server) runSweep(req wire.SweepRequest, early []space.Config) api.RunFu
 	}
 }
 
-// submitPareto is submitSweep for frontier jobs.
-func (s *Server) submitPareto(w http.ResponseWriter, r *http.Request) *api.Job {
-	var req wire.ParetoRequest
-	if !decodePost(w, r, &req) {
-		return nil
-	}
-	if err := req.Validate(); err != nil {
-		httpError(w, r, http.StatusBadRequest, "%v", err)
-		return nil
-	}
-	early, err := req.ResolveEarly()
-	if err != nil {
-		httpError(w, r, http.StatusBadRequest, "%v", err)
-		return nil
-	}
-	return s.startJob(w, r, api.JobPareto, req.Benchmark, len(early), s.runPareto(req, early))
-}
-
 func (s *Server) handleParetoSubmit(w http.ResponseWriter, r *http.Request) {
-	if job := s.submitPareto(w, r); job != nil {
-		s.submitted(w, r, job)
-	}
-}
-
-// handlePareto is the legacy blocking shim over the frontier job.
-func (s *Server) handlePareto(w http.ResponseWriter, r *http.Request) {
-	if job := s.submitPareto(w, r); job != nil {
-		s.await(w, r, job)
+	var req wire.ParetoRequest
+	if early, ok := decodeJob(w, r, &req); ok {
+		s.submit(w, r, api.JobPareto, req.Benchmark, len(early), s.runPareto(req, early))
 	}
 }
 
@@ -546,10 +491,9 @@ func (s *Server) handlePareto(w http.ResponseWriter, r *http.Request) {
 // an incremental FrontierCollector so the job can publish genuine
 // partial frontiers while it runs (the collector's frontier equals the
 // batch ParetoFrontier over the same designs, property-tested in
-// internal/explore). This trades the batch O(n log n) frontier the old
-// blocking /pareto used for per-candidate incremental insertion — the
-// price of partials being available at any instant; it is the same
-// streaming-collector shape /sweep has always run.
+// internal/explore). Per-candidate incremental insertion is the price of
+// partials being available at any instant; it is the same
+// streaming-collector shape a top-K job runs.
 func (s *Server) runPareto(req wire.ParetoRequest, early []space.Config) api.RunFunc {
 	return func(ctx context.Context, pub api.Publisher) (any, api.Update, error) {
 		ctx, jobSpan := startJobSpan(s.tel, ctx, "job:pareto", pub, req.Benchmark)
@@ -608,10 +552,9 @@ func (s *Server) runPareto(req wire.ParetoRequest, early []space.Config) api.Run
 
 // startJobSpan opens a job's root-on-this-node span and binds the job
 // ID to its trace in the store, so GET /v1/jobs/{id}/trace can find it.
-// When the submitting request carried a traceparent (a coordinator's
-// shard dispatch), the job span lands under it and the whole sweep
-// assembles into one fleet-wide tree. Shared by worker and coordinator
-// job bodies.
+// When the submitting request carried a traceparent (an owner's shard
+// dispatch), the job span lands under it and the whole sweep assembles
+// into one fleet-wide tree. Shared by local and fleet job bodies.
 func startJobSpan(tel *telemetry, ctx context.Context, name string, pub api.Publisher, benchmark string) (context.Context, *obs.ActiveSpan) {
 	ctx, span := tel.tracer.Start(ctx, name)
 	span.SetAttr("job_id", pub.JobID())

@@ -2,36 +2,21 @@ package main
 
 import (
 	"net/http"
-	"strings"
 
 	"repro/internal/api"
 )
 
-// The HTTP plumbing (bounded decoding, method checks, error envelopes,
-// request-ID propagation) lives in internal/api, shared with the typed
-// client; this file only dispatches between the two error envelopes the
-// daemon speaks — the structured /v1 model and the historical
-// {"error": "<message>"} string the legacy shims are contractually stuck
-// with.
+// The HTTP plumbing (bounded decoding, method checks, the structured
+// error model, request-ID propagation) lives in internal/api, shared
+// with the typed client; these helpers bind it to the daemon's handlers.
 
 // maxRequestBody is re-exported for tests that size oversized payloads.
 const maxRequestBody = api.MaxRequestBody
 
-// isV1 reports whether the request arrived on a versioned route.
-func isV1(r *http.Request) bool {
-	return strings.HasPrefix(r.URL.Path, api.Version+"/")
-}
-
-// httpError writes the error envelope matching the route's version: the
-// structured {code, message, retryable, request_id} model on /v1, the
-// legacy string envelope on deprecation shims. The X-Request-ID response
-// header carries the ID on both.
+// httpError writes the structured {code, message, retryable, request_id}
+// error envelope; the X-Request-ID response header carries the ID too.
 func httpError(w http.ResponseWriter, r *http.Request, status int, format string, args ...any) {
-	if isV1(r) {
-		api.WriteError(w, r, status, format, args...)
-		return
-	}
-	api.WriteLegacyError(w, r, status, format, args...)
+	api.WriteError(w, r, status, format, args...)
 }
 
 // writeJSON writes one response body, logging encode failures through
@@ -42,34 +27,23 @@ func writeJSON(w http.ResponseWriter, r *http.Request, status int, v any) {
 
 // decodePost enforces POST, a bounded body, and strict JSON.
 func decodePost(w http.ResponseWriter, r *http.Request, v any) bool {
-	return api.DecodePost(w, r, v, httpError)
+	return api.DecodePost(w, r, v)
 }
 
 // requireGet enforces GET on read-only endpoints.
 func requireGet(w http.ResponseWriter, r *http.Request) bool {
-	return api.RequireGet(w, r, httpError)
+	return api.RequireGet(w, r)
 }
 
-// negotiated guards a /v1 JSON endpoint: a client that explicitly
-// refuses application/json gets 406 with the structured error model
-// instead of a body it declared it cannot read.
+// negotiated guards a JSON endpoint: a client that explicitly refuses
+// application/json gets 406 with the structured error model instead of
+// a body it declared it cannot read.
 func negotiated(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if !api.Negotiable(r, api.ContentJSON) {
 			api.WriteError(w, r, http.StatusNotAcceptable, "this endpoint answers %s", api.ContentJSON)
 			return
 		}
-		h(w, r)
-	}
-}
-
-// deprecated wraps a legacy route's handler with the deprecation policy
-// headers: the route keeps answering its historical payload but
-// advertises its /v1 successor.
-func deprecated(successor string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", "<"+successor+">; rel=\"successor-version\"")
 		h(w, r)
 	}
 }

@@ -10,12 +10,13 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/obs"
+	"repro/internal/space"
 )
 
-// This file is the serving side of the async job API shared by worker
-// and coordinator modes: the /v1/jobs/{id} route family (status, NDJSON
-// stream, cancel), the submit/await glue the legacy blocking shims
-// reuse, and the progress gauge the worker's job runners publish.
+// This file is the serving side of the async job API shared by a single
+// daemon and a peer: the /v1/jobs/{id} route family (status, NDJSON
+// stream, cancel), the submit glue, and the progress gauge the local job
+// runners publish.
 
 // jobAPI embeds the job table into a serving layer.
 type jobAPI struct {
@@ -107,9 +108,9 @@ func (a *jobAPI) handleJobStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// ?updates=final suppresses intermediate snapshots: consumers that
-	// only want the answer (the cluster shard transport, blocking
-	// clients) keep the one-stream mechanism without paying
-	// serialization for partials they would discard.
+	// only want the answer (the cluster shard transport) keep the
+	// one-stream mechanism without paying serialization for partials
+	// they would discard.
 	finalOnly := r.URL.Query().Get("updates") == "final"
 	from := -1
 	if s := r.URL.Query().Get("from_seq"); s != "" {
@@ -167,48 +168,15 @@ func (a *jobAPI) handleJobStream(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// submitted answers a successful /v1 job submission: 202 Accepted, the
-// job's initial status, and a Location pointing at the poll route.
-func (a *jobAPI) submitted(w http.ResponseWriter, r *http.Request, job *api.Job) {
-	w.Header().Set("Location", "/v1/jobs/"+job.ID)
-	writeJSON(w, r, http.StatusAccepted, job.Status(false))
-}
-
-// await is the legacy blocking shim's tail: wait for the job the shim
-// just submitted, answering exactly like the historical synchronous
-// route — same payload on success, same status and string error
-// envelope on failure. A client disconnect cancels the job, as aborting
-// the old blocking request used to.
-func (a *jobAPI) await(w http.ResponseWriter, r *http.Request, job *api.Job) {
-	select {
-	case <-job.Done():
-	case <-r.Context().Done():
-		_, _ = a.jobs.Cancel(job.ID)
-		<-job.Done()
-	}
-	// The historical synchronous routes retained nothing once the
-	// response was written; dropping the job keeps that true.
-	defer a.jobs.Forget(job.ID)
-	result, errBody := job.Result()
-	if errBody != nil {
-		httpError(w, r, errBody.Status, "%s", errBody.Message)
-		return
-	}
-	writeJSON(w, r, http.StatusOK, result)
-}
-
-// startJob starts the submission's job, translating a full job table
-// into the structured 429. Legacy shims start unbounded: the historical
-// synchronous routes were limited only by HTTP concurrency, so the
-// shims must not invent a 429 failure mode (isV1 tells the two apart —
-// the same helper serves both route families).
-func (a *jobAPI) startJob(w http.ResponseWriter, r *http.Request, kind api.JobKind, benchmark string, designs int, run api.RunFunc) *api.Job {
+// submit starts a decoded submission's job and answers 202 Accepted
+// with the job's initial status and a Location pointing at the poll
+// route; a full job table is the structured 429.
+func (a *jobAPI) submit(w http.ResponseWriter, r *http.Request, kind api.JobKind, benchmark string, designs int, run api.RunFunc) {
 	// The job detaches from the request context on purpose (one
 	// impatient client must not abort shared work), but its identity
 	// must not detach with it: re-inject the request ID and the caller's
-	// span context, so a worker's job spans parent under the
-	// coordinator's dispatch span and one request ID threads the whole
-	// fan-out.
+	// span context, so a worker's job spans parent under the owner's
+	// dispatch span and one request ID threads the whole fan-out.
 	reqID := api.RequestID(r.Context())
 	parent, hasParent := obs.SpanFromContext(r.Context())
 	inner := run
@@ -221,22 +189,43 @@ func (a *jobAPI) startJob(w http.ResponseWriter, r *http.Request, kind api.JobKi
 		}
 		return inner(ctx, pub)
 	}
-	var job *api.Job
-	var err error
-	if isV1(r) {
-		job, err = a.jobs.Start(kind, benchmark, designs, run)
-	} else {
-		job, err = a.jobs.StartUnbounded(kind, benchmark, designs, run)
-	}
+	job, err := a.jobs.Start(kind, benchmark, designs, run)
 	if err != nil {
 		status := http.StatusInternalServerError
 		if errors.Is(err, api.ErrTooManyJobs) {
 			status = http.StatusTooManyRequests
 		}
 		httpError(w, r, status, "%v", err)
-		return nil
+		return
 	}
-	return job
+	w.Header().Set("Location", "/v1/jobs/"+job.ID)
+	writeJSON(w, r, http.StatusAccepted, job.Status(false))
+}
+
+// jobRequest is a job submission body: a sweep or a frontier request.
+type jobRequest interface {
+	Validate() error
+	ResolveEarly() ([]space.Config, error)
+}
+
+// decodeJob decodes and validates a submission and resolves its early
+// designs; a malformed request fails here, before a job exists, and
+// never triggers an on-demand training run. It writes the 4xx itself and
+// reports whether the request survived.
+func decodeJob(w http.ResponseWriter, r *http.Request, req jobRequest) ([]space.Config, bool) {
+	if !decodePost(w, r, req) {
+		return nil, false
+	}
+	if err := req.Validate(); err != nil {
+		httpError(w, r, http.StatusBadRequest, "%v", err)
+		return nil, false
+	}
+	early, err := req.ResolveEarly()
+	if err != nil {
+		httpError(w, r, http.StatusBadRequest, "%v", err)
+		return nil, false
+	}
+	return early, true
 }
 
 // streamInterval paces a local job's progress snapshots: coarse enough

@@ -10,73 +10,52 @@
 // persisted with a provenance manifest, so a restarted daemon answers its
 // first query in milliseconds instead of re-simulating.
 //
-// The serving surface is the versioned /v1 API. Synchronous worker
+// The serving surface is the versioned /v1 API; every path outside it
+// answers 404 (the unversioned deprecation shims are gone). Synchronous
 // endpoints:
 //
-//	GET  /v1/healthz     liveness plus the model inventory
+//	GET  /v1/healthz     liveness plus the model inventory (and, on a
+//	                     peer, the gossip view: alive_peers, peers)
 //	GET  /v1/benchmarks  trained and trainable-on-demand benchmarks
 //	GET  /v1/metrics     per-endpoint request/latency/status counters
+//	GET  /v1/metricsz    every series in Prometheus text format
 //	POST /v1/predict     predicted dynamics: one (metric, config), or a
 //	                     batch of configs × metrics in one request
 //	POST /v1/warm        pre-train (or warm-start) a benchmark list
 //
 // Exploration is asynchronous — a job, not an RPC:
 //
-//	POST   /v1/sweeps            submit a top-K selection job → 202 + job ID
-//	POST   /v1/pareto            submit a Pareto-frontier job → 202 + job ID
-//	GET    /v1/jobs/{id}         status/progress (+ result once done)
-//	GET    /v1/jobs/{id}/stream  NDJSON partial results until the final update
-//	DELETE /v1/jobs/{id}         cancel
+//	POST   /v1/sweeps                submit a top-K selection job → 202 + job ID
+//	POST   /v1/pareto                submit a Pareto-frontier job → 202 + job ID
+//	GET    /v1/jobs                  the job table
+//	GET    /v1/jobs/{id}             status/progress (+ result once done)
+//	GET    /v1/jobs/{id}/stream      NDJSON partial results until the final update
+//	GET    /v1/jobs/{id}/trace       the job's assembled span tree
+//	DELETE /v1/jobs/{id}             cancel
 //
-// Every /v1 error is the structured model {code, message, retryable,
+// Every error is the structured model {code, message, retryable,
 // request_id}; X-Request-ID is honoured when supplied and echoed always.
-// The original unversioned routes (/predict, /sweep, /pareto, /warm,
-// /healthz, /benchmarks, /metrics) remain as deprecation shims
-// delegating to the /v1 handlers: identical historical payloads
-// (blocking sweeps, string error envelopes), plus Deprecation headers
-// naming the successor. Prefer pkg/dsedclient over hand-rolled JSON.
+// Prefer pkg/dsedclient over hand-rolled JSON.
 //
-// With -workers (a static fleet) or -coordinator (an empty fleet that
-// grows by registration), the same binary runs as a cluster coordinator
-// instead: it trains nothing itself, partitions each sweep job into
-// shards, routes each shard to a worker advertising the benchmark's
-// trained models (spilling to consistent-hash ring order under load),
-// retries shards on worker failure, and merges the partial answers (see
-// internal/cluster) — a job's stream publishes the merged partial
-// frontier after every shard. With -target-shard-ms set, shard sizes
-// adapt per worker toward that duration from observed latency.
-// Coordinator-specific endpoints (same job routes as a worker):
-//
-//	GET  /v1/healthz    live membership (per-worker status, failures vs
-//	                    rejections, inventory, queue depths, latency EWMA)
-//	POST /v1/register   join the fleet (idempotent; lease = 3 heartbeats)
-//	POST /v1/heartbeat  renew the lease, refresh inventory + queue depths
-//	POST /v1/warm       place benchmark models on their home workers
-//
-// Legacy shims: /cluster/sweep and /cluster/pareto (blocking),
-// /register, /heartbeat, /warm, /healthz, /metrics.
-//
-// A worker started with -seed coordinator-addr joins that fleet on boot
-// and heartbeats its trained-benchmark inventory and per-benchmark job
-// queue depths every -heartbeat interval (re-registering automatically
-// if the coordinator forgets it). The training-design sampling seed
-// moved to -train-seed.
-//
-// With -peers, the same binary runs the leaderless control plane
-// instead: every node is simultaneously a worker and a coordinator.
-// Membership converges by anti-entropy gossip (POST /v1/gossip) rather
-// than registration; any peer accepts POST /v1/sweeps or /v1/pareto and
-// coordinates that job across the alive fleet; and each running job's
+// A fleet is a -peers list, and a lone dsed is its degenerate case. With
+// -peers every node is both a worker and a coordinator. Membership
+// converges by anti-entropy gossip (POST /v1/gossip) every -heartbeat,
+// and gossip is the only liveness authority: a peer suspected after two
+// silent rounds leaves the scheduling fleet. Any peer accepts POST
+// /v1/sweeps or /v1/pareto and coordinates that job across the alive
+// fleet: it partitions the job into shards (-shard-size, or adaptively
+// toward -target-shard-ms), places each by -policy, runs the shards it
+// places on itself in process, hedges stragglers (-hedge-factor), and
+// merges the partial answers (see internal/cluster) — a job's stream
+// publishes the merged partial after every shard. Each running job's
 // recoverable state — spec, latest merged cumulative snapshot, shard
 // ledger — is replicated to -replicate peers (POST /v1/jobs/replicate)
-// after every merged shard, so when the owning node dies the first
-// alive replica adopts the job under its original ID and finishes it
-// with an identical answer. Job routes on any peer follow the job:
-// 307-redirecting to the owner (or its adopter) when it lives
-// elsewhere. pkg/dsedclient accepts a comma-separated endpoint list and
-// fails over between peers transparently, streams included.
-//
-//	dsed -addr 127.0.0.1:9401 -peers 127.0.0.1:9402,127.0.0.1:9403 -replicate 2 ...
+// after every merged shard, so when the owning node dies the first alive
+// replica adopts the job under its original ID and finishes it with an
+// identical answer. Job routes on any peer follow the job:
+// 307-redirecting to the owner (or its adopter) when it lives elsewhere.
+// pkg/dsedclient accepts a comma-separated endpoint list and fails over
+// between peers transparently, streams included.
 //
 // Example (see doc.go for the full submit → poll → stream → cancel tour):
 //
@@ -87,17 +66,13 @@
 //	curl -s localhost:8090/v1/jobs/$job
 //	curl -s -X DELETE localhost:8090/v1/jobs/$job
 //
-// Elastic coordinator, workers joining by registration:
+// A three-peer fleet:
 //
-//	dsed -addr :8090 -coordinator -heartbeat 5s -target-shard-ms 500 &
-//	dsed -addr 127.0.0.1:8091 -seed 127.0.0.1:8090 &
-//	dsed -addr 127.0.0.1:8092 -seed 127.0.0.1:8090 &
-//	curl -s localhost:8090/v1/healthz
-//	curl -s localhost:8090/v1/warm -d '{"benchmarks":["gcc"]}'
-//	curl -s localhost:8090/cluster/pareto -d '{"benchmark":"gcc","objectives":[{"metric":"CPI"},{"metric":"Power"}],"space":"test"}'
-//
-// A static fleet still works: dsed -addr :8090 -workers localhost:8091,localhost:8092
-// (static workers are permanent members and never evicted).
+//	dsed -addr 127.0.0.1:9401 -peers 127.0.0.1:9402,127.0.0.1:9403 -replicate 2 &
+//	dsed -addr 127.0.0.1:9402 -peers 127.0.0.1:9401,127.0.0.1:9403 -replicate 2 &
+//	dsed -addr 127.0.0.1:9403 -peers 127.0.0.1:9401,127.0.0.1:9402 -replicate 2 &
+//	curl -s 127.0.0.1:9401/v1/healthz    # "alive_peers":3 once converged
+//	dse -daemon 127.0.0.1:9401,127.0.0.1:9402,127.0.0.1:9403 -exp pareto -benchmarks gcc
 package main
 
 import (
@@ -112,7 +87,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/registry"
 	"repro/internal/sim"
 	"repro/internal/wire"
@@ -133,19 +107,16 @@ func main() {
 		parallel   = flag.Int("parallel", 0, "simulation/query parallelism (0 = GOMAXPROCS)")
 		modelDir   = flag.String("model-dir", "", "persist trained models here and warm-start from it on boot")
 		quiet      = flag.Bool("quiet", false, "suppress per-request log lines")
-		workerList = flag.String("workers", "", "comma-separated static worker addresses (host:port); run as a cluster coordinator instead of a worker")
-		coordMode  = flag.Bool("coordinator", false, "run as a cluster coordinator even with no static -workers (the fleet forms via POST /register)")
-		shardSize  = flag.Int("shard-size", 0, "designs per cluster shard (coordinator mode; 0 = default; first-shard size when -target-shard-ms is set)")
-		targetMS   = flag.Int("target-shard-ms", 0, "adaptive shard sizing: carve each worker's shards to take about this long (coordinator mode; 0 = fixed -shard-size)")
-		heartbeat  = flag.Duration("heartbeat", 5*time.Second, "membership heartbeat: send interval in worker mode (-seed), eviction basis in coordinator mode (workers lapse after 3 missed beats)")
-		seedList   = flag.String("seed", "", "comma-separated coordinator addresses to register with and heartbeat (worker mode; joins their fleets dynamically)")
-		advertise  = flag.String("advertise", "", "worker address advertised on /register (default -addr; set it when -addr binds a wildcard the coordinator cannot dial)")
+		shardSize  = flag.Int("shard-size", 0, "designs per shard of the fleet jobs this peer owns (0 = default; first-shard size when -target-shard-ms is set)")
+		targetMS   = flag.Int("target-shard-ms", 0, "adaptive shard sizing: carve each peer's shards of an owned job to take about this long (0 = fixed -shard-size)")
+		heartbeat  = flag.Duration("heartbeat", 5*time.Second, "gossip round interval with -peers: a peer silent for 2 rounds is suspected and leaves the scheduling fleet, for 3 is dead and its jobs adopted")
+		advertise  = flag.String("advertise", "", "address this peer gossips and names its spans with (default -addr; set it when -addr binds a wildcard other peers cannot dial)")
 		debugAddr  = flag.String("debug-addr", "", "optional second listener serving net/http/pprof (e.g. localhost:6060); empty disables profiling")
 		peerList   = flag.String("peers", "", "comma-separated peer addresses (host:port); run as a symmetric peer: a full worker that also coordinates fleet-scope jobs, with membership by gossip and job survival by replication")
-		replicate  = flag.Int("replicate", 1, "peer mode: push each running job's recoverable state to this many peers, any of which can adopt the job if this node dies")
-		policy     = flag.String("policy", "affinity", "shard placement policy (coordinator mode): affinity, least-loaded, best-fit, or oversub")
-		hedgeF     = flag.Float64("hedge-factor", 3, "straggler hedging (coordinator mode): re-dispatch a shard when its elapsed time exceeds this multiple of its expected duration; 0 disables hedging")
-		straggle   = flag.Duration("straggle-per-design", 0, "fault injection (worker mode): sleep this long per evaluated design on sweep jobs, making this worker a deliberate straggler for hedging tests; 0 disables")
+		replicate  = flag.Int("replicate", 1, "with -peers: push each running job's recoverable state to this many peers, any of which can adopt the job if this node dies")
+		policy     = flag.String("policy", "affinity", "shard placement policy for the fleet jobs this peer owns: affinity, least-loaded, best-fit, or oversub")
+		hedgeF     = flag.Float64("hedge-factor", 3, "straggler hedging for the fleet jobs this peer owns: re-dispatch a shard when its elapsed time exceeds this multiple of its expected duration; 0 disables hedging")
+		straggle   = flag.Duration("straggle-per-design", 0, "fault injection: sleep this long per evaluated design on sweep jobs, making this daemon a deliberate straggler for hedging tests; 0 disables")
 	)
 	flag.Parse()
 
@@ -160,17 +131,6 @@ func main() {
 
 	if *debugAddr != "" {
 		startDebugServer(ctx, *debugAddr, logger)
-	}
-
-	if *workerList != "" || *coordMode {
-		runCoordinator(ctx, *addr, splitList(*workerList), coordOptions{
-			shardSize:     *shardSize,
-			targetShardMS: *targetMS,
-			heartbeat:     *heartbeat,
-			policy:        *policy,
-			hedgeFactor:   *hedgeF,
-		}, logger, reqLog)
-		return
 	}
 
 	// The telemetry node name is how this daemon's spans read in an
@@ -262,19 +222,13 @@ func main() {
 	// alive), with running jobs replicated so a peer adopts them if this
 	// node dies.
 	if peers := splitList(*peerList); len(peers) > 0 {
-		self := *advertise
-		if self == "" {
-			self = *addr
-		}
-		ps, err := newPeerServer(srv, self, peers, peerOptions{
-			coordOptions: coordOptions{
-				shardSize:     *shardSize,
-				targetShardMS: *targetMS,
-				heartbeat:     *heartbeat,
-				policy:        *policy,
-				hedgeFactor:   *hedgeF,
-			},
-			replicate: *replicate,
+		ps, err := newPeerServer(srv, node, peers, peerOptions{
+			shardSize:     *shardSize,
+			targetShardMS: *targetMS,
+			heartbeat:     *heartbeat,
+			policy:        *policy,
+			hedgeFactor:   *hedgeF,
+			replicate:     *replicate,
 		}, logger)
 		if err != nil {
 			logger.Fatal(err)
@@ -286,91 +240,7 @@ func main() {
 		return
 	}
 
-	// With seeds configured, join their fleets: register now, heartbeat
-	// forever, advertising the live trained-model inventory (for
-	// benchmark-affinity scheduling) and the per-benchmark job queue
-	// depths (the spill-decision load signal).
-	if seeds := splitList(*seedList); len(seeds) > 0 {
-		self := *advertise
-		if self == "" {
-			self = *addr
-		}
-		go newJoiner(seeds, self, *parallel, *heartbeat, store, srv.QueueDepths, logger).run(ctx)
-	}
-
 	serve(ctx, *addr, srv.Handler(), logger)
-}
-
-// coordOptions carries coordinator-mode flags.
-type coordOptions struct {
-	shardSize     int
-	targetShardMS int
-	heartbeat     time.Duration
-	policy        string
-	hedgeFactor   float64
-}
-
-// missedHeartbeats is how many intervals a dynamic worker may skip before
-// eviction: tolerant of one lost beat and one slow one, but a worker dark
-// for three is gone.
-const missedHeartbeats = 3
-
-// runCoordinator serves coordinator mode: no registry, no training — a
-// cluster.Coordinator over HTTP transports to the worker fleet. Static
-// -workers are permanent members; everyone else joins through /register
-// and stays by heartbeating.
-func runCoordinator(ctx context.Context, addr string, workers []string, opts coordOptions, logger, reqLog *log.Logger) {
-	transports := make([]cluster.Transport, len(workers))
-	for i, w := range workers {
-		// -workers once meant parallelism (now -parallel); an address with
-		// no port is almost certainly that old usage, so fail loudly
-		// instead of booting a coordinator over an unreachable fleet.
-		if !strings.Contains(w, ":") {
-			logger.Fatalf("worker address %q is not host:port (query parallelism moved to -parallel)", w)
-		}
-		transports[i] = cluster.NewHTTP(w, nil)
-	}
-	if opts.heartbeat <= 0 {
-		opts.heartbeat = 5 * time.Second
-	}
-	ttl := missedHeartbeats * opts.heartbeat
-	tel := newTelemetry("coordinator")
-	placement, err := cluster.PolicyByName(opts.policy)
-	if err != nil {
-		logger.Fatal(err)
-	}
-	coord, err := cluster.New(transports, cluster.Options{
-		ShardSize:       opts.shardSize,
-		TargetShardTime: time.Duration(opts.targetShardMS) * time.Millisecond,
-		HeartbeatTTL:    ttl,
-		Policy:          placement,
-		HedgeFactor:     opts.hedgeFactor,
-		Obs:             tel.reg,
-		Tracer:          tel.tracer,
-	})
-	if err != nil {
-		logger.Fatal(err)
-	}
-	// The scheduler evicts lazily on every dispatch; this reaper keeps
-	// the membership table honest during quiet spells too.
-	go func() {
-		tick := time.NewTicker(opts.heartbeat)
-		defer tick.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-tick.C:
-				coord.EvictExpired()
-			}
-		}
-	}()
-	if len(workers) > 0 {
-		logger.Printf("coordinating %d static workers: %s (TTL %v for dynamic joiners)", len(workers), strings.Join(workers, ", "), ttl)
-	} else {
-		logger.Printf("coordinating an empty fleet: waiting for POST /register (TTL %v)", ttl)
-	}
-	serve(ctx, addr, newCoordServer(ctx, coord, ttl, reqLog, tel).Handler(), logger)
 }
 
 // serve runs one HTTP listener until the signal context drains it.

@@ -146,7 +146,7 @@ func instrument(next http.Handler, stats *httpStats, known map[string]bool, logg
 		}
 		w.Header().Set(api.RequestIDHeader, id)
 		ctx := api.WithRequestID(r.Context(), id)
-		// An incoming traceparent (a coordinator dispatching a shard, or
+		// An incoming traceparent (a fleet owner dispatching a shard, or
 		// any traced client) parents every span this request opens.
 		if sc, ok := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader)); ok {
 			ctx = obs.ContextWithSpan(ctx, sc)

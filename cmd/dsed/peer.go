@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"errors"
+	"fmt"
 	"hash/fnv"
 	"log"
 	"math/rand"
@@ -47,12 +48,16 @@ const gossipTimeout = 2 * time.Second
 // replicateTimeout bounds one replication push per replica.
 const replicateTimeout = 2 * time.Second
 
-// peerOptions carries peer-mode flags: the coordinator knobs plus the
-// replication factor. The heartbeat interval doubles as the gossip
-// round interval.
+// peerOptions carries the fleet flags: shard sizing, placement and
+// hedging for the jobs this peer owns, the gossip round interval
+// (-heartbeat), and the replication factor.
 type peerOptions struct {
-	coordOptions
-	replicate int
+	shardSize     int
+	targetShardMS int
+	heartbeat     time.Duration
+	policy        string
+	hedgeFactor   float64
+	replicate     int
 }
 
 // peerServer is the serving layer of peer mode. It shares the worker's
@@ -78,9 +83,9 @@ type peerServer struct {
 	clients   map[string]*dsedclient.Client
 }
 
-// newPeerServer wires a worker into a symmetric peer: a coordinator
-// over an initially-empty fleet (membership arrives from gossip, not
-// registration) and a gossip table aged at the -heartbeat interval.
+// newPeerServer wires a daemon into a symmetric peer: a coordinator over
+// an initially empty fleet (membership arrives from gossip) and a gossip
+// table aged at the -heartbeat interval.
 func newPeerServer(srv *Server, self string, peers []string, opts peerOptions, logger *log.Logger) (*peerServer, error) {
 	interval := opts.heartbeat
 	if interval <= 0 {
@@ -96,7 +101,6 @@ func newPeerServer(srv *Server, self string, peers []string, opts peerOptions, l
 	coord, err := cluster.New(nil, cluster.Options{
 		ShardSize:       opts.shardSize,
 		TargetShardTime: time.Duration(opts.targetShardMS) * time.Millisecond,
-		HeartbeatTTL:    missedHeartbeats * interval,
 		Policy:          placement,
 		HedgeFactor:     opts.hedgeFactor,
 		Obs:             srv.tel.reg,
@@ -159,44 +163,24 @@ func (ps *peerServer) client(addr string) *dsedclient.Client {
 	return c
 }
 
-// Handler routes the peer's surface: the full worker surface, the
-// fleet-scope sweep/pareto/warm dispatch, the gossip and replication
-// seams, and job routes that follow a job to wherever it lives now.
+// Handler routes the peer's surface: the single daemon's route table
+// with fleet-scope healthz/warm/sweeps/pareto, job routes that follow a
+// job to wherever it lives now, and the gossip and replication seams.
 func (ps *peerServer) Handler() http.Handler {
 	s := ps.srv
-	mux := http.NewServeMux()
-	known := make(map[string]bool)
-	reg := func(pattern string, h http.HandlerFunc) {
-		mux.HandleFunc(pattern, h)
-		known[pattern] = true
-	}
-	reg("/v1/healthz", negotiated(ps.handleHealthz))
-	reg("/v1/benchmarks", negotiated(s.handleBenchmarks))
-	reg("/v1/metrics", negotiated(s.handleMetrics))
-	reg("/v1/metricsz", s.tel.handleMetricsz)
-	reg("/v1/predict", negotiated(s.handlePredict))
-	reg("/v1/warm", negotiated(ps.handleWarm))
-	reg("/v1/sweeps", negotiated(ps.handleSweepSubmit))
-	reg("/v1/pareto", negotiated(ps.handleParetoSubmit))
-	reg("/v1/gossip", negotiated(ps.handleGossip))
-	// The literal route wins over /v1/jobs/{id}, so "replicate" is not a
-	// reachable job ID.
-	reg("/v1/jobs/replicate", negotiated(ps.handleReplicate))
-	reg("/v1/jobs", negotiated(s.handleJobs))
-	reg("/v1/jobs/{id}", negotiated(ps.routeJob(s.handleJob)))
-	reg("/v1/jobs/{id}/stream", ps.routeJob(s.handleJobStream))
-	reg("/v1/jobs/{id}/trace", negotiated(ps.routeJob(s.tel.handleJobTrace)))
-	mux.HandleFunc("/v1/", func(w http.ResponseWriter, r *http.Request) {
-		api.WriteError(w, r, http.StatusNotFound, "no such /v1 route %q", r.URL.Path)
+	return s.routes(map[string]http.HandlerFunc{
+		"/v1/healthz": negotiated(ps.handleHealthz),
+		"/v1/warm":    negotiated(ps.handleWarm),
+		"/v1/sweeps":  negotiated(ps.handleSweepSubmit),
+		"/v1/pareto":  negotiated(ps.handleParetoSubmit),
+		"/v1/gossip":  negotiated(ps.handleGossip),
+		// The literal route wins over /v1/jobs/{id}, so "replicate" is
+		// not a reachable job ID.
+		"/v1/jobs/replicate":   negotiated(ps.handleReplicate),
+		"/v1/jobs/{id}":        negotiated(ps.routeJob(s.handleJob)),
+		"/v1/jobs/{id}/stream": ps.routeJob(s.handleJobStream),
+		"/v1/jobs/{id}/trace":  negotiated(ps.routeJob(s.tel.handleJobTrace)),
 	})
-	reg("/healthz", deprecated("/v1/healthz", ps.handleHealthz))
-	reg("/benchmarks", deprecated("/v1/benchmarks", s.handleBenchmarks))
-	reg("/metrics", deprecated("/v1/metrics", s.handleMetrics))
-	reg("/predict", deprecated("/v1/predict", s.handlePredict))
-	reg("/warm", deprecated("/v1/warm", ps.handleWarm))
-	reg("/sweep", deprecated("/v1/sweeps", ps.handleSweepBlocking))
-	reg("/pareto", deprecated("/v1/pareto", ps.handleParetoBlocking))
-	return instrument(mux, s.stats, known, s.reqLog)
 }
 
 func (ps *peerServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -324,80 +308,41 @@ func redirectTo(w http.ResponseWriter, r *http.Request, addr string) {
 	http.Redirect(w, r, "http://"+addr+r.URL.RequestURI(), http.StatusTemporaryRedirect)
 }
 
-// submitSweep decodes and validates a sweep, then starts it at the
-// request's scope: a local-scope request is a shard another peer placed
-// here and runs on this node's own models; anything else is a
-// fleet-scope job this peer owns, coordinates, and replicates.
-func (ps *peerServer) submitSweep(w http.ResponseWriter, r *http.Request) *api.Job {
-	var req wire.SweepRequest
-	if !decodePost(w, r, &req) {
-		return nil
-	}
-	if err := req.Validate(); err != nil {
-		httpError(w, r, http.StatusBadRequest, "%v", err)
-		return nil
-	}
-	early, err := req.ResolveEarly()
-	if err != nil {
-		httpError(w, r, http.StatusBadRequest, "%v", err)
-		return nil
-	}
-	if req.Scope == wire.ScopeLocal {
-		return ps.srv.startJob(w, r, api.JobSweep, req.Benchmark, len(early), ps.srv.runSweep(req, early))
-	}
-	job := fleetJob{kind: api.JobSweep, sweep: &req}
-	return ps.srv.startJob(w, r, api.JobSweep, req.Benchmark, len(early), ps.runFleet(job, early, nil))
-}
-
+// handleSweepSubmit starts a sweep at the request's scope: a
+// local-scope request is a shard another peer placed here and runs on
+// this node's own models; anything else is a fleet-scope job this peer
+// owns, coordinates, and replicates.
 func (ps *peerServer) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
-	if job := ps.submitSweep(w, r); job != nil {
-		ps.srv.submitted(w, r, job)
+	var req wire.SweepRequest
+	early, ok := decodeJob(w, r, &req)
+	if !ok {
+		return
 	}
+	run := ps.srv.runSweep(req, early)
+	if req.Scope != wire.ScopeLocal {
+		run = ps.runFleet(fleetJob{kind: api.JobSweep, sweep: &req}, early, nil)
+	}
+	ps.srv.submit(w, r, api.JobSweep, req.Benchmark, len(early), run)
 }
 
-func (ps *peerServer) handleSweepBlocking(w http.ResponseWriter, r *http.Request) {
-	if job := ps.submitSweep(w, r); job != nil {
-		ps.srv.await(w, r, job)
-	}
-}
-
-// submitPareto is submitSweep for frontier jobs.
-func (ps *peerServer) submitPareto(w http.ResponseWriter, r *http.Request) *api.Job {
-	var req wire.ParetoRequest
-	if !decodePost(w, r, &req) {
-		return nil
-	}
-	if err := req.Validate(); err != nil {
-		httpError(w, r, http.StatusBadRequest, "%v", err)
-		return nil
-	}
-	early, err := req.ResolveEarly()
-	if err != nil {
-		httpError(w, r, http.StatusBadRequest, "%v", err)
-		return nil
-	}
-	if req.Scope == wire.ScopeLocal {
-		return ps.srv.startJob(w, r, api.JobPareto, req.Benchmark, len(early), ps.srv.runPareto(req, early))
-	}
-	job := fleetJob{kind: api.JobPareto, pareto: &req}
-	return ps.srv.startJob(w, r, api.JobPareto, req.Benchmark, len(early), ps.runFleet(job, early, nil))
-}
-
+// handleParetoSubmit is handleSweepSubmit for frontier jobs.
 func (ps *peerServer) handleParetoSubmit(w http.ResponseWriter, r *http.Request) {
-	if job := ps.submitPareto(w, r); job != nil {
-		ps.srv.submitted(w, r, job)
+	var req wire.ParetoRequest
+	early, ok := decodeJob(w, r, &req)
+	if !ok {
+		return
 	}
-}
-
-func (ps *peerServer) handleParetoBlocking(w http.ResponseWriter, r *http.Request) {
-	if job := ps.submitPareto(w, r); job != nil {
-		ps.srv.await(w, r, job)
+	run := ps.srv.runPareto(req, early)
+	if req.Scope != wire.ScopeLocal {
+		run = ps.runFleet(fleetJob{kind: api.JobPareto, pareto: &req}, early, nil)
 	}
+	ps.srv.submit(w, r, api.JobPareto, req.Benchmark, len(early), run)
 }
 
 // handleWarm trains locally at local scope, and places models across
-// the gossip-built fleet otherwise (same partial-failure policy as the
-// coordinator's warm).
+// the gossip-built fleet otherwise: only a total failure is an error
+// status; a partial warm itemises its failures beside the placements
+// that stand.
 func (ps *peerServer) handleWarm(w http.ResponseWriter, r *http.Request) {
 	var req wire.WarmRequest
 	if !decodePost(w, r, &req) {
@@ -468,6 +413,82 @@ func (f fleetJob) space() wire.SpaceSpec {
 		return f.sweep.SpaceSpec
 	}
 	return f.pareto.SpaceSpec
+}
+
+// clusterQuery builds the distributed query of a validated request;
+// exactly one of sweep and pareto is non-nil. The query carries the
+// request's space selector, so shards of a named, unsampled space travel
+// as windows. An unnamed space is the train space, named explicitly here
+// because cluster.Query treats an unnamed space as pinned.
+func clusterQuery(sweep *wire.SweepRequest, pareto *wire.ParetoRequest) cluster.Query {
+	var q cluster.Query
+	if sweep != nil {
+		q = cluster.Query{
+			Benchmark:   sweep.Benchmark,
+			Objectives:  sweep.Objectives,
+			Space:       sweep.SpaceSpec,
+			TopK:        sweep.TopK,
+			Objective:   sweep.Objective,
+			Constraints: make([]explore.Constraint, len(sweep.Constraints)),
+		}
+		for i, c := range sweep.Constraints {
+			q.Constraints[i] = explore.Constraint{Objective: c.Objective, Max: c.Max}
+		}
+	} else {
+		q = cluster.Query{Benchmark: pareto.Benchmark, Objectives: pareto.Objectives, Space: pareto.SpaceSpec}
+	}
+	if q.Space.Space == "" && len(q.Space.Designs) == 0 {
+		q.Space.Space = "train"
+	}
+	return q
+}
+
+// fleetSegments resolves a distributed job's space to its size and the
+// segments its owner still has to carve once the ranges in ledger (nil
+// on a fresh job) are merged. Fresh and adopted jobs take this one path. An unsampled named space stays a
+// count: its shards travel as windows on it, so the owner never
+// materialises it. An explicit list or a sample is resolved (a sample is
+// drawn, stopping if ctx ends) and its segments pinned.
+func fleetSegments(ctx context.Context, sp wire.SpaceSpec, early []space.Config, ledger []wire.ShardRange) (int, []cluster.Segment, error) {
+	if w, ok := sp.FactorialWindow(); ok {
+		return w.Count, cluster.SegmentsAfter(w.Count, ledger), nil
+	}
+	designs, err := sp.ResolveLate(ctx, early)
+	if err != nil {
+		return 0, nil, err
+	}
+	return len(designs), cluster.Pin(cluster.SegmentsAfter(len(designs), ledger), designs), nil
+}
+
+// objectiveNames labels the specs through the same Build path a worker
+// uses. Validate ran first and calls Build itself, so a failure here is
+// drift between the two and must not pass silently as an empty name.
+func objectiveNames(specs []wire.ObjectiveSpec) []string {
+	objectives := make([]explore.Objective, len(specs))
+	for i, spec := range specs {
+		obj, err := spec.Build()
+		if err != nil {
+			panic(fmt.Sprintf("dsed: objective %d passed Validate but failed Build: %v", i, err))
+		}
+		objectives[i] = obj
+	}
+	return wire.ObjectiveNames(objectives)
+}
+
+// clusterStatus maps a distribution failure onto an HTTP status: a
+// worker's deterministic 4xx rejection is forwarded unchanged (the
+// cluster answers exactly like a single daemon), the client cancelling is
+// not a fleet fault, and everything else is a gateway error (the fleet,
+// not the owner, failed the request).
+func clusterStatus(err error) int {
+	var rejected *cluster.WorkerRejection
+	if errors.As(err, &rejected) {
+		return rejected.Status
+	}
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		return http.StatusServiceUnavailable
+	}
+	return http.StatusBadGateway
 }
 
 // runFleet is the peer's distributed job body, serving both fresh jobs
@@ -923,7 +944,13 @@ func (ps *peerServer) exchange(ctx context.Context, target string) {
 	ctx, cancel := context.WithTimeout(ctx, gossipTimeout)
 	defer cancel()
 	resp, err := ps.client(target).Gossip(ctx, wire.GossipRequest{From: ps.self, Entries: ps.table.Digest()})
+	if err == nil {
+		err = resp.Validate()
+	}
 	if err != nil {
+		// A malformed answer is a failed round: none of it may reach the
+		// table, and from there a dialable transport.
+		ps.logf("gossip: %s: %v", target, err)
 		ps.table.NoteRound(false)
 		return
 	}
@@ -935,10 +962,10 @@ func (ps *peerServer) exchange(ctx context.Context, target string) {
 // syncGossipMembership projects the gossip view onto the coordinator's
 // member table — the one sanctioned seam between the two planes (the
 // memberseam lint rule flags Join/Heartbeat/Leave anywhere else in peer
-// code). Alive peers, self included, become schedulable members with
-// their gossiped inventory; anything suspect or dead leaves the
-// scheduling fleet immediately, even though adoption waits for the
-// stronger dead verdict. Self joins as the in-process ps.local, remote
+// code), and the only liveness authority the table has. Alive peers,
+// self included, become schedulable members with their gossiped
+// inventory; anything suspect or dead leaves the scheduling fleet
+// immediately, even though adoption waits for the stronger dead verdict. Self joins as the in-process ps.local, remote
 // peers as HTTP transports; both are named "http://"+addr.
 func (ps *peerServer) syncGossipMembership() {
 	known := make(map[string]bool)

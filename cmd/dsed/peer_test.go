@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/obs"
 	"repro/internal/wire"
 	"repro/pkg/dsedclient"
 )
@@ -20,10 +21,7 @@ import (
 // for routing and adoption-guard tests, with no gossip loop running.
 func testPeer(t *testing.T, self string) *peerServer {
 	t.Helper()
-	ps, err := newPeerServer(testServer(t), self, nil, peerOptions{
-		coordOptions: coordOptions{policy: "affinity", heartbeat: time.Second},
-		replicate:    1,
-	}, nil)
+	ps, err := newPeerServer(testServer(t), self, nil, peerOptions{policy: "affinity", heartbeat: time.Second, replicate: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,10 +237,7 @@ func TestFleetJobRetiresReplicas(t *testing.T) {
 		handler.ServeHTTP(w, r)
 	}))
 	defer peerTS.Close()
-	ps, err := newPeerServer(srv, strings.TrimPrefix(peerTS.URL, "http://"), nil, peerOptions{
-		coordOptions: coordOptions{policy: "affinity", heartbeat: time.Second},
-		replicate:    1,
-	}, nil)
+	ps, err := newPeerServer(srv, strings.TrimPrefix(peerTS.URL, "http://"), nil, peerOptions{policy: "affinity", heartbeat: time.Second, replicate: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +392,7 @@ func TestPeerUnknownBenchmarkIsRejection(t *testing.T) {
 			t.Fatalf("%s: unknown benchmark answered %v, want a 404", fleet.name, err)
 		}
 		rejections, failures := 0, 0
-		for _, h := range fleet.owner.coord.Health(context.Background()) {
+		for _, h := range fleet.owner.coord.Members() {
 			rejections += h.Rejections
 			failures += h.Failures
 		}
@@ -418,10 +413,7 @@ func TestPeerFleetWarmTrainsOnOwner(t *testing.T) {
 		handler.ServeHTTP(w, r)
 	}))
 	t.Cleanup(ts.Close)
-	ps, err := newPeerServer(srv, strings.TrimPrefix(ts.URL, "http://"), nil, peerOptions{
-		coordOptions: coordOptions{policy: "affinity", heartbeat: time.Second},
-		replicate:    1,
-	}, nil)
+	ps, err := newPeerServer(srv, strings.TrimPrefix(ts.URL, "http://"), nil, peerOptions{policy: "affinity", heartbeat: time.Second, replicate: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,5 +430,42 @@ func TestPeerFleetWarmTrainsOnOwner(t *testing.T) {
 	}
 	if status := postJSON(t, ts, "/v1/warm", wire.WarmRequest{Benchmarks: []string{"doom"}}, nil); status != http.StatusNotFound {
 		t.Fatalf("fleet warm of an unknown benchmark answered %d, want 404", status)
+	}
+}
+
+// A gossip target's answer passes the same validation a request does:
+// a response digest carrying a malformed entry is a failed round, and
+// none of it — not even its well-formed entries — reaches the gossip
+// table or, from there, the scheduling fleet.
+func TestPeerGossipRejectsMalformedResponse(t *testing.T) {
+	target := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		_ = json.NewEncoder(w).Encode(wire.GossipResponse{
+			From: strings.TrimPrefix(r.Host, "http://"),
+			Entries: []wire.GossipEntry{
+				{Addr: "127.0.0.1:7", Incarnation: 1, State: wire.GossipAlive},
+				{Addr: "evil", Incarnation: 1, State: wire.GossipAlive, Benchmarks: []string{"gcc"}},
+			},
+		})
+	}))
+	t.Cleanup(target.Close)
+	ps := testPeer(t, "127.0.0.1:1")
+	failed := ps.srv.tel.reg.Counter("dsed_gossip_rounds_total", "", obs.Label{Key: "result", Value: "error"})
+	before := failed.Value()
+	ps.exchange(context.Background(), strings.TrimPrefix(target.URL, "http://"))
+	ps.syncGossipMembership()
+
+	for _, m := range ps.coord.Members() {
+		if m.Name != "http://"+ps.self {
+			t.Errorf("member %s joined from a malformed gossip response", m.Name)
+		}
+	}
+	for _, addr := range []string{"evil", "127.0.0.1:7"} {
+		if st := ps.table.State(addr); st != "" {
+			t.Errorf("gossip table holds %s as %q from a malformed response", addr, st)
+		}
+	}
+	if n := failed.Value() - before; n != 1 {
+		t.Errorf("malformed response booked %d failed rounds, want 1", n)
 	}
 }

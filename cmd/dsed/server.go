@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"log"
+	"maps"
 	"net/http"
 	"sync"
 	"time"
@@ -20,8 +21,7 @@ import (
 // Server is the serving layer over the model registry: it owns no models
 // itself, translating HTTP queries into registry lookups (training
 // missing benchmarks on demand) and exploration-engine sweeps.
-// Exploration runs as async /v1 jobs; the legacy blocking routes are
-// deprecation shims that submit the same job and await it.
+// Exploration runs as async /v1 jobs.
 type Server struct {
 	store *registry.Store
 	// workers bounds query-evaluation parallelism (0 = GOMAXPROCS).
@@ -37,7 +37,7 @@ type Server struct {
 	chunkN  *obs.Histogram
 	// straggle, when positive, injects a per-design sleep into every
 	// sweep-job model (-straggle-per-design): a deliberate straggler for
-	// exercising the coordinator's hedged dispatch end-to-end.
+	// exercising a fleet's hedged dispatch end-to-end.
 	straggle time.Duration
 	// selfShards counts, per benchmark, the shards a peer is evaluating
 	// in process for its own fleet jobs. QueueDepths adds them to the
@@ -81,8 +81,8 @@ func NewServer(ctx context.Context, store *registry.Store, workers int, reqLog *
 }
 
 // QueueDepths reports running jobs and in-process shards per benchmark —
-// what membership heartbeats advertise so the coordinator can spill away
-// from busy workers.
+// what a peer's gossip entry advertises so placement can spill away from
+// busy peers.
 func (s *Server) QueueDepths() map[string]int {
 	depths := s.jobs.RunningByBenchmark()
 	s.shardsMu.Lock()
@@ -108,42 +108,38 @@ func (s *Server) shardStarted(benchmark string) (done func()) {
 	}
 }
 
-// Handler routes the daemon's endpoints behind the request-ID /
-// logging / metrics middleware: the versioned /v1 surface, and the
-// original unversioned routes as deprecation shims delegating to the
-// same handlers (identical historical payloads, Deprecation headers).
-func (s *Server) Handler() http.Handler {
+// Handler serves a single daemon: the /v1 route table as is.
+func (s *Server) Handler() http.Handler { return s.routes(nil) }
+
+// routes builds the daemon's one /v1 route table behind the request-ID
+// / logging / metrics middleware. A peer passes the handlers it
+// overrides and the routes it adds, keyed by pattern; nil serves a
+// single daemon. Every other path answers the structured 404.
+func (s *Server) routes(peer map[string]http.HandlerFunc) http.Handler {
+	table := map[string]http.HandlerFunc{
+		"/v1/healthz":          negotiated(s.handleHealthz),
+		"/v1/benchmarks":       negotiated(s.handleBenchmarks),
+		"/v1/metrics":          negotiated(s.handleMetrics),
+		"/v1/metricsz":         s.tel.handleMetricsz,
+		"/v1/predict":          negotiated(s.handlePredict),
+		"/v1/warm":             negotiated(s.handleWarm),
+		"/v1/sweeps":           negotiated(s.handleSweepSubmit),
+		"/v1/pareto":           negotiated(s.handleParetoSubmit),
+		"/v1/jobs":             negotiated(s.handleJobs),
+		"/v1/jobs/{id}":        negotiated(s.handleJob),
+		"/v1/jobs/{id}/stream": s.handleJobStream,
+		"/v1/jobs/{id}/trace":  negotiated(s.tel.handleJobTrace),
+	}
+	maps.Copy(table, peer)
 	mux := http.NewServeMux()
-	known := make(map[string]bool)
-	reg := func(pattern string, h http.HandlerFunc) {
+	known := make(map[string]bool, len(table))
+	for pattern, h := range table {
 		mux.HandleFunc(pattern, h)
 		known[pattern] = true
 	}
-	// The versioned surface.
-	reg("/v1/healthz", negotiated(s.handleHealthz))
-	reg("/v1/benchmarks", negotiated(s.handleBenchmarks))
-	reg("/v1/metrics", negotiated(s.handleMetrics))
-	reg("/v1/metricsz", s.tel.handleMetricsz)
-	reg("/v1/predict", negotiated(s.handlePredict))
-	reg("/v1/warm", negotiated(s.handleWarm))
-	reg("/v1/sweeps", negotiated(s.handleSweepSubmit))
-	reg("/v1/pareto", negotiated(s.handleParetoSubmit))
-	reg("/v1/jobs", negotiated(s.handleJobs))
-	reg("/v1/jobs/{id}", negotiated(s.handleJob))
-	reg("/v1/jobs/{id}/stream", s.handleJobStream)
-	reg("/v1/jobs/{id}/trace", negotiated(s.tel.handleJobTrace))
-	mux.HandleFunc("/v1/", func(w http.ResponseWriter, r *http.Request) {
-		api.WriteError(w, r, http.StatusNotFound, "no such /v1 route %q", r.URL.Path)
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		api.WriteError(w, r, http.StatusNotFound, "no such route %q", r.URL.Path)
 	})
-	// Legacy shims (deprecation policy: kept indefinitely, answering
-	// their historical payloads, advertising the /v1 successor).
-	reg("/healthz", deprecated("/v1/healthz", s.handleHealthz))
-	reg("/benchmarks", deprecated("/v1/benchmarks", s.handleBenchmarks))
-	reg("/metrics", deprecated("/v1/metrics", s.handleMetrics))
-	reg("/predict", deprecated("/v1/predict", s.handlePredict))
-	reg("/warm", deprecated("/v1/warm", s.handleWarm))
-	reg("/sweep", deprecated("/v1/sweeps", s.handleSweep))
-	reg("/pareto", deprecated("/v1/pareto", s.handlePareto))
 	return instrument(mux, s.stats, known, s.reqLog)
 }
 

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/registry"
 	"repro/internal/sim"
@@ -104,10 +105,41 @@ func postJSON(t *testing.T, ts *httptest.Server, path string, body any, out any)
 	return resp.StatusCode
 }
 
+// runJob is a blocking /v1 job run through the raw HTTP surface: POST
+// body to path (/v1/sweeps or /v1/pareto) and, once the job is
+// accepted, wait for its final update and decode its result into out.
+// It returns the submission's status when the submit itself failed, 200
+// for a job that finished, and the job error's status otherwise.
+func runJob(t *testing.T, ts *httptest.Server, path string, body, out any) int {
+	t.Helper()
+	var st api.JobStatus
+	if status := postJSON(t, ts, path, body, &st); status != http.StatusAccepted {
+		return status
+	}
+	c := testClient(ts.URL)
+	if final := awaitFinal(t, c, st.ID); final.Error != nil {
+		return final.Error.Status
+	}
+	job, err := c.Job(context.Background(), st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != nil {
+		raw, err := json.Marshal(job.Result)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(raw, out); err != nil {
+			t.Fatalf("%s: decoding job result: %v", path, err)
+		}
+	}
+	return http.StatusOK
+}
+
 func TestHealthzEndpoint(t *testing.T) {
 	ts := httptest.NewServer(testServer(t).Handler())
 	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/healthz")
+	resp, err := http.Get(ts.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,15 +160,15 @@ func TestHealthzEndpoint(t *testing.T) {
 	if health.Models[0].Networks == 0 || health.Models[0].TraceLen != 16 {
 		t.Errorf("model inventory incomplete: %+v", health.Models[0])
 	}
-	if status := postJSON(t, ts, "/healthz", map[string]any{}, nil); status != http.StatusMethodNotAllowed {
-		t.Errorf("POST /healthz status %d, want 405", status)
+	if status := postJSON(t, ts, "/v1/healthz", map[string]any{}, nil); status != http.StatusMethodNotAllowed {
+		t.Errorf("POST /v1/healthz status %d, want 405", status)
 	}
 }
 
 func TestBenchmarksEndpoint(t *testing.T) {
 	ts := httptest.NewServer(testServer(t).Handler())
 	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/benchmarks")
+	resp, err := http.Get(ts.URL + "/v1/benchmarks")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,12 +207,12 @@ func TestMetricsEndpoint(t *testing.T) {
 	ts := httptest.NewServer(testServer(t).Handler())
 	defer ts.Close()
 	// Generate one known-good and one known-bad request first.
-	postJSON(t, ts, "/predict", wire.PredictRequest{
+	postJSON(t, ts, "/v1/predict", wire.PredictRequest{
 		Benchmark: "gcc", Metric: "CPI", Config: wire.ConfigSpec{FetchWidth: intp(4)},
 	}, nil)
-	postJSON(t, ts, "/predict", map[string]any{"benchmark": "doom", "metric": "CPI"}, nil)
+	postJSON(t, ts, "/v1/predict", map[string]any{"benchmark": "doom", "metric": "CPI"}, nil)
 
-	resp, err := http.Get(ts.URL + "/metrics")
+	resp, err := http.Get(ts.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,18 +225,18 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	var predict *endpointMetrics
 	for i := range body.Endpoints {
-		if body.Endpoints[i].Endpoint == "/predict" {
+		if body.Endpoints[i].Endpoint == "/v1/predict" {
 			predict = &body.Endpoints[i]
 		}
 	}
 	if predict == nil {
-		t.Fatalf("no /predict series in %+v", body.Endpoints)
+		t.Fatalf("no /v1/predict series in %+v", body.Endpoints)
 	}
 	if predict.Requests < 2 || predict.ByStatus["200"] < 1 || predict.ByStatus["404"] < 1 {
-		t.Errorf("/predict counters incomplete: %+v", predict)
+		t.Errorf("/v1/predict counters incomplete: %+v", predict)
 	}
 	if predict.TotalMS <= 0 || predict.MaxMS < predict.MeanMS {
-		t.Errorf("/predict latency stats inconsistent: %+v", predict)
+		t.Errorf("/v1/predict latency stats inconsistent: %+v", predict)
 	}
 }
 
@@ -212,7 +244,7 @@ func TestPredictEndpoint(t *testing.T) {
 	ts := httptest.NewServer(testServer(t).Handler())
 	defer ts.Close()
 	var resp wire.PredictResponse
-	status := postJSON(t, ts, "/predict", wire.PredictRequest{
+	status := postJSON(t, ts, "/v1/predict", wire.PredictRequest{
 		Benchmark: "gcc", Metric: "CPI",
 		Config: wire.ConfigSpec{FetchWidth: intp(4)},
 	}, &resp)
@@ -234,7 +266,7 @@ func TestBatchPredict(t *testing.T) {
 	ts := httptest.NewServer(testServer(t).Handler())
 	defer ts.Close()
 	var resp wire.BatchPredictResponse
-	status := postJSON(t, ts, "/predict", map[string]any{
+	status := postJSON(t, ts, "/v1/predict", map[string]any{
 		"benchmark": "gcc",
 		"metrics":   []string{"CPI", "Power"},
 		"configs": []map[string]any{
@@ -267,7 +299,7 @@ func TestBatchPredict(t *testing.T) {
 	}
 
 	// include_traces adds full traces to every cell.
-	status = postJSON(t, ts, "/predict", map[string]any{
+	status = postJSON(t, ts, "/v1/predict", map[string]any{
 		"benchmark":      "gcc",
 		"metrics":        []string{"CPI"},
 		"configs":        []map[string]any{{"fetch_width": 4}},
@@ -284,35 +316,35 @@ func TestBatchPredict(t *testing.T) {
 func TestBatchPredictErrors(t *testing.T) {
 	ts := httptest.NewServer(testServer(t).Handler())
 	defer ts.Close()
-	if status := postJSON(t, ts, "/predict", map[string]any{
+	if status := postJSON(t, ts, "/v1/predict", map[string]any{
 		"benchmark": "gcc", "metric": "CPI",
 		"metrics": []string{"CPI"}, "configs": []map[string]any{{}},
 	}, nil); status != http.StatusBadRequest {
 		t.Errorf("mixed single/batch form status %d, want 400", status)
 	}
-	if status := postJSON(t, ts, "/predict", map[string]any{
+	if status := postJSON(t, ts, "/v1/predict", map[string]any{
 		"benchmark": "gcc", "metrics": []string{"CPI"},
 	}, nil); status != http.StatusBadRequest {
 		t.Errorf("batch without configs status %d, want 400", status)
 	}
-	if status := postJSON(t, ts, "/predict", map[string]any{
+	if status := postJSON(t, ts, "/v1/predict", map[string]any{
 		"benchmark": "gcc", "configs": []map[string]any{{}},
 	}, nil); status != http.StatusBadRequest {
 		t.Errorf("batch without metrics status %d, want 400", status)
 	}
-	if status := postJSON(t, ts, "/predict", map[string]any{
+	if status := postJSON(t, ts, "/v1/predict", map[string]any{
 		"benchmark": "gcc", "metrics": []string{"CPI"},
 		"configs": []map[string]any{{"fetch_width": -2}},
 	}, nil); status != http.StatusBadRequest {
 		t.Errorf("batch with invalid config status %d, want 400", status)
 	}
-	if status := postJSON(t, ts, "/predict", map[string]any{
+	if status := postJSON(t, ts, "/v1/predict", map[string]any{
 		"benchmark": "gcc", "metrics": []string{"CPI", "CPI"},
 		"configs": []map[string]any{{}},
 	}, nil); status != http.StatusBadRequest {
 		t.Errorf("duplicate batch metric status %d, want 400", status)
 	}
-	if status := postJSON(t, ts, "/predict", map[string]any{
+	if status := postJSON(t, ts, "/v1/predict", map[string]any{
 		"benchmark": "gcc", "metrics": []string{"CPI"},
 		"configs": make([]map[string]any, maxBatchConfigs+1),
 	}, nil); status != http.StatusBadRequest {
@@ -323,27 +355,27 @@ func TestBatchPredictErrors(t *testing.T) {
 func TestPredictErrors(t *testing.T) {
 	ts := httptest.NewServer(testServer(t).Handler())
 	defer ts.Close()
-	if status := postJSON(t, ts, "/predict", wire.PredictRequest{Benchmark: "doom", Metric: "CPI"}, nil); status != http.StatusNotFound {
+	if status := postJSON(t, ts, "/v1/predict", wire.PredictRequest{Benchmark: "doom", Metric: "CPI"}, nil); status != http.StatusNotFound {
 		t.Errorf("unknown benchmark status %d, want 404", status)
 	}
-	if status := postJSON(t, ts, "/predict", wire.PredictRequest{Benchmark: "gcc", Metric: "AVF"}, nil); status != http.StatusNotFound {
+	if status := postJSON(t, ts, "/v1/predict", wire.PredictRequest{Benchmark: "gcc", Metric: "AVF"}, nil); status != http.StatusNotFound {
 		t.Errorf("unserved metric status %d, want 404", status)
 	}
-	if status := postJSON(t, ts, "/predict", wire.PredictRequest{Benchmark: "gcc", Metric: "Tempo"}, nil); status != http.StatusBadRequest {
+	if status := postJSON(t, ts, "/v1/predict", wire.PredictRequest{Benchmark: "gcc", Metric: "Tempo"}, nil); status != http.StatusBadRequest {
 		t.Errorf("unparseable metric status %d, want 400", status)
 	}
-	if status := postJSON(t, ts, "/predict", wire.PredictRequest{
+	if status := postJSON(t, ts, "/v1/predict", wire.PredictRequest{
 		Benchmark: "gcc", Metric: "CPI", Config: wire.ConfigSpec{FetchWidth: intp(-1)},
 	}, nil); status != http.StatusBadRequest {
 		t.Errorf("invalid config status %d, want 400", status)
 	}
-	resp, err := http.Get(ts.URL + "/predict")
+	resp, err := http.Get(ts.URL + "/v1/predict")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /predict status %d, want 405", resp.StatusCode)
+		t.Errorf("GET /v1/predict status %d, want 405", resp.StatusCode)
 	}
 }
 
@@ -355,7 +387,7 @@ func TestRequestBodyLimit(t *testing.T) {
 	huge := `{"benchmark":"gcc","metrics":["CPI"],"configs":[` +
 		strings.Repeat(`{"fetch_width":4},`, maxRequestBody/16) +
 		`{"fetch_width":4}]}`
-	resp, err := http.Post(ts.URL+"/predict", "application/json", strings.NewReader(huge))
+	resp, err := http.Post(ts.URL+"/v1/predict", "application/json", strings.NewReader(huge))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +401,7 @@ func TestSweepEndpoint(t *testing.T) {
 	ts := httptest.NewServer(testServer(t).Handler())
 	defer ts.Close()
 	var resp wire.SweepResponse
-	status := postJSON(t, ts, "/sweep", map[string]any{
+	status := runJob(t, ts, "/v1/sweeps", map[string]any{
 		"benchmark": "gcc",
 		"objectives": []map[string]any{
 			{"metric": "CPI"},
@@ -399,23 +431,23 @@ func TestSweepEndpoint(t *testing.T) {
 func TestSweepErrors(t *testing.T) {
 	ts := httptest.NewServer(testServer(t).Handler())
 	defer ts.Close()
-	if status := postJSON(t, ts, "/sweep", map[string]any{
+	if status := runJob(t, ts, "/v1/sweeps", map[string]any{
 		"benchmark": "gcc", "objectives": []map[string]any{{"metric": "CPI"}},
 		"space": "warp",
 	}, nil); status != http.StatusBadRequest {
 		t.Errorf("unknown space status %d, want 400", status)
 	}
-	if status := postJSON(t, ts, "/sweep", map[string]any{
+	if status := runJob(t, ts, "/v1/sweeps", map[string]any{
 		"benchmark": "gcc", "objectives": []map[string]any{{"metric": "CPI", "kind": "median"}},
 	}, nil); status != http.StatusBadRequest {
 		t.Errorf("unknown objective kind status %d, want 400", status)
 	}
-	if status := postJSON(t, ts, "/sweep", map[string]any{
+	if status := runJob(t, ts, "/v1/sweeps", map[string]any{
 		"benchmark": "gcc", "objectives": []map[string]any{},
 	}, nil); status != http.StatusBadRequest {
 		t.Errorf("empty objectives status %d, want 400", status)
 	}
-	if status := postJSON(t, ts, "/sweep", map[string]any{
+	if status := runJob(t, ts, "/v1/sweeps", map[string]any{
 		"benchmark": "gcc", "objectives": []map[string]any{{"metric": "CPI"}},
 		"objective": 3,
 	}, nil); status != http.StatusBadRequest {
@@ -427,7 +459,7 @@ func TestParetoEndpoint(t *testing.T) {
 	ts := httptest.NewServer(testServer(t).Handler())
 	defer ts.Close()
 	var resp wire.ParetoResponse
-	status := postJSON(t, ts, "/pareto", map[string]any{
+	status := runJob(t, ts, "/v1/pareto", map[string]any{
 		"benchmark": "gcc",
 		"objectives": []map[string]any{
 			{"metric": "CPI"},
@@ -456,7 +488,7 @@ func TestParetoExplicitDesigns(t *testing.T) {
 	ts := httptest.NewServer(testServer(t).Handler())
 	defer ts.Close()
 	var resp wire.ParetoResponse
-	status := postJSON(t, ts, "/pareto", map[string]any{
+	status := runJob(t, ts, "/v1/pareto", map[string]any{
 		"benchmark":  "gcc",
 		"objectives": []map[string]any{{"metric": "CPI"}, {"metric": "Power"}},
 		"designs": []map[string]any{
@@ -485,19 +517,19 @@ func TestConcurrentQueries(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			var pr wire.PredictResponse
-			if status := postJSON(t, ts, "/predict", wire.PredictRequest{
+			if status := postJSON(t, ts, "/v1/predict", wire.PredictRequest{
 				Benchmark: "gcc", Metric: "CPI",
 				Config: wire.ConfigSpec{FetchWidth: intp(2 << (i % 3))},
 			}, &pr); status != http.StatusOK {
 				errs <- errStatus{"predict", status}
 			}
-			var sr wire.SweepResponse
-			if status := postJSON(t, ts, "/sweep", map[string]any{
-				"benchmark":  "gcc",
-				"objectives": []map[string]any{{"metric": "CPI"}, {"metric": "Power"}},
-				"space":      "test", "sample": 50, "top_k": 3,
-			}, &sr); status != http.StatusOK {
-				errs <- errStatus{"sweep", status}
+			if _, err := testClient(ts.URL).SweepJob(context.Background(), wire.SweepRequest{
+				Benchmark:  "gcc",
+				Objectives: []wire.ObjectiveSpec{{Metric: "CPI"}, {Metric: "Power"}},
+				SpaceSpec:  wire.SpaceSpec{Space: "test", Sample: 50},
+				TopK:       3,
+			}, nil); err != nil {
+				errs <- err
 			}
 		}(i)
 	}
@@ -526,7 +558,7 @@ func TestWarmStartServesWithoutRetraining(t *testing.T) {
 	}
 	ts1 := httptest.NewServer(NewServer(context.Background(), store1, 0, nil, nil).Handler())
 	var first wire.PredictResponse
-	if status := postJSON(t, ts1, "/predict", wire.PredictRequest{
+	if status := postJSON(t, ts1, "/v1/predict", wire.PredictRequest{
 		Benchmark: "gcc", Metric: "CPI", Config: wire.ConfigSpec{FetchWidth: intp(4)},
 	}, &first); status != http.StatusOK {
 		t.Fatalf("boot-1 predict status %d", status)
@@ -546,7 +578,7 @@ func TestWarmStartServesWithoutRetraining(t *testing.T) {
 	ts2 := httptest.NewServer(NewServer(context.Background(), store2, 0, nil, nil).Handler())
 	defer ts2.Close()
 	var second wire.PredictResponse
-	if status := postJSON(t, ts2, "/predict", wire.PredictRequest{
+	if status := postJSON(t, ts2, "/v1/predict", wire.PredictRequest{
 		Benchmark: "gcc", Metric: "CPI", Config: wire.ConfigSpec{FetchWidth: intp(4)},
 	}, &second); status != http.StatusOK {
 		t.Fatalf("boot-2 predict status %d", status)
@@ -582,7 +614,7 @@ func TestBenchmarksPartialWarmNotTrained(t *testing.T) {
 		Trained  []string `json:"trained"`
 		OnDemand []string `json:"trainable_on_demand"`
 	}
-	resp, err := http.Get(ts.URL + "/benchmarks")
+	resp, err := http.Get(ts.URL + "/v1/benchmarks")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -614,12 +646,12 @@ func TestOnDemandTrainingExactlyOnce(t *testing.T) {
 
 	// Malformed requests for an untrained benchmark must be rejected
 	// before they can trigger a training run.
-	if status := postJSON(t, ts, "/predict", wire.PredictRequest{
+	if status := postJSON(t, ts, "/v1/predict", wire.PredictRequest{
 		Benchmark: "twolf", Metric: "Power", Config: wire.ConfigSpec{FetchWidth: intp(-1)},
 	}, nil); status != http.StatusBadRequest {
 		t.Errorf("invalid config status %d, want 400", status)
 	}
-	if status := postJSON(t, ts, "/predict", map[string]any{
+	if status := postJSON(t, ts, "/v1/predict", map[string]any{
 		"benchmark": "twolf", "metrics": []string{"Power"},
 		"configs": []map[string]any{{"fetch_width": -1}},
 	}, nil); status != http.StatusBadRequest {
@@ -636,7 +668,7 @@ func TestOnDemandTrainingExactlyOnce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			statuses[i] = postJSON(t, ts, "/predict", wire.PredictRequest{
+			statuses[i] = postJSON(t, ts, "/v1/predict", wire.PredictRequest{
 				Benchmark: "twolf", Metric: "Power",
 				Config: wire.ConfigSpec{FetchWidth: intp(2 << (i % 3))},
 			}, nil)
@@ -655,7 +687,7 @@ func TestOnDemandTrainingExactlyOnce(t *testing.T) {
 	var body struct {
 		Trained []string `json:"trained"`
 	}
-	resp, err := http.Get(ts.URL + "/benchmarks")
+	resp, err := http.Get(ts.URL + "/v1/benchmarks")
 	if err != nil {
 		t.Fatal(err)
 	}

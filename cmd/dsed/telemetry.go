@@ -13,9 +13,9 @@ import (
 
 // telemetry bundles the daemon's observability plane: one metrics
 // registry (scraped at GET /v1/metricsz in Prometheus text format) and
-// one trace store behind a tracer whose node name tells coordinator
-// spans from worker spans in an assembled job trace. Both modes build
-// one at boot and thread it through the registry, the cluster
+// one trace store behind a tracer whose node name tells one daemon's
+// spans from another's in an assembled job trace. A daemon builds one at
+// boot and threads it through the registry, a peer's cluster
 // coordinator, and the serving layer.
 type telemetry struct {
 	reg    *obs.Registry
@@ -24,8 +24,8 @@ type telemetry struct {
 }
 
 // newTelemetry builds the observability plane for one daemon. node
-// labels every span this process records (a worker's advertised
-// address, or "coordinator").
+// labels every span this process records (the daemon's advertised
+// address).
 func newTelemetry(node string) *telemetry {
 	reg := obs.NewRegistry(nil)
 	traces := obs.NewTraceStore(0)
@@ -49,9 +49,9 @@ func (t *telemetry) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleJobTrace serves GET /v1/jobs/{id}/trace: the job's assembled
-// span tree. On a coordinator the tree spans the fleet — the
-// coordinator's root and dispatch spans with every worker's imported
-// job and phase spans beneath them.
+// span tree. On a fleet job's owner the tree spans the fleet — the
+// owner's root and dispatch spans with every peer's imported job and
+// phase spans beneath them.
 func (t *telemetry) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	if !requireGet(w, r) {
 		return

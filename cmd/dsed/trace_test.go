@@ -11,28 +11,25 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/registry"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
-// tracedFixture boots a fully observable fleet: two HTTP workers with
-// distinct telemetry node names over a shared registry (wired to worker
-// 1's metric registry), and a coordinator whose tracer both opens
-// dispatch spans in the cluster layer and roots the /v1 job spans —
-// the production wiring from main.go, in miniature.
-func tracedFixture(t *testing.T) (coordTS, w1TS, w2TS *httptest.Server) {
+// tracedFixture boots a fully observable three-peer fleet with distinct
+// telemetry node names — the owner and two remote peers w1 and w2 —
+// over one registry wired to w1's metric registry: the production wiring
+// from main.go, in miniature.
+func tracedFixture(t *testing.T) (ownerTS *httptest.Server, peers []*peerServer) {
 	t.Helper()
-	w1Tel := newTelemetry("w1")
-	w2Tel := newTelemetry("w2")
+	tels := []*telemetry{newTelemetry("owner"), newTelemetry("w1"), newTelemetry("w2")}
 	store, err := registry.Open(registry.Config{
 		Trainer:   tinyTrainer(),
 		Metrics:   []sim.Metric{sim.MetricCPI, sim.MetricPower},
 		Trainable: workload.Names(),
 		Spec:      tinySpec(),
-		Obs:       w1Tel.reg,
+		Obs:       tels[1].reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -40,22 +37,13 @@ func tracedFixture(t *testing.T) (coordTS, w1TS, w2TS *httptest.Server) {
 	if _, err := store.LoadOrTrain(context.Background(), "gcc", sim.MetricCPI); err != nil {
 		t.Fatal(err)
 	}
-	w1TS = httptest.NewServer(NewServer(context.Background(), store, 0, nil, w1Tel).Handler())
-	t.Cleanup(w1TS.Close)
-	w2TS = httptest.NewServer(NewServer(context.Background(), store, 0, nil, w2Tel).Handler())
-	t.Cleanup(w2TS.Close)
-
-	coordTel := newTelemetry("coordinator")
-	coord, err := cluster.New([]cluster.Transport{
-		cluster.NewHTTP(w1TS.URL, nil),
-		cluster.NewHTTP(w2TS.URL, nil),
-	}, cluster.Options{ShardSize: 32, Obs: coordTel.reg, Tracer: coordTel.tracer})
-	if err != nil {
-		t.Fatal(err)
-	}
-	coordTS = httptest.NewServer(newCoordServer(context.Background(), coord, 15*time.Second, nil, coordTel).Handler())
-	t.Cleanup(coordTS.Close)
-	return coordTS, w1TS, w2TS
+	ownerTS, _, peers = peerFleet(t, fleetSpec{
+		peers:     3,
+		shardSize: 32,
+		store:     store,
+		tel:       func(i int) *telemetry { return tels[i] },
+	})
+	return ownerTS, peers
 }
 
 // awaitJob polls GET /v1/jobs/{id} until the job leaves the running
@@ -86,10 +74,10 @@ func awaitJob(t *testing.T, ts *httptest.Server, id string) string {
 	}
 }
 
-// getText fetches a path and returns the body as a string.
-func getText(t *testing.T, ts *httptest.Server, path string) (string, *http.Response) {
+// getText fetches base+path and returns the body as a string.
+func getText(t *testing.T, base, path string) (string, *http.Response) {
 	t.Helper()
-	resp, err := http.Get(ts.URL + path)
+	resp, err := http.Get(base + path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,20 +90,20 @@ func getText(t *testing.T, ts *httptest.Server, path string) (string, *http.Resp
 }
 
 // TestClusterJobTraceConnected is the observability acceptance
-// scenario: a distributed sweep over two live HTTP workers yields one
-// connected span tree — a single root on the coordinator, each worker's
-// job and phase spans nested under the coordinator's dispatch spans,
-// one request ID threading every annotated span — and Prometheus
-// expositions on both tiers carrying the core series.
+// scenario: a fleet sweep across three peers yields one connected span
+// tree — a single root on the owner, each remote peer's job and phase
+// spans nested under the owner's dispatch spans, one request ID
+// threading every annotated span — and Prometheus expositions on both
+// tiers carrying the core series.
 func TestClusterJobTraceConnected(t *testing.T) {
-	coordTS, w1TS, w2TS := tracedFixture(t)
+	ownerTS, peers := tracedFixture(t)
 
 	const reqID = "trace-acceptance-001"
 	payload, err := json.Marshal(paretoBody())
 	if err != nil {
 		t.Fatal(err)
 	}
-	req, err := http.NewRequest(http.MethodPost, coordTS.URL+"/v1/pareto", bytes.NewReader(payload))
+	req, err := http.NewRequest(http.MethodPost, ownerTS.URL+"/v1/pareto", bytes.NewReader(payload))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,12 +124,12 @@ func TestClusterJobTraceConnected(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted || submitted.ID == "" {
 		t.Fatalf("submit answered status %d id %q", resp.StatusCode, submitted.ID)
 	}
-	if state := awaitJob(t, coordTS, submitted.ID); state != "done" {
+	if state := awaitJob(t, ownerTS, submitted.ID); state != "done" {
 		t.Fatalf("job settled %q, want done", state)
 	}
 
-	// The assembled tree: exactly one root, rooted on the coordinator.
-	body, traceResp := getText(t, coordTS, "/v1/jobs/"+submitted.ID+"/trace")
+	// The assembled tree: exactly one root, rooted on the owner.
+	body, traceResp := getText(t, ownerTS.URL, "/v1/jobs/"+submitted.ID+"/trace")
 	if traceResp.StatusCode != http.StatusOK {
 		t.Fatalf("trace status %d: %s", traceResp.StatusCode, body)
 	}
@@ -156,12 +144,12 @@ func TestClusterJobTraceConnected(t *testing.T) {
 		t.Fatalf("trace has %d roots, want 1 connected tree", len(trace.Tree))
 	}
 	root := trace.Tree[0]
-	if root.Name != "job:pareto" || root.Node != "coordinator" {
-		t.Fatalf("root span is %s on %s, want job:pareto on coordinator", root.Name, root.Node)
+	if root.Name != "job:pareto" || root.Node != "owner" {
+		t.Fatalf("root span is %s on %s, want job:pareto on owner", root.Name, root.Node)
 	}
 
 	// Walk the tree: count spans, bucket them by node, and check every
-	// worker span hangs under a coordinator dispatch span.
+	// remote peer's job span hangs under an owner dispatch span.
 	nodes := 0
 	jobSpansPerNode := map[string]int{}
 	requestIDs := map[string]bool{}
@@ -173,12 +161,12 @@ func TestClusterJobTraceConnected(t *testing.T) {
 		}
 		if strings.HasPrefix(n.Name, "job:") {
 			jobSpansPerNode[n.Node]++
-			if n.Node != "coordinator" && (parent == nil || parent.Name != "dispatch") {
-				t.Errorf("worker job span on %s not nested under a dispatch span", n.Node)
+			if n.Node != "owner" && (parent == nil || parent.Name != "dispatch") {
+				t.Errorf("peer job span on %s not nested under a dispatch span", n.Node)
 			}
 		}
-		if n.Name == "dispatch" && n.Node != "coordinator" {
-			t.Errorf("dispatch span attributed to %s, want coordinator", n.Node)
+		if n.Name == "dispatch" && n.Node != "owner" {
+			t.Errorf("dispatch span attributed to %s, want owner", n.Node)
 		}
 		for _, c := range n.Children {
 			walk(c, n)
@@ -190,24 +178,25 @@ func TestClusterJobTraceConnected(t *testing.T) {
 	}
 	for _, worker := range []string{"w1", "w2"} {
 		if jobSpansPerNode[worker] == 0 {
-			t.Errorf("no job span from worker %s — the trace does not cover the whole fleet", worker)
+			t.Errorf("no job span from peer %s — the trace does not cover the whole fleet", worker)
 		}
 	}
 	if len(requestIDs) != 1 || !requestIDs[reqID] {
 		t.Errorf("request IDs on spans = %v, want exactly %q threading the fan-out", requestIDs, reqID)
 	}
 
-	// The coordinator's Prometheus exposition carries per-worker shard
-	// latency histograms and the three-column fault taxonomy.
-	metrics, metricsResp := getText(t, coordTS, "/v1/metricsz")
+	// The owner's Prometheus exposition carries per-peer shard latency
+	// histograms and the three-column fault taxonomy, its own in-process
+	// member included.
+	metrics, metricsResp := getText(t, ownerTS.URL, "/v1/metricsz")
 	if metricsResp.StatusCode != http.StatusOK {
 		t.Fatalf("metricsz status %d", metricsResp.StatusCode)
 	}
 	if got := metricsResp.Header.Get("Content-Type"); got != obs.ContentType {
 		t.Errorf("metricsz content type %q, want %q", got, obs.ContentType)
 	}
-	for _, workerTS := range []*httptest.Server{w1TS, w2TS} {
-		name := cluster.NewHTTP(workerTS.URL, nil).Name()
+	for _, ps := range peers {
+		name := "http://" + ps.self
 		if !strings.Contains(metrics, `dsed_cluster_shard_latency_ms_bucket{worker="`+name+`"`) {
 			t.Errorf("no shard latency histogram for worker %s", name)
 		}
@@ -217,12 +206,12 @@ func TestClusterJobTraceConnected(t *testing.T) {
 			}
 		}
 	}
-	checkPrometheusFormat(t, "coordinator", metrics)
+	checkPrometheusFormat(t, "owner", metrics)
 
-	// Worker 1's exposition carries the registry training histogram (its
+	// Peer w1's exposition carries the registry training histogram (its
 	// metric registry backs the shared store) and the sweep-path chunk
 	// instruments.
-	wMetrics, wResp := getText(t, w1TS, "/v1/metricsz")
+	wMetrics, wResp := getText(t, "http://"+peers[1].self, "/v1/metricsz")
 	if wResp.StatusCode != http.StatusOK {
 		t.Fatalf("worker metricsz status %d", wResp.StatusCode)
 	}

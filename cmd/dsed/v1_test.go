@@ -12,22 +12,20 @@ import (
 	"time"
 
 	"repro/internal/api"
-	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/wire"
 	"repro/pkg/dsedclient"
 )
 
 // The /v1 acceptance suite: the async job API end-to-end through the
-// typed client, the structured error model, request IDs, and the
-// legacy-shim guarantees.
+// typed client, the structured error model, and request IDs.
 
 func testClient(base string) *dsedclient.Client {
 	return dsedclient.New(base, dsedclient.WithRetries(2), dsedclient.WithBackoff(5*time.Millisecond))
 }
 
-// TestV1JobLifecycle drives one worker job through submit → poll →
-// stream → result and pins the final answer to the legacy /pareto shim's.
+// TestV1JobLifecycle drives one job through submit → poll → stream →
+// result and pins the streamed final answer to the job's result payload.
 func TestV1JobLifecycle(t *testing.T) {
 	ts := httptest.NewServer(testServer(t).Handler())
 	defer ts.Close()
@@ -80,31 +78,23 @@ func TestV1JobLifecycle(t *testing.T) {
 		t.Fatalf("job status incomplete after completion: %+v", status)
 	}
 
-	// The stream-assembled answer equals the legacy blocking shim's.
-	var legacy wire.ParetoResponse
-	if s := postJSON(t, ts, "/pareto", map[string]any{
+	// The stream-assembled answer equals the result payload a fresh run
+	// of the same request answers.
+	var result wire.ParetoResponse
+	if s := runJob(t, ts, "/v1/pareto", map[string]any{
 		"benchmark":  "gcc",
 		"objectives": []map[string]any{{"metric": "CPI"}, {"metric": "Power"}},
 		"space":      "test", "sample": 300,
-	}, &legacy); s != http.StatusOK {
-		t.Fatalf("legacy pareto status %d", s)
+	}, &result); s != http.StatusOK {
+		t.Fatalf("pareto job status %d", s)
 	}
-	wantKeys := sortedCandidateJSON(t, legacy.Frontier)
-	gotKeys := sortedCandidateJSON(t, final.Candidates)
-	if len(wantKeys) != len(gotKeys) {
-		t.Fatalf("streamed frontier has %d points, legacy shim %d", len(gotKeys), len(wantKeys))
-	}
-	for i := range wantKeys {
-		if wantKeys[i] != gotKeys[i] {
-			t.Fatalf("frontier point %d differs between stream and legacy shim:\n  stream %s\n  legacy %s", i, gotKeys[i], wantKeys[i])
-		}
-	}
+	requireSameCandidates(t, "streamed frontier vs job result", final.Candidates, result.Frontier)
 }
 
 // TestV1StreamedFrontierMatchesSingleProcess is the acceptance
 // criterion: the frontier assembled from /v1/jobs/{id}/stream partials
-// on a coordinator equals the single-process /pareto answer — including
-// with a worker killed mid-job.
+// on a peer fleet equals the single-process answer — including with a
+// peer killed mid-job.
 func TestV1StreamedFrontierMatchesSingleProcess(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -116,13 +106,13 @@ func TestV1StreamedFrontierMatchesSingleProcess(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			coordTS, worker1TS := clusterFixture(t, tc.shardSize, tc.budget)
+			fleetTS, singleTS, _ := clusterFixture(t, tc.shardSize, tc.budget)
 			var single wire.ParetoResponse
-			if s := postJSON(t, worker1TS, "/pareto", paretoBody(), &single); s != http.StatusOK {
+			if s := runJob(t, singleTS, "/v1/pareto", paretoBody(), &single); s != http.StatusOK {
 				t.Fatalf("single-process pareto status %d", s)
 			}
 
-			c := testClient(coordTS.URL)
+			c := testClient(fleetTS.URL)
 			ctx := context.Background()
 			partials := 0
 			var lastPartialEvaluated int
@@ -131,7 +121,9 @@ func TestV1StreamedFrontierMatchesSingleProcess(t *testing.T) {
 				Objectives: []wire.ObjectiveSpec{{Metric: "CPI"}, {Metric: "Power"}},
 				SpaceSpec:  wire.SpaceSpec{Space: "test", Sample: 300},
 			}, func(u api.Update) {
-				if u.Final {
+				// The opening snapshot carries the job's shape before any
+				// shard merged; every later one is a merged partial.
+				if u.Final || u.Shards == 0 {
 					return
 				}
 				partials++
@@ -157,36 +149,26 @@ func TestV1StreamedFrontierMatchesSingleProcess(t *testing.T) {
 			if resp.Evaluated != single.Evaluated {
 				t.Fatalf("job evaluated %d designs, single process %d", resp.Evaluated, single.Evaluated)
 			}
-			wantKeys := sortedCandidateJSON(t, single.Frontier)
-			gotKeys := sortedCandidateJSON(t, resp.Frontier)
-			if len(wantKeys) != len(gotKeys) {
-				t.Fatalf("streamed frontier has %d points, single-process %d", len(gotKeys), len(wantKeys))
-			}
-			for i := range wantKeys {
-				if wantKeys[i] != gotKeys[i] {
-					t.Fatalf("frontier point %d differs:\n  job    %s\n  single %s", i, gotKeys[i], wantKeys[i])
-				}
-			}
+			requireSameCandidates(t, "streamed frontier", resp.Frontier, single.Frontier)
 		})
 	}
 }
 
-// TestV1JobCancel holds a coordinator job in flight on a gated worker,
-// cancels it over the API, and expects the stream to settle "canceled".
+// TestV1JobCancel holds a fleet job in flight — its remote shards on a
+// gated peer, its own on a straggling owner — cancels it over the API,
+// and expects the stream to settle "canceled".
 func TestV1JobCancel(t *testing.T) {
-	srv := testServer(t)
-	gate := &gatedHandler{next: srv.Handler(), release: make(chan struct{})}
-	workerTS := httptest.NewServer(gate)
-	t.Cleanup(workerTS.Close)
+	var gate *gatedHandler
+	fleetTS, _, _ := peerFleet(t, fleetSpec{shardSize: 64, straggle: time.Millisecond, wrap: func(i int, next http.Handler) http.Handler {
+		if i == 0 {
+			return next
+		}
+		gate = newGate(next)
+		return gate
+	}})
 	defer close(gate.release)
-	coord, err := cluster.New([]cluster.Transport{cluster.NewHTTP(workerTS.URL, nil)}, cluster.Options{ShardSize: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	coordTS := httptest.NewServer(newCoordServer(context.Background(), coord, 15*time.Second, nil, nil).Handler())
-	t.Cleanup(coordTS.Close)
 
-	c := testClient(coordTS.URL)
+	c := testClient(fleetTS.URL)
 	ctx := context.Background()
 	st, err := c.SubmitPareto(ctx, wire.ParetoRequest{
 		Benchmark:  "gcc",
@@ -319,96 +301,58 @@ func TestV1ErrorModel(t *testing.T) {
 	}
 }
 
-// TestLegacyShimsUnchanged pins the deprecation contract: legacy routes
-// answer their historical payloads (string error envelope included) and
-// advertise their successor.
-func TestLegacyShimsUnchanged(t *testing.T) {
-	ts := httptest.NewServer(testServer(t).Handler())
-	defer ts.Close()
-
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.Header.Get("Deprecation") != "true" || !strings.Contains(resp.Header.Get("Link"), "/v1/healthz") {
-		t.Errorf("legacy route lacks deprecation headers: Deprecation=%q Link=%q",
-			resp.Header.Get("Deprecation"), resp.Header.Get("Link"))
-	}
-
-	v1resp, err := http.Get(ts.URL + "/v1/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1resp.Body.Close()
-	if v1resp.Header.Get("Deprecation") != "" {
-		t.Error("/v1 route carries a Deprecation header")
-	}
-
-	// The legacy error envelope is still the bare string form.
-	badResp, err := http.Post(ts.URL+"/sweep", "application/json", strings.NewReader(`{"benchmark":"gcc"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer badResp.Body.Close()
-	raw, err := io.ReadAll(badResp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var legacyEnv map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &legacyEnv); err != nil {
-		t.Fatal(err)
-	}
-	var msg string
-	if err := json.Unmarshal(legacyEnv["error"], &msg); err != nil || msg == "" {
-		t.Errorf("legacy error envelope is not the historical string form: %s", raw)
-	}
-}
-
-// TestQueueDepthHeartbeat: a heartbeat advertising per-benchmark queue
-// depths surfaces them in the coordinator's /healthz worker rows.
+// TestQueueDepthHeartbeat: a peer's per-benchmark queue depths reach
+// the owner through gossip — into its scheduling member table and the
+// peer rows of /v1/healthz — and a digest carrying garbage depths is
+// refused.
 func TestQueueDepthHeartbeat(t *testing.T) {
-	srv := testServer(t)
-	workerTS := httptest.NewServer(srv.Handler())
-	t.Cleanup(workerTS.Close)
-	coord, err := cluster.New(nil, cluster.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	coordTS := httptest.NewServer(newCoordServer(context.Background(), coord, 15*time.Second, nil, nil).Handler())
-	t.Cleanup(coordTS.Close)
+	entry, _, peers := twoPeerFleet(t, 64)
+	remote := peers[1]
+	remote.table.SetLocalInfo(remote.srv.workers, []string{"gcc"}, map[string]int{"gcc": 3})
+	remote.exchange(context.Background(), peers[0].self)
+	peers[0].syncGossipMembership()
 
-	c := testClient(coordTS.URL)
-	ctx := context.Background()
-	if _, err := c.Register(ctx, wire.RegisterRequest{Addr: workerTS.URL}); err != nil {
-		t.Fatal(err)
+	var depths map[string]int
+	for _, m := range peers[0].coord.Members() {
+		if m.Name == "http://"+remote.self {
+			depths = m.QueueDepths
+		}
 	}
-	if _, err := c.Heartbeat(ctx, wire.HeartbeatRequest{
-		Addr: workerTS.URL, Benchmarks: []string{"gcc"}, QueueDepths: map[string]int{"gcc": 3},
-	}); err != nil {
-		t.Fatal(err)
+	if depths["gcc"] != 3 {
+		t.Errorf("owner's member table lost the gossiped queue depths: %v", depths)
 	}
-	resp, err := http.Get(coordTS.URL + "/v1/healthz")
+	resp, err := http.Get(entry.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	var health struct {
-		Workers []struct {
+		Peers []struct {
+			Addr        string         `json:"addr"`
 			QueueDepths map[string]int `json:"queue_depths"`
-		} `json:"workers"`
+		} `json:"peers"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
 		t.Fatal(err)
 	}
-	if len(health.Workers) != 1 || health.Workers[0].QueueDepths["gcc"] != 3 {
-		t.Errorf("healthz lost the advertised queue depths: %+v", health.Workers)
+	found := false
+	for _, p := range health.Peers {
+		if p.Addr == remote.self {
+			found = p.QueueDepths["gcc"] == 3
+		}
+	}
+	if !found {
+		t.Errorf("healthz peer rows lost the gossiped queue depths: %+v", health.Peers)
 	}
 
 	// Validation still rejects garbage depths.
-	if _, err := c.Heartbeat(ctx, wire.HeartbeatRequest{
-		Addr: workerTS.URL, QueueDepths: map[string]int{"gcc": -1},
-	}); !isAPIStatus(err, http.StatusBadRequest) {
+	_, err = testClient(entry.URL).Gossip(context.Background(), wire.GossipRequest{
+		From: remote.self,
+		Entries: []wire.GossipEntry{{
+			Addr: remote.self, Incarnation: 9, State: wire.GossipAlive, QueueDepths: map[string]int{"gcc": -1},
+		}},
+	})
+	if !isAPIStatus(err, http.StatusBadRequest) {
 		t.Errorf("negative queue depth = %v, want 400", err)
 	}
 }

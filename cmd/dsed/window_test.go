@@ -20,6 +20,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/explore"
 	"repro/internal/obs"
+	"repro/internal/registry"
 	"repro/internal/space"
 	"repro/internal/wire"
 )
@@ -140,36 +141,95 @@ func requireCover(t *testing.T, windows [][2]int, want [][2]int) {
 	}
 }
 
-// twoPeerFleet boots two peers over the shared test registry, each
-// with its own job table behind a shard recorder, and joins them into
-// one scheduling fleet with a single gossip exchange (no background
-// loop, so the view holds still). The entry is peers[0].
-func twoPeerFleet(t *testing.T, shardSize int) (entry *httptest.Server, recs []*shardRecorder, peers []*peerServer) {
+// fleetSpec shapes an in-process test fleet.
+type fleetSpec struct {
+	// peers is the fleet size (default 2).
+	peers     int
+	shardSize int
+	// joined is how many peers (the first ones) converge up front; the
+	// rest boot outside the fleet until the test joins them (default
+	// all).
+	joined int
+	// wrap, when set, wraps peer i's handler behind its shard recorder —
+	// a killable, gated or counting peer.
+	wrap func(i int, next http.Handler) http.Handler
+	// straggle slows the entry peer's in-process shards per design, so a
+	// job stays in flight while the test acts on it.
+	straggle time.Duration
+	// store serves every peer (default the shared test registry); tel
+	// names peer i's telemetry (default a plane named by its address).
+	store *registry.Store
+	tel   func(i int) *telemetry
+}
+
+// peerFleet boots a fleet of peers over one registry, each with its own
+// job table behind a shard recorder, and converges the first
+// spec.joined into one scheduling fleet by calling the gossip round's
+// steps directly (no background loop, so the view holds still). The
+// entry is peers[0].
+func peerFleet(t *testing.T, spec fleetSpec) (entry *httptest.Server, recs []*shardRecorder, peers []*peerServer) {
 	t.Helper()
-	store := testServer(t).store
-	for i := 0; i < 2; i++ {
+	if spec.peers == 0 {
+		spec.peers = 2
+	}
+	if spec.joined == 0 {
+		spec.joined = spec.peers
+	}
+	store := spec.store
+	if store == nil {
+		store = testServer(t).store
+	}
+	for i := 0; i < spec.peers; i++ {
 		rec := &shardRecorder{}
 		ts := httptest.NewServer(rec)
 		t.Cleanup(ts.Close)
-		srv := NewServer(context.Background(), store, 0, nil, nil)
-		ps, err := newPeerServer(srv, strings.TrimPrefix(ts.URL, "http://"), nil, peerOptions{
-			coordOptions: coordOptions{policy: "affinity", heartbeat: time.Second, shardSize: shardSize},
-			replicate:    1,
-		}, nil)
+		self := strings.TrimPrefix(ts.URL, "http://")
+		tel := newTelemetry(self)
+		if spec.tel != nil {
+			tel = spec.tel(i)
+		}
+		srv := NewServer(context.Background(), store, 0, nil, tel)
+		if i == 0 {
+			srv.straggle = spec.straggle
+			entry = ts
+		}
+		ps, err := newPeerServer(srv, self, nil, peerOptions{policy: "affinity", heartbeat: time.Second, shardSize: spec.shardSize, replicate: 1}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rec.next = ps.Handler()
+		if spec.wrap != nil {
+			rec.next = spec.wrap(i, rec.next)
+		}
 		ps.table.SetLocalInfo(srv.workers, store.Trained(), nil)
 		peers = append(peers, ps)
 		recs = append(recs, rec)
-		if i == 0 {
-			entry = ts
-		}
 	}
-	peers[0].exchange(context.Background(), peers[1].self)
+	joinFleet(t, peers[:spec.joined]...)
+	return entry, recs, peers
+}
+
+// joinFleet converges peers into one gossip view, the first one
+// exchanging digests with every other, and projects that view onto each
+// one's scheduling fleet, as a gossip round does.
+func joinFleet(t *testing.T, peers ...*peerServer) {
+	t.Helper()
+	for _, ps := range peers[1:] {
+		ps.exchange(context.Background(), peers[0].self)
+	}
+	for _, ps := range peers[1:] {
+		peers[0].exchange(context.Background(), ps.self)
+	}
 	for _, ps := range peers {
 		ps.syncGossipMembership()
+	}
+}
+
+// twoPeerFleet is the common two-peer fleet.
+func twoPeerFleet(t *testing.T, shardSize int) (entry *httptest.Server, recs []*shardRecorder, peers []*peerServer) {
+	t.Helper()
+	entry, recs, peers = peerFleet(t, fleetSpec{shardSize: shardSize})
+	for _, ps := range peers {
 		if n := len(ps.coord.Workers()); n != 2 {
 			t.Fatalf("peer %s schedules over %d members, want 2", ps.self, n)
 		}

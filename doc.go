@@ -85,7 +85,7 @@
 // millions of design points — so it is a job, not an RPC. Submission
 // answers 202 with a job ID immediately; progress streams as NDJSON,
 // one cumulative snapshot per line (partial frontier / feasible top-K,
-// designs evaluated, per-worker attribution on a coordinator), ending
+// designs evaluated, per-peer attribution on a fleet job), ending
 // with the final update:
 //
 //	job=$(curl -s localhost:8090/v1/pareto -d '{"benchmark":"gcc","objectives":[{"metric":"CPI"},{"metric":"Power"}],"space":"test"}' | sed 's/.*"id":"\([^"]*\)".*/\1/')
@@ -98,14 +98,12 @@
 // disconnects simply re-opens the stream and is current after one line —
 // pkg/dsedclient's iterator does this automatically.
 //
-// Deprecation policy: the original unversioned routes (/predict, /sweep,
-// /pareto, /warm, /healthz, /benchmarks, /metrics, and the coordinator's
-// /cluster/sweep, /cluster/pareto, /register, /heartbeat) remain as thin
-// shims delegating to the /v1 handlers. They answer exactly their
-// historical payloads — blocking sweep responses, {"error": "<message>"}
-// envelopes — and carry "Deprecation: true" plus a Link header naming
-// the /v1 successor. Existing curl recipes keep working; new consumers
-// should use /v1 or, better, the typed client.
+// The unversioned routes (/predict, /sweep, /pareto, /warm, /healthz,
+// /benchmarks, /metrics, /cluster/sweep, /cluster/pareto, /register,
+// /heartbeat) and the registration plane (/v1/register, /v1/heartbeat)
+// were removed after their deprecation period: every path outside /v1
+// answers the structured 404. A blocking sweep is a submit followed by
+// the stream's final update (dsedclient's ParetoJob and SweepJob).
 //
 // The batch /v1/predict form scores many configs under many metrics in
 // one request on the worker pool; /v1/benchmarks lists what is trained
@@ -117,8 +115,8 @@
 // # The Go client
 //
 // pkg/dsedclient is the one way this repository speaks to a daemon: the
-// cluster transport, all five examples, cmd/dse's remote mode, and the
-// worker-side membership joiner are built on it. It offers typed calls
+// cluster transport, all five examples, cmd/dse's remote mode, and a
+// peer's gossip and replication pushes are built on it. It offers typed calls
 // with context cancellation, automatic retry with backoff on errors the
 // daemon marks retryable, submit/poll/cancel for jobs, a streaming
 // iterator that resumes across disconnects, and blocking conveniences
@@ -133,134 +131,82 @@
 //
 // internal/cluster scales the daemon horizontally. Both reductions the
 // daemon serves — Pareto frontiers and constrained top-K — are
-// associative, so a sweep distributes losslessly: a coordinator
+// associative, so a sweep distributes losslessly: a job's owner
 // range-partitions the design list into shards, places the benchmark on
-// workers by consistent hashing (stable homes, ~1/N movement on fleet
+// peers by consistent hashing (stable homes, ~1/N movement on fleet
 // change), dispatches shards concurrently with per-shard retry onto the
-// rest of the fleet when a worker dies mid-sweep, and folds the partial
+// rest of the fleet when a peer dies mid-sweep, and folds the partial
 // answers through the mergeable collectors
 // (explore.FrontierCollector.Merge, explore.TopK.Merge). Two transports
 // implement the worker link, interchangeable answer for answer: an
 // in-process Local, through which a peer evaluates the shards it places
-// on itself (and which gives the coordinator deterministic -race tests),
-// and HTTP, which speaks the ordinary dsed wire format — any running
-// dsed is already a cluster worker.
+// on itself (and which gives the cluster package deterministic -race
+// tests), and HTTP, which speaks the ordinary dsed wire format.
 //
-// The same dsed binary serves coordinator mode, with the same /v1 job
-// API — a coordinator job's stream publishes the merged partial frontier
-// after every shard, so partial results flow worker → coordinator →
-// client while the fleet sweeps:
-//
-//	go run ./cmd/dsed -addr :8091 &
-//	go run ./cmd/dsed -addr :8092 &
-//	go run ./cmd/dsed -addr :8090 -workers localhost:8091,localhost:8092
-//	curl -s localhost:8090/v1/healthz
-//	curl -s localhost:8090/v1/warm -d '{"benchmarks":["gcc"]}'
-//	job=$(curl -s localhost:8090/v1/pareto -d '{"benchmark":"gcc","objectives":[{"metric":"CPI"},{"metric":"Power"}],"space":"test"}' | sed 's/.*"id":"\([^"]*\)".*/\1/')
-//	curl -sN localhost:8090/v1/jobs/$job/stream
-//
-// (Legacy blocking shims: /cluster/pareto and /cluster/sweep.) The
-// coordinator's shard transport is itself a dsedclient: each shard is a
-// /v1 job on its worker, submitted and streamed, so any /v1 daemon is a
-// worker with no extra surface. A shard of a named, unsampled space
-// travels as a window on it — {"space":"train","offset":o,"count":n},
-// a few dozen bytes the worker resolves to exactly the designs the
-// coordinator carved (space.Levels.FactorialRange) — while shards of
-// explicit or sampled jobs still pin their designs, since those lists
-// have no positional name. /v1/healthz reports per-worker liveness
-// and accumulated shard failures; /v1/warm trains each benchmark on its
-// consistent-hash home workers ahead of the first query. The remote CLI:
-//
-//	go run ./cmd/dse -daemon localhost:8090 -exp pareto -benchmarks gcc -sample 2000
-//
-// # Fleet operations
-//
-// The fleet is a live membership table, not a frozen -workers list. A
-// coordinator can boot empty (-coordinator) and grow as workers register;
-// a worker started with -seed registers itself and heartbeats its
-// trained-model inventory, so the scheduler routes each benchmark's
-// shards to workers already holding its models (benchmark affinity),
-// spilling to consistent-hash ring order only under load. With
-// -target-shard-ms the coordinator also sizes each worker's shards
-// adaptively from an EWMA of its observed per-design latency.
-//
-// Boot an elastic fleet:
-//
-//	go run ./cmd/dsed -addr :8090 -coordinator -heartbeat 5s -target-shard-ms 500 &
-//	go run ./cmd/dsed -addr 127.0.0.1:8091 -seed 127.0.0.1:8090 &
-//	go run ./cmd/dsed -addr 127.0.0.1:8092 -seed 127.0.0.1:8090 &
-//
-// Register a worker by hand (registration is idempotent — re-registering
-// renews the lease):
-//
-//	curl -s localhost:8090/v1/register -d '{"addr":"127.0.0.1:8093","capacity":8,"benchmarks":["gcc"]}'
-//
-// Renew by heartbeat (a 404 answer means the lease lapsed or the
-// coordinator restarted: register again); queue_depths advertises the
-// worker's running jobs per benchmark:
-//
-//	curl -s localhost:8090/v1/heartbeat -d '{"addr":"127.0.0.1:8093","benchmarks":["gcc","mcf"],"queue_depths":{"gcc":2}}'
-//
-// Drain a worker: stop its heartbeats (stop the process, or just its
-// -seed loop) and the lease lapses after three missed intervals; its
-// remaining shards re-dispatch to the survivors and only ~1/N of
-// benchmark homes move. Read membership from the coordinator:
-//
-//	curl -s localhost:8090/v1/healthz
-//
-// Each /v1/healthz worker row reports liveness, static-versus-registered,
-// seconds since the last heartbeat, advertised benchmarks and queue
-// depths, inflight and completed shards, the per-design latency EWMA,
-// and three separate fault columns: "failures" (transport faults and
-// timeouts — a sick worker), "rejections" (the worker's deterministic
-// 4xx verdicts on bad requests — not the worker's fault), and "busy"
-// (retryable 429 verdicts — a healthy worker at capacity whose shard
-// spilled elsewhere), so an operator can tell a dead machine from a bad
-// client from a saturated fleet.
-//
-// # Control plane
-//
-// The coordinator/worker split above has one seam left: the coordinator
-// is a distinguished process, and a job lives exactly as long as the
-// node that accepted it. Peer mode (-peers) removes both. Every peer is
-// a full worker that can also coordinate, membership is leaderless, and
-// a running job survives the death of the node coordinating it:
+// A fleet is a -peers list, and a lone dsed is its degenerate case:
+// every peer is a full worker that also coordinates the jobs submitted
+// to it, membership is leaderless, and a running job survives the death
+// of the node coordinating it:
 //
 //	dsed -addr 127.0.0.1:9401 -peers 127.0.0.1:9402,127.0.0.1:9403 -replicate 2 ... &
 //	dsed -addr 127.0.0.1:9402 -peers 127.0.0.1:9401,127.0.0.1:9403 -replicate 2 ... &
 //	dsed -addr 127.0.0.1:9403 -peers 127.0.0.1:9401,127.0.0.1:9402 -replicate 2 ... &
+//	curl -s 127.0.0.1:9401/v1/healthz    # "alive_peers":3 once gossip converged
+//	curl -s 127.0.0.1:9401/v1/warm -d '{"benchmarks":["gcc"]}'
+//	go run ./cmd/dse -daemon 127.0.0.1:9401,127.0.0.1:9402,127.0.0.1:9403 -exp pareto -benchmarks gcc -sample 2000
+//
+// A fleet job's stream publishes the merged partial frontier after
+// every shard, so partial results flow peer → owner → client while the
+// fleet sweeps. The owner's shard transport is itself a dsedclient:
+// each remote shard is a /v1 job on its peer, submitted and streamed. A
+// shard of a named, unsampled space travels as a window on it —
+// {"space":"train","offset":o,"count":n}, a few dozen bytes the peer
+// resolves to exactly the designs the owner carved
+// (space.Levels.FactorialRange) — while shards of explicit or sampled
+// jobs still pin their designs, since those lists have no positional
+// name. /v1/warm trains each benchmark on its consistent-hash home peers
+// ahead of the first query.
+//
+// # Fleet operations
 //
 // Membership is anti-entropy gossip (internal/gossip): each peer keeps a
 // versioned member table — per-member incarnation number, beat counter,
 // alive/suspect/dead state, and the capacity/model-inventory/queue-depth
 // payload the scheduler consumes — and each -heartbeat interval
 // exchanges full-table digests with one random peer over POST
-// /v1/gossip. Merge order is (incarnation, state badness, beat), so a
-// false suspicion loses to the accused peer's next self-refutation
-// (which bumps its own incarnation), and a death verdict sticks. A peer
-// unseen for two intervals turns suspect, for three turns dead; the
-// table projects onto each peer's local scheduling view through one
-// seam, so the scheduler and the gossip layer cannot disagree about who
-// is dispatchable. There is no leader, no quorum, no election — any
-// subset of live peers keeps accepting and finishing work.
+// /v1/gossip. Both directions of an exchange are validated entry by
+// entry (a host:port address, a known state, bounded counters, a bounded
+// inventory with sane names and non-negative capacity and depths) before
+// anything merges: a malformed answer is a failed round. Merge order is
+// (incarnation, state badness, beat), so a false suspicion loses to the
+// accused peer's next self-refutation (which bumps its own incarnation),
+// and a death verdict sticks. A peer unseen for two intervals turns
+// suspect, for three turns dead; the table projects onto each peer's
+// local scheduling view through one seam, so the scheduler and the
+// gossip layer cannot disagree about who is dispatchable. Gossip is the
+// only liveness authority: a suspect peer leaves the scheduling fleet at
+// the next round (the member table keeps no lease of its own), and its
+// in-flight shards re-dispatch to the survivors. Drain a peer by stopping it.
+// There is no leader, no quorum, no election — any subset of live peers
+// keeps accepting and finishing work.
 //
 // Any peer accepts POST /v1/sweeps (and /v1/pareto, /v1/warm) and
 // coordinates that job over the fleet. The shards it places on itself
-// run in process (a cluster.Local over its own registry, named like
-// the HTTP transport its peers use for it): no HTTP round trip and no
+// run in process (a cluster.Local over its own registry, named like the
+// HTTP transport its peers use for it): no HTTP round trip and no
 // job-table entry, while their phase spans, chunk histograms and queue
 // depths are recorded as a shard job's would be. Only remote shards
 // travel, as /v1 jobs stamped scope=local so a shard is evaluated where
-// it lands instead of re-distributed forever. As in coordinator mode, a
-// shard of a named, unsampled space is an [offset, count) window on it (composed with the
+// it lands instead of re-distributed forever. A shard of a named,
+// unsampled space is an [offset, count) window on it (composed with the
 // job's own window, and absolute on an adopted job's ledger complement),
-// and a shard of an explicit or sampled job pins its designs. While a fleet-scope job runs, its owner
-// replicates a compact recovery state to -replicate peers after each
-// merged shard: the job spec, the latest merged cumulative snapshot
-// (with original design indices, so top-K tie-breaking survives the
-// handoff), and the shard ledger — exactly which design ranges have
-// merged. Because collectors are associative and snapshots cumulative,
-// that state is the whole job.
+// and a shard of an explicit or sampled job pins its designs. While a
+// fleet-scope job runs, its owner replicates a compact recovery state to
+// -replicate peers after each merged shard: the job spec, the latest
+// merged cumulative snapshot (with original design indices, so top-K
+// tie-breaking survives the handoff), and the shard ledger — exactly
+// which design ranges have merged. Because collectors are associative
+// and snapshots cumulative, that state is the whole job.
 //
 // When gossip declares an owner dead, the first live replica in the
 // job's (rendezvous-hashed) replica list adopts: it restarts the job
@@ -282,7 +228,17 @@
 // the reader missed, or the latest cumulative snapshot if that fell off
 // the 64-update history ring), and tolerates the brief 404/503 window
 // between an owner's death and the adoption. A streaming client
-// watching a sweep when its coordinator dies sees at most a pause.
+// watching a sweep when its job's owner dies sees at most a pause.
+// Read the fleet from any peer: /v1/healthz lists the gossip view
+// (alive_peers, and per peer its state, incarnation, beat and advertised
+// inventory and queue depths). The owner's fault taxonomy per peer is in
+// /v1/metricsz: dsed_cluster_worker_failures_total (transport faults and
+// timeouts — a sick peer), dsed_cluster_worker_rejections_total (its
+// deterministic 4xx verdicts on bad requests — not its fault),
+// dsed_cluster_worker_busy_total (retryable 429s — a healthy peer at
+// capacity whose shard spilled elsewhere) and
+// dsed_cluster_shard_hedges_total, so an operator can tell a dead
+// machine from a bad client from a saturated fleet.
 // Observability: dsed_gossip_rounds_total{result},
 // dsed_gossip_members{state}, dsed_gossip_members_divergence (how far
 // this peer's view lags the freshest beat it has seen),
@@ -291,11 +247,11 @@
 // # Scheduling
 //
 // Shard placement is a pluggable policy (cluster.Policy), selected per
-// coordinator with -policy. Every policy ranks the same snapshot of the
-// live fleet — per-worker inflight shards, advertised capacity, the
-// heartbeat's trained-model inventory and per-benchmark queue depths,
-// and the coordinator's per-design latency EWMA — and differs only in
-// what it optimises:
+// peer with -policy for the jobs it owns. Every policy ranks the same
+// snapshot of the live fleet — per-peer inflight shards, advertised
+// capacity, the gossiped trained-model inventory and per-benchmark
+// queue depths, and the owner's per-design latency EWMA — and differs
+// only in what it optimises:
 //
 //   - affinity (default): model-inventory first, then the benchmark's
 //     consistent-hash home replicas, then the rest of the ring, always
@@ -305,8 +261,8 @@
 //     receiving shards until its capacity slots fill.
 //   - least-loaded: ascending (inflight + advertised queue depth across
 //     all benchmarks), under-capacity workers first. The only policy
-//     that reacts to load the coordinator didn't create (jobs submitted
-//     to workers directly, other coordinators). Failure mode:
+//     that reacts to load the owner didn't create (jobs other peers own,
+//     shards they placed). Failure mode:
 //     cache-blindness — an idle cold worker wins the shard and pays an
 //     on-demand training inside it.
 //   - best-fit: tightest fit first (fewest free capacity slots), so work
@@ -320,7 +276,7 @@
 //     spill churn — each refusal burns a round trip into the busy
 //     column.
 //
-// Against stragglers the coordinator speculates (hedged dispatch): when
+// Against stragglers the owner speculates (hedged dispatch): when
 // a shard's elapsed time exceeds -hedge-factor times its expected
 // duration — the worker's per-design EWMA, or the fleet median before
 // the worker has one, times the shard size — the shard is dispatched a
@@ -328,14 +284,14 @@
 // wins. -hedge-factor 0 is the disable switch; the trigger is floored at
 // 25ms, and a cold fleet with no latency observations never hedges (its
 // first shards may be training models on demand). Outcomes are counted
-// in dsed_cluster_shard_hedges_total{result=issued|won|wasted} and the
-// /healthz hedges row, and every speculative attempt carries a
+// in dsed_cluster_shard_hedges_total{result=issued|won|wasted}, and
+// every speculative attempt carries a
 // hedge=true dispatch span in the job's trace tree.
 //
 // Hedging is safe because exactly one partial merges per shard. The
 // collectors are associative but deliberately not duplicate-idempotent
 // (two copies of one frontier point both survive a strict dominance
-// check), so the coordinator deduplicates at the source: the losing
+// check), so the owner deduplicates at the source: the losing
 // attempt's answer feeds the worker's latency EWMA and the trace tree
 // but never the merge — and since a shard's answer is a deterministic
 // function of the shard, whichever attempt wins merges the identical
@@ -363,9 +319,8 @@
 // series cover every seam of the fleet: per-worker shard dispatch
 // latency and the three-column fault taxonomy
 // (dsed_cluster_worker_failures_total / _rejections_total /
-// _busy_total — the same numbers /v1/healthz reports, from the same
-// counters), shard retries and membership churn
-// (dsed_cluster_membership_events_total{event=join|rejoin|leave|evict}),
+// _busy_total), shard retries and membership churn
+// (dsed_cluster_membership_events_total{event=join|rejoin|leave}),
 // registry training/load/warm timings and cache hit ratios
 // (dsed_registry_train_ms{benchmark}, dsed_registry_cache_total{result}),
 // job lifecycle and stream health (dsed_jobs_running,
@@ -378,12 +333,12 @@
 //	curl -s localhost:8090/v1/metricsz
 //
 // Traces answer "where did this job spend its time" across machines.
-// A coordinator job opens a root span; each shard attempt opens a
+// A fleet job opens a root span on its owner; each shard attempt opens a
 // dispatch child whose context rides the HTTP hop as a W3C-shaped
-// traceparent header (plus the request ID); the worker parents its own
-// job span under it, brackets the train/encode/predict/merge phases
+// traceparent header (plus the request ID); the remote peer parents its
+// own job span under it, brackets the train/encode/predict/merge phases
 // with child spans, and ships its spans back inside the final job
-// update. The coordinator splices them into its ring-buffered trace
+// update. The owner splices them into its ring-buffered trace
 // store (the most recent 256 traces), so one GET returns the assembled
 // cross-node tree once the job is done:
 //
@@ -396,7 +351,7 @@
 // "trace:"-prefixed lines. GET /v1/jobs lists the job table (filter
 // with ?state=, ?benchmark=, ?kind=, page with ?limit=).
 //
-// For deeper digging both daemon modes take -debug-addr, a second
+// For deeper digging dsed takes -debug-addr, a second
 // listener (never exposed by default) serving net/http/pprof:
 //
 //	go run ./cmd/dsed -addr :8090 -debug-addr localhost:6060 &
@@ -556,12 +511,12 @@
 //     time.Sleep beside a seam silently escapes the fake clock in tests
 //     and re-introduces flakes the seam existed to kill.
 //   - memberseam: cluster.Coordinator.Join/Heartbeat/Leave may be called
-//     only from membership seams (functions named like *register*,
-//     *heartbeat*, *gossip*, *membership*). Under the leaderless control
-//     plane the scheduling member table is a projection of the gossip
-//     view; a stray Join in a request handler or a Leave in an error
-//     path is a resurrected single-coordinator assumption that forks the
-//     two views — the scheduler dispatches to peers gossip has declared
+//     only from membership seams (functions named like *gossip*,
+//     *membership*, *seam*); gossip is the only membership authority.
+//     The scheduling member table is a projection of the gossip view; a
+//     stray Join in a request handler or a Leave in an error path is a
+//     resurrected single-coordinator assumption that forks the two
+//     views — the scheduler dispatches to peers gossip has declared
 //     dead, or never learns about ones it resurrected.
 //
 // False positives are suppressed inline, never silently: a

@@ -8,7 +8,7 @@
 // Run: go run ./examples/paretosearch
 //
 // With -daemon the whole exploration runs through a dsed daemon (or
-// coordinator fleet) over the versioned /v1 job API instead of training
+// peer fleet) over the versioned /v1 job API instead of training
 // locally: the frontier job streams partial frontiers while it sweeps,
 // and the constrained question is a top-K job. Validation still runs the
 // detailed simulator locally.

@@ -2,15 +2,14 @@
 // route map, the structured error model every /v1 endpoint answers with,
 // request-ID propagation, content negotiation, and the async job
 // subsystem behind POST /v1/sweeps and /v1/pareto. It is shared by the
-// serving layer (cmd/dsed, worker and coordinator modes alike) and the
+// serving layer (cmd/dsed, a single daemon and a peer alike) and the
 // typed Go client (pkg/dsedclient), so the two sides of the wire cannot
 // drift apart.
 //
 // Versioning policy: /v1 routes are stable — fields may be added to
 // responses, never removed or re-typed. The original unversioned routes
-// (/predict, /sweep, /pareto, ...) remain as deprecation shims that
-// delegate to the /v1 handlers and answer with their historical payloads;
-// they carry a "Deprecation" header pointing at their successor.
+// (/predict, /sweep, /pareto, ...) were removed after their deprecation
+// period; every path outside /v1 answers the structured 404.
 package api
 
 import (
@@ -60,7 +59,7 @@ type Error struct {
 	RequestID string `json:"request_id,omitempty"`
 	// Status echoes the HTTP status the error travelled with, so an
 	// error read off a job stream (where there is no per-update status
-	// line) still maps onto the legacy status semantics.
+	// line) still maps onto its HTTP status.
 	Status int `json:"status,omitempty"`
 }
 
@@ -266,25 +265,12 @@ func WriteError(w http.ResponseWriter, r *http.Request, status int, format strin
 	WriteJSON(w, r, status, ErrorEnvelope{Error: NewError(status, RequestID(r.Context()), format, args...)})
 }
 
-// WriteLegacyError writes the historical unversioned error envelope,
-// {"error": "<message>"} — the deprecation shims' contract. The request
-// ID still travels in the X-Request-ID response header.
-func WriteLegacyError(w http.ResponseWriter, r *http.Request, status int, format string, args ...any) {
-	//dsedlint:ignore httperr the deprecated unversioned routes' envelope is frozen; this is the one sanctioned writer for it
-	WriteJSON(w, r, status, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-// ErrorWriter is the error-envelope seam between the /v1 handlers and
-// the legacy shims that delegate to them: same handler logic, versioned
-// or historical envelope.
-type ErrorWriter func(w http.ResponseWriter, r *http.Request, status int, format string, args ...any)
-
 // DecodePost enforces POST, a bounded body, and strict JSON; it writes
-// the error response through fail itself and reports whether the handler
-// should continue.
-func DecodePost(w http.ResponseWriter, r *http.Request, v any, fail ErrorWriter) bool {
+// the error response itself and reports whether the handler should
+// continue.
+func DecodePost(w http.ResponseWriter, r *http.Request, v any) bool {
 	if r.Method != http.MethodPost {
-		fail(w, r, http.StatusMethodNotAllowed, "use POST with a JSON body")
+		WriteError(w, r, http.StatusMethodNotAllowed, "use POST with a JSON body")
 		return false
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, MaxRequestBody)
@@ -293,19 +279,19 @@ func DecodePost(w http.ResponseWriter, r *http.Request, v any, fail ErrorWriter)
 	if err := dec.Decode(v); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			fail(w, r, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
+			WriteError(w, r, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
 			return false
 		}
-		fail(w, r, http.StatusBadRequest, "bad request body: %v", err)
+		WriteError(w, r, http.StatusBadRequest, "bad request body: %v", err)
 		return false
 	}
 	return true
 }
 
 // RequireGet enforces GET on read-only endpoints.
-func RequireGet(w http.ResponseWriter, r *http.Request, fail ErrorWriter) bool {
+func RequireGet(w http.ResponseWriter, r *http.Request) bool {
 	if r.Method != http.MethodGet {
-		fail(w, r, http.StatusMethodNotAllowed, "use GET")
+		WriteError(w, r, http.StatusMethodNotAllowed, "use GET")
 		return false
 	}
 	return true

@@ -230,27 +230,6 @@ func TestBaseContextShutdownCancelsJobs(t *testing.T) {
 	}
 }
 
-// TestStartUnbounded: the legacy shims' submissions bypass the
-// MaxRunning admission gate.
-func TestStartUnbounded(t *testing.T) {
-	m := NewManager(ManagerOptions{MaxRunning: 1})
-	release := make(chan struct{})
-	defer close(release)
-	blocker := func(ctx context.Context, pub Publisher) (any, Update, error) {
-		<-release
-		return nil, Update{}, nil
-	}
-	if _, err := m.Start(JobSweep, "a", 0, blocker); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Start(JobSweep, "b", 0, blocker); !errors.Is(err, ErrTooManyJobs) {
-		t.Fatalf("bounded second start: %v, want ErrTooManyJobs", err)
-	}
-	if _, err := m.StartUnbounded(JobSweep, "c", 0, blocker); err != nil {
-		t.Fatalf("unbounded start rejected: %v", err)
-	}
-}
-
 func TestTooManyJobs(t *testing.T) {
 	m := NewManager(ManagerOptions{MaxRunning: 1})
 	release := make(chan struct{})

@@ -97,8 +97,7 @@ type JobStatus struct {
 	Attribution map[string]int `json:"attribution,omitempty"`
 	ElapsedMS   float64        `json:"elapsed_ms,omitempty"`
 	Error       *Error         `json:"error,omitempty"`
-	// Result is the job's final payload (the legacy response shape),
-	// present once State is "done".
+	// Result is the job's final payload, present once State is "done".
 	Result any `json:"result,omitempty"`
 }
 
@@ -124,7 +123,7 @@ type Publisher interface {
 // RunFunc computes one job: it publishes cumulative snapshots through pub
 // as it goes and returns the final snapshot (counters and complete
 // candidates, State/Final left for the manager to stamp) plus the result
-// payload served by GET /v1/jobs/{id} and the legacy shims.
+// payload served by GET /v1/jobs/{id}.
 type RunFunc func(ctx context.Context, pub Publisher) (result any, final Update, err error)
 
 // ManagerOptions tunes the job subsystem.
@@ -142,8 +141,8 @@ type ManagerOptions struct {
 	// MaxJobs caps stored jobs; beyond it the oldest finished jobs are
 	// evicted early. Default 512.
 	MaxJobs int
-	// ErrorStatus maps a job error onto the HTTP status the same failure
-	// answered on the legacy blocking routes. Default: 500.
+	// ErrorStatus maps a job error onto the HTTP status its error body
+	// carries. Default: 500.
 	ErrorStatus func(error) int
 	// Clock overrides time.Now in tests.
 	Clock func() time.Time
@@ -223,8 +222,8 @@ type Job struct {
 	done      chan struct{}
 	dropped   *obs.Counter
 	subsGauge *obs.Gauge
-	// counted jobs occupy a MaxRunning admission slot; unbounded (legacy
-	// shim) jobs do not, so shim traffic cannot starve /v1 submissions.
+	// counted jobs occupy a MaxRunning admission slot; adopted jobs do
+	// not, so rescuing an orphan never starves fresh submissions.
 	counted bool
 
 	mu          sync.Mutex
@@ -253,14 +252,6 @@ type Job struct {
 // (daemon shutdown). Submissions beyond MaxRunning answer ErrTooManyJobs.
 func (m *Manager) Start(kind JobKind, benchmark string, designs int, run RunFunc) (*Job, error) {
 	return m.start("", kind, benchmark, designs, 0, run, true)
-}
-
-// StartUnbounded is Start without the MaxRunning admission gate — the
-// legacy blocking shims use it, because the historical synchronous
-// routes were bounded only by HTTP concurrency and the shims must not
-// invent a new 429 failure mode (nor occupy /v1 submission slots).
-func (m *Manager) StartUnbounded(kind JobKind, benchmark string, designs int, run RunFunc) (*Job, error) {
-	return m.start("", kind, benchmark, designs, 0, run, false)
 }
 
 // StartAdopted submits a job under a caller-supplied identity: the ID of
@@ -412,16 +403,14 @@ func (m *Manager) Cancel(id string) (*Job, error) {
 	job.mu.Unlock()
 	job.cancel()
 	if terminal {
-		m.Forget(id)
+		m.forget(id)
 	}
 	return job, nil
 }
 
-// Forget drops a finished job from the table immediately, releasing its
-// retained result; running jobs are left alone. The legacy blocking
-// shims call it after writing their response — historically the
-// synchronous routes retained nothing.
-func (m *Manager) Forget(id string) {
+// forget drops a finished job from the table immediately, releasing its
+// retained result; running jobs are left alone.
+func (m *Manager) forget(id string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	job, ok := m.jobs[id]
@@ -722,7 +711,7 @@ func (j *Job) Seq() int {
 func (j *Job) Done() <-chan struct{} { return j.done }
 
 // Status snapshots the job. withResult includes the final payload (GET
-// /v1/jobs/{id} and the legacy shims want it; submission echoes do not).
+// /v1/jobs/{id} wants it; submission echoes do not).
 func (j *Job) Status(withResult bool) JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -754,11 +743,4 @@ func (j *Job) Status(withResult bool) JobStatus {
 		st.Result = j.result
 	}
 	return st
-}
-
-// Result returns the final payload and error body once the job settled.
-func (j *Job) Result() (any, *Error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.result, j.errBody
 }

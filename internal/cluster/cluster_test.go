@@ -15,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/explore"
 	"repro/internal/mathx"
+	"repro/internal/obs"
 	"repro/internal/space"
 	"repro/internal/wire"
 )
@@ -288,9 +289,9 @@ func TestCoordinatorRetriesFailedShards(t *testing.T) {
 			t.Fatalf("frontier differs after retries at %d", i)
 		}
 	}
-	// The lifetime health report remembers who failed.
+	// The member table remembers who failed.
 	var found bool
-	for _, h := range coord.Health(context.Background()) {
+	for _, h := range coord.Members() {
 		if h.Name == "flaky" && h.Failures > 0 {
 			found = true
 		}
@@ -303,8 +304,7 @@ func TestCoordinatorRetriesFailedShards(t *testing.T) {
 // dead always fails.
 type dead struct{ name string }
 
-func (d dead) Name() string                  { return d.name }
-func (d dead) Healthy(context.Context) error { return errors.New("dead") }
+func (d dead) Name() string { return d.name }
 func (d dead) Warm(context.Context, []string) (int, error) {
 	return 0, errors.New("dead")
 }
@@ -334,8 +334,7 @@ type rejecting struct {
 	calls atomic.Int64
 }
 
-func (r *rejecting) Name() string                  { return r.name }
-func (r *rejecting) Healthy(context.Context) error { return nil }
+func (r *rejecting) Name() string { return r.name }
 func (r *rejecting) Warm(context.Context, []string) (int, error) {
 	return 0, nil
 }
@@ -351,14 +350,15 @@ func (r *rejecting) Sweep(context.Context, Query, Shard) (*Partial, error)  { re
 // healthy workers, and the rejection surfaces to the caller.
 func TestCoordinatorDoesNotRetryRejections(t *testing.T) {
 	rej := &rejecting{name: "judge"}
-	coord := newTestCoordinator(t, []Transport{rej}, Options{ShardSize: 8})
+	reg := obs.NewRegistry(nil)
+	coord := newTestCoordinator(t, []Transport{rej}, Options{ShardSize: 8, Obs: reg})
 	_, err := coord.Pareto(context.Background(), testQuery(), testDesigns(40))
 	var wr *WorkerRejection
 	if !errors.As(err, &wr) {
 		t.Fatalf("rejection did not surface: %v", err)
 	}
-	if coord.Retries() != 0 {
-		t.Errorf("rejections booked %d retries, want 0", coord.Retries())
+	if n := reg.Counter("dsed_cluster_shard_retries_total", "").Value(); n != 0 {
+		t.Errorf("rejections booked %d retries, want 0", n)
 	}
 	// The first rejection aborts the run, so the worker sees at least one
 	// call but nowhere near one per shard ad infinitum — and none twice.
@@ -367,7 +367,7 @@ func TestCoordinatorDoesNotRetryRejections(t *testing.T) {
 	}
 	// A rejection is accounted in its own column — visible to operators,
 	// never confused with a transport failure.
-	for _, h := range coord.Health(context.Background()) {
+	for _, h := range coord.Members() {
 		if h.Failures != 0 {
 			t.Errorf("rejections booked %d failures against %s, want 0", h.Failures, h.Name)
 		}
@@ -429,7 +429,7 @@ func TestCoordinatorBusyVerdictsSpillWithoutFailures(t *testing.T) {
 			t.Fatalf("frontier differs after busy spills at %d", i)
 		}
 	}
-	for _, h := range coord.Health(context.Background()) {
+	for _, h := range coord.Members() {
 		if h.Failures != 0 {
 			t.Errorf("busy verdicts booked %d failures against %s, want 0", h.Failures, h.Name)
 		}
@@ -456,7 +456,6 @@ func TestCoordinatorBusyVerdictsSpillWithoutFailures(t *testing.T) {
 type blocking struct{ name string }
 
 func (b blocking) Name() string                                { return b.name }
-func (b blocking) Healthy(context.Context) error               { return nil }
 func (b blocking) Warm(context.Context, []string) (int, error) { return 0, nil }
 func (b blocking) wait(ctx context.Context) (*Partial, error) {
 	<-ctx.Done()
@@ -576,8 +575,8 @@ func TestReplicasBoundShardPlacement(t *testing.T) {
 }
 
 func TestNewRejectsBadFleets(t *testing.T) {
-	// An empty fleet is now legal: a coordinator can boot with no static
-	// workers and grow through Join. Sweeps against it fail cleanly.
+	// An empty fleet is legal: a coordinator can boot with no workers
+	// and grow through Join. Sweeps against it fail cleanly.
 	empty, err := New(nil, Options{})
 	if err != nil {
 		t.Fatalf("empty fleet rejected: %v", err)

@@ -13,11 +13,12 @@
 // candidate.
 //
 // The fleet is a live membership table, not a frozen list: workers join
-// through Join (the serving layer's POST /register), renew through
-// Heartbeat, and are evicted when their lease lapses — see membership.go.
-// The consistent-hash ring rebuilds incrementally on join and leave, so a
-// campaign keeps running while machines come and go, re-dispatching only
-// the shards orphaned by a departure.
+// through Join, refresh their inventory through Heartbeat and drain
+// through Leave — see membership.go. The serving layer's gossip view is
+// the liveness authority and drives all three. The consistent-hash ring
+// rebuilds incrementally on join and leave, so a campaign keeps running
+// while machines come and go, re-dispatching only the shards orphaned
+// by a departure.
 //
 // Placement is pluggable (policy.go): every shard is routed by a Policy
 // ranking a snapshot of the live fleet — benchmark-affinity ring routing
@@ -81,10 +82,6 @@ type Options struct {
 	// never answers counts as failed and the shard moves on, instead of
 	// hanging the whole sweep.
 	ShardTimeout time.Duration
-	// HeartbeatTTL is how long a dynamic member survives without a
-	// heartbeat before eviction (default 15s; static members never
-	// expire).
-	HeartbeatTTL time.Duration
 	// WorkerCapacity is the default concurrent-shard budget per worker
 	// before affinity scheduling spills to the ring; a worker's
 	// advertised capacity overrides it (default 4).
@@ -144,9 +141,6 @@ func (o Options) withDefaults() Options {
 	if o.ShardTimeout <= 0 {
 		o.ShardTimeout = 5 * time.Minute
 	}
-	if o.HeartbeatTTL <= 0 {
-		o.HeartbeatTTL = 15 * time.Second
-	}
 	if o.WorkerCapacity <= 0 {
 		o.WorkerCapacity = 4
 	}
@@ -172,17 +166,16 @@ type Coordinator struct {
 	members    map[string]*member
 	ring       *ring
 	deal       int
-	retries    int
 	failures   map[string]int
 	rejections map[string]int
 	busy       map[string]int
 	hedges     map[string]int
 }
 
-// New builds a coordinator over an initial static fleet (possibly empty:
-// a coordinator can boot with no workers and grow entirely through
-// Join). Static worker names must be unique: they are the ring's
-// placement keys.
+// New builds a coordinator whose fleet starts with workers (possibly
+// none: a coordinator can boot empty and grow entirely through Join).
+// The initial workers simply join; their names must be unique, since
+// they are the ring's placement keys.
 func New(workers []Transport, opts Options) (*Coordinator, error) {
 	opts = opts.withDefaults()
 	c := &Coordinator{
@@ -197,24 +190,14 @@ func New(workers []Transport, opts Options) (*Coordinator, error) {
 		busy:       make(map[string]int),
 		hedges:     make(map[string]int),
 	}
-	now := c.now()
 	for i, w := range workers {
-		name := w.Name()
-		if name == "" || c.members[name] != nil {
+		if name := w.Name(); name == "" || c.members[name] != nil {
 			return nil, fmt.Errorf("cluster: worker %d has empty or duplicate name %q", i, name)
 		}
-		c.members[name] = &member{
-			name:      name,
-			transport: w,
-			static:    true,
-			capacity:  opts.WorkerCapacity,
-			joined:    now,
-			lastSeen:  now,
-			inst:      c.metrics.worker(name),
+		if _, err := c.Join(w, MemberInfo{}); err != nil {
+			return nil, err
 		}
-		c.ring.add(name)
 	}
-	c.metrics.membersGauge.Set(float64(len(c.members)))
 	return c, nil
 }
 
@@ -427,7 +410,7 @@ const (
 // scheduler prefers next, until one answers or no live worker is left to
 // try. Each attempt is bounded by ShardTimeout, so a wedged worker counts
 // as failed instead of hanging the sweep. Claims travel as *member
-// pointers: a worker that is evicted and re-registers mid-attempt gets a
+// pointers: a worker that leaves and rejoins mid-attempt gets a
 // fresh record, and this shard's accounting settles on the detached one.
 //
 // With HedgeFactor set the driver also speculates against stragglers:
@@ -559,7 +542,7 @@ func (c *Coordinator) runShard(ctx context.Context, q Query, s Shard, first *mem
 				return err
 			}
 			if !c.isLive(m) {
-				// Evicted (or drained) between assignment and dispatch; not
+				// Left the fleet between assignment and dispatch; not
 				// a worker fault — hand the shard to the scheduler's next
 				// pick.
 				c.release(m)
@@ -729,17 +712,13 @@ func (c *Coordinator) fleetEWMALocked() float64 {
 }
 
 // noteHedge books one hedge outcome in both surfaces (the obs series and
-// the /healthz totals).
+// the HedgeStats totals).
 func (c *Coordinator) noteHedge(result string) {
 	c.metrics.hedges[result].Inc()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.hedges[result]++
 }
-
-// PolicyName reports the placement policy this coordinator schedules
-// with (the /healthz policy row).
-func (c *Coordinator) PolicyName() string { return c.policy.Name() }
 
 // HedgeStats reports lifetime hedge totals: speculative attempts issued,
 // hedges whose answer merged first, and hedges that bought nothing.
@@ -816,9 +795,6 @@ func (c *Coordinator) noteFailure(m *member, redispatched bool) {
 	defer c.mu.Unlock()
 	m.inflight--
 	c.failures[m.name]++
-	if redispatched {
-		c.retries++
-	}
 }
 
 // noteRejection books a deterministic 4xx verdict, releasing the slot.
@@ -845,9 +821,6 @@ func (c *Coordinator) noteBusy(m *member, redispatched bool) {
 	defer c.mu.Unlock()
 	m.inflight--
 	c.busy[m.name]++
-	if redispatched {
-		c.retries++
-	}
 }
 
 // WarmResult is the outcome of one fleet warm.
@@ -870,7 +843,6 @@ type WarmResult struct {
 // the result, not allowed to void the placements that succeeded.
 func (c *Coordinator) Warm(ctx context.Context, benchmarks []string) *WarmResult {
 	c.mu.Lock()
-	c.evictExpiredLocked(c.now())
 	per := make(map[string][]string)
 	transports := make(map[string]Transport)
 	for _, b := range benchmarks {
@@ -914,60 +886,4 @@ func (c *Coordinator) replicasLocked() int {
 		return c.opts.Replicas
 	}
 	return len(c.members)
-}
-
-// WorkerHealth is one worker's live status plus its cumulative shard
-// accounting over the coordinator's lifetime. Failures are transport
-// faults and timeouts — evidence of a sick worker; Rejections are the
-// worker's own deterministic 4xx verdicts on bad requests, which say
-// nothing about its health; Busy counts its retryable at-capacity
-// verdicts (429s), which mean load, not sickness.
-type WorkerHealth struct {
-	Name       string
-	Err        error
-	Failures   int
-	Rejections int
-	Busy       int
-}
-
-// Health probes every live member concurrently.
-func (c *Coordinator) Health(ctx context.Context) []WorkerHealth {
-	c.mu.Lock()
-	c.evictExpiredLocked(c.now())
-	names := make([]string, 0, len(c.members))
-	for name := range c.members {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	transports := make([]Transport, len(names))
-	for i, name := range names {
-		transports[i] = c.members[name].transport
-	}
-	c.mu.Unlock()
-	out := make([]WorkerHealth, len(names))
-	var wg sync.WaitGroup
-	for i := range names {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			out[i] = WorkerHealth{Name: names[i], Err: transports[i].Healthy(ctx)}
-		}(i)
-	}
-	wg.Wait()
-	c.mu.Lock()
-	for i := range out {
-		out[i].Failures = c.failures[out[i].Name]
-		out[i].Rejections = c.rejections[out[i].Name]
-		out[i].Busy = c.busy[out[i].Name]
-	}
-	c.mu.Unlock()
-	return out
-}
-
-// Retries returns how many shard attempts failed and were re-dispatched
-// over the coordinator's lifetime.
-func (c *Coordinator) Retries() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.retries
 }

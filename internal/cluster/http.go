@@ -18,8 +18,7 @@ import (
 // named and unsampled, pinned designs otherwise (see shardSpace). The
 // transport submits the job, follows its stream, and hands the
 // coordinator the final partial, so a worker's own progress plumbing is
-// exercised on every shard. Warm drives /v1/warm and Healthy probes
-// /v1/healthz.
+// exercised on every shard. Warm drives /v1/warm.
 type HTTP struct {
 	c *dsedclient.Client
 }
@@ -41,14 +40,6 @@ func NewHTTP(base string, client *http.Client) *HTTP {
 
 // Name implements Transport; workers are named by their base URL.
 func (h *HTTP) Name() string { return h.c.Base() }
-
-// Healthy implements Transport.
-func (h *HTTP) Healthy(ctx context.Context) error {
-	if err := h.c.Healthy(ctx); err != nil {
-		return fmt.Errorf("cluster: worker %s: %w", h.Name(), err)
-	}
-	return nil
-}
 
 // Warm implements Transport.
 func (h *HTTP) Warm(ctx context.Context, benchmarks []string) (int, error) {

@@ -48,9 +48,6 @@ func NewLocal(name string, resolve ModelResolver) *Local {
 // Name implements Transport.
 func (l *Local) Name() string { return l.name }
 
-// Healthy implements Transport; an in-process worker is always alive.
-func (l *Local) Healthy(context.Context) error { return nil }
-
 // Warm implements Transport.
 func (l *Local) Warm(ctx context.Context, benchmarks []string) (int, error) {
 	if l.WarmFunc == nil {

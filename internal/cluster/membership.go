@@ -8,19 +8,20 @@ import (
 	"time"
 )
 
-// This file is the coordinator's membership plane: the live member table
-// behind dynamic fleets. Workers join (or renew) through Join, stay alive
-// through Heartbeat, drain through Leave, and are evicted when their
-// heartbeats stop. The hash ring rebuilds incrementally on every join and
-// leave, so fleet churn moves only the affected benchmarks' homes and an
-// in-flight sweep re-dispatches only the shards orphaned by a departure.
+// This file is the coordinator's member table: the live fleet behind
+// placement. Members join through Join, refresh their advertised
+// inventory through Heartbeat and drain through Leave. The table holds
+// no lease of its own: the serving layer's membership view (gossip)
+// decides liveness and projects it here through those three calls. The
+// hash ring rebuilds incrementally on every join and leave, so fleet
+// churn moves only the affected benchmarks' homes and an in-flight
+// sweep re-dispatches only the shards orphaned by a departure.
 
 // ErrUnknownMember answers a heartbeat for a worker the coordinator does
-// not know (never registered, drained, or already evicted). A worker
-// receiving it must re-register — its state here is gone.
-var ErrUnknownMember = errors.New("cluster: unknown member (register first)")
+// not know (never joined, or already left): it must Join again.
+var ErrUnknownMember = errors.New("cluster: unknown member (join first)")
 
-// MemberInfo is what a worker advertises when joining and on every
+// MemberInfo is what a member advertises when joining and on every
 // heartbeat.
 type MemberInfo struct {
 	// Capacity bounds how many shards the coordinator schedules on the
@@ -32,26 +33,20 @@ type MemberInfo struct {
 	// routes shards for these benchmarks to the worker first.
 	Benchmarks []string
 	// QueueDepths maps benchmark name to the worker's running job count
-	// for it — reported in /healthz today, the input for smarter spill
-	// decisions tomorrow.
+	// for it: the least-loaded policy's load signal.
 	QueueDepths map[string]int
 }
 
-// member is one fleet entry: its transport, liveness, advertised
-// inventory, and the scheduler's per-worker statistics. Shard claims
-// hold the *member pointer, not the name: a worker that is evicted and
-// re-registers mid-shard gets a fresh record, and the stale shard's
-// accounting lands harmlessly on the detached one instead of corrupting
-// the new record's inflight count.
+// member is one fleet entry: its transport, advertised inventory, and
+// the scheduler's per-worker statistics. Shard claims hold the *member
+// pointer, not the name: a worker that leaves and rejoins mid-shard
+// gets a fresh record, and the stale shard's accounting lands
+// harmlessly on the detached one instead of corrupting the new record's
+// inflight count.
 type member struct {
 	name      string
 	transport Transport
-	// static members come from the configured worker list: they never
-	// heartbeat and are never evicted.
-	static   bool
-	capacity int
-	joined   time.Time
-	lastSeen time.Time
+	capacity  int
 	// benchmarks is the heartbeat-advertised trained inventory.
 	benchmarks map[string]bool
 	// queueDepths is the heartbeat-advertised per-benchmark running job
@@ -69,14 +64,10 @@ type member struct {
 	inst workerInstruments
 }
 
-// MemberStatus is one member's row in membership reports (/healthz).
+// MemberStatus is one member's row in membership reports.
 type MemberStatus struct {
 	Name     string
-	Static   bool
 	Capacity int
-	// SinceSeen is the age of the last join/heartbeat (0 for static
-	// members, which do not heartbeat).
-	SinceSeen time.Duration
 	// Benchmarks is the advertised trained inventory, sorted.
 	Benchmarks []string
 	// QueueDepths is the advertised per-benchmark running job count.
@@ -95,8 +86,8 @@ type MemberStatus struct {
 	Busy       int
 }
 
-// Join registers a worker (or renews one already present: a re-register
-// is a heartbeat that also carries the transport). New members are
+// Join adds a worker (or refreshes one already present: a re-join is a
+// heartbeat that also carries the transport). New members are
 // inserted into the hash ring incrementally, so only ~1/N of benchmark
 // homes move and in-flight sweeps keep their surviving placements.
 // It reports whether the worker was new.
@@ -107,9 +98,7 @@ func (c *Coordinator) Join(t Transport, info MemberInfo) (bool, error) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	now := c.now()
 	if m, ok := c.members[name]; ok {
-		m.lastSeen = now
 		m.benchmarks = benchmarkSet(info.Benchmarks)
 		m.queueDepths = info.QueueDepths
 		if info.Capacity > 0 {
@@ -122,8 +111,6 @@ func (c *Coordinator) Join(t Transport, info MemberInfo) (bool, error) {
 		name:        name,
 		transport:   t,
 		capacity:    c.capacityFor(info.Capacity),
-		joined:      now,
-		lastSeen:    now,
 		benchmarks:  benchmarkSet(info.Benchmarks),
 		queueDepths: info.QueueDepths,
 		inst:        c.metrics.worker(name),
@@ -134,9 +121,8 @@ func (c *Coordinator) Join(t Transport, info MemberInfo) (bool, error) {
 	return true, nil
 }
 
-// Heartbeat renews a member's lease and refreshes its advertised
-// inventory. Unknown members answer ErrUnknownMember: the worker must
-// re-register through Join.
+// Heartbeat refreshes a member's advertised inventory. Unknown members
+// answer ErrUnknownMember: the worker must Join first.
 func (c *Coordinator) Heartbeat(name string, info MemberInfo) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -144,7 +130,6 @@ func (c *Coordinator) Heartbeat(name string, info MemberInfo) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownMember, name)
 	}
-	m.lastSeen = c.now()
 	m.benchmarks = benchmarkSet(info.Benchmarks)
 	m.queueDepths = info.QueueDepths
 	if info.Capacity > 0 {
@@ -156,8 +141,7 @@ func (c *Coordinator) Heartbeat(name string, info MemberInfo) error {
 // Leave drains a worker immediately: it comes off the ring and the member
 // table, new shards stop routing to it, and its in-flight shards (if any
 // fail) re-dispatch to the survivors. It reports whether the worker was a
-// member. Static members can be drained too — that is the operator's
-// remove-from-fleet hook.
+// member.
 func (c *Coordinator) Leave(name string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -171,45 +155,14 @@ func (c *Coordinator) Leave(name string) bool {
 	return true
 }
 
-// evictExpiredLocked removes every dynamic member whose lease ran out.
-// Called with c.mu held on the scheduling and reporting paths, so a fleet
-// with no traffic still converges the next time anyone looks at it.
-func (c *Coordinator) evictExpiredLocked(now time.Time) {
-	if c.opts.HeartbeatTTL <= 0 {
-		return
-	}
-	for name, m := range c.members {
-		if m.static {
-			continue
-		}
-		if now.Sub(m.lastSeen) > c.opts.HeartbeatTTL {
-			delete(c.members, name)
-			c.ring.remove(name)
-			c.metrics.event("evict")
-		}
-	}
-	c.metrics.membersGauge.Set(float64(len(c.members)))
-}
-
-// EvictExpired sweeps expired leases now (the serving layer's periodic
-// reaper hook; the scheduler also evicts lazily on every dispatch).
-func (c *Coordinator) EvictExpired() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.evictExpiredLocked(c.now())
-}
-
 // Members reports the live fleet sorted by name.
 func (c *Coordinator) Members() []MemberStatus {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	now := c.now()
-	c.evictExpiredLocked(now)
 	out := make([]MemberStatus, 0, len(c.members))
 	for name, m := range c.members {
 		st := MemberStatus{
 			Name:            name,
-			Static:          m.static,
 			Capacity:        m.capacity,
 			Benchmarks:      sortedBenchmarks(m.benchmarks),
 			QueueDepths:     copyDepths(m.queueDepths),
@@ -219,9 +172,6 @@ func (c *Coordinator) Members() []MemberStatus {
 			Failures:        c.failures[name],
 			Rejections:      c.rejections[name],
 			Busy:            c.busy[name],
-		}
-		if !m.static {
-			st.SinceSeen = now.Sub(m.lastSeen)
 		}
 		out = append(out, st)
 	}
@@ -234,7 +184,6 @@ func (c *Coordinator) Members() []MemberStatus {
 func (c *Coordinator) Workers() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.evictExpiredLocked(c.now())
 	out := make([]string, 0, len(c.members))
 	for name := range c.members {
 		out = append(out, name)
@@ -251,7 +200,7 @@ func (c *Coordinator) capacityFor(advertised int) int {
 	return c.opts.WorkerCapacity
 }
 
-// now is the membership clock (injectable for deterministic lease tests).
+// now is the coordinator's clock (injectable for deterministic tests).
 func (c *Coordinator) now() time.Time {
 	if c.clock != nil {
 		return c.clock()

@@ -8,30 +8,10 @@ import (
 	"time"
 )
 
-// fakeClock drives the membership lease clock deterministically.
-type fakeClock struct {
-	mu  sync.Mutex
-	now time.Time
-}
-
-func (f *fakeClock) Now() time.Time {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.now
-}
-
-func (f *fakeClock) Advance(d time.Duration) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.now = f.now.Add(d)
-}
-
-// TestMembershipLifecycle walks one worker through the membership plane:
-// join, renew, advertise, lease expiry, and the re-register protocol.
+// TestMembershipLifecycle walks one worker through the member table:
+// join, re-join, advertise, leave, and the join-first protocol.
 func TestMembershipLifecycle(t *testing.T) {
-	clk := &fakeClock{now: time.Unix(1000, 0)}
-	coord := newTestCoordinator(t, nil, Options{HeartbeatTTL: 10 * time.Second})
-	coord.clock = clk.Now
+	coord := newTestCoordinator(t, nil, Options{})
 
 	added, err := coord.Join(NewLocal("w0", resolveFake), MemberInfo{Capacity: 3, Benchmarks: []string{"gcc"}})
 	if err != nil || !added {
@@ -41,57 +21,58 @@ func TestMembershipLifecycle(t *testing.T) {
 		t.Error("re-join reported the worker as new")
 	}
 	members := coord.Members()
-	if len(members) != 1 || members[0].Name != "w0" || members[0].Static {
+	if len(members) != 1 || members[0].Name != "w0" {
 		t.Fatalf("membership after join: %+v", members)
 	}
 	if members[0].Capacity != 3 {
 		t.Errorf("advertised capacity not recorded: %+v", members[0])
 	}
 
-	// Heartbeats renew the lease and refresh the inventory.
-	clk.Advance(8 * time.Second)
+	// Heartbeats refresh the inventory.
 	if err := coord.Heartbeat("w0", MemberInfo{Benchmarks: []string{"gcc", "mcf"}}); err != nil {
 		t.Fatal(err)
 	}
-	clk.Advance(8 * time.Second) // 16s since join, 8s since heartbeat
 	members = coord.Members()
-	if len(members) != 1 {
-		t.Fatal("heartbeat did not renew the lease")
-	}
 	if got := members[0].Benchmarks; len(got) != 2 || got[0] != "gcc" || got[1] != "mcf" {
 		t.Errorf("heartbeat inventory not recorded: %v", got)
 	}
 
-	// A lapsed lease evicts; the next heartbeat demands a re-register.
-	clk.Advance(11 * time.Second)
-	if members = coord.Members(); len(members) != 0 {
-		t.Fatalf("expired member survived: %+v", members)
-	}
-	if err := coord.Heartbeat("w0", MemberInfo{}); !errors.Is(err, ErrUnknownMember) {
-		t.Fatalf("heartbeat after eviction: %v, want ErrUnknownMember", err)
-	}
-	if added, _ := coord.Join(NewLocal("w0", resolveFake), MemberInfo{}); !added {
-		t.Error("re-register after eviction did not re-add the worker")
-	}
-
-	// Leave drains immediately; a second leave is a no-op.
+	// Leave drains immediately; a second leave is a no-op, and the next
+	// heartbeat demands a join.
 	if !coord.Leave("w0") {
 		t.Error("leave of a live member reported false")
 	}
 	if coord.Leave("w0") {
 		t.Error("leave of an absent member reported true")
 	}
+	if members = coord.Members(); len(members) != 0 {
+		t.Fatalf("departed member survived: %+v", members)
+	}
+	if err := coord.Heartbeat("w0", MemberInfo{}); !errors.Is(err, ErrUnknownMember) {
+		t.Fatalf("heartbeat after leave: %v, want ErrUnknownMember", err)
+	}
+	if added, _ := coord.Join(NewLocal("w0", resolveFake), MemberInfo{}); !added {
+		t.Error("join after leave did not re-add the worker")
+	}
 }
 
-// TestStaticMembersNeverExpire: the configured worker list is permanent —
-// no heartbeats, no eviction.
+// TestStaticMembersNeverExpire: the table has no lease of its own — the
+// workers New starts with, like any joined member, stay until Leave,
+// however long they go without a heartbeat.
 func TestStaticMembersNeverExpire(t *testing.T) {
-	clk := &fakeClock{now: time.Unix(1000, 0)}
-	coord := newTestCoordinator(t, localFleet(2), Options{HeartbeatTTL: time.Second})
-	coord.clock = clk.Now
-	clk.Advance(time.Hour)
+	coord := newTestCoordinator(t, localFleet(2), Options{})
 	if got := coord.Workers(); len(got) != 2 {
-		t.Fatalf("static members evicted: %v", got)
+		t.Fatalf("initial members = %v, want 2", got)
+	}
+	if _, err := coord.Pareto(context.Background(), testQuery(), testDesigns(64)); err != nil {
+		t.Fatal(err)
+	}
+	if got := coord.Workers(); len(got) != 2 {
+		t.Fatalf("members without heartbeats dropped to %v", got)
+	}
+	coord.Leave("local-0")
+	if got := coord.Workers(); len(got) != 1 || got[0] != "local-1" {
+		t.Fatalf("after Leave the fleet is %v, want [local-1]", got)
 	}
 }
 
@@ -140,8 +121,8 @@ func TestAffinityRoutesToModelHolder(t *testing.T) {
 	}
 }
 
-// TestRejoinKeepsAccountingClean: a worker evicted with a shard in
-// flight that re-registers under the same name must not have the stale
+// TestRejoinKeepsAccountingClean: a worker that leaves with a shard in
+// flight and rejoins under the same name must not have the stale
 // shard's completion booked against its fresh record.
 func TestRejoinKeepsAccountingClean(t *testing.T) {
 	coord := newTestCoordinator(t, nil, Options{ShardSize: 8})
@@ -153,7 +134,7 @@ func TestRejoinKeepsAccountingClean(t *testing.T) {
 	if !ok || old == nil || old.name != "w" {
 		t.Fatalf("assignment did not claim w: %+v", old)
 	}
-	// The worker is evicted (lease lapse or drain) and re-registers while
+	// The worker leaves and rejoins while
 	// the old shard is still in flight.
 	coord.Leave("w")
 	if _, err := coord.Join(NewLocal("w", resolveFake), MemberInfo{}); err != nil {

@@ -32,8 +32,8 @@ func newClusterMetrics(reg *obs.Registry, policy string) *clusterMetrics {
 				"expected duration, won when the hedge's answer merged first, wasted otherwise.",
 			obs.Label{Key: "result", Value: result})
 	}
-	m.churn = make(map[string]*obs.Counter, 4)
-	for _, ev := range []string{"join", "rejoin", "leave", "evict"} {
+	m.churn = make(map[string]*obs.Counter, 3)
+	for _, ev := range []string{"join", "rejoin", "leave"} {
 		m.churn[ev] = reg.Counter("dsed_cluster_membership_events_total",
 			"Membership churn events, by kind.", obs.Label{Key: "event", Value: ev})
 	}
@@ -45,11 +45,11 @@ func (m *clusterMetrics) event(kind string) {
 }
 
 // workerInstruments are one worker's per-name series — the scrapeable
-// form of the /healthz fault taxonomy plus the shard latency signal
-// straggler hedging will feed on. They are created when the worker
+// fault taxonomy (failures, rejections, busy) plus the shard latency
+// signal straggler hedging feeds on. They are created when the worker
 // enters the fleet, so every series exists (at zero) before its first
-// shard or fault, and they outlive eviction: the taxonomy counts the
-// coordinator's lifetime, exactly like the /healthz columns.
+// shard or fault, and they outlive a departure: the taxonomy counts the
+// coordinator's lifetime, exactly like Members' columns.
 type workerInstruments struct {
 	latency    *obs.Histogram
 	shards     *obs.Counter

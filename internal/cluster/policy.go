@@ -12,8 +12,8 @@ import (
 // strategies can be swapped per coordinator (-policy), conformance-
 // tested against each other, and raced in tools/schedsim.
 //
-// Liveness is not a policy concern: the coordinator evicts expired
-// members and filters already-tried workers before building the view, so
+// Liveness is not a policy concern: departed members are off the table
+// and the coordinator filters already-tried workers before building the view, so
 // a policy cannot place on a dead or exhausted worker by construction.
 
 // WorkerView is one live worker as a placement policy sees it: the

@@ -3,8 +3,11 @@ package cluster
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // conformanceViews are the fleet shapes every policy must rank sanely:
@@ -106,29 +109,22 @@ func TestPolicyByName(t *testing.T) {
 }
 
 // TestPoliciesNeverPlaceOnEvicted drives each policy through the
-// coordinator: a dynamic member whose lease lapsed must receive zero
-// shards, whatever the ranking strategy, and the sweep must still equal
-// the single-process answer.
+// coordinator: a member that left the fleet must receive zero shards,
+// whatever the ranking strategy, and the sweep must still equal the
+// single-process answer.
 func TestPoliciesNeverPlaceOnEvicted(t *testing.T) {
 	for _, p := range Policies() {
 		p := p
 		t.Run(p.Name(), func(t *testing.T) {
 			survivor := &counting{Transport: NewLocal("survivor", resolveFake)}
 			lapsed := &counting{Transport: NewLocal("lapsed", resolveFake)}
-			coord := newTestCoordinator(t, []Transport{survivor}, Options{
-				ShardSize:    64,
-				Policy:       p,
-				HeartbeatTTL: time.Second,
-			})
-			base := time.Unix(1000, 0)
-			now := base
-			coord.clock = func() time.Time { return now }
+			coord := newTestCoordinator(t, []Transport{survivor}, Options{ShardSize: 64, Policy: p})
 			if _, err := coord.Join(lapsed, MemberInfo{Benchmarks: []string{"gcc"}}); err != nil {
 				t.Fatal(err)
 			}
-			// The lease lapses before the sweep starts: the first dispatch
-			// evicts the member, and no policy may resurrect it.
-			now = base.Add(5 * time.Second)
+			// The member leaves before the sweep starts, advertising the
+			// models: no policy may resurrect it.
+			coord.Leave("lapsed")
 			designs := testDesigns(400)
 			res, err := coord.Pareto(context.Background(), testQuery(), designs)
 			if err != nil {
@@ -282,16 +278,23 @@ func TestHedgingDisabledIssuesNone(t *testing.T) {
 	}
 }
 
-// TestPolicyNameSurfaces pins the /healthz policy row's source.
+// TestPolicyNameSurfaces pins the policy label on the placement
+// series: the scrapeable record of which -policy a fleet schedules with.
 func TestPolicyNameSurfaces(t *testing.T) {
-	for _, p := range Policies() {
-		coord := newTestCoordinator(t, localFleet(1), Options{Policy: p})
-		if coord.PolicyName() != p.Name() {
-			t.Fatalf("PolicyName() = %q, want %q", coord.PolicyName(), p.Name())
+	for _, p := range append(Policies(), nil) {
+		reg := obs.NewRegistry(nil)
+		newTestCoordinator(t, localFleet(1), Options{Policy: p, Obs: reg})
+		want := "affinity"
+		if p != nil {
+			want = p.Name()
 		}
-	}
-	if def := newTestCoordinator(t, localFleet(1), Options{}); def.PolicyName() != "affinity" {
-		t.Fatalf("default policy = %q, want affinity", def.PolicyName())
+		var buf strings.Builder
+		if err := reg.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if series := `dsed_cluster_placements_total{policy="` + want + `"}`; !strings.Contains(buf.String(), series) {
+			t.Fatalf("exposition lacks %s:\n%s", series, buf.String())
+		}
 	}
 }
 

@@ -55,7 +55,6 @@ func (cv *carver) take(n int) (Shard, bool) {
 func (c *Coordinator) nextAssignment(cv *carver, benchmark string) (Shard, *member, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.evictExpiredLocked(c.now())
 	name := c.pickWorkerLocked(benchmark, nil)
 	s, ok := cv.take(c.shardSizeLocked(name))
 	if !ok {
@@ -73,7 +72,6 @@ func (c *Coordinator) nextAssignment(cv *carver, benchmark string) (Shard, *memb
 func (c *Coordinator) claimRetry(benchmark string, tried map[string]bool) *member {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.evictExpiredLocked(c.now())
 	m := c.members[c.pickWorkerLocked(benchmark, tried)]
 	if m != nil {
 		m.inflight++

@@ -128,8 +128,6 @@ type Transport interface {
 	// Name identifies the worker in placement, logs and health reports.
 	// Names must be unique within a coordinator.
 	Name() string
-	// Healthy probes the worker's liveness.
-	Healthy(ctx context.Context) error
 	// Warm pre-places models for the benchmarks on the worker, returning
 	// how many training runs this warm itself triggered there (an
 	// already-warm benchmark costs zero), so a coordinator can sum the

@@ -162,9 +162,8 @@ func fresher(candidate, current wire.GossipEntry) bool {
 // Merge folds a received digest into the table and returns how many
 // entries changed — the instantaneous view divergence from that peer,
 // exported as dsed_gossip_members_divergence. Claims about Self are
-// never accepted: a suspect/dead claim at our incarnation (or above) is
-// refuted by bumping our incarnation past it, which every other table
-// then accepts as fresher.
+// never accepted; refute answers them. The digest must have passed
+// wire validation, which bounds the counters refutation increments.
 func (t *Table) Merge(digest []wire.GossipEntry) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -175,12 +174,7 @@ func (t *Table) Merge(digest []wire.GossipEntry) int {
 			continue
 		}
 		if in.Addr == t.opts.Self {
-			if in.Incarnation > t.self.Incarnation ||
-				(in.Incarnation == t.self.Incarnation && badness(in.State) > badness(wire.GossipAlive)) {
-				t.self.Incarnation = in.Incarnation + 1
-				t.self.State = wire.GossipAlive
-				t.self.seen = now
-				t.refutations.Inc()
+			if t.refuteLocked(in, now) {
 				changed++
 			}
 			continue
@@ -202,6 +196,33 @@ func (t *Table) Merge(digest []wire.GossipEntry) int {
 	t.divergence.Set(float64(changed))
 	t.gaugeStatesLocked()
 	return changed
+}
+
+// refuteLocked answers a claim about this node so that our own entry
+// outranks it fleet-wide: a suspect or dead claim is refuted by moving
+// our incarnation past the claim's, and an alive record fresher than
+// ours (one remembered from before a restart) is overtaken at its own
+// incarnation with a higher beat. Our incarnation thus ends at the
+// highest any claim demands, whatever order the claims arrive in. It
+// reports whether our entry changed.
+func (t *Table) refuteLocked(in wire.GossipEntry, now time.Time) bool {
+	inc := in.Incarnation
+	if badness(in.State) > badness(wire.GossipAlive) {
+		inc++
+	}
+	switch {
+	case inc > t.self.Incarnation:
+		t.self.Incarnation = inc
+		t.refutations.Inc()
+	case inc < t.self.Incarnation || in.State != wire.GossipAlive || in.Beat <= t.self.Beat:
+		return false // stale, already refuted, or our own entry echoed back
+	}
+	if in.State == wire.GossipAlive && in.Beat >= t.self.Beat {
+		t.self.Beat = in.Beat + 1
+	}
+	t.self.State = wire.GossipAlive
+	t.self.seen = now
+	return true
 }
 
 // Witness records direct evidence that addr is reachable right now — a

@@ -150,3 +150,22 @@ func entryFor(t *testing.T, tb *Table, addr string) wire.GossipEntry {
 	t.Fatalf("no entry for %s", addr)
 	return wire.GossipEntry{}
 }
+
+// A node restarted at incarnation 0 while the fleet remembers its old
+// alive record overtakes that record — same incarnation, higher beat —
+// so its fresh inventory wins merges fleet-wide; an equal record (its
+// own entry echoed back) changes nothing.
+func TestRefutationOvertakesRememberedRecord(t *testing.T) {
+	clock := &fakeClock{t: time.Unix(1000, 0)}
+	tb := newTable("a:1", clock)
+	if n := tb.Merge([]wire.GossipEntry{{Addr: "a:1", Incarnation: 3, Beat: 40, State: wire.GossipAlive}}); n != 1 {
+		t.Fatalf("remembered record changed %d entries, want 1", n)
+	}
+	self := tb.Digest()[0]
+	if self.Incarnation != 3 || self.Beat != 41 || self.State != wire.GossipAlive {
+		t.Fatalf("self after the remembered record = %+v, want inc 3 beat 41 alive", self)
+	}
+	if n := tb.Merge([]wire.GossipEntry{self}); n != 0 {
+		t.Fatalf("own entry echoed back changed %d entries, want 0", n)
+	}
+}

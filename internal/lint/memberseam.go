@@ -9,27 +9,25 @@ import (
 )
 
 // MemberSeam guards the leaderless control plane against resurrected
-// single-coordinator assumptions. In the registration era, anything
-// could call Coordinator.Join/Heartbeat/Leave — the coordinator was the
-// one authority on membership. Under gossip there are two views (the
-// gossip table and the scheduling member table), and they stay
-// consistent only because exactly one seam projects the first onto the
-// second. A stray Join in a request handler or a Leave in an error path
-// silently forks the views: the scheduler dispatches to peers the
-// gossip layer has declared dead, or never learns about ones it
-// resurrected.
+// single-coordinator assumptions. Gossip is the only membership
+// authority, yet there are two views (the gossip table and the
+// scheduling member table), and they stay consistent only because
+// exactly one seam projects the first onto the second. A stray Join in
+// a request handler or a Leave in an error path silently forks the
+// views: the scheduler dispatches to peers the gossip layer has declared
+// dead, or never learns about ones it resurrected. There is no
+// registration or heartbeat endpoint left to host a second seam.
 //
 // The rule: calls to Join, Heartbeat or Leave on a cluster Coordinator
 // are allowed only inside functions that are membership seams by name —
-// the function's name mentions register, heartbeat, gossip, membership
-// or seam. The package defining Coordinator polices itself (its
+// the function's name mentions gossip, membership or seam. The package defining Coordinator polices itself (its
 // internals are the mechanism, not a view), and test files are free to
 // drive membership directly. Anything else carries a
 // //dsedlint:ignore memberseam directive naming why it is exempt.
 var MemberSeam = &analysis.Analyzer{
 	Name: "memberseam",
 	Doc: "Coordinator.Join/Heartbeat/Leave only inside membership seams " +
-		"(functions named *register*/*heartbeat*/*gossip*/*membership*/*seam*)",
+		"(functions named *gossip*/*membership*/*seam*)",
 	Run: runMemberSeam,
 }
 
@@ -60,7 +58,7 @@ func runMemberSeam(pass *analysis.Pass) (any, error) {
 					return true
 				}
 				if name, ok := coordinatorMutation(pass.TypesInfo, call); ok {
-					pass.Reportf(call.Pos(), "Coordinator.%s outside a membership seam: route member-table changes through the gossip/registration seam so the scheduling view cannot fork from the membership view", name)
+					pass.Reportf(call.Pos(), "Coordinator.%s outside a membership seam: route member-table changes through the gossip membership seam so the scheduling view cannot fork from the membership view", name)
 				}
 				return true
 			})
@@ -72,7 +70,7 @@ func runMemberSeam(pass *analysis.Pass) (any, error) {
 // isMembershipSeamFunc reports whether the function is, by name, part
 // of the sanctioned membership machinery.
 func isMembershipSeamFunc(name string) bool {
-	for _, seam := range []string{"register", "heartbeat", "gossip", "membership", "seam"} {
+	for _, seam := range []string{"gossip", "membership", "seam"} {
 		if nameContainsFold(name, seam) {
 			return true
 		}

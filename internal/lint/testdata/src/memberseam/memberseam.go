@@ -27,17 +27,18 @@ func (s *server) renew(name string) {
 	_ = s.coord.Heartbeat(name, cluster.MemberInfo{}) // want `Coordinator\.Heartbeat outside a membership seam`
 }
 
-// --- negative cases: all of these must stay silent ---
-
-// handleRegister is the registration seam.
+// handleRegister and handleHeartbeat name the registration plane, which
+// is gone: gossip is the only membership authority, so these are no
+// longer seams.
 func (s *server) handleRegister(addr string) {
-	_, _ = s.coord.Join(nil, cluster.MemberInfo{})
+	_, _ = s.coord.Join(nil, cluster.MemberInfo{}) // want `Coordinator\.Join outside a membership seam`
 }
 
-// handleHeartbeat is the renewal seam.
 func (s *server) handleHeartbeat(name string) {
-	_ = s.coord.Heartbeat(name, cluster.MemberInfo{})
+	_ = s.coord.Heartbeat(name, cluster.MemberInfo{}) // want `Coordinator\.Heartbeat outside a membership seam`
 }
+
+// --- negative cases: all of these must stay silent ---
 
 // syncGossipMembership is the gossip projection seam.
 func (s *server) syncGossipMembership(names []string) {

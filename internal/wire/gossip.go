@@ -3,6 +3,7 @@ package wire
 import (
 	"errors"
 	"fmt"
+	"net"
 	"sort"
 
 	"repro/internal/obs"
@@ -36,8 +37,11 @@ type GossipEntry struct {
 	Incarnation uint64 `json:"incarnation"`
 	Beat        uint64 `json:"beat"`
 	State       string `json:"state"`
-	// Inventory mirrors the heartbeat adverts so the gossip view can
-	// drive shard placement exactly like registration did.
+	// Inventory is what drives shard placement: Capacity bounds the
+	// node's concurrent shards (0 = the scheduler's default), Benchmarks
+	// is its trained-model inventory (benchmarks with every served metric
+	// in memory, routed there first), and QueueDepths maps benchmark name
+	// to its running job count (the least-loaded policy's load signal).
 	Capacity    int            `json:"capacity,omitempty"`
 	Benchmarks  []string       `json:"benchmarks,omitempty"`
 	QueueDepths map[string]int `json:"queue_depths,omitempty"`
@@ -46,6 +50,76 @@ type GossipEntry struct {
 // MaxGossipEntries bounds one digest; fleets larger than this gossip a
 // random subset per round and still converge.
 const MaxGossipEntries = 1024
+
+// MaxInventoryBenchmarks bounds the trained-model inventory and the
+// queue depths one entry may advertise; a node holding more models than
+// this advertises its first MaxInventoryBenchmarks and still benefits
+// from affinity for those.
+const MaxInventoryBenchmarks = 256
+
+// MaxGossipCounter bounds an entry's Incarnation and Beat. No honest node
+// counts that high, and the bound lets a refuting node step one past any
+// claim without overflowing.
+const MaxGossipCounter = 1 << 53
+
+// maxBenchmarkName bounds one advertised benchmark name.
+const maxBenchmarkName = 128
+
+// Validate rejects an entry that must not reach the membership table:
+// every accepted entry becomes a dialable transport and a scheduling
+// member, whether it arrived in a request or in a response digest.
+func (e GossipEntry) Validate() error {
+	if e.Addr == "" {
+		return errors.New("gossip entry without an address")
+	}
+	if _, port, err := net.SplitHostPort(e.Addr); err != nil || port == "" {
+		return fmt.Errorf("gossip entry addr %q is not host:port", e.Addr)
+	}
+	switch e.State {
+	case GossipAlive, GossipSuspect, GossipDead:
+	default:
+		return fmt.Errorf("unknown gossip state %q", e.State)
+	}
+	if e.Incarnation > MaxGossipCounter || e.Beat > MaxGossipCounter {
+		return fmt.Errorf("gossip entry counters (incarnation %d, beat %d) exceed %d", e.Incarnation, e.Beat, uint64(MaxGossipCounter))
+	}
+	if e.Capacity < 0 {
+		return fmt.Errorf("capacity %d is negative", e.Capacity)
+	}
+	if len(e.Benchmarks) > MaxInventoryBenchmarks {
+		return fmt.Errorf("inventory lists %d benchmarks, at most %d are usable", len(e.Benchmarks), MaxInventoryBenchmarks)
+	}
+	for _, b := range e.Benchmarks {
+		if b == "" || len(b) > maxBenchmarkName {
+			return fmt.Errorf("inventory benchmark name %q is empty or oversized", b)
+		}
+	}
+	if len(e.QueueDepths) > MaxInventoryBenchmarks {
+		return fmt.Errorf("queue depths list %d benchmarks, at most %d are usable", len(e.QueueDepths), MaxInventoryBenchmarks)
+	}
+	for b, d := range e.QueueDepths {
+		if b == "" || len(b) > maxBenchmarkName {
+			return fmt.Errorf("queue-depth benchmark name %q is empty or oversized", b)
+		}
+		if d < 0 {
+			return fmt.Errorf("queue depth %d for %q is negative", d, b)
+		}
+	}
+	return nil
+}
+
+// validateDigest checks one digest, request or response, entry by entry.
+func validateDigest(entries []GossipEntry) error {
+	if len(entries) > MaxGossipEntries {
+		return fmt.Errorf("gossip digest carries at most %d entries (got %d)", MaxGossipEntries, len(entries))
+	}
+	for _, e := range entries {
+		if err := e.Validate(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // GossipRequest is the body of POST /v1/gossip: the sender's full
 // digest. The response carries the receiver's digest back, making every
@@ -60,20 +134,7 @@ func (r GossipRequest) Validate() error {
 	if r.From == "" {
 		return errors.New("gossip needs a from address")
 	}
-	if len(r.Entries) > MaxGossipEntries {
-		return fmt.Errorf("gossip digest carries at most %d entries (got %d)", MaxGossipEntries, len(r.Entries))
-	}
-	for _, e := range r.Entries {
-		if e.Addr == "" {
-			return errors.New("gossip entry without an address")
-		}
-		switch e.State {
-		case GossipAlive, GossipSuspect, GossipDead:
-		default:
-			return fmt.Errorf("unknown gossip state %q", e.State)
-		}
-	}
-	return nil
+	return validateDigest(r.Entries)
 }
 
 // GossipResponse answers POST /v1/gossip with the receiver's digest.
@@ -81,6 +142,10 @@ type GossipResponse struct {
 	From    string        `json:"from"`
 	Entries []GossipEntry `json:"entries"`
 }
+
+// Validate rejects a malformed answer digest: the sender merges a
+// response only once it passes the same checks a request does.
+func (r GossipResponse) Validate() error { return validateDigest(r.Entries) }
 
 // ShardRange is one merged [Start, Start+Count) slice of a sweep's
 // design list — the unit of the replicated shard ledger. A resuming

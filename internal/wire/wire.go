@@ -10,7 +10,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 
 	"repro/internal/explore"
 	"repro/internal/mathx"
@@ -380,8 +379,8 @@ type SweepRequest struct {
 
 // Validate rejects malformed sweep requests — empty or unknown
 // objectives, out-of-range objective and constraint indexes. It is the
-// single accept/reject rule shared by a worker's /sweep and a
-// coordinator's /cluster/sweep, so the two surfaces cannot drift.
+// single accept/reject rule shared by a local job and a fleet job's
+// owner, so a fleet rejects exactly what one daemon would.
 func (r SweepRequest) Validate() error {
 	if err := validateObjectives(r.Objectives); err != nil {
 		return err
@@ -455,8 +454,8 @@ type ParetoRequest struct {
 	Scope string `json:"scope,omitempty"`
 }
 
-// Validate rejects malformed frontier requests; shared by a worker's
-// /pareto and a coordinator's /cluster/pareto.
+// Validate rejects malformed frontier requests; shared by local and
+// fleet jobs.
 func (r ParetoRequest) Validate() error {
 	if err := validateObjectives(r.Objectives); err != nil {
 		return err
@@ -515,98 +514,9 @@ type WarmResponse struct {
 	Errors []string `json:"errors,omitempty"`
 }
 
-// MaxInventoryBenchmarks bounds the trained-model inventory one register
-// or heartbeat may advertise; a fleet member holding more models than
-// this advertises its first MaxInventoryBenchmarks and still benefits
-// from affinity for those.
-const MaxInventoryBenchmarks = 256
-
-// RegisterRequest is the body of POST /register: a worker joining the
-// coordinator's fleet (or renewing its membership — re-registering is
-// idempotent). Addr is how the coordinator reaches the worker, so it
-// must be routable from the coordinator, not the worker's loopback view
-// of itself.
-type RegisterRequest struct {
-	Addr string `json:"addr"`
-	// Capacity is how many concurrent shards the worker wants at most
-	// (0 = the coordinator's default).
-	Capacity int `json:"capacity,omitempty"`
-	// Benchmarks is the worker's trained-model inventory (benchmarks
-	// with every served metric in memory); the scheduler routes those
-	// benchmarks' shards to this worker first.
-	Benchmarks []string `json:"benchmarks,omitempty"`
-	// QueueDepths maps benchmark name to the worker's currently running
-	// job count for it — the load signal behind smarter spill decisions
-	// (a worker drowning in one benchmark's jobs is a poor affinity
-	// target even though it holds the models). Reported per heartbeat and
-	// surfaced in the coordinator's /healthz.
-	QueueDepths map[string]int `json:"queue_depths,omitempty"`
-}
-
-// Validate rejects malformed registrations before they touch the
-// membership table.
-func (r RegisterRequest) Validate() error {
-	if r.Addr == "" {
-		return errors.New("register needs a worker addr")
-	}
-	if !strings.Contains(r.Addr, ":") {
-		return fmt.Errorf("worker addr %q is not host:port (or a URL)", r.Addr)
-	}
-	if r.Capacity < 0 {
-		return fmt.Errorf("capacity %d is negative", r.Capacity)
-	}
-	if len(r.Benchmarks) > MaxInventoryBenchmarks {
-		return fmt.Errorf("inventory lists %d benchmarks, at most %d are usable", len(r.Benchmarks), MaxInventoryBenchmarks)
-	}
-	for _, b := range r.Benchmarks {
-		if b == "" || len(b) > 128 {
-			return fmt.Errorf("inventory benchmark name %q is empty or oversized", b)
-		}
-	}
-	if len(r.QueueDepths) > MaxInventoryBenchmarks {
-		return fmt.Errorf("queue depths list %d benchmarks, at most %d are usable", len(r.QueueDepths), MaxInventoryBenchmarks)
-	}
-	for b, d := range r.QueueDepths {
-		if b == "" || len(b) > 128 {
-			return fmt.Errorf("queue-depth benchmark name %q is empty or oversized", b)
-		}
-		if d < 0 {
-			return fmt.Errorf("queue depth %d for %q is negative", d, b)
-		}
-	}
-	return nil
-}
-
-// RegisterResponse answers POST /register.
-type RegisterResponse struct {
-	// Worker is the canonical member name the coordinator filed the
-	// worker under; heartbeats must use it.
-	Worker string `json:"worker"`
-	// Workers is the live fleet size after the join.
-	Workers int `json:"workers"`
-	// TTLSeconds is the membership lease: heartbeat again before it
-	// lapses or be evicted.
-	TTLSeconds float64 `json:"ttl_seconds"`
-}
-
-// HeartbeatRequest is the body of POST /heartbeat: a lease renewal
-// carrying the worker's current inventory. The shape matches
-// RegisterRequest so a worker builds both from the same state.
-type HeartbeatRequest RegisterRequest
-
-// Validate rejects malformed heartbeats.
-func (r HeartbeatRequest) Validate() error { return RegisterRequest(r).Validate() }
-
-// HeartbeatResponse answers POST /heartbeat. An unknown worker gets a
-// 404 error envelope instead: it must re-register.
-type HeartbeatResponse struct {
-	Worker     string  `json:"worker"`
-	Workers    int     `json:"workers"`
-	TTLSeconds float64 `json:"ttl_seconds"`
-}
-
-// ClusterSweepResponse answers POST /cluster/sweep: a SweepResponse merged
-// from per-shard worker answers, plus the distribution's accounting.
+// ClusterSweepResponse is a fleet top-K job's result: a SweepResponse
+// merged from per-shard worker answers, plus the distribution's
+// accounting.
 type ClusterSweepResponse struct {
 	SweepResponse
 	Workers int `json:"workers"`
@@ -617,11 +527,11 @@ type ClusterSweepResponse struct {
 	// callers can fetch GET /v1/jobs/{id}/trace afterwards.
 	JobID string `json:"job_id,omitempty"`
 	// Spans carries the responding daemon's trace spans for the job —
-	// the coordinator splices a worker's spans under its dispatch span.
+	// the owner splices a worker's spans under its dispatch span.
 	Spans []obs.Span `json:"spans,omitempty"`
 }
 
-// ClusterParetoResponse answers POST /cluster/pareto.
+// ClusterParetoResponse is a fleet frontier job's result.
 type ClusterParetoResponse struct {
 	ParetoResponse
 	Workers int        `json:"workers"`

@@ -9,39 +9,60 @@ import (
 	"repro/internal/space"
 )
 
-func TestRegisterRequestValidate(t *testing.T) {
+// TestGossipEntryValidate: every digest entry passes the checks that
+// once guarded registration before it can reach a membership table, in
+// a request or in a response.
+func TestGossipEntryValidate(t *testing.T) {
 	big := make([]string, MaxInventoryBenchmarks+1)
+	depths := make(map[string]int, MaxInventoryBenchmarks+1)
 	for i := range big {
 		big[i] = "b"
+		depths[strings.Repeat("d", i%100+1)+string(rune('a'+i/100))] = 1
 	}
 	cases := []struct {
-		name string
-		req  RegisterRequest
-		ok   bool
+		name  string
+		entry GossipEntry
+		ok    bool
 	}{
-		{"minimal", RegisterRequest{Addr: "127.0.0.1:8091"}, true},
-		{"url form", RegisterRequest{Addr: "http://worker-3:8091"}, true},
-		{"with inventory", RegisterRequest{Addr: "w:1", Capacity: 8, Benchmarks: []string{"gcc", "mcf"}}, true},
-		{"no addr", RegisterRequest{}, false},
-		{"portless addr", RegisterRequest{Addr: "worker-3"}, false},
-		{"negative capacity", RegisterRequest{Addr: "w:1", Capacity: -1}, false},
-		{"oversized inventory", RegisterRequest{Addr: "w:1", Benchmarks: big}, false},
-		{"empty benchmark name", RegisterRequest{Addr: "w:1", Benchmarks: []string{""}}, false},
-		{"oversized benchmark name", RegisterRequest{Addr: "w:1", Benchmarks: []string{strings.Repeat("x", 129)}}, false},
+		{"minimal", GossipEntry{Addr: "127.0.0.1:8091", State: GossipAlive}, true},
+		{"ipv6", GossipEntry{Addr: "[::1]:8091", State: GossipAlive}, true},
+		{"with inventory", GossipEntry{Addr: "w:1", State: GossipAlive, Capacity: 8, Benchmarks: []string{"gcc", "mcf"}, QueueDepths: map[string]int{"gcc": 2}}, true},
+		{"no addr", GossipEntry{State: GossipAlive}, false},
+		{"portless addr", GossipEntry{Addr: "worker-3", State: GossipAlive}, false},
+		{"url form", GossipEntry{Addr: "http://worker-3:8091", State: GossipAlive}, false},
+		{"empty port", GossipEntry{Addr: "worker-3:", State: GossipAlive}, false},
+		{"unknown state", GossipEntry{Addr: "w:1", State: "zombie"}, false},
+		{"negative capacity", GossipEntry{Addr: "w:1", State: GossipAlive, Capacity: -1}, false},
+		{"oversized inventory", GossipEntry{Addr: "w:1", State: GossipAlive, Benchmarks: big}, false},
+		{"empty benchmark name", GossipEntry{Addr: "w:1", State: GossipAlive, Benchmarks: []string{""}}, false},
+		{"oversized benchmark name", GossipEntry{Addr: "w:1", State: GossipAlive, Benchmarks: []string{strings.Repeat("x", 129)}}, false},
+		{"oversized queue depths", GossipEntry{Addr: "w:1", State: GossipAlive, QueueDepths: depths}, false},
+		{"empty queue-depth name", GossipEntry{Addr: "w:1", State: GossipAlive, QueueDepths: map[string]int{"": 1}}, false},
+		{"negative queue depth", GossipEntry{Addr: "w:1", State: GossipAlive, QueueDepths: map[string]int{"gcc": -1}}, false},
 	}
 	for _, tc := range cases {
-		err := tc.req.Validate()
+		err := tc.entry.Validate()
 		if tc.ok && err != nil {
 			t.Errorf("%s: unexpected error %v", tc.name, err)
 		}
 		if !tc.ok && err == nil {
-			t.Errorf("%s: invalid request accepted", tc.name)
+			t.Errorf("%s: invalid entry accepted", tc.name)
 		}
-		// Heartbeats share the register shape and verdicts exactly.
-		herr := HeartbeatRequest(tc.req).Validate()
-		if (err == nil) != (herr == nil) {
-			t.Errorf("%s: heartbeat validation diverged from register (%v vs %v)", tc.name, herr, err)
+		// A digest carrying the entry gets the same verdict whichever
+		// direction it travels.
+		good := GossipEntry{Addr: "127.0.0.1:1", State: GossipAlive}
+		digest := []GossipEntry{good, tc.entry}
+		reqErr := GossipRequest{From: "127.0.0.1:1", Entries: digest}.Validate()
+		respErr := GossipResponse{From: "127.0.0.1:1", Entries: digest}.Validate()
+		if (err == nil) != (reqErr == nil) || (err == nil) != (respErr == nil) {
+			t.Errorf("%s: entry %v, request %v, response %v — verdicts diverged", tc.name, err, reqErr, respErr)
 		}
+	}
+	if err := (GossipRequest{Entries: []GossipEntry{}}).Validate(); err == nil {
+		t.Error("request without a sender accepted")
+	}
+	if err := (GossipResponse{Entries: make([]GossipEntry, MaxGossipEntries+1)}).Validate(); err == nil {
+		t.Error("oversized response digest accepted")
 	}
 }
 

@@ -4,12 +4,13 @@
 // it, so a wire-format change breaks one package instead of five
 // hand-rolled JSON call sites.
 //
-// Synchronous endpoints (Predict, Warm, Register, Heartbeat, Healthy)
-// are one call each. Exploration is asynchronous: SubmitSweep and
-// SubmitPareto return a job immediately; Job polls it, Stream follows
-// its NDJSON partial-frontier updates (resuming transparently after a
-// disconnect — every update is a cumulative snapshot, so the resumed
-// stream is current from its first line), and Cancel aborts it.
+// Synchronous endpoints (Predict, Warm, Healthy, and the peer seams
+// Gossip and Replicate) are one call each. Exploration is asynchronous:
+// SubmitSweep and SubmitPareto return a job immediately; Job polls it,
+// Stream follows its NDJSON partial-frontier updates (resuming
+// transparently after a disconnect — every update is a cumulative
+// snapshot, so the resumed stream is current from its first line), and
+// Cancel aborts it.
 // ParetoJob and SweepJob bundle submit → stream → final into one
 // blocking call with an optional per-update callback.
 //
@@ -118,7 +119,7 @@ func New(base string, opts ...Option) *Client {
 }
 
 // Base returns the first normalised base URL — also the worker name a
-// coordinator files this daemon under. It is deliberately stable under
+// fleet job's owner files this daemon under. It is deliberately stable under
 // failover: the name must not change because a request was served by a
 // different peer.
 func (c *Client) Base() string { return c.endpoints[0] }
@@ -148,8 +149,9 @@ func isDialError(err error) bool {
 	return errors.As(err, &oe) && oe.Op == "dial"
 }
 
-// APIError is a daemon's structured /v1 error (legacy envelopes decode
-// into it too, with the code derived from the status).
+// APIError is a daemon's structured /v1 error (a body without the
+// structured envelope decodes into it too, with the code derived from
+// the status).
 type APIError struct {
 	Status    int
 	Code      string
@@ -173,9 +175,9 @@ func IsRetryable(err error) bool {
 	return errors.As(err, &ae) && ae.Retryable
 }
 
-// errorFromBody decodes an error payload: the structured /v1 envelope
-// first, the legacy {"error": "<message>"} string second, the raw status
-// as a last resort.
+// errorFromBody decodes an error payload: the structured /v1 envelope,
+// or the raw status when the body carries none (a proxy's error page, a
+// truncated read).
 func errorFromBody(status int, raw []byte) *APIError {
 	var env api.ErrorEnvelope
 	if json.Unmarshal(raw, &env) == nil && env.Error.Code != "" {
@@ -191,17 +193,10 @@ func errorFromBody(status int, raw []byte) *APIError {
 		}
 		return e
 	}
-	var legacy struct {
-		Error string `json:"error"`
-	}
-	msg := fmt.Sprintf("status %d", status)
-	if json.Unmarshal(raw, &legacy) == nil && legacy.Error != "" {
-		msg = legacy.Error
-	}
 	return &APIError{
 		Status:    status,
 		Code:      api.CodeForStatus(status),
-		Message:   msg,
+		Message:   fmt.Sprintf("status %d", status),
 		Retryable: api.RetryableStatus(status),
 	}
 }
@@ -320,8 +315,8 @@ func (c *Client) once(ctx context.Context, base, method, path string, payload []
 }
 
 // setTraceHeaders propagates the caller's trace span and request ID, if
-// the context carries them, so a coordinator's dispatch span parents the
-// worker's job spans and one request ID threads the whole fan-out.
+// the context carries them, so an owner's dispatch span parents the
+// peer's job spans and one request ID threads the whole fan-out.
 func setTraceHeaders(req *http.Request, ctx context.Context) {
 	if sc, ok := obs.SpanFromContext(ctx); ok && sc.Valid() {
 		req.Header.Set(obs.TraceparentHeader, sc.Traceparent())
@@ -332,9 +327,9 @@ func setTraceHeaders(req *http.Request, ctx context.Context) {
 }
 
 // Trace fetches a finished (or running) job's assembled span tree
-// (GET /v1/jobs/{id}/trace). On a coordinator the tree spans the whole
-// fleet: the coordinator's root and dispatch spans with every worker's
-// imported job and phase spans beneath them.
+// (GET /v1/jobs/{id}/trace). For a fleet job the tree spans the whole
+// fleet: the owner's root and dispatch spans with every peer's imported
+// job and phase spans beneath them.
 func (c *Client) Trace(ctx context.Context, jobID string) (*obs.JobTrace, error) {
 	var out obs.JobTrace
 	if err := c.do(ctx, http.MethodGet, "/v1/jobs/"+jobID+"/trace", nil, &out); err != nil {
@@ -421,26 +416,6 @@ func (c *Client) Gossip(ctx context.Context, req wire.GossipRequest) (*wire.Goss
 func (c *Client) Replicate(ctx context.Context, req wire.ReplicateRequest) (*wire.ReplicateResponse, error) {
 	var out wire.ReplicateResponse
 	if err := c.do(ctx, http.MethodPost, "/v1/jobs/replicate", req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// Register joins (or renews) this worker's membership in a coordinator's
-// fleet.
-func (c *Client) Register(ctx context.Context, req wire.RegisterRequest) (*wire.RegisterResponse, error) {
-	var out wire.RegisterResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/register", req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// Heartbeat renews a registered worker's lease. A 404 *APIError means
-// the coordinator forgot the worker: Register again.
-func (c *Client) Heartbeat(ctx context.Context, req wire.HeartbeatRequest) (*wire.HeartbeatResponse, error) {
-	var out wire.HeartbeatResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/heartbeat", req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -72,22 +71,6 @@ func TestStructuredErrorDecode(t *testing.T) {
 	}
 	if IsRetryable(err) {
 		t.Error("a 404 must not be retryable")
-	}
-}
-
-func TestLegacyErrorDecode(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusBadRequest)
-		fmt.Fprintln(w, `{"error":"bad request body"}`)
-	}))
-	defer ts.Close()
-	_, err := fastClient(ts.URL).Warm(context.Background(), []string{"gcc"})
-	var ae *APIError
-	if !errors.As(err, &ae) {
-		t.Fatalf("error %v is not an *APIError", err)
-	}
-	if ae.Code != api.CodeBadRequest || ae.Message != "bad request body" {
-		t.Errorf("legacy envelope decoded wrong: %+v", ae)
 	}
 }
 

@@ -21,8 +21,8 @@ import (
 
 // ExampleClient_ParetoJob is the one-call happy path: submit a frontier
 // job, watch its merged partial frontiers stream in, and take the final
-// answer. Against a coordinator the updates carry per-worker
-// attribution; against a single worker the distribution fields are zero.
+// answer. Against a peer fleet the updates carry per-peer attribution;
+// against a single daemon the distribution fields are zero.
 func ExampleClient_ParetoJob() {
 	c := dsedclient.New("http://localhost:8090")
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
@@ -100,14 +100,14 @@ func ExampleClient_SubmitSweep() {
 	}
 }
 
-// Example_multiPolicyCoordinator drives two coordinators that schedule
-// the same fleet under different placement policies — say one booted
-// with `-policy affinity` and one with `-policy least-loaded
-// -hedge-factor 3` — and races the same sweep through both. The client
-// is identical either way: scheduling policy is a coordinator-side
-// decision, invisible in the wire protocol except as makespan and the
-// per-update Worker attribution.
-func Example_multiPolicyCoordinator() {
+// Example_multiPolicyFleet drives two peers of one fleet that own their
+// jobs under different placement policies — say one booted with
+// `-policy affinity` and one with `-policy least-loaded -hedge-factor 3`
+// — and races the same sweep through both. The client is identical
+// either way: scheduling policy is the owning peer's decision, invisible
+// in the wire protocol except as makespan and the per-update Worker
+// attribution.
+func Example_multiPolicyFleet() {
 	req := wire.ParetoRequest{
 		Benchmark: "gcc",
 		Objectives: []wire.ObjectiveSpec{
@@ -118,8 +118,8 @@ func Example_multiPolicyCoordinator() {
 	}
 	ctx := context.Background()
 	for _, addr := range []string{
-		"http://localhost:9100", // dsed -coordinator -policy affinity
-		"http://localhost:9200", // dsed -coordinator -policy least-loaded -hedge-factor 3
+		"http://localhost:9401", // dsed -peers ... -policy affinity
+		"http://localhost:9402", // dsed -peers ... -policy least-loaded -hedge-factor 3
 	} {
 		c := dsedclient.New(addr, dsedclient.WithRetries(2))
 		perWorker := map[string]int{}

@@ -128,7 +128,7 @@ func (s *Stream) Next() (*api.Update, error) {
 }
 
 // maxStreamBackoff caps the reconnect backoff: a stream riding out a
-// coordinator death must probe at adoption pace, not exponential pace.
+// job owner's death must probe at adoption pace, not exponential pace.
 const maxStreamBackoff = 2 * time.Second
 
 // resume decides whether a lost connection (read error or failed
@@ -274,8 +274,8 @@ func (c *Client) cancelDetached(id string) {
 // ParetoJob is the blocking convenience over the async API: submit a
 // frontier job, stream its partial frontiers through onUpdate (nil to
 // ignore), and return the final merged answer. The response carries the
-// distribution accounting when the daemon is a coordinator (zero values
-// against a single worker).
+// distribution accounting of a peer fleet (zero values against a single
+// daemon).
 func (c *Client) ParetoJob(ctx context.Context, req wire.ParetoRequest, onUpdate func(api.Update)) (*wire.ClusterParetoResponse, error) {
 	st, err := c.SubmitPareto(ctx, req)
 	if err != nil {
