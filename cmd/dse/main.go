@@ -338,34 +338,28 @@ func runRemote(ctx context.Context, addr, exp, benchmarks string, sample int, se
 		}
 		fmt.Println(line)
 	}
-	switch exp {
-	case "sweep":
-		resp, err := c.SweepJob(ctx, wire.SweepRequest{
-			Benchmark: benchmark, Objectives: objectives, SpaceSpec: spaceSpec, TopK: 10,
-		}, onUpdate)
-		if err != nil {
-			return err
-		}
+	var req wire.JobRequest = wire.ParetoRequest{Benchmark: benchmark, Objectives: objectives, SpaceSpec: spaceSpec}
+	if exp == "sweep" {
+		req = wire.SweepRequest{Benchmark: benchmark, Objectives: objectives, SpaceSpec: spaceSpec, TopK: 10}
+	}
+	final, jobID, err := c.Run(ctx, req, onUpdate)
+	if err != nil {
+		return err
+	}
+	if exp == "sweep" {
 		fmt.Printf("final: %d partial updates, evaluated %d, feasible %d, %d candidates in %.0fms\n",
-			partials, resp.Evaluated, resp.Feasible, len(resp.Candidates), resp.ElapsedMS)
-		for i, cand := range resp.Candidates {
+			partials, final.Evaluated, final.Feasible, len(final.Candidates), final.ElapsedMS)
+		for i, cand := range final.Candidates {
 			fmt.Printf("  #%d %v | scores %v\n", i+1, cand.Config.ToConfig(), cand.Scores)
 		}
-		printTrace(ctx, c, resp.JobID)
-	default: // pareto — including the experiment-driver default exp name
-		resp, err := c.ParetoJob(ctx, wire.ParetoRequest{
-			Benchmark: benchmark, Objectives: objectives, SpaceSpec: spaceSpec,
-		}, onUpdate)
-		if err != nil {
-			return err
-		}
+	} else { // pareto — including the experiment-driver default exp name
 		fmt.Printf("final: %d partial updates, evaluated %d, frontier %d points in %.0fms\n",
-			partials, resp.Evaluated, len(resp.Frontier), resp.ElapsedMS)
-		for _, cand := range resp.Frontier {
+			partials, final.Evaluated, len(final.Candidates), final.ElapsedMS)
+		for _, cand := range final.Candidates {
 			fmt.Printf("  %v | scores %v\n", cand.Config.ToConfig(), cand.Scores)
 		}
-		printTrace(ctx, c, resp.JobID)
 	}
+	printTrace(ctx, c, jobID)
 	return nil
 }
 
@@ -377,9 +371,6 @@ func runRemote(ctx context.Context, addr, exp, benchmarks string, sample int, se
 // partial/final stream (and the CI smoke's frontier-line count) are
 // untouched.
 func printTrace(ctx context.Context, c *dsedclient.Client, jobID string) {
-	if jobID == "" {
-		return
-	}
 	trace, err := c.Trace(ctx, jobID)
 	if err != nil || len(trace.Tree) == 0 {
 		return

@@ -318,12 +318,12 @@ func TestElasticFleetSweep(t *testing.T) {
 		SpaceSpec:  wire.SpaceSpec{Space: "test", Sample: 300},
 	}
 	type answer struct {
-		resp *wire.ClusterParetoResponse
+		resp *api.Update
 		err  error
 	}
 	done := make(chan answer, 1)
 	go func() {
-		resp, err := testClient(fleetTS.URL).ParetoJob(context.Background(), req, nil)
+		resp, _, err := testClient(fleetTS.URL).Run(context.Background(), req, nil)
 		done <- answer{resp, err}
 	}()
 
@@ -341,7 +341,7 @@ func TestElasticFleetSweep(t *testing.T) {
 	joinerShards := late.calls.Load()
 	single := httptest.NewServer(testServer(t).Handler())
 	t.Cleanup(single.Close)
-	want, err := testClient(single.URL).ParetoJob(context.Background(), req, nil)
+	want, _, err := testClient(single.URL).Run(context.Background(), req, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +354,7 @@ func TestElasticFleetSweep(t *testing.T) {
 	if joinerShards == 0 {
 		t.Error("the mid-sweep joiner served no shards")
 	}
-	requireSameCandidates(t, "elastic frontier", a.resp.Frontier, want.Frontier)
+	requireSameCandidates(t, "elastic frontier", a.resp.Candidates, want.Candidates)
 }
 
 // TestClusterRequestValidation: malformed fleet requests die at the

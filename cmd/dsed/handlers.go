@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/explore"
 	"repro/internal/mathx"
@@ -307,35 +308,12 @@ func (s *Server) handleBatchPredict(w http.ResponseWriter, r *http.Request, req 
 	})
 }
 
-// buildObjectives resolves objective specs against the registry, training
-// the benchmark on demand when needed. Specs are pre-validated at submit
-// time, so errors here are model-resolution failures and map onto HTTP
-// statuses through registryStatus.
-func (s *Server) buildObjectives(ctx context.Context, benchmark string, specs []wire.ObjectiveSpec) ([]core.DynamicsModel, []explore.Objective, error) {
-	if len(specs) == 0 {
-		return nil, nil, wire.ErrNoObjectives
-	}
-	models := make([]core.DynamicsModel, len(specs))
-	objectives := make([]explore.Objective, len(specs))
-	for i, spec := range specs {
-		obj, err := spec.Build()
-		if err != nil {
-			return nil, nil, err
-		}
-		m, err := s.sweepModel(ctx, benchmark, mustMetric(spec.Metric))
-		if err != nil {
-			return nil, nil, err
-		}
-		models[i], objectives[i] = m, obj
-	}
-	return models, objectives, nil
-}
-
 // sweepModel resolves the model one objective of a sweep scores with:
 // the registry's predictor (trained on demand), behind the
-// -straggle-per-design fault injection when it is on.
-func (s *Server) sweepModel(ctx context.Context, benchmark string, metric sim.Metric) (core.DynamicsModel, error) {
-	p, err := s.store.LoadOrTrain(ctx, benchmark, metric)
+// -straggle-per-design fault injection when it is on. It is the model
+// source of both this daemon's own jobs and a peer's in-process shards.
+func (s *Server) sweepModel(ctx context.Context, benchmark, metric string) (core.DynamicsModel, error) {
+	p, err := s.store.LoadOrTrain(ctx, benchmark, mustMetric(metric))
 	if err != nil {
 		return nil, err
 	}
@@ -398,38 +376,37 @@ func mustMetric(name string) sim.Metric {
 	return m
 }
 
-func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
-	var req wire.SweepRequest
-	if early, ok := decodeJob(w, r, &req); ok {
-		s.submit(w, r, api.JobSweep, req.Benchmark, len(early), s.runSweep(req, early))
+// handleSubmit starts a job of the given kind on this daemon's own
+// models.
+func (s *Server) handleSubmit(kind wire.JobKind) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if spec, early, ok := decodeJob(w, r, kind); ok {
+			s.submit(w, r, spec, len(early), s.runLocal(spec, early))
+		}
 	}
 }
 
-// runSweep is the worker's top-K job body: resolve models (training on
-// demand), resolve the space, and stream the sweep through a TopK,
-// publishing its partial feasible top-K on a ticker while the engine
-// runs (the collector's snapshots are safe mid-sweep).
-func (s *Server) runSweep(req wire.SweepRequest, early []space.Config) api.RunFunc {
+// runLocal is the job body on this daemon's own models, for either
+// kind: resolve models (training on demand), resolve the space, and
+// stream the sweep through the kind's collector, publishing its partial
+// answer on a ticker while the engine runs (the collectors' snapshots
+// are safe mid-sweep). A frontier job's incremental FrontierCollector
+// equals the batch ParetoFrontier over the same designs
+// (property-tested in internal/explore).
+func (s *Server) runLocal(spec wire.JobSpec, early []space.Config) api.RunFunc {
+	q := cluster.QueryOf(spec)
 	return func(ctx context.Context, pub api.Publisher) (any, api.Update, error) {
-		ctx, jobSpan := startJobSpan(s.tel, ctx, "job:sweep", pub, req.Benchmark)
+		ctx, jobSpan := startJobSpan(s.tel, ctx, "job:"+string(spec.Kind), pub, spec.Benchmark)
 		defer jobSpan.End()
-		models, objectives, err := s.phaseTrain(ctx, req.Benchmark, req.Objectives)
+		models, objectives, err := q.Resolve(ctx, s.tel.tracer, s.sweepModel)
 		if err != nil {
 			return nil, api.Update{}, err
 		}
-		designs, err := s.candidates(ctx, req.SpaceSpec, early)
+		designs, err := s.candidates(ctx, q.Space, early)
 		if err != nil {
 			return nil, api.Update{}, err
 		}
-		topK := req.TopK
-		if topK <= 0 {
-			topK = 10
-		}
-		constraints := make([]explore.Constraint, len(req.Constraints))
-		for i, c := range req.Constraints {
-			constraints[i] = explore.Constraint{Objective: c.Objective, Max: c.Max}
-		}
-		top := explore.NewTopK(topK, req.Objective, constraints)
+		col := q.NewCollector()
 		names := wire.ObjectiveNames(objectives)
 		// The opening snapshot: a subscriber sees the job's shape (design
 		// total, objectives) before the first results land.
@@ -441,112 +418,34 @@ func (s *Server) runSweep(req wire.SweepRequest, early []space.Config) api.RunFu
 				Designs:    designs.count(),
 				Objectives: names,
 			}
-			// The partial top-K payload is built only for an attached
-			// stream; pollers still see the counters advance.
+			// The partial answer is built only for an attached stream;
+			// pollers still see the counters advance.
 			if pub.Streaming() {
-				u.Feasible = top.Feasible()
-				u.Candidates = wire.ToCandidates(top.Results())
+				answer, feasible, _ := cluster.Snapshot(col)
+				u.Feasible, u.Candidates = feasible, wire.ToCandidates(answer)
 			}
 			return u
 		})
 		start := time.Now()
-		err = s.phasePredict(ctx, designs, models, objectives, &evaluated, top)
+		err = s.phasePredict(ctx, designs, models, objectives, &evaluated, col)
 		stopTicks()
 		if err != nil {
 			return nil, api.Update{}, err
 		}
 		_, mergeSpan := s.tel.tracer.Start(ctx, "phase:merge")
-		seen, feasible, results := top.Seen(), top.Feasible(), top.Results()
-		resp := wire.SweepResponse{
-			Benchmark:  req.Benchmark,
-			Objectives: names,
-			Evaluated:  seen,
-			Feasible:   feasible,
-			ElapsedMS:  float64(time.Since(start).Microseconds()) / 1000,
-			Candidates: wire.ToCandidates(results),
-		}
+		answer, feasible, _ := cluster.Snapshot(col)
 		final := api.Update{
-			Evaluated:  seen,
+			Evaluated:  col.Seen(),
 			Designs:    designs.count(),
 			Feasible:   feasible,
 			Objectives: names,
-			Candidates: resp.Candidates,
-			ElapsedMS:  resp.ElapsedMS,
+			Candidates: wire.ToCandidates(answer),
+			ElapsedMS:  float64(time.Since(start).Microseconds()) / 1000,
 		}
 		mergeSpan.End()
 		jobSpan.End()
 		final.Spans = s.tel.traces.Spans(jobSpan.Context().TraceID)
-		return resp, final, nil
-	}
-}
-
-func (s *Server) handleParetoSubmit(w http.ResponseWriter, r *http.Request) {
-	var req wire.ParetoRequest
-	if early, ok := decodeJob(w, r, &req); ok {
-		s.submit(w, r, api.JobPareto, req.Benchmark, len(early), s.runPareto(req, early))
-	}
-}
-
-// runPareto is the worker's frontier job body: the sweep streams through
-// an incremental FrontierCollector so the job can publish genuine
-// partial frontiers while it runs (the collector's frontier equals the
-// batch ParetoFrontier over the same designs, property-tested in
-// internal/explore). Per-candidate incremental insertion is the price of
-// partials being available at any instant; it is the same
-// streaming-collector shape a top-K job runs.
-func (s *Server) runPareto(req wire.ParetoRequest, early []space.Config) api.RunFunc {
-	return func(ctx context.Context, pub api.Publisher) (any, api.Update, error) {
-		ctx, jobSpan := startJobSpan(s.tel, ctx, "job:pareto", pub, req.Benchmark)
-		defer jobSpan.End()
-		models, objectives, err := s.phaseTrain(ctx, req.Benchmark, req.Objectives)
-		if err != nil {
-			return nil, api.Update{}, err
-		}
-		designs, err := s.candidates(ctx, req.SpaceSpec, early)
-		if err != nil {
-			return nil, api.Update{}, err
-		}
-		fc := explore.NewFrontierCollector()
-		names := wire.ObjectiveNames(objectives)
-		pub.Publish(api.Update{Designs: designs.count(), Objectives: names})
-		var evaluated gauge
-		stopTicks := startSnapshotTicker(ctx, pub, func() api.Update {
-			u := api.Update{
-				Evaluated:  evaluated.value(),
-				Designs:    designs.count(),
-				Objectives: names,
-			}
-			if pub.Streaming() {
-				u.Candidates = wire.ToCandidates(fc.Frontier())
-			}
-			return u
-		})
-		start := time.Now()
-		err = s.phasePredict(ctx, designs, models, objectives, &evaluated, fc)
-		stopTicks()
-		if err != nil {
-			return nil, api.Update{}, err
-		}
-		_, mergeSpan := s.tel.tracer.Start(ctx, "phase:merge")
-		seen, frontier := fc.Seen(), fc.Frontier()
-		resp := wire.ParetoResponse{
-			Benchmark:  req.Benchmark,
-			Objectives: names,
-			Evaluated:  seen,
-			ElapsedMS:  float64(time.Since(start).Microseconds()) / 1000,
-			Frontier:   wire.ToCandidates(frontier),
-		}
-		final := api.Update{
-			Evaluated:  seen,
-			Designs:    designs.count(),
-			Objectives: names,
-			Candidates: resp.Frontier,
-			ElapsedMS:  resp.ElapsedMS,
-		}
-		mergeSpan.End()
-		jobSpan.End()
-		final.Spans = s.tel.traces.Spans(jobSpan.Context().TraceID)
-		return resp, final, nil
+		return jobResult(spec, final, false), final, nil
 	}
 }
 
@@ -564,18 +463,6 @@ func startJobSpan(tel *telemetry, ctx context.Context, name string, pub api.Publ
 	}
 	tel.traces.Bind(pub.JobID(), span.Context().TraceID)
 	return ctx, span
-}
-
-// phaseTrain resolves the job's models under a "phase:train" span —
-// on-demand training is the phase that dominates a cold job's latency.
-func (s *Server) phaseTrain(ctx context.Context, benchmark string, specs []wire.ObjectiveSpec) ([]core.DynamicsModel, []explore.Objective, error) {
-	spanCtx, span := s.tel.tracer.Start(ctx, "phase:train")
-	models, objectives, err := s.buildObjectives(spanCtx, benchmark, specs)
-	if err != nil {
-		span.SetAttr("error", err.Error())
-	}
-	span.End()
-	return models, objectives, err
 }
 
 // candidateSpace is a job's candidate designs: either a window of a

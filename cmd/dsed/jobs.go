@@ -11,6 +11,7 @@ import (
 	"repro/internal/api"
 	"repro/internal/obs"
 	"repro/internal/space"
+	"repro/internal/wire"
 )
 
 // This file is the serving side of the async job API shared by a single
@@ -35,7 +36,7 @@ func (a *jobAPI) handleJobs(w http.ResponseWriter, r *http.Request) {
 	f := api.ListFilter{
 		State:     api.JobState(q.Get("state")),
 		Benchmark: q.Get("benchmark"),
-		Kind:      api.JobKind(q.Get("kind")),
+		Kind:      wire.JobKind(q.Get("kind")),
 	}
 	switch f.State {
 	case "", api.StateRunning, api.StateDone, api.StateFailed, api.StateCanceled:
@@ -44,7 +45,7 @@ func (a *jobAPI) handleJobs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	switch f.Kind {
-	case "", api.JobSweep, api.JobPareto:
+	case "", wire.JobSweep, wire.JobPareto:
 	default:
 		httpError(w, r, http.StatusBadRequest, "unknown kind %q (sweep, pareto)", f.Kind)
 		return
@@ -171,7 +172,7 @@ func (a *jobAPI) handleJobStream(w http.ResponseWriter, r *http.Request) {
 // submit starts a decoded submission's job and answers 202 Accepted
 // with the job's initial status and a Location pointing at the poll
 // route; a full job table is the structured 429.
-func (a *jobAPI) submit(w http.ResponseWriter, r *http.Request, kind api.JobKind, benchmark string, designs int, run api.RunFunc) {
+func (a *jobAPI) submit(w http.ResponseWriter, r *http.Request, spec wire.JobSpec, designs int, run api.RunFunc) {
 	// The job detaches from the request context on purpose (one
 	// impatient client must not abort shared work), but its identity
 	// must not detach with it: re-inject the request ID and the caller's
@@ -189,7 +190,7 @@ func (a *jobAPI) submit(w http.ResponseWriter, r *http.Request, kind api.JobKind
 		}
 		return inner(ctx, pub)
 	}
-	job, err := a.jobs.Start(kind, benchmark, designs, run)
+	job, err := a.jobs.Start(spec.Kind, spec.Benchmark, designs, run)
 	if err != nil {
 		status := http.StatusInternalServerError
 		if errors.Is(err, api.ErrTooManyJobs) {
@@ -202,30 +203,48 @@ func (a *jobAPI) submit(w http.ResponseWriter, r *http.Request, kind api.JobKind
 	writeJSON(w, r, http.StatusAccepted, job.Status(false))
 }
 
-// jobRequest is a job submission body: a sweep or a frontier request.
-type jobRequest interface {
-	Validate() error
-	ResolveEarly() ([]space.Config, error)
-}
-
-// decodeJob decodes and validates a submission and resolves its early
-// designs; a malformed request fails here, before a job exists, and
-// never triggers an on-demand training run. It writes the 4xx itself and
-// reports whether the request survived.
-func decodeJob(w http.ResponseWriter, r *http.Request, req jobRequest) ([]space.Config, bool) {
+// decodeJob decodes and validates a submission of the given kind and
+// resolves its early designs. The kind picks the strict decode target,
+// so a field of the other kind's body is a 400. A malformed request
+// fails here, before a job exists, and never triggers an on-demand
+// training run. It writes the 4xx itself and reports whether the
+// request survived.
+func decodeJob(w http.ResponseWriter, r *http.Request, kind wire.JobKind) (wire.JobSpec, []space.Config, bool) {
+	req := wire.NewJobRequest(kind)
 	if !decodePost(w, r, req) {
-		return nil, false
+		return wire.JobSpec{}, nil, false
 	}
 	if err := req.Validate(); err != nil {
 		httpError(w, r, http.StatusBadRequest, "%v", err)
-		return nil, false
+		return wire.JobSpec{}, nil, false
 	}
-	early, err := req.ResolveEarly()
+	spec := req.Spec()
+	early, err := spec.ResolveEarly()
 	if err != nil {
 		httpError(w, r, http.StatusBadRequest, "%v", err)
-		return nil, false
+		return wire.JobSpec{}, nil, false
 	}
-	return early, true
+	return spec, early, true
+}
+
+// jobResult is the payload GET /v1/jobs/{id} serves once a job is done,
+// built from its final update: the kind's response shape, plus the
+// distribution's accounting on a fleet job.
+func jobResult(spec wire.JobSpec, u api.Update, fleet bool) any {
+	if spec.Kind == wire.JobSweep {
+		resp := wire.SweepResponse{Benchmark: spec.Benchmark, Objectives: u.Objectives, Evaluated: u.Evaluated,
+			Feasible: u.Feasible, ElapsedMS: u.ElapsedMS, Candidates: u.Candidates}
+		if fleet {
+			return wire.ClusterSweepResponse{SweepResponse: resp, Workers: u.Workers, Shards: u.Shards, Retries: u.Retries}
+		}
+		return resp
+	}
+	resp := wire.ParetoResponse{Benchmark: spec.Benchmark, Objectives: u.Objectives, Evaluated: u.Evaluated,
+		ElapsedMS: u.ElapsedMS, Frontier: u.Candidates}
+	if fleet {
+		return wire.ClusterParetoResponse{ParetoResponse: resp, Workers: u.Workers, Shards: u.Shards, Retries: u.Retries}
+	}
+	return resp
 }
 
 // streamInterval paces a local job's progress snapshots: coarse enough

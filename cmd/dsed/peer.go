@@ -81,6 +81,8 @@ type peerServer struct {
 
 	clientsMu sync.Mutex
 	clients   map[string]*dsedclient.Client
+	// syncMu serialises syncGossipMembership.
+	syncMu sync.Mutex
 }
 
 // newPeerServer wires a daemon into a symmetric peer: a coordinator over
@@ -171,8 +173,8 @@ func (ps *peerServer) Handler() http.Handler {
 	return s.routes(map[string]http.HandlerFunc{
 		"/v1/healthz": negotiated(ps.handleHealthz),
 		"/v1/warm":    negotiated(ps.handleWarm),
-		"/v1/sweeps":  negotiated(ps.handleSweepSubmit),
-		"/v1/pareto":  negotiated(ps.handleParetoSubmit),
+		"/v1/sweeps":  negotiated(ps.handleSubmit(wire.JobSweep)),
+		"/v1/pareto":  negotiated(ps.handleSubmit(wire.JobPareto)),
 		"/v1/gossip":  negotiated(ps.handleGossip),
 		// The literal route wins over /v1/jobs/{id}, so "replicate" is
 		// not a reachable job ID.
@@ -226,8 +228,10 @@ func (ps *peerServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleGossip answers one push-pull anti-entropy exchange: merge the
-// sender's digest, count the contact as liveness evidence for them, and
-// send our digest back.
+// sender's digest, count the contact as liveness evidence for them,
+// project the merged view onto the scheduling fleet, and send our digest
+// back. Projecting before answering keeps the fleet in step with what
+// /v1/healthz reports, instead of a -heartbeat behind it.
 func (ps *peerServer) handleGossip(w http.ResponseWriter, r *http.Request) {
 	var req wire.GossipRequest
 	if !decodePost(w, r, &req) {
@@ -239,6 +243,7 @@ func (ps *peerServer) handleGossip(w http.ResponseWriter, r *http.Request) {
 	}
 	ps.table.Merge(req.Entries)
 	ps.table.Witness(req.From)
+	ps.syncGossipMembership()
 	writeJSON(w, r, http.StatusOK, wire.GossipResponse{From: ps.self, Entries: ps.table.Digest()})
 }
 
@@ -308,35 +313,22 @@ func redirectTo(w http.ResponseWriter, r *http.Request, addr string) {
 	http.Redirect(w, r, "http://"+addr+r.URL.RequestURI(), http.StatusTemporaryRedirect)
 }
 
-// handleSweepSubmit starts a sweep at the request's scope: a
+// handleSubmit starts a job of the given kind at the request's scope: a
 // local-scope request is a shard another peer placed here and runs on
 // this node's own models; anything else is a fleet-scope job this peer
 // owns, coordinates, and replicates.
-func (ps *peerServer) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
-	var req wire.SweepRequest
-	early, ok := decodeJob(w, r, &req)
-	if !ok {
-		return
+func (ps *peerServer) handleSubmit(kind wire.JobKind) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		spec, early, ok := decodeJob(w, r, kind)
+		if !ok {
+			return
+		}
+		run := ps.runFleet(spec, early, nil)
+		if spec.Scope == wire.ScopeLocal {
+			run = ps.srv.runLocal(spec, early)
+		}
+		ps.srv.submit(w, r, spec, len(early), run)
 	}
-	run := ps.srv.runSweep(req, early)
-	if req.Scope != wire.ScopeLocal {
-		run = ps.runFleet(fleetJob{kind: api.JobSweep, sweep: &req}, early, nil)
-	}
-	ps.srv.submit(w, r, api.JobSweep, req.Benchmark, len(early), run)
-}
-
-// handleParetoSubmit is handleSweepSubmit for frontier jobs.
-func (ps *peerServer) handleParetoSubmit(w http.ResponseWriter, r *http.Request) {
-	var req wire.ParetoRequest
-	early, ok := decodeJob(w, r, &req)
-	if !ok {
-		return
-	}
-	run := ps.srv.runPareto(req, early)
-	if req.Scope != wire.ScopeLocal {
-		run = ps.runFleet(fleetJob{kind: api.JobPareto, pareto: &req}, early, nil)
-	}
-	ps.srv.submit(w, r, api.JobPareto, req.Benchmark, len(early), run)
 }
 
 // handleWarm trains locally at local scope, and places models across
@@ -373,74 +365,6 @@ func (ps *peerServer) handleWarm(w http.ResponseWriter, r *http.Request) {
 		ElapsedMS:  float64(time.Since(start).Microseconds()) / 1000,
 		Errors:     errStrings,
 	})
-}
-
-// fleetJob is one distributed job's spec in replicable form: exactly
-// one of sweep/pareto is set, with the design list still in
-// seed-deterministic resolvable form so an adopter rebuilds the
-// identical list.
-type fleetJob struct {
-	kind   api.JobKind
-	sweep  *wire.SweepRequest
-	pareto *wire.ParetoRequest
-}
-
-func (f fleetJob) benchmark() string {
-	if f.sweep != nil {
-		return f.sweep.Benchmark
-	}
-	return f.pareto.Benchmark
-}
-
-func (f fleetJob) objectives() []wire.ObjectiveSpec {
-	if f.sweep != nil {
-		return f.sweep.Objectives
-	}
-	return f.pareto.Objectives
-}
-
-func (f fleetJob) replicaKind() string {
-	if f.sweep != nil {
-		return wire.ReplicaSweep
-	}
-	return wire.ReplicaPareto
-}
-
-func (f fleetJob) query() cluster.Query { return clusterQuery(f.sweep, f.pareto) }
-
-func (f fleetJob) space() wire.SpaceSpec {
-	if f.sweep != nil {
-		return f.sweep.SpaceSpec
-	}
-	return f.pareto.SpaceSpec
-}
-
-// clusterQuery builds the distributed query of a validated request;
-// exactly one of sweep and pareto is non-nil. The query carries the
-// request's space selector, so shards of a named, unsampled space travel
-// as windows. An unnamed space is the train space, named explicitly here
-// because cluster.Query treats an unnamed space as pinned.
-func clusterQuery(sweep *wire.SweepRequest, pareto *wire.ParetoRequest) cluster.Query {
-	var q cluster.Query
-	if sweep != nil {
-		q = cluster.Query{
-			Benchmark:   sweep.Benchmark,
-			Objectives:  sweep.Objectives,
-			Space:       sweep.SpaceSpec,
-			TopK:        sweep.TopK,
-			Objective:   sweep.Objective,
-			Constraints: make([]explore.Constraint, len(sweep.Constraints)),
-		}
-		for i, c := range sweep.Constraints {
-			q.Constraints[i] = explore.Constraint{Objective: c.Objective, Max: c.Max}
-		}
-	} else {
-		q = cluster.Query{Benchmark: pareto.Benchmark, Objectives: pareto.Objectives, Space: pareto.SpaceSpec}
-	}
-	if q.Space.Space == "" && len(q.Space.Designs) == 0 {
-		q.Space.Space = "train"
-	}
-	return q
 }
 
 // fleetSegments resolves a distributed job's space to its size and the
@@ -491,16 +415,18 @@ func clusterStatus(err error) int {
 	return http.StatusBadGateway
 }
 
-// runFleet is the peer's distributed job body, serving both fresh jobs
-// (resume nil: one segment, empty seed) and adopted ones (segments are
-// the complement of the dead owner's shard ledger, the seed its latest
-// merged snapshot). Every merged shard publishes the cumulative partial
-// and pushes the job's recoverable state to its replicas.
-func (ps *peerServer) runFleet(job fleetJob, early []space.Config, resume *wire.ReplicateRequest) api.RunFunc {
+// runFleet is the peer's distributed job body, for either kind, serving
+// both fresh jobs (resume nil: one segment, empty seed) and adopted ones
+// (segments are the complement of the dead owner's shard ledger, the
+// seed its latest merged snapshot). Every merged shard publishes the
+// cumulative partial and pushes the job's recoverable state to its
+// replicas. spec keeps the design list in seed-deterministic resolvable
+// form, so an adopter rebuilds the identical list.
+func (ps *peerServer) runFleet(spec wire.JobSpec, early []space.Config, resume *wire.ReplicateRequest) api.RunFunc {
 	return func(ctx context.Context, pub api.Publisher) (any, api.Update, error) {
 		var jobSpan *obs.ActiveSpan
 		if resume == nil {
-			ctx, jobSpan = startJobSpan(ps.tel(), ctx, "job:"+string(job.kind), pub, job.benchmark())
+			ctx, jobSpan = startJobSpan(ps.tel(), ctx, "job:"+string(spec.Kind), pub, spec.Benchmark)
 		} else {
 			// Adoption splices into the dead owner's trace: import its
 			// replicated spans, parent an "adopt" span under its root, and
@@ -509,25 +435,24 @@ func (ps *peerServer) runFleet(job fleetJob, early []space.Config, resume *wire.
 			ctx = ps.spliceOwnerTrace(ctx, pub.JobID(), resume)
 			ctx, jobSpan = ps.tel().tracer.Start(ctx, "adopt")
 			jobSpan.SetAttr("job_id", pub.JobID())
-			jobSpan.SetAttr("benchmark", job.benchmark())
+			jobSpan.SetAttr("benchmark", spec.Benchmark)
 			jobSpan.SetAttr("owner", resume.Owner)
 			jobSpan.SetAttr("reason", "owner-dead")
 			ps.tel().traces.Bind(pub.JobID(), jobSpan.Context().TraceID)
 		}
 		defer jobSpan.End()
-		q := job.query()
 		var seed cluster.Seed
 		var ledger []wire.ShardRange
 		if resume != nil {
 			seed = seedFromReplica(resume)
 			ledger = append(ledger, resume.Ledger...)
 		}
-		designs, segments, err := fleetSegments(ctx, job.space(), early, ledger)
+		designs, segments, err := fleetSegments(ctx, spec.SpaceSpec, early, ledger)
 		if err != nil {
 			return nil, api.Update{}, err
 		}
-		names := objectiveNames(job.objectives())
-		rep := ps.newReplicator(pub.JobID(), job, designs, jobSpan.Context(), ledger)
+		names := objectiveNames(spec.Objectives)
+		rep := ps.newReplicator(pub.JobID(), spec, designs, jobSpan.Context(), ledger)
 		go rep.run()
 		defer rep.finish()
 		// The opening snapshot: a subscriber sees the job's shape — and on
@@ -543,9 +468,9 @@ func (ps *peerServer) runFleet(job fleetJob, early []space.Config, resume *wire.
 		// Replicate before the first dispatch, not after the first merge:
 		// an owner that dies mid-first-shard must already have left the
 		// spec (and, on adoption, the inherited state) at its replicas.
-		rep.pushSeed(seed, pub.Seq())
+		rep.push(cluster.Progress{Evaluated: seed.Evaluated, Feasible: seed.Feasible, Shards: seed.Shards, Indexed: seed.Candidates}, pub.Seq())
 		start := time.Now()
-		observer := func(p cluster.Progress) {
+		res, err := ps.coord.Run(ctx, cluster.QueryOf(spec), segments, seed, func(p cluster.Progress) {
 			u := api.Update{
 				Evaluated:  p.Evaluated,
 				Designs:    designs,
@@ -561,69 +486,24 @@ func (ps *peerServer) runFleet(job fleetJob, early []space.Config, resume *wire.
 			}
 			pub.Publish(u)
 			rep.push(p, pub.Seq())
-		}
-		if job.kind == api.JobSweep {
-			res, err := ps.coord.SweepResumeObserved(ctx, q, segments, seed, observer)
-			if err != nil {
-				return nil, api.Update{}, err
-			}
-			resp := wire.ClusterSweepResponse{
-				SweepResponse: wire.SweepResponse{
-					Benchmark:  job.benchmark(),
-					Objectives: names,
-					Evaluated:  res.Evaluated,
-					Feasible:   res.Feasible,
-					ElapsedMS:  float64(time.Since(start).Microseconds()) / 1000,
-					Candidates: wire.ToCandidates(res.Candidates),
-				},
-				Workers: len(ps.coord.Workers()),
-				Shards:  res.Shards,
-				Retries: res.Retries,
-			}
-			final := api.Update{
-				Evaluated:  res.Evaluated,
-				Designs:    designs,
-				Feasible:   res.Feasible,
-				Shards:     res.Shards,
-				Retries:    res.Retries,
-				Workers:    resp.Workers,
-				Objectives: names,
-				Candidates: resp.Candidates,
-				ElapsedMS:  resp.ElapsedMS,
-			}
-			jobSpan.End()
-			final.Spans = ps.tel().traces.Spans(jobSpan.Context().TraceID)
-			return resp, final, nil
-		}
-		res, err := ps.coord.ParetoResumeObserved(ctx, q, segments, seed, observer)
+		})
 		if err != nil {
 			return nil, api.Update{}, err
-		}
-		resp := wire.ClusterParetoResponse{
-			ParetoResponse: wire.ParetoResponse{
-				Benchmark:  job.benchmark(),
-				Objectives: names,
-				Evaluated:  res.Evaluated,
-				ElapsedMS:  float64(time.Since(start).Microseconds()) / 1000,
-				Frontier:   wire.ToCandidates(res.Frontier),
-			},
-			Workers: len(ps.coord.Workers()),
-			Shards:  res.Shards,
-			Retries: res.Retries,
 		}
 		final := api.Update{
 			Evaluated:  res.Evaluated,
 			Designs:    designs,
+			Feasible:   res.Feasible,
 			Shards:     res.Shards,
 			Retries:    res.Retries,
-			Workers:    resp.Workers,
+			Workers:    len(ps.coord.Workers()),
 			Objectives: names,
-			Candidates: resp.Frontier,
-			ElapsedMS:  resp.ElapsedMS,
+			Candidates: wire.ToCandidates(res.Candidates),
+			ElapsedMS:  float64(time.Since(start).Microseconds()) / 1000,
 		}
 		jobSpan.End()
 		final.Spans = ps.tel().traces.Spans(jobSpan.Context().TraceID)
-		return resp, final, nil
+		return jobResult(spec, final, true), final, nil
 	}
 }
 
@@ -648,7 +528,7 @@ func (ps *peerServer) spliceOwnerTrace(ctx context.Context, jobID string, st *wi
 		spans = append(append([]obs.Span(nil), spans...), obs.Span{
 			TraceID: sc.TraceID,
 			SpanID:  sc.SpanID,
-			Name:    "job:" + st.Kind,
+			Name:    "job:" + string(st.Kind),
 			Node:    st.Owner,
 			Attrs:   map[string]string{"job_id": jobID},
 		})
@@ -700,11 +580,10 @@ func replicaSnapshot(p cluster.Progress) []wire.SnapshotCandidate {
 // and coalesces bursts (newest wins — replicas only keep the latest
 // anyway).
 type replicator struct {
-	ps      *peerServer
-	jobID   string
-	job     fleetJob
-	designs int
-	root    obs.SpanContext
+	ps   *peerServer
+	root obs.SpanContext
+	// base is every payload's fixed part: the job's identity and spec.
+	base wire.ReplicateRequest
 
 	mu     sync.Mutex
 	ledger []wire.ShardRange
@@ -715,74 +594,30 @@ type replicator struct {
 	once   sync.Once
 }
 
-func (ps *peerServer) newReplicator(jobID string, job fleetJob, designs int, root obs.SpanContext, ledger []wire.ShardRange) *replicator {
+func (ps *peerServer) newReplicator(jobID string, spec wire.JobSpec, designs int, root obs.SpanContext, ledger []wire.ShardRange) *replicator {
+	base := spec.Replica()
+	base.JobID, base.Owner, base.Designs = jobID, ps.self, designs
 	return &replicator{
-		ps:      ps,
-		jobID:   jobID,
-		job:     job,
-		designs: designs,
-		root:    root,
-		ledger:  ledger,
-		notify:  make(chan struct{}, 1),
-		quit:    make(chan struct{}),
+		ps:     ps,
+		root:   root,
+		base:   base,
+		ledger: ledger,
+		notify: make(chan struct{}, 1),
+		quit:   make(chan struct{}),
 	}
 }
 
-// push records the post-merge state as the newest replication payload.
-// It runs under the coordinator's merge lock and must not block.
+// push records the job's state after p — its counters, its snapshot and
+// the ledger with p's shard merged (none for the pre-dispatch push of a
+// job's seed) — as the newest replication payload. It runs under the
+// coordinator's merge lock and must not block.
 func (r *replicator) push(p cluster.Progress, seq int) {
+	req := r.base
+	req.Seq, req.Evaluated, req.Feasible, req.Shards = seq, p.Evaluated, p.Feasible, p.Shards
+	req.Snapshot = replicaSnapshot(p)
 	r.mu.Lock()
 	r.ledger = wire.AddRange(r.ledger, wire.ShardRange{Start: p.ShardStart, Count: p.ShardLen})
-	req := wire.ReplicateRequest{
-		JobID:     r.jobID,
-		Kind:      r.job.replicaKind(),
-		Owner:     r.ps.self,
-		Benchmark: r.job.benchmark(),
-		Designs:   r.designs,
-		Seq:       seq,
-		Sweep:     r.job.sweep,
-		Pareto:    r.job.pareto,
-		Evaluated: p.Evaluated,
-		Feasible:  p.Feasible,
-		Shards:    p.Shards,
-		Snapshot:  replicaSnapshot(p),
-		Ledger:    append([]wire.ShardRange(nil), r.ledger...),
-	}
-	r.latest = &req
-	r.mu.Unlock()
-	select {
-	case r.notify <- struct{}{}:
-	default:
-	}
-}
-
-// pushSeed records the job's pre-first-merge state (the spec plus, on
-// an adopted job, the inherited snapshot and ledger) so the job
-// survives an owner that dies before any new shard lands.
-func (r *replicator) pushSeed(seed cluster.Seed, seq int) {
-	snapshot := make([]wire.SnapshotCandidate, len(seed.Candidates))
-	for i, ic := range seed.Candidates {
-		snapshot[i] = wire.SnapshotCandidate{
-			Index:     ic.Index,
-			Candidate: wire.ToCandidates([]explore.Candidate{ic.Candidate})[0],
-		}
-	}
-	r.mu.Lock()
-	req := wire.ReplicateRequest{
-		JobID:     r.jobID,
-		Kind:      r.job.replicaKind(),
-		Owner:     r.ps.self,
-		Benchmark: r.job.benchmark(),
-		Designs:   r.designs,
-		Seq:       seq,
-		Sweep:     r.job.sweep,
-		Pareto:    r.job.pareto,
-		Evaluated: seed.Evaluated,
-		Feasible:  seed.Feasible,
-		Shards:    seed.Shards,
-		Snapshot:  snapshot,
-		Ledger:    append([]wire.ShardRange(nil), r.ledger...),
-	}
+	req.Ledger = append([]wire.ShardRange(nil), r.ledger...)
 	r.latest = &req
 	r.mu.Unlock()
 	select {
@@ -809,7 +644,7 @@ func (r *replicator) run() {
 		select {
 		case <-r.quit:
 			r.sendLatest()
-			r.send(wire.ReplicateRequest{JobID: r.jobID, Owner: r.ps.self, Done: true})
+			r.send(wire.ReplicateRequest{JobID: r.base.JobID, Owner: r.ps.self, Done: true})
 			return
 		case <-r.notify:
 			r.sendLatest()
@@ -841,7 +676,7 @@ func (r *replicator) sendLatest() {
 // ride inside the payload so every holder agrees on the adoption order
 // without an election.
 func (r *replicator) send(req wire.ReplicateRequest) {
-	req.Replicas = r.ps.pickReplicas(r.jobID)
+	req.Replicas = r.ps.pickReplicas(r.base.JobID)
 	for _, addr := range req.Replicas {
 		ctx, cancel := context.WithTimeout(context.Background(), replicateTimeout)
 		_, err := r.ps.client(addr).Replicate(ctx, req)
@@ -968,6 +803,13 @@ func (ps *peerServer) exchange(ctx context.Context, target string) {
 // immediately, even though adoption waits for the stronger dead verdict. Self joins as the in-process ps.local, remote
 // peers as HTTP transports; both are named "http://"+addr.
 func (ps *peerServer) syncGossipMembership() {
+	// The round loop and incoming exchanges both project, and each takes
+	// its snapshot under this lock, so projections apply in snapshot
+	// order. Unordered, one working from an older snapshot (peer alive)
+	// could Join after a newer one's Leave (peer suspect) and put a
+	// suspect peer back in the fleet.
+	ps.syncMu.Lock()
+	defer ps.syncMu.Unlock()
 	known := make(map[string]bool)
 	for _, m := range ps.coord.Members() {
 		known[m.Name] = true
@@ -1014,7 +856,7 @@ type selfWorker struct {
 
 func newSelfWorker(srv *Server, name string) *selfWorker {
 	l := cluster.NewLocal(name, func(ctx context.Context, benchmark, metric string) (core.DynamicsModel, error) {
-		m, err := srv.sweepModel(ctx, benchmark, mustMetric(metric))
+		m, err := srv.sweepModel(ctx, benchmark, metric)
 		return m, selfVerdict(name, err)
 	})
 	l.Workers = srv.workers
@@ -1039,16 +881,10 @@ func selfVerdict(name string, err error) error {
 	return err
 }
 
-// Pareto implements cluster.Transport.
-func (w *selfWorker) Pareto(ctx context.Context, q cluster.Query, s cluster.Shard) (*cluster.Partial, error) {
+// Evaluate implements cluster.Transport.
+func (w *selfWorker) Evaluate(ctx context.Context, q cluster.Query, s cluster.Shard) (*cluster.Partial, error) {
 	defer w.srv.shardStarted(q.Benchmark)()
-	return w.Local.Pareto(ctx, q, s)
-}
-
-// Sweep implements cluster.Transport.
-func (w *selfWorker) Sweep(ctx context.Context, q cluster.Query, s cluster.Shard) (*cluster.Partial, error) {
-	defer w.srv.shardStarted(q.Benchmark)()
-	return w.Local.Sweep(ctx, q, s)
+	return w.Local.Evaluate(ctx, q, s)
 }
 
 // adoptOrphans scans the replica table for jobs whose owner the fleet
@@ -1111,25 +947,14 @@ func (ps *peerServer) successor(st wire.ReplicateRequest) string {
 // monotone.
 func (ps *peerServer) adopt(st wire.ReplicateRequest) {
 	ps.replicas.drop(st.JobID)
-	var job fleetJob
-	var early []space.Config
-	var err error
-	switch st.Kind {
-	case wire.ReplicaSweep:
-		job = fleetJob{kind: api.JobSweep, sweep: st.Sweep}
-		early, err = st.Sweep.ResolveEarly()
-	case wire.ReplicaPareto:
-		job = fleetJob{kind: api.JobPareto, pareto: st.Pareto}
-		early, err = st.Pareto.ResolveEarly()
-	default:
-		return
-	}
+	spec := st.Spec()
+	early, err := spec.ResolveEarly()
 	if err != nil {
 		ps.logf("adopt: job %s spec no longer resolves: %v", st.JobID, err)
 		return
 	}
 	resume := st
-	if _, err := ps.srv.jobs.StartAdopted(st.JobID, job.kind, st.Benchmark, st.Designs, st.Seq, ps.runFleet(job, early, &resume)); err != nil {
+	if _, err := ps.srv.jobs.StartAdopted(st.JobID, spec.Kind, st.Benchmark, st.Designs, st.Seq, ps.runFleet(spec, early, &resume)); err != nil {
 		ps.logf("adopt: job %s: %v", st.JobID, err)
 		return
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -36,7 +37,7 @@ func markDead(ps *peerServer, addr string) {
 func paretoReplica(jobID, owner string, replicas []string) wire.ReplicateRequest {
 	return wire.ReplicateRequest{
 		JobID:    jobID,
-		Kind:     wire.ReplicaPareto,
+		Kind:     wire.JobPareto,
 		Owner:    owner,
 		Replicas: replicas,
 		Pareto: &wire.ParetoRequest{
@@ -308,11 +309,11 @@ func TestPeerOwnShardsStayInProcess(t *testing.T) {
 		SpaceSpec:  wire.SpaceSpec{Space: "test"},
 	}
 	ctx := context.Background()
-	want, err := testClient(single.URL).ParetoJob(ctx, req, nil)
+	want, _, err := testClient(single.URL).Run(ctx, req, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := testClient(entry.URL).ParetoJob(ctx, req, nil)
+	got, _, err := testClient(entry.URL).Run(ctx, req, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +356,7 @@ func TestPeerOwnShardsStayInProcess(t *testing.T) {
 	if got.Evaluated != want.Evaluated {
 		t.Fatalf("fleet evaluated %d designs, single daemon %d", got.Evaluated, want.Evaluated)
 	}
-	requireSameCandidates(t, "fleet frontier vs single daemon", got.Frontier, want.Frontier)
+	requireSameCandidates(t, "fleet frontier vs single daemon", got.Candidates, want.Candidates)
 }
 
 // An unknown benchmark is the fleet's deterministic verdict whether the
@@ -382,7 +383,7 @@ func TestPeerUnknownBenchmarkIsRejection(t *testing.T) {
 		{"1 peer", ts.URL, solo},
 		{"2 peers", duoEntry.URL, duo[0]},
 	} {
-		_, err := testClient(fleet.entry).ParetoJob(context.Background(), wire.ParetoRequest{
+		_, _, err := testClient(fleet.entry).Run(context.Background(), wire.ParetoRequest{
 			Benchmark:  "doom",
 			Objectives: []wire.ObjectiveSpec{{Metric: "CPI"}},
 			SpaceSpec:  wire.SpaceSpec{Space: "test", Sample: 50},
@@ -467,5 +468,72 @@ func TestPeerGossipRejectsMalformedResponse(t *testing.T) {
 	}
 	if n := failed.Value() - before; n != 1 {
 		t.Errorf("malformed response booked %d failed rounds, want 1", n)
+	}
+}
+
+// A replica payload whose spec its own submission would have refused
+// answers 400: it must never reach the replica table, from which an
+// adopter would resume it.
+func TestReplicateRejectsInvalidSpec(t *testing.T) {
+	ps := testPeer(t, "127.0.0.1:1")
+	ts := httptest.NewServer(ps.Handler())
+	defer ts.Close()
+	bad := paretoReplica("job-bad", "127.0.0.1:2", nil)
+	bad.Pareto.Objectives = []wire.ObjectiveSpec{{Metric: "NOPE"}}
+	var out map[string]any
+	if status := postJSON(t, ts, "/v1/jobs/replicate", bad, &out); status != http.StatusBadRequest {
+		t.Fatalf("replicate with an unknown metric answered %d, want 400 (%v)", status, out)
+	}
+	if _, ok := ps.replicas.get("job-bad"); ok {
+		t.Error("the invalid replica reached the replica table")
+	}
+}
+
+// A peer's scheduling fleet follows an incoming gossip exchange before
+// the handler answers, not at the next round: a client that sees the
+// peer in /v1/healthz can schedule onto it at once. Then exchanges
+// arrive concurrently with each other and with the round's own
+// projection.
+func TestGossipExchangeUpdatesSchedulingFleet(t *testing.T) {
+	ps := testPeer(t, "127.0.0.1:1")
+	ts := httptest.NewServer(ps.Handler())
+	defer ts.Close()
+	exchange := func(joiner string) {
+		body, _ := json.Marshal(wire.GossipRequest{From: joiner, Entries: []wire.GossipEntry{{Addr: joiner, Incarnation: 1, Beat: 1, State: wire.GossipAlive}}})
+		resp, err := http.Post(ts.URL+"/v1/gossip", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("gossip from %s answered %d", joiner, resp.StatusCode)
+			return
+		}
+		for _, m := range ps.coord.Members() {
+			if m.Name == "http://"+joiner {
+				return
+			}
+		}
+		t.Errorf("members after %s's exchange: %v; want it among them", joiner, ps.coord.Members())
+	}
+	exchange("127.0.0.1:2")
+
+	joiners := []string{"127.0.0.1:3", "127.0.0.1:4", "127.0.0.1:5"}
+	var wg sync.WaitGroup
+	for _, joiner := range joiners {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			ps.syncGossipMembership()
+		}()
+		go func() {
+			defer wg.Done()
+			exchange(joiner)
+		}()
+	}
+	wg.Wait()
+	if n := len(ps.coord.Members()); n != len(joiners)+2 {
+		t.Errorf("scheduling fleet holds %d members, want the peer itself and %d joiners", n, len(joiners)+1)
 	}
 }

@@ -123,8 +123,8 @@ func (s *Server) routes(peer map[string]http.HandlerFunc) http.Handler {
 		"/v1/metricsz":         s.tel.handleMetricsz,
 		"/v1/predict":          negotiated(s.handlePredict),
 		"/v1/warm":             negotiated(s.handleWarm),
-		"/v1/sweeps":           negotiated(s.handleSweepSubmit),
-		"/v1/pareto":           negotiated(s.handleParetoSubmit),
+		"/v1/sweeps":           negotiated(s.handleSubmit(wire.JobSweep)),
+		"/v1/pareto":           negotiated(s.handleSubmit(wire.JobPareto)),
 		"/v1/jobs":             negotiated(s.handleJobs),
 		"/v1/jobs/{id}":        negotiated(s.handleJob),
 		"/v1/jobs/{id}/stream": s.handleJobStream,

@@ -523,7 +523,7 @@ func TestConcurrentQueries(t *testing.T) {
 			}, &pr); status != http.StatusOK {
 				errs <- errStatus{"predict", status}
 			}
-			if _, err := testClient(ts.URL).SweepJob(context.Background(), wire.SweepRequest{
+			if _, _, err := testClient(ts.URL).Run(context.Background(), wire.SweepRequest{
 				Benchmark:  "gcc",
 				Objectives: []wire.ObjectiveSpec{{Metric: "CPI"}, {Metric: "Power"}},
 				SpaceSpec:  wire.SpaceSpec{Space: "test", Sample: 50},
@@ -733,7 +733,7 @@ func TestStragglerAnswersMatchHealthyWorker(t *testing.T) {
 		}
 		var answers [2]string
 		for i, base := range []string{slowTS.URL, healthyTS.URL} {
-			resp, err := testClient(base).SweepJob(ctx, req, nil)
+			resp, _, err := testClient(base).Run(ctx, req, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

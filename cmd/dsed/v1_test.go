@@ -40,7 +40,7 @@ func TestV1JobLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.ID == "" || st.Kind != api.JobPareto {
+	if st.ID == "" || st.Kind != wire.JobPareto {
 		t.Fatalf("submission echo incomplete: %+v", st)
 	}
 
@@ -116,7 +116,7 @@ func TestV1StreamedFrontierMatchesSingleProcess(t *testing.T) {
 			ctx := context.Background()
 			partials := 0
 			var lastPartialEvaluated int
-			resp, err := c.ParetoJob(ctx, wire.ParetoRequest{
+			resp, _, err := c.Run(ctx, wire.ParetoRequest{
 				Benchmark:  "gcc",
 				Objectives: []wire.ObjectiveSpec{{Metric: "CPI"}, {Metric: "Power"}},
 				SpaceSpec:  wire.SpaceSpec{Space: "test", Sample: 300},
@@ -149,7 +149,7 @@ func TestV1StreamedFrontierMatchesSingleProcess(t *testing.T) {
 			if resp.Evaluated != single.Evaluated {
 				t.Fatalf("job evaluated %d designs, single process %d", resp.Evaluated, single.Evaluated)
 			}
-			requireSameCandidates(t, "streamed frontier", resp.Frontier, single.Frontier)
+			requireSameCandidates(t, "streamed frontier", resp.Candidates, single.Frontier)
 		})
 	}
 }
@@ -277,7 +277,7 @@ func TestV1ErrorModel(t *testing.T) {
 	// A failed job carries the structured error with the legacy-status
 	// mapping (unknown benchmark → 404 not_found).
 	c := testClient(ts.URL)
-	_, err = c.ParetoJob(context.Background(), wire.ParetoRequest{
+	_, _, err = c.Run(context.Background(), wire.ParetoRequest{
 		Benchmark:  "doom",
 		Objectives: []wire.ObjectiveSpec{{Metric: "CPI"}},
 		SpaceSpec:  wire.SpaceSpec{Designs: []wire.ConfigSpec{{}}},
@@ -364,7 +364,7 @@ func TestWorkerQueueDepths(t *testing.T) {
 	if depths := srv.QueueDepths(); len(depths) != 0 {
 		t.Fatalf("idle worker advertises depths %v", depths)
 	}
-	job, err := srv.jobs.Start(api.JobPareto, "gcc", 10, func(ctx context.Context, pub api.Publisher) (any, api.Update, error) {
+	job, err := srv.jobs.Start(wire.JobPareto, "gcc", 10, func(ctx context.Context, pub api.Publisher) (any, api.Update, error) {
 		<-ctx.Done()
 		return nil, api.Update{}, ctx.Err()
 	})
@@ -394,7 +394,7 @@ func TestParetoMeanMatchesPredict(t *testing.T) {
 	ctx := context.Background()
 
 	metrics := []string{"CPI", "Power"}
-	res, err := c.ParetoJob(ctx, wire.ParetoRequest{
+	res, _, err := c.Run(ctx, wire.ParetoRequest{
 		Benchmark:  "gcc",
 		Objectives: []wire.ObjectiveSpec{{Metric: metrics[0]}, {Metric: metrics[1]}},
 		SpaceSpec:  wire.SpaceSpec{Space: "test", Offset: 1001, Count: 3001},
@@ -402,11 +402,11 @@ func TestParetoMeanMatchesPredict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Evaluated != 3001 || len(res.Frontier) < 2 {
-		t.Fatalf("pareto evaluated %d designs into %d frontier points", res.Evaluated, len(res.Frontier))
+	if res.Evaluated != 3001 || len(res.Candidates) < 2 {
+		t.Fatalf("pareto evaluated %d designs into %d frontier points", res.Evaluated, len(res.Candidates))
 	}
-	configs := make([]wire.ConfigSpec, len(res.Frontier))
-	for i, p := range res.Frontier {
+	configs := make([]wire.ConfigSpec, len(res.Candidates))
+	for i, p := range res.Candidates {
 		configs[i] = wire.SpecFromConfig(p.Config.ToConfig())
 		for m, metric := range metrics {
 			one, err := c.Predict(ctx, wire.PredictRequest{Benchmark: "gcc", Metric: metric, Config: configs[i]})
@@ -422,7 +422,7 @@ func TestParetoMeanMatchesPredict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, p := range res.Frontier {
+	for i, p := range res.Candidates {
 		for m, metric := range metrics {
 			if got := batch.Results[i][m].Mean; got != p.Scores[m] {
 				t.Fatalf("point %d: pareto %s mean %v, batch /v1/predict mean %v", i, metric, p.Scores[m], got)

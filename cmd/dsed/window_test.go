@@ -16,7 +16,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/api"
 	"repro/internal/cluster"
 	"repro/internal/explore"
 	"repro/internal/obs"
@@ -243,7 +242,8 @@ var frontierObjectives = []wire.ObjectiveSpec{{Metric: "CPI"}, {Metric: "Power"}
 // over designs under the shared test models.
 func singleFrontier(t *testing.T, designs []space.Config) []wire.Candidate {
 	t.Helper()
-	models, objectives, err := testServer(t).buildObjectives(context.Background(), "gcc", frontierObjectives)
+	q := cluster.Query{Benchmark: "gcc", Objectives: frontierObjectives}
+	models, objectives, err := q.Resolve(context.Background(), nil, testServer(t).sweepModel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func requireSameCandidates(t *testing.T, what string, got, want []wire.Candidate
 func TestFleetWindowedShardsMatchSingleProcess(t *testing.T) {
 	const shardSize = 500 // 5,832 test designs: 11 full shards + 332
 	entry, recs, peers := twoPeerFleet(t, shardSize)
-	resp, err := testClient(entry.URL).ParetoJob(context.Background(), wire.ParetoRequest{
+	resp, _, err := testClient(entry.URL).Run(context.Background(), wire.ParetoRequest{
 		Benchmark:  "gcc",
 		Objectives: frontierObjectives,
 		SpaceSpec:  wire.SpaceSpec{Space: "test"},
@@ -294,7 +294,7 @@ func TestFleetWindowedShardsMatchSingleProcess(t *testing.T) {
 		t.Errorf("shard windows %v lack the ragged last shard [5500,+332)", windows)
 	}
 	requireCover(t, windows, [][2]int{{0, len(designs)}})
-	requireSameCandidates(t, "windowed fleet frontier", resp.Frontier, singleFrontier(t, designs))
+	requireSameCandidates(t, "windowed fleet frontier", resp.Candidates, singleFrontier(t, designs))
 }
 
 // A sampled space has no positional name: its remote shards still pin
@@ -306,7 +306,7 @@ func TestFleetSampledShardsStayPinned(t *testing.T) {
 		Objectives: frontierObjectives,
 		SpaceSpec:  wire.SpaceSpec{Space: "test", Sample: 300, Seed: 5},
 	}
-	resp, err := testClient(entry.URL).ParetoJob(context.Background(), req, nil)
+	resp, _, err := testClient(entry.URL).Run(context.Background(), req, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +329,7 @@ func TestFleetSampledShardsStayPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameCandidates(t, "sampled fleet frontier", resp.Frontier, singleFrontier(t, designs))
+	requireSameCandidates(t, "sampled fleet frontier", resp.Candidates, singleFrontier(t, designs))
 }
 
 // A client's own window composes with the shard offsets: the fleet's
@@ -346,11 +346,11 @@ func TestFleetClientWindowMatchesSingleDaemon(t *testing.T) {
 		Constraints: []wire.Constraint{{Objective: 1, Max: 1000}},
 	}
 	ctx := context.Background()
-	want, err := testClient(single.URL).SweepJob(ctx, req, nil)
+	want, _, err := testClient(single.URL).Run(ctx, req, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := testClient(entry.URL).SweepJob(ctx, req, nil)
+	got, _, err := testClient(entry.URL).Run(ctx, req, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +406,7 @@ func TestResumedWindowedJobSendsAbsoluteOffsets(t *testing.T) {
 		seed.Candidates = append(seed.Candidates, cluster.IndexedCandidate{Index: -1, Candidate: c.ToExplore()})
 	}
 
-	res, err := coord.ParetoResumeObserved(context.Background(), clusterQuery(nil, &req),
+	res, err := coord.Run(context.Background(), cluster.QueryOf(req.Spec()),
 		cluster.SegmentsAfter(len(designs), ledger), seed, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -415,7 +415,7 @@ func TestResumedWindowedJobSendsAbsoluteOffsets(t *testing.T) {
 		t.Fatalf("resumed job evaluated %d designs, want %d", res.Evaluated, len(designs))
 	}
 	requireCover(t, windowsOf(t, shards(rec), "test"), [][2]int{{300, 1000}, {2800, 1500}, {4800, 500}})
-	requireSameCandidates(t, "resumed frontier", wire.ToCandidates(res.Frontier), singleFrontier(t, designs))
+	requireSameCandidates(t, "resumed frontier", wire.ToCandidates(res.Candidates), singleFrontier(t, designs))
 }
 
 // An adopted windowed job resumes from a mid-space ledger through the
@@ -442,34 +442,27 @@ func TestAdoptedWindowedJobMatchesUninterrupted(t *testing.T) {
 		Constraints: []wire.Constraint{{Objective: 1, Max: 1000}},
 	}
 	pareto := wire.ParetoRequest{Benchmark: "gcc", Objectives: frontierObjectives, SpaceSpec: sp}
-	for _, job := range []fleetJob{{kind: api.JobSweep, sweep: &sweep}, {kind: api.JobPareto, pareto: &pareto}} {
-		q := job.query()
+	for _, spec := range []wire.JobSpec{sweep.Spec(), pareto.Spec()} {
+		q := cluster.QueryOf(spec)
 		run := func(ledger []wire.ShardRange, seed cluster.Seed, obs cluster.Observer) (int, []wire.Candidate) {
 			t.Helper()
-			n, segs, err := fleetSegments(ctx, job.space(), nil, ledger)
+			n, segs, err := fleetSegments(ctx, spec.SpaceSpec, nil, ledger)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if n != sp.Count {
-				t.Fatalf("%s: fleetSegments sized the job %d, want %d", job.kind, n, sp.Count)
+				t.Fatalf("%s: fleetSegments sized the job %d, want %d", spec.Kind, n, sp.Count)
 			}
 			for _, s := range segs {
 				if s.Designs != nil {
-					t.Fatalf("%s: a named space's segment pinned %d designs", job.kind, len(s.Designs))
+					t.Fatalf("%s: a named space's segment pinned %d designs", spec.Kind, len(s.Designs))
 				}
 			}
-			if job.sweep != nil {
-				res, err := coord.SweepResumeObserved(ctx, q, segs, seed, obs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res.Evaluated, wire.ToCandidates(res.Candidates)
-			}
-			res, err := coord.ParetoResumeObserved(ctx, q, segs, seed, obs)
+			res, err := coord.Run(ctx, q, segs, seed, obs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return res.Evaluated, wire.ToCandidates(res.Frontier)
+			return res.Evaluated, wire.ToCandidates(res.Candidates)
 		}
 
 		// The uninterrupted run, replicating its state after every merge.
@@ -494,23 +487,23 @@ func TestAdoptedWindowedJobMatchesUninterrupted(t *testing.T) {
 			states = append(states, back)
 		})
 		if len(states) != (sp.Count+399)/400 {
-			t.Fatalf("%s: uninterrupted run merged %d shards, want %d", job.kind, len(states), (sp.Count+399)/400)
+			t.Fatalf("%s: uninterrupted run merged %d shards, want %d", spec.Kind, len(states), (sp.Count+399)/400)
 		}
 		for _, k := range []int{1, len(states) / 2, len(states) - 1} {
 			st := states[k-1]
 			gotN, got := run(st.Ledger, seedFromReplica(&st), nil)
 			if gotN != wantN {
-				t.Fatalf("%s adopted after %d shards: evaluated %d, want %d", job.kind, k, gotN, wantN)
+				t.Fatalf("%s adopted after %d shards: evaluated %d, want %d", spec.Kind, k, gotN, wantN)
 			}
-			if job.sweep != nil {
+			if spec.Kind == wire.JobSweep {
 				g, _ := json.Marshal(got)
 				w, _ := json.Marshal(want)
 				if string(g) != string(w) {
-					t.Fatalf("%s adopted after %d shards: top-K differs rank for rank:\n  got  %s\n  want %s", job.kind, k, g, w)
+					t.Fatalf("%s adopted after %d shards: top-K differs rank for rank:\n  got  %s\n  want %s", spec.Kind, k, g, w)
 				}
 				continue
 			}
-			requireSameCandidates(t, fmt.Sprintf("%s adopted after %d shards", job.kind, k), got, want)
+			requireSameCandidates(t, fmt.Sprintf("%s adopted after %d shards", spec.Kind, k), got, want)
 		}
 	}
 }

@@ -103,7 +103,7 @@
 // /heartbeat) and the registration plane (/v1/register, /v1/heartbeat)
 // were removed after their deprecation period: every path outside /v1
 // answers the structured 404. A blocking sweep is a submit followed by
-// the stream's final update (dsedclient's ParetoJob and SweepJob).
+// the stream's final update (dsedclient's Run).
 //
 // The batch /v1/predict form scores many configs under many metrics in
 // one request on the worker pool; /v1/benchmarks lists what is trained
@@ -119,11 +119,12 @@
 // peer's gossip and replication pushes are built on it. It offers typed calls
 // with context cancellation, automatic retry with backoff on errors the
 // daemon marks retryable, submit/poll/cancel for jobs, a streaming
-// iterator that resumes across disconnects, and blocking conveniences
-// (ParetoJob, SweepJob) that bundle submit → stream → final:
+// iterator that resumes across disconnects, and one blocking
+// convenience, Run, that bundles submit → stream → final for a job of
+// either kind and returns the final update with the job's ID:
 //
 //	c := dsedclient.New("localhost:8090")
-//	resp, err := c.ParetoJob(ctx, wire.ParetoRequest{...}, func(u api.Update) {
+//	final, jobID, err := c.Run(ctx, wire.ParetoRequest{...}, func(u api.Update) {
 //		log.Printf("partial: %d/%d designs, %d frontier points", u.Evaluated, u.Designs, len(u.Candidates))
 //	})
 //
@@ -136,9 +137,17 @@
 // peers by consistent hashing (stable homes, ~1/N movement on fleet
 // change), dispatches shards concurrently with per-shard retry onto the
 // rest of the fleet when a peer dies mid-sweep, and folds the partial
-// answers through the mergeable collectors
-// (explore.FrontierCollector.Merge, explore.TopK.Merge). Two transports
-// implement the worker link, interchangeable answer for answer: an
+// answers into the job kind's mergeable collector (explore.TopK or
+// explore.FrontierCollector). The job kind is a value (wire.JobKind,
+// "sweep" or "pareto") carried through every layer: one function,
+// cluster.Query.NewCollector, maps it to its collector, and everything
+// above — Coordinator.Run (fresh and resumed jobs alike), the one-method
+// shard link, the daemon's one local and one fleet job body, and
+// dsedclient.Run — is kind-agnostic. A partial whose candidates do not
+// carry one score per objective, or that answers more candidates than
+// its shard holds, is a worker fault and re-dispatches like a failed
+// attempt. The shard link is a Transport with three methods (Name, Warm,
+// Evaluate); two implement it, interchangeable answer for answer: an
 // in-process Local, through which a peer evaluates the shards it places
 // on itself (and which gives the cluster package deterministic -race
 // tests), and HTTP, which speaks the ordinary dsed wire format.
@@ -184,9 +193,12 @@
 // suspect, for three turns dead; the table projects onto each peer's
 // local scheduling view through one seam, so the scheduler and the
 // gossip layer cannot disagree about who is dispatchable. Gossip is the
-// only liveness authority: a suspect peer leaves the scheduling fleet at
-// the next round (the member table keeps no lease of its own), and its
-// in-flight shards re-dispatch to the survivors. Drain a peer by stopping it.
+// only liveness authority (the member table keeps no lease of its own):
+// the view projects onto the scheduling fleet every round and before an
+// incoming exchange is answered, so a suspect peer leaves the fleet and
+// an announced one joins it within one exchange, and a departed peer's
+// in-flight shards re-dispatch to the survivors. Drain a peer by
+// stopping it.
 // There is no leader, no quorum, no election — any subset of live peers
 // keeps accepting and finishing work.
 //

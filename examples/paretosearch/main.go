@@ -77,7 +77,7 @@ func runDaemon(ctx context.Context, addr string) {
 		SpaceSpec: wire.SpaceSpec{Space: "train", Sample: 20000, Seed: 11},
 	}
 	partials := 0
-	resp, err := c.ParetoJob(ctx, req, func(u api.Update) {
+	front, _, err := c.Run(ctx, req, func(u api.Update) {
 		if u.Final {
 			return
 		}
@@ -89,13 +89,13 @@ func runDaemon(ctx context.Context, addr string) {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nfinal frontier after %d partial updates: %d of %d designs in %.0fms\n",
-		partials, len(resp.Frontier), resp.Evaluated, resp.ElapsedMS)
-	for _, cand := range resp.Frontier {
+		partials, len(front.Candidates), front.Evaluated, front.ElapsedMS)
+	for _, cand := range front.Candidates {
 		fmt.Printf("  cpi=%.4f peak-power=%.4f | %v\n", cand.Scores[0], cand.Scores[1], cand.Config.ToConfig())
 	}
 
 	// The constrained design question as a top-K job.
-	sweep, err := c.SweepJob(ctx, wire.SweepRequest{
+	sweep, _, err := c.Run(ctx, wire.SweepRequest{
 		Benchmark:   benchmark,
 		Objectives:  req.Objectives,
 		SpaceSpec:   req.SpaceSpec,

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/wire"
 )
 
 func TestSanitizeRequestID(t *testing.T) {
@@ -84,7 +86,7 @@ func TestCodeAndRetryable(t *testing.T) {
 func TestJobLifecycle(t *testing.T) {
 	m := NewManager(ManagerOptions{})
 	release := make(chan struct{})
-	job, err := m.Start(JobPareto, "gcc", 100, func(ctx context.Context, pub Publisher) (any, Update, error) {
+	job, err := m.Start(wire.JobPareto, "gcc", 100, func(ctx context.Context, pub Publisher) (any, Update, error) {
 		pub.Publish(Update{Evaluated: 40})
 		<-release
 		return "result", Update{Evaluated: 100}, nil
@@ -140,7 +142,7 @@ func TestJobFailureMapsStatus(t *testing.T) {
 		}
 		return http.StatusInternalServerError
 	}})
-	job, err := m.Start(JobSweep, "doom", 0, func(ctx context.Context, pub Publisher) (any, Update, error) {
+	job, err := m.Start(wire.JobSweep, "doom", 0, func(ctx context.Context, pub Publisher) (any, Update, error) {
 		return nil, Update{}, sentinel
 	})
 	if err != nil {
@@ -161,7 +163,7 @@ func TestJobFailureMapsStatus(t *testing.T) {
 
 func TestJobPanicBecomesFailure(t *testing.T) {
 	m := NewManager(ManagerOptions{})
-	job, err := m.Start(JobSweep, "gcc", 0, func(ctx context.Context, pub Publisher) (any, Update, error) {
+	job, err := m.Start(wire.JobSweep, "gcc", 0, func(ctx context.Context, pub Publisher) (any, Update, error) {
 		panic("boom")
 	})
 	if err != nil {
@@ -176,7 +178,7 @@ func TestJobPanicBecomesFailure(t *testing.T) {
 
 func TestCancelSettlesCanceled(t *testing.T) {
 	m := NewManager(ManagerOptions{})
-	job, err := m.Start(JobPareto, "gcc", 0, func(ctx context.Context, pub Publisher) (any, Update, error) {
+	job, err := m.Start(wire.JobPareto, "gcc", 0, func(ctx context.Context, pub Publisher) (any, Update, error) {
 		<-ctx.Done()
 		return nil, Update{}, ctx.Err()
 	})
@@ -205,7 +207,7 @@ func TestCancelSettlesCanceled(t *testing.T) {
 func TestBaseContextShutdownCancelsJobs(t *testing.T) {
 	base, shutdown := context.WithCancel(context.Background())
 	m := NewManager(ManagerOptions{BaseContext: base})
-	job, err := m.Start(JobPareto, "gcc", 0, func(ctx context.Context, pub Publisher) (any, Update, error) {
+	job, err := m.Start(wire.JobPareto, "gcc", 0, func(ctx context.Context, pub Publisher) (any, Update, error) {
 		<-ctx.Done()
 		return nil, Update{}, ctx.Err()
 	})
@@ -234,13 +236,13 @@ func TestTooManyJobs(t *testing.T) {
 	m := NewManager(ManagerOptions{MaxRunning: 1})
 	release := make(chan struct{})
 	defer close(release)
-	if _, err := m.Start(JobSweep, "a", 0, func(ctx context.Context, pub Publisher) (any, Update, error) {
+	if _, err := m.Start(wire.JobSweep, "a", 0, func(ctx context.Context, pub Publisher) (any, Update, error) {
 		<-release
 		return nil, Update{}, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Start(JobSweep, "b", 0, func(ctx context.Context, pub Publisher) (any, Update, error) {
+	if _, err := m.Start(wire.JobSweep, "b", 0, func(ctx context.Context, pub Publisher) (any, Update, error) {
 		return nil, Update{}, nil
 	}); !errors.Is(err, ErrTooManyJobs) {
 		t.Fatalf("second concurrent job: %v, want ErrTooManyJobs", err)
@@ -251,7 +253,7 @@ func TestRetentionEviction(t *testing.T) {
 	now := time.Unix(0, 0)
 	clock := func() time.Time { return now }
 	m := NewManager(ManagerOptions{Retention: time.Minute, Clock: clock})
-	job, err := m.Start(JobSweep, "a", 0, func(ctx context.Context, pub Publisher) (any, Update, error) {
+	job, err := m.Start(wire.JobSweep, "a", 0, func(ctx context.Context, pub Publisher) (any, Update, error) {
 		return nil, Update{}, nil
 	})
 	if err != nil {
@@ -271,7 +273,7 @@ func TestSlowSubscriberCoalesces(t *testing.T) {
 	m := NewManager(ManagerOptions{})
 	const updates = 100
 	release := make(chan struct{})
-	job, err := m.Start(JobPareto, "gcc", 0, func(ctx context.Context, pub Publisher) (any, Update, error) {
+	job, err := m.Start(wire.JobPareto, "gcc", 0, func(ctx context.Context, pub Publisher) (any, Update, error) {
 		<-release
 		for i := 1; i <= updates; i++ {
 			pub.Publish(Update{Evaluated: i})
@@ -313,7 +315,7 @@ func TestRunningByBenchmark(t *testing.T) {
 	var wg sync.WaitGroup
 	for i, b := range []string{"gcc", "gcc", "mcf"} {
 		wg.Add(1)
-		if _, err := m.Start(JobSweep, b, 0, func(ctx context.Context, pub Publisher) (any, Update, error) {
+		if _, err := m.Start(wire.JobSweep, b, 0, func(ctx context.Context, pub Publisher) (any, Update, error) {
 			wg.Done()
 			<-release
 			return nil, Update{}, nil

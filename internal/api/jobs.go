@@ -20,16 +20,6 @@ import (
 // subscriber that joins late — or reconnects after a disconnect — is
 // current after its first line.
 
-// JobKind names what a job computes.
-type JobKind string
-
-const (
-	// JobSweep is a constrained top-K selection job (POST /v1/sweeps).
-	JobSweep JobKind = "sweep"
-	// JobPareto is a Pareto-frontier job (POST /v1/pareto).
-	JobPareto JobKind = "pareto"
-)
-
 // JobState is a job's lifecycle phase.
 type JobState string
 
@@ -80,16 +70,16 @@ type Update struct {
 
 // JobStatus answers GET /v1/jobs/{id}.
 type JobStatus struct {
-	ID        string   `json:"id"`
-	Kind      JobKind  `json:"kind"`
-	Benchmark string   `json:"benchmark,omitempty"`
-	State     JobState `json:"state"`
-	CreatedAt string   `json:"created_at"`
-	Designs   int      `json:"designs"`
-	Evaluated int      `json:"evaluated"`
-	Feasible  int      `json:"feasible,omitempty"`
-	Shards    int      `json:"shards,omitempty"`
-	Retries   int      `json:"retries,omitempty"`
+	ID        string       `json:"id"`
+	Kind      wire.JobKind `json:"kind"`
+	Benchmark string       `json:"benchmark,omitempty"`
+	State     JobState     `json:"state"`
+	CreatedAt string       `json:"created_at"`
+	Designs   int          `json:"designs"`
+	Evaluated int          `json:"evaluated"`
+	Feasible  int          `json:"feasible,omitempty"`
+	Shards    int          `json:"shards,omitempty"`
+	Retries   int          `json:"retries,omitempty"`
 	// Updates is the stream's current sequence number.
 	Updates int `json:"updates"`
 	// Attribution maps worker name to designs evaluated there
@@ -213,7 +203,7 @@ func NewManager(opts ManagerOptions) *Manager {
 // stream subscribers, and — once finished — the result or error.
 type Job struct {
 	ID        string
-	Kind      JobKind
+	Kind      wire.JobKind
 	Benchmark string
 
 	created   time.Time
@@ -250,7 +240,7 @@ type Job struct {
 // detached from the submitting request (the whole point of the async
 // API) and cancelled only by DELETE /v1/jobs/{id} or BaseContext dying
 // (daemon shutdown). Submissions beyond MaxRunning answer ErrTooManyJobs.
-func (m *Manager) Start(kind JobKind, benchmark string, designs int, run RunFunc) (*Job, error) {
+func (m *Manager) Start(kind wire.JobKind, benchmark string, designs int, run RunFunc) (*Job, error) {
 	return m.start("", kind, benchmark, designs, 0, run, true)
 }
 
@@ -260,7 +250,7 @@ func (m *Manager) Start(kind JobKind, benchmark string, designs int, run RunFunc
 // keep their job ID and their skip-duplicates-by-seq logic; they never
 // learn the owner changed. Adoption bypasses the MaxRunning gate — a
 // node must not refuse to rescue an orphan because it is busy.
-func (m *Manager) StartAdopted(id string, kind JobKind, benchmark string, designs, startSeq int, run RunFunc) (*Job, error) {
+func (m *Manager) StartAdopted(id string, kind wire.JobKind, benchmark string, designs, startSeq int, run RunFunc) (*Job, error) {
 	if id == "" {
 		return nil, errors.New("api: adoption needs the orphaned job's id")
 	}
@@ -268,7 +258,7 @@ func (m *Manager) StartAdopted(id string, kind JobKind, benchmark string, design
 }
 
 //dsedlint:ignore ctxflow the job deliberately detaches from the submitting request; its lifetime is BaseContext + per-job cancel
-func (m *Manager) start(id string, kind JobKind, benchmark string, designs, startSeq int, run RunFunc, enforceLimit bool) (*Job, error) {
+func (m *Manager) start(id string, kind wire.JobKind, benchmark string, designs, startSeq int, run RunFunc, enforceLimit bool) (*Job, error) {
 	m.mu.Lock()
 	m.evictLocked()
 	if enforceLimit && m.running >= m.opts.MaxRunning {
@@ -455,7 +445,7 @@ type ListFilter struct {
 	// Benchmark keeps only jobs over this benchmark.
 	Benchmark string
 	// Kind keeps only sweep or pareto jobs.
-	Kind JobKind
+	Kind wire.JobKind
 	// Limit bounds the page (default 50, hard cap 500).
 	Limit int
 }

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // steppedJob starts a job whose publishes are driven one at a time from
@@ -38,7 +40,7 @@ func steppedJob(t *testing.T, start func(run RunFunc) (*Job, error)) (job *Job, 
 func TestSubscribeFromReplaysDelta(t *testing.T) {
 	m := NewManager(ManagerOptions{})
 	job, publish, finish := steppedJob(t, func(run RunFunc) (*Job, error) {
-		return m.Start(JobPareto, "gcc", 100, run)
+		return m.Start(wire.JobPareto, "gcc", 100, run)
 	})
 	for i := 1; i <= 5; i++ {
 		publish(Update{Evaluated: i * 10})
@@ -78,7 +80,7 @@ func TestSubscribeFromReplaysDelta(t *testing.T) {
 func TestSubscribeFromPastHorizonFallsBackToSnapshot(t *testing.T) {
 	m := NewManager(ManagerOptions{})
 	job, publish, finish := steppedJob(t, func(run RunFunc) (*Job, error) {
-		return m.Start(JobPareto, "gcc", 100, run)
+		return m.Start(wire.JobPareto, "gcc", 100, run)
 	})
 	total := historyCap + 20
 	for i := 1; i <= total; i++ {
@@ -110,7 +112,7 @@ func TestSubscribeFromPastHorizonFallsBackToSnapshot(t *testing.T) {
 func TestSubscribeFromNegativeActsLikeFreshSubscribe(t *testing.T) {
 	m := NewManager(ManagerOptions{})
 	job, publish, finish := steppedJob(t, func(run RunFunc) (*Job, error) {
-		return m.Start(JobPareto, "gcc", 50, run)
+		return m.Start(wire.JobPareto, "gcc", 50, run)
 	})
 	publish(Update{Evaluated: 10})
 	publish(Update{Evaluated: 20})
@@ -130,7 +132,7 @@ func TestSubscribeFromNegativeActsLikeFreshSubscribe(t *testing.T) {
 func TestStartAdoptedContinuesSequence(t *testing.T) {
 	m := NewManager(ManagerOptions{})
 	job, publish, finish := steppedJob(t, func(run RunFunc) (*Job, error) {
-		return m.StartAdopted("pareto-owner-1", JobPareto, "gcc", 100, 7, run)
+		return m.StartAdopted("pareto-owner-1", wire.JobPareto, "gcc", 100, 7, run)
 	})
 	if job.ID != "pareto-owner-1" {
 		t.Fatalf("adopted job has ID %q, want the orphan's", job.ID)
@@ -151,11 +153,11 @@ func TestStartAdoptedContinuesSequence(t *testing.T) {
 
 	// The ID is taken while the job is retained: a second adoption of the
 	// same orphan (two replicas racing) fails loudly.
-	_, err := m.StartAdopted("pareto-owner-1", JobPareto, "gcc", 100, 7, nil)
+	_, err := m.StartAdopted("pareto-owner-1", wire.JobPareto, "gcc", 100, 7, nil)
 	if err == nil || !strings.Contains(err.Error(), "already exists") {
 		t.Fatalf("duplicate adoption error = %v, want already-exists", err)
 	}
-	if _, err := m.StartAdopted("", JobPareto, "gcc", 100, 0, nil); err == nil {
+	if _, err := m.StartAdopted("", wire.JobPareto, "gcc", 100, 0, nil); err == nil {
 		t.Error("adoption without a job ID was accepted")
 	}
 }
@@ -169,13 +171,13 @@ func TestStartAdoptedBypassesAdmissionGate(t *testing.T) {
 		<-release
 		return nil, Update{}, nil
 	}
-	if _, err := m.Start(JobPareto, "gcc", 10, hold); err != nil {
+	if _, err := m.Start(wire.JobPareto, "gcc", 10, hold); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Start(JobPareto, "gcc", 10, hold); err == nil {
+	if _, err := m.Start(wire.JobPareto, "gcc", 10, hold); err == nil {
 		t.Fatal("second submission got past MaxRunning=1")
 	}
-	adopted, err := m.StartAdopted("orphan-1", JobPareto, "gcc", 10, 0, hold)
+	adopted, err := m.StartAdopted("orphan-1", wire.JobPareto, "gcc", 10, 0, hold)
 	if err != nil {
 		t.Fatalf("saturated node refused an adoption: %v", err)
 	}

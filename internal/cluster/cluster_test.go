@@ -86,6 +86,11 @@ func candKeys(cands []explore.Candidate) []string {
 	return out
 }
 
+// fresh is a fresh job's one pinned segment over designs.
+func fresh(designs []space.Config) []Segment {
+	return []Segment{{Count: len(designs), Designs: designs}}
+}
+
 func newTestCoordinator(t *testing.T, workers []Transport, opts Options) *Coordinator {
 	t.Helper()
 	c, err := New(workers, opts)
@@ -108,7 +113,7 @@ func TestCoordinatorParetoMatchesSingleProcess(t *testing.T) {
 	want := singleProcessReference(t, designs)
 
 	coord := newTestCoordinator(t, localFleet(3), Options{ShardSize: 64})
-	got, err := coord.Pareto(context.Background(), testQuery(), designs)
+	got, err := coord.ParetoObserved(context.Background(), testQuery(), designs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,6 +137,7 @@ func TestCoordinatorParetoMatchesSingleProcess(t *testing.T) {
 func TestCoordinatorSweepMatchesSingleProcess(t *testing.T) {
 	designs := testDesigns(400)
 	q := testQuery()
+	q.Kind = wire.JobSweep
 	q.TopK = 7
 	q.Constraints = []explore.Constraint{{Objective: 1, Max: 12}}
 
@@ -142,7 +148,7 @@ func TestCoordinatorSweepMatchesSingleProcess(t *testing.T) {
 	}
 
 	coord := newTestCoordinator(t, localFleet(4), Options{ShardSize: 32})
-	got, err := coord.Sweep(context.Background(), q, designs)
+	got, err := coord.Run(context.Background(), q, fresh(designs), Seed{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +182,7 @@ func TestCoordinatorSweepMatchesSingleProcess(t *testing.T) {
 func TestLocalWindowShardsMatchPinnedShards(t *testing.T) {
 	ctx := context.Background()
 	q := testQuery()
-	q.TopK = 9
+	q.TopK = 9 // a top-K query; the frontier ignores it
 	q.Constraints = []explore.Constraint{{Objective: 1, Max: 12}}
 	q.Space = wire.SpaceSpec{Space: "test", Offset: 100, Count: 3000}
 	w, ok := q.Space.FactorialWindow()
@@ -189,14 +195,13 @@ func TestLocalWindowShardsMatchPinnedShards(t *testing.T) {
 	for _, s := range []Shard{{Start: 0, Count: 3000}, {Start: 517, Count: 1031}, {Start: 2999, Count: 1}} {
 		pinned := s
 		pinned.Designs = designs[s.Start : s.Start+s.Count]
-		for kind, call := range map[string]func(Transport, context.Context, Query, Shard) (*Partial, error){
-			"pareto": Transport.Pareto, "sweep": Transport.Sweep,
-		} {
-			got, err := call(local, ctx, q, s)
+		for _, kind := range []wire.JobKind{wire.JobPareto, wire.JobSweep} {
+			q.Kind = kind
+			got, err := local.Evaluate(ctx, q, s)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := call(local, ctx, q, pinned)
+			want, err := local.Evaluate(ctx, q, pinned)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -205,38 +210,36 @@ func TestLocalWindowShardsMatchPinnedShards(t *testing.T) {
 			}
 		}
 	}
-	if _, err := local.Pareto(ctx, testQuery(), Shard{Count: 10}); err == nil {
+	if _, err := local.Evaluate(ctx, testQuery(), Shard{Count: 10}); err == nil {
 		t.Error("a design-less shard of a pinned space was accepted")
 	}
 
 	coord := newTestCoordinator(t, localFleet(3), Options{ShardSize: 256})
 	pinnedQ := q
 	pinnedQ.Space = wire.SpaceSpec{}
-	gotP, err := coord.ParetoResumeObserved(ctx, q, SegmentsAfter(len(designs), nil), Seed{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantP, err := coord.ParetoObserved(ctx, pinnedQ, designs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotP.Evaluated != wantP.Evaluated || !reflect.DeepEqual(candKeys(gotP.Frontier), candKeys(wantP.Frontier)) {
-		t.Error("windowed fleet frontier differs from the pinned fleet's")
-	}
-	gotS, err := coord.SweepResumeObserved(ctx, q, SegmentsAfter(len(designs), nil), Seed{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantS, err := coord.SweepObserved(ctx, pinnedQ, designs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotS.Evaluated != wantS.Evaluated || gotS.Feasible != wantS.Feasible || !reflect.DeepEqual(gotS.Candidates, wantS.Candidates) {
-		t.Error("windowed fleet top-K differs from the pinned fleet's")
+	for _, kind := range []wire.JobKind{wire.JobPareto, wire.JobSweep} {
+		q.Kind, pinnedQ.Kind = kind, kind
+		got, err := coord.Run(ctx, q, SegmentsAfter(len(designs), nil), Seed{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := coord.Run(ctx, pinnedQ, fresh(designs), Seed{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A top K is ranked, so it must match rank for rank and Config
+		// for Config; a frontier is a set.
+		same := reflect.DeepEqual(got.Candidates, want.Candidates)
+		if kind == wire.JobPareto {
+			same = reflect.DeepEqual(candKeys(got.Candidates), candKeys(want.Candidates))
+		}
+		if got.Evaluated != want.Evaluated || got.Feasible != want.Feasible || !same {
+			t.Errorf("windowed fleet %s answer differs from the pinned fleet's", kind)
+		}
 	}
 }
 
-// flaky wraps a Transport and fails its first n Pareto/Sweep calls.
+// flaky wraps a Transport and fails its first n shard calls.
 type flaky struct {
 	Transport
 	remaining atomic.Int64
@@ -244,18 +247,11 @@ type flaky struct {
 
 func (f *flaky) fail() bool { return f.remaining.Add(-1) >= 0 }
 
-func (f *flaky) Pareto(ctx context.Context, q Query, s Shard) (*Partial, error) {
+func (f *flaky) Evaluate(ctx context.Context, q Query, s Shard) (*Partial, error) {
 	if f.fail() {
 		return nil, errors.New("injected worker failure")
 	}
-	return f.Transport.Pareto(ctx, q, s)
-}
-
-func (f *flaky) Sweep(ctx context.Context, q Query, s Shard) (*Partial, error) {
-	if f.fail() {
-		return nil, errors.New("injected worker failure")
-	}
-	return f.Transport.Sweep(ctx, q, s)
+	return f.Transport.Evaluate(ctx, q, s)
 }
 
 // TestCoordinatorRetriesFailedShards: a worker failing mid-sweep loses no
@@ -270,7 +266,7 @@ func TestCoordinatorRetriesFailedShards(t *testing.T) {
 	fleet := []Transport{NewLocal("steady", resolveFake), bad}
 	coord := newTestCoordinator(t, fleet, Options{ShardSize: 16})
 
-	got, err := coord.Pareto(context.Background(), testQuery(), designs)
+	got, err := coord.ParetoObserved(context.Background(), testQuery(), designs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,10 +304,7 @@ func (d dead) Name() string { return d.name }
 func (d dead) Warm(context.Context, []string) (int, error) {
 	return 0, errors.New("dead")
 }
-func (d dead) Pareto(context.Context, Query, Shard) (*Partial, error) {
-	return nil, errors.New("dead")
-}
-func (d dead) Sweep(context.Context, Query, Shard) (*Partial, error) {
+func (d dead) Evaluate(context.Context, Query, Shard) (*Partial, error) {
 	return nil, errors.New("dead")
 }
 
@@ -319,7 +312,7 @@ func (d dead) Sweep(context.Context, Query, Shard) (*Partial, error) {
 // fails the sweep with a diagnosable error instead of a silent hole.
 func TestCoordinatorFailsWhenFleetExhausted(t *testing.T) {
 	coord := newTestCoordinator(t, []Transport{dead{"a"}, dead{"b"}}, Options{ShardSize: 8})
-	_, err := coord.Pareto(context.Background(), testQuery(), testDesigns(20))
+	_, err := coord.ParetoObserved(context.Background(), testQuery(), testDesigns(20), nil)
 	if err == nil {
 		t.Fatal("sweep over an all-dead fleet returned no error")
 	}
@@ -342,8 +335,7 @@ func (r *rejecting) reject() (*Partial, error) {
 	r.calls.Add(1)
 	return nil, &WorkerRejection{Worker: r.name, Status: 404, Msg: "unknown benchmark"}
 }
-func (r *rejecting) Pareto(context.Context, Query, Shard) (*Partial, error) { return r.reject() }
-func (r *rejecting) Sweep(context.Context, Query, Shard) (*Partial, error)  { return r.reject() }
+func (r *rejecting) Evaluate(context.Context, Query, Shard) (*Partial, error) { return r.reject() }
 
 // TestCoordinatorDoesNotRetryRejections: a worker's 4xx verdict on the
 // request is final — no fleet-wide retries, no failures booked against
@@ -352,7 +344,7 @@ func TestCoordinatorDoesNotRetryRejections(t *testing.T) {
 	rej := &rejecting{name: "judge"}
 	reg := obs.NewRegistry(nil)
 	coord := newTestCoordinator(t, []Transport{rej}, Options{ShardSize: 8, Obs: reg})
-	_, err := coord.Pareto(context.Background(), testQuery(), testDesigns(40))
+	_, err := coord.ParetoObserved(context.Background(), testQuery(), testDesigns(40), nil)
 	var wr *WorkerRejection
 	if !errors.As(err, &wr) {
 		t.Fatalf("rejection did not surface: %v", err)
@@ -377,7 +369,7 @@ func TestCoordinatorDoesNotRetryRejections(t *testing.T) {
 	}
 }
 
-// overloaded wraps a Transport and answers its first n Pareto/Sweep calls
+// overloaded wraps a Transport and answers its first n shard calls
 // with a retryable busy verdict (the coordinator-side shape of a 429).
 type overloaded struct {
 	Transport
@@ -386,18 +378,11 @@ type overloaded struct {
 
 func (o *overloaded) busy() bool { return o.remaining.Add(-1) >= 0 }
 
-func (o *overloaded) Pareto(ctx context.Context, q Query, s Shard) (*Partial, error) {
+func (o *overloaded) Evaluate(ctx context.Context, q Query, s Shard) (*Partial, error) {
 	if o.busy() {
 		return nil, &WorkerBusy{Worker: o.Name(), Status: 429, Msg: "job table full"}
 	}
-	return o.Transport.Pareto(ctx, q, s)
-}
-
-func (o *overloaded) Sweep(ctx context.Context, q Query, s Shard) (*Partial, error) {
-	if o.busy() {
-		return nil, &WorkerBusy{Worker: o.Name(), Status: 429, Msg: "job table full"}
-	}
-	return o.Transport.Sweep(ctx, q, s)
+	return o.Transport.Evaluate(ctx, q, s)
 }
 
 // TestCoordinatorBusyVerdictsSpillWithoutFailures: a worker's retryable
@@ -413,7 +398,7 @@ func TestCoordinatorBusyVerdictsSpillWithoutFailures(t *testing.T) {
 	fleet := []Transport{NewLocal("steady", resolveFake), loaded}
 	coord := newTestCoordinator(t, fleet, Options{ShardSize: 16})
 
-	got, err := coord.Pareto(context.Background(), testQuery(), designs)
+	got, err := coord.ParetoObserved(context.Background(), testQuery(), designs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,10 +446,7 @@ func (b blocking) wait(ctx context.Context) (*Partial, error) {
 	<-ctx.Done()
 	return nil, ctx.Err()
 }
-func (b blocking) Pareto(ctx context.Context, _ Query, _ Shard) (*Partial, error) {
-	return b.wait(ctx)
-}
-func (b blocking) Sweep(ctx context.Context, _ Query, _ Shard) (*Partial, error) {
+func (b blocking) Evaluate(ctx context.Context, _ Query, _ Shard) (*Partial, error) {
 	return b.wait(ctx)
 }
 
@@ -475,7 +457,7 @@ func TestCoordinatorCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := coord.Pareto(ctx, testQuery(), testDesigns(64))
+		_, err := coord.ParetoObserved(ctx, testQuery(), testDesigns(64), nil)
 		done <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -534,14 +516,9 @@ type counting struct {
 	calls atomic.Int64
 }
 
-func (c *counting) Pareto(ctx context.Context, q Query, s Shard) (*Partial, error) {
+func (c *counting) Evaluate(ctx context.Context, q Query, s Shard) (*Partial, error) {
 	c.calls.Add(1)
-	return c.Transport.Pareto(ctx, q, s)
-}
-
-func (c *counting) Sweep(ctx context.Context, q Query, s Shard) (*Partial, error) {
-	c.calls.Add(1)
-	return c.Transport.Sweep(ctx, q, s)
+	return c.Transport.Evaluate(ctx, q, s)
 }
 
 // TestReplicasBoundShardPlacement: with Replicas set, a healthy fleet
@@ -559,7 +536,7 @@ func TestReplicasBoundShardPlacement(t *testing.T) {
 
 	// Warm and sweep must agree on the home set.
 	homes := coord.ring.order("gcc")[:2]
-	if _, err := coord.Pareto(context.Background(), testQuery(), testDesigns(200)); err != nil {
+	if _, err := coord.ParetoObserved(context.Background(), testQuery(), testDesigns(200), nil); err != nil {
 		t.Fatal(err)
 	}
 	homeSet := map[string]bool{homes[0]: true, homes[1]: true}
@@ -581,11 +558,61 @@ func TestNewRejectsBadFleets(t *testing.T) {
 	if err != nil {
 		t.Fatalf("empty fleet rejected: %v", err)
 	}
-	if _, err := empty.Pareto(context.Background(), testQuery(), testDesigns(8)); err == nil {
+	if _, err := empty.ParetoObserved(context.Background(), testQuery(), testDesigns(8), nil); err == nil {
 		t.Error("sweep over an empty fleet returned no error")
 	}
 	dup := []Transport{NewLocal("same", resolveFake), NewLocal("same", resolveFake)}
 	if _, err := New(dup, Options{}); err == nil {
 		t.Error("duplicate worker names accepted")
+	}
+}
+
+// widened answers its first shard with candidates carrying one score
+// more than the query has objectives — a worker running other code.
+// Named like TestCoordinatorRetriesFailedShards's flaky worker, it is the
+// ring's first pick for gcc, so it gets the first shard.
+type widened struct {
+	Transport
+	remaining atomic.Int64
+}
+
+func (w *widened) widen(p *Partial, err error) (*Partial, error) {
+	if err == nil && w.remaining.Add(-1) >= 0 {
+		for i := range p.Candidates {
+			p.Candidates[i].Scores = append(p.Candidates[i].Scores, 0)
+		}
+	}
+	return p, err
+}
+
+func (w *widened) Evaluate(ctx context.Context, q Query, s Shard) (*Partial, error) {
+	return w.widen(w.Transport.Evaluate(ctx, q, s))
+}
+
+// TestCoordinatorRedispatchesMalformedPartials: a partial whose
+// candidates do not carry one score per objective is a worker fault,
+// re-dispatched like a failed attempt, never merged — merging it would
+// index past the other candidates' scores on a dispatcher goroutine.
+func TestCoordinatorRedispatchesMalformedPartials(t *testing.T) {
+	designs := testDesigns(300)
+	want := singleProcessReference(t, designs)
+	bad := &widened{Transport: NewLocal("flaky", resolveFake)}
+	bad.remaining.Store(1)
+	coord := newTestCoordinator(t, []Transport{NewLocal("steady", resolveFake), bad}, Options{ShardSize: 16})
+
+	got, err := coord.ParetoObserved(context.Background(), testQuery(), designs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Evaluated != len(designs) {
+		t.Fatalf("evaluated %d designs, want %d", got.Evaluated, len(designs))
+	}
+	if !reflect.DeepEqual(candKeys(got.Frontier), candKeys(want.Frontier)) {
+		t.Error("frontier differs from the single-process answer")
+	}
+	for _, m := range coord.Members() {
+		if m.Name == "flaky" && m.Failures != 1 {
+			t.Errorf("widened worker booked %d failures, want 1", m.Failures)
+		}
 	}
 }

@@ -8,9 +8,9 @@
 // top-K selection — are associative, so a sweep distributes exactly:
 // partition the design list into shards, evaluate each shard on any
 // worker holding the benchmark's models, and fold the partial frontiers /
-// top-Ks together (explore.FrontierCollector.Merge, explore.TopK.Merge).
-// The merged answer equals the single-process answer candidate-for-
-// candidate.
+// top-Ks into the job kind's collector (Query.NewCollector). The merged
+// answer equals the single-process answer candidate-for-candidate. The
+// kind is a value on the Query: Run serves both, fresh or resumed.
 //
 // The fleet is a live membership table, not a frozen list: workers join
 // through Join, refresh their inventory through Heartbeat and drain
@@ -46,6 +46,7 @@ import (
 	"repro/internal/explore"
 	"repro/internal/obs"
 	"repro/internal/space"
+	"repro/internal/wire"
 )
 
 // Options tunes the coordinator.
@@ -201,17 +202,12 @@ func New(workers []Transport, opts Options) (*Coordinator, error) {
 	return c, nil
 }
 
-// ParetoResult is a merged distributed frontier.
-type ParetoResult struct {
+// Result is a merged distributed answer: the frontier or the feasible
+// top K, best first, with the distribution's accounting.
+type Result struct {
 	Evaluated int
-	Frontier  []explore.Candidate
-	Shards    int
-	Retries   int
-}
-
-// SweepResult is a merged distributed top-K selection.
-type SweepResult struct {
-	Evaluated  int
+	// Feasible counts designs satisfying every constraint (0 on a
+	// frontier job).
 	Feasible   int
 	Candidates []explore.Candidate
 	Shards     int
@@ -259,49 +255,32 @@ type Progress struct {
 // into the coordinator.
 type Observer func(Progress)
 
-// Pareto distributes a frontier sweep: shard, evaluate per worker, merge
-// the partial frontiers. The merged frontier equals the single-process
-// explore.ParetoFrontier over the same designs, up to ordering.
-func (c *Coordinator) Pareto(ctx context.Context, q Query, designs []space.Config) (*ParetoResult, error) {
-	return c.ParetoObserved(ctx, q, designs, nil)
+// ParetoResult is Run's answer to a fresh frontier job.
+type ParetoResult struct {
+	Result
+	Frontier []explore.Candidate
 }
 
-// ParetoObserved is Pareto with a streaming observer: obs (when non-nil)
-// sees the merged frontier after every shard, so a serving layer can
-// stream partial frontiers to its client while the sweep runs.
+// ParetoObserved is Run for a fresh frontier job over designs: the
+// frontier-only entry point perfbench drives.
 func (c *Coordinator) ParetoObserved(ctx context.Context, q Query, designs []space.Config, obs Observer) (*ParetoResult, error) {
-	if len(designs) == 0 {
-		return nil, fmt.Errorf("cluster: no designs to sweep")
+	q.Kind = wire.JobPareto
+	res, err := c.Run(ctx, q, []Segment{{Count: len(designs), Designs: designs}}, Seed{}, obs)
+	if err != nil {
+		return nil, err
 	}
-	return c.ParetoResumeObserved(ctx, q, []Segment{{Count: len(designs), Designs: designs}}, Seed{}, obs)
+	return &ParetoResult{Result: *res, Frontier: res.Candidates}, nil
 }
 
-// Sweep distributes a constrained top-K sweep: each shard answers its own
-// feasible top K, and the merged heap keeps the global best K (associative
-// because the global top K is a subset of the union of shard top Ks).
-func (c *Coordinator) Sweep(ctx context.Context, q Query, designs []space.Config) (*SweepResult, error) {
-	return c.SweepObserved(ctx, q, designs, nil)
-}
-
-// SweepObserved is Sweep with a streaming observer: obs (when non-nil)
-// sees the merged feasible top-K after every shard.
-func (c *Coordinator) SweepObserved(ctx context.Context, q Query, designs []space.Config, obs Observer) (*SweepResult, error) {
-	if len(designs) == 0 {
-		return nil, fmt.Errorf("cluster: no designs to sweep")
-	}
-	return c.SweepResumeObserved(ctx, q, []Segment{{Count: len(designs), Designs: designs}}, Seed{}, obs)
-}
-
-// run is the shared distribution engine: a bounded pool of dispatchers
-// carves shards off the design list on demand (each sized for the worker
-// about to take it), runs them with per-attempt timeouts, retries failed
+// run is the distribution engine: a bounded pool of dispatchers carves
+// shards off the design list on demand (each sized for the worker about
+// to take it), runs them with per-attempt timeouts, retries failed
 // shards on the rest of the live fleet, and folds successful partials
 // through merge. The fleet snapshot is taken per attempt, not per sweep:
 // a worker joining mid-run starts taking shards, one dying forfeits only
 // its in-flight shards. merge may be called concurrently; callers
 // serialise their own state.
 func (c *Coordinator) run(ctx context.Context, q Query, segments []Segment,
-	call func(t Transport, ctx context.Context, q Query, s Shard) (*Partial, error),
 	merge func(worker string, s Shard, p *Partial)) (shards, retries int, err error) {
 
 	cv := &carver{segments: segments}
@@ -339,7 +318,7 @@ func (c *Coordinator) run(ctx context.Context, q Query, segments []Segment,
 				}
 			}
 			shardCount.Add(1)
-			if err := c.runShard(runCtx, q, s, first, abort, &localRetries, call, merge); err != nil {
+			if err := c.runShard(runCtx, q, s, first, abort, &localRetries, merge); err != nil {
 				errMu.Lock()
 				errs = append(errs, err)
 				errMu.Unlock()
@@ -426,7 +405,6 @@ const (
 // being hedged rather than laundering its slowness into the average.
 func (c *Coordinator) runShard(ctx context.Context, q Query, s Shard, first *member,
 	abort context.CancelCauseFunc, localRetries *atomic.Int64,
-	call func(t Transport, ctx context.Context, q Query, s Shard) (*Partial, error),
 	merge func(worker string, s Shard, p *Partial)) error {
 
 	tried := make(map[string]bool)
@@ -489,12 +467,10 @@ func (c *Coordinator) runShard(ctx context.Context, q Query, s Shard, first *mem
 				span.SetAttr("hedge", "true")
 			}
 			start := c.now()
-			p, err := call(m.transport, spanCtx, q, s)
+			p, err := m.transport.Evaluate(spanCtx, q, s)
 			elapsed := c.now().Sub(start)
-			if err == nil && p.Evaluated != s.Count {
-				// A short count means the worker silently dropped designs;
-				// trust the fleet over the answer.
-				err = fmt.Errorf("cluster: worker %s evaluated %d of %d shard designs", m.name, p.Evaluated, s.Count)
+			if err == nil {
+				err = malformed(m.name, q, s, p)
 			}
 			if err == nil {
 				span.SetAttr("status", "ok")
@@ -669,6 +645,25 @@ func (c *Coordinator) runShard(ctx context.Context, q Query, s Shard, first *mem
 			return ctx.Err()
 		}
 	}
+}
+
+// malformed reports why a shard's partial must not merge: a worker that
+// dropped designs, answered more candidates than the shard holds, or
+// scored them under another objective count runs other code, and
+// merging its answer could corrupt the job or index past a score slice
+// on this dispatcher goroutine. The fleet is trusted over the answer:
+// the shard re-dispatches like any failed attempt.
+func malformed(worker string, q Query, s Shard, p *Partial) error {
+	if p.Evaluated != s.Count || p.Feasible < 0 || p.Feasible > p.Evaluated || len(p.Candidates) > s.Count {
+		return fmt.Errorf("cluster: worker %s answered %d evaluated, %d feasible and %d candidates for a %d-design shard",
+			worker, p.Evaluated, p.Feasible, len(p.Candidates), s.Count)
+	}
+	for _, ic := range p.Candidates {
+		if len(ic.Scores) != len(q.Objectives) {
+			return fmt.Errorf("cluster: worker %s scored a candidate under %d objectives, not %d", worker, len(ic.Scores), len(q.Objectives))
+		}
+	}
+	return nil
 }
 
 // hedgeDelay prices the speculation trigger for one attempt: HedgeFactor

@@ -13,8 +13,8 @@ import (
 
 // HTTP is a Transport over the daemon's versioned /v1 API, built on the
 // shared typed client (pkg/dsedclient) so the coordinator speaks to
-// workers exactly like any other consumer. Shards become /v1/pareto and
-// /v1/sweeps jobs — an [offset, count) window when the query's space is
+// workers exactly like any other consumer. A shard becomes a job of the
+// query's kind — an [offset, count) window when the query's space is
 // named and unsampled, pinned designs otherwise (see shardSpace). The
 // transport submits the job, follows its stream, and hands the
 // coordinator the final partial, so a worker's own progress plumbing is
@@ -85,53 +85,33 @@ func shardSpace(q Query, s Shard) wire.SpaceSpec {
 	return wire.SpaceSpec{Designs: specs}
 }
 
-// Pareto implements Transport.
-func (h *HTTP) Pareto(ctx context.Context, q Query, s Shard) (*Partial, error) {
-	req := wire.ParetoRequest{
-		Benchmark:  q.Benchmark,
-		Objectives: q.Objectives,
-		SpaceSpec:  shardSpace(q, s),
-		// Shards must evaluate where they land: without the local scope a
-		// symmetric peer would re-distribute its shard to the fleet,
-		// recursing forever.
-		Scope: wire.ScopeLocal,
-	}
-	resp, err := h.c.ParetoJob(ctx, req, nil)
-	if err != nil {
-		return nil, h.classify(err)
-	}
-	return &Partial{
-		Evaluated:  resp.Evaluated,
-		Feasible:   resp.Evaluated,
-		Candidates: fromWire(resp.Frontier, s.Start),
-		Spans:      resp.Spans,
-	}, nil
-}
-
-// Sweep implements Transport.
-func (h *HTTP) Sweep(ctx context.Context, q Query, s Shard) (*Partial, error) {
+// Evaluate implements Transport.
+func (h *HTTP) Evaluate(ctx context.Context, q Query, s Shard) (*Partial, error) {
 	constraints := make([]wire.Constraint, len(q.Constraints))
 	for i, c := range q.Constraints {
 		constraints[i] = wire.Constraint{Objective: c.Objective, Max: c.Max}
 	}
-	req := wire.SweepRequest{
+	spec := wire.JobSpec{Kind: q.Kind, SweepRequest: wire.SweepRequest{
 		Benchmark:   q.Benchmark,
 		Objectives:  q.Objectives,
 		SpaceSpec:   shardSpace(q, s),
 		TopK:        q.TopK,
 		Objective:   q.Objective,
 		Constraints: constraints,
-		Scope:       wire.ScopeLocal, // see Pareto: peers must not re-distribute shards
-	}
-	resp, err := h.c.SweepJob(ctx, req, nil)
+		// Shards must evaluate where they land: without the local scope a
+		// symmetric peer would re-distribute its shard to the fleet,
+		// recursing forever.
+		Scope: wire.ScopeLocal,
+	}}
+	final, _, err := h.c.Run(ctx, spec.Request(), nil)
 	if err != nil {
 		return nil, h.classify(err)
 	}
 	return &Partial{
-		Evaluated:  resp.Evaluated,
-		Feasible:   resp.Feasible,
-		Candidates: fromWire(resp.Candidates, s.Start),
-		Spans:      resp.Spans,
+		Evaluated:  final.Evaluated,
+		Feasible:   final.Feasible,
+		Candidates: fromWire(final.Candidates, s.Start),
+		Spans:      final.Spans,
 	}, nil
 }
 

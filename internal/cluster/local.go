@@ -56,80 +56,32 @@ func (l *Local) Warm(ctx context.Context, benchmarks []string) (int, error) {
 	return l.WarmFunc(ctx, benchmarks)
 }
 
-// build resolves the query's objectives against the model source.
-func (l *Local) build(ctx context.Context, q Query) ([]core.DynamicsModel, []explore.Objective, error) {
-	if len(q.Objectives) == 0 {
-		return nil, nil, fmt.Errorf("cluster: query has no objectives")
-	}
-	models := make([]core.DynamicsModel, len(q.Objectives))
-	objectives := make([]explore.Objective, len(q.Objectives))
-	for i, spec := range q.Objectives {
-		obj, err := spec.Build()
-		if err != nil {
-			return nil, nil, err
-		}
-		m, err := l.resolve(ctx, q.Benchmark, spec.Metric)
-		if err != nil {
-			return nil, nil, err
-		}
-		models[i], objectives[i] = m, obj
-	}
-	return models, objectives, nil
-}
-
-// sweep streams the shard through the collector: a pinned shard's
-// designs, or the window a design-less shard names on the query's space.
-func (l *Local) sweep(ctx context.Context, q Query, s Shard, col explore.Collector) error {
-	trainCtx, span := l.Tracer.Start(ctx, "phase:train")
-	models, objectives, err := l.build(trainCtx, q)
+// Evaluate implements Transport: the shard streams through the query's
+// collector — a pinned shard's designs, or the window a design-less
+// shard names on the query's space.
+func (l *Local) Evaluate(ctx context.Context, q Query, s Shard) (*Partial, error) {
+	models, objectives, err := q.Resolve(ctx, l.Tracer, l.resolve)
 	if err != nil {
-		span.SetAttr("error", err.Error())
+		return nil, err
+	}
+	col := q.NewCollector()
+	_, span := l.Tracer.Start(ctx, "phase:predict")
+	opts := explore.Options{Workers: l.Workers, ChunkDone: l.ChunkDone}
+	if s.Designs != nil {
+		err = explore.SweepStream(ctx, s.Designs, models, objectives, opts, col)
+	} else if w, ok := q.Window(s); ok {
+		err = explore.SweepWindow(ctx, w, models, objectives, opts, col)
+	} else {
+		err = fmt.Errorf("cluster: shard [%d,%d) has no designs and its space %q names no window", s.Start, s.Start+s.Count, q.Space.Space)
 	}
 	span.End()
 	if err != nil {
-		return err
-	}
-	_, span = l.Tracer.Start(ctx, "phase:predict")
-	defer span.End()
-	opts := explore.Options{Workers: l.Workers, ChunkDone: l.ChunkDone}
-	if s.Designs != nil {
-		return explore.SweepStream(ctx, s.Designs, models, objectives, opts, col)
-	}
-	w, ok := q.Window(s)
-	if !ok {
-		return fmt.Errorf("cluster: shard [%d,%d) has no designs and its space %q names no window", s.Start, s.Start+s.Count, q.Space.Space)
-	}
-	return explore.SweepWindow(ctx, w, models, objectives, opts, col)
-}
-
-// Pareto implements Transport.
-func (l *Local) Pareto(ctx context.Context, q Query, s Shard) (*Partial, error) {
-	fc := explore.NewFrontierCollector()
-	if err := l.sweep(ctx, q, s, fc); err != nil {
 		return nil, err
 	}
-	_, span := l.Tracer.Start(ctx, "phase:merge")
+	_, span = l.Tracer.Start(ctx, "phase:merge")
 	defer span.End()
-	return &Partial{
-		Evaluated:  fc.Seen(),
-		Feasible:   fc.Seen(),
-		Candidates: indexed(fc.Frontier(), s.Start),
-	}, nil
-}
-
-// Sweep implements Transport.
-func (l *Local) Sweep(ctx context.Context, q Query, s Shard) (*Partial, error) {
-	top := explore.NewTopK(q.TopK, q.Objective, q.Constraints)
-	if err := l.sweep(ctx, q, s, top); err != nil {
-		return nil, err
-	}
-	_, span := l.Tracer.Start(ctx, "phase:merge")
-	defer span.End()
-	return &Partial{
-		Evaluated:  top.Seen(),
-		Feasible:   top.Feasible(),
-		Candidates: indexed(top.Results(), s.Start),
-	}, nil
+	answer, feasible, _ := Snapshot(col)
+	return &Partial{Evaluated: col.Seen(), Feasible: feasible, Candidates: indexed(answer, s.Start)}, nil
 }
 
 var _ Transport = (*Local)(nil)

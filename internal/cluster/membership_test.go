@@ -64,7 +64,7 @@ func TestStaticMembersNeverExpire(t *testing.T) {
 	if got := coord.Workers(); len(got) != 2 {
 		t.Fatalf("initial members = %v, want 2", got)
 	}
-	if _, err := coord.Pareto(context.Background(), testQuery(), testDesigns(64)); err != nil {
+	if _, err := coord.ParetoObserved(context.Background(), testQuery(), testDesigns(64), nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := coord.Workers(); len(got) != 2 {
@@ -97,7 +97,7 @@ func TestAffinityRoutesToModelHolder(t *testing.T) {
 
 	designs := testDesigns(200)
 	want := singleProcessReference(t, designs)
-	got, err := coord.Pareto(context.Background(), testQuery(), designs)
+	got, err := coord.ParetoObserved(context.Background(), testQuery(), designs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,14 +203,9 @@ func (g *gated) wait(ctx context.Context) {
 	})
 }
 
-func (g *gated) Pareto(ctx context.Context, q Query, s Shard) (*Partial, error) {
+func (g *gated) Evaluate(ctx context.Context, q Query, s Shard) (*Partial, error) {
 	g.wait(ctx)
-	return g.Transport.Pareto(ctx, q, s)
-}
-
-func (g *gated) Sweep(ctx context.Context, q Query, s Shard) (*Partial, error) {
-	g.wait(ctx)
-	return g.Transport.Sweep(ctx, q, s)
+	return g.Transport.Evaluate(ctx, q, s)
 }
 
 // TestJoinMidSweepTakesShards: a worker joining while a sweep is in
@@ -228,7 +223,7 @@ func TestJoinMidSweepTakesShards(t *testing.T) {
 	}
 	done := make(chan answer, 1)
 	go func() {
-		res, err := coord.Pareto(context.Background(), testQuery(), designs)
+		res, err := coord.ParetoObserved(context.Background(), testQuery(), designs, nil)
 		done <- answer{res, err}
 	}()
 
@@ -275,7 +270,7 @@ func TestDrainedWorkerGetsNothing(t *testing.T) {
 		t.Fatal("drain refused")
 	}
 
-	got, err := coord.Pareto(context.Background(), testQuery(), designs)
+	got, err := coord.ParetoObserved(context.Background(), testQuery(), designs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,14 +298,9 @@ type sleepy struct {
 	perDesign time.Duration
 }
 
-func (s *sleepy) Pareto(ctx context.Context, q Query, sh Shard) (*Partial, error) {
+func (s *sleepy) Evaluate(ctx context.Context, q Query, sh Shard) (*Partial, error) {
 	time.Sleep(time.Duration(sh.Count) * s.perDesign)
-	return s.Transport.Pareto(ctx, q, sh)
-}
-
-func (s *sleepy) Sweep(ctx context.Context, q Query, sh Shard) (*Partial, error) {
-	time.Sleep(time.Duration(sh.Count) * s.perDesign)
-	return s.Transport.Sweep(ctx, q, sh)
+	return s.Transport.Evaluate(ctx, q, sh)
 }
 
 // TestAdaptiveShardSizing: with a target shard duration configured, the
@@ -366,7 +356,7 @@ func TestAdaptiveSweepStillExact(t *testing.T) {
 		ShardSize:       16,
 		TargetShardTime: 5 * time.Millisecond,
 	})
-	got, err := coord.Pareto(context.Background(), testQuery(), designs)
+	got, err := coord.ParetoObserved(context.Background(), testQuery(), designs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -126,7 +126,7 @@ func TestPoliciesNeverPlaceOnEvicted(t *testing.T) {
 			// models: no policy may resurrect it.
 			coord.Leave("lapsed")
 			designs := testDesigns(400)
-			res, err := coord.Pareto(context.Background(), testQuery(), designs)
+			res, err := coord.ParetoObserved(context.Background(), testQuery(), designs, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -162,7 +162,7 @@ func TestLeastLoadedFollowsQueueDepths(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := coord.Pareto(context.Background(), testQuery(), testDesigns(300)); err != nil {
+	if _, err := coord.ParetoObserved(context.Background(), testQuery(), testDesigns(300), nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := drowning.calls.Load(); got != 0 {
@@ -187,7 +187,7 @@ func TestHedgingRescuesStuckWorker(t *testing.T) {
 		HedgeMinDelay: time.Millisecond,
 	})
 	designs := testDesigns(500)
-	res, err := coord.Pareto(context.Background(), testQuery(), designs)
+	res, err := coord.ParetoObserved(context.Background(), testQuery(), designs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,14 +215,9 @@ type slowTransport struct {
 	delay time.Duration
 }
 
-func (s slowTransport) Pareto(ctx context.Context, q Query, sh Shard) (*Partial, error) {
+func (s slowTransport) Evaluate(ctx context.Context, q Query, sh Shard) (*Partial, error) {
 	<-time.After(s.delay)
-	return s.Transport.Pareto(context.WithoutCancel(ctx), q, sh)
-}
-
-func (s slowTransport) Sweep(ctx context.Context, q Query, sh Shard) (*Partial, error) {
-	<-time.After(s.delay)
-	return s.Transport.Sweep(context.WithoutCancel(ctx), q, sh)
+	return s.Transport.Evaluate(context.WithoutCancel(ctx), q, sh)
 }
 
 // TestHedgeDuplicatesMergeExactlyOnce is the idempotence proof behind
@@ -246,7 +241,7 @@ func TestHedgeDuplicatesMergeExactlyOnce(t *testing.T) {
 		HedgeMinDelay: time.Millisecond,
 	})
 	designs := testDesigns(400)
-	res, err := coord.Pareto(context.Background(), testQuery(), designs)
+	res, err := coord.ParetoObserved(context.Background(), testQuery(), designs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +265,7 @@ func TestHedgeDuplicatesMergeExactlyOnce(t *testing.T) {
 // speculate.
 func TestHedgingDisabledIssuesNone(t *testing.T) {
 	coord := newTestCoordinator(t, localFleet(2), Options{ShardSize: 64})
-	if _, err := coord.Pareto(context.Background(), testQuery(), testDesigns(300)); err != nil {
+	if _, err := coord.ParetoObserved(context.Background(), testQuery(), testDesigns(300), nil); err != nil {
 		t.Fatal(err)
 	}
 	if issued, won, wasted := coord.HedgeStats(); issued+won+wasted != 0 {

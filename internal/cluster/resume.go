@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/explore"
 	"repro/internal/space"
 	"repro/internal/wire"
 )
@@ -83,102 +82,45 @@ func segmentsTotal(segs []Segment) int {
 	return n
 }
 
-// ParetoResumeObserved runs (or resumes) a distributed frontier sweep
-// over the given segments, starting from seed. ParetoObserved is the
-// fresh-sweep special case (one segment, empty seed). With every
-// segment already merged it returns the seed's answer directly.
-func (c *Coordinator) ParetoResumeObserved(ctx context.Context, q Query, segments []Segment, seed Seed, obs Observer) (*ParetoResult, error) {
-	merged := explore.NewFrontierCollector()
+// Run distributes one job of the query's kind over the fleet, or resumes
+// one: it evaluates the given segments shard by shard, folds every
+// shard's partial answer into the kind's collector, seeded from seed,
+// and returns the merged answer, which equals the single-process answer
+// over the same designs up to ordering (a top K candidate for
+// candidate). Seed candidates re-enter the collector with their
+// original indices, so a resumed top K tie-breaks exactly as the
+// uninterrupted job would. obs, when non-nil, sees the merged answer
+// after every shard. With every segment already merged it returns the
+// seed's answer directly.
+func (c *Coordinator) Run(ctx context.Context, q Query, segments []Segment, seed Seed, obs Observer) (*Result, error) {
+	merged := q.NewCollector()
 	for _, ic := range seed.Candidates {
 		merged.Collect(ic.Index, ic.Candidate)
 	}
-	var mu sync.Mutex
-	evaluated := seed.Evaluated
-	mergedShards := seed.Shards
 	if segmentsTotal(segments) == 0 {
 		if seed.Shards == 0 {
 			return nil, fmt.Errorf("cluster: no designs to sweep")
 		}
-		return &ParetoResult{Evaluated: evaluated, Frontier: merged.Frontier()}, nil
-	}
-	shards, retries, err := c.run(ctx, q, segments, Transport.Pareto, func(worker string, s Shard, p *Partial) {
-		// The rebuilt per-shard collector exists to feed Merge; its seen
-		// counter covers only the shipped frontier, so the authoritative
-		// design count is the summed partial.Evaluated, not merged.Seen().
-		part := explore.NewFrontierCollector()
-		for _, ic := range p.Candidates {
-			part.Collect(ic.Index, ic.Candidate)
-		}
-		c.metrics.mergeSize.Observe(float64(len(p.Candidates)))
-		mu.Lock()
-		defer mu.Unlock()
-		evaluated += p.Evaluated
-		mergedShards++
-		merged.Merge(part)
-		if obs != nil {
-			// Feasible stays zero: feasibility is a constrained-sweep
-			// notion with no meaning on a frontier job.
-			obs(Progress{
-				Worker:     worker,
-				Delta:      p.Evaluated,
-				Evaluated:  evaluated,
-				Shards:     mergedShards,
-				Workers:    c.memberCount(),
-				Candidates: merged.Frontier(),
-				ShardStart: s.Start,
-				ShardLen:   s.Count,
-			})
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &ParetoResult{
-		Evaluated: evaluated,
-		Frontier:  merged.Frontier(),
-		Shards:    shards,
-		Retries:   retries,
-	}, nil
-}
-
-// SweepResumeObserved runs (or resumes) a distributed constrained top-K
-// sweep over the given segments, starting from seed. Seed candidates
-// re-enter the collector with their original indices, so tie-breaking —
-// and therefore the final top K — is bit-identical to the uninterrupted
-// run.
-func (c *Coordinator) SweepResumeObserved(ctx context.Context, q Query, segments []Segment, seed Seed, obs Observer) (*SweepResult, error) {
-	if q.TopK <= 0 {
-		q.TopK = 10
-	}
-	merged := explore.NewTopK(q.TopK, q.Objective, q.Constraints)
-	for _, ic := range seed.Candidates {
-		merged.Collect(ic.Index, ic.Candidate)
+		answer, _, _ := Snapshot(merged)
+		return &Result{Evaluated: seed.Evaluated, Feasible: seed.Feasible, Candidates: answer}, nil
 	}
 	var mu sync.Mutex
-	evaluated, feasible := seed.Evaluated, seed.Feasible
-	mergedShards := seed.Shards
-	if segmentsTotal(segments) == 0 {
-		if seed.Shards == 0 {
-			return nil, fmt.Errorf("cluster: no designs to sweep")
-		}
-		return &SweepResult{Evaluated: evaluated, Feasible: feasible, Candidates: merged.Results()}, nil
-	}
-	shards, retries, err := c.run(ctx, q, segments, Transport.Sweep, func(worker string, s Shard, p *Partial) {
-		part := explore.NewTopK(q.TopK, q.Objective, q.Constraints)
-		for _, ic := range p.Candidates {
-			part.Collect(ic.Index, ic.Candidate)
-		}
+	evaluated, feasible, mergedShards := seed.Evaluated, seed.Feasible, seed.Shards
+	shards, retries, err := c.run(ctx, q, segments, func(worker string, s Shard, p *Partial) {
 		c.metrics.mergeSize.Observe(float64(len(p.Candidates)))
 		mu.Lock()
 		defer mu.Unlock()
-		// The partial's counters cover the whole shard; the rebuilt
-		// collector saw only its k survivors, so the response counts come
-		// from the partial sums, not the merged collector.
+		// The partial's counters cover the whole shard; its candidates
+		// are only the shard's survivors, so the job's counts are the
+		// partial sums, never the merged collector's.
 		evaluated += p.Evaluated
 		feasible += p.Feasible
 		mergedShards++
-		merged.Merge(part)
+		for _, ic := range p.Candidates {
+			merged.Collect(ic.Index, ic.Candidate)
+		}
 		if obs != nil {
+			answer, _, indexed := Snapshot(merged)
 			obs(Progress{
 				Worker:     worker,
 				Delta:      p.Evaluated,
@@ -186,32 +128,16 @@ func (c *Coordinator) SweepResumeObserved(ctx context.Context, q Query, segments
 				Feasible:   feasible,
 				Shards:     mergedShards,
 				Workers:    c.memberCount(),
-				Candidates: merged.Results(),
+				Candidates: answer,
 				ShardStart: s.Start,
 				ShardLen:   s.Count,
-				Indexed:    indexedEntries(merged),
+				Indexed:    indexed,
 			})
 		}
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &SweepResult{
-		Evaluated:  evaluated,
-		Feasible:   feasible,
-		Candidates: merged.Results(),
-		Shards:     shards,
-		Retries:    retries,
-	}, nil
-}
-
-// indexedEntries converts a TopK's retained entries to the replication
-// form.
-func indexedEntries(t *explore.TopK) []IndexedCandidate {
-	entries := t.Entries()
-	out := make([]IndexedCandidate, len(entries))
-	for i, e := range entries {
-		out[i] = IndexedCandidate{Index: e.Index, Candidate: e.Candidate}
-	}
-	return out
+	answer, _, _ := Snapshot(merged)
+	return &Result{Evaluated: evaluated, Feasible: feasible, Candidates: answer, Shards: shards, Retries: retries}, nil
 }

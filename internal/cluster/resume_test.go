@@ -69,7 +69,7 @@ func TestParetoAdoptionAtEveryShardBoundary(t *testing.T) {
 			t.Fatalf("boundary %d: ledger+complement covers %d designs, want %d", k, got, len(designs))
 		}
 		adopter := newTestCoordinator(t, localFleet(2), Options{ShardSize: 32})
-		res, err := adopter.ParetoResumeObserved(context.Background(), q, segments, st.seed, nil)
+		res, err := adopter.Run(context.Background(), q, segments, st.seed, nil)
 		if err != nil {
 			t.Fatalf("boundary %d: resume failed: %v", k, err)
 		}
@@ -78,7 +78,7 @@ func TestParetoAdoptionAtEveryShardBoundary(t *testing.T) {
 		if res.Evaluated != len(designs) {
 			t.Fatalf("boundary %d: resumed job evaluated %d designs, want %d", k, res.Evaluated, len(designs))
 		}
-		got := candKeys(res.Frontier)
+		got := candKeys(res.Candidates)
 		if len(got) != len(want) {
 			t.Fatalf("boundary %d: frontier has %d points, want %d", k, len(got), len(want))
 		}
@@ -98,13 +98,14 @@ func TestParetoAdoptionAtEveryShardBoundary(t *testing.T) {
 func TestSweepAdoptionAtEveryShardBoundary(t *testing.T) {
 	designs := testDesigns(180)
 	q := testQuery()
+	q.Kind = wire.JobSweep
 	q.TopK = 9
 	q.Constraints = nil
 
 	owner := newTestCoordinator(t, localFleet(3), Options{ShardSize: 16})
-	var want *SweepResult
+	var want *Result
 	states := captureBoundaries(t, func(obs Observer) error {
-		res, err := owner.SweepObserved(context.Background(), q, designs, obs)
+		res, err := owner.Run(context.Background(), q, fresh(designs), Seed{}, obs)
 		want = res
 		return err
 	})
@@ -112,7 +113,7 @@ func TestSweepAdoptionAtEveryShardBoundary(t *testing.T) {
 	for k, st := range states {
 		segments := Pin(SegmentsAfter(len(designs), st.ledger), designs)
 		adopter := newTestCoordinator(t, localFleet(2), Options{ShardSize: 16})
-		res, err := adopter.SweepResumeObserved(context.Background(), q, segments, st.seed, nil)
+		res, err := adopter.Run(context.Background(), q, segments, st.seed, nil)
 		if err != nil {
 			t.Fatalf("boundary %d: resume failed: %v", k, err)
 		}
@@ -156,7 +157,7 @@ func TestResumeWithEverythingMerged(t *testing.T) {
 	}
 	// The adopter has no live workers at all — and must not need any.
 	adopter := newTestCoordinator(t, nil, Options{ShardSize: 16})
-	res, err := adopter.ParetoResumeObserved(context.Background(), q, nil, last.seed, nil)
+	res, err := adopter.Run(context.Background(), q, nil, last.seed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestResumeWithEverythingMerged(t *testing.T) {
 		t.Fatalf("evaluated %d, want %d", res.Evaluated, len(designs))
 	}
 	want := candKeys(singleProcessReference(t, designs).Frontier)
-	got := candKeys(res.Frontier)
+	got := candKeys(res.Candidates)
 	if len(got) != len(want) {
 		t.Fatalf("frontier has %d points, want %d", len(got), len(want))
 	}
@@ -215,10 +216,12 @@ func TestSegmentsAfter(t *testing.T) {
 // resumable job — it is a request to sweep nothing.
 func TestResumeRejectsEmptyJob(t *testing.T) {
 	coord := newTestCoordinator(t, localFleet(1), Options{})
-	if _, err := coord.ParetoResumeObserved(context.Background(), testQuery(), nil, Seed{}, nil); err == nil {
+	if _, err := coord.Run(context.Background(), testQuery(), nil, Seed{}, nil); err == nil {
 		t.Error("pareto resume of an empty job returned no error")
 	}
-	if _, err := coord.SweepResumeObserved(context.Background(), testQuery(), []Segment{{Designs: []space.Config{}}}, Seed{}, nil); err == nil {
+	sweep := testQuery()
+	sweep.Kind = wire.JobSweep
+	if _, err := coord.Run(context.Background(), sweep, []Segment{{Designs: []space.Config{}}}, Seed{}, nil); err == nil {
 		t.Error("sweep resume of an empty job returned no error")
 	}
 }

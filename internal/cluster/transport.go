@@ -4,17 +4,21 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/explore"
 	"repro/internal/obs"
 	"repro/internal/space"
 	"repro/internal/wire"
 )
 
-// Query is the worker-independent part of a distributed sweep: which
-// benchmark's models score the designs and under which objectives, plus
-// the selection rule for top-K sweeps. The design points themselves arrive
-// per shard.
+// Query is the worker-independent part of a distributed job: its kind,
+// which benchmark's models score the designs and under which
+// objectives, plus the selection rule of a top-K job. The design points
+// themselves arrive per shard.
 type Query struct {
+	// Kind picks the job's reduction (see NewCollector); the zero value
+	// is a frontier job.
+	Kind       wire.JobKind
 	Benchmark  string
 	Objectives []wire.ObjectiveSpec
 	// Space is the job's design selector, when the design list came from
@@ -22,10 +26,114 @@ type Query struct {
 	// (wire.SpaceSpec.Window) instead of as pinned designs; the zero value
 	// pins every shard.
 	Space wire.SpaceSpec
-	// TopK, Objective and Constraints apply to Sweep shards only.
+	// TopK (default 10), Objective and Constraints apply to sweeps only.
 	TopK        int
 	Objective   int
 	Constraints []explore.Constraint
+}
+
+// QueryOf builds the distributed query of a validated job spec. The
+// query carries the spec's space selector, so shards of a named,
+// unsampled space travel as windows. An unnamed space is the train
+// space, named explicitly here because a Query treats an unnamed space
+// as pinned.
+func QueryOf(spec wire.JobSpec) Query {
+	q := Query{
+		Kind:        spec.Kind,
+		Benchmark:   spec.Benchmark,
+		Objectives:  spec.Objectives,
+		Space:       spec.SpaceSpec,
+		TopK:        spec.TopK,
+		Objective:   spec.Objective,
+		Constraints: make([]explore.Constraint, len(spec.Constraints)),
+	}
+	for i, c := range spec.Constraints {
+		q.Constraints[i] = explore.Constraint{Objective: c.Objective, Max: c.Max}
+	}
+	if q.Space.Space == "" && len(q.Space.Designs) == 0 {
+		q.Space.Space = "train"
+	}
+	return q
+}
+
+// Collector is a job kind's mergeable reduction: what a shard, a
+// merged fleet job and a single daemon's job fold their designs into.
+// Only Query.NewCollector makes one; Snapshot reads it back.
+type Collector interface {
+	explore.Collector
+	Seen() int
+}
+
+// NewCollector is the one place a job kind picks its reduction: a sweep
+// keeps the feasible top K by q.Objective under q.Constraints, any other
+// kind the Pareto frontier. It returns the concrete explore collector,
+// never a wrapper: the engine hands its own collectors whole chunks and
+// decodes a Config only for the designs they keep, and feeds anything
+// else one design at a time under a shared lock.
+func (q Query) NewCollector() Collector {
+	if q.Kind != wire.JobSweep {
+		return explore.NewFrontierCollector()
+	}
+	if q.TopK <= 0 {
+		q.TopK = 10
+	}
+	return explore.NewTopK(q.TopK, q.Objective, q.Constraints)
+}
+
+// Snapshot reads the answer of a collector from Query.NewCollector, the
+// inverse of its kind-to-collector mapping: the top K best first or the
+// frontier; how many designs were feasible (0 on a frontier, where
+// feasibility has no meaning); and, for a top K, its candidates with
+// their original design indices, which tie-breaking needs for a resumed
+// job to stay bit-identical (nil on a frontier, whose merge is
+// index-independent). Any other collector is a programming error and
+// panics.
+func Snapshot(c Collector) (answer []explore.Candidate, feasible int, indexed []IndexedCandidate) {
+	switch c := c.(type) {
+	case *explore.FrontierCollector:
+		return c.Frontier(), 0, nil
+	case *explore.TopK:
+		entries := c.Entries()
+		answer = make([]explore.Candidate, len(entries))
+		indexed = make([]IndexedCandidate, len(entries))
+		for i, e := range entries {
+			answer[i] = e.Candidate
+			indexed[i] = IndexedCandidate{Index: e.Index, Candidate: e.Candidate}
+		}
+		return answer, c.Feasible(), indexed
+	}
+	panic(fmt.Sprintf("cluster: Snapshot of a %T, which Query.NewCollector never returns", c))
+}
+
+// Resolve resolves the query's objectives against a model source — one
+// model and one exploration objective per objective spec — under a
+// "phase:train" span of tracer (nil records none): on-demand training is
+// the phase that dominates a cold job's latency.
+func (q Query) Resolve(ctx context.Context, tracer *obs.Tracer, resolve ModelResolver) (models []core.DynamicsModel, objectives []explore.Objective, err error) {
+	ctx, span := tracer.Start(ctx, "phase:train")
+	defer func() {
+		if err != nil {
+			span.SetAttr("error", err.Error())
+		}
+		span.End()
+	}()
+	if len(q.Objectives) == 0 {
+		return nil, nil, wire.ErrNoObjectives
+	}
+	models = make([]core.DynamicsModel, len(q.Objectives))
+	objectives = make([]explore.Objective, len(q.Objectives))
+	for i, spec := range q.Objectives {
+		obj, err := spec.Build()
+		if err != nil {
+			return nil, nil, err
+		}
+		m, err := resolve(ctx, q.Benchmark, spec.Metric)
+		if err != nil {
+			return nil, nil, err
+		}
+		models[i], objectives[i] = m, obj
+	}
+	return models, objectives, nil
 }
 
 // Shard is one contiguous range [Start, Start+Count) of a sweep's design
@@ -59,10 +167,9 @@ type Partial struct {
 	// short count as a worker fault and re-dispatches the shard.
 	Evaluated int
 	// Feasible counts shard candidates satisfying every constraint
-	// (top-K sweeps; equals Evaluated for Pareto shards).
+	// (top-K sweeps; 0 on frontier shards).
 	Feasible int
-	// Candidates is the shard's frontier (Pareto) or its best-first
-	// top K (Sweep).
+	// Candidates is the shard's frontier or its best-first top K.
 	Candidates []IndexedCandidate
 	// Spans carries the worker's trace spans for the shard (nil from
 	// transports that do not trace); the coordinator imports them into
@@ -133,8 +240,7 @@ type Transport interface {
 	// already-warm benchmark costs zero), so a coordinator can sum the
 	// fleet's actual cost per call.
 	Warm(ctx context.Context, benchmarks []string) (trainings int, err error)
-	// Pareto evaluates the shard and returns its Pareto frontier.
-	Pareto(ctx context.Context, q Query, s Shard) (*Partial, error)
-	// Sweep evaluates the shard and returns its feasible top K.
-	Sweep(ctx context.Context, q Query, s Shard) (*Partial, error)
+	// Evaluate scores the shard's designs and returns its partial answer
+	// under the query's kind: the shard's frontier or its feasible top K.
+	Evaluate(ctx context.Context, q Query, s Shard) (*Partial, error)
 }

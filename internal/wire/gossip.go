@@ -197,12 +197,6 @@ type SnapshotCandidate struct {
 	Candidate Candidate `json:"candidate"`
 }
 
-// Replicated job kinds.
-const (
-	ReplicaSweep  = "sweep"
-	ReplicaPareto = "pareto"
-)
-
 // MaxReplicatedSpans bounds the trace excerpt a replication payload
 // carries; an adopter splices these under the owner's root span so the
 // job's cross-node trace tree survives the owner.
@@ -213,9 +207,9 @@ const MaxReplicatedSpans = 512
 // replicas after every merged shard. Seq orders payloads (replicas keep
 // the newest); Done retires the entry once the job finishes.
 type ReplicateRequest struct {
-	JobID string `json:"job_id"`
-	Kind  string `json:"kind"`
-	Owner string `json:"owner"`
+	JobID string  `json:"job_id"`
+	Kind  JobKind `json:"kind"`
+	Owner string  `json:"owner"`
 	// Replicas is the adoption order: when the owner dies, the first
 	// alive address adopts. Every replica holds the same list, so the
 	// fleet agrees on the successor without an election.
@@ -246,7 +240,35 @@ type ReplicateRequest struct {
 	Done bool `json:"done,omitempty"`
 }
 
-// Validate rejects malformed replication payloads.
+// Replica returns the replication payload of a job with spec j, before
+// any state: its kind, and the spec in the field that kind names.
+func (j JobSpec) Replica() ReplicateRequest {
+	r := ReplicateRequest{Kind: j.Kind, Benchmark: j.Benchmark}
+	switch req := j.Request().(type) {
+	case SweepRequest:
+		r.Sweep = &req
+	case ParetoRequest:
+		r.Pareto = &req
+	}
+	return r
+}
+
+// Spec returns the replicated job's spec, from the field its kind names.
+func (r ReplicateRequest) Spec() JobSpec {
+	if r.Sweep != nil {
+		return r.Sweep.Spec()
+	}
+	if r.Pareto != nil {
+		return r.Pareto.Spec()
+	}
+	return JobSpec{Kind: r.Kind}
+}
+
+// Validate rejects malformed replication payloads. An adopter resumes a
+// job from the payload alone, so it is held to what resuming relies on:
+// a spec its own submission would pass, a ledger in the sorted,
+// disjoint, coalesced form AddRange keeps, and a snapshot that re-enters
+// the kind's collector cleanly.
 func (r ReplicateRequest) Validate() error {
 	if r.JobID == "" {
 		return errors.New("replicate needs a job id")
@@ -257,17 +279,15 @@ func (r ReplicateRequest) Validate() error {
 	if r.Done {
 		return nil // a retirement notice needs no spec
 	}
-	switch r.Kind {
-	case ReplicaSweep:
-		if r.Sweep == nil {
-			return errors.New("sweep replica without a sweep spec")
-		}
-	case ReplicaPareto:
-		if r.Pareto == nil {
-			return errors.New("pareto replica without a pareto spec")
-		}
-	default:
+	switch {
+	case r.Kind != JobSweep && r.Kind != JobPareto:
 		return fmt.Errorf("unknown replica kind %q", r.Kind)
+	case (r.Sweep != nil) != (r.Kind == JobSweep) || (r.Pareto != nil) != (r.Kind == JobPareto):
+		return fmt.Errorf("a %s replica must carry exactly its %s spec", r.Kind, r.Kind)
+	}
+	spec := r.Spec()
+	if err := spec.Validate(); err != nil {
+		return fmt.Errorf("replicated spec: %w", err)
 	}
 	if r.Designs <= 0 {
 		return errors.New("replicate needs the job's design count")
@@ -275,9 +295,19 @@ func (r ReplicateRequest) Validate() error {
 	if len(r.Spans) > MaxReplicatedSpans {
 		return fmt.Errorf("replicate carries at most %d spans (got %d)", MaxReplicatedSpans, len(r.Spans))
 	}
+	end := -1 // the next range must start past this: the previous range's end
 	for _, rg := range r.Ledger {
-		if rg.Start < 0 || rg.Count <= 0 || rg.Start+rg.Count > r.Designs {
-			return fmt.Errorf("ledger range [%d,+%d) outside the job's %d designs", rg.Start, rg.Count, r.Designs)
+		if rg.Start <= end || rg.Count <= 0 || rg.Count > r.Designs-rg.Start {
+			return fmt.Errorf("ledger range [%d,+%d) is out of order, empty, adjacent to its predecessor or outside the job's %d designs", rg.Start, rg.Count, r.Designs)
+		}
+		end = rg.Start + rg.Count
+	}
+	for _, sc := range r.Snapshot {
+		if len(sc.Candidate.Scores) != len(spec.Objectives) {
+			return fmt.Errorf("snapshot candidate carries %d scores for %d objectives", len(sc.Candidate.Scores), len(spec.Objectives))
+		}
+		if r.Kind == JobSweep && (sc.Index < 0 || sc.Index >= r.Designs) {
+			return fmt.Errorf("top-K snapshot index %d outside the job's %d designs", sc.Index, r.Designs)
 		}
 	}
 	return nil

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/explore"
 	"repro/internal/mathx"
-	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/space"
 )
@@ -360,8 +359,59 @@ type BatchPredictResponse struct {
 	ElapsedMS float64           `json:"elapsed_ms"`
 }
 
-// SweepRequest is the body of POST /sweep: streaming top-K constrained
-// selection over a design space.
+// JobKind names what an exploration job computes: the two reductions
+// the paper asks for over the same stream of predicted designs. Every
+// layer carries the kind as this value; the request types below are
+// only the two strict JSON shapes a submission may take.
+type JobKind string
+
+const (
+	// JobSweep is a constrained top-K selection job (POST /v1/sweeps).
+	JobSweep JobKind = "sweep"
+	// JobPareto is a Pareto-frontier job (POST /v1/pareto).
+	JobPareto JobKind = "pareto"
+)
+
+// JobRequest is a job submission body of either kind.
+type JobRequest interface {
+	Validate() error
+	Spec() JobSpec
+}
+
+// NewJobRequest returns the strict decode target of kind's submission
+// body, so a frontier submission carrying top-K fields is refused as an
+// unknown field.
+func NewJobRequest(kind JobKind) JobRequest {
+	if kind == JobSweep {
+		return &SweepRequest{}
+	}
+	return &ParetoRequest{}
+}
+
+// JobSpec is an exploration job of either kind: its kind plus a sweep
+// request body, whose TopK, Objective and Constraints stay zero on a
+// frontier job. Validate (a sweep's) holds for both kinds, since a
+// frontier request's checks are a sweep's with those fields zero.
+type JobSpec struct {
+	// Kind stays off the wire: a spec encodes as its request body.
+	Kind JobKind `json:"-"`
+	SweepRequest
+}
+
+// Spec returns j itself, shadowing the embedded sweep request's Spec,
+// which would name every spec a sweep.
+func (j JobSpec) Spec() JobSpec { return j }
+
+// Request returns the spec as its kind's submission body.
+func (j JobSpec) Request() JobRequest {
+	if j.Kind == JobSweep {
+		return j.SweepRequest
+	}
+	return ParetoRequest{Benchmark: j.Benchmark, Objectives: j.Objectives, SpaceSpec: j.SpaceSpec, Scope: j.Scope}
+}
+
+// SweepRequest is the body of POST /v1/sweeps: streaming top-K
+// constrained selection over a design space.
 type SweepRequest struct {
 	Benchmark  string          `json:"benchmark"`
 	Objectives []ObjectiveSpec `json:"objectives"`
@@ -399,6 +449,9 @@ func (r SweepRequest) Validate() error {
 	return validateScope(r.Scope)
 }
 
+// Spec implements JobRequest.
+func (r SweepRequest) Spec() JobSpec { return JobSpec{Kind: JobSweep, SweepRequest: r} }
+
 // ScopeLocal marks a request as a shard of a distributed job: the
 // receiving node must evaluate it on its own registry, never fan it out
 // again. Without the marker two symmetric peers would bounce a sweep
@@ -434,7 +487,7 @@ func validateObjectives(specs []ObjectiveSpec) error {
 	return nil
 }
 
-// SweepResponse answers POST /sweep.
+// SweepResponse is a finished top-K job's result.
 type SweepResponse struct {
 	Benchmark  string      `json:"benchmark"`
 	Objectives []string    `json:"objectives"`
@@ -444,8 +497,8 @@ type SweepResponse struct {
 	Candidates []Candidate `json:"candidates"`
 }
 
-// ParetoRequest is the body of POST /pareto: the Pareto frontier of a
-// design space under the chosen objectives.
+// ParetoRequest is the body of POST /v1/pareto: the Pareto frontier of
+// a design space under the chosen objectives.
 type ParetoRequest struct {
 	Benchmark  string          `json:"benchmark"`
 	Objectives []ObjectiveSpec `json:"objectives"`
@@ -466,7 +519,14 @@ func (r ParetoRequest) Validate() error {
 	return validateScope(r.Scope)
 }
 
-// ParetoResponse answers POST /pareto.
+// Spec implements JobRequest.
+func (r ParetoRequest) Spec() JobSpec {
+	return JobSpec{Kind: JobPareto, SweepRequest: SweepRequest{
+		Benchmark: r.Benchmark, Objectives: r.Objectives, SpaceSpec: r.SpaceSpec, Scope: r.Scope,
+	}}
+}
+
+// ParetoResponse is a finished frontier job's result.
 type ParetoResponse struct {
 	Benchmark  string      `json:"benchmark"`
 	Objectives []string    `json:"objectives"`
@@ -523,22 +583,14 @@ type ClusterSweepResponse struct {
 	Shards  int `json:"shards"`
 	// Retries counts shard attempts that failed and were re-dispatched.
 	Retries int `json:"retries"`
-	// JobID identifies the async job that computed this response, so
-	// callers can fetch GET /v1/jobs/{id}/trace afterwards.
-	JobID string `json:"job_id,omitempty"`
-	// Spans carries the responding daemon's trace spans for the job —
-	// the owner splices a worker's spans under its dispatch span.
-	Spans []obs.Span `json:"spans,omitempty"`
 }
 
 // ClusterParetoResponse is a fleet frontier job's result.
 type ClusterParetoResponse struct {
 	ParetoResponse
-	Workers int        `json:"workers"`
-	Shards  int        `json:"shards"`
-	Retries int        `json:"retries"`
-	JobID   string     `json:"job_id,omitempty"`
-	Spans   []obs.Span `json:"spans,omitempty"`
+	Workers int `json:"workers"`
+	Shards  int `json:"shards"`
+	Retries int `json:"retries"`
 }
 
 // ObjectiveNames labels resolved objectives for a response.

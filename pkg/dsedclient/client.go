@@ -10,9 +10,8 @@
 // Stream follows its NDJSON partial-frontier updates (resuming
 // transparently after a disconnect — every update is a cumulative
 // snapshot, so the resumed stream is current from its first line), and
-// Cancel aborts it.
-// ParetoJob and SweepJob bundle submit → stream → final into one
-// blocking call with an optional per-update callback.
+// Cancel aborts it. Run bundles submit → stream → final into one
+// blocking call of either kind with an optional per-update callback.
 //
 // Errors from /v1 endpoints decode into *APIError carrying the
 // structured error model (code, message, retryable, request ID); calls

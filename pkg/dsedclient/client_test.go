@@ -265,7 +265,7 @@ func (d *fakeJobDaemon) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/pareto", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusAccepted)
-		json.NewEncoder(w).Encode(api.JobStatus{ID: "pareto-1", Kind: api.JobPareto, State: api.StateRunning})
+		json.NewEncoder(w).Encode(api.JobStatus{ID: "pareto-1", Kind: wire.JobPareto, State: api.StateRunning})
 	})
 	mux.HandleFunc("GET /v1/jobs/pareto-1/stream", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", api.ContentNDJSON)
@@ -283,7 +283,7 @@ func (d *fakeJobDaemon) handler() http.Handler {
 }
 
 // TestJobCancel covers both cancellation surfaces: the explicit Cancel
-// call, and ParetoJob cancelling the daemon-side job when the caller's
+// call, and Run cancelling the daemon-side job when the caller's
 // context dies mid-stream.
 func TestJobCancel(t *testing.T) {
 	d := &fakeJobDaemon{}
@@ -305,9 +305,9 @@ func TestJobCancel(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 		cancel()
 	}()
-	_, err = c.ParetoJob(ctx, wire.ParetoRequest{Benchmark: "gcc", Objectives: []wire.ObjectiveSpec{{Metric: "CPI"}}}, nil)
+	_, _, err = c.Run(ctx, wire.ParetoRequest{Benchmark: "gcc", Objectives: []wire.ObjectiveSpec{{Metric: "CPI"}}}, nil)
 	if err == nil {
-		t.Fatal("a cancelled ParetoJob must error")
+		t.Fatal("a cancelled Run must error")
 	}
 	// The detached DELETE is fired asynchronously to the caller's dead
 	// context; give it a moment.

@@ -19,16 +19,17 @@ import (
 //
 //	dsed -addr :8090 -benchmarks gcc -metrics CPI,Power
 
-// ExampleClient_ParetoJob is the one-call happy path: submit a frontier
-// job, watch its merged partial frontiers stream in, and take the final
-// answer. Against a peer fleet the updates carry per-peer attribution;
-// against a single daemon the distribution fields are zero.
-func ExampleClient_ParetoJob() {
+// ExampleClient_Run is the one-call happy path: submit a frontier job,
+// watch its merged partial frontiers stream in, and take the final
+// answer. A wire.SweepRequest runs a top-K job the same way. Against a
+// peer fleet the updates carry per-peer attribution; against a single
+// daemon the distribution fields are zero.
+func ExampleClient_Run() {
 	c := dsedclient.New("http://localhost:8090")
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
 
-	final, err := c.ParetoJob(ctx, wire.ParetoRequest{
+	final, _, err := c.Run(ctx, wire.ParetoRequest{
 		Benchmark: "gcc",
 		Objectives: []wire.ObjectiveSpec{
 			{Metric: "CPI"},
@@ -45,7 +46,7 @@ func ExampleClient_ParetoJob() {
 		log.Fatal(err)
 	}
 	fmt.Printf("final frontier: %d points over %d designs (%d shards, %d retries)\n",
-		len(final.Frontier), final.Evaluated, final.Shards, final.Retries)
+		len(final.Candidates), final.Evaluated, final.Shards, final.Retries)
 }
 
 // ExampleClient_SubmitSweep shows the async API underneath the
@@ -124,7 +125,7 @@ func Example_multiPolicyFleet() {
 		c := dsedclient.New(addr, dsedclient.WithRetries(2))
 		perWorker := map[string]int{}
 		start := time.Now()
-		final, err := c.ParetoJob(ctx, req, func(u api.Update) {
+		final, _, err := c.Run(ctx, req, func(u api.Update) {
 			perWorker[u.Worker] += u.Delta
 		})
 		if err != nil {
@@ -133,6 +134,6 @@ func Example_multiPolicyFleet() {
 		// Same frontier from every policy — placement moves the work and
 		// the makespan, never the answer.
 		fmt.Printf("%s: %d frontier points in %v, shards by worker: %v\n",
-			addr, len(final.Frontier), time.Since(start).Round(time.Millisecond), perWorker)
+			addr, len(final.Candidates), time.Since(start).Round(time.Millisecond), perWorker)
 	}
 }

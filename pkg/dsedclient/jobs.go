@@ -18,18 +18,23 @@ import (
 // SubmitSweep starts an asynchronous constrained top-K job
 // (POST /v1/sweeps) and returns its initial status immediately.
 func (c *Client) SubmitSweep(ctx context.Context, req wire.SweepRequest) (*api.JobStatus, error) {
-	var out api.JobStatus
-	if err := c.do(ctx, http.MethodPost, "/v1/sweeps", req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return c.submit(ctx, req)
 }
 
 // SubmitPareto starts an asynchronous Pareto-frontier job
 // (POST /v1/pareto) and returns its initial status immediately.
 func (c *Client) SubmitPareto(ctx context.Context, req wire.ParetoRequest) (*api.JobStatus, error) {
+	return c.submit(ctx, req)
+}
+
+// submit starts a job of req's kind at the kind's route.
+func (c *Client) submit(ctx context.Context, req wire.JobRequest) (*api.JobStatus, error) {
+	path := "/v1/pareto"
+	if req.Spec().Kind == wire.JobSweep {
+		path = "/v1/sweeps"
+	}
 	var out api.JobStatus
-	if err := c.do(ctx, http.MethodPost, "/v1/pareto", req, &out); err != nil {
+	if err := c.do(ctx, http.MethodPost, path, req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -48,7 +53,7 @@ func (c *Client) Job(ctx context.Context, id string) (*api.JobStatus, error) {
 // Cancel aborts a running job (DELETE /v1/jobs/{id}). On a job that has
 // already settled, DELETE releases it from the daemon's table instead —
 // consumers that have read their result use it to free the retained
-// payload (ParetoJob/SweepJob do this automatically).
+// payload (Run does this automatically).
 func (c *Client) Cancel(ctx context.Context, id string) (*api.JobStatus, error) {
 	var out api.JobStatus
 	if err := c.do(ctx, http.MethodDelete, "/v1/jobs/"+id, nil, &out); err != nil {
@@ -271,59 +276,17 @@ func (c *Client) cancelDetached(id string) {
 	_, _ = c.Cancel(ctx, id)
 }
 
-// ParetoJob is the blocking convenience over the async API: submit a
-// frontier job, stream its partial frontiers through onUpdate (nil to
-// ignore), and return the final merged answer. The response carries the
-// distribution accounting of a peer fleet (zero values against a single
-// daemon).
-func (c *Client) ParetoJob(ctx context.Context, req wire.ParetoRequest, onUpdate func(api.Update)) (*wire.ClusterParetoResponse, error) {
-	st, err := c.SubmitPareto(ctx, req)
+// Run is the blocking convenience over the async API: submit a job of
+// either kind (a wire.ParetoRequest or a wire.SweepRequest), stream its
+// cumulative snapshots through onUpdate (nil to ignore), and return the
+// final update — the merged answer in Candidates, with a peer fleet's
+// distribution accounting (zero against a single daemon) — and the job's
+// ID, which GET /v1/jobs/{id}/trace takes.
+func (c *Client) Run(ctx context.Context, req wire.JobRequest, onUpdate func(api.Update)) (final *api.Update, jobID string, err error) {
+	st, err := c.submit(ctx, req)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
-	final, err := c.follow(ctx, st.ID, onUpdate)
-	if err != nil {
-		return nil, err
-	}
-	return &wire.ClusterParetoResponse{
-		ParetoResponse: wire.ParetoResponse{
-			Benchmark:  req.Benchmark,
-			Objectives: final.Objectives,
-			Evaluated:  final.Evaluated,
-			ElapsedMS:  final.ElapsedMS,
-			Frontier:   final.Candidates,
-		},
-		Workers: final.Workers,
-		Shards:  final.Shards,
-		Retries: final.Retries,
-		JobID:   st.ID,
-		Spans:   final.Spans,
-	}, nil
-}
-
-// SweepJob is ParetoJob for constrained top-K selection.
-func (c *Client) SweepJob(ctx context.Context, req wire.SweepRequest, onUpdate func(api.Update)) (*wire.ClusterSweepResponse, error) {
-	st, err := c.SubmitSweep(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	final, err := c.follow(ctx, st.ID, onUpdate)
-	if err != nil {
-		return nil, err
-	}
-	return &wire.ClusterSweepResponse{
-		SweepResponse: wire.SweepResponse{
-			Benchmark:  req.Benchmark,
-			Objectives: final.Objectives,
-			Evaluated:  final.Evaluated,
-			Feasible:   final.Feasible,
-			ElapsedMS:  final.ElapsedMS,
-			Candidates: final.Candidates,
-		},
-		Workers: final.Workers,
-		Shards:  final.Shards,
-		Retries: final.Retries,
-		JobID:   st.ID,
-		Spans:   final.Spans,
-	}, nil
+	final, err = c.follow(ctx, st.ID, onUpdate)
+	return final, st.ID, err
 }

@@ -165,7 +165,7 @@ func runLeg(ctx context.Context, cfg config, p cluster.Policy, hedged bool, desi
 		}()
 	}
 	start := time.Now()
-	res, err := coord.Pareto(ctx, query(), designs)
+	res, err := coord.ParetoObserved(ctx, query(), designs, nil)
 	if err != nil {
 		return result{}, err
 	}
@@ -196,27 +196,13 @@ type delayed struct {
 	perDesign time.Duration
 }
 
-func (d delayed) stall(ctx context.Context, n int) error {
+func (d delayed) Evaluate(ctx context.Context, q cluster.Query, s cluster.Shard) (*cluster.Partial, error) {
 	select {
-	case <-time.After(d.perDesign * time.Duration(n)):
-		return nil
+	case <-time.After(d.perDesign * time.Duration(s.Count)):
+		return d.Transport.Evaluate(ctx, q, s)
 	case <-ctx.Done():
-		return ctx.Err()
+		return nil, ctx.Err()
 	}
-}
-
-func (d delayed) Pareto(ctx context.Context, q cluster.Query, s cluster.Shard) (*cluster.Partial, error) {
-	if err := d.stall(ctx, s.Count); err != nil {
-		return nil, err
-	}
-	return d.Transport.Pareto(ctx, q, s)
-}
-
-func (d delayed) Sweep(ctx context.Context, q cluster.Query, s cluster.Shard) (*cluster.Partial, error) {
-	if err := d.stall(ctx, s.Count); err != nil {
-		return nil, err
-	}
-	return d.Transport.Sweep(ctx, q, s)
 }
 
 // simModel is the deterministic stand-in predictor: a pure function of
