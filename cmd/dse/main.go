@@ -324,19 +324,10 @@ func runRemote(ctx context.Context, addr, exp, benchmarks string, sample int, se
 	spaceSpec := wire.SpaceSpec{Space: "test", Sample: sample, Seed: seed}
 	partials := 0
 	onUpdate := func(u api.Update) {
-		if u.Final {
-			return
+		if line, ok := partialLine(u); ok {
+			partials++
+			fmt.Println(line)
 		}
-		partials++
-		line := fmt.Sprintf("partial: evaluated %d/%d, %d candidates", u.Evaluated, u.Designs, len(u.Candidates))
-		if u.Shards > 0 {
-			line += fmt.Sprintf(" (%d shards", u.Shards)
-			if u.Worker != "" {
-				line += ", last from " + u.Worker
-			}
-			line += ")"
-		}
-		fmt.Println(line)
 	}
 	var req wire.JobRequest = wire.ParetoRequest{Benchmark: benchmark, Objectives: objectives, SpaceSpec: spaceSpec}
 	if exp == "sweep" {
@@ -361,6 +352,25 @@ func runRemote(ctx context.Context, addr, exp, benchmarks string, sample int, se
 	}
 	printTrace(ctx, c, jobID)
 	return nil
+}
+
+// partialLine renders one streamed update as a "partial:" line. Only a
+// partial answer counts: the final update is printed separately, and a
+// job's opening snapshot carries only its shape (nothing evaluated yet),
+// so ok is false for both.
+func partialLine(u api.Update) (line string, ok bool) {
+	if u.Final || u.Evaluated == 0 {
+		return "", false
+	}
+	line = fmt.Sprintf("partial: evaluated %d/%d, %d candidates", u.Evaluated, u.Designs, len(u.Candidates))
+	if u.Shards > 0 {
+		line += fmt.Sprintf(" (%d shards", u.Shards)
+		if u.Worker != "" {
+			line += ", last from " + u.Worker
+		}
+		line += ")"
+	}
+	return line, true
 }
 
 // printTrace fetches the finished job's assembled span tree and prints

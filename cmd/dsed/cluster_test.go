@@ -164,6 +164,11 @@ func TestClusterParetoMatchesSingleProcess(t *testing.T) {
 // re-dispatch its shards and still produce the single-process frontier.
 func TestClusterParetoSurvivesWorkerDeath(t *testing.T) {
 	fleetTS, singleTS, owner := clusterFixture(t, 16, 2)
+	// Placement favours the peer with fewer shards in flight, and the
+	// owner's in-process shards finish long before a remote round trip:
+	// unslowed, the owner drains the job before the remote peer is
+	// offered the shard it dies on.
+	owner.srv.straggle = time.Millisecond
 
 	var single wire.ParetoResponse
 	if status := runJob(t, singleTS, "/v1/pareto", paretoBody(), &single); status != http.StatusOK {

@@ -44,8 +44,9 @@
 // silent rounds leaves the scheduling fleet. Any peer accepts POST
 // /v1/sweeps or /v1/pareto and coordinates that job across the alive
 // fleet: it partitions the job into shards (-shard-size, or adaptively
-// toward -target-shard-ms), places each by -policy, runs the shards it
-// places on itself in process, hedges stragglers (-hedge-factor), and
+// toward -target-shard-ms), places each on the free peer holding the
+// benchmark's models with the fewest shards in flight, runs the shards
+// it places on itself in process, hedges stragglers (-hedge-factor), and
 // merges the partial answers (see internal/cluster) — a job's stream
 // publishes the merged partial after every shard. Each running job's
 // recoverable state — spec, latest merged cumulative snapshot, shard
@@ -114,7 +115,6 @@ func main() {
 		debugAddr  = flag.String("debug-addr", "", "optional second listener serving net/http/pprof (e.g. localhost:6060); empty disables profiling")
 		peerList   = flag.String("peers", "", "comma-separated peer addresses (host:port); run as a symmetric peer: a full worker that also coordinates fleet-scope jobs, with membership by gossip and job survival by replication")
 		replicate  = flag.Int("replicate", 1, "with -peers: push each running job's recoverable state to this many peers, any of which can adopt the job if this node dies")
-		policy     = flag.String("policy", "affinity", "shard placement policy for the fleet jobs this peer owns: affinity, least-loaded, best-fit, or oversub")
 		hedgeF     = flag.Float64("hedge-factor", 3, "straggler hedging for the fleet jobs this peer owns: re-dispatch a shard when its elapsed time exceeds this multiple of its expected duration; 0 disables hedging")
 		straggle   = flag.Duration("straggle-per-design", 0, "fault injection: sleep this long per evaluated design on sweep jobs, making this daemon a deliberate straggler for hedging tests; 0 disables")
 	)
@@ -226,7 +226,6 @@ func main() {
 			shardSize:     *shardSize,
 			targetShardMS: *targetMS,
 			heartbeat:     *heartbeat,
-			policy:        *policy,
 			hedgeFactor:   *hedgeF,
 			replicate:     *replicate,
 		}, logger)

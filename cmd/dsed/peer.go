@@ -48,14 +48,13 @@ const gossipTimeout = 2 * time.Second
 // replicateTimeout bounds one replication push per replica.
 const replicateTimeout = 2 * time.Second
 
-// peerOptions carries the fleet flags: shard sizing, placement and
-// hedging for the jobs this peer owns, the gossip round interval
+// peerOptions carries the fleet flags: shard sizing and hedging for the
+// jobs this peer owns, the gossip round interval
 // (-heartbeat), and the replication factor.
 type peerOptions struct {
 	shardSize     int
 	targetShardMS int
 	heartbeat     time.Duration
-	policy        string
 	hedgeFactor   float64
 	replicate     int
 }
@@ -96,14 +95,9 @@ func newPeerServer(srv *Server, self string, peers []string, opts peerOptions, l
 	if opts.replicate <= 0 {
 		opts.replicate = 1
 	}
-	placement, err := cluster.PolicyByName(opts.policy)
-	if err != nil {
-		return nil, err
-	}
 	coord, err := cluster.New(nil, cluster.Options{
 		ShardSize:       opts.shardSize,
 		TargetShardTime: time.Duration(opts.targetShardMS) * time.Millisecond,
-		Policy:          placement,
 		HedgeFactor:     opts.hedgeFactor,
 		Obs:             srv.tel.reg,
 		Tracer:          srv.tel.tracer,
@@ -207,9 +201,6 @@ func (ps *peerServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		}
 		if len(m.Benchmarks) > 0 {
 			entry["benchmarks"] = m.Benchmarks
-		}
-		if len(m.QueueDepths) > 0 {
-			entry["queue_depths"] = m.QueueDepths
 		}
 		peers[i] = entry
 	}
@@ -592,18 +583,22 @@ type replicator struct {
 	notify chan struct{}
 	quit   chan struct{}
 	once   sync.Once
+	// failing holds the replicas whose last push failed; only run's
+	// goroutine touches it.
+	failing map[string]bool
 }
 
 func (ps *peerServer) newReplicator(jobID string, spec wire.JobSpec, designs int, root obs.SpanContext, ledger []wire.ShardRange) *replicator {
 	base := spec.Replica()
 	base.JobID, base.Owner, base.Designs = jobID, ps.self, designs
 	return &replicator{
-		ps:     ps,
-		root:   root,
-		base:   base,
-		ledger: ledger,
-		notify: make(chan struct{}, 1),
-		quit:   make(chan struct{}),
+		ps:      ps,
+		root:    root,
+		base:    base,
+		ledger:  ledger,
+		notify:  make(chan struct{}, 1),
+		quit:    make(chan struct{}),
+		failing: make(map[string]bool),
 	}
 }
 
@@ -674,14 +669,22 @@ func (r *replicator) sendLatest() {
 
 // send pushes one payload to the job's current replica set. Replicas
 // ride inside the payload so every holder agrees on the adoption order
-// without an election.
+// without an election. A replica that stops answering is logged once,
+// and again only after a push to it has succeeded in between: gossip
+// takes it out of the replica set a few rounds later, and until then
+// every merged shard would otherwise log the same failure.
 func (r *replicator) send(req wire.ReplicateRequest) {
 	req.Replicas = r.ps.pickReplicas(r.base.JobID)
 	for _, addr := range req.Replicas {
 		ctx, cancel := context.WithTimeout(context.Background(), replicateTimeout)
 		_, err := r.ps.client(addr).Replicate(ctx, req)
 		cancel()
-		if err != nil {
+		if err == nil {
+			delete(r.failing, addr)
+			continue
+		}
+		if !r.failing[addr] {
+			r.failing[addr] = true
 			r.ps.logf("replicate: job %s -> %s: %v", req.JobID, addr, err)
 		}
 	}
@@ -740,7 +743,7 @@ func (ps *peerServer) round(ctx context.Context) {
 	if len(inventory) > wire.MaxInventoryBenchmarks {
 		inventory = inventory[:wire.MaxInventoryBenchmarks]
 	}
-	ps.table.SetLocalInfo(ps.srv.workers, inventory, ps.srv.QueueDepths())
+	ps.table.SetLocalInfo(ps.srv.workers, inventory)
 	if target := ps.gossipTarget(); target != "" {
 		ps.exchange(ctx, target)
 	}
@@ -816,7 +819,7 @@ func (ps *peerServer) syncGossipMembership() {
 	}
 	for _, e := range ps.table.Snapshot() {
 		name := "http://" + e.Addr
-		info := cluster.MemberInfo{Capacity: e.Capacity, Benchmarks: e.Benchmarks, QueueDepths: e.QueueDepths}
+		info := cluster.MemberInfo{Capacity: e.Capacity, Benchmarks: e.Benchmarks}
 		if e.State == wire.GossipAlive {
 			if known[name] {
 				if err := ps.coord.Heartbeat(name, info); err != nil {
@@ -841,20 +844,14 @@ func (ps *peerServer) syncGossipMembership() {
 	}
 }
 
-// selfWorker is a peer's transport to itself: a cluster.Local over the
-// peer's own registry, so the shards the owner places on itself skip the
-// submit, stream and DELETE round trips and the job-table entry a remote
-// shard costs. It keeps a worker's observable behaviour: models resolve
-// through Server.sweepModel (so -straggle-per-design applies), the
-// registry's deterministic verdicts stay WorkerRejections, phase spans
-// and chunk histograms are recorded as a shard job records them, and a
-// running shard counts in the gossiped queue depths.
-type selfWorker struct {
-	*cluster.Local
-	srv *Server
-}
-
-func newSelfWorker(srv *Server, name string) *selfWorker {
+// newSelfWorker builds a peer's transport to itself: a cluster.Local
+// over the peer's own registry, so the shards the owner places on itself
+// skip the submit, stream and DELETE round trips and the job-table entry
+// a remote shard costs. It keeps a worker's observable behaviour: models
+// resolve through Server.sweepModel (so -straggle-per-design applies),
+// the registry's deterministic verdicts stay WorkerRejections, and phase
+// spans and chunk histograms are recorded as a shard job records them.
+func newSelfWorker(srv *Server, name string) *cluster.Local {
 	l := cluster.NewLocal(name, func(ctx context.Context, benchmark, metric string) (core.DynamicsModel, error) {
 		m, err := srv.sweepModel(ctx, benchmark, metric)
 		return m, selfVerdict(name, err)
@@ -866,7 +863,7 @@ func newSelfWorker(srv *Server, name string) *selfWorker {
 		n, _, err := srv.warm(ctx, benchmarks)
 		return n, selfVerdict(name, err)
 	}
-	return &selfWorker{Local: l, srv: srv}
+	return l
 }
 
 // selfVerdict classifies a registry error the way the HTTP transport
@@ -879,12 +876,6 @@ func selfVerdict(name string, err error) error {
 		return &cluster.WorkerRejection{Worker: name, Status: st, Msg: err.Error()}
 	}
 	return err
-}
-
-// Evaluate implements cluster.Transport.
-func (w *selfWorker) Evaluate(ctx context.Context, q cluster.Query, s cluster.Shard) (*cluster.Partial, error) {
-	defer w.srv.shardStarted(q.Benchmark)()
-	return w.Local.Evaluate(ctx, q, s)
 }
 
 // adoptOrphans scans the replica table for jobs whose owner the fleet

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -22,7 +23,7 @@ import (
 // for routing and adoption-guard tests, with no gossip loop running.
 func testPeer(t *testing.T, self string) *peerServer {
 	t.Helper()
-	ps, err := newPeerServer(testServer(t), self, nil, peerOptions{policy: "affinity", heartbeat: time.Second, replicate: 1}, nil)
+	ps, err := newPeerServer(testServer(t), self, nil, peerOptions{heartbeat: time.Second, replicate: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,6 +219,49 @@ func (rr *replicaRecorder) awaitDone(t *testing.T, id string) {
 	}
 }
 
+// selfInflight reports the shards a peer's coordinator has in flight on
+// the peer itself.
+func selfInflight(ps *peerServer) int {
+	for _, m := range ps.coord.Members() {
+		if m.Name == "http://"+ps.self {
+			return m.Inflight
+		}
+	}
+	return 0
+}
+
+// A replica that stops answering is logged once per job, not once per
+// push: the owner keeps pushing to it after every merged shard until
+// gossip suspects it.
+func TestReplicatorLogsDeadReplicaOnce(t *testing.T) {
+	gone := httptest.NewServer(http.NotFoundHandler())
+	addr := strings.TrimPrefix(gone.URL, "http://")
+	gone.Close()
+
+	var logBuf bytes.Buffer
+	ps, err := newPeerServer(testServer(t), "127.0.0.1:1", nil, peerOptions{heartbeat: time.Second, replicate: 1}, log.New(&logBuf, "", 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps.table.Merge([]wire.GossipEntry{{Addr: addr, Incarnation: 1, State: wire.GossipAlive}})
+	spec := wire.JobSpec{Kind: wire.JobPareto, SweepRequest: wire.SweepRequest{Benchmark: "gcc"}}
+	r := ps.newReplicator("job-1", spec, 32, obs.SpanContext{}, nil)
+	for seq := 1; seq <= 10; seq++ {
+		req := r.base
+		req.Seq = seq
+		r.send(req)
+	}
+	n := 0
+	for _, line := range strings.Split(logBuf.String(), "\n") {
+		if strings.HasPrefix(line, "replicate: ") {
+			n++
+		}
+	}
+	if n != 1 {
+		t.Fatalf("10 failed pushes to one replica logged %d replicate lines, want 1:\n%s", n, logBuf.String())
+	}
+}
+
 // Every fleet job must retire its replica state, whatever its outcome:
 // a Done tombstone has to reach the replica after each completed job
 // and after a DELETE. The replicator used to return on the job
@@ -238,7 +282,7 @@ func TestFleetJobRetiresReplicas(t *testing.T) {
 		handler.ServeHTTP(w, r)
 	}))
 	defer peerTS.Close()
-	ps, err := newPeerServer(srv, strings.TrimPrefix(peerTS.URL, "http://"), nil, peerOptions{policy: "affinity", heartbeat: time.Second, replicate: 1}, nil)
+	ps, err := newPeerServer(srv, strings.TrimPrefix(peerTS.URL, "http://"), nil, peerOptions{heartbeat: time.Second, replicate: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +291,7 @@ func TestFleetJobRetiresReplicas(t *testing.T) {
 	// Project only this peer into the scheduling fleet, then list the
 	// recorder as an alive peer: it becomes every job's replica without
 	// ever being placed a shard.
-	ps.table.SetLocalInfo(ps.srv.workers, ps.srv.store.Trained(), nil)
+	ps.table.SetLocalInfo(ps.srv.workers, ps.srv.store.Trained())
 	ps.syncGossipMembership()
 	ps.table.Merge([]wire.GossipEntry{{Addr: recAddr, Incarnation: 1, State: wire.GossipAlive}})
 	if got := ps.pickReplicas("any-job"); len(got) != 1 || got[0] != recAddr {
@@ -277,10 +321,9 @@ func TestFleetJobRetiresReplicas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Mid-flight: the fleet job and the shard it runs in process both
-	// count in the peer's queue depth.
+	// Mid-flight: the fleet job has a shard in flight on the peer itself.
 	deadline := time.Now().Add(10 * time.Second)
-	for srv.QueueDepths()["gcc"] < 2 {
+	for selfInflight(ps) == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("the job never dispatched a shard")
 		}
@@ -371,7 +414,7 @@ func TestPeerUnknownBenchmarkIsRejection(t *testing.T) {
 	t.Cleanup(ts.Close)
 	solo := testPeer(t, strings.TrimPrefix(ts.URL, "http://"))
 	handler = solo.Handler()
-	solo.table.SetLocalInfo(solo.srv.workers, solo.srv.store.Trained(), nil)
+	solo.table.SetLocalInfo(solo.srv.workers, solo.srv.store.Trained())
 	solo.syncGossipMembership()
 	duoEntry, _, duo := twoPeerFleet(t, 64)
 
@@ -414,12 +457,12 @@ func TestPeerFleetWarmTrainsOnOwner(t *testing.T) {
 		handler.ServeHTTP(w, r)
 	}))
 	t.Cleanup(ts.Close)
-	ps, err := newPeerServer(srv, strings.TrimPrefix(ts.URL, "http://"), nil, peerOptions{policy: "affinity", heartbeat: time.Second, replicate: 1}, nil)
+	ps, err := newPeerServer(srv, strings.TrimPrefix(ts.URL, "http://"), nil, peerOptions{heartbeat: time.Second, replicate: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	handler = ps.Handler()
-	ps.table.SetLocalInfo(srv.workers, nil, nil)
+	ps.table.SetLocalInfo(srv.workers, nil)
 	ps.syncGossipMembership()
 
 	var resp wire.WarmResponse

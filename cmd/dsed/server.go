@@ -6,7 +6,6 @@ import (
 	"log"
 	"maps"
 	"net/http"
-	"sync"
 	"time"
 
 	"repro/internal/api"
@@ -39,12 +38,6 @@ type Server struct {
 	// sweep-job model (-straggle-per-design): a deliberate straggler for
 	// exercising a fleet's hedged dispatch end-to-end.
 	straggle time.Duration
-	// selfShards counts, per benchmark, the shards a peer is evaluating
-	// in process for its own fleet jobs. QueueDepths adds them to the
-	// running jobs, so placement sees them as load exactly like the shard
-	// jobs remote peers run.
-	shardsMu   sync.Mutex
-	selfShards map[string]int
 	jobAPI
 }
 
@@ -68,7 +61,6 @@ func NewServer(ctx context.Context, store *registry.Store, workers int, reqLog *
 			"Evaluation chunk duration on the sweep hot path.", obs.LatencyMSBuckets),
 		chunkN: tel.reg.Histogram("dsed_explore_chunk_designs",
 			"Designs per evaluation chunk.", obs.SizeBuckets),
-		selfShards: make(map[string]int),
 		jobAPI: jobAPI{
 			jobs: api.NewManager(api.ManagerOptions{
 				ErrorStatus: serverStatus,
@@ -77,34 +69,6 @@ func NewServer(ctx context.Context, store *registry.Store, workers int, reqLog *
 			}),
 			tel: tel,
 		},
-	}
-}
-
-// QueueDepths reports running jobs and in-process shards per benchmark —
-// what a peer's gossip entry advertises so placement can spill away from
-// busy peers.
-func (s *Server) QueueDepths() map[string]int {
-	depths := s.jobs.RunningByBenchmark()
-	s.shardsMu.Lock()
-	defer s.shardsMu.Unlock()
-	for b, n := range s.selfShards {
-		depths[b] += n
-	}
-	return depths
-}
-
-// shardStarted counts one in-process shard over benchmark in
-// QueueDepths until the returned func runs.
-func (s *Server) shardStarted(benchmark string) (done func()) {
-	s.shardsMu.Lock()
-	s.selfShards[benchmark]++
-	s.shardsMu.Unlock()
-	return func() {
-		s.shardsMu.Lock()
-		defer s.shardsMu.Unlock()
-		if s.selfShards[benchmark]--; s.selfShards[benchmark] == 0 {
-			delete(s.selfShards, benchmark)
-		}
 	}
 }
 

@@ -4,9 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -301,25 +303,25 @@ func TestV1ErrorModel(t *testing.T) {
 	}
 }
 
-// TestQueueDepthHeartbeat: a peer's per-benchmark queue depths reach
-// the owner through gossip — into its scheduling member table and the
-// peer rows of /v1/healthz — and a digest carrying garbage depths is
-// refused.
-func TestQueueDepthHeartbeat(t *testing.T) {
+// TestInventoryHeartbeat: a peer's trained-model inventory reaches the
+// owner through gossip — into its scheduling member table and the peer
+// rows of /v1/healthz — and a digest carrying the queue depths that
+// peers from before the one placement rule advertised is refused.
+func TestInventoryHeartbeat(t *testing.T) {
 	entry, _, peers := twoPeerFleet(t, 64)
 	remote := peers[1]
-	remote.table.SetLocalInfo(remote.srv.workers, []string{"gcc"}, map[string]int{"gcc": 3})
+	remote.table.SetLocalInfo(remote.srv.workers, []string{"gcc", "mcf"})
 	remote.exchange(context.Background(), peers[0].self)
 	peers[0].syncGossipMembership()
 
-	var depths map[string]int
+	var inventory []string
 	for _, m := range peers[0].coord.Members() {
 		if m.Name == "http://"+remote.self {
-			depths = m.QueueDepths
+			inventory = m.Benchmarks
 		}
 	}
-	if depths["gcc"] != 3 {
-		t.Errorf("owner's member table lost the gossiped queue depths: %v", depths)
+	if !reflect.DeepEqual(inventory, []string{"gcc", "mcf"}) {
+		t.Errorf("owner's member table lost the gossiped inventory: %v", inventory)
 	}
 	resp, err := http.Get(entry.URL + "/v1/healthz")
 	if err != nil {
@@ -327,59 +329,34 @@ func TestQueueDepthHeartbeat(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	var health struct {
-		Peers []struct {
-			Addr        string         `json:"addr"`
-			QueueDepths map[string]int `json:"queue_depths"`
-		} `json:"peers"`
+		Peers []map[string]any `json:"peers"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
 		t.Fatal(err)
 	}
 	found := false
 	for _, p := range health.Peers {
-		if p.Addr == remote.self {
-			found = p.QueueDepths["gcc"] == 3
+		if p["addr"] == remote.self {
+			found = fmt.Sprint(p["benchmarks"]) == "[gcc mcf]"
+			if _, ok := p["queue_depths"]; ok {
+				t.Errorf("healthz peer row still reports queue depths: %v", p)
+			}
 		}
 	}
 	if !found {
-		t.Errorf("healthz peer rows lost the gossiped queue depths: %+v", health.Peers)
+		t.Errorf("healthz peer rows lost the gossiped inventory: %+v", health.Peers)
 	}
 
-	// Validation still rejects garbage depths.
-	_, err = testClient(entry.URL).Gossip(context.Background(), wire.GossipRequest{
-		From: remote.self,
-		Entries: []wire.GossipEntry{{
-			Addr: remote.self, Incarnation: 9, State: wire.GossipAlive, QueueDepths: map[string]int{"gcc": -1},
-		}},
-	})
-	if !isAPIStatus(err, http.StatusBadRequest) {
-		t.Errorf("negative queue depth = %v, want 400", err)
-	}
-}
-
-// TestWorkerQueueDepths: a running job shows up in the worker's
-// advertised per-benchmark queue depths and drains with it.
-func TestWorkerQueueDepths(t *testing.T) {
-	srv := testServer(t)
-	if depths := srv.QueueDepths(); len(depths) != 0 {
-		t.Fatalf("idle worker advertises depths %v", depths)
-	}
-	job, err := srv.jobs.Start(wire.JobPareto, "gcc", 10, func(ctx context.Context, pub api.Publisher) (any, api.Update, error) {
-		<-ctx.Done()
-		return nil, api.Update{}, ctx.Err()
-	})
+	// Strict decode refuses a pre-change peer's digest.
+	body := `{"from":"` + remote.self + `","entries":[{"addr":"` + remote.self +
+		`","incarnation":9,"state":"alive","queue_depths":{"gcc":1}}]}`
+	old, err := http.Post(entry.URL+"/v1/gossip", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if depths := srv.QueueDepths(); depths["gcc"] != 1 {
-		t.Errorf("running job not reflected in queue depths: %v", depths)
-	}
-	if _, err := srv.jobs.Cancel(job.ID); err != nil {
-		t.Fatal(err)
-	}
-	<-job.Done()
-	if depths := srv.QueueDepths(); len(depths) != 0 {
-		t.Errorf("finished job still counted in queue depths: %v", depths)
+	old.Body.Close()
+	if old.StatusCode != http.StatusBadRequest {
+		t.Errorf("digest with queue_depths = %d, want 400", old.StatusCode)
 	}
 }
 

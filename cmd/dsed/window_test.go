@@ -192,7 +192,7 @@ func peerFleet(t *testing.T, spec fleetSpec) (entry *httptest.Server, recs []*sh
 			srv.straggle = spec.straggle
 			entry = ts
 		}
-		ps, err := newPeerServer(srv, self, nil, peerOptions{policy: "affinity", heartbeat: time.Second, shardSize: spec.shardSize, replicate: 1}, nil)
+		ps, err := newPeerServer(srv, self, nil, peerOptions{heartbeat: time.Second, shardSize: spec.shardSize, replicate: 1}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +200,7 @@ func peerFleet(t *testing.T, spec fleetSpec) (entry *httptest.Server, recs []*sh
 		if spec.wrap != nil {
 			rec.next = spec.wrap(i, rec.next)
 		}
-		ps.table.SetLocalInfo(srv.workers, store.Trained(), nil)
+		ps.table.SetLocalInfo(srv.workers, store.Trained())
 		peers = append(peers, ps)
 		recs = append(recs, rec)
 	}

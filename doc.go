@@ -133,10 +133,10 @@
 // internal/cluster scales the daemon horizontally. Both reductions the
 // daemon serves — Pareto frontiers and constrained top-K — are
 // associative, so a sweep distributes losslessly: a job's owner
-// range-partitions the design list into shards, places the benchmark on
-// peers by consistent hashing (stable homes, ~1/N movement on fleet
-// change), dispatches shards concurrently with per-shard retry onto the
-// rest of the fleet when a peer dies mid-sweep, and folds the partial
+// range-partitions the design list into shards, places each on a peer
+// by one ranking rule (see "Scheduling"), dispatches shards
+// concurrently with per-shard retry onto the rest of the fleet when a
+// peer dies mid-sweep, and folds the partial
 // answers into the job kind's mergeable collector (explore.TopK or
 // explore.FrontierCollector). The job kind is a value (wire.JobKind,
 // "sweep" or "pareto") carried through every layer: one function,
@@ -173,19 +173,19 @@
 // resolves to exactly the designs the owner carved
 // (space.Levels.FactorialRange) — while shards of explicit or sampled
 // jobs still pin their designs, since those lists have no positional
-// name. /v1/warm trains each benchmark on its consistent-hash home peers
-// ahead of the first query.
+// name. /v1/warm trains each benchmark on every live peer ahead of the
+// first query.
 //
 // # Fleet operations
 //
 // Membership is anti-entropy gossip (internal/gossip): each peer keeps a
 // versioned member table — per-member incarnation number, beat counter,
-// alive/suspect/dead state, and the capacity/model-inventory/queue-depth
-// payload the scheduler consumes — and each -heartbeat interval
+// alive/suspect/dead state, and the capacity and model-inventory payload
+// the scheduler consumes — and each -heartbeat interval
 // exchanges full-table digests with one random peer over POST
 // /v1/gossip. Both directions of an exchange are validated entry by
 // entry (a host:port address, a known state, bounded counters, a bounded
-// inventory with sane names and non-negative capacity and depths) before
+// inventory with sane names and a non-negative capacity) before
 // anything merges: a malformed answer is a failed round. Merge order is
 // (incarnation, state badness, beat), so a false suspicion loses to the
 // accused peer's next self-refutation (which bumps its own incarnation),
@@ -206,8 +206,8 @@
 // coordinates that job over the fleet. The shards it places on itself
 // run in process (a cluster.Local over its own registry, named like the
 // HTTP transport its peers use for it): no HTTP round trip and no
-// job-table entry, while their phase spans, chunk histograms and queue
-// depths are recorded as a shard job's would be. Only remote shards
+// job-table entry, while their phase spans and chunk histograms are
+// recorded as a shard job's would be. Only remote shards
 // travel, as /v1 jobs stamped scope=local so a shard is evaluated where
 // it lands instead of re-distributed forever. A shard of a named,
 // unsampled space is an [offset, count) window on it (composed with the
@@ -243,7 +243,7 @@
 // watching a sweep when its job's owner dies sees at most a pause.
 // Read the fleet from any peer: /v1/healthz lists the gossip view
 // (alive_peers, and per peer its state, incarnation, beat and advertised
-// inventory and queue depths). The owner's fault taxonomy per peer is in
+// capacity and inventory). The owner's fault taxonomy per peer is in
 // /v1/metricsz: dsed_cluster_worker_failures_total (transport faults and
 // timeouts — a sick peer), dsed_cluster_worker_rejections_total (its
 // deterministic 4xx verdicts on bad requests — not its fault),
@@ -258,35 +258,28 @@
 //
 // # Scheduling
 //
-// Shard placement is a pluggable policy (cluster.Policy), selected per
-// peer with -policy for the jobs it owns. Every policy ranks the same
-// snapshot of the live fleet — per-peer inflight shards, advertised
-// capacity, the gossiped trained-model inventory and per-benchmark
-// queue depths, and the owner's per-design latency EWMA — and differs
-// only in what it optimises:
+// Shard placement is one rule (internal/cluster's rank), the same on
+// every peer, over a snapshot of the live fleet the owner already keeps:
+// per-peer shards in flight, advertised capacity and the gossiped
+// trained-model inventory. Each shard goes to the first peer in this
+// order:
 //
-//   - affinity (default): model-inventory first, then the benchmark's
-//     consistent-hash home replicas, then the rest of the ring, always
-//     under capacity, dealt round-robin. Maximises model-cache hits — a
-//     warmed benchmark never trains on demand mid-sweep. Failure mode:
-//     it is queue-blind, so a slow worker that holds the models keeps
-//     receiving shards until its capacity slots fill.
-//   - least-loaded: ascending (inflight + advertised queue depth across
-//     all benchmarks), under-capacity workers first. The only policy
-//     that reacts to load the owner didn't create (jobs other peers own,
-//     shards they placed). Failure mode:
-//     cache-blindness — an idle cold worker wins the shard and pays an
-//     on-demand training inside it.
-//   - best-fit: tightest fit first (fewest free capacity slots), so work
-//     packs onto few workers and the rest of the fleet stays drained —
-//     the shape for scale-in or shared tenancy. Failure mode:
-//     head-of-line risk concentrates too; pair it with hedging.
-//   - oversub: ignores the capacity cutoff and ranks by occupancy ratio
-//     (inflight+queued)/capacity past 1.0, trusting the worker's own 429
-//     admission control to spill what it cannot take. Highest
-//     utilisation on fleets with conservative capacities. Failure mode:
-//     spill churn — each refusal burns a round trip into the busy
-//     column.
+//  1. tier: free peers (in flight below capacity) that advertise the
+//     benchmark's models, then other free peers, then saturated peers;
+//  2. fewest shards in flight;
+//  3. ties dealt round-robin over name order, rotated by a counter that
+//     advances with every placement, so equal peers share consecutive
+//     shards.
+//
+// Saturated peers keep in-flight-then-name order, so a sweep still moves
+// when every slot is taken. Model holders come first because a warmed
+// benchmark then never trains on demand mid-sweep; fewest-in-flight
+// keeps a slow holder from collecting shards while a free one waits. A
+// peer's own shards finish in process, so on a fleet where every member
+// has capacity 1 (dsed -parallel 1) free peers always have nothing in
+// flight and the rule is pure model-affinity dealt round-robin. Load the
+// owner did not create (jobs other peers own) is invisible to the rule;
+// hedging covers a peer that turns slow.
 //
 // Against stragglers the owner speculates (hedged dispatch): when
 // a shard's elapsed time exceeds -hedge-factor times its expected
@@ -307,11 +300,10 @@
 // attempt's answer feeds the worker's latency EWMA and the trace tree
 // but never the merge — and since a shard's answer is a deterministic
 // function of the shard, whichever attempt wins merges the identical
-// result. tools/schedsim races every policy, hedged and unhedged, over
-// a simulated heterogeneous churny fleet and prints per-policy makespan;
-// on a 2-worker fleet with one deliberate straggler, least-loaded with
-// hedging beats unhedged affinity by an order of magnitude while both
-// merge the byte-identical frontier.
+// result. tools/schedsim races the rule, hedged and unhedged, over a
+// simulated heterogeneous churny fleet, with the stragglers' names
+// sorting both after and before the fast workers', and prints each
+// leg's makespan; every leg merges the byte-identical frontier.
 //
 // # Observability
 //

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"sync"
 	"testing"
 	"time"
 
@@ -305,28 +304,6 @@ func TestSlowSubscriberCoalesces(t *testing.T) {
 	}
 	if last != updates {
 		t.Errorf("last observed evaluated %d, want %d", last, updates)
-	}
-}
-
-func TestRunningByBenchmark(t *testing.T) {
-	m := NewManager(ManagerOptions{})
-	release := make(chan struct{})
-	defer close(release)
-	var wg sync.WaitGroup
-	for i, b := range []string{"gcc", "gcc", "mcf"} {
-		wg.Add(1)
-		if _, err := m.Start(wire.JobSweep, b, 0, func(ctx context.Context, pub Publisher) (any, Update, error) {
-			wg.Done()
-			<-release
-			return nil, Update{}, nil
-		}); err != nil {
-			t.Fatalf("job %d: %v", i, err)
-		}
-	}
-	wg.Wait()
-	depths := m.RunningByBenchmark()
-	if depths["gcc"] != 2 || depths["mcf"] != 1 {
-		t.Errorf("queue depths = %v, want gcc:2 mcf:1", depths)
 	}
 }
 

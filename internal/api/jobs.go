@@ -422,22 +422,6 @@ func (m *Manager) forget(id string) {
 	}
 }
 
-// RunningByBenchmark counts running jobs per benchmark — the per-worker
-// queue depth heartbeats advertise to the coordinator.
-func (m *Manager) RunningByBenchmark() map[string]int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	depths := make(map[string]int)
-	for _, job := range m.jobs {
-		job.mu.Lock()
-		if job.state == StateRunning && job.Benchmark != "" {
-			depths[job.Benchmark]++
-		}
-		job.mu.Unlock()
-	}
-	return depths
-}
-
 // ListFilter narrows GET /v1/jobs. Zero fields match everything.
 type ListFilter struct {
 	// State keeps only jobs in this lifecycle phase.

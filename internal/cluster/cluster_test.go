@@ -472,8 +472,9 @@ func TestCoordinatorCancellation(t *testing.T) {
 	}
 }
 
-// TestCoordinatorWarmPlacement: Warm sends each benchmark to its ring
-// replicas only, and the same benchmark always lands on the same workers.
+// TestCoordinatorWarmPlacement: Warm sends every benchmark to every
+// live worker, once each, so placement can put a shard anywhere without
+// training on demand.
 func TestCoordinatorWarmPlacement(t *testing.T) {
 	var calls [3]atomic.Int64
 	warmed := make([]chan []string, 3)
@@ -489,24 +490,28 @@ func TestCoordinatorWarmPlacement(t *testing.T) {
 		}
 		fleet[i] = l
 	}
-	coord := newTestCoordinator(t, fleet, Options{Replicas: 2})
+	coord := newTestCoordinator(t, fleet, Options{})
 	benchmarks := []string{"gcc", "mcf", "twolf", "gap", "art", "ammp"}
 	res := coord.Warm(context.Background(), benchmarks)
 	if len(res.Errors) != 0 {
 		t.Fatal(res.Errors)
 	}
-	if res.Trainings != 2*len(benchmarks) {
-		t.Errorf("warm reported %d trainings, want %d (fleet-wide sum)", res.Trainings, 2*len(benchmarks))
+	if res.Workers != len(fleet) {
+		t.Errorf("warm asked %d workers, want the whole fleet of %d", res.Workers, len(fleet))
 	}
-	total := 0
+	if res.Trainings != len(fleet)*len(benchmarks) {
+		t.Errorf("warm reported %d trainings, want %d (fleet-wide sum)", res.Trainings, len(fleet)*len(benchmarks))
+	}
 	for i := range warmed {
 		close(warmed[i])
-		for list := range warmed[i] {
-			total += len(list)
+		if n := calls[i].Load(); n != 1 {
+			t.Errorf("w%d warmed %d times, want once", i, n)
 		}
-	}
-	if total != 2*len(benchmarks) {
-		t.Fatalf("warm placed %d (benchmark, worker) pairs, want %d (2 replicas each)", total, 2*len(benchmarks))
+		for list := range warmed[i] {
+			if !reflect.DeepEqual(list, benchmarks) {
+				t.Errorf("w%d warmed %v, want every benchmark %v", i, list, benchmarks)
+			}
+		}
 	}
 }
 
@@ -519,36 +524,6 @@ type counting struct {
 func (c *counting) Evaluate(ctx context.Context, q Query, s Shard) (*Partial, error) {
 	c.calls.Add(1)
 	return c.Transport.Evaluate(ctx, q, s)
-}
-
-// TestReplicasBoundShardPlacement: with Replicas set, a healthy fleet
-// serves every shard from the benchmark's replica set — the same workers
-// Warm pre-places models on — so a warmed benchmark never trains on
-// demand mid-sweep.
-func TestReplicasBoundShardPlacement(t *testing.T) {
-	fleet := make([]Transport, 4)
-	counters := make([]*counting, 4)
-	for i := range fleet {
-		counters[i] = &counting{Transport: NewLocal(fmt.Sprintf("w%d", i), resolveFake)}
-		fleet[i] = counters[i]
-	}
-	coord := newTestCoordinator(t, fleet, Options{ShardSize: 16, Replicas: 2})
-
-	// Warm and sweep must agree on the home set.
-	homes := coord.ring.order("gcc")[:2]
-	if _, err := coord.ParetoObserved(context.Background(), testQuery(), testDesigns(200), nil); err != nil {
-		t.Fatal(err)
-	}
-	homeSet := map[string]bool{homes[0]: true, homes[1]: true}
-	for i, c := range counters {
-		name := fmt.Sprintf("w%d", i)
-		if homeSet[name] && c.calls.Load() == 0 {
-			t.Errorf("home replica %s served no shards", name)
-		}
-		if !homeSet[name] && c.calls.Load() != 0 {
-			t.Errorf("non-replica %s served %d shards of a healthy sweep, want 0", name, c.calls.Load())
-		}
-	}
 }
 
 func TestNewRejectsBadFleets(t *testing.T) {
@@ -569,8 +544,9 @@ func TestNewRejectsBadFleets(t *testing.T) {
 
 // widened answers its first shard with candidates carrying one score
 // more than the query has objectives — a worker running other code.
-// Named like TestCoordinatorRetriesFailedShards's flaky worker, it is the
-// ring's first pick for gcc, so it gets the first shard.
+// Named like TestCoordinatorRetriesFailedShards's flaky worker, it sorts
+// before "steady", so the first placement's deal hands it the first
+// shard.
 type widened struct {
 	Transport
 	remaining atomic.Int64

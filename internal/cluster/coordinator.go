@@ -15,15 +15,14 @@
 // The fleet is a live membership table, not a frozen list: workers join
 // through Join, refresh their inventory through Heartbeat and drain
 // through Leave — see membership.go. The serving layer's gossip view is
-// the liveness authority and drives all three. The consistent-hash ring
-// rebuilds incrementally on join and leave, so a campaign keeps running
-// while machines come and go, re-dispatching only the shards orphaned
-// by a departure.
+// the liveness authority and drives all three, so a campaign keeps
+// running while machines come and go, re-dispatching only the shards
+// orphaned by a departure.
 //
-// Placement is pluggable (policy.go): every shard is routed by a Policy
-// ranking a snapshot of the live fleet — benchmark-affinity ring routing
-// by default, with least-loaded (queue-depth driven), best-fit packing,
-// and oversubscription as alternatives. Shard sizes adapt per worker:
+// Placement is one rule (scheduler.go): every shard goes to the first
+// worker of a ranking over the live fleet — free model holders, then
+// other free workers, then saturated ones, fewest in-flight shards
+// first, ties dealt round-robin. Shard sizes adapt per worker:
 // the coordinator tracks an EWMA of each worker's per-design latency and
 // carves subsequent shards toward a target shard duration, so fast
 // workers take big bites and slow ones small, without a fixed
@@ -65,18 +64,6 @@ type Options struct {
 	// Parallelism bounds in-flight shards (default 2 per live worker at
 	// sweep start).
 	Parallelism int
-	// VirtualNodes is the consistent-hash ring's replication factor per
-	// worker (default 64).
-	VirtualNodes int
-	// Replicas is how many workers serve (and Warm pre-places) each
-	// benchmark, counted clockwise from its ring home. Ring-order
-	// dispatch prefers exactly this set — so a warmed benchmark never
-	// trains on demand mid-sweep — and spills past it only under load or
-	// failure. Default 0 means the whole fleet: maximum sweep
-	// throughput, with Warm placing models everywhere. Set it lower on
-	// large many-benchmark fleets to bound how many workers hold each
-	// benchmark's models.
-	Replicas int
 	// ShardTimeout bounds one shard attempt on one worker (default 5
 	// minutes — generous enough for a cold benchmark training on demand
 	// inside the request). A worker that accepts the connection but
@@ -84,13 +71,9 @@ type Options struct {
 	// hanging the whole sweep.
 	ShardTimeout time.Duration
 	// WorkerCapacity is the default concurrent-shard budget per worker
-	// before affinity scheduling spills to the ring; a worker's
-	// advertised capacity overrides it (default 4).
+	// before placement treats it as saturated; a worker's advertised
+	// capacity overrides it (default 4).
 	WorkerCapacity int
-	// Policy is the placement strategy ranking workers for each shard
-	// (see policy.go). Nil means the affinity policy — the fleet's
-	// historical behavior.
-	Policy Policy
 	// HedgeFactor enables straggler speculation: when a shard's elapsed
 	// time exceeds HedgeFactor × its expected duration (the worker's
 	// per-design EWMA — or, before it has one, the fleet median — times
@@ -136,17 +119,11 @@ func (o Options) withDefaults() Options {
 	if o.ShardSize > maxShardSize {
 		o.ShardSize = maxShardSize
 	}
-	if o.VirtualNodes <= 0 {
-		o.VirtualNodes = defaultVirtualNodes
-	}
 	if o.ShardTimeout <= 0 {
 		o.ShardTimeout = 5 * time.Minute
 	}
 	if o.WorkerCapacity <= 0 {
 		o.WorkerCapacity = 4
-	}
-	if o.Policy == nil {
-		o.Policy = affinityPolicy{}
 	}
 	if o.HedgeMinDelay <= 0 {
 		o.HedgeMinDelay = 25 * time.Millisecond
@@ -157,7 +134,6 @@ func (o Options) withDefaults() Options {
 // Coordinator partitions sweeps across a live worker fleet.
 type Coordinator struct {
 	opts    Options
-	policy  Policy
 	metrics *clusterMetrics
 	tracer  *obs.Tracer
 	// clock overrides time.Now in tests (nil in production).
@@ -165,7 +141,6 @@ type Coordinator struct {
 
 	mu         sync.Mutex
 	members    map[string]*member
-	ring       *ring
 	deal       int
 	failures   map[string]int
 	rejections map[string]int
@@ -176,16 +151,14 @@ type Coordinator struct {
 // New builds a coordinator whose fleet starts with workers (possibly
 // none: a coordinator can boot empty and grow entirely through Join).
 // The initial workers simply join; their names must be unique, since
-// they are the ring's placement keys.
+// they are the member table's keys.
 func New(workers []Transport, opts Options) (*Coordinator, error) {
 	opts = opts.withDefaults()
 	c := &Coordinator{
 		opts:       opts,
-		policy:     opts.Policy,
-		metrics:    newClusterMetrics(opts.Obs, opts.Policy.Name()),
+		metrics:    newClusterMetrics(opts.Obs),
 		tracer:     opts.Tracer,
 		members:    make(map[string]*member),
-		ring:       newRing(opts.VirtualNodes),
 		failures:   make(map[string]int),
 		rejections: make(map[string]int),
 		busy:       make(map[string]int),
@@ -830,55 +803,42 @@ type WarmResult struct {
 	Errors []error
 }
 
-// Warm pre-places models: each benchmark is trained (or warm-started) on
-// its Replicas home workers, concurrently per worker. Ring-order shard
-// dispatch prefers exactly the same replica set, so a following sweep's
-// shards land on workers that already hold the models. Like a sweep, a
-// warm degrades through worker loss: per-worker failures are reported in
-// the result, not allowed to void the placements that succeeded.
+// Warm pre-places models: every benchmark is trained (or warm-started)
+// on every live worker, concurrently per worker, so a following sweep's
+// shards land on workers that already hold the models wherever the
+// placement rule puts them. Like a sweep, a warm degrades through worker
+// loss: per-worker failures are reported in the result, not allowed to
+// void the placements that succeeded.
 func (c *Coordinator) Warm(ctx context.Context, benchmarks []string) *WarmResult {
 	c.mu.Lock()
-	per := make(map[string][]string)
-	transports := make(map[string]Transport)
-	for _, b := range benchmarks {
-		order := c.ring.order(b)
-		replicas := c.replicasLocked()
-		for r := 0; r < replicas && r < len(order); r++ {
-			name := order[r]
-			per[name] = append(per[name], b)
-			transports[name] = c.members[name].transport
-		}
+	transports := make([]Transport, 0, len(c.members))
+	for _, m := range c.members {
+		transports = append(transports, m.transport)
 	}
 	c.mu.Unlock()
+	if len(benchmarks) == 0 {
+		return &WarmResult{}
+	}
 	var (
 		wg      sync.WaitGroup
 		mu      sync.Mutex
-		res     = &WarmResult{Workers: len(per)}
+		res     = &WarmResult{Workers: len(transports)}
 		warmErr []error
 	)
-	for name, list := range per {
+	for _, t := range transports {
 		wg.Add(1)
-		go func(name string, t Transport, list []string) {
+		go func(t Transport) {
 			defer wg.Done()
-			n, werr := t.Warm(ctx, list)
+			n, werr := t.Warm(ctx, benchmarks)
 			mu.Lock()
 			defer mu.Unlock()
 			res.Trainings += n
 			if werr != nil {
-				warmErr = append(warmErr, fmt.Errorf("cluster: warming %v on %s: %w", list, name, werr))
+				warmErr = append(warmErr, fmt.Errorf("cluster: warming %v on %s: %w", benchmarks, t.Name(), werr))
 			}
-		}(name, transports[name], list)
+		}(t)
 	}
 	wg.Wait()
 	res.Errors = warmErr
 	return res
-}
-
-// replicasLocked resolves the per-benchmark replica count against the
-// live fleet size.
-func (c *Coordinator) replicasLocked() int {
-	if c.opts.Replicas > 0 && c.opts.Replicas < len(c.members) {
-		return c.opts.Replicas
-	}
-	return len(c.members)
 }

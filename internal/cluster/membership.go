@@ -3,7 +3,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"sort"
 	"time"
 )
@@ -12,10 +11,8 @@ import (
 // placement. Members join through Join, refresh their advertised
 // inventory through Heartbeat and drain through Leave. The table holds
 // no lease of its own: the serving layer's membership view (gossip)
-// decides liveness and projects it here through those three calls. The
-// hash ring rebuilds incrementally on every join and leave, so fleet
-// churn moves only the affected benchmarks' homes and an in-flight
-// sweep re-dispatches only the shards orphaned by a departure.
+// decides liveness and projects it here through those three calls. An
+// in-flight sweep re-dispatches only the shards orphaned by a departure.
 
 // ErrUnknownMember answers a heartbeat for a worker the coordinator does
 // not know (never joined, or already left): it must Join again.
@@ -25,16 +22,13 @@ var ErrUnknownMember = errors.New("cluster: unknown member (join first)")
 // heartbeat.
 type MemberInfo struct {
 	// Capacity bounds how many shards the coordinator schedules on the
-	// worker at once before affinity spills to the ring (0 = the
+	// worker at once before placement treats it as saturated (0 = the
 	// coordinator's default).
 	Capacity int
 	// Benchmarks is the worker's trained-model inventory: the benchmarks
 	// whose every served metric is already in its registry. The scheduler
 	// routes shards for these benchmarks to the worker first.
 	Benchmarks []string
-	// QueueDepths maps benchmark name to the worker's running job count
-	// for it: the least-loaded policy's load signal.
-	QueueDepths map[string]int
 }
 
 // member is one fleet entry: its transport, advertised inventory, and
@@ -49,9 +43,6 @@ type member struct {
 	capacity  int
 	// benchmarks is the heartbeat-advertised trained inventory.
 	benchmarks map[string]bool
-	// queueDepths is the heartbeat-advertised per-benchmark running job
-	// count.
-	queueDepths map[string]int
 	// inflight counts shards currently dispatched to the worker.
 	inflight int
 	// ewmaPerDesignMS tracks the worker's observed per-design latency
@@ -70,10 +61,8 @@ type MemberStatus struct {
 	Capacity int
 	// Benchmarks is the advertised trained inventory, sorted.
 	Benchmarks []string
-	// QueueDepths is the advertised per-benchmark running job count.
-	QueueDepths map[string]int
-	Inflight    int
-	ShardsDone  int
+	Inflight   int
+	ShardsDone int
 	// EWMAPerDesignMS is the scheduler's latency estimate (0 = no
 	// completed shard yet).
 	EWMAPerDesignMS float64
@@ -87,10 +76,9 @@ type MemberStatus struct {
 }
 
 // Join adds a worker (or refreshes one already present: a re-join is a
-// heartbeat that also carries the transport). New members are
-// inserted into the hash ring incrementally, so only ~1/N of benchmark
-// homes move and in-flight sweeps keep their surviving placements.
-// It reports whether the worker was new.
+// heartbeat that also carries the transport); a new member is
+// schedulable at once, also by sweeps already in flight. It reports
+// whether the worker was new.
 func (c *Coordinator) Join(t Transport, info MemberInfo) (bool, error) {
 	name := t.Name()
 	if name == "" {
@@ -100,7 +88,6 @@ func (c *Coordinator) Join(t Transport, info MemberInfo) (bool, error) {
 	defer c.mu.Unlock()
 	if m, ok := c.members[name]; ok {
 		m.benchmarks = benchmarkSet(info.Benchmarks)
-		m.queueDepths = info.QueueDepths
 		if info.Capacity > 0 {
 			m.capacity = info.Capacity
 		}
@@ -108,14 +95,12 @@ func (c *Coordinator) Join(t Transport, info MemberInfo) (bool, error) {
 		return false, nil
 	}
 	c.members[name] = &member{
-		name:        name,
-		transport:   t,
-		capacity:    c.capacityFor(info.Capacity),
-		benchmarks:  benchmarkSet(info.Benchmarks),
-		queueDepths: info.QueueDepths,
-		inst:        c.metrics.worker(name),
+		name:       name,
+		transport:  t,
+		capacity:   c.capacityFor(info.Capacity),
+		benchmarks: benchmarkSet(info.Benchmarks),
+		inst:       c.metrics.worker(name),
 	}
-	c.ring.add(name)
 	c.metrics.event("join")
 	c.metrics.membersGauge.Set(float64(len(c.members)))
 	return true, nil
@@ -131,15 +116,14 @@ func (c *Coordinator) Heartbeat(name string, info MemberInfo) error {
 		return fmt.Errorf("%w: %q", ErrUnknownMember, name)
 	}
 	m.benchmarks = benchmarkSet(info.Benchmarks)
-	m.queueDepths = info.QueueDepths
 	if info.Capacity > 0 {
 		m.capacity = info.Capacity
 	}
 	return nil
 }
 
-// Leave drains a worker immediately: it comes off the ring and the member
-// table, new shards stop routing to it, and its in-flight shards (if any
+// Leave drains a worker immediately: it comes off the member table, new
+// shards stop routing to it, and its in-flight shards (if any
 // fail) re-dispatch to the survivors. It reports whether the worker was a
 // member.
 func (c *Coordinator) Leave(name string) bool {
@@ -149,7 +133,6 @@ func (c *Coordinator) Leave(name string) bool {
 		return false
 	}
 	delete(c.members, name)
-	c.ring.remove(name)
 	c.metrics.event("leave")
 	c.metrics.membersGauge.Set(float64(len(c.members)))
 	return true
@@ -165,7 +148,6 @@ func (c *Coordinator) Members() []MemberStatus {
 			Name:            name,
 			Capacity:        m.capacity,
 			Benchmarks:      sortedBenchmarks(m.benchmarks),
-			QueueDepths:     copyDepths(m.queueDepths),
 			Inflight:        m.inflight,
 			ShardsDone:      m.shardsDone,
 			EWMAPerDesignMS: m.ewmaPerDesignMS,
@@ -217,13 +199,6 @@ func benchmarkSet(list []string) map[string]bool {
 		set[b] = true
 	}
 	return set
-}
-
-func copyDepths(depths map[string]int) map[string]int {
-	if len(depths) == 0 {
-		return nil
-	}
-	return maps.Clone(depths)
 }
 
 func sortedBenchmarks(set map[string]bool) []string {

@@ -155,7 +155,7 @@ func TestRejoinKeepsAccountingClean(t *testing.T) {
 
 // TestAffinitySpillsOnlyUnderLoad drives the scheduler directly: while
 // the model holder has a free capacity slot every shard goes to it; once
-// its slots are claimed, the next shard spills to the ring.
+// its slots are claimed, the next shard spills to the other worker.
 func TestAffinitySpillsOnlyUnderLoad(t *testing.T) {
 	coord := newTestCoordinator(t, nil, Options{ShardSize: 8})
 	if _, err := coord.Join(NewLocal("holder", resolveFake), MemberInfo{Capacity: 2, Benchmarks: []string{"gcc"}}); err != nil {
@@ -182,7 +182,7 @@ func TestAffinitySpillsOnlyUnderLoad(t *testing.T) {
 		t.Fatalf("idle holder did not take the first shards: %v", names)
 	}
 	if names[2] != "other" {
-		t.Fatalf("saturated holder did not spill shard 2 to the ring: %v", names)
+		t.Fatalf("saturated holder did not spill shard 2 to the other worker: %v", names)
 	}
 }
 

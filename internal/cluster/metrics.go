@@ -15,7 +15,7 @@ type clusterMetrics struct {
 	churn        map[string]*obs.Counter
 }
 
-func newClusterMetrics(reg *obs.Registry, policy string) *clusterMetrics {
+func newClusterMetrics(reg *obs.Registry) *clusterMetrics {
 	m := &clusterMetrics{reg: reg}
 	m.membersGauge = reg.Gauge("dsed_cluster_members", "Live fleet members.")
 	m.retries = reg.Counter("dsed_cluster_shard_retries_total",
@@ -23,8 +23,7 @@ func newClusterMetrics(reg *obs.Registry, policy string) *clusterMetrics {
 	m.mergeSize = reg.Histogram("dsed_cluster_merge_candidates",
 		"Candidates carried by each merged shard partial.", obs.SizeBuckets)
 	m.placements = reg.Counter("dsed_cluster_placements_total",
-		"Shard placement decisions, labelled by the scheduling policy that made them.",
-		obs.Label{Key: "policy", Value: policy})
+		"Shard placement decisions.")
 	m.hedges = make(map[string]*obs.Counter, 3)
 	for _, result := range []string{hedgeIssued, hedgeWon, hedgeWasted} {
 		m.hedges[result] = reg.Counter("dsed_cluster_shard_hedges_total",

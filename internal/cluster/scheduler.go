@@ -1,11 +1,11 @@
 package cluster
 
+import "sort"
+
 // This file is the coordinator's shard scheduler: shards are carved off
 // the design list on demand (not pre-partitioned), each sized for the
-// worker about to take it, and each placed by the configured Policy
-// (policy.go) over a snapshot of the live fleet — benchmark-affinity
-// ring routing by default, queue-depth, packing, or oversubscription
-// strategies by choice.
+// worker about to take it, and each placed on the first worker of one
+// ranking rule (rank) over a snapshot of the live fleet.
 
 // carver hands out contiguous shards of a sweep's remaining design
 // segments on demand. A fresh sweep is one segment covering the whole
@@ -79,68 +79,88 @@ func (c *Coordinator) claimRetry(benchmark string, tried map[string]bool) *membe
 	return m
 }
 
-// pickWorkerLocked routes one shard: it snapshots the live, untried
-// fleet into a PlacementView and takes the configured Policy's top
-// ranked worker. Liveness and tried-exclusion are enforced here, outside
-// the policy — a policy cannot place on an evicted or exhausted worker
-// even if it misranks.
+// pickWorkerLocked routes one shard to the top-ranked worker among the
+// live fleet not yet tried for it. Liveness and tried-exclusion are
+// enforced here, before ranking, so a shard cannot land on an evicted
+// or exhausted worker ("" when none is left).
 func (c *Coordinator) pickWorkerLocked(benchmark string, tried map[string]bool) string {
-	v, ok := c.placementViewLocked(benchmark, tried)
-	if !ok {
-		return ""
-	}
-	for _, name := range c.policy.Rank(v) {
-		if m := c.members[name]; m != nil && !tried[name] {
-			c.metrics.placements.Inc()
-			return name
-		}
-	}
-	return ""
-}
-
-// placementViewLocked builds the fleet snapshot a Policy ranks: live,
-// untried workers in consistent-hash ring order for the benchmark, each
-// annotated with dispatch state (inflight, EWMA) and heartbeat adverts
-// (capacity, model inventory, queue depths). The leading Replicas ring
-// positions are marked Home — the set Warm pre-places models on.
-func (c *Coordinator) placementViewLocked(benchmark string, tried map[string]bool) (PlacementView, bool) {
-	if len(c.members) == 0 {
-		return PlacementView{}, false
-	}
-	order := c.ring.order(benchmark)
-	replicas := c.replicasLocked()
-	if replicas > len(order) {
-		replicas = len(order)
-	}
-	v := PlacementView{Benchmark: benchmark, Workers: make([]WorkerView, 0, len(order)), Deal: c.nextDeal()}
-	for i, name := range order {
+	ws := make([]workerState, 0, len(c.members))
+	for name, m := range c.members {
 		if tried[name] {
 			continue
 		}
-		m := c.members[name]
-		if m == nil {
-			continue
-		}
-		w := WorkerView{
-			Name:            name,
-			Home:            i < replicas,
-			HasModels:       m.benchmarks[benchmark],
-			Inflight:        m.inflight,
-			Capacity:        m.capacity,
-			EWMAPerDesignMS: m.ewmaPerDesignMS,
-		}
-		for b, n := range m.queueDepths {
-			w.QueueTotal += n
-			if b == benchmark {
-				w.QueueDepth = n
-			}
-		}
-		v.Workers = append(v.Workers, w)
+		ws = append(ws, workerState{
+			name:      name,
+			hasModels: m.benchmarks[benchmark],
+			inflight:  m.inflight,
+			capacity:  m.capacity,
+		})
 	}
-	if len(v.Workers) == 0 {
-		return PlacementView{}, false
+	if len(ws) == 0 {
+		return ""
 	}
-	return v, true
+	c.metrics.placements.Inc()
+	return rank(ws, c.nextDeal())[0]
+}
+
+// workerState is one live worker as the placement rule sees it: the
+// coordinator's in-flight count against the worker's advertised
+// capacity, and whether it advertises the benchmark's trained models.
+type workerState struct {
+	name      string
+	hasModels bool
+	inflight  int
+	capacity  int
+}
+
+// tier is a worker's placement class: free workers advertising the
+// benchmark's models (0), other free workers (1), saturated ones (2).
+// A model holder never trains on demand mid-sweep; a saturated worker
+// is used only when nothing has a free slot, so the sweep still moves.
+func (w workerState) tier() int {
+	switch {
+	case w.inflight >= w.capacity:
+		return 2
+	case w.hasModels:
+		return 0
+	}
+	return 1
+}
+
+// rank orders workers best first: by tier, then fewest in-flight shards,
+// with ties among free workers dealt round-robin over name order,
+// rotated by deal so consecutive placements share equally-ranked
+// workers. Saturated ties keep name order. rank is pure: the result is
+// a permutation of ws's names, determined by ws and deal alone.
+func rank(ws []workerState, deal int) []string {
+	ws = append([]workerState(nil), ws...)
+	sort.Slice(ws, func(a, b int) bool {
+		x, y := ws[a], ws[b]
+		if x.tier() != y.tier() {
+			return x.tier() < y.tier()
+		}
+		if x.inflight != y.inflight {
+			return x.inflight < y.inflight
+		}
+		return x.name < y.name
+	})
+	out := make([]string, 0, len(ws))
+	for i := 0; i < len(ws); {
+		j := i + 1
+		for j < len(ws) && ws[j].tier() == ws[i].tier() && ws[j].inflight == ws[i].inflight {
+			j++
+		}
+		tie := ws[i:j]
+		k := 0
+		if ws[i].tier() < 2 {
+			k = deal % len(tie)
+		}
+		for n := range tie {
+			out = append(out, tie[(k+n)%len(tie)].name)
+		}
+		i = j
+	}
+	return out
 }
 
 // nextDeal advances the round-robin dealing counter (held under c.mu).

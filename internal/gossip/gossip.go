@@ -106,14 +106,13 @@ func New(opts Options) *Table {
 func (t *Table) Self() string { return t.opts.Self }
 
 // SetLocalInfo refreshes the inventory this node advertises about
-// itself (capacity, trained benchmarks, queue depths) and bumps its
-// heartbeat counter so the refreshed entry wins merges fleet-wide.
-func (t *Table) SetLocalInfo(capacity int, benchmarks []string, queueDepths map[string]int) {
+// itself (capacity, trained benchmarks) and bumps its heartbeat counter
+// so the refreshed entry wins merges fleet-wide.
+func (t *Table) SetLocalInfo(capacity int, benchmarks []string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.self.Capacity = capacity
 	t.self.Benchmarks = benchmarks
-	t.self.QueueDepths = queueDepths
 	t.self.Beat++
 	t.self.State = wire.GossipAlive
 	t.self.seen = t.clock()

@@ -119,8 +119,8 @@ func TestMergePrecedence(t *testing.T) {
 func TestDigestConvergence(t *testing.T) {
 	clock := &fakeClock{t: time.Unix(1000, 0)}
 	a, b := newTable("a:1", clock), newTable("b:1", clock)
-	a.SetLocalInfo(4, []string{"gcc"}, nil)
-	b.SetLocalInfo(2, []string{"mcf"}, nil)
+	a.SetLocalInfo(4, []string{"gcc"})
+	b.SetLocalInfo(2, []string{"mcf"})
 	// One push-pull exchange: a pushes to b, b answers with its digest.
 	if changed := b.Merge(a.Digest()); changed == 0 {
 		t.Fatal("b learned nothing from a's digest")

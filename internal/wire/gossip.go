@@ -40,19 +40,17 @@ type GossipEntry struct {
 	// Inventory is what drives shard placement: Capacity bounds the
 	// node's concurrent shards (0 = the scheduler's default), Benchmarks
 	// is its trained-model inventory (benchmarks with every served metric
-	// in memory, routed there first), and QueueDepths maps benchmark name
-	// to its running job count (the least-loaded policy's load signal).
-	Capacity    int            `json:"capacity,omitempty"`
-	Benchmarks  []string       `json:"benchmarks,omitempty"`
-	QueueDepths map[string]int `json:"queue_depths,omitempty"`
+	// in memory, routed there first).
+	Capacity   int      `json:"capacity,omitempty"`
+	Benchmarks []string `json:"benchmarks,omitempty"`
 }
 
 // MaxGossipEntries bounds one digest; fleets larger than this gossip a
 // random subset per round and still converge.
 const MaxGossipEntries = 1024
 
-// MaxInventoryBenchmarks bounds the trained-model inventory and the
-// queue depths one entry may advertise; a node holding more models than
+// MaxInventoryBenchmarks bounds the trained-model inventory one entry
+// may advertise; a node holding more models than
 // this advertises its first MaxInventoryBenchmarks and still benefits
 // from affinity for those.
 const MaxInventoryBenchmarks = 256
@@ -92,17 +90,6 @@ func (e GossipEntry) Validate() error {
 	for _, b := range e.Benchmarks {
 		if b == "" || len(b) > maxBenchmarkName {
 			return fmt.Errorf("inventory benchmark name %q is empty or oversized", b)
-		}
-	}
-	if len(e.QueueDepths) > MaxInventoryBenchmarks {
-		return fmt.Errorf("queue depths list %d benchmarks, at most %d are usable", len(e.QueueDepths), MaxInventoryBenchmarks)
-	}
-	for b, d := range e.QueueDepths {
-		if b == "" || len(b) > maxBenchmarkName {
-			return fmt.Errorf("queue-depth benchmark name %q is empty or oversized", b)
-		}
-		if d < 0 {
-			return fmt.Errorf("queue depth %d for %q is negative", d, b)
 		}
 	}
 	return nil

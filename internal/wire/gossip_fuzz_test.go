@@ -25,7 +25,7 @@ const fuzzSelf = "127.0.0.1:9000"
 // arrive in.
 func FuzzGossipDigest(f *testing.F) {
 	for _, seed := range []string{
-		`{"from":"127.0.0.1:9001","entries":[{"addr":"127.0.0.1:9001","incarnation":0,"beat":3,"state":"alive","capacity":2,"benchmarks":["gcc"],"queue_depths":{"gcc":1}}]}`,
+		`{"from":"127.0.0.1:9001","entries":[{"addr":"127.0.0.1:9001","incarnation":0,"beat":3,"state":"alive","capacity":2,"benchmarks":["gcc"]}]}`,
 		`{"from":"127.0.0.1:9001","entries":[{"addr":"127.0.0.1:9002","incarnation":1,"beat":0,"state":"suspect"},{"addr":"127.0.0.1:9002","incarnation":1,"beat":7,"state":"alive"}]}`,
 		`{"from":"127.0.0.1:9001","entries":[{"addr":"127.0.0.1:9000","incarnation":4,"beat":0,"state":"dead"}]}`,
 		`{"from":"127.0.0.1:9001","entries":[{"addr":"[::1]:9003","incarnation":2,"beat":1,"state":"dead"}]}`,

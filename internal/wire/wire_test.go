@@ -14,10 +14,8 @@ import (
 // a request or in a response.
 func TestGossipEntryValidate(t *testing.T) {
 	big := make([]string, MaxInventoryBenchmarks+1)
-	depths := make(map[string]int, MaxInventoryBenchmarks+1)
 	for i := range big {
 		big[i] = "b"
-		depths[strings.Repeat("d", i%100+1)+string(rune('a'+i/100))] = 1
 	}
 	cases := []struct {
 		name  string
@@ -26,7 +24,7 @@ func TestGossipEntryValidate(t *testing.T) {
 	}{
 		{"minimal", GossipEntry{Addr: "127.0.0.1:8091", State: GossipAlive}, true},
 		{"ipv6", GossipEntry{Addr: "[::1]:8091", State: GossipAlive}, true},
-		{"with inventory", GossipEntry{Addr: "w:1", State: GossipAlive, Capacity: 8, Benchmarks: []string{"gcc", "mcf"}, QueueDepths: map[string]int{"gcc": 2}}, true},
+		{"with inventory", GossipEntry{Addr: "w:1", State: GossipAlive, Capacity: 8, Benchmarks: []string{"gcc", "mcf"}}, true},
 		{"no addr", GossipEntry{State: GossipAlive}, false},
 		{"portless addr", GossipEntry{Addr: "worker-3", State: GossipAlive}, false},
 		{"url form", GossipEntry{Addr: "http://worker-3:8091", State: GossipAlive}, false},
@@ -36,9 +34,6 @@ func TestGossipEntryValidate(t *testing.T) {
 		{"oversized inventory", GossipEntry{Addr: "w:1", State: GossipAlive, Benchmarks: big}, false},
 		{"empty benchmark name", GossipEntry{Addr: "w:1", State: GossipAlive, Benchmarks: []string{""}}, false},
 		{"oversized benchmark name", GossipEntry{Addr: "w:1", State: GossipAlive, Benchmarks: []string{strings.Repeat("x", 129)}}, false},
-		{"oversized queue depths", GossipEntry{Addr: "w:1", State: GossipAlive, QueueDepths: depths}, false},
-		{"empty queue-depth name", GossipEntry{Addr: "w:1", State: GossipAlive, QueueDepths: map[string]int{"": 1}}, false},
-		{"negative queue depth", GossipEntry{Addr: "w:1", State: GossipAlive, QueueDepths: map[string]int{"gcc": -1}}, false},
 	}
 	for _, tc := range cases {
 		err := tc.entry.Validate()

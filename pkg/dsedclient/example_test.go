@@ -100,40 +100,3 @@ func ExampleClient_SubmitSweep() {
 		}
 	}
 }
-
-// Example_multiPolicyFleet drives two peers of one fleet that own their
-// jobs under different placement policies — say one booted with
-// `-policy affinity` and one with `-policy least-loaded -hedge-factor 3`
-// — and races the same sweep through both. The client is identical
-// either way: scheduling policy is the owning peer's decision, invisible
-// in the wire protocol except as makespan and the per-update Worker
-// attribution.
-func Example_multiPolicyFleet() {
-	req := wire.ParetoRequest{
-		Benchmark: "gcc",
-		Objectives: []wire.ObjectiveSpec{
-			{Metric: "CPI"},
-			{Metric: "Power", Kind: "worst"},
-		},
-		SpaceSpec: wire.SpaceSpec{Space: "test", Sample: 16384, Seed: 3},
-	}
-	ctx := context.Background()
-	for _, addr := range []string{
-		"http://localhost:9401", // dsed -peers ... -policy affinity
-		"http://localhost:9402", // dsed -peers ... -policy least-loaded -hedge-factor 3
-	} {
-		c := dsedclient.New(addr, dsedclient.WithRetries(2))
-		perWorker := map[string]int{}
-		start := time.Now()
-		final, _, err := c.Run(ctx, req, func(u api.Update) {
-			perWorker[u.Worker] += u.Delta
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		// Same frontier from every policy — placement moves the work and
-		// the makespan, never the answer.
-		fmt.Printf("%s: %d frontier points in %v, shards by worker: %v\n",
-			addr, len(final.Candidates), time.Since(start).Round(time.Millisecond), perWorker)
-	}
-}

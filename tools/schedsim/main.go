@@ -1,23 +1,25 @@
-// Command schedsim races the coordinator's placement policies against
-// each other on a simulated churny, heterogeneous fleet — the
-// scheduler-vs-scheduler experiment from the ROADMAP, runnable on a
-// laptop in seconds.
+// Command schedsim races the coordinator's placement rule on a
+// simulated churny, heterogeneous fleet, runnable on a laptop in
+// seconds.
 //
 // The fleet is in-process: every worker is a cluster.Local transport
 // wrapping the same deterministic model, slowed by a per-design delay so
 // the fleet is genuinely heterogeneous (a configurable number of fast
 // workers plus deliberate stragglers). Optionally one fast worker leaves
 // mid-sweep and a fresh one joins (-churn), exercising re-dispatch and
-// mid-sweep elasticity under every policy. Each policy runs the same
-// sweep twice — hedging off, then on — and the table reports per-run
-// makespan, retries, hedge outcomes, and whether the merged frontier
-// matched the single-process reference (it always must; a "DIVERGED"
-// row is a bug in the cluster plane, not a tuning problem).
+// mid-sweep elasticity. The same sweep runs four times: hedging off and
+// on, each once with the stragglers named to sort after the fast
+// workers and once before them. Placement deals ties in name order, so
+// the two orders show whether a makespan owes anything to where the
+// straggler's name happens to sort. The table reports per-run makespan,
+// retries, hedge outcomes, and whether the merged frontier matched the
+// single-process reference (it always must; a "DIVERGED" row is a bug in
+// the cluster plane, not a tuning problem).
 //
 //	go run ./tools/schedsim -designs 4000 -fast 3 -slow 1 -churn
 //
 // Because every worker computes the same deterministic answer, the only
-// thing the policies can differ on is time: makespan is the whole
+// thing the legs can differ on is time: makespan is the whole
 // comparison.
 package main
 
@@ -54,14 +56,16 @@ type config struct {
 }
 
 type result struct {
-	policy   string
-	hedged   bool
-	makespan time.Duration
-	retries  int
-	issued   int
-	won      int
-	wasted   int
-	exact    bool
+	// slowFirst reports whether the stragglers' names sorted before the
+	// fast workers'.
+	slowFirst bool
+	hedged    bool
+	makespan  time.Duration
+	retries   int
+	issued    int
+	won       int
+	wasted    int
+	exact     bool
 }
 
 func main() {
@@ -72,7 +76,7 @@ func main() {
 	flag.IntVar(&cfg.slow, "slow", 1, "straggler workers in the fleet")
 	flag.DurationVar(&cfg.fastDelay, "fast-delay", 50*time.Microsecond, "fast worker per-design latency")
 	flag.DurationVar(&cfg.slowDelay, "slow-delay", 2*time.Millisecond, "straggler per-design latency")
-	flag.Float64Var(&cfg.hedge, "hedge-factor", 3, "hedge factor for the hedged leg of each policy")
+	flag.Float64Var(&cfg.hedge, "hedge-factor", 3, "hedge factor for the hedged legs")
 	flag.BoolVar(&cfg.churn, "churn", false, "one fast worker leaves mid-sweep and a fresh one joins")
 	flag.DurationVar(&cfg.churnAt, "churn-at", 150*time.Millisecond, "when the churn event fires after sweep start")
 	flag.Parse()
@@ -82,8 +86,12 @@ func main() {
 		log.Fatal(err)
 	}
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "POLICY\tHEDGE\tMAKESPAN\tRETRIES\tHEDGES (issued/won/wasted)\tFRONTIER")
+	fmt.Fprintln(tw, "STRAGGLERS SORT\tHEDGE\tMAKESPAN\tRETRIES\tHEDGES (issued/won/wasted)\tFRONTIER")
 	for _, r := range results {
+		order := "last"
+		if r.slowFirst {
+			order = "first"
+		}
 		hedge := "off"
 		if r.hedged {
 			hedge = "on"
@@ -93,7 +101,7 @@ func main() {
 			frontier = "DIVERGED"
 		}
 		fmt.Fprintf(tw, "%s\t%s\t%v\t%d\t%d/%d/%d\t%s\n",
-			r.policy, hedge, r.makespan.Round(time.Millisecond), r.retries, r.issued, r.won, r.wasted, frontier)
+			order, hedge, r.makespan.Round(time.Millisecond), r.retries, r.issued, r.won, r.wasted, frontier)
 	}
 	tw.Flush()
 	for _, r := range results {
@@ -103,8 +111,8 @@ func main() {
 	}
 }
 
-// run races every policy, hedging off and on, over the same designs and
-// the same fleet shape, returning one row per (policy, hedge) leg.
+// run races the placement rule over the same designs and the same fleet
+// shape, returning one row per (straggler order, hedge) leg.
 func run(ctx context.Context, cfg config) ([]result, error) {
 	designs := space.SampleDesign(cfg.designs, space.TrainLevels(), space.Baseline(), 2, mathx.NewRNG(11))
 	want, err := reference(designs)
@@ -112,11 +120,11 @@ func run(ctx context.Context, cfg config) ([]result, error) {
 		return nil, err
 	}
 	var out []result
-	for _, p := range cluster.Policies() {
+	for _, slowFirst := range []bool{false, true} {
 		for _, hedged := range []bool{false, true} {
-			r, err := runLeg(ctx, cfg, p, hedged, designs, want)
+			r, err := runLeg(ctx, cfg, slowFirst, hedged, designs, want)
 			if err != nil {
-				return nil, fmt.Errorf("schedsim: policy %s (hedge=%v): %w", p.Name(), hedged, err)
+				return nil, fmt.Errorf("schedsim: stragglers first=%v, hedge=%v: %w", slowFirst, hedged, err)
 			}
 			out = append(out, r)
 		}
@@ -124,18 +132,19 @@ func run(ctx context.Context, cfg config) ([]result, error) {
 	return out, nil
 }
 
-func runLeg(ctx context.Context, cfg config, p cluster.Policy, hedged bool, designs []space.Config, want []string) (result, error) {
+func runLeg(ctx context.Context, cfg config, slowFirst, hedged bool, designs []space.Config, want []string) (result, error) {
 	fleet := make([]cluster.Transport, 0, cfg.fast+cfg.slow)
 	for i := 0; i < cfg.fast; i++ {
 		fleet = append(fleet, slowed(fmt.Sprintf("fast-%d", i), cfg.fastDelay))
 	}
 	for i := 0; i < cfg.slow; i++ {
-		fleet = append(fleet, slowed(fmt.Sprintf("slow-%d", i), cfg.slowDelay))
+		name := fmt.Sprintf("slow-%d", i)
+		if slowFirst {
+			name = "a-" + name
+		}
+		fleet = append(fleet, slowed(name, cfg.slowDelay))
 	}
-	opts := cluster.Options{
-		ShardSize: cfg.shardSize,
-		Policy:    p,
-	}
+	opts := cluster.Options{ShardSize: cfg.shardSize}
 	if hedged {
 		opts.HedgeFactor = cfg.hedge
 	}
@@ -171,14 +180,14 @@ func runLeg(ctx context.Context, cfg config, p cluster.Policy, hedged bool, desi
 	}
 	issued, won, wasted := coord.HedgeStats()
 	return result{
-		policy:   p.Name(),
-		hedged:   hedged,
-		makespan: time.Since(start),
-		retries:  res.Retries,
-		issued:   issued,
-		won:      won,
-		wasted:   wasted,
-		exact:    reflect.DeepEqual(keys(res.Frontier), want) && res.Evaluated == len(designs),
+		slowFirst: slowFirst,
+		hedged:    hedged,
+		makespan:  time.Since(start),
+		retries:   res.Retries,
+		issued:    issued,
+		won:       won,
+		wasted:    wasted,
+		exact:     reflect.DeepEqual(keys(res.Frontier), want) && res.Evaluated == len(designs),
 	}, nil
 }
 
