@@ -324,37 +324,18 @@ func (s *Server) sweepModel(ctx context.Context, benchmark, metric string) (core
 }
 
 // straggleModel is -straggle-per-design fault injection: it sleeps once
-// per scored design in every scoring entry point of the predictor it
-// wraps, turning this worker into a deterministic straggler so hedged
-// dispatch can be exercised against a real fleet. It offers the
-// predictor's own entry points, so a sweep takes the same route through
-// it and a straggler answers bit for bit what a healthy worker does.
+// per scored design in both entry points a sweep scores a
+// core.LevelPredictor through, turning this worker into a deterministic
+// straggler so hedged dispatch can be exercised against a real fleet. It
+// is a LevelPredictor like the predictor it wraps, so a sweep takes the
+// same route through it and a straggler answers bit for bit what a
+// healthy worker does.
 type straggleModel struct {
 	*core.Predictor
 	delay time.Duration
 }
 
 var _ core.LevelPredictor = straggleModel{}
-
-func (m straggleModel) Predict(cfg space.Config) []float64 {
-	time.Sleep(m.delay)
-	return m.Predictor.Predict(cfg)
-}
-
-func (m straggleModel) PredictInto(cfg space.Config, dst []float64) []float64 {
-	time.Sleep(m.delay)
-	return m.Predictor.PredictInto(cfg, dst)
-}
-
-func (m straggleModel) PredictVecInto(x, dst []float64) []float64 {
-	time.Sleep(m.delay)
-	return m.Predictor.PredictVecInto(x, dst)
-}
-
-func (m straggleModel) PredictMeanVec(x []float64) float64 {
-	time.Sleep(m.delay)
-	return m.Predictor.PredictMeanVec(x)
-}
 
 func (m straggleModel) PredictMeanLevels(x []float64, lvl []int) float64 {
 	time.Sleep(m.delay)

@@ -360,10 +360,11 @@ func (ps *peerServer) handleWarm(w http.ResponseWriter, r *http.Request) {
 
 // fleetSegments resolves a distributed job's space to its size and the
 // segments its owner still has to carve once the ranges in ledger (nil
-// on a fresh job) are merged. Fresh and adopted jobs take this one path. An unsampled named space stays a
-// count: its shards travel as windows on it, so the owner never
-// materialises it. An explicit list or a sample is resolved (a sample is
-// drawn, stopping if ctx ends) and its segments pinned.
+// on a fresh job) are merged. Fresh and adopted jobs take this one path.
+// An unsampled named space stays a count: its shards travel as windows
+// on it, so the owner never materialises it. An explicit list or a
+// sample is resolved (a sample is drawn, stopping if ctx ends) and its
+// segments pinned.
 func fleetSegments(ctx context.Context, sp wire.SpaceSpec, early []space.Config, ledger []wire.ShardRange) (int, []cluster.Segment, error) {
 	if w, ok := sp.FactorialWindow(); ok {
 		return w.Count, cluster.SegmentsAfter(w.Count, ledger), nil
@@ -803,8 +804,9 @@ func (ps *peerServer) exchange(ctx context.Context, target string) {
 // code), and the only liveness authority the table has. Alive peers,
 // self included, become schedulable members with their gossiped
 // inventory; anything suspect or dead leaves the scheduling fleet
-// immediately, even though adoption waits for the stronger dead verdict. Self joins as the in-process ps.local, remote
-// peers as HTTP transports; both are named "http://"+addr.
+// immediately, even though adoption waits for the stronger dead verdict.
+// Self joins as the in-process ps.local, remote peers as HTTP
+// transports; both are named "http://"+addr.
 func (ps *peerServer) syncGossipMembership() {
 	// The round loop and incoming exchanges both project, and each takes
 	// its snapshot under this lock, so projections apply in snapshot

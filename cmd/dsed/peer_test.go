@@ -19,11 +19,15 @@ import (
 	"repro/pkg/dsedclient"
 )
 
-// testPeer wires a peer server around the shared test Server: enough
-// for routing and adoption-guard tests, with no gossip loop running.
+// testPeer wires a peer server around a fresh Server over the shared
+// test registry: enough for routing and adoption-guard tests, with no
+// gossip loop running. The trained models are shared; the job table is
+// the test's own, so a job one test adopts cannot outlive it into the
+// next.
 func testPeer(t *testing.T, self string) *peerServer {
 	t.Helper()
-	ps, err := newPeerServer(testServer(t), self, nil, peerOptions{heartbeat: time.Second, replicate: 1}, nil)
+	srv := NewServer(context.Background(), testServer(t).store, 0, nil, nil)
+	ps, err := newPeerServer(srv, self, nil, peerOptions{heartbeat: time.Second, replicate: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +243,8 @@ func TestReplicatorLogsDeadReplicaOnce(t *testing.T) {
 	gone.Close()
 
 	var logBuf bytes.Buffer
-	ps, err := newPeerServer(testServer(t), "127.0.0.1:1", nil, peerOptions{heartbeat: time.Second, replicate: 1}, log.New(&logBuf, "", 0))
+	srv := NewServer(context.Background(), testServer(t).store, 0, nil, nil)
+	ps, err := newPeerServer(srv, "127.0.0.1:1", nil, peerOptions{heartbeat: time.Second, replicate: 1}, log.New(&logBuf, "", 0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -373,24 +373,24 @@
 //     coefficient (with its nonzero support trimmed); Predict becomes k
 //     scaled vector additions instead of a full inverse transform.
 //     PredictInto(cfg, dst) and PredictBatch(cfgs, dst) reuse
-//     caller-provided output buffers, and the VecPredictor refinement
-//     (PredictVecInto) accepts a pre-encoded feature vector so the sweep
-//     engine encodes each design once and shares the vector across
-//     models (the plain feature encoding is a strict prefix of the DVM
-//     encoding). A trace's mean is linear in the coefficients, so each
-//     Predictor also precomputes its basis vectors' means and
-//     PredictMeanVec (the MeanVecPredictor refinement) scores a mean as
-//     Σ c_i·mean(basis_i) over only the networks with a nonzero basis
-//     mean. In the paper's Haar form the average coefficient's basis
-//     mean is exactly 1 and every detail's exactly 0, so a mean costs one
-//     network instead of k plus a trace reconstruction. It agrees with
-//     the trace mean to rounding (within 1e-15 relative, tested), and
-//     /v1/predict reports the same value. The LevelPredictor refinement
-//     (PredictMeanLevels, PredictVecLevelsInto) takes a design's level
-//     indices against the networks' shared declaration (DimLevels) from
-//     the caller; PredictMeanVec and PredictVecInto resolve and delegate
-//     to it, so each computation has one body and the sweep engine can
-//     resolve once for every model sharing a declaration.
+//     caller-provided output buffers. A trace's mean is linear in the
+//     coefficients, so each Predictor also precomputes its basis
+//     vectors' means and PredictMean scores a mean as Σ c_i·mean(basis_i)
+//     over only the networks with a nonzero basis mean. In the paper's
+//     Haar form the average coefficient's basis mean is exactly 1 and
+//     every detail's exactly 0, so a mean costs one network instead of k
+//     plus a trace reconstruction. It agrees with the trace mean to
+//     rounding (within 1e-15 relative, tested), and /v1/predict reports
+//     the same value. core.LevelPredictor is the one refinement of
+//     DynamicsModel the sweep engine scores through: PredictMeanLevels
+//     and PredictVecLevelsInto take a design's pre-encoded feature vector
+//     (the plain encoding is a strict prefix of the DVM one, so one
+//     encoding serves every model) and its level indices against the
+//     networks' shared declaration (DimLevels) from the caller.
+//     PredictInto and PredictMean resolve and delegate to them, so each
+//     computation has one body and the sweep engine resolves once for
+//     every model sharing a declaration. The baselines (GlobalANN,
+//     LinearWavelet) offer Predict only.
 //   - internal/rbf: the Gaussian has axis-aligned radii, so each network
 //     with declared levels (core declares the Table 2 feature levels) is
 //     one function f(x) = s(x)·g(x_V) + b. The shared factor s is a single
@@ -408,23 +408,24 @@
 //   - internal/explore: evalChunks workers hold per-worker scratch (one
 //     trace buffer per model, one flat score matrix per chunk, the
 //     current design's encoding and level indices) and emit scores only —
-//     zero heap allocations per design in steady state. A MeanObjective
-//     is scored through PredictMeanLevels (or PredictMeanVec) when the
-//     model offers it; trace objectives (worst case, exceedance) stay
-//     bit-identical to the naive path. On a list each design is encoded
+//     zero heap allocations per design in steady state. A model takes one
+//     of two routes: a core.LevelPredictor is scored through
+//     PredictMeanLevels (mean objectives) or PredictVecLevelsInto (trace
+//     objectives, bit-identical to Predict); any other model through
+//     Predict on the design's Config. On a list each design is encoded
 //     once and its level indices resolved once per distinct declaration,
-//     for every model. SweepWindow never builds a Config per design: it
-//     precomputes, per parameter and level of the window's space, the
-//     feature value and each declaration's level index (by encoding and
-//     resolving real designs, so they are bit-identical to the list
-//     path), and each worker ticks the odometer (Levels.Seek/Tick),
-//     rewriting only the digits that changed. TopK and FrontierCollector
-//     take a whole chunk under their own mutex, test each candidate's
-//     scores first, and decode a Config (Window.Design) only for the
-//     candidates they keep; their snapshot methods are safe mid-sweep, so
-//     cmd/dsed publishes partials without a second per-design lock. A
-//     Collector from outside the package keeps the serialised per-design
-//     Collect contract. cmd/dsed runs every unsampled named space as a
+//     for every model. SweepWindow never builds a Config per design
+//     unless a Predict-route model needs one: it precomputes, per
+//     parameter and level of the window's space, the feature value and
+//     each declaration's level index (by encoding and resolving real
+//     designs, so they are bit-identical to the list path), and each
+//     worker ticks the odometer (Levels.Seek/Tick), rewriting only the
+//     digits that changed. The package's two Collectors, TopK and
+//     FrontierCollector, take a whole chunk under their own mutex, test
+//     each candidate's scores first, and decode a Config (Window.Design)
+//     only for the candidates they keep; their snapshot methods are safe
+//     mid-sweep, so cmd/dsed publishes partials without a second
+//     per-design lock. cmd/dsed runs every unsampled named space as a
 //     window, and a fleet owner carves such a space's shards as counts,
 //     never materialising it. FrontierCollector checks the member that
 //     rejected the previous arrival first, so neighbouring designs are

@@ -21,75 +21,35 @@ type DynamicsModel interface {
 	Predict(cfg space.Config) []float64
 }
 
-// IntoPredictor is the allocation-free refinement of DynamicsModel: a
-// model that can write its forecast into caller-provided scratch.
-// PredictInto must return output bit-identical to Predict. Sweep hot paths
-// type-assert for this interface and reuse one trace buffer per model per
-// worker; every model in this package implements it.
-type IntoPredictor interface {
+// LevelPredictor is the sweep engine's refinement of DynamicsModel: a
+// model that scores a design from its feature encoding x plus x's level
+// indices lvl against the model's level declaration (DimLevels), exactly
+// as rbf.ResolveLevels writes them. A sweep resolves once per design for
+// every model sharing the declaration — or, on a full-factorial window,
+// precomputes the indices per parameter level — so no network resolves
+// its own. When DimLevels is nil, lvl is empty and each network resolves
+// x itself. Sweeps encode each design once and share the vector: the
+// plain encoding is a prefix of the DVM encoding, so one VectorDVMInto
+// pass serves models of either flavour via x[:NumFeatures()].
+type LevelPredictor interface {
 	DynamicsModel
-	// PredictInto writes the forecast trace into dst (reusing its backing
-	// array when capacity allows) and returns the filled slice.
-	PredictInto(cfg space.Config, dst []float64) []float64
-}
-
-// VecPredictor is the feature-vector-level refinement of IntoPredictor:
-// the model declares how wide an input encoding it consumes and predicts
-// from an already-encoded vector. Sweep engines evaluating several models
-// against the same design encode the configuration once and share the
-// vector — the plain encoding is a prefix of the DVM encoding, so one
-// VectorDVMInto pass serves models of either flavour via x[:NumFeatures()].
-// PredictVecInto on the model's own encoding of cfg must be bit-identical
-// to PredictInto(cfg, dst); every model in this package implements it.
-type VecPredictor interface {
-	IntoPredictor
 	// NumFeatures is the width of the encoding the model consumes
 	// (space.NumParams, or space.MaxFeatures with DVM features).
 	NumFeatures() int
-	// PredictVecInto writes the forecast for feature vector x (length
-	// NumFeatures()) into dst, reusing its backing array when capacity
-	// allows, and returns the filled slice.
-	PredictVecInto(x []float64, dst []float64) []float64
-}
-
-// MeanVecPredictor is the linear-objective refinement of VecPredictor:
-// the model scores the mean of its forecast trace straight from the
-// encoded feature vector, without producing the trace. PredictMeanVec(x)
-// must agree with mathx.Mean(PredictVecInto(x, nil)) to rounding (the two
-// sum in different orders, so they may differ in the last bits). Sweeps
-// scoring a mean objective use it when the model offers it.
-type MeanVecPredictor interface {
-	VecPredictor
-	// PredictMeanVec returns the forecast trace's mean at feature vector
-	// x (length NumFeatures()).
-	PredictMeanVec(x []float64) float64
-}
-
-// LevelPredictor is the resolved-levels refinement of MeanVecPredictor:
-// a model whose networks share one level declaration (DimLevels) scores a
-// design from its encoding x plus x's level indices lvl against that
-// declaration, exactly as rbf.ResolveLevels writes them. A sweep resolves
-// once per design for every model sharing the declaration — or, on a
-// full-factorial window, precomputes the indices per parameter level — so
-// no network resolves its own. PredictMeanLevels(x, lvl) and
-// PredictVecLevelsInto(x, lvl, dst) are bit-identical to PredictMeanVec(x)
-// and PredictVecInto(x, dst), which resolve and delegate to them.
-type LevelPredictor interface {
-	MeanVecPredictor
-	// DimLevels is the declaration lvl resolves against; nil when the
-	// model has none, and then callers use the Vec entry points.
+	// DimLevels is the declaration lvl resolves against, or nil.
 	DimLevels() [][]float64
-	// PredictMeanLevels is PredictMeanVec with x's level indices given.
+	// PredictMeanLevels returns the forecast trace's mean at feature
+	// vector x without producing the trace. It agrees with mathx.Mean of
+	// the trace to rounding (the two sum in different orders).
 	PredictMeanLevels(x []float64, lvl []int) float64
-	// PredictVecLevelsInto is PredictVecInto with x's level indices given.
+	// PredictVecLevelsInto writes the forecast trace at feature vector x
+	// into dst, reusing its backing array when capacity allows, and
+	// returns the filled slice. It is bit-identical to Predict on the
+	// design x encodes.
 	PredictVecLevelsInto(x []float64, lvl []int, dst []float64) []float64
 }
 
-var (
-	_ LevelPredictor = (*Predictor)(nil)
-	_ VecPredictor   = (*GlobalANN)(nil)
-	_ VecPredictor   = (*LinearWavelet)(nil)
-)
+var _ LevelPredictor = (*Predictor)(nil)
 
 // GlobalANN is the monolithic neural-network baseline of prior work
 // (Ipek et al., Joseph et al.): a single RBF network trained to predict the
@@ -123,23 +83,8 @@ func TrainGlobalANN(configs []space.Config, traces [][]float64, opts Options) (*
 
 // Predict returns a flat trace at the predicted aggregate value.
 func (g *GlobalANN) Predict(cfg space.Config) []float64 {
-	return g.PredictInto(cfg, make([]float64, g.traceLen))
-}
-
-// PredictInto writes the flat trace into dst; see IntoPredictor.
-func (g *GlobalANN) PredictInto(cfg space.Config, dst []float64) []float64 {
-	var fbuf [space.MaxFeatures]float64
-	return g.PredictVecInto(g.opts.featureVectorInto(&cfg, fbuf[:0]), dst)
-}
-
-// NumFeatures implements VecPredictor.
-func (g *GlobalANN) NumFeatures() int { return g.opts.numFeatures() }
-
-// PredictVecInto writes the flat trace for an already-encoded feature
-// vector into dst; see VecPredictor.
-func (g *GlobalANN) PredictVecInto(x []float64, dst []float64) []float64 {
-	dst = sizeTrace(dst, g.traceLen)
-	v := g.net.Predict(x)
+	v := g.PredictAggregate(cfg)
+	dst := make([]float64, g.traceLen)
 	for i := range dst {
 		dst[i] = v
 	}
@@ -221,28 +166,11 @@ func TrainLinearWavelet(configs []space.Config, traces [][]float64, opts Options
 }
 
 // Predict reconstructs the trace from linearly predicted coefficients.
+// Like Predictor, reconstruction is k scaled additions of precomputed
+// basis vectors.
 func (l *LinearWavelet) Predict(cfg space.Config) []float64 {
-	return l.PredictInto(cfg, make([]float64, l.traceLen))
-}
-
-// PredictInto writes the forecast trace into dst; see IntoPredictor. Like
-// Predictor, reconstruction is k scaled additions of precomputed basis
-// vectors.
-func (l *LinearWavelet) PredictInto(cfg space.Config, dst []float64) []float64 {
-	var fbuf [space.MaxFeatures]float64
-	return l.PredictVecInto(l.opts.featureVectorInto(&cfg, fbuf[:0]), dst)
-}
-
-// NumFeatures implements VecPredictor.
-func (l *LinearWavelet) NumFeatures() int { return l.opts.numFeatures() }
-
-// PredictVecInto reconstructs the trace for an already-encoded feature
-// vector; see VecPredictor.
-func (l *LinearWavelet) PredictVecInto(x []float64, dst []float64) []float64 {
-	dst = sizeTrace(dst, l.traceLen)
-	for i := range dst {
-		dst[i] = 0
-	}
+	x := l.opts.featureVector(cfg)
+	dst := make([]float64, l.traceLen)
 	for i := range l.selected {
 		w := l.weights[i]
 		v := w[0]

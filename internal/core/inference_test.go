@@ -127,47 +127,34 @@ func TestLoadedPredictorUsesBasisPath(t *testing.T) {
 }
 
 // TestPredictIntoZeroAllocs is the regression gate for the zero-allocation
-// contract on every model family's scratch-reusing path.
+// contract on the predictor's scratch-reusing entry points.
 func TestPredictIntoZeroAllocs(t *testing.T) {
 	train, test := sampleConfigs(100, 4, 22)
-	traces := tracesFor(train, 64)
-	opts := Options{NumCoefficients: 8}
-
-	p, err := Train(train, traces, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := TrainGlobalANN(train, traces, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lw, err := TrainLinearWavelet(train, traces, opts)
+	p, err := Train(train, tracesFor(train, 64), Options{NumCoefficients: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	models := []struct {
-		name string
-		m    IntoPredictor
-	}{
-		{"Predictor", p}, {"GlobalANN", g}, {"LinearWavelet", lw},
-	}
-	for _, tc := range models {
-		dst := make([]float64, 64)
-		cfg := test[0]
-		if allocs := testing.AllocsPerRun(100, func() {
-			dst = tc.m.PredictInto(cfg, dst)
-		}); allocs != 0 {
-			t.Errorf("%s.PredictInto allocates %v per call, want 0", tc.name, allocs)
-		}
+	dst := make([]float64, 64)
+	cfg := test[0]
+	if allocs := testing.AllocsPerRun(100, func() {
+		dst = p.PredictInto(cfg, dst)
+	}); allocs != 0 {
+		t.Errorf("Predictor.PredictInto allocates %v per call, want 0", allocs)
 	}
 
 	x := test[0].Vector()
+	lvl := resolved(p, x)
+	if allocs := testing.AllocsPerRun(100, func() {
+		dst = p.PredictVecLevelsInto(x, lvl, dst)
+	}); allocs != 0 {
+		t.Errorf("Predictor.PredictVecLevelsInto allocates %v per call, want 0", allocs)
+	}
 	var mean float64
 	if allocs := testing.AllocsPerRun(100, func() {
-		mean = p.PredictMeanVec(x)
+		mean = p.PredictMeanLevels(x, lvl)
 	}); allocs != 0 {
-		t.Errorf("Predictor.PredictMeanVec allocates %v per call, want 0", allocs)
+		t.Errorf("Predictor.PredictMeanLevels allocates %v per call, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
 		mean = p.PredictMean(test[0])
@@ -182,6 +169,25 @@ func TestPredictIntoZeroAllocs(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("PredictBatch allocates %v per call after warm-up, want 0", allocs)
 	}
+}
+
+// resolved returns x's level indices the way a sweep hands them to p:
+// resolved against its DimLevels, or empty when it has none.
+func resolved(p *Predictor, x []float64) []int {
+	var buf [space.MaxFeatures]int
+	return p.resolveLevels(x, &buf)
+}
+
+// predictVec forecasts the encoded design x through p's level entry
+// point, its level indices resolved as a sweep resolves them.
+func predictVec(p *Predictor, x []float64, dst []float64) []float64 {
+	return p.PredictVecLevelsInto(x, resolved(p, x), dst)
+}
+
+// predictMeanVec scores the encoded design x's mean through p's level
+// entry point, its level indices resolved as a sweep resolves them.
+func predictMeanVec(p *Predictor, x []float64) float64 {
+	return p.PredictMeanLevels(x, resolved(p, x))
 }
 
 // TestSharedLevelResolution proves that resolving a design's level indices
@@ -213,8 +219,8 @@ func TestSharedLevelResolution(t *testing.T) {
 				xs = append(xs, x, off)
 			}
 			for i, x := range xs {
-				got := q.PredictVecInto(x, nil)
-				want := perNet.PredictVecInto(x, nil)
+				got := predictVec(q, x, nil)
+				want := predictVec(&perNet, x, nil)
 				for j := range want {
 					if got[j] != want[j] {
 						t.Fatalf("dvm=%v input %d sample %d: shared resolution %v, per-network %v", dvm, i, j, got[j], want[j])
@@ -270,9 +276,10 @@ func TestLoadMismatchedLevelsResolvesPerNetwork(t *testing.T) {
 
 // TestPredictMeanVecMatchesTraceMean holds coefficient-space mean scoring
 // to the trace it summarises: over the whole test factorial, for every
-// wavelet family, PredictMeanVec agrees with mathx.Mean of PredictVecInto
-// to within 1e-15 relative, and PredictMean is PredictMeanVec on the
-// design's own encoding. A restored model scores bit-identically.
+// wavelet family, PredictMeanLevels agrees with mathx.Mean of
+// PredictVecLevelsInto to within 1e-15 relative, and PredictMean is
+// PredictMeanLevels on the design's own encoding and levels. A restored
+// model scores bit-identically.
 func TestPredictMeanVecMatchesTraceMean(t *testing.T) {
 	designs := space.TestLevels().FullFactorial(space.Baseline())
 	for _, w := range []wavelet.Transform{
@@ -292,19 +299,19 @@ func TestPredictMeanVecMatchesTraceMean(t *testing.T) {
 			worst := 0.0
 			for i := range designs {
 				x := designs[i].Vector()
-				got := p.PredictMeanVec(x)
-				trace = p.PredictVecInto(x, trace)
+				got := predictMeanVec(p, x)
+				trace = predictVec(p, x, trace)
 				want := mathx.Mean(trace)
 				rel := math.Abs(got-want) / math.Abs(want)
 				worst = math.Max(worst, rel)
 				if rel > 1e-15 {
-					t.Fatalf("design %d: PredictMeanVec %v, trace mean %v (relative error %.3g)", i, got, want, rel)
+					t.Fatalf("design %d: PredictMeanLevels %v, trace mean %v (relative error %.3g)", i, got, want, rel)
 				}
 				if m := p.PredictMean(designs[i]); m != got {
-					t.Fatalf("design %d: PredictMean %v != PredictMeanVec %v", i, m, got)
+					t.Fatalf("design %d: PredictMean %v != PredictMeanLevels %v", i, m, got)
 				}
-				if m := loaded.PredictMeanVec(x); m != got {
-					t.Fatalf("design %d: loaded PredictMeanVec %v != trained %v", i, m, got)
+				if m := predictMeanVec(loaded, x); m != got {
+					t.Fatalf("design %d: loaded PredictMeanLevels %v != trained %v", i, m, got)
 				}
 			}
 			t.Logf("max relative error %.3g over %d designs", worst, len(designs))
@@ -330,7 +337,7 @@ func TestHaarMeanUsesOneNetwork(t *testing.T) {
 	}
 	for _, cfg := range test {
 		x := cfg.Vector()
-		if got, want := p.PredictMeanVec(x), p.nets[0].Predict(x); got != want {
+		if got, want := predictMeanVec(p, x), p.nets[0].Predict(x); got != want {
 			t.Fatalf("Haar mean %v, average-coefficient network %v", got, want)
 		}
 	}
@@ -338,7 +345,7 @@ func TestHaarMeanUsesOneNetwork(t *testing.T) {
 	details := &Predictor{opts: p.opts, traceLen: p.traceLen, selected: p.selected[1:], nets: p.nets[1:]}
 	details.bindBasis()
 	for _, cfg := range test {
-		if got := details.PredictMeanVec(cfg.Vector()); got != 0 {
+		if got := details.PredictMean(cfg); got != 0 {
 			t.Fatalf("model without the average coefficient scores mean %v, want 0", got)
 		}
 	}

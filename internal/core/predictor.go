@@ -107,14 +107,14 @@ type Predictor struct {
 	basisLo []int
 	basisHi []int
 	// basisMean[i] is mathx.Mean(basis[i]). The trace mean is linear in
-	// the coefficients, so PredictMeanVec scores it as Σ c_i·basisMean[i]
+	// the coefficients, so PredictMeanLevels scores it as Σ c_i·basisMean[i]
 	// without reconstructing the trace. In the paper's Haar form the
 	// average coefficient's basis mean is exactly 1 and every detail's is
 	// exactly 0, so a mean costs one network.
 	basisMean []float64
 
 	// levels is the level declaration every factored network shares
-	// (nil when they do not share one). PredictVecInto resolves a design's
+	// (nil when they do not share one). PredictInto resolves a design's
 	// level indices against it once and hands them to all k networks.
 	levels [][]float64
 }
@@ -336,28 +336,23 @@ func (p *Predictor) Predict(cfg space.Config) []float64 {
 
 // PredictInto writes the forecast trace into dst (reusing its backing
 // array when cap(dst) ≥ TraceLen) and returns the filled slice. With
-// adequate capacity it performs zero heap allocations, and its output is
-// bit-identical to Predict — both run the same basis-accumulation path.
+// adequate capacity it performs zero heap allocations. It resolves the
+// design's level indices once for all k networks and delegates to
+// PredictVecLevelsInto, so Predict, PredictInto and a sweep's
+// resolved-levels path are bit-identical by construction.
 func (p *Predictor) PredictInto(cfg space.Config, dst []float64) []float64 {
 	var fbuf [space.MaxFeatures]float64
-	return p.PredictVecInto(p.opts.featureVectorInto(&cfg, fbuf[:0]), dst)
-}
-
-// NumFeatures implements VecPredictor.
-func (p *Predictor) NumFeatures() int { return p.opts.numFeatures() }
-
-// PredictVecInto writes the forecast for the already-encoded feature
-// vector x into dst; see VecPredictor. It resolves x's level indices once
-// for all k networks and delegates to PredictVecLevelsInto, so
-// PredictInto, PredictVecInto and a sweep's resolved-levels path are
-// bit-identical by construction.
-func (p *Predictor) PredictVecInto(x []float64, dst []float64) []float64 {
 	var lbuf [space.MaxFeatures]int
+	x := p.opts.featureVectorInto(&cfg, fbuf[:0])
 	return p.PredictVecLevelsInto(x, p.resolveLevels(x, &lbuf), dst)
 }
 
-// PredictVecLevelsInto is PredictVecInto given x's level indices lvl
-// against DimLevels (empty when DimLevels is nil); see LevelPredictor.
+// NumFeatures implements LevelPredictor.
+func (p *Predictor) NumFeatures() int { return p.opts.numFeatures() }
+
+// PredictVecLevelsInto writes the forecast trace for the encoded design
+// x, given x's level indices lvl against DimLevels (empty when DimLevels
+// is nil), into dst; see LevelPredictor.
 func (p *Predictor) PredictVecLevelsInto(x []float64, lvl []int, dst []float64) []float64 {
 	dst = sizeTrace(dst, p.traceLen)
 	if len(p.selected) == 0 {
@@ -422,29 +417,24 @@ func (p *Predictor) coefficient(i int, x []float64, lvl []int) float64 {
 }
 
 // PredictMean returns the mean of the forecast trace for cfg, scored in
-// coefficient space; it is PredictMeanVec on cfg's own encoding, so it is
+// coefficient space by PredictMeanLevels on cfg's own encoding, so it is
 // bit-identical to the score a sweep's mean objective gives cfg.
 func (p *Predictor) PredictMean(cfg space.Config) float64 {
 	var fbuf [space.MaxFeatures]float64
-	return p.PredictMeanVec(p.opts.featureVectorInto(&cfg, fbuf[:0]))
-}
-
-// PredictMeanVec returns the mean of the forecast trace for the
-// already-encoded feature vector x; see MeanVecPredictor. The mean is
-// linear in the coefficients, so it is Σ c_i·basisMean[i] over only the
-// networks whose basis mean is nonzero: no trace is reconstructed, and
-// under the paper's Haar transform one network (the average coefficient)
-// is evaluated instead of k. It agrees with mathx.Mean of PredictVecInto
-// to rounding; a model that does not select a coefficient with a nonzero
-// basis mean scores 0. It resolves x's level indices and delegates to
-// PredictMeanLevels.
-func (p *Predictor) PredictMeanVec(x []float64) float64 {
 	var lbuf [space.MaxFeatures]int
+	x := p.opts.featureVectorInto(&cfg, fbuf[:0])
 	return p.PredictMeanLevels(x, p.resolveLevels(x, &lbuf))
 }
 
-// PredictMeanLevels is PredictMeanVec given x's level indices lvl against
-// DimLevels (empty when DimLevels is nil); see LevelPredictor.
+// PredictMeanLevels returns the mean of the forecast trace for the
+// encoded design x, given x's level indices lvl against DimLevels (empty
+// when DimLevels is nil); see LevelPredictor. The mean is linear in the
+// coefficients, so it is Σ c_i·basisMean[i] over only the networks whose
+// basis mean is nonzero: no trace is reconstructed, and under the paper's
+// Haar transform one network (the average coefficient) is evaluated
+// instead of k. It agrees with mathx.Mean of the trace to rounding; a
+// model that does not select a coefficient with a nonzero basis mean
+// scores 0.
 func (p *Predictor) PredictMeanLevels(x []float64, lvl []int) float64 {
 	mean := 0.0
 	for i, bm := range p.basisMean {

@@ -55,68 +55,33 @@ func (c *chunk) config(j int) space.Config {
 	return c.win.Design(c.start + j)
 }
 
-// chunkCollector is implemented by the package's own collectors: they
-// take a whole chunk under their own lock, so sweeps feed them without a
-// shared per-design lock and never decode a Config they would drop.
-type chunkCollector interface {
-	collectChunk(c *chunk)
-}
-
-// collect streams the source's designs into the collectors. The
-// package's own collectors take each chunk concurrently under their own
-// locks; any other Collector keeps the per-design contract, called under
-// one shared lock with the design's Config decoded once for all of them.
+// collect streams the source's designs into the collectors, each of
+// which takes a whole chunk concurrently under its own lock.
 func collect(ctx context.Context, src source, models []core.DynamicsModel, objectives []Objective, opts Options, collectors []Collector) error {
-	var own []chunkCollector
-	var other []Collector
-	for _, col := range collectors {
-		if cc, ok := col.(chunkCollector); ok {
-			own = append(own, cc)
-		} else {
-			other = append(other, col)
-		}
-	}
-	var mu sync.Mutex
 	return evalChunks(ctx, src, models, objectives, opts, func(c *chunk) {
-		for _, cc := range own {
-			cc.collectChunk(c)
-		}
-		if len(other) == 0 {
-			return
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		for j := 0; j < c.n; j++ {
-			cand := Candidate{Config: c.config(j), Scores: c.scoresOf(j)}
-			for _, col := range other {
-				col.Collect(c.start+j, cand)
-			}
+		for _, col := range collectors {
+			col.collectChunk(c)
 		}
 	})
 }
 
-// evalKind is the route one model is scored by: the most specific
-// interface the model offers for its objective.
+// evalKind is the route one model is scored by.
 type evalKind uint8
 
 const (
 	evalMeanLevels  evalKind = iota // mean objective on a core.LevelPredictor
 	evalTraceLevels                 // trace objective on a core.LevelPredictor
-	evalMeanVec                     // mean objective on a core.MeanVecPredictor
-	evalVec                         // core.VecPredictor
-	evalInto                        // core.IntoPredictor: needs the Config
 	evalPredict                     // DynamicsModel.Predict: needs the Config
 )
 
 // modelPlan is one model's scoring route, resolved once per sweep.
 type modelPlan struct {
 	kind  evalKind
-	nfeat int // width of the model's encoding (vector kinds)
-	group int // index into plan.decls (level kinds)
+	nfeat int // width of the model's encoding (level kinds)
+	// group indexes plan.decls (level kinds); -1 for a LevelPredictor
+	// without a declaration, which is handed empty level indices.
+	group int
 	model core.DynamicsModel
-	into  core.IntoPredictor
-	vec   core.VecPredictor
-	mean  core.MeanVecPredictor
 	lev   core.LevelPredictor
 	score func([]float64) float64
 }
@@ -129,7 +94,7 @@ type plan struct {
 	models []modelPlan
 	decls  [][][]float64
 	width  []int
-	// needVec and needDVM say which feature encoding the vector kinds
+	// needVec and needDVM say which feature encoding the level kinds
 	// share (the plain encoding is a prefix of the DVM one); needCfg that
 	// some model is scored from the Config itself.
 	needVec, needDVM, needCfg bool
@@ -138,26 +103,20 @@ type plan struct {
 func newPlan(models []core.DynamicsModel, objectives []Objective) *plan {
 	p := &plan{models: make([]modelPlan, len(models))}
 	for i, model := range models {
-		mp := modelPlan{kind: evalPredict, model: model, score: objectives[i].Score}
-		if ip, ok := model.(core.IntoPredictor); ok {
-			mp.kind, mp.into = evalInto, ip
-		}
-		if vp, ok := model.(core.VecPredictor); ok {
-			mp.kind, mp.vec, mp.nfeat = evalVec, vp, vp.NumFeatures()
-			p.needVec = true
-			p.needDVM = p.needDVM || mp.nfeat > space.NumParams
-		}
-		if mvp, ok := model.(core.MeanVecPredictor); ok && objectives[i].mean {
-			mp.kind, mp.mean = evalMeanVec, mvp
-		}
-		if lp, ok := model.(core.LevelPredictor); ok && lp.DimLevels() != nil {
-			mp.kind, mp.lev = evalTraceLevels, lp
+		mp := modelPlan{kind: evalPredict, group: -1, model: model, score: objectives[i].Score}
+		if lp, ok := model.(core.LevelPredictor); ok {
+			mp.kind, mp.lev, mp.nfeat = evalTraceLevels, lp, lp.NumFeatures()
 			if objectives[i].mean {
 				mp.kind = evalMeanLevels
 			}
-			mp.group = p.declGroup(lp.DimLevels(), mp.nfeat)
+			if decl := lp.DimLevels(); decl != nil {
+				mp.group = p.declGroup(decl, mp.nfeat)
+			}
+			p.needVec = true
+			p.needDVM = p.needDVM || mp.nfeat > space.NumParams
+		} else {
+			p.needCfg = true
 		}
-		p.needCfg = p.needCfg || mp.kind >= evalInto
 		p.models[i] = mp
 	}
 	return p
@@ -232,53 +191,51 @@ func (p *plan) levelTables(w *space.Window) *levelTables {
 
 // worker is one sweep goroutine's scratch: its chunk's scores, one trace
 // buffer per model, the current design's encoding x and its level
-// indices per declaration group, and — on window sweeps whose models
-// need one — the current design's decoded Config.
+// indices per declaration group, each model's view of those indices,
+// and — on window sweeps whose models need one — the current design's
+// decoded Config.
 type worker struct {
 	p      *plan
 	scores []float64
 	traces [][]float64
 	x      [space.MaxFeatures]float64
 	lvls   [][space.MaxFeatures]int
+	lvl    [][]int
 	cfg    space.Config
 }
 
 func (p *plan) newWorker(chunk int) *worker {
-	return &worker{
+	w := &worker{
 		p:      p,
 		scores: make([]float64, chunk*len(p.models)),
 		traces: make([][]float64, len(p.models)),
 		lvls:   make([][space.MaxFeatures]int, len(p.decls)),
+		lvl:    make([][]int, len(p.models)),
 	}
+	// Each level-kind model views its group's indices, widened to its own
+	// encoding; a model without a declaration keeps an empty view.
+	for m, mp := range p.models {
+		if mp.group >= 0 {
+			w.lvl[m] = w.lvls[mp.group][:mp.nfeat]
+		}
+	}
+	return w
 }
 
-// score scores the current design (w.x, w.lvls and, for the Config
-// kinds, cfg) into s, one entry per model.
+// score scores the current design (w.x, w.lvls and, for the Predict
+// kind, cfg) into s, one entry per model.
 func (w *worker) score(s []float64, cfg *space.Config) {
 	for m := range w.p.models {
 		mp := &w.p.models[m]
-		x := w.x[:mp.nfeat]
-		var trace []float64
 		switch mp.kind {
 		case evalMeanLevels:
-			s[m] = mp.lev.PredictMeanLevels(x, w.lvls[mp.group][:mp.nfeat])
-			continue
+			s[m] = mp.lev.PredictMeanLevels(w.x[:mp.nfeat], w.lvl[m])
 		case evalTraceLevels:
-			w.traces[m] = mp.lev.PredictVecLevelsInto(x, w.lvls[mp.group][:mp.nfeat], w.traces[m])
-			trace = w.traces[m]
-		case evalMeanVec:
-			s[m] = mp.mean.PredictMeanVec(x)
-			continue
-		case evalVec:
-			w.traces[m] = mp.vec.PredictVecInto(x, w.traces[m])
-			trace = w.traces[m]
-		case evalInto:
-			w.traces[m] = mp.into.PredictInto(*cfg, w.traces[m])
-			trace = w.traces[m]
+			w.traces[m] = mp.lev.PredictVecLevelsInto(w.x[:mp.nfeat], w.lvl[m], w.traces[m])
+			s[m] = mp.score(w.traces[m])
 		default:
-			trace = mp.model.Predict(*cfg)
+			s[m] = mp.score(mp.model.Predict(*cfg))
 		}
-		s[m] = mp.score(trace)
 	}
 }
 
@@ -347,11 +304,11 @@ func (w *worker) setDigits(t *levelTables, idx *[space.NumParams]int, from int) 
 // must copy out what it retains.
 //
 // Each worker holds its own scratch (see worker), so the steady-state
-// sweep performs zero heap allocations per design. A mean objective on a
-// core.MeanVecPredictor is scored in coefficient space and never produces
-// a trace; a core.LevelPredictor is handed level indices resolved once
-// per design for its whole declaration group — or, on a window, read
-// from per-level tables.
+// sweep performs zero heap allocations per design. A core.LevelPredictor
+// is handed level indices resolved once per design for its whole
+// declaration group — or, on a window, read from per-level tables — and
+// scores a mean objective in coefficient space, never producing a trace.
+// Any other model is scored through Predict on the design's Config.
 func evalChunks(ctx context.Context, src source, models []core.DynamicsModel, objectives []Objective, opts Options, emit func(c *chunk)) error {
 	n := src.len()
 	workers := opts.workers()

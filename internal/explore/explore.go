@@ -46,14 +46,15 @@ type Objective struct {
 	Score func(trace []float64) float64
 
 	// mean marks MeanObjective, whose score is linear in the model's
-	// coefficients: sweeps score it through core.MeanVecPredictor without
-	// predicting the trace.
+	// coefficients: sweeps score it through core.LevelPredictor's
+	// PredictMeanLevels without predicting the trace.
 	mean bool
 }
 
 // MeanObjective scores by trace mean — aggregate behaviour. Sweeps score
-// it in coefficient space (core.MeanVecPredictor) when the model supports
-// that, which agrees with mathx.Mean of the predicted trace to rounding.
+// it in coefficient space (core.LevelPredictor.PredictMeanLevels) when
+// the model is a LevelPredictor, which agrees with mathx.Mean of the
+// predicted trace to rounding.
 func MeanObjective(name string) Objective {
 	return Objective{Name: name, Score: mathx.Mean, mean: true}
 }
@@ -173,21 +174,22 @@ func SweepContext(ctx context.Context, designs []space.Config, models []core.Dyn
 	return res, nil
 }
 
-// Collector consumes evaluated candidates during a streaming sweep.
-// SweepStream serialises Collect calls, so implementations need no
-// internal locking; index identifies the design so collectors can stay
-// deterministic under out-of-order arrival.
+// Collector consumes evaluated candidates. Only this package's TopK and
+// FrontierCollector implement it: a streaming sweep hands each of them
+// whole chunks concurrently, and each takes a chunk under its own lock,
+// checks every candidate's scores first and decodes a Config (on a
+// window sweep) only for the candidates it keeps. Their snapshot methods
+// may be called while a sweep runs.
 //
-// The candidate's Scores slice is worker scratch, valid only for the
-// duration of the Collect call — implementations must copy the values
-// (not the slice) for anything they retain. TopK and FrontierCollector
-// already do, recycling evicted buffers so steady-state collection stays
-// allocation-free. Those two take a whole chunk at a time under their own
-// lock instead, check each candidate's scores first, and decode its
-// Config only when they keep it; their snapshot methods may be called
-// while a sweep runs.
+// Collect offers one candidate outside a sweep: merging, resuming a
+// snapshot, or re-scoring a materialised Result. index identifies the
+// design, so collectors stay deterministic under out-of-order arrival.
+// The candidate's Scores may be caller scratch: collectors copy the
+// values they retain, recycling evicted buffers so steady-state
+// collection stays allocation-free.
 type Collector interface {
 	Collect(index int, c Candidate)
+	collectChunk(c *chunk)
 }
 
 // SweepStream evaluates every design on a bounded worker pool and streams

@@ -14,9 +14,10 @@ import (
 	"repro/internal/space"
 )
 
-// trainedModels fits one real model of each family on a small synthetic
-// set, so hot-path tests exercise the scratch-reusing IntoPredictor route
-// through genuine wavelet/RBF inference.
+// trainedModels fits two real predictors on a small synthetic set — one
+// on the plain encoding and one on the DVM encoding, so the pair spans
+// two level declarations — and hot-path tests exercise the sweep's
+// scratch-reusing level routes through genuine wavelet/RBF inference.
 func trainedModels(t testing.TB) []core.DynamicsModel {
 	t.Helper()
 	train, traces := syntheticSet(func(x []float64, s int) float64 {
@@ -26,16 +27,15 @@ func trainedModels(t testing.TB) []core.DynamicsModel {
 		}
 		return v
 	})
-	opts := core.Options{NumCoefficients: 8}
-	p, err := core.Train(train, traces, opts)
+	p, err := core.Train(train, traces, core.Options{NumCoefficients: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := core.TrainGlobalANN(train, traces, opts)
+	dvm, err := core.Train(train, traces, core.Options{NumCoefficients: 8, UseDVMFeatures: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []core.DynamicsModel{p, g}
+	return []core.DynamicsModel{p, dvm}
 }
 
 // syntheticSet draws trainedModels' 100 training designs and gives each a
@@ -55,8 +55,8 @@ func syntheticSet(trace func(x []float64, s int) float64) ([]space.Config, [][]f
 	return train, traces
 }
 
-// predictOnly hides a model's PredictInto so sweeps fall back to the
-// allocating Predict route.
+// predictOnly hides a model's core.LevelPredictor methods so sweeps fall
+// back to the allocating Predict route.
 type predictOnly struct{ m core.DynamicsModel }
 
 func (p predictOnly) Predict(cfg space.Config) []float64 { return p.m.Predict(cfg) }
@@ -64,9 +64,9 @@ func (p predictOnly) Predict(cfg space.Config) []float64 { return p.m.Predict(cf
 // TestSweepScratchPathMatchesReference is the old-vs-new property test:
 // the scratch-reusing engine must score every design like the reference
 // sequential loop over DynamicsModel.Predict. Trace objectives (worst
-// case) match it exactly. A mean objective on a model with coefficient-
-// space scoring matches PredictMeanVec exactly and the trace mean to
-// rounding; with the fast interfaces hidden, it is the trace mean again.
+// case) match it exactly. A mean objective on a predictor matches
+// PredictMean exactly and the trace mean to rounding; with the level
+// route hidden, it is the trace mean again.
 func TestSweepScratchPathMatchesReference(t *testing.T) {
 	models := trainedModels(t)
 	fallback := make([]core.DynamicsModel, len(models))
@@ -85,16 +85,16 @@ func TestSweepScratchPathMatchesReference(t *testing.T) {
 			want[i][m] = objectives[m].Score(model.Predict(cfg))
 		}
 	}
-	meanModel, ok := models[0].(core.MeanVecPredictor)
+	meanModel, ok := models[0].(*core.Predictor)
 	if !ok {
-		t.Fatalf("model 0 is %T, want a core.MeanVecPredictor", models[0])
+		t.Fatalf("model 0 is %T, want a *core.Predictor", models[0])
 	}
 
 	for _, tc := range []struct {
 		name   string
 		models []core.DynamicsModel
 	}{
-		{"into", models}, {"predict-only", fallback},
+		{"levels", models}, {"predict-only", fallback},
 	} {
 		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 			res, err := SweepContext(context.Background(), designs, tc.models, objectives, Options{Workers: workers})
@@ -104,8 +104,8 @@ func TestSweepScratchPathMatchesReference(t *testing.T) {
 			for i, cfg := range designs {
 				for m := range tc.models {
 					got, exact := res.Evaluated[i].Scores[m], want[i][m]
-					if m == 0 && tc.name == "into" {
-						exact = meanModel.PredictMeanVec(cfg.VectorDVM()[:meanModel.NumFeatures()])
+					if m == 0 && tc.name == "levels" {
+						exact = meanModel.PredictMean(cfg)
 						if math.Abs(got-want[i][m]) > 1e-15*math.Abs(want[i][m]) {
 							t.Fatalf("%s/workers=%d: design %d mean %v, trace mean %v", tc.name, workers, i, got, want[i][m])
 						}
@@ -217,12 +217,12 @@ func TestWindowSweepSteadyStateAllocs(t *testing.T) {
 }
 
 // TestWindowWorstCaseSweepSteadyStateAllocs is the zero-alloc contract
-// on the window source's trace route: worst-case objectives make every
-// model predict a whole trace (PredictVecLevelsInto on the predictor,
-// PredictVecInto on the GlobalANN) into worker scratch.
+// on the window source's trace route: worst-case objectives make both
+// predictors write a whole trace (PredictVecLevelsInto) into worker
+// scratch.
 func TestWindowWorstCaseSweepSteadyStateAllocs(t *testing.T) {
 	models := trainedModels(t)
-	objectives := []Objective{WorstCaseObjective("cpi_peak"), WorstCaseObjective("global_peak")}
+	objectives := []Objective{WorstCaseObjective("cpi_peak"), WorstCaseObjective("dvm_peak")}
 	const n = 8192
 	w := space.Window{Levels: space.TrainLevels(), Base: space.Baseline(), Offset: 777, Count: n}
 	ctx := context.Background()

@@ -61,7 +61,7 @@ func (t *TopK) Collect(index int, c Candidate) {
 }
 
 // collectChunk offers a sweep chunk's candidates, decoding the Config of
-// only those the heap takes. It implements chunkCollector.
+// only those the heap takes. It implements Collector.
 func (t *TopK) collectChunk(c *chunk) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -259,7 +259,7 @@ func (f *FrontierCollector) Collect(_ int, c Candidate) {
 }
 
 // collectChunk offers a sweep chunk's candidates, decoding the Config of
-// only those that join the frontier. It implements chunkCollector.
+// only those that join the frontier. It implements Collector.
 func (f *FrontierCollector) collectChunk(c *chunk) {
 	f.mu.Lock()
 	defer f.mu.Unlock()

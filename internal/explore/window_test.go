@@ -1,7 +1,9 @@
 package explore
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"reflect"
@@ -15,29 +17,20 @@ import (
 	"repro/internal/wavelet"
 )
 
-// tieModel is a VecPredictor whose trace ignores the last two swept
-// parameters, so designs that differ only there score exactly alike and
-// a frontier over two tieModels holds many exactly equal score vectors.
+// tieModel is a Predict-only model whose trace ignores the last two
+// swept parameters, so designs that differ only there score exactly
+// alike and a frontier over two tieModels holds many exactly equal score
+// vectors.
 type tieModel struct{ w [space.NumParams]float64 }
 
-func (m tieModel) Predict(cfg space.Config) []float64 { return m.PredictInto(cfg, nil) }
-
-func (m tieModel) PredictInto(cfg space.Config, dst []float64) []float64 {
-	return m.PredictVecInto(cfg.Vector(), dst)
-}
-
-func (m tieModel) NumFeatures() int { return space.NumParams }
-
-func (m tieModel) PredictVecInto(x []float64, dst []float64) []float64 {
+func (m tieModel) Predict(cfg space.Config) []float64 {
+	x := cfg.Vector()
 	v := 0.0
 	for j := 0; j < space.NumParams-2; j++ {
 		v += m.w[j] * x[j]
 	}
-	dst = append(dst[:0], v, v+1, v)
-	return dst
+	return []float64{v, v + 1, v}
 }
-
-var _ core.VecPredictor = tieModel{}
 
 // indexCase is one models/objectives pairing of the exactness matrix.
 type indexCase struct {
@@ -49,11 +42,13 @@ type indexCase struct {
 }
 
 // indexCases builds the exactness matrix's model pairings: the paper's
-// Haar predictor beside a GlobalANN, all three objective kinds, DVM-feature
+// Haar predictor beside a DVM-feature one, a GlobalANN (scored through
+// Predict) beside a predictor, all three objective kinds, DVM-feature
 // models (a second level declaration), daub4 (several networks with a
 // nonzero basis mean), a predictor with its own declaration (train levels
-// only, so test levels resolve off-level), a model that only offers
-// Predict, and a tie-heavy pair.
+// only, so test levels resolve off-level), a predictor whose networks
+// disagree on their declaration (nil DimLevels, so it is handed empty
+// level indices), a model that only offers Predict, and a tie-heavy pair.
 func indexCases(t *testing.T) []indexCase {
 	t.Helper()
 	base := trainedModels(t)
@@ -86,11 +81,26 @@ func indexCases(t *testing.T) []indexCase {
 	}
 	dvm := fit(core.Options{UseDVMFeatures: true})
 	plain := fit(core.Options{})
+	global, err := core.TrainGlobalANN(train, traces, core.Options{NumCoefficients: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixed := mismatchedLevels(t, plain.(*core.Predictor))
 	return []indexCase{
 		{
-			name:       "haar+globalANN",
+			name:       "haar+dvm",
 			models:     base,
 			objectives: []Objective{MeanObjective("cpi"), WorstCaseObjective("cpi_peak")},
+		},
+		{
+			name:       "globalANN",
+			models:     []core.DynamicsModel{global, plain, global},
+			objectives: []Objective{MeanObjective("global"), MeanObjective("plain"), WorstCaseObjective("global_peak")},
+		},
+		{
+			name:       "nil-levels",
+			models:     []core.DynamicsModel{mixed, plain, mixed},
+			objectives: []Objective{MeanObjective("mixed"), MeanObjective("plain"), WorstCaseObjective("mixed_peak")},
 		},
 		{
 			name:       "objectives",
@@ -128,14 +138,49 @@ func indexCases(t *testing.T) []indexCase {
 }
 
 // definitionalScore scores one design the way a single model call does,
-// without the sweep engine: a mean objective on a MeanVecPredictor in
-// coefficient space on the model's own encoding, anything else through
-// Predict.
+// without the sweep engine: a mean objective on a predictor through
+// PredictMean (coefficient space on the model's own encoding), anything
+// else through Predict.
 func definitionalScore(m core.DynamicsModel, obj Objective, cfg space.Config) float64 {
-	if mp, ok := m.(core.MeanVecPredictor); ok && obj.mean {
-		return mp.PredictMeanVec(cfg.VectorDVM()[:mp.NumFeatures()])
+	if p, ok := m.(*core.Predictor); ok && obj.mean {
+		return p.PredictMean(cfg)
 	}
 	return obj.Score(m.Predict(cfg))
+}
+
+// mismatchedLevels round-trips p through Save and Load with its second
+// network's level declaration trimmed (each dimension loses its first
+// level), so its networks disagree and the loaded predictor's DimLevels
+// is nil. A dropped level only moves that value to the network's
+// on-the-fly path, so it forecasts bit-identically to p.
+func mismatchedLevels(t *testing.T, p *core.Predictor) core.DynamicsModel {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := p.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var file map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &file); err != nil {
+		t.Fatal(err)
+	}
+	levels := file["nets"].([]any)[1].(map[string]any)["dim_levels"].([]any)
+	for j, l := range levels {
+		if vs := l.([]any); len(vs) > 1 {
+			levels[j] = vs[1:]
+		}
+	}
+	edited, err := json.Marshal(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := core.Load(bytes.NewReader(edited))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.DimLevels() != nil {
+		t.Fatal("a predictor whose networks disagree on their levels has a DimLevels")
+	}
+	return q
 }
 
 // frontierSet renders a frontier as a sorted list of (scores, config)
