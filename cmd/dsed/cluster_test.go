@@ -186,16 +186,12 @@ func TestClusterParetoSurvivesWorkerDeath(t *testing.T) {
 	}
 	requireSameCandidates(t, "frontier after peer death", dist.Frontier, single.Frontier)
 
-	// The owner's member table attributes the failures to the dead peer.
-	members := owner.coord.Members()
-	if len(members) != 2 {
-		t.Fatalf("owner lists %d members, want 2", len(members))
+	// The owner's per-worker series attribute the failures to the dead
+	// peer.
+	if n := len(owner.fleet()); n != 2 {
+		t.Fatalf("owner lists %d members, want 2", n)
 	}
-	failures := 0
-	for _, m := range members {
-		failures += m.Failures
-	}
-	if failures == 0 {
+	if _, failures := faultCounts(owner); failures == 0 {
 		t.Error("no failures attributed despite the killed peer")
 	}
 }
@@ -313,7 +309,7 @@ func TestElasticFleetSweep(t *testing.T) {
 			return next
 		},
 	})
-	if n := len(peers[0].coord.Workers()); n != 2 {
+	if n := len(peers[0].fleet()); n != 2 {
 		t.Fatalf("the sweep starts on %d members, want 2", n)
 	}
 
@@ -402,19 +398,15 @@ func TestClusterUnknownBenchmark(t *testing.T) {
 	if status := runJob(t, fleetTS, "/v1/pareto", body, nil); status != http.StatusNotFound {
 		t.Errorf("unknown benchmark fleet status %d, want 404 (the worker's own verdict)", status)
 	}
-	rejections, failures := 0, 0
-	for _, m := range owner.coord.Members() {
-		rejections += m.Rejections
-		failures += m.Failures
-	}
-	if rejections == 0 || failures != 0 {
+	if rejections, failures := faultCounts(owner); rejections == 0 || failures != 0 {
 		t.Errorf("unknown benchmark booked %d rejections and %d failures, want >0 and 0", rejections, failures)
 	}
 }
 
 // TestUnversionedRoutesGone: every route outside /v1 — the deleted
-// deprecation shims and the registration plane — answers the structured
-// 404, on a single daemon and on a peer alike.
+// deprecation shims and the registration plane — and the deleted JSON
+// /v1/metrics (served by /v1/metricsz) answer the structured 404, on a
+// single daemon and on a peer alike.
 func TestUnversionedRoutesGone(t *testing.T) {
 	single := httptest.NewServer(testServer(t).Handler())
 	t.Cleanup(single.Close)
@@ -422,7 +414,7 @@ func TestUnversionedRoutesGone(t *testing.T) {
 	paths := []string{
 		"/healthz", "/benchmarks", "/metrics", "/predict", "/warm", "/sweep", "/pareto",
 		"/register", "/heartbeat", "/cluster/sweep", "/cluster/pareto",
-		"/v1/register", "/v1/heartbeat",
+		"/v1/register", "/v1/heartbeat", "/v1/metrics",
 	}
 	for _, ts := range []*httptest.Server{single, peerTS} {
 		for _, path := range paths {

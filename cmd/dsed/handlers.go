@@ -88,17 +88,6 @@ func (s *Server) handleBenchmarks(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if !requireGet(w, r) {
-		return
-	}
-	writeJSON(w, r, http.StatusOK, map[string]any{
-		"uptime_seconds": time.Since(s.started).Seconds(),
-		"trainings":      s.store.Trainings(),
-		"endpoints":      s.stats.snapshot(),
-	})
-}
-
 func metricStrings(ms []sim.Metric) []string {
 	out := make([]string, len(ms))
 	for i, m := range ms {

@@ -17,8 +17,8 @@
 //	GET  /v1/healthz     liveness plus the model inventory (and, on a
 //	                     peer, the gossip view: alive_peers, peers)
 //	GET  /v1/benchmarks  trained and trainable-on-demand benchmarks
-//	GET  /v1/metrics     per-endpoint request/latency/status counters
-//	GET  /v1/metricsz    every series in Prometheus text format
+//	GET  /v1/metricsz    every series in Prometheus text format (per-endpoint
+//	                     request/latency/status counters among them)
 //	POST /v1/predict     predicted dynamics: one (metric, config), or a
 //	                     batch of configs × metrics in one request
 //	POST /v1/warm        pre-train (or warm-start) a benchmark list
@@ -222,16 +222,13 @@ func main() {
 	// alive), with running jobs replicated so a peer adopts them if this
 	// node dies.
 	if peers := splitList(*peerList); len(peers) > 0 {
-		ps, err := newPeerServer(srv, node, peers, peerOptions{
+		ps := newPeerServer(srv, node, peers, peerOptions{
 			shardSize:     *shardSize,
 			targetShardMS: *targetMS,
 			heartbeat:     *heartbeat,
 			hedgeFactor:   *hedgeF,
 			replicate:     *replicate,
 		}, logger)
-		if err != nil {
-			logger.Fatal(err)
-		}
 		go ps.loop(ctx)
 		logger.Printf("peer mode: gossiping with %s every %v (replication factor %d)",
 			strings.Join(peers, ", "), *heartbeat, *replicate)

@@ -3,7 +3,6 @@ package main
 import (
 	"log"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -13,12 +12,10 @@ import (
 	"repro/internal/obs"
 )
 
-// httpStats accumulates per-endpoint request counters, backed entirely
-// by the obs registry: the same atomics feed the JSON /v1/metrics
-// snapshot and the Prometheus /v1/metricsz exposition, so the two can
-// never disagree. Endpoints are the daemon's known routes; anything
-// else is folded into "other" so a path-scanning client cannot grow the
-// series set without bound.
+// httpStats accumulates per-endpoint request counters in the obs
+// registry, which /v1/metricsz exposes. Endpoints are the daemon's
+// known routes; anything else is folded into "other" so a
+// path-scanning client cannot grow the series set without bound.
 type httpStats struct {
 	reg       *obs.Registry
 	mu        sync.Mutex
@@ -63,40 +60,6 @@ func (h *httpStats) record(endpoint string, status int, elapsed time.Duration) {
 	c.Inc()
 	es.latency.Observe(ms)
 	es.maxMS.SetMax(ms)
-}
-
-// endpointMetrics is the wire form of one endpoint's counters.
-type endpointMetrics struct {
-	Endpoint string           `json:"endpoint"`
-	Requests int64            `json:"requests"`
-	ByStatus map[string]int64 `json:"by_status"`
-	MeanMS   float64          `json:"mean_ms"`
-	MaxMS    float64          `json:"max_ms"`
-	TotalMS  float64          `json:"total_ms"`
-}
-
-func (h *httpStats) snapshot() []endpointMetrics {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make([]endpointMetrics, 0, len(h.endpoints))
-	for ep, es := range h.endpoints {
-		m := endpointMetrics{
-			Endpoint: ep,
-			Requests: es.latency.Count(),
-			ByStatus: make(map[string]int64, len(es.byStatus)),
-			MaxMS:    es.maxMS.Value(),
-			TotalMS:  es.latency.Sum(),
-		}
-		if m.Requests > 0 {
-			m.MeanMS = m.TotalMS / float64(m.Requests)
-		}
-		for status, c := range es.byStatus {
-			m.ByStatus[strconv.Itoa(status)] = c.Value()
-		}
-		out = append(out, m)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Endpoint < out[b].Endpoint })
-	return out
 }
 
 // statusWriter captures the response status and size for logging and

@@ -80,30 +80,21 @@ type peerServer struct {
 
 	clientsMu sync.Mutex
 	clients   map[string]*dsedclient.Client
-	// syncMu serialises syncGossipMembership.
-	syncMu sync.Mutex
+	// transports caches each remote peer's shard transport, so its
+	// connection pool outlives any one placement.
+	transports map[string]cluster.Transport
 }
 
-// newPeerServer wires a daemon into a symmetric peer: a coordinator over
-// an initially empty fleet (membership arrives from gossip) and a gossip
-// table aged at the -heartbeat interval.
-func newPeerServer(srv *Server, self string, peers []string, opts peerOptions, logger *log.Logger) (*peerServer, error) {
+// newPeerServer wires a daemon into a symmetric peer: a gossip table
+// aged at the -heartbeat interval, and a coordinator whose fleet is that
+// table's alive entries.
+func newPeerServer(srv *Server, self string, peers []string, opts peerOptions, logger *log.Logger) *peerServer {
 	interval := opts.heartbeat
 	if interval <= 0 {
 		interval = 5 * time.Second
 	}
 	if opts.replicate <= 0 {
 		opts.replicate = 1
-	}
-	coord, err := cluster.New(nil, cluster.Options{
-		ShardSize:       opts.shardSize,
-		TargetShardTime: time.Duration(opts.targetShardMS) * time.Millisecond,
-		HedgeFactor:     opts.hedgeFactor,
-		Obs:             srv.tel.reg,
-		Tracer:          srv.tel.tracer,
-	})
-	if err != nil {
-		return nil, err
 	}
 	table := gossip.New(gossip.Options{
 		Self: self,
@@ -114,11 +105,10 @@ func newPeerServer(srv *Server, self string, peers []string, opts peerOptions, l
 		DeadAfter:    3 * interval,
 		Obs:          srv.tel.reg,
 	})
-	return &peerServer{
+	ps := &peerServer{
 		srv:       srv,
 		self:      self,
 		seeds:     peers,
-		coord:     coord,
 		table:     table,
 		local:     newSelfWorker(srv, "http://"+self),
 		repFactor: opts.replicate,
@@ -130,9 +120,18 @@ func newPeerServer(srv *Server, self string, peers []string, opts peerOptions, l
 		adopted: srv.tel.reg.Counter("dsed_jobs_adopted_total",
 			"Orphaned jobs adopted from dead owners, by reason.",
 			obs.Label{Key: "reason", Value: "owner-dead"}),
-		logger:  logger,
-		clients: make(map[string]*dsedclient.Client),
-	}, nil
+		logger:     logger,
+		clients:    make(map[string]*dsedclient.Client),
+		transports: make(map[string]cluster.Transport),
+	}
+	ps.coord = cluster.NewFleet(ps.fleet, cluster.Options{
+		ShardSize:       opts.shardSize,
+		TargetShardTime: time.Duration(opts.targetShardMS) * time.Millisecond,
+		HedgeFactor:     opts.hedgeFactor,
+		Obs:             srv.tel.reg,
+		Tracer:          srv.tel.tracer,
+	})
+	return ps
 }
 
 func (ps *peerServer) tel() *telemetry { return ps.srv.tel }
@@ -157,6 +156,34 @@ func (ps *peerServer) client(addr string) *dsedclient.Client {
 		dsedclient.WithHTTPClient(&http.Client{Timeout: 5 * time.Second}))
 	ps.clients[addr] = c
 	return c
+}
+
+// fleet is the coordinator's fleet source: the gossip table's alive
+// entries, self included, with their gossiped inventory, read at every
+// placement. Self runs its shards in process; every other peer is an
+// HTTP transport. Both are named "http://"+addr.
+func (ps *peerServer) fleet() []cluster.Member {
+	alive := ps.table.Alive()
+	out := make([]cluster.Member, len(alive))
+	for i, e := range alive {
+		out[i] = cluster.Member{Transport: ps.transport(e.Addr), Capacity: e.Capacity, Benchmarks: e.Benchmarks}
+	}
+	return out
+}
+
+// transport returns the shard transport for a peer address.
+func (ps *peerServer) transport(addr string) cluster.Transport {
+	if addr == ps.self {
+		return ps.local
+	}
+	ps.clientsMu.Lock()
+	defer ps.clientsMu.Unlock()
+	t, ok := ps.transports[addr]
+	if !ok {
+		t = cluster.NewHTTP(addr, nil)
+		ps.transports[addr] = t
+	}
+	return t
 }
 
 // Handler routes the peer's surface: the single daemon's route table
@@ -219,10 +246,8 @@ func (ps *peerServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleGossip answers one push-pull anti-entropy exchange: merge the
-// sender's digest, count the contact as liveness evidence for them,
-// project the merged view onto the scheduling fleet, and send our digest
-// back. Projecting before answering keeps the fleet in step with what
-// /v1/healthz reports, instead of a -heartbeat behind it.
+// sender's digest, count the contact as liveness evidence for them, and
+// send our digest back. The next placement already sees the merged view.
 func (ps *peerServer) handleGossip(w http.ResponseWriter, r *http.Request) {
 	var req wire.GossipRequest
 	if !decodePost(w, r, &req) {
@@ -234,7 +259,6 @@ func (ps *peerServer) handleGossip(w http.ResponseWriter, r *http.Request) {
 	}
 	ps.table.Merge(req.Entries)
 	ps.table.Witness(req.From)
-	ps.syncGossipMembership()
 	writeJSON(w, r, http.StatusOK, wire.GossipResponse{From: ps.self, Entries: ps.table.Digest()})
 }
 
@@ -488,7 +512,7 @@ func (ps *peerServer) runFleet(spec wire.JobSpec, early []space.Config, resume *
 			Feasible:   res.Feasible,
 			Shards:     res.Shards,
 			Retries:    res.Retries,
-			Workers:    len(ps.coord.Workers()),
+			Workers:    len(ps.table.Alive()),
 			Objectives: names,
 			Candidates: wire.ToCandidates(res.Candidates),
 			ElapsedMS:  float64(time.Since(start).Microseconds()) / 1000,
@@ -722,8 +746,8 @@ func replicaRank(jobID, addr string) uint32 {
 	return h.Sum32()
 }
 
-// loop drives the peer's periodic round: advertise, gossip, age,
-// project membership, adopt orphans. One immediate round lets a small
+// loop drives the peer's periodic round: advertise, gossip, age, adopt
+// orphans. One immediate round lets a small
 // fleet converge before the first interval elapses.
 func (ps *peerServer) loop(ctx context.Context) {
 	ps.round(ctx)
@@ -749,7 +773,6 @@ func (ps *peerServer) round(ctx context.Context) {
 		ps.exchange(ctx, target)
 	}
 	ps.table.Sweep()
-	ps.syncGossipMembership()
 	ps.adoptOrphans(ctx)
 	ps.replicas.expire(replicaTTL)
 }
@@ -796,54 +819,6 @@ func (ps *peerServer) exchange(ctx context.Context, target string) {
 	ps.table.Merge(resp.Entries)
 	ps.table.Witness(target)
 	ps.table.NoteRound(true)
-}
-
-// syncGossipMembership projects the gossip view onto the coordinator's
-// member table — the one sanctioned seam between the two planes (the
-// memberseam lint rule flags Join/Heartbeat/Leave anywhere else in peer
-// code), and the only liveness authority the table has. Alive peers,
-// self included, become schedulable members with their gossiped
-// inventory; anything suspect or dead leaves the scheduling fleet
-// immediately, even though adoption waits for the stronger dead verdict.
-// Self joins as the in-process ps.local, remote peers as HTTP
-// transports; both are named "http://"+addr.
-func (ps *peerServer) syncGossipMembership() {
-	// The round loop and incoming exchanges both project, and each takes
-	// its snapshot under this lock, so projections apply in snapshot
-	// order. Unordered, one working from an older snapshot (peer alive)
-	// could Join after a newer one's Leave (peer suspect) and put a
-	// suspect peer back in the fleet.
-	ps.syncMu.Lock()
-	defer ps.syncMu.Unlock()
-	known := make(map[string]bool)
-	for _, m := range ps.coord.Members() {
-		known[m.Name] = true
-	}
-	for _, e := range ps.table.Snapshot() {
-		name := "http://" + e.Addr
-		info := cluster.MemberInfo{Capacity: e.Capacity, Benchmarks: e.Benchmarks}
-		if e.State == wire.GossipAlive {
-			if known[name] {
-				if err := ps.coord.Heartbeat(name, info); err != nil {
-					ps.logf("membership: heartbeat %s: %v", name, err)
-				}
-				continue
-			}
-			var t cluster.Transport = ps.local
-			if e.Addr != ps.self {
-				t = cluster.NewHTTP(e.Addr, nil)
-			}
-			if _, err := ps.coord.Join(t, info); err != nil {
-				ps.logf("membership: join %s: %v", name, err)
-				continue
-			}
-			ps.logf("membership: peer %s joined the scheduling fleet", e.Addr)
-			continue
-		}
-		if known[name] && ps.coord.Leave(name) {
-			ps.logf("membership: peer %s left the scheduling fleet (%s)", e.Addr, e.State)
-		}
-	}
 }
 
 // newSelfWorker builds a peer's transport to itself: a cluster.Local

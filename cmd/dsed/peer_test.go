@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -27,11 +28,7 @@ import (
 func testPeer(t *testing.T, self string) *peerServer {
 	t.Helper()
 	srv := NewServer(context.Background(), testServer(t).store, 0, nil, nil)
-	ps, err := newPeerServer(srv, self, nil, peerOptions{heartbeat: time.Second, replicate: 1}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ps
+	return newPeerServer(srv, self, nil, peerOptions{heartbeat: time.Second, replicate: 1}, nil)
 }
 
 // markDead plants a dead verdict for addr in the peer's gossip table.
@@ -156,7 +153,7 @@ func TestAdoptOrphansGuards(t *testing.T) {
 	// A live replica whose dead-listed owner still answers is deferred.
 	ps.replicas.put(paretoReplica("job-running", ownerAddr, []string{ps.self}))
 
-	ps.adoptOrphans(t.Context())
+	ps.adoptOrphans(testContext(t))
 
 	for _, id := range []string{"job-finished", "job-running"} {
 		if _, err := ps.srv.jobs.Get(id); err == nil {
@@ -169,7 +166,7 @@ func TestAdoptOrphansGuards(t *testing.T) {
 
 	// Once the owner stops answering, the same entry is adopted.
 	owner.Close()
-	ps.adoptOrphans(t.Context())
+	ps.adoptOrphans(testContext(t))
 	if _, err := ps.srv.jobs.Get("job-running"); err != nil {
 		t.Fatalf("job-running not adopted after its owner stopped answering: %v", err)
 	}
@@ -179,15 +176,22 @@ func TestAdoptOrphansGuards(t *testing.T) {
 }
 
 // replicaRecorder stands in for a replica peer and counts the Done
-// notices it receives per job.
+// notices it receives per job. Every other request goes to next (404
+// when nil): an alive replica is also in the scheduling fleet, so a
+// shard placed on it runs on the peer it forwards to.
 type replicaRecorder struct {
 	mu   sync.Mutex
 	done map[string]int
+	next http.Handler
 }
 
 func (rr *replicaRecorder) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Path != "/v1/jobs/replicate" {
-		http.NotFound(w, r)
+		if rr.next == nil {
+			http.NotFound(w, r)
+			return
+		}
+		rr.next.ServeHTTP(w, r)
 		return
 	}
 	var req wire.ReplicateRequest
@@ -223,15 +227,20 @@ func (rr *replicaRecorder) awaitDone(t *testing.T, id string) {
 	}
 }
 
-// selfInflight reports the shards a peer's coordinator has in flight on
-// the peer itself.
-func selfInflight(ps *peerServer) int {
-	for _, m := range ps.coord.Members() {
-		if m.Name == "http://"+ps.self {
-			return m.Inflight
-		}
+// placements reads a peer's placement counter.
+func placements(ps *peerServer) int64 {
+	return ps.tel().reg.Counter("dsed_cluster_placements_total", "").Value()
+}
+
+// faultCounts sums a peer's per-worker rejection and failure series over
+// its fleet.
+func faultCounts(ps *peerServer) (rejections, failures int64) {
+	for _, m := range ps.fleet() {
+		l := obs.Label{Key: "worker", Value: m.Name()}
+		rejections += ps.tel().reg.Counter("dsed_cluster_worker_rejections_total", "", l).Value()
+		failures += ps.tel().reg.Counter("dsed_cluster_worker_failures_total", "", l).Value()
 	}
-	return 0
+	return rejections, failures
 }
 
 // A replica that stops answering is logged once per job, not once per
@@ -244,10 +253,7 @@ func TestReplicatorLogsDeadReplicaOnce(t *testing.T) {
 
 	var logBuf bytes.Buffer
 	srv := NewServer(context.Background(), testServer(t).store, 0, nil, nil)
-	ps, err := newPeerServer(srv, "127.0.0.1:1", nil, peerOptions{heartbeat: time.Second, replicate: 1}, log.New(&logBuf, "", 0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ps := newPeerServer(srv, "127.0.0.1:1", nil, peerOptions{heartbeat: time.Second, replicate: 1}, log.New(&logBuf, "", 0))
 	ps.table.Merge([]wire.GossipEntry{{Addr: addr, Incarnation: 1, State: wire.GossipAlive}})
 	spec := wire.JobSpec{Kind: wire.JobPareto, SweepRequest: wire.SweepRequest{Benchmark: "gcc"}}
 	r := ps.newReplicator("job-1", spec, 32, obs.SpanContext{}, nil)
@@ -287,24 +293,20 @@ func TestFleetJobRetiresReplicas(t *testing.T) {
 		handler.ServeHTTP(w, r)
 	}))
 	defer peerTS.Close()
-	ps, err := newPeerServer(srv, strings.TrimPrefix(peerTS.URL, "http://"), nil, peerOptions{heartbeat: time.Second, replicate: 1}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ps := newPeerServer(srv, strings.TrimPrefix(peerTS.URL, "http://"), nil, peerOptions{heartbeat: time.Second, replicate: 1}, nil)
 	handler = ps.Handler()
+	rec.next = handler
 
-	// Project only this peer into the scheduling fleet, then list the
-	// recorder as an alive peer: it becomes every job's replica without
-	// ever being placed a shard.
+	// This peer advertises the models, so it takes each job's one shard;
+	// the recorder, listed as an alive peer, becomes every job's replica.
 	ps.table.SetLocalInfo(ps.srv.workers, ps.srv.store.Trained())
-	ps.syncGossipMembership()
 	ps.table.Merge([]wire.GossipEntry{{Addr: recAddr, Incarnation: 1, State: wire.GossipAlive}})
 	if got := ps.pickReplicas("any-job"); len(got) != 1 || got[0] != recAddr {
 		t.Fatalf("replica set = %v, want the recorder %s", got, recAddr)
 	}
 
 	c := testClient(peerTS.URL)
-	ctx := t.Context()
+	ctx := testContext(t)
 	req := wire.ParetoRequest{
 		Benchmark:  "gcc",
 		Objectives: []wire.ObjectiveSpec{{Metric: "CPI"}, {Metric: "Power"}},
@@ -322,13 +324,14 @@ func TestFleetJobRetiresReplicas(t *testing.T) {
 		rec.awaitDone(t, st.ID)
 	}
 
+	placed := placements(ps)
 	st, err := c.SubmitPareto(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Mid-flight: the fleet job has a shard in flight on the peer itself.
+	// Mid-flight: the fleet job has placed its shard.
 	deadline := time.Now().Add(10 * time.Second)
-	for selfInflight(ps) == 0 {
+	for placements(ps) == placed {
 		if time.Now().After(deadline) {
 			t.Fatal("the job never dispatched a shard")
 		}
@@ -420,7 +423,6 @@ func TestPeerUnknownBenchmarkIsRejection(t *testing.T) {
 	solo := testPeer(t, strings.TrimPrefix(ts.URL, "http://"))
 	handler = solo.Handler()
 	solo.table.SetLocalInfo(solo.srv.workers, solo.srv.store.Trained())
-	solo.syncGossipMembership()
 	duoEntry, _, duo := twoPeerFleet(t, 64)
 
 	for _, fleet := range []struct {
@@ -440,12 +442,7 @@ func TestPeerUnknownBenchmarkIsRejection(t *testing.T) {
 		if !errors.As(err, &ae) || ae.Status != http.StatusNotFound {
 			t.Fatalf("%s: unknown benchmark answered %v, want a 404", fleet.name, err)
 		}
-		rejections, failures := 0, 0
-		for _, h := range fleet.owner.coord.Members() {
-			rejections += h.Rejections
-			failures += h.Failures
-		}
-		if rejections != 1 || failures != 0 {
+		if rejections, failures := faultCounts(fleet.owner); rejections != 1 || failures != 0 {
 			t.Fatalf("%s: %d rejections and %d failures, want 1 and 0", fleet.name, rejections, failures)
 		}
 	}
@@ -462,13 +459,9 @@ func TestPeerFleetWarmTrainsOnOwner(t *testing.T) {
 		handler.ServeHTTP(w, r)
 	}))
 	t.Cleanup(ts.Close)
-	ps, err := newPeerServer(srv, strings.TrimPrefix(ts.URL, "http://"), nil, peerOptions{heartbeat: time.Second, replicate: 1}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ps := newPeerServer(srv, strings.TrimPrefix(ts.URL, "http://"), nil, peerOptions{heartbeat: time.Second, replicate: 1}, nil)
 	handler = ps.Handler()
 	ps.table.SetLocalInfo(srv.workers, nil)
-	ps.syncGossipMembership()
 
 	var resp wire.WarmResponse
 	if status := postJSON(t, ts, "/v1/warm", wire.WarmRequest{Benchmarks: []string{"twolf"}}, &resp); status != http.StatusOK {
@@ -502,11 +495,10 @@ func TestPeerGossipRejectsMalformedResponse(t *testing.T) {
 	failed := ps.srv.tel.reg.Counter("dsed_gossip_rounds_total", "", obs.Label{Key: "result", Value: "error"})
 	before := failed.Value()
 	ps.exchange(context.Background(), strings.TrimPrefix(target.URL, "http://"))
-	ps.syncGossipMembership()
 
-	for _, m := range ps.coord.Members() {
-		if m.Name != "http://"+ps.self {
-			t.Errorf("member %s joined from a malformed gossip response", m.Name)
+	for _, m := range ps.fleet() {
+		if m.Name() != "http://"+ps.self {
+			t.Errorf("member %s joined from a malformed gossip response", m.Name())
 		}
 	}
 	for _, addr := range []string{"evil", "127.0.0.1:7"} {
@@ -540,8 +532,7 @@ func TestReplicateRejectsInvalidSpec(t *testing.T) {
 // A peer's scheduling fleet follows an incoming gossip exchange before
 // the handler answers, not at the next round: a client that sees the
 // peer in /v1/healthz can schedule onto it at once. Then exchanges
-// arrive concurrently with each other and with the round's own
-// projection.
+// arrive concurrently with each other and with fleet reads.
 func TestGossipExchangeUpdatesSchedulingFleet(t *testing.T) {
 	ps := testPeer(t, "127.0.0.1:1")
 	ts := httptest.NewServer(ps.Handler())
@@ -558,12 +549,12 @@ func TestGossipExchangeUpdatesSchedulingFleet(t *testing.T) {
 			t.Errorf("gossip from %s answered %d", joiner, resp.StatusCode)
 			return
 		}
-		for _, m := range ps.coord.Members() {
-			if m.Name == "http://"+joiner {
+		for _, m := range ps.fleet() {
+			if m.Name() == "http://"+joiner {
 				return
 			}
 		}
-		t.Errorf("members after %s's exchange: %v; want it among them", joiner, ps.coord.Members())
+		t.Errorf("members after %s's exchange: %v; want it among them", joiner, ps.fleet())
 	}
 	exchange("127.0.0.1:2")
 
@@ -573,7 +564,7 @@ func TestGossipExchangeUpdatesSchedulingFleet(t *testing.T) {
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			ps.syncGossipMembership()
+			ps.fleet()
 		}()
 		go func() {
 			defer wg.Done()
@@ -581,7 +572,55 @@ func TestGossipExchangeUpdatesSchedulingFleet(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if n := len(ps.coord.Members()); n != len(joiners)+2 {
+	if n := len(ps.fleet()); n != len(joiners)+2 {
 		t.Errorf("scheduling fleet holds %d members, want the peer itself and %d joiners", n, len(joiners)+1)
+	}
+}
+
+// The scheduling fleet is the gossip table itself, so it never lags it:
+// a suspect claim merged straight into the table — no /v1/gossip
+// request, no round — keeps the very next placement off that peer.
+func TestSuspectClaimLeavesFleetAtOnce(t *testing.T) {
+	var shards atomic.Int64
+	suspect := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		shards.Add(1)
+		http.Error(w, "unreachable", http.StatusServiceUnavailable)
+	}))
+	t.Cleanup(suspect.Close)
+	addr := strings.TrimPrefix(suspect.URL, "http://")
+
+	var handler http.Handler
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		handler.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	ps := newPeerServer(NewServer(context.Background(), testServer(t).store, 0, nil, nil),
+		strings.TrimPrefix(ts.URL, "http://"), nil, peerOptions{heartbeat: time.Second, shardSize: 16, replicate: 1}, nil)
+	handler = ps.Handler()
+	trained := ps.srv.store.Trained()
+	ps.table.SetLocalInfo(ps.srv.workers, trained)
+
+	// The peer arrives through an ordinary exchange, advertising the same
+	// models as the owner, so placement would deal it shards.
+	alive := wire.GossipEntry{Addr: addr, Incarnation: 1, Beat: 1, State: wire.GossipAlive, Capacity: 4, Benchmarks: trained}
+	if status := postJSON(t, ts, "/v1/gossip", wire.GossipRequest{From: addr, Entries: []wire.GossipEntry{alive}}, nil); status != http.StatusOK {
+		t.Fatalf("gossip exchange answered %d", status)
+	}
+	if n := len(ps.fleet()); n != 2 {
+		t.Fatalf("fleet after the exchange holds %d members, want 2", n)
+	}
+
+	suspected := alive
+	suspected.State = wire.GossipSuspect
+	ps.table.Merge([]wire.GossipEntry{suspected})
+	var resp wire.ClusterParetoResponse
+	if status := runJob(t, ts, "/v1/pareto", paretoBody(), &resp); status != http.StatusOK {
+		t.Fatalf("fleet pareto status %d", status)
+	}
+	if n := shards.Load(); n != 0 {
+		t.Fatalf("%d shard requests reached the suspect peer, want 0", n)
+	}
+	if resp.Evaluated != 300 {
+		t.Fatalf("evaluated %d designs, want 300", resp.Evaluated)
 	}
 }

@@ -83,7 +83,6 @@ func (s *Server) routes(peer map[string]http.HandlerFunc) http.Handler {
 	table := map[string]http.HandlerFunc{
 		"/v1/healthz":          negotiated(s.handleHealthz),
 		"/v1/benchmarks":       negotiated(s.handleBenchmarks),
-		"/v1/metrics":          negotiated(s.handleMetrics),
 		"/v1/metricsz":         s.tel.handleMetricsz,
 		"/v1/predict":          negotiated(s.handlePredict),
 		"/v1/warm":             negotiated(s.handleWarm),

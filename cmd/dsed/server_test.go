@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -84,6 +85,14 @@ func testServer(t *testing.T) *Server {
 		t.Fatal(testSrvErr)
 	}
 	return testSrv
+}
+
+// testContext is a context cancelled when the test ends: t.Context
+// without needing Go 1.24.
+func testContext(t *testing.T) context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	return ctx
 }
 
 func postJSON(t *testing.T, ts *httptest.Server, path string, body any, out any) int {
@@ -212,31 +221,32 @@ func TestMetricsEndpoint(t *testing.T) {
 	}, nil)
 	postJSON(t, ts, "/v1/predict", map[string]any{"benchmark": "doom", "metric": "CPI"}, nil)
 
-	resp, err := http.Get(ts.URL + "/v1/metrics")
-	if err != nil {
-		t.Fatal(err)
+	metrics, resp := getText(t, ts.URL, "/v1/metricsz")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("metricsz status %d", resp.StatusCode)
 	}
-	defer resp.Body.Close()
-	var body struct {
-		Endpoints []endpointMetrics `json:"endpoints"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		t.Fatal(err)
-	}
-	var predict *endpointMetrics
-	for i := range body.Endpoints {
-		if body.Endpoints[i].Endpoint == "/v1/predict" {
-			predict = &body.Endpoints[i]
+	sample := func(series string) float64 {
+		t.Helper()
+		for _, line := range strings.Split(metrics, "\n") {
+			if v, ok := strings.CutPrefix(line, series+" "); ok {
+				f, err := strconv.ParseFloat(v, 64)
+				if err != nil {
+					t.Fatalf("%s: %v", line, err)
+				}
+				return f
+			}
 		}
+		t.Fatalf("metricsz lacks %s:\n%s", series, metrics)
+		return 0
 	}
-	if predict == nil {
-		t.Fatalf("no /v1/predict series in %+v", body.Endpoints)
+	const ep = `endpoint="/v1/predict"`
+	requests := sample(`dsed_http_request_ms_count{` + ep + `}`)
+	if requests < 2 || sample(`dsed_http_requests_total{`+ep+`,code="200"}`) < 1 || sample(`dsed_http_requests_total{`+ep+`,code="404"}`) < 1 {
+		t.Errorf("/v1/predict counters incomplete:\n%s", metrics)
 	}
-	if predict.Requests < 2 || predict.ByStatus["200"] < 1 || predict.ByStatus["404"] < 1 {
-		t.Errorf("/v1/predict counters incomplete: %+v", predict)
-	}
-	if predict.TotalMS <= 0 || predict.MaxMS < predict.MeanMS {
-		t.Errorf("/v1/predict latency stats inconsistent: %+v", predict)
+	total := sample(`dsed_http_request_ms_sum{` + ep + `}`)
+	if total <= 0 || sample(`dsed_http_request_max_ms{`+ep+`}`) < total/requests {
+		t.Errorf("/v1/predict latency stats inconsistent:\n%s", metrics)
 	}
 }
 

@@ -203,7 +203,7 @@ func checkShapes(t *testing.T, ts *httptest.Server, fleet bool) {
 // TestJobShapesSingleDaemon pins both kinds' JSON on one daemon. Its
 // models straggle, so the job lives long enough to publish partials.
 func TestJobShapesSingleDaemon(t *testing.T) {
-	srv := NewServer(t.Context(), testServer(t).store, 2, nil, nil)
+	srv := NewServer(testContext(t), testServer(t).store, 2, nil, nil)
 	srv.straggle = time.Millisecond
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

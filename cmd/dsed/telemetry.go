@@ -37,8 +37,7 @@ func newTelemetry(node string) *telemetry {
 }
 
 // handleMetricsz serves the Prometheus text exposition of every series
-// in the registry — the machine-scrapable sibling of the JSON
-// /v1/metrics endpoint.
+// in the registry.
 func (t *telemetry) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	if !requireGet(w, r) {
 		return

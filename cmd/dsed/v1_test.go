@@ -304,7 +304,7 @@ func TestV1ErrorModel(t *testing.T) {
 }
 
 // TestInventoryHeartbeat: a peer's trained-model inventory reaches the
-// owner through gossip — into its scheduling member table and the peer
+// owner through gossip — into its scheduling fleet and the peer
 // rows of /v1/healthz — and a digest carrying the queue depths that
 // peers from before the one placement rule advertised is refused.
 func TestInventoryHeartbeat(t *testing.T) {
@@ -312,16 +312,15 @@ func TestInventoryHeartbeat(t *testing.T) {
 	remote := peers[1]
 	remote.table.SetLocalInfo(remote.srv.workers, []string{"gcc", "mcf"})
 	remote.exchange(context.Background(), peers[0].self)
-	peers[0].syncGossipMembership()
 
 	var inventory []string
-	for _, m := range peers[0].coord.Members() {
-		if m.Name == "http://"+remote.self {
+	for _, m := range peers[0].fleet() {
+		if m.Name() == "http://"+remote.self {
 			inventory = m.Benchmarks
 		}
 	}
 	if !reflect.DeepEqual(inventory, []string{"gcc", "mcf"}) {
-		t.Errorf("owner's member table lost the gossiped inventory: %v", inventory)
+		t.Errorf("owner's scheduling fleet lost the gossiped inventory: %v", inventory)
 	}
 	resp, err := http.Get(entry.URL + "/v1/healthz")
 	if err != nil {

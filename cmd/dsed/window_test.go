@@ -192,10 +192,7 @@ func peerFleet(t *testing.T, spec fleetSpec) (entry *httptest.Server, recs []*sh
 			srv.straggle = spec.straggle
 			entry = ts
 		}
-		ps, err := newPeerServer(srv, self, nil, peerOptions{heartbeat: time.Second, shardSize: spec.shardSize, replicate: 1}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ps := newPeerServer(srv, self, nil, peerOptions{heartbeat: time.Second, shardSize: spec.shardSize, replicate: 1}, nil)
 		rec.next = ps.Handler()
 		if spec.wrap != nil {
 			rec.next = spec.wrap(i, rec.next)
@@ -209,8 +206,7 @@ func peerFleet(t *testing.T, spec fleetSpec) (entry *httptest.Server, recs []*sh
 }
 
 // joinFleet converges peers into one gossip view, the first one
-// exchanging digests with every other, and projects that view onto each
-// one's scheduling fleet, as a gossip round does.
+// exchanging digests with every other, as gossip rounds do.
 func joinFleet(t *testing.T, peers ...*peerServer) {
 	t.Helper()
 	for _, ps := range peers[1:] {
@@ -219,9 +215,6 @@ func joinFleet(t *testing.T, peers ...*peerServer) {
 	for _, ps := range peers[1:] {
 		peers[0].exchange(context.Background(), ps.self)
 	}
-	for _, ps := range peers {
-		ps.syncGossipMembership()
-	}
 }
 
 // twoPeerFleet is the common two-peer fleet.
@@ -229,7 +222,7 @@ func twoPeerFleet(t *testing.T, shardSize int) (entry *httptest.Server, recs []*
 	t.Helper()
 	entry, recs, peers = peerFleet(t, fleetSpec{shardSize: shardSize})
 	for _, ps := range peers {
-		if n := len(ps.coord.Workers()); n != 2 {
+		if n := len(ps.fleet()); n != 2 {
 			t.Fatalf("peer %s schedules over %d members, want 2", ps.self, n)
 		}
 	}

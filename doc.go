@@ -76,7 +76,6 @@
 //	go run ./cmd/dsed -addr :8090 -benchmarks gcc,mcf -metrics CPI,Power -model-dir ./models
 //	curl -s localhost:8090/v1/healthz
 //	curl -s localhost:8090/v1/benchmarks
-//	curl -s localhost:8090/v1/metrics
 //	curl -s localhost:8090/v1/predict -d '{"benchmark":"gcc","metric":"CPI","config":{"fetch_width":4}}'
 //	curl -s localhost:8090/v1/predict -d '{"benchmark":"gcc","metrics":["CPI","Power"],"configs":[{"fetch_width":2},{"fetch_width":8}]}'
 //	curl -s localhost:8090/v1/warm -d '{"benchmarks":["twolf","gap"]}'
@@ -102,13 +101,15 @@
 // /benchmarks, /metrics, /cluster/sweep, /cluster/pareto, /register,
 // /heartbeat) and the registration plane (/v1/register, /v1/heartbeat)
 // were removed after their deprecation period: every path outside /v1
-// answers the structured 404. A blocking sweep is a submit followed by
+// answers the structured 404, as does the JSON /v1/metrics, whose
+// counters /v1/metricsz serves. A blocking sweep is a submit followed by
 // the stream's final update (dsedclient's Run).
 //
 // The batch /v1/predict form scores many configs under many metrics in
 // one request on the worker pool; /v1/benchmarks lists what is trained
-// versus trainable on demand; /v1/metrics exposes per-endpoint request,
-// status and latency counters; POST /v1/warm pre-trains a benchmark list
+// versus trainable on demand; /v1/metricsz exposes per-endpoint request,
+// status and latency counters among its series; POST /v1/warm pre-trains
+// a benchmark list
 // before the first sweep needs it. POST bodies are bounded (413 beyond
 // 1 MiB) and every endpoint enforces its method.
 //
@@ -190,14 +191,12 @@
 // (incarnation, state badness, beat), so a false suspicion loses to the
 // accused peer's next self-refutation (which bumps its own incarnation),
 // and a death verdict sticks. A peer unseen for two intervals turns
-// suspect, for three turns dead; the table projects onto each peer's
-// local scheduling view through one seam, so the scheduler and the
-// gossip layer cannot disagree about who is dispatchable. Gossip is the
-// only liveness authority (the member table keeps no lease of its own):
-// the view projects onto the scheduling fleet every round and before an
-// incoming exchange is answered, so a suspect peer leaves the fleet and
-// an announced one joins it within one exchange, and a departed peer's
-// in-flight shards re-dispatch to the survivors. Drain a peer by
+// suspect, for three turns dead. The table's alive entries are the
+// scheduling fleet itself: the coordinator reads them at every
+// placement, so the scheduler and the gossip layer cannot disagree
+// about who is dispatchable. A suspect peer leaves the fleet and an
+// announced one joins it the moment its entry changes, and a departed
+// peer's in-flight shards re-dispatch to the survivors. Drain a peer by
 // stopping it.
 // There is no leader, no quorum, no election — any subset of live peers
 // keeps accepting and finishing work.
@@ -323,16 +322,16 @@
 // series cover every seam of the fleet: per-worker shard dispatch
 // latency and the three-column fault taxonomy
 // (dsed_cluster_worker_failures_total / _rejections_total /
-// _busy_total), shard retries and membership churn
-// (dsed_cluster_membership_events_total{event=join|rejoin|leave}),
+// _busy_total), shard retries, the fleet's size (dsed_cluster_members)
+// and churn (dsed_cluster_membership_events_total{event=join|rejoin|leave},
+// counted as gossip entries enter and leave the alive set),
 // registry training/load/warm timings and cache hit ratios
 // (dsed_registry_train_ms{benchmark}, dsed_registry_cache_total{result}),
 // job lifecycle and stream health (dsed_jobs_running,
 // dsed_jobs_finished_total{state}, dsed_jobs_stream_dropped_total),
 // sweep chunk timings (dsed_explore_chunk_ms), and per-endpoint HTTP
-// accounting (dsed_http_requests_total{endpoint,code}) — backed by the
-// same registry as the JSON /v1/metrics snapshot, so the two surfaces
-// cannot disagree. Scrape either tier in Prometheus text format:
+// accounting (dsed_http_requests_total{endpoint,code}). Scrape any peer
+// in Prometheus text format:
 //
 //	curl -s localhost:8090/v1/metricsz
 //
@@ -489,7 +488,7 @@
 //
 //	go run ./cmd/dsedlint ./...
 //
-// The suite enforces six invariants, each rooted in a past or plausible
+// The suite enforces five invariants, each rooted in a past or plausible
 // fleet failure mode:
 //
 //   - ctxflow: no context.Background()/context.TODO() outside package
@@ -515,14 +514,6 @@
 //     clock-typed field) must use it everywhere — a raw time.Now or
 //     time.Sleep beside a seam silently escapes the fake clock in tests
 //     and re-introduces flakes the seam existed to kill.
-//   - memberseam: cluster.Coordinator.Join/Heartbeat/Leave may be called
-//     only from membership seams (functions named like *gossip*,
-//     *membership*, *seam*); gossip is the only membership authority.
-//     The scheduling member table is a projection of the gossip view; a
-//     stray Join in a request handler or a Leave in an error path is a
-//     resurrected single-coordinator assumption that forks the two
-//     views — the scheduler dispatches to peers gossip has declared
-//     dead, or never learns about ones it resurrected.
 //
 // False positives are suppressed inline, never silently: a
 // //dsedlint:ignore <analyzer> <reason> directive on (or immediately

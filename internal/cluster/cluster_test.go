@@ -86,6 +86,12 @@ func candKeys(cands []explore.Candidate) []string {
 	return out
 }
 
+// workerCount reads one worker's fault-taxonomy counter, e.g.
+// "failures" for dsed_cluster_worker_failures_total{worker=name}.
+func workerCount(reg *obs.Registry, column, name string) int64 {
+	return reg.Counter("dsed_cluster_worker_"+column+"_total", "", obs.Label{Key: "worker", Value: name}).Value()
+}
+
 // fresh is a fresh job's one pinned segment over designs.
 func fresh(designs []space.Config) []Segment {
 	return []Segment{{Count: len(designs), Designs: designs}}
@@ -264,7 +270,8 @@ func TestCoordinatorRetriesFailedShards(t *testing.T) {
 	bad := &flaky{Transport: NewLocal("flaky", resolveFake)}
 	bad.remaining.Store(5)
 	fleet := []Transport{NewLocal("steady", resolveFake), bad}
-	coord := newTestCoordinator(t, fleet, Options{ShardSize: 16})
+	reg := obs.NewRegistry(nil)
+	coord := newTestCoordinator(t, fleet, Options{ShardSize: 16, Obs: reg})
 
 	got, err := coord.ParetoObserved(context.Background(), testQuery(), designs, nil)
 	if err != nil {
@@ -285,14 +292,8 @@ func TestCoordinatorRetriesFailedShards(t *testing.T) {
 			t.Fatalf("frontier differs after retries at %d", i)
 		}
 	}
-	// The member table remembers who failed.
-	var found bool
-	for _, h := range coord.Members() {
-		if h.Name == "flaky" && h.Failures > 0 {
-			found = true
-		}
-	}
-	if !found {
+	// The per-worker series remember who failed.
+	if workerCount(reg, "failures", "flaky") == 0 {
 		t.Error("health report does not attribute failures to the flaky worker")
 	}
 }
@@ -359,13 +360,11 @@ func TestCoordinatorDoesNotRetryRejections(t *testing.T) {
 	}
 	// A rejection is accounted in its own column — visible to operators,
 	// never confused with a transport failure.
-	for _, h := range coord.Members() {
-		if h.Failures != 0 {
-			t.Errorf("rejections booked %d failures against %s, want 0", h.Failures, h.Name)
-		}
-		if h.Name == "judge" && h.Rejections == 0 {
-			t.Error("the worker's 4xx verdicts were not counted as rejections")
-		}
+	if n := workerCount(reg, "failures", "judge"); n != 0 {
+		t.Errorf("rejections booked %d failures against judge, want 0", n)
+	}
+	if workerCount(reg, "rejections", "judge") == 0 {
+		t.Error("the worker's 4xx verdicts were not counted as rejections")
 	}
 }
 
@@ -396,7 +395,8 @@ func TestCoordinatorBusyVerdictsSpillWithoutFailures(t *testing.T) {
 	loaded := &overloaded{Transport: NewLocal("loaded", resolveFake)}
 	loaded.remaining.Store(5)
 	fleet := []Transport{NewLocal("steady", resolveFake), loaded}
-	coord := newTestCoordinator(t, fleet, Options{ShardSize: 16})
+	reg := obs.NewRegistry(nil)
+	coord := newTestCoordinator(t, fleet, Options{ShardSize: 16, Obs: reg})
 
 	got, err := coord.ParetoObserved(context.Background(), testQuery(), designs, nil)
 	if err != nil {
@@ -414,26 +414,16 @@ func TestCoordinatorBusyVerdictsSpillWithoutFailures(t *testing.T) {
 			t.Fatalf("frontier differs after busy spills at %d", i)
 		}
 	}
-	for _, h := range coord.Members() {
-		if h.Failures != 0 {
-			t.Errorf("busy verdicts booked %d failures against %s, want 0", h.Failures, h.Name)
-		}
-		if h.Name == "loaded" && h.Busy == 0 {
-			t.Error("the worker's 429 verdicts were not counted in the busy column")
-		}
-		if h.Name == "steady" && h.Busy != 0 {
-			t.Errorf("steady worker booked %d busy verdicts, want 0", h.Busy)
+	for _, name := range []string{"steady", "loaded"} {
+		if n := workerCount(reg, "failures", name); n != 0 {
+			t.Errorf("busy verdicts booked %d failures against %s, want 0", n, name)
 		}
 	}
-	var loadedStatus *MemberStatus
-	for _, m := range coord.Members() {
-		if m.Name == "loaded" {
-			m := m
-			loadedStatus = &m
-		}
+	if workerCount(reg, "busy", "loaded") == 0 {
+		t.Error("the worker's 429 verdicts were not counted in the busy column")
 	}
-	if loadedStatus == nil || loadedStatus.Busy == 0 {
-		t.Error("membership report does not carry the busy column")
+	if n := workerCount(reg, "busy", "steady"); n != 0 {
+		t.Errorf("steady worker booked %d busy verdicts, want 0", n)
 	}
 }
 
@@ -527,8 +517,8 @@ func (c *counting) Evaluate(ctx context.Context, q Query, s Shard) (*Partial, er
 }
 
 func TestNewRejectsBadFleets(t *testing.T) {
-	// An empty fleet is legal: a coordinator can boot with no workers
-	// and grow through Join. Sweeps against it fail cleanly.
+	// An empty fleet is legal: a peer's fleet source reports nobody
+	// before gossip converges. Sweeps against it fail cleanly.
 	empty, err := New(nil, Options{})
 	if err != nil {
 		t.Fatalf("empty fleet rejected: %v", err)
@@ -574,7 +564,8 @@ func TestCoordinatorRedispatchesMalformedPartials(t *testing.T) {
 	want := singleProcessReference(t, designs)
 	bad := &widened{Transport: NewLocal("flaky", resolveFake)}
 	bad.remaining.Store(1)
-	coord := newTestCoordinator(t, []Transport{NewLocal("steady", resolveFake), bad}, Options{ShardSize: 16})
+	reg := obs.NewRegistry(nil)
+	coord := newTestCoordinator(t, []Transport{NewLocal("steady", resolveFake), bad}, Options{ShardSize: 16, Obs: reg})
 
 	got, err := coord.ParetoObserved(context.Background(), testQuery(), designs, nil)
 	if err != nil {
@@ -586,9 +577,7 @@ func TestCoordinatorRedispatchesMalformedPartials(t *testing.T) {
 	if !reflect.DeepEqual(candKeys(got.Frontier), candKeys(want.Frontier)) {
 		t.Error("frontier differs from the single-process answer")
 	}
-	for _, m := range coord.Members() {
-		if m.Name == "flaky" && m.Failures != 1 {
-			t.Errorf("widened worker booked %d failures, want 1", m.Failures)
-		}
+	if n := workerCount(reg, "failures", "flaky"); n != 1 {
+		t.Errorf("widened worker booked %d failures, want 1", n)
 	}
 }

@@ -12,12 +12,11 @@
 // answer equals the single-process answer candidate-for-candidate. The
 // kind is a value on the Query: Run serves both, fresh or resumed.
 //
-// The fleet is a live membership table, not a frozen list: workers join
-// through Join, refresh their inventory through Heartbeat and drain
-// through Leave — see membership.go. The serving layer's gossip view is
-// the liveness authority and drives all three, so a campaign keeps
-// running while machines come and go, re-dispatching only the shards
-// orphaned by a departure.
+// The fleet is not a frozen list: the coordinator reads a fleet source
+// (NewFleet) at every placement, so a campaign keeps running while
+// machines come and go, re-dispatching only the shards orphaned by a
+// departure — see membership.go. A peer's source is its gossip table,
+// the liveness authority; New wraps a fixed worker list as a source.
 //
 // Placement is one rule (scheduler.go): every shard goes to the first
 // worker of a ranking over the live fleet — free model holders, then
@@ -90,7 +89,7 @@ type Options struct {
 	HedgeMinDelay time.Duration
 	// Obs, when set, receives coordinator metrics: per-worker shard
 	// latency histograms and the three-column fault taxonomy, merge
-	// sizes, membership churn. Nil disables metric recording.
+	// sizes, placements and hedges. Nil disables metric recording.
 	Obs *obs.Registry
 	// Tracer, when set, opens a dispatch span per shard attempt,
 	// propagates its context to the worker over the transport, and
@@ -136,43 +135,49 @@ type Coordinator struct {
 	opts    Options
 	metrics *clusterMetrics
 	tracer  *obs.Tracer
+	// fleet reports the live fleet; it is read at every placement.
+	fleet func() []Member
 	// clock overrides time.Now in tests (nil in production).
 	clock func() time.Time
 
-	mu         sync.Mutex
-	members    map[string]*member
-	deal       int
-	failures   map[string]int
-	rejections map[string]int
-	busy       map[string]int
-	hedges     map[string]int
+	mu      sync.Mutex
+	workers map[string]*worker
+	gen     uint64
+	deal    int
+	hedges  map[string]int
 }
 
-// New builds a coordinator whose fleet starts with workers (possibly
-// none: a coordinator can boot empty and grow entirely through Join).
-// The initial workers simply join; their names must be unique, since
-// they are the member table's keys.
+// New builds a coordinator over a fixed fleet of workers. Their names
+// must be unique and non-empty, since they key the scheduler state.
 func New(workers []Transport, opts Options) (*Coordinator, error) {
-	opts = opts.withDefaults()
-	c := &Coordinator{
-		opts:       opts,
-		metrics:    newClusterMetrics(opts.Obs),
-		tracer:     opts.Tracer,
-		members:    make(map[string]*member),
-		failures:   make(map[string]int),
-		rejections: make(map[string]int),
-		busy:       make(map[string]int),
-		hedges:     make(map[string]int),
-	}
+	fleet := make([]Member, len(workers))
+	seen := make(map[string]bool, len(workers))
 	for i, w := range workers {
-		if name := w.Name(); name == "" || c.members[name] != nil {
+		name := w.Name()
+		if name == "" || seen[name] {
 			return nil, fmt.Errorf("cluster: worker %d has empty or duplicate name %q", i, name)
 		}
-		if _, err := c.Join(w, MemberInfo{}); err != nil {
-			return nil, err
-		}
+		seen[name] = true
+		fleet[i] = Member{Transport: w}
 	}
-	return c, nil
+	return NewFleet(func() []Member { return fleet }, opts), nil
+}
+
+// NewFleet builds a coordinator over a live fleet source. fleet must be
+// safe for concurrent use and report unique, non-empty worker names,
+// each always with the same transport. A worker is schedulable from the
+// first read that reports it, also by sweeps already in flight, and
+// unschedulable from the first that does not.
+func NewFleet(fleet func() []Member, opts Options) *Coordinator {
+	opts = opts.withDefaults()
+	return &Coordinator{
+		opts:    opts,
+		metrics: newClusterMetrics(opts.Obs),
+		tracer:  opts.Tracer,
+		fleet:   fleet,
+		workers: make(map[string]*worker),
+		hedges:  make(map[string]int),
+	}
 }
 
 // Result is a merged distributed answer: the frontier or the feasible
@@ -318,31 +323,21 @@ func (c *Coordinator) run(ctx context.Context, q Query, segments []Segment,
 	return shards, retries, nil
 }
 
-// memberCount reports the live fleet size (the Progress snapshot field).
-func (c *Coordinator) memberCount() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.members)
-}
-
 // parallelism resolves the dispatcher-pool size at sweep start.
 func (c *Coordinator) parallelism() int {
 	if c.opts.Parallelism > 0 {
 		return c.opts.Parallelism
 	}
-	c.mu.Lock()
-	live := len(c.members)
-	c.mu.Unlock()
-	if live == 0 {
-		return 1
+	if live := len(c.fleet()); live > 0 {
+		return 2 * live
 	}
-	return 2 * live
+	return 1
 }
 
 // attemptResult carries one dispatch attempt's outcome back to the
 // shard driver.
 type attemptResult struct {
-	m       *member
+	m       *worker
 	p       *Partial
 	err     error
 	elapsed time.Duration
@@ -361,9 +356,10 @@ const (
 // then — on transport failure — whichever untried live worker the
 // scheduler prefers next, until one answers or no live worker is left to
 // try. Each attempt is bounded by ShardTimeout, so a wedged worker counts
-// as failed instead of hanging the sweep. Claims travel as *member
-// pointers: a worker that leaves and rejoins mid-attempt gets a
-// fresh record, and this shard's accounting settles on the detached one.
+// as failed instead of hanging the sweep. A claimed slot keeps its
+// worker's scheduler state alive until it settles, so a worker that
+// leaves and returns mid-attempt has this shard's accounting settle
+// exactly once.
 //
 // With HedgeFactor set the driver also speculates against stragglers:
 // when the in-flight attempt outlives HedgeFactor × its expected
@@ -376,7 +372,7 @@ const (
 // the trace tree; a cancelled one is released without an observation, so
 // a chronically hedged-away worker keeps its cold estimate and keeps
 // being hedged rather than laundering its slowness into the average.
-func (c *Coordinator) runShard(ctx context.Context, q Query, s Shard, first *member,
+func (c *Coordinator) runShard(ctx context.Context, q Query, s Shard, first *worker,
 	abort context.CancelCauseFunc, localRetries *atomic.Int64,
 	merge func(worker string, s Shard, p *Partial)) error {
 
@@ -396,7 +392,7 @@ func (c *Coordinator) runShard(ctx context.Context, q Query, s Shard, first *mem
 	hedgeSettled := false // won/wasted booked exactly once per issued hedge
 	var hedgeTimer *time.Timer
 	var hedgeC <-chan time.Time
-	var primary *member // the current non-speculative attempt's worker
+	var primary *worker // the current non-speculative attempt's worker
 	var primaryStart time.Time
 
 	stopHedge := func() {
@@ -419,7 +415,7 @@ func (c *Coordinator) runShard(ctx context.Context, q Query, s Shard, first *mem
 		hedgeC = hedgeTimer.C
 	}
 
-	launch := func(m *member, hedge bool) {
+	launch := func(m *worker, hedge bool) {
 		tried[m.name] = true
 		attemptCtx, cancel := context.WithTimeout(ctx, c.opts.ShardTimeout)
 		cancels = append(cancels, cancel)
@@ -645,7 +641,7 @@ func malformed(worker string, q Query, s Shard, p *Partial) error {
 // Zero means "cannot price it yet": no latency observation exists
 // anywhere, so speculation waits rather than doubling a cold fleet's
 // first (possibly training-on-demand) shards.
-func (c *Coordinator) hedgeDelay(m *member, designs int) time.Duration {
+func (c *Coordinator) hedgeDelay(m *worker, designs int) time.Duration {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	per := m.ewmaPerDesignMS
@@ -662,12 +658,12 @@ func (c *Coordinator) hedgeDelay(m *member, designs int) time.Duration {
 	return d
 }
 
-// fleetEWMALocked is the median positive per-design EWMA across the live
-// fleet — the expected speed of a worker that has not completed a shard
-// yet.
+// fleetEWMALocked is the median positive per-design EWMA across the
+// workers the scheduler tracks — the expected speed of a worker that has
+// not completed a shard yet.
 func (c *Coordinator) fleetEWMALocked() float64 {
 	var samples []float64
-	for _, m := range c.members {
+	for _, m := range c.workers {
 		if m.ewmaPerDesignMS > 0 {
 			samples = append(samples, m.ewmaPerDesignMS)
 		}
@@ -710,24 +706,15 @@ func verdict(err error) string {
 	return "failed"
 }
 
-// isLive reports whether this exact member record is still in the fleet
-// (same name and same registration — a rejoined worker is a new record).
-func (c *Coordinator) isLive(m *member) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.members[m.name] == m
-}
-
 // observe books a completed shard: releases the worker's slot and folds
 // the attempt latency into its per-design EWMA (the adaptive shard
 // sizer's input).
-func (c *Coordinator) observe(m *member, designs int, elapsed time.Duration) {
+func (c *Coordinator) observe(m *worker, designs int, elapsed time.Duration) {
 	m.inst.shards.Inc()
 	m.inst.latency.Observe(float64(elapsed.Microseconds()) / 1000)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	m.inflight--
-	m.shardsDone++
 	if designs <= 0 {
 		return
 	}
@@ -746,15 +733,15 @@ const ewmaAlpha = 0.3
 
 // release frees a worker's shard slot without a latency observation
 // (cancelled attempts say nothing about the worker's speed).
-func (c *Coordinator) release(m *member) {
+func (c *Coordinator) release(m *worker) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	m.inflight--
 }
 
 // noteFailure books a transport failure (and optionally a re-dispatch)
-// against a worker for the lifetime health report, releasing its slot.
-func (c *Coordinator) noteFailure(m *member, redispatched bool) {
+// against a worker, releasing its slot.
+func (c *Coordinator) noteFailure(m *worker, redispatched bool) {
 	m.inst.failures.Inc()
 	if redispatched {
 		c.metrics.retries.Inc()
@@ -762,25 +749,23 @@ func (c *Coordinator) noteFailure(m *member, redispatched bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	m.inflight--
-	c.failures[m.name]++
 }
 
 // noteRejection books a deterministic 4xx verdict, releasing the slot.
 // Rejections blame the request, not the worker: they are reported in
 // their own column and never count toward fleet-health failures.
-func (c *Coordinator) noteRejection(m *member) {
+func (c *Coordinator) noteRejection(m *worker) {
 	m.inst.rejections.Inc()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	m.inflight--
-	c.rejections[m.name]++
 }
 
 // noteBusy books a retryable busy verdict (and optionally a re-dispatch),
 // releasing the slot. Busy verdicts mean the worker is saturated, not
 // sick: they count toward the re-dispatch total but never toward the
 // worker's failure column.
-func (c *Coordinator) noteBusy(m *member, redispatched bool) {
+func (c *Coordinator) noteBusy(m *worker, redispatched bool) {
 	m.inst.busy.Inc()
 	if redispatched {
 		c.metrics.retries.Inc()
@@ -788,7 +773,6 @@ func (c *Coordinator) noteBusy(m *member, redispatched bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	m.inflight--
-	c.busy[m.name]++
 }
 
 // WarmResult is the outcome of one fleet warm.
@@ -810,22 +794,17 @@ type WarmResult struct {
 // loss: per-worker failures are reported in the result, not allowed to
 // void the placements that succeeded.
 func (c *Coordinator) Warm(ctx context.Context, benchmarks []string) *WarmResult {
-	c.mu.Lock()
-	transports := make([]Transport, 0, len(c.members))
-	for _, m := range c.members {
-		transports = append(transports, m.transport)
-	}
-	c.mu.Unlock()
+	fleet := c.fleet()
 	if len(benchmarks) == 0 {
 		return &WarmResult{}
 	}
 	var (
 		wg      sync.WaitGroup
 		mu      sync.Mutex
-		res     = &WarmResult{Workers: len(transports)}
+		res     = &WarmResult{Workers: len(fleet)}
 		warmErr []error
 	)
-	for _, t := range transports {
+	for _, m := range fleet {
 		wg.Add(1)
 		go func(t Transport) {
 			defer wg.Done()
@@ -836,7 +815,7 @@ func (c *Coordinator) Warm(ctx context.Context, benchmarks []string) *WarmResult
 			if werr != nil {
 				warmErr = append(warmErr, fmt.Errorf("cluster: warming %v on %s: %w", benchmarks, t.Name(), werr))
 			}
-		}(t)
+		}(m.Transport)
 	}
 	wg.Wait()
 	res.Errors = warmErr

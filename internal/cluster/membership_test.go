@@ -2,98 +2,149 @@ package cluster
 
 import (
 	"context"
-	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 )
 
-// TestMembershipLifecycle walks one worker through the member table:
-// join, re-join, advertise, leave, and the join-first protocol.
+// liveFleet is a fleet source a test edits while sweeps run.
+type liveFleet struct {
+	mu      sync.Mutex
+	members []Member
+}
+
+func (f *liveFleet) read() []Member {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return slices.Clone(f.members)
+}
+
+// add puts a worker in the fleet, or replaces its advert.
+func (f *liveFleet) add(m Member) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.members = slices.DeleteFunc(f.members, func(o Member) bool { return o.Name() == m.Name() })
+	f.members = append(f.members, m)
+}
+
+func (f *liveFleet) remove(name string) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.members = slices.DeleteFunc(f.members, func(o Member) bool { return o.Name() == name })
+}
+
+// stateOf reads one worker's scheduler state (nil when the coordinator
+// tracks none for it).
+func stateOf(c *Coordinator, name string) *worker {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if w, ok := c.workers[name]; ok {
+		cp := *w
+		return &cp
+	}
+	return nil
+}
+
+// stateFor reads the fleet once, as a placement does, and returns
+// name's scheduler state. Callers hold c.mu.
+func stateFor(c *Coordinator, name string) *worker {
+	c.trackLocked(c.fleet())
+	return c.workers[name]
+}
+
+// TestMembershipLifecycle walks one worker through the fleet source:
+// it becomes schedulable with its advertised capacity and inventory the
+// moment the source reports it, follows a changed advert at the next
+// placement, stops being placed on once the source drops it, and
+// returns cold.
 func TestMembershipLifecycle(t *testing.T) {
-	coord := newTestCoordinator(t, nil, Options{})
-
-	added, err := coord.Join(NewLocal("w0", resolveFake), MemberInfo{Capacity: 3, Benchmarks: []string{"gcc"}})
-	if err != nil || !added {
-		t.Fatalf("first join: added=%v err=%v, want true/nil", added, err)
-	}
-	if added, _ := coord.Join(NewLocal("w0", resolveFake), MemberInfo{}); added {
-		t.Error("re-join reported the worker as new")
-	}
-	members := coord.Members()
-	if len(members) != 1 || members[0].Name != "w0" {
-		t.Fatalf("membership after join: %+v", members)
-	}
-	if members[0].Capacity != 3 {
-		t.Errorf("advertised capacity not recorded: %+v", members[0])
+	fleet := &liveFleet{}
+	coord := NewFleet(fleet.read, Options{ShardSize: 8})
+	cv := &carver{segments: []Segment{{Count: 128, Designs: testDesigns(128)}}}
+	if _, m, _ := coord.nextAssignment(cv, "gcc"); m != nil {
+		t.Fatalf("empty fleet placed a shard on %s", m.name)
 	}
 
-	// Heartbeats refresh the inventory.
-	if err := coord.Heartbeat("w0", MemberInfo{Benchmarks: []string{"gcc", "mcf"}}); err != nil {
-		t.Fatal(err)
+	fleet.add(Member{Transport: NewLocal("w0", resolveFake), Capacity: 3, Benchmarks: []string{"gcc"}})
+	fleet.add(Member{Transport: NewLocal("w1", resolveFake), Capacity: 3})
+	var names []string
+	for i := 0; i < 4; i++ {
+		_, m, ok := coord.nextAssignment(cv, "gcc")
+		if !ok || m == nil {
+			t.Fatalf("shard %d found no worker", i)
+		}
+		names = append(names, m.name)
 	}
-	members = coord.Members()
-	if got := members[0].Benchmarks; len(got) != 2 || got[0] != "gcc" || got[1] != "mcf" {
-		t.Errorf("heartbeat inventory not recorded: %v", got)
+	// The model holder's three advertised slots, then the spill.
+	if want := []string{"w0", "w0", "w0", "w1"}; !slices.Equal(names, want) {
+		t.Fatalf("placements %v, want %v", names, want)
 	}
 
-	// Leave drains immediately; a second leave is a no-op, and the next
-	// heartbeat demands a join.
-	if !coord.Leave("w0") {
-		t.Error("leave of a live member reported false")
+	// A changed advert applies at the next read: w1 now holds the
+	// models, w0 none, so the next shard (w1 has a free slot) is w1's.
+	fleet.add(Member{Transport: NewLocal("w0", resolveFake), Capacity: 3})
+	fleet.add(Member{Transport: NewLocal("w1", resolveFake), Capacity: 3, Benchmarks: []string{"gcc"}})
+	if _, m, _ := coord.nextAssignment(cv, "gcc"); m == nil || m.name != "w1" {
+		t.Fatalf("after the inventory moved the shard went to %+v, want w1", m)
 	}
-	if coord.Leave("w0") {
-		t.Error("leave of an absent member reported true")
+
+	// Settle everything, then w0 leaves: it takes no shard, and its
+	// idle state is dropped at the next read.
+	for _, name := range []string{"w0", "w0", "w0", "w1", "w1"} {
+		coord.observe(coord.workers[name], 8, time.Millisecond)
 	}
-	if members = coord.Members(); len(members) != 0 {
-		t.Fatalf("departed member survived: %+v", members)
+	fleet.remove("w0")
+	for i := 0; i < 2; i++ {
+		if _, m, _ := coord.nextAssignment(cv, "gcc"); m == nil || m.name != "w1" {
+			t.Fatalf("shard after w0 left went to %+v, want w1", m)
+		}
 	}
-	if err := coord.Heartbeat("w0", MemberInfo{}); !errors.Is(err, ErrUnknownMember) {
-		t.Fatalf("heartbeat after leave: %v, want ErrUnknownMember", err)
+	if st := stateOf(coord, "w0"); st != nil {
+		t.Fatalf("departed idle worker's state survived: %+v", st)
 	}
-	if added, _ := coord.Join(NewLocal("w0", resolveFake), MemberInfo{}); !added {
-		t.Error("join after leave did not re-add the worker")
+
+	// Back again: schedulable at once, and cold.
+	fleet.add(Member{Transport: NewLocal("w0", resolveFake), Capacity: 3, Benchmarks: []string{"gcc"}})
+	if _, m, _ := coord.nextAssignment(cv, "gcc"); m == nil || m.name != "w0" {
+		t.Fatalf("returning model holder not placed on: %+v", m)
+	}
+	if st := stateOf(coord, "w0"); st.ewmaPerDesignMS != 0 {
+		t.Fatalf("returning worker did not start cold: %+v", st)
 	}
 }
 
-// TestStaticMembersNeverExpire: the table has no lease of its own — the
-// workers New starts with, like any joined member, stay until Leave,
-// however long they go without a heartbeat.
+// TestStaticMembersNeverExpire: New's fleet is fixed — its workers stay
+// schedulable however long they go without any refresh.
 func TestStaticMembersNeverExpire(t *testing.T) {
 	coord := newTestCoordinator(t, localFleet(2), Options{})
-	if got := coord.Workers(); len(got) != 2 {
-		t.Fatalf("initial members = %v, want 2", got)
+	if got := len(coord.fleet()); got != 2 {
+		t.Fatalf("initial members = %d, want 2", got)
 	}
 	if _, err := coord.ParetoObserved(context.Background(), testQuery(), testDesigns(64), nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := coord.Workers(); len(got) != 2 {
-		t.Fatalf("members without heartbeats dropped to %v", got)
+	if got := len(coord.fleet()); got != 2 {
+		t.Fatalf("members without refreshes dropped to %d", got)
 	}
-	coord.Leave("local-0")
-	if got := coord.Workers(); len(got) != 1 || got[0] != "local-1" {
-		t.Fatalf("after Leave the fleet is %v, want [local-1]", got)
+	for _, name := range []string{"local-0", "local-1"} {
+		if stateOf(coord, name) == nil {
+			t.Errorf("static worker %s has no scheduler state after a sweep", name)
+		}
 	}
 }
 
 // TestAffinityRoutesToModelHolder is the acceptance-criterion affinity
 // proof: with an idle fleet, every shard of a benchmark trained only on
 // worker A is dispatched to A — the other workers see nothing — because
-// A's heartbeat advertises the trained models.
+// A's advert lists the trained models.
 func TestAffinityRoutesToModelHolder(t *testing.T) {
 	holder := &counting{Transport: NewLocal("holder", resolveFake)}
 	idle1 := &counting{Transport: NewLocal("idle1", resolveFake)}
 	idle2 := &counting{Transport: NewLocal("idle2", resolveFake)}
-	coord := newTestCoordinator(t, nil, Options{ShardSize: 16, WorkerCapacity: 64})
-	for _, w := range []Transport{holder, idle1, idle2} {
-		if _, err := coord.Join(w, MemberInfo{}); err != nil {
-			t.Fatal(err)
-		}
-	}
 	// Only the holder advertises gcc's trained models.
-	if err := coord.Heartbeat("holder", MemberInfo{Benchmarks: []string{"gcc"}}); err != nil {
-		t.Fatal(err)
-	}
+	fleet := []Member{{Transport: holder, Benchmarks: []string{"gcc"}}, {Transport: idle1}, {Transport: idle2}}
+	coord := NewFleet(func() []Member { return fleet }, Options{ShardSize: 16, WorkerCapacity: 64})
 
 	designs := testDesigns(200)
 	want := singleProcessReference(t, designs)
@@ -122,34 +173,68 @@ func TestAffinityRoutesToModelHolder(t *testing.T) {
 }
 
 // TestRejoinKeepsAccountingClean: a worker that leaves with a shard in
-// flight and rejoins under the same name must not have the stale
-// shard's completion booked against its fresh record.
+// flight and returns under the same name keeps one consistent in-flight
+// count: it never goes negative, and the stale shard's completion brings
+// it back to zero.
 func TestRejoinKeepsAccountingClean(t *testing.T) {
-	coord := newTestCoordinator(t, nil, Options{ShardSize: 8})
-	if _, err := coord.Join(NewLocal("w", resolveFake), MemberInfo{}); err != nil {
-		t.Fatal(err)
+	fleet := &liveFleet{}
+	fleet.add(Member{Transport: NewLocal("w", resolveFake)})
+	fleet.add(Member{Transport: NewLocal("other", resolveFake)})
+	coord := NewFleet(fleet.read, Options{ShardSize: 8})
+	cv := &carver{segments: []Segment{{Count: 64, Designs: testDesigns(64)}}}
+	var old *worker
+	for old == nil {
+		_, m, ok := coord.nextAssignment(cv, "gcc")
+		if !ok {
+			t.Fatal("no assignment claimed w")
+		}
+		if m.name == "w" {
+			old = m
+		} else {
+			coord.release(m)
+		}
 	}
-	cv := &carver{segments: []Segment{{Count: 8, Designs: testDesigns(8)}}}
-	_, old, ok := coord.nextAssignment(cv, "gcc")
-	if !ok || old == nil || old.name != "w" {
-		t.Fatalf("assignment did not claim w: %+v", old)
-	}
-	// The worker leaves and rejoins while
-	// the old shard is still in flight.
-	coord.Leave("w")
-	if _, err := coord.Join(NewLocal("w", resolveFake), MemberInfo{}); err != nil {
-		t.Fatal(err)
+	// The worker leaves while the shard is in flight: placements skip
+	// it, but its state, with the claim outstanding, survives the reads.
+	fleet.remove("w")
+	for i := 0; i < 3; i++ {
+		if _, m, _ := coord.nextAssignment(cv, "gcc"); m == nil || m.name != "other" {
+			t.Fatalf("shard placed on %+v while w was out of the fleet", m)
+		} else {
+			coord.release(m)
+		}
 	}
 	if coord.isLive(old) {
-		t.Fatal("stale member record still counts as live after rejoin")
+		t.Fatal("departed worker still counts as live")
 	}
-	// The stale shard completes: its release must land on the detached
-	// record, leaving the fresh one untouched.
+	if st := stateOf(coord, "w"); st == nil || st.inflight != 1 {
+		t.Fatalf("departed worker's in-flight claim was lost: %+v", st)
+	}
+	// It returns, and the stale shard completes.
+	fleet.add(Member{Transport: NewLocal("w", resolveFake)})
+	if !coord.isLive(old) {
+		t.Fatal("returned worker does not count as live")
+	}
 	coord.observe(old, 8, time.Millisecond)
-	for _, m := range coord.Members() {
-		if m.Name == "w" && (m.Inflight != 0 || m.ShardsDone != 0 || m.EWMAPerDesignMS != 0) {
-			t.Fatalf("stale completion leaked into the rejoined record: %+v", m)
+	if st := stateOf(coord, "w"); st == nil || st.inflight != 0 {
+		t.Fatalf("in-flight after the stale completion: %+v, want 0", st)
+	}
+	// A second leave and return with nothing in flight starts cold.
+	fleet.remove("w")
+	if _, m, _ := coord.nextAssignment(cv, "gcc"); m != nil {
+		coord.release(m)
+	}
+	fleet.add(Member{Transport: NewLocal("w", resolveFake)})
+	if _, m, _ := coord.nextAssignment(cv, "gcc"); m != nil {
+		coord.release(m)
+	}
+	for name, w := range coord.workers {
+		if w.inflight < 0 {
+			t.Fatalf("%s's in-flight count went negative: %d", name, w.inflight)
 		}
+	}
+	if st := stateOf(coord, "w"); st == nil || st.inflight != 0 || st.ewmaPerDesignMS != 0 {
+		t.Fatalf("worker returning idle did not start cold: %+v", st)
 	}
 }
 
@@ -157,13 +242,11 @@ func TestRejoinKeepsAccountingClean(t *testing.T) {
 // the model holder has a free capacity slot every shard goes to it; once
 // its slots are claimed, the next shard spills to the other worker.
 func TestAffinitySpillsOnlyUnderLoad(t *testing.T) {
-	coord := newTestCoordinator(t, nil, Options{ShardSize: 8})
-	if _, err := coord.Join(NewLocal("holder", resolveFake), MemberInfo{Capacity: 2, Benchmarks: []string{"gcc"}}); err != nil {
-		t.Fatal(err)
+	fleet := []Member{
+		{Transport: NewLocal("holder", resolveFake), Capacity: 2, Benchmarks: []string{"gcc"}},
+		{Transport: NewLocal("other", resolveFake), Capacity: 2},
 	}
-	if _, err := coord.Join(NewLocal("other", resolveFake), MemberInfo{Capacity: 2}); err != nil {
-		t.Fatal(err)
-	}
+	coord := NewFleet(func() []Member { return fleet }, Options{ShardSize: 8})
 	cv := &carver{segments: []Segment{{Count: 64, Designs: testDesigns(64)}}}
 	var names []string
 	for {
@@ -213,7 +296,9 @@ func (g *gated) Evaluate(ctx context.Context, q Query, s Shard) (*Partial, error
 // frontier still equals the single-process answer.
 func TestJoinMidSweepTakesShards(t *testing.T) {
 	slow := &gated{Transport: NewLocal("original", resolveFake), release: make(chan struct{})}
-	coord := newTestCoordinator(t, []Transport{slow}, Options{ShardSize: 8, Parallelism: 2})
+	fleet := &liveFleet{}
+	fleet.add(Member{Transport: slow})
+	coord := NewFleet(fleet.read, Options{ShardSize: 8, Parallelism: 2})
 
 	designs := testDesigns(240)
 	want := singleProcessReference(t, designs)
@@ -230,9 +315,7 @@ func TestJoinMidSweepTakesShards(t *testing.T) {
 	// With the original worker gated, the sweep is parked mid-flight.
 	// Join a second worker, then release the gate.
 	joiner := &counting{Transport: NewLocal("joiner", resolveFake)}
-	if _, err := coord.Join(joiner, MemberInfo{Capacity: 8}); err != nil {
-		t.Fatal(err)
-	}
+	fleet.add(Member{Transport: joiner, Capacity: 8})
 	close(slow.release)
 
 	a := <-done
@@ -256,19 +339,20 @@ func TestJoinMidSweepTakesShards(t *testing.T) {
 	}
 }
 
-// TestDrainedWorkerGetsNothing: after Leave, a sweep routes no shard to
-// the drained worker and the answer is unchanged — the operator's
-// remove-from-fleet hook is safe mid-campaign.
+// TestDrainedWorkerGetsNothing: once the fleet source drops a worker, a
+// sweep routes no shard to it and the answer is unchanged — a departure
+// is safe mid-campaign.
 func TestDrainedWorkerGetsNothing(t *testing.T) {
 	designs := testDesigns(200)
 	want := singleProcessReference(t, designs)
 
 	drained := &counting{Transport: NewLocal("drained", resolveFake)}
 	steady := NewLocal("steady", resolveFake)
-	coord := newTestCoordinator(t, []Transport{steady, drained}, Options{ShardSize: 16})
-	if !coord.Leave("drained") {
-		t.Fatal("drain refused")
-	}
+	fleet := &liveFleet{}
+	fleet.add(Member{Transport: steady})
+	fleet.add(Member{Transport: drained})
+	coord := NewFleet(fleet.read, Options{ShardSize: 16})
+	fleet.remove("drained")
 
 	got, err := coord.ParetoObserved(context.Background(), testQuery(), designs, nil)
 	if err != nil {
@@ -312,19 +396,17 @@ func TestAdaptiveShardSizing(t *testing.T) {
 		TargetShardTime: 50 * time.Millisecond,
 	})
 	coord.mu.Lock()
-	if got := coord.shardSizeLocked("w"); got != 32 {
+	w := stateFor(coord, "w")
+	if got := coord.shardSizeLocked(w); got != 32 {
 		t.Errorf("size before any observation: %d, want the configured 32", got)
 	}
+	w.inflight++ // observe releases one slot
 	coord.mu.Unlock()
 
 	// 100 designs in 100ms -> 1ms per design -> 50ms target = 50 designs.
-	coord.mu.Lock()
-	w := coord.members["w"]
-	w.inflight++ // observe releases one slot
-	coord.mu.Unlock()
 	coord.observe(w, 100, 100*time.Millisecond)
 	coord.mu.Lock()
-	if got := coord.shardSizeLocked("w"); got != 50 {
+	if got := coord.shardSizeLocked(w); got != 50 {
 		t.Errorf("adaptive size %d, want 50 (50ms target at 1ms/design)", got)
 	}
 	coord.mu.Unlock()
@@ -332,12 +414,12 @@ func TestAdaptiveShardSizing(t *testing.T) {
 	// A very fast worker clamps at maxShardSize, a very slow one at
 	// minShardSize.
 	coord.mu.Lock()
-	coord.members["w"].ewmaPerDesignMS = 0.0001
-	if got := coord.shardSizeLocked("w"); got != maxShardSize {
+	w.ewmaPerDesignMS = 0.0001
+	if got := coord.shardSizeLocked(w); got != maxShardSize {
 		t.Errorf("fast-worker size %d, want clamp %d", got, maxShardSize)
 	}
-	coord.members["w"].ewmaPerDesignMS = 1e9
-	if got := coord.shardSizeLocked("w"); got != minShardSize {
+	w.ewmaPerDesignMS = 1e9
+	if got := coord.shardSizeLocked(w); got != minShardSize {
 		t.Errorf("slow-worker size %d, want clamp %d", got, minShardSize)
 	}
 	coord.mu.Unlock()
@@ -373,8 +455,8 @@ func TestAdaptiveSweepStillExact(t *testing.T) {
 		}
 	}
 	sizes := 0
-	for _, m := range coord.Members() {
-		if m.EWMAPerDesignMS > 0 {
+	for _, name := range []string{"slow", "fast"} {
+		if st := stateOf(coord, name); st != nil && st.ewmaPerDesignMS > 0 {
 			sizes++
 		}
 	}

@@ -6,18 +6,15 @@ import "repro/internal/obs"
 // Built over a nil registry every handle is nil and discards, so the
 // record sites need no conditionals.
 type clusterMetrics struct {
-	reg          *obs.Registry
-	membersGauge *obs.Gauge
-	retries      *obs.Counter
-	mergeSize    *obs.Histogram
-	placements   *obs.Counter
-	hedges       map[string]*obs.Counter
-	churn        map[string]*obs.Counter
+	reg        *obs.Registry
+	retries    *obs.Counter
+	mergeSize  *obs.Histogram
+	placements *obs.Counter
+	hedges     map[string]*obs.Counter
 }
 
 func newClusterMetrics(reg *obs.Registry) *clusterMetrics {
 	m := &clusterMetrics{reg: reg}
-	m.membersGauge = reg.Gauge("dsed_cluster_members", "Live fleet members.")
 	m.retries = reg.Counter("dsed_cluster_shard_retries_total",
 		"Shard attempts that failed or spilled and were re-dispatched to another worker.")
 	m.mergeSize = reg.Histogram("dsed_cluster_merge_candidates",
@@ -31,24 +28,15 @@ func newClusterMetrics(reg *obs.Registry) *clusterMetrics {
 				"expected duration, won when the hedge's answer merged first, wasted otherwise.",
 			obs.Label{Key: "result", Value: result})
 	}
-	m.churn = make(map[string]*obs.Counter, 3)
-	for _, ev := range []string{"join", "rejoin", "leave"} {
-		m.churn[ev] = reg.Counter("dsed_cluster_membership_events_total",
-			"Membership churn events, by kind.", obs.Label{Key: "event", Value: ev})
-	}
 	return m
-}
-
-func (m *clusterMetrics) event(kind string) {
-	m.churn[kind].Inc()
 }
 
 // workerInstruments are one worker's per-name series — the scrapeable
 // fault taxonomy (failures, rejections, busy) plus the shard latency
-// signal straggler hedging feeds on. They are created when the worker
-// enters the fleet, so every series exists (at zero) before its first
-// shard or fault, and they outlive a departure: the taxonomy counts the
-// coordinator's lifetime, exactly like Members' columns.
+// signal straggler hedging feeds on. They are created when the
+// coordinator first sees the worker's name, so every series exists (at
+// zero) before its first shard or fault, and they outlive a departure:
+// the taxonomy counts the coordinator's lifetime.
 type workerInstruments struct {
 	latency    *obs.Histogram
 	shards     *obs.Counter

@@ -108,6 +108,7 @@ func (c *Coordinator) Run(ctx context.Context, q Query, segments []Segment, seed
 	evaluated, feasible, mergedShards := seed.Evaluated, seed.Feasible, seed.Shards
 	shards, retries, err := c.run(ctx, q, segments, func(worker string, s Shard, p *Partial) {
 		c.metrics.mergeSize.Observe(float64(len(p.Candidates)))
+		workers := len(c.fleet())
 		mu.Lock()
 		defer mu.Unlock()
 		// The partial's counters cover the whole shard; its candidates
@@ -127,7 +128,7 @@ func (c *Coordinator) Run(ctx context.Context, q Query, segments []Segment, seed
 				Evaluated:  evaluated,
 				Feasible:   feasible,
 				Shards:     mergedShards,
-				Workers:    c.memberCount(),
+				Workers:    workers,
 				Candidates: answer,
 				ShardStart: s.Start,
 				ShardLen:   s.Count,

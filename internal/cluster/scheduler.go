@@ -1,11 +1,14 @@
 package cluster
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // This file is the coordinator's shard scheduler: shards are carved off
 // the design list on demand (not pre-partitioned), each sized for the
 // worker about to take it, and each placed on the first worker of one
-// ranking rule (rank) over a snapshot of the live fleet.
+// ranking rule (rank) over the fleet source's current answer.
 
 // carver hands out contiguous shards of a sweep's remaining design
 // segments on demand. A fresh sweep is one segment covering the whole
@@ -50,17 +53,17 @@ func (cv *carver) take(n int) (Shard, bool) {
 // The shard is sized for the chosen worker's observed latency (adaptive
 // sizing) and the pick sees the fleet as it is right now — a worker that
 // joined a second ago is already schedulable, an evicted one already
-// isn't. The claimed member is nil when no live worker exists (the shard
-// then fails with a diagnosable error instead of blocking forever).
-func (c *Coordinator) nextAssignment(cv *carver, benchmark string) (Shard, *member, bool) {
+// isn't. The worker is nil when none is live (the shard then
+// fails with a diagnosable error instead of blocking forever).
+func (c *Coordinator) nextAssignment(cv *carver, benchmark string) (Shard, *worker, bool) {
+	fleet := c.fleet()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	name := c.pickWorkerLocked(benchmark, nil)
-	s, ok := cv.take(c.shardSizeLocked(name))
+	m := c.pickLocked(fleet, benchmark, nil)
+	s, ok := cv.take(c.shardSizeLocked(m))
 	if !ok {
 		return Shard{}, nil, false
 	}
-	m := c.members[name]
 	if m != nil {
 		m.inflight++
 	}
@@ -69,38 +72,42 @@ func (c *Coordinator) nextAssignment(cv *carver, benchmark string) (Shard, *memb
 
 // claimRetry picks and claims the scheduler's next choice among live
 // workers not yet tried for a failing shard (nil when none is left).
-func (c *Coordinator) claimRetry(benchmark string, tried map[string]bool) *member {
+func (c *Coordinator) claimRetry(benchmark string, tried map[string]bool) *worker {
+	fleet := c.fleet()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	m := c.members[c.pickWorkerLocked(benchmark, tried)]
+	m := c.pickLocked(fleet, benchmark, tried)
 	if m != nil {
 		m.inflight++
 	}
 	return m
 }
 
-// pickWorkerLocked routes one shard to the top-ranked worker among the
-// live fleet not yet tried for it. Liveness and tried-exclusion are
-// enforced here, before ranking, so a shard cannot land on an evicted
-// or exhausted worker ("" when none is left).
-func (c *Coordinator) pickWorkerLocked(benchmark string, tried map[string]bool) string {
-	ws := make([]workerState, 0, len(c.members))
-	for name, m := range c.members {
+// pickLocked routes one shard to the top-ranked worker among the live
+// fleet, just read from the fleet source, not yet tried for it.
+// Liveness and tried-exclusion are enforced here, before ranking, so a
+// shard cannot land on an evicted or exhausted worker (nil when none is
+// left).
+func (c *Coordinator) pickLocked(fleet []Member, benchmark string, tried map[string]bool) *worker {
+	c.trackLocked(fleet)
+	ws := make([]workerState, 0, len(fleet))
+	for _, m := range fleet {
+		name := m.Name()
 		if tried[name] {
 			continue
 		}
 		ws = append(ws, workerState{
 			name:      name,
-			hasModels: m.benchmarks[benchmark],
-			inflight:  m.inflight,
-			capacity:  m.capacity,
+			hasModels: slices.Contains(m.Benchmarks, benchmark),
+			inflight:  c.workers[name].inflight,
+			capacity:  c.capacityFor(m.Capacity),
 		})
 	}
 	if len(ws) == 0 {
-		return ""
+		return nil
 	}
 	c.metrics.placements.Inc()
-	return rank(ws, c.nextDeal())[0]
+	return c.workers[rank(ws, c.nextDeal())[0]]
 }
 
 // workerState is one live worker as the placement rule sees it: the
@@ -175,13 +182,9 @@ func (c *Coordinator) nextDeal() int {
 // latency observation; then the size that would take about
 // TargetShardTime at the worker's per-design EWMA, clamped to
 // [minShardSize, maxShardSize].
-func (c *Coordinator) shardSizeLocked(name string) int {
+func (c *Coordinator) shardSizeLocked(m *worker) int {
 	size := c.opts.ShardSize
-	if c.opts.TargetShardTime <= 0 || name == "" {
-		return size
-	}
-	m := c.members[name]
-	if m == nil || m.ewmaPerDesignMS <= 0 {
+	if c.opts.TargetShardTime <= 0 || m == nil || m.ewmaPerDesignMS <= 0 {
 		return size
 	}
 	targetMS := float64(c.opts.TargetShardTime.Microseconds()) / 1000

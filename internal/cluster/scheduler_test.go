@@ -94,14 +94,13 @@ func TestPolicyConformance(t *testing.T) {
 // decision is counted on the unlabelled placements series.
 func TestFewerInflightModelHolderFirst(t *testing.T) {
 	reg := obs.NewRegistry(nil)
-	coord := newTestCoordinator(t, nil, Options{ShardSize: 8, Obs: reg})
+	var fleet []Member
 	for _, name := range []string{"holder-a", "holder-b"} {
-		if _, err := coord.Join(NewLocal(name, resolveFake), MemberInfo{Capacity: 4, Benchmarks: []string{"gcc"}}); err != nil {
-			t.Fatal(err)
-		}
+		fleet = append(fleet, Member{Transport: NewLocal(name, resolveFake), Capacity: 4, Benchmarks: []string{"gcc"}})
 	}
+	coord := NewFleet(func() []Member { return fleet }, Options{ShardSize: 8, Obs: reg})
 	coord.mu.Lock()
-	coord.members["holder-a"].inflight = 2
+	stateFor(coord, "holder-a").inflight = 2
 	coord.mu.Unlock()
 	cv := &carver{segments: []Segment{{Count: 64, Designs: testDesigns(64)}}}
 	for i := 0; i < 2; i++ {
@@ -125,13 +124,19 @@ func TestFewerInflightModelHolderFirst(t *testing.T) {
 func TestPoliciesNeverPlaceOnEvicted(t *testing.T) {
 	survivor := &counting{Transport: NewLocal("survivor", resolveFake)}
 	lapsed := &counting{Transport: NewLocal("lapsed", resolveFake)}
-	coord := newTestCoordinator(t, []Transport{survivor}, Options{ShardSize: 64})
-	if _, err := coord.Join(lapsed, MemberInfo{Benchmarks: []string{"gcc"}}); err != nil {
-		t.Fatal(err)
+	fleet := &liveFleet{}
+	fleet.add(Member{Transport: survivor})
+	fleet.add(Member{Transport: lapsed, Benchmarks: []string{"gcc"}})
+	coord := NewFleet(fleet.read, Options{ShardSize: 64})
+	// A placement sees the member while it advertises the models...
+	if _, m, _ := coord.nextAssignment(&carver{segments: fresh(testDesigns(8))}, "gcc"); m == nil || m.name != "lapsed" {
+		t.Fatalf("the advertised model holder was not placed on: %+v", m)
+	} else {
+		coord.release(m)
 	}
-	// The member leaves before the sweep starts, advertising the models:
-	// placement must not resurrect it.
-	coord.Leave("lapsed")
+	// ...then it leaves before the sweep starts: placement must not
+	// resurrect it.
+	fleet.remove("lapsed")
 	designs := testDesigns(400)
 	res, err := coord.ParetoObserved(context.Background(), testQuery(), designs, nil)
 	if err != nil {
@@ -251,9 +256,9 @@ func TestHedgingDisabledIssuesNone(t *testing.T) {
 func TestFleetEWMAMedian(t *testing.T) {
 	coord := newTestCoordinator(t, localFleet(3), Options{})
 	coord.mu.Lock()
-	coord.members["local-0"].ewmaPerDesignMS = 0.1
-	coord.members["local-1"].ewmaPerDesignMS = 0.4
-	coord.members["local-2"].ewmaPerDesignMS = 9.0
+	stateFor(coord, "local-0").ewmaPerDesignMS = 0.1
+	stateFor(coord, "local-1").ewmaPerDesignMS = 0.4
+	stateFor(coord, "local-2").ewmaPerDesignMS = 9.0
 	got := coord.fleetEWMALocked()
 	coord.mu.Unlock()
 	if got != 0.4 {

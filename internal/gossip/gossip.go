@@ -53,6 +53,8 @@ type Table struct {
 	divergence  *obs.Gauge
 	refutations *obs.Counter
 	states      map[string]*obs.Gauge
+	members     *obs.Gauge
+	churn       map[string]*obs.Counter
 }
 
 type entry struct {
@@ -60,6 +62,9 @@ type entry struct {
 	// seen is the local arrival time of the freshest evidence for this
 	// entry; suspect/dead transitions age against it.
 	seen time.Time
+	// joined records that the entry has been alive before, so a return
+	// to alive counts as a rejoin.
+	joined bool
 }
 
 // New builds a table seeded with an alive entry for Self.
@@ -82,6 +87,16 @@ func New(opts Options) *Table {
 	t.self = &entry{GossipEntry: wire.GossipEntry{Addr: opts.Self, State: wire.GossipAlive}, seen: clock()}
 	t.entries[opts.Self] = t.self
 	reg := opts.Obs
+	// The alive entries are the fleet the coordinator schedules over, so
+	// the table also keeps the fleet's size and churn series.
+	t.members = reg.Gauge("dsed_cluster_members", "Live fleet members: the alive entries the coordinator schedules over.")
+	t.churn = map[string]*obs.Counter{}
+	for _, ev := range []string{"join", "rejoin", "leave"} {
+		t.churn[ev] = reg.Counter("dsed_cluster_membership_events_total",
+			"Members entering (join, or rejoin after a departure) or leaving the alive set.",
+			obs.Label{Key: "event", Value: ev})
+	}
+	t.churnLocked(t.self, "")
 	t.rounds = map[string]*obs.Counter{}
 	for _, result := range []string{"ok", "error"} {
 		t.rounds[result] = reg.Counter("dsed_gossip_rounds_total",
@@ -101,9 +116,6 @@ func New(opts Options) *Table {
 	t.gaugeStatesLocked()
 	return t
 }
-
-// Self returns this node's address.
-func (t *Table) Self() string { return t.opts.Self }
 
 // SetLocalInfo refreshes the inventory this node advertises about
 // itself (capacity, trained benchmarks) and bumps its heartbeat counter
@@ -180,12 +192,16 @@ func (t *Table) Merge(digest []wire.GossipEntry) int {
 		}
 		cur, ok := t.entries[in.Addr]
 		if !ok {
-			t.entries[in.Addr] = &entry{GossipEntry: in, seen: now}
+			cur = &entry{GossipEntry: in, seen: now}
+			t.entries[in.Addr] = cur
+			t.churnLocked(cur, "")
 			changed++
 			continue
 		}
 		if fresher(in, cur.GossipEntry) {
+			was := cur.State
 			cur.GossipEntry = in
+			t.churnLocked(cur, was)
 			if in.State == wire.GossipAlive {
 				cur.seen = now
 			}
@@ -250,6 +266,7 @@ func (t *Table) Sweep() int {
 			continue
 		}
 		age := now.Sub(e.seen)
+		was := e.State
 		switch {
 		case e.State != wire.GossipDead && age >= t.opts.DeadAfter:
 			e.State = wire.GossipDead
@@ -258,6 +275,7 @@ func (t *Table) Sweep() int {
 			e.State = wire.GossipSuspect
 			transitions++
 		}
+		t.churnLocked(e, was)
 	}
 	if transitions > 0 {
 		t.gaugeStatesLocked()
@@ -303,7 +321,22 @@ func (t *Table) State(addr string) string {
 	return ""
 }
 
-// gaugeStatesLocked re-derives the per-state member gauges.
+// churnLocked books e's move into or out of the alive set, from state
+// was.
+func (t *Table) churnLocked(e *entry, was string) {
+	switch {
+	case was != wire.GossipAlive && e.State == wire.GossipAlive && e.joined:
+		t.churn["rejoin"].Inc()
+	case was != wire.GossipAlive && e.State == wire.GossipAlive:
+		e.joined = true
+		t.churn["join"].Inc()
+	case was == wire.GossipAlive && e.State != wire.GossipAlive:
+		t.churn["leave"].Inc()
+	}
+}
+
+// gaugeStatesLocked re-derives the per-state member gauges and the
+// fleet size.
 func (t *Table) gaugeStatesLocked() {
 	counts := map[string]int{}
 	for _, e := range t.entries {
@@ -312,4 +345,5 @@ func (t *Table) gaugeStatesLocked() {
 	for state, g := range t.states {
 		g.Set(float64(counts[state]))
 	}
+	t.members.Set(float64(counts[wire.GossipAlive]))
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/wire"
 )
 
@@ -168,4 +169,43 @@ func TestRefutationOvertakesRememberedRecord(t *testing.T) {
 	if n := tb.Merge([]wire.GossipEntry{self}); n != 0 {
 		t.Fatalf("own entry echoed back changed %d entries, want 0", n)
 	}
+}
+
+// TestFleetSeries pins the fleet series the table keeps for the
+// coordinator: dsed_cluster_members is the alive count from the first
+// moment (no round, no job), and dsed_cluster_membership_events_total
+// counts entries entering and leaving the alive set — join the first
+// time, rejoin after a departure, leave on suspicion or death.
+func TestFleetSeries(t *testing.T) {
+	clock := &fakeClock{t: time.Unix(1000, 0)}
+	reg := obs.NewRegistry(nil)
+	tb := New(Options{Self: "a:1", SuspectAfter: 10 * time.Second, DeadAfter: 30 * time.Second, Clock: clock.now, Obs: reg})
+	check := func(step string, members float64, join, rejoin, leave int64) {
+		t.Helper()
+		if got := reg.Gauge("dsed_cluster_members", "").Value(); got != members {
+			t.Errorf("%s: dsed_cluster_members = %v, want %v", step, got, members)
+		}
+		for ev, want := range map[string]int64{"join": join, "rejoin": rejoin, "leave": leave} {
+			if got := reg.Counter("dsed_cluster_membership_events_total", "", obs.Label{Key: "event", Value: ev}).Value(); got != want {
+				t.Errorf("%s: %s events = %d, want %d", step, ev, got, want)
+			}
+		}
+	}
+	check("boot", 1, 1, 0, 0)
+	tb.Merge([]wire.GossipEntry{
+		{Addr: "b:1", State: wire.GossipAlive},
+		{Addr: "c:1", State: wire.GossipSuspect},
+	})
+	check("b alive, c suspect", 2, 2, 0, 0)
+	clock.advance(11 * time.Second)
+	tb.Sweep()
+	check("b suspect", 1, 2, 0, 1)
+	clock.advance(20 * time.Second)
+	tb.Sweep()
+	check("b dead", 1, 2, 0, 1)
+	tb.Merge([]wire.GossipEntry{
+		{Addr: "b:1", Incarnation: 1, State: wire.GossipAlive},
+		{Addr: "c:1", Incarnation: 1, State: wire.GossipAlive},
+	})
+	check("b back, c alive", 3, 3, 1, 1)
 }

@@ -20,7 +20,6 @@ func All() []*analysis.Analyzer {
 		HTTPErr,
 		JSONEnc,
 		ClockInject,
-		MemberSeam,
 	}
 }
 

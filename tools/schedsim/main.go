@@ -31,7 +31,9 @@ import (
 	"math"
 	"os"
 	"reflect"
+	"slices"
 	"sort"
+	"sync"
 	"text/tabwriter"
 	"time"
 
@@ -133,43 +135,50 @@ func run(ctx context.Context, cfg config) ([]result, error) {
 }
 
 func runLeg(ctx context.Context, cfg config, slowFirst, hedged bool, designs []space.Config, want []string) (result, error) {
-	fleet := make([]cluster.Transport, 0, cfg.fast+cfg.slow)
+	members := make([]cluster.Member, 0, cfg.fast+cfg.slow)
 	for i := 0; i < cfg.fast; i++ {
-		fleet = append(fleet, slowed(fmt.Sprintf("fast-%d", i), cfg.fastDelay))
+		members = append(members, cluster.Member{Transport: slowed(fmt.Sprintf("fast-%d", i), cfg.fastDelay)})
 	}
 	for i := 0; i < cfg.slow; i++ {
 		name := fmt.Sprintf("slow-%d", i)
 		if slowFirst {
 			name = "a-" + name
 		}
-		fleet = append(fleet, slowed(name, cfg.slowDelay))
+		members = append(members, cluster.Member{Transport: slowed(name, cfg.slowDelay)})
 	}
 	opts := cluster.Options{ShardSize: cfg.shardSize}
 	if hedged {
 		opts.HedgeFactor = cfg.hedge
 	}
-	coord, err := cluster.New(fleet, opts)
-	if err != nil {
-		return result{}, err
-	}
+	var mu sync.Mutex
+	coord := cluster.NewFleet(func() []cluster.Member {
+		mu.Lock()
+		defer mu.Unlock()
+		return members
+	}, opts)
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	if cfg.churn && cfg.fast > 1 {
 		// Mid-sweep churn: the last fast worker drains, and moments later
-		// a fresh one registers and starts taking shards.
+		// a fresh one appears and starts taking shards. Each change
+		// builds a new slice, so readers keep the one they were handed.
 		go func() {
 			select {
 			case <-ctx.Done():
 				return
 			case <-time.After(cfg.churnAt):
-				//dsedlint:ignore memberseam simulated churn is this harness's purpose
-				coord.Leave(fmt.Sprintf("fast-%d", cfg.fast-1))
+				gone := fmt.Sprintf("fast-%d", cfg.fast-1)
+				mu.Lock()
+				members = slices.DeleteFunc(slices.Clone(members), func(m cluster.Member) bool { return m.Name() == gone })
+				mu.Unlock()
 			}
 			select {
 			case <-ctx.Done():
 			case <-time.After(cfg.churnAt / 2):
-				//dsedlint:ignore memberseam simulated churn is this harness's purpose
-				_, _ = coord.Join(slowed("joiner-0", cfg.fastDelay), cluster.MemberInfo{Benchmarks: []string{"gcc"}})
+				joiner := cluster.Member{Transport: slowed("joiner-0", cfg.fastDelay), Benchmarks: []string{"gcc"}}
+				mu.Lock()
+				members = append(slices.Clone(members), joiner)
+				mu.Unlock()
 			}
 		}()
 	}
