@@ -391,7 +391,7 @@ func (s *Server) runLocal(spec wire.JobSpec, early []space.Config) api.RunFunc {
 			// The partial answer is built only for an attached stream;
 			// pollers still see the counters advance.
 			if pub.Streaming() {
-				answer, feasible, _ := cluster.Snapshot(col)
+				answer, feasible := cluster.Snapshot(col)
 				u.Feasible, u.Candidates = feasible, wire.ToCandidates(answer)
 			}
 			return u
@@ -403,7 +403,7 @@ func (s *Server) runLocal(spec wire.JobSpec, early []space.Config) api.RunFunc {
 			return nil, api.Update{}, err
 		}
 		_, mergeSpan := s.tel.tracer.Start(ctx, "phase:merge")
-		answer, feasible, _ := cluster.Snapshot(col)
+		answer, feasible := cluster.Snapshot(col)
 		final := api.Update{
 			Evaluated:  col.Seen(),
 			Designs:    designs.count(),

@@ -49,11 +49,11 @@
 // it places on itself in process, hedges stragglers (-hedge-factor), and
 // merges the partial answers (see internal/cluster) — a job's stream
 // publishes the merged partial after every shard. Each running job's
-// recoverable state — spec, latest merged cumulative snapshot, shard
-// ledger — is replicated to -replicate peers (POST /v1/jobs/replicate)
-// after every merged shard, so when the owning node dies the first alive
-// replica adopts the job under its original ID and finishes it with an
-// identical answer. Job routes on any peer follow the job:
+// spec is replicated to -replicate peers (POST /v1/jobs/replicate) as it
+// starts and again every -heartbeat, so when the owning node dies the
+// first alive replica adopts the job under its original ID and re-runs
+// it from the spec to an identical answer. Job routes on any peer follow
+// the job:
 // 307-redirecting to the owner (or its adopter) when it lives elsewhere.
 // pkg/dsedclient accepts a comma-separated endpoint list and fails over
 // between peers transparently, streams included.
@@ -114,7 +114,7 @@ func main() {
 		advertise  = flag.String("advertise", "", "address this peer gossips and names its spans with (default -addr; set it when -addr binds a wildcard other peers cannot dial)")
 		debugAddr  = flag.String("debug-addr", "", "optional second listener serving net/http/pprof (e.g. localhost:6060); empty disables profiling")
 		peerList   = flag.String("peers", "", "comma-separated peer addresses (host:port); run as a symmetric peer: a full worker that also coordinates fleet-scope jobs, with membership by gossip and job survival by replication")
-		replicate  = flag.Int("replicate", 1, "with -peers: push each running job's recoverable state to this many peers, any of which can adopt the job if this node dies")
+		replicate  = flag.Int("replicate", 1, "with -peers: push each running job's spec to this many peers, any of which can adopt and re-run the job if this node dies")
 		hedgeF     = flag.Float64("hedge-factor", 3, "straggler hedging for the fleet jobs this peer owns: re-dispatch a shard when its elapsed time exceeds this multiple of its expected duration; 0 disables hedging")
 		straggle   = flag.Duration("straggle-per-design", 0, "fault injection: sleep this long per evaluated design on sweep jobs, making this daemon a deliberate straggler for hedging tests; 0 disables")
 	)

@@ -28,13 +28,13 @@ import (
 // carries a coordinator and a gossip membership table, so any node in
 // the fleet accepts POST /v1/sweeps and coordinates that job across
 // whoever the gossip view says is alive. There is no distinguished
-// coordinator to lose: a running job's recoverable state — spec, latest
-// merged cumulative snapshot, shard ledger — is pushed to f replicas
-// after every merged shard, and when the fleet agrees the owner is dead
-// the first alive replica adopts the job, re-dispatching only the
-// unfinished segments (internal/cluster resume seam). Because snapshots
-// are cumulative and the collectors associative, the adopted job's
-// answer is exactly the one the dead owner would have produced.
+// coordinator to lose: a running job's spec is pushed to f replicas as
+// the job starts and again every gossip round, and when the fleet agrees
+// the owner is dead the first alive replica adopts the job under its ID
+// and re-runs it from the spec. Every answer is a
+// deterministic function of the spec and the models, so the adopted
+// job's answer is byte-identical to the one the dead owner would have
+// produced; only its progress counters start over.
 
 // replicaTTL bounds how long a replica entry survives without a fresh
 // push or a Done notice — a backstop against owners that vanished
@@ -262,9 +262,9 @@ func (ps *peerServer) handleGossip(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, r, http.StatusOK, wire.GossipResponse{From: ps.self, Entries: ps.table.Digest()})
 }
 
-// handleReplicate accepts a job's latest recoverable state from its
-// owner. Stale pushes (Seq behind what we hold) are ignored; a Done
-// notice retires the entry.
+// handleReplicate accepts a job's spec payload from its owner. A push
+// from a superseded owner run (Seq below what we hold) is ignored; a
+// Done notice retires the entry.
 func (ps *peerServer) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	var req wire.ReplicateRequest
 	if !decodePost(w, r, &req) {
@@ -382,22 +382,18 @@ func (ps *peerServer) handleWarm(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// fleetSegments resolves a distributed job's space to its size and the
-// segments its owner still has to carve once the ranges in ledger (nil
-// on a fresh job) are merged. Fresh and adopted jobs take this one path.
-// An unsampled named space stays a count: its shards travel as windows
-// on it, so the owner never materialises it. An explicit list or a
-// sample is resolved (a sample is drawn, stopping if ctx ends) and its
-// segments pinned.
-func fleetSegments(ctx context.Context, sp wire.SpaceSpec, early []space.Config, ledger []wire.ShardRange) (int, []cluster.Segment, error) {
+// fleetDesigns resolves a distributed job's space to its design count
+// and, for a pinned list, its designs. Fresh and adopted jobs take this
+// one path, so an adopter rebuilds the dead owner's list exactly. An
+// unsampled named space stays a count: its shards travel as windows on
+// it, so the owner never materialises it. An explicit list or a sample
+// is resolved (a sample is drawn, stopping if ctx ends) and pinned.
+func fleetDesigns(ctx context.Context, sp wire.SpaceSpec, early []space.Config) (int, []space.Config, error) {
 	if w, ok := sp.FactorialWindow(); ok {
-		return w.Count, cluster.SegmentsAfter(w.Count, ledger), nil
+		return w.Count, nil, nil
 	}
 	designs, err := sp.ResolveLate(ctx, early)
-	if err != nil {
-		return 0, nil, err
-	}
-	return len(designs), cluster.Pin(cluster.SegmentsAfter(len(designs), ledger), designs), nil
+	return len(designs), designs, err
 }
 
 // objectiveNames labels the specs through the same Build path a worker
@@ -432,61 +428,50 @@ func clusterStatus(err error) int {
 }
 
 // runFleet is the peer's distributed job body, for either kind, serving
-// both fresh jobs (resume nil: one segment, empty seed) and adopted ones
-// (segments are the complement of the dead owner's shard ledger, the
-// seed its latest merged snapshot). Every merged shard publishes the
-// cumulative partial and pushes the job's recoverable state to its
-// replicas. spec keeps the design list in seed-deterministic resolvable
-// form, so an adopter rebuilds the identical list.
-func (ps *peerServer) runFleet(spec wire.JobSpec, early []space.Config, resume *wire.ReplicateRequest) api.RunFunc {
+// both fresh jobs (adopted nil) and adopted ones. An adopted job re-runs
+// the dead owner's spec from scratch under its job ID, splices into its
+// trace, and numbers its updates past any seq the owner could have
+// published. Every merged shard publishes the cumulative partial, while
+// the job's replicator keeps the spec at its replicas. spec keeps the
+// design list in seed-deterministic resolvable form, so an adopter
+// rebuilds the identical list.
+func (ps *peerServer) runFleet(spec wire.JobSpec, early []space.Config, adopted *wire.ReplicateRequest) api.RunFunc {
 	return func(ctx context.Context, pub api.Publisher) (any, api.Update, error) {
 		var jobSpan *obs.ActiveSpan
-		if resume == nil {
+		seqFloor := 0
+		if adopted == nil {
 			ctx, jobSpan = startJobSpan(ps.tel(), ctx, "job:"+string(spec.Kind), pub, spec.Benchmark)
 		} else {
 			// Adoption splices into the dead owner's trace: import its
 			// replicated spans, parent an "adopt" span under its root, and
 			// bind the job to the same trace ID, so GET /v1/jobs/{id}/trace
 			// shows one tree spanning both nodes.
-			ctx = ps.spliceOwnerTrace(ctx, pub.JobID(), resume)
+			ctx = ps.spliceOwnerTrace(ctx, pub.JobID(), adopted)
 			ctx, jobSpan = ps.tel().tracer.Start(ctx, "adopt")
 			jobSpan.SetAttr("job_id", pub.JobID())
 			jobSpan.SetAttr("benchmark", spec.Benchmark)
-			jobSpan.SetAttr("owner", resume.Owner)
+			jobSpan.SetAttr("owner", adopted.Owner)
 			jobSpan.SetAttr("reason", "owner-dead")
 			ps.tel().traces.Bind(pub.JobID(), jobSpan.Context().TraceID)
+			seqFloor = adopted.AdoptedSeq()
 		}
 		defer jobSpan.End()
-		var seed cluster.Seed
-		var ledger []wire.ShardRange
-		if resume != nil {
-			seed = seedFromReplica(resume)
-			ledger = append(ledger, resume.Ledger...)
-		}
-		designs, segments, err := fleetSegments(ctx, spec.SpaceSpec, early, ledger)
+		designs, pinned, err := fleetDesigns(ctx, spec.SpaceSpec, early)
 		if err != nil {
 			return nil, api.Update{}, err
 		}
 		names := objectiveNames(spec.Objectives)
-		rep := ps.newReplicator(pub.JobID(), spec, designs, jobSpan.Context(), ledger)
+		// The replicator pushes the spec as the job starts, not after the
+		// first merge: an owner that dies mid-first-shard must already
+		// have left it at its replicas.
+		rep := ps.newReplicator(pub.JobID(), spec, designs, seqFloor, jobSpan.Context())
 		go rep.run()
 		defer rep.finish()
-		// The opening snapshot: a subscriber sees the job's shape — and on
-		// an adopted job the inherited cumulative counters — before the
-		// first newly merged shard lands.
-		pub.Publish(api.Update{
-			Designs:    designs,
-			Objectives: names,
-			Evaluated:  seed.Evaluated,
-			Feasible:   seed.Feasible,
-			Shards:     seed.Shards,
-		})
-		// Replicate before the first dispatch, not after the first merge:
-		// an owner that dies mid-first-shard must already have left the
-		// spec (and, on adoption, the inherited state) at its replicas.
-		rep.push(cluster.Progress{Evaluated: seed.Evaluated, Feasible: seed.Feasible, Shards: seed.Shards, Indexed: seed.Candidates}, pub.Seq())
+		// The opening snapshot: a subscriber sees the job's shape before
+		// the first merged shard lands.
+		pub.Publish(api.Update{Designs: designs, Objectives: names})
 		start := time.Now()
-		res, err := ps.coord.Run(ctx, cluster.QueryOf(spec), segments, seed, func(p cluster.Progress) {
+		res, err := ps.coord.Run(ctx, cluster.QueryOf(spec), designs, pinned, func(p cluster.Progress) {
 			u := api.Update{
 				Evaluated:  p.Evaluated,
 				Designs:    designs,
@@ -501,7 +486,6 @@ func (ps *peerServer) runFleet(spec wire.JobSpec, early []space.Config, resume *
 				u.Candidates = wire.ToCandidates(p.Candidates)
 			}
 			pub.Publish(u)
-			rep.push(p, pub.Seq())
 		})
 		if err != nil {
 			return nil, api.Update{}, err
@@ -554,95 +538,40 @@ func (ps *peerServer) spliceOwnerTrace(ctx context.Context, jobID string, st *wi
 	return obs.ContextWithSpan(ctx, sc)
 }
 
-// seedFromReplica lifts a replicated snapshot into the resume seed,
-// restoring original design indices (top-K tie-breaking depends on
-// them; frontier candidates carry -1 and ignore it).
-func seedFromReplica(st *wire.ReplicateRequest) cluster.Seed {
-	out := cluster.Seed{Evaluated: st.Evaluated, Feasible: st.Feasible, Shards: st.Shards}
-	for _, sc := range st.Snapshot {
-		out.Candidates = append(out.Candidates, cluster.IndexedCandidate{
-			Index:     sc.Index,
-			Candidate: sc.Candidate.ToExplore(),
-		})
-	}
-	return out
-}
-
-// replicaSnapshot converts one Progress into the replicated snapshot
-// form: indexed entries for top-K (tie-breaking), index-free (-1)
-// candidates for frontiers (merging is index-independent there).
-func replicaSnapshot(p cluster.Progress) []wire.SnapshotCandidate {
-	if p.Indexed != nil {
-		out := make([]wire.SnapshotCandidate, len(p.Indexed))
-		for i, ic := range p.Indexed {
-			out[i] = wire.SnapshotCandidate{
-				Index:     ic.Index,
-				Candidate: wire.ToCandidates([]explore.Candidate{ic.Candidate})[0],
-			}
-		}
-		return out
-	}
-	cands := wire.ToCandidates(p.Candidates)
-	out := make([]wire.SnapshotCandidate, len(cands))
-	for i, c := range cands {
-		out[i] = wire.SnapshotCandidate{Index: -1, Candidate: c}
-	}
-	return out
-}
-
-// replicator pushes one job's recoverable state to its replicas.
-// Publishing happens under the coordinator's merge lock, so push only
-// records the newest payload; a dedicated goroutine does the HTTP sends
-// and coalesces bursts (newest wins — replicas only keep the latest
-// anyway).
+// replicator keeps one job's spec at its replicas. It pushes the spec
+// payload as the job starts and again every gossip interval while the
+// job runs, then sends a Done notice. Every push re-picks the replica
+// set, so a replica that dies mid-job is replaced, and refreshes the
+// trace excerpt and the replicas' TTL. The payload does not grow as
+// shards merge: an adopter re-runs the job from the spec. Pushes run on
+// a goroutine of the job's own, never on the gossip round, so a dead
+// replica's push timeout cannot stall gossip.
 type replicator struct {
 	ps   *peerServer
 	root obs.SpanContext
-	// base is every payload's fixed part: the job's identity and spec.
+	// base is every payload's fixed part: the job's identity, spec, trace
+	// context and sequence floor.
 	base wire.ReplicateRequest
 
-	mu     sync.Mutex
-	ledger []wire.ShardRange
-	latest *wire.ReplicateRequest
-
-	notify chan struct{}
-	quit   chan struct{}
-	once   sync.Once
+	quit chan struct{}
+	once sync.Once
 	// failing holds the replicas whose last push failed; only run's
 	// goroutine touches it.
 	failing map[string]bool
 }
 
-func (ps *peerServer) newReplicator(jobID string, spec wire.JobSpec, designs int, root obs.SpanContext, ledger []wire.ShardRange) *replicator {
+// newReplicator builds the replicator of a job of designs designs whose
+// updates are numbered past seqFloor (0 for a fresh job).
+func (ps *peerServer) newReplicator(jobID string, spec wire.JobSpec, designs, seqFloor int, root obs.SpanContext) *replicator {
 	base := spec.Replica()
-	base.JobID, base.Owner, base.Designs = jobID, ps.self, designs
+	base.JobID, base.Owner, base.Designs, base.Seq = jobID, ps.self, designs, seqFloor
+	base.Traceparent = root.Traceparent()
 	return &replicator{
 		ps:      ps,
 		root:    root,
 		base:    base,
-		ledger:  ledger,
-		notify:  make(chan struct{}, 1),
 		quit:    make(chan struct{}),
 		failing: make(map[string]bool),
-	}
-}
-
-// push records the job's state after p — its counters, its snapshot and
-// the ledger with p's shard merged (none for the pre-dispatch push of a
-// job's seed) — as the newest replication payload. It runs under the
-// coordinator's merge lock and must not block.
-func (r *replicator) push(p cluster.Progress, seq int) {
-	req := r.base
-	req.Seq, req.Evaluated, req.Feasible, req.Shards = seq, p.Evaluated, p.Feasible, p.Shards
-	req.Snapshot = replicaSnapshot(p)
-	r.mu.Lock()
-	r.ledger = wire.AddRange(r.ledger, wire.ShardRange{Start: p.ShardStart, Count: p.ShardLen})
-	req.Ledger = append([]wire.ShardRange(nil), r.ledger...)
-	r.latest = &req
-	r.mu.Unlock()
-	select {
-	case r.notify <- struct{}{}:
-	default:
 	}
 }
 
@@ -654,42 +583,35 @@ func (r *replicator) finish() {
 	r.once.Do(func() { close(r.quit) })
 }
 
-// run ships payloads until finish closes quit, then the newest state
-// and the Done notice. It deliberately does not watch the job's context:
-// a cancelled job must be retired at its replicas too, and on completion
-// the job context is cancelled right after finish, so a select over both
-// would drop the notice about half the time.
+// run pushes the spec payload at once and every interval until finish
+// closes quit, then sends the Done notice. It deliberately does not
+// watch the job's context: a cancelled job must be retired at its
+// replicas too, and on completion the job context is cancelled right
+// after finish, so a select over both would drop the notice about half
+// the time.
 func (r *replicator) run() {
+	tick := time.NewTicker(r.ps.interval)
+	defer tick.Stop()
 	for {
+		r.send(r.payload())
 		select {
 		case <-r.quit:
-			r.sendLatest()
 			r.send(wire.ReplicateRequest{JobID: r.base.JobID, Owner: r.ps.self, Done: true})
 			return
-		case <-r.notify:
-			r.sendLatest()
+		case <-tick.C:
 		}
 	}
 }
 
-// sendLatest ships the newest recorded payload, attaching the trace
-// excerpt here — off the merge lock — because span serialization is the
-// expensive part of the push.
-func (r *replicator) sendLatest() {
-	r.mu.Lock()
-	req := r.latest
-	r.latest = nil
-	r.mu.Unlock()
-	if req == nil {
-		return
+// payload is the next push: the fixed payload plus the trace excerpt
+// recorded so far, which an adopter splices under the owner's root.
+func (r *replicator) payload() wire.ReplicateRequest {
+	req := r.base
+	req.Spans = r.ps.tel().traces.Spans(r.root.TraceID)
+	if len(req.Spans) > wire.MaxReplicatedSpans {
+		req.Spans = req.Spans[:wire.MaxReplicatedSpans]
 	}
-	req.Traceparent = r.root.Traceparent()
-	spans := r.ps.tel().traces.Spans(r.root.TraceID)
-	if len(spans) > wire.MaxReplicatedSpans {
-		spans = spans[:wire.MaxReplicatedSpans]
-	}
-	req.Spans = spans
-	r.send(*req)
+	return req
 }
 
 // send pushes one payload to the job's current replica set. Replicas
@@ -697,7 +619,7 @@ func (r *replicator) sendLatest() {
 // without an election. A replica that stops answering is logged once,
 // and again only after a push to it has succeeded in between: gossip
 // takes it out of the replica set a few rounds later, and until then
-// every merged shard would otherwise log the same failure.
+// every push would otherwise log the same failure.
 func (r *replicator) send(req wire.ReplicateRequest) {
 	req.Replicas = r.ps.pickReplicas(r.base.JobID)
 	for _, addr := range req.Replicas {
@@ -908,11 +830,11 @@ func (ps *peerServer) successor(st wire.ReplicateRequest) string {
 	return ""
 }
 
-// adopt restarts an orphaned job from its replicated state under its
-// original ID: the design list rebuilds deterministically from the
-// spec, the ledger's complement is what still runs, and the job's seq
-// continues where the owner's left off so resuming streams stay
-// monotone.
+// adopt restarts an orphaned job from its spec under its original ID:
+// the design list rebuilds deterministically, the job re-runs from
+// scratch, and its updates are numbered past any seq the dead owner
+// could have published (wire.ReplicateRequest.AdoptedSeq), so resuming
+// streams stay monotone.
 func (ps *peerServer) adopt(st wire.ReplicateRequest) {
 	ps.replicas.drop(st.JobID)
 	spec := st.Spec()
@@ -921,14 +843,12 @@ func (ps *peerServer) adopt(st wire.ReplicateRequest) {
 		ps.logf("adopt: job %s spec no longer resolves: %v", st.JobID, err)
 		return
 	}
-	resume := st
-	if _, err := ps.srv.jobs.StartAdopted(st.JobID, spec.Kind, st.Benchmark, st.Designs, st.Seq, ps.runFleet(spec, early, &resume)); err != nil {
+	if _, err := ps.srv.jobs.StartAdopted(st.JobID, spec.Kind, st.Benchmark, st.Designs, st.AdoptedSeq(), ps.runFleet(spec, early, &st)); err != nil {
 		ps.logf("adopt: job %s: %v", st.JobID, err)
 		return
 	}
 	ps.adopted.Inc()
-	ps.logf("adopted job %s from dead owner %s (%d/%d designs already merged)",
-		st.JobID, st.Owner, wire.RangesTotal(st.Ledger), st.Designs)
+	ps.logf("adopted job %s from dead owner %s; re-running its %d designs", st.JobID, st.Owner, st.Designs)
 }
 
 // replicaEntry is one held replica with its local arrival time (for the
@@ -944,10 +864,11 @@ type replicaTable struct {
 	entries map[string]replicaEntry
 }
 
-// put upserts a payload, ignoring pushes older than what we hold (Seq
-// orders them; an adopter's pushes continue the owner's sequence) and
-// any push for a job already retired — a Done verdict is final, and a
-// straggling state push must not resurrect a finished job.
+// put upserts a payload, ignoring a push whose Seq is below what we hold
+// (Seq is the owner run's sequence floor, so a dead owner's late push
+// loses to its adopter's) and any push for a job already retired — a
+// Done verdict is final, and a straggling push must not resurrect a
+// finished job.
 func (t *replicaTable) put(req wire.ReplicateRequest) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

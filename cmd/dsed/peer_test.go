@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -114,6 +116,63 @@ func TestRouteJobDoneTombstoneRedirects(t *testing.T) {
 	}
 }
 
+// A job held as a replica whose owner the fleet declared dead routes to
+// its successor: a 307 to the first live replica in line, or, on the
+// successor itself before it has adopted, a retryable 503 the failover
+// client rides out.
+func TestRouteJobDuringAdoptionWindow(t *testing.T) {
+	ps := testPeer(t, "127.0.0.1:1")
+	ps.table.Merge([]wire.GossipEntry{{Addr: "127.0.0.1:3", Incarnation: 1, State: wire.GossipAlive}})
+	markDead(ps, "127.0.0.1:2")
+	h := ps.routeJob(ps.srv.tel.handleJobTrace)
+	get := func(id string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodGet, "/v1/jobs/"+id+"/trace", nil)
+		req.SetPathValue("id", id)
+		h(rec, req)
+		return rec
+	}
+
+	ps.replicas.put(paretoReplica("job-next", "127.0.0.1:2", []string{"127.0.0.1:3", ps.self}))
+	if rec := get("job-next"); rec.Code != http.StatusTemporaryRedirect || rec.Header().Get("Location") != "http://127.0.0.1:3/v1/jobs/job-next/trace" {
+		t.Fatalf("orphan with a live successor ahead: %d to %q, want a 307 to 127.0.0.1:3", rec.Code, rec.Header().Get("Location"))
+	}
+	ps.replicas.put(paretoReplica("job-mine", "127.0.0.1:2", []string{ps.self, "127.0.0.1:3"}))
+	rec := get("job-mine")
+	var env api.ErrorEnvelope
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Code != http.StatusServiceUnavailable || !env.Error.Retryable {
+		t.Fatalf("orphan awaiting our own adoption: %d %+v, want a retryable 503", rec.Code, env.Error)
+	}
+}
+
+// Replicas are picked by rendezvous hashing over the alive peers other
+// than the owner: f of them, the same set in the same order on every
+// push while the fleet holds still, and a dead peer is passed over.
+func TestPickReplicasRanksAlivePeers(t *testing.T) {
+	ps := testPeer(t, "127.0.0.1:1")
+	ps.repFactor = 2
+	for _, addr := range []string{"127.0.0.1:2", "127.0.0.1:3", "127.0.0.1:4", "127.0.0.1:5"} {
+		ps.table.Merge([]wire.GossipEntry{{Addr: addr, Incarnation: 1, State: wire.GossipAlive}})
+	}
+	first := ps.pickReplicas("job-1")
+	if len(first) != 2 || slices.Contains(first, ps.self) {
+		t.Fatalf("replicas %v, want 2 peers other than the owner", first)
+	}
+	if again := ps.pickReplicas("job-1"); !slices.Equal(again, first) {
+		t.Fatalf("replicas moved from %v to %v with the fleet unchanged", first, again)
+	}
+	if replicaRank("job-1", first[0]) > replicaRank("job-1", first[1]) {
+		t.Fatalf("replicas %v are not in rank order", first)
+	}
+	markDead(ps, first[0])
+	if after := ps.pickReplicas("job-1"); len(after) != 2 || after[0] != first[1] || slices.Contains(after, first[0]) {
+		t.Fatalf("replicas after %s died: %v, want %s first and the dead peer gone", first[0], after, first[1])
+	}
+}
+
 // A suspicion must not reorder the adoption line: while the preferred
 // successor is merely suspect, the next replica defers instead of
 // adopting — skipping on suspicion lets two replicas each conclude
@@ -175,14 +234,16 @@ func TestAdoptOrphansGuards(t *testing.T) {
 	}
 }
 
-// replicaRecorder stands in for a replica peer and counts the Done
-// notices it receives per job. Every other request goes to next (404
-// when nil): an alive replica is also in the scheduling fleet, so a
-// shard placed on it runs on the peer it forwards to.
+// replicaRecorder stands in for a replica peer: it counts the Done
+// notices it receives per job and keeps the raw body of every other
+// push. Every other request goes to next (404 when nil): an alive
+// replica is also in the scheduling fleet, so a shard placed on it runs
+// on the peer it forwards to.
 type replicaRecorder struct {
-	mu   sync.Mutex
-	done map[string]int
-	next http.Handler
+	mu     sync.Mutex
+	done   map[string]int
+	pushes map[string][][]byte
+	next   http.Handler
 }
 
 func (rr *replicaRecorder) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -194,16 +255,22 @@ func (rr *replicaRecorder) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		rr.next.ServeHTTP(w, r)
 		return
 	}
+	body, err := io.ReadAll(r.Body)
 	var req wire.ReplicateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err == nil {
+		err = json.Unmarshal(body, &req)
+	}
+	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
+	rr.mu.Lock()
 	if req.Done {
-		rr.mu.Lock()
 		rr.done[req.JobID]++
-		rr.mu.Unlock()
+	} else if rr.pushes != nil {
+		rr.pushes[req.JobID] = append(rr.pushes[req.JobID], body)
 	}
+	rr.mu.Unlock()
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(wire.ReplicateResponse{JobID: req.JobID, Seq: req.Seq})
 }
@@ -244,7 +311,7 @@ func faultCounts(ps *peerServer) (rejections, failures int64) {
 }
 
 // A replica that stops answering is logged once per job, not once per
-// push: the owner keeps pushing to it after every merged shard until
+// push: the owner keeps pushing to it every gossip interval until
 // gossip suspects it.
 func TestReplicatorLogsDeadReplicaOnce(t *testing.T) {
 	gone := httptest.NewServer(http.NotFoundHandler())
@@ -256,7 +323,7 @@ func TestReplicatorLogsDeadReplicaOnce(t *testing.T) {
 	ps := newPeerServer(srv, "127.0.0.1:1", nil, peerOptions{heartbeat: time.Second, replicate: 1}, log.New(&logBuf, "", 0))
 	ps.table.Merge([]wire.GossipEntry{{Addr: addr, Incarnation: 1, State: wire.GossipAlive}})
 	spec := wire.JobSpec{Kind: wire.JobPareto, SweepRequest: wire.SweepRequest{Benchmark: "gcc"}}
-	r := ps.newReplicator("job-1", spec, 32, obs.SpanContext{}, nil)
+	r := ps.newReplicator("job-1", spec, 32, 0, obs.SpanContext{})
 	for seq := 1; seq <= 10; seq++ {
 		req := r.base
 		req.Seq = seq
@@ -344,6 +411,71 @@ func TestFleetJobRetiresReplicas(t *testing.T) {
 		t.Fatalf("cancelled job settled %q, want canceled", state)
 	}
 	rec.awaitDone(t, st.ID)
+}
+
+// Replication ships the spec, not the progress: every push of a running
+// fleet job carries no candidates, and its size net of the trace excerpt
+// stays put as shards merge. A payload that grew with the job's answer
+// would outgrow the replica's 1 MiB request body limit on a large
+// frontier, and such a job could never be adopted.
+func TestReplicatePayloadStaysSpecSized(t *testing.T) {
+	rec := &replicaRecorder{done: make(map[string]int), pushes: make(map[string][][]byte)}
+	recTS := httptest.NewServer(rec)
+	defer recTS.Close()
+	recAddr := strings.TrimPrefix(recTS.URL, "http://")
+
+	// The peer straggles and pushes every 5ms, so several pushes land
+	// while the job's shards merge.
+	srv := NewServer(context.Background(), testServer(t).store, 1, nil, nil)
+	srv.straggle = time.Millisecond
+	var handler http.Handler
+	peerTS := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		handler.ServeHTTP(w, r)
+	}))
+	defer peerTS.Close()
+	ps := newPeerServer(srv, strings.TrimPrefix(peerTS.URL, "http://"), nil,
+		peerOptions{heartbeat: 5 * time.Millisecond, shardSize: 16, replicate: 1}, nil)
+	handler = ps.Handler()
+	rec.next = handler
+	ps.table.SetLocalInfo(ps.srv.workers, ps.srv.store.Trained())
+	ps.table.Merge([]wire.GossipEntry{{Addr: recAddr, Incarnation: 1, State: wire.GossipAlive}})
+
+	resp, id, err := testClient(peerTS.URL).Run(testContext(t), wire.ParetoRequest{
+		Benchmark:  "gcc",
+		Objectives: frontierObjectives,
+		SpaceSpec:  wire.SpaceSpec{Space: "test", Sample: 64},
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.awaitDone(t, id)
+	rec.mu.Lock()
+	pushes := rec.pushes[id]
+	rec.mu.Unlock()
+	if resp.Shards < 4 || len(pushes) < 2 {
+		t.Fatalf("the job merged %d shards and pushed %d payloads, want several of each", resp.Shards, len(pushes))
+	}
+	first := -1
+	for i, body := range pushes {
+		if bytes.Contains(body, []byte(`"snapshot"`)) || bytes.Contains(body, []byte(`"candidate`)) {
+			t.Fatalf("push %d carries candidates: %.300s", i, body)
+		}
+		var fields map[string]json.RawMessage
+		if err := json.Unmarshal(body, &fields); err != nil {
+			t.Fatal(err)
+		}
+		delete(fields, "spans")
+		net, err := json.Marshal(fields)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first < 0 {
+			first = len(net)
+		}
+		if len(net) > first {
+			t.Fatalf("push %d is %d bytes net of spans, the first was %d: the payload grows with the job", i, len(net), first)
+		}
+	}
 }
 
 // A peer evaluates the shards it places on itself in process: no shard

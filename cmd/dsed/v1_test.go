@@ -517,3 +517,116 @@ func TestJobTracesStayBounded(t *testing.T) {
 		t.Fatal("first job's trace survived 299 newer jobs; the store keeps 256")
 	}
 }
+
+// GET /v1/jobs lists the job table newest first, filtered by state,
+// kind and benchmark, a page of 50 by default and never more than 500;
+// an unknown state or kind, or a limit that is not a positive integer,
+// is a 400.
+func TestJobsListFiltersAndPages(t *testing.T) {
+	srv := NewServer(context.Background(), testServer(t).store, 0, nil, nil)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	hold := make(chan struct{})
+	defer close(hold)
+	start := func(kind wire.JobKind, benchmark string, run api.RunFunc) *api.Job {
+		t.Helper()
+		job, err := srv.jobs.Start(kind, benchmark, 1, run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return job
+	}
+	succeed := func(context.Context, api.Publisher) (any, api.Update, error) { return "ok", api.Update{}, nil }
+	// Filler: finished pareto jobs over twolf, oldest first.
+	const filler = 505
+	for i := 0; i < filler; i++ {
+		<-start(wire.JobPareto, "twolf", succeed).Done()
+	}
+	// The four jobs the filters tell apart, in creation order.
+	done := start(wire.JobPareto, "gcc", succeed)
+	<-done.Done()
+	failed := start(wire.JobSweep, "mcf", func(context.Context, api.Publisher) (any, api.Update, error) {
+		return nil, api.Update{}, errors.New("boom")
+	})
+	<-failed.Done()
+	canceled := start(wire.JobSweep, "gcc", func(ctx context.Context, _ api.Publisher) (any, api.Update, error) {
+		<-ctx.Done()
+		return nil, api.Update{}, ctx.Err()
+	})
+	if _, err := srv.jobs.Cancel(canceled.ID); err != nil {
+		t.Fatal(err)
+	}
+	<-canceled.Done()
+	running := start(wire.JobPareto, "mcf", func(context.Context, api.Publisher) (any, api.Update, error) {
+		<-hold
+		return nil, api.Update{}, nil
+	})
+
+	list := func(query string) (int, []string) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/jobs" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var body struct {
+			Jobs  []api.JobStatus `json:"jobs"`
+			Count int             `json:"count"`
+		}
+		if resp.StatusCode != http.StatusOK {
+			return resp.StatusCode, nil
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+			t.Fatal(err)
+		}
+		if body.Count != len(body.Jobs) {
+			t.Fatalf("%s: count %d for %d jobs", query, body.Count, len(body.Jobs))
+		}
+		ids := make([]string, len(body.Jobs))
+		for i, j := range body.Jobs {
+			if j.Result != nil {
+				t.Fatalf("%s: job %s listed with its result", query, j.ID)
+			}
+			ids[i] = j.ID
+		}
+		return resp.StatusCode, ids
+	}
+	for _, tc := range []struct {
+		query string
+		want  []string
+	}{
+		{"?limit=4", []string{running.ID, canceled.ID, failed.ID, done.ID}},
+		{"?state=running", []string{running.ID}},
+		{"?state=done&benchmark=gcc", []string{done.ID}},
+		{"?state=failed", []string{failed.ID}},
+		{"?state=canceled", []string{canceled.ID}},
+		{"?kind=sweep", []string{canceled.ID, failed.ID}},
+		{"?kind=pareto&benchmark=mcf", []string{running.ID}},
+		{"?benchmark=gcc", []string{canceled.ID, done.ID}},
+		{"?benchmark=doom", []string{}},
+	} {
+		status, got := list(tc.query)
+		if status != http.StatusOK || !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("GET /v1/jobs%s = %d %v, want 200 %v", tc.query, status, got, tc.want)
+		}
+	}
+	for _, tc := range []struct {
+		query string
+		n     int
+	}{
+		{"", api.DefaultListLimit},
+		{"?limit=7", 7},
+		{"?limit=100000", api.MaxListLimit},
+		{"?kind=pareto&limit=100000", api.MaxListLimit},
+	} {
+		if status, got := list(tc.query); status != http.StatusOK || len(got) != tc.n {
+			t.Errorf("GET /v1/jobs%s = %d with %d jobs, want 200 with %d", tc.query, status, len(got), tc.n)
+		}
+	}
+	for _, query := range []string{"?state=lost", "?kind=guided", "?limit=0", "?limit=-3", "?limit=ten"} {
+		if status, _ := list(query); status != http.StatusBadRequest {
+			t.Errorf("GET /v1/jobs%s = %d, want 400", query, status)
+		}
+	}
+}

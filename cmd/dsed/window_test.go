@@ -364,10 +364,10 @@ func TestFleetClientWindowMatchesSingleDaemon(t *testing.T) {
 	}
 }
 
-// A job resumed over HTTP from a mid-space ledger dispatches only the
-// ledger's complement, as absolute windows on the space (the job's own
-// offset plus the segment position), and still answers the frontier of
-// the whole job.
+// A windowed job with a nonzero offset dispatches absolute windows on
+// the space (the job's own offset plus the shard position) and answers
+// the frontier of the whole window. An adopter's re-run of an orphaned
+// windowed job is this same run, so it sends the same windows.
 func TestResumedWindowedJobSendsAbsoluteOffsets(t *testing.T) {
 	rec := &shardRecorder{next: testServer(t).Handler()}
 	worker := httptest.NewServer(rec)
@@ -390,34 +390,22 @@ func TestResumedWindowedJobSendsAbsoluteOffsets(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The owner merged [1000, 2500) and [4000, 4500) of the job's list
-	// before it died; the seed is their merged frontier.
-	ledger := []wire.ShardRange{{Start: 1000, Count: 1500}, {Start: 4000, Count: 500}}
-	merged := append(append([]space.Config(nil), designs[1000:2500]...), designs[4000:4500]...)
-	seed := cluster.Seed{Evaluated: len(merged), Shards: 2}
-	for _, c := range singleFrontier(t, merged) {
-		seed.Candidates = append(seed.Candidates, cluster.IndexedCandidate{Index: -1, Candidate: c.ToExplore()})
-	}
-
-	res, err := coord.Run(context.Background(), cluster.QueryOf(req.Spec()),
-		cluster.SegmentsAfter(len(designs), ledger), seed, nil)
+	res, err := coord.Run(context.Background(), cluster.QueryOf(req.Spec()), len(designs), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Evaluated != len(designs) {
-		t.Fatalf("resumed job evaluated %d designs, want %d", res.Evaluated, len(designs))
+		t.Fatalf("windowed job evaluated %d designs, want %d", res.Evaluated, len(designs))
 	}
-	requireCover(t, windowsOf(t, shards(rec), "test"), [][2]int{{300, 1000}, {2800, 1500}, {4800, 500}})
-	requireSameCandidates(t, "resumed frontier", wire.ToCandidates(res.Candidates), singleFrontier(t, designs))
+	requireCover(t, windowsOf(t, shards(rec), "test"), [][2]int{{300, 5000}})
+	requireSameCandidates(t, "windowed frontier", wire.ToCandidates(res.Candidates), singleFrontier(t, designs))
 }
 
-// An adopted windowed job resumes from a mid-space ledger through the
-// path every fleet job takes (fleetSegments, count-only segments, window
-// shards) and answers exactly what the uninterrupted run did. The seed
-// is the uninterrupted run's own replicated state after k merged shards,
-// round-tripped through the replicate wire form and seedFromReplica, so
-// top-K tie-breaking indices must survive the handoff for the ranks to
-// match.
+// An adopted windowed job re-runs through the path every fleet job
+// takes (the replicated spec, fleetDesigns, count-only carving, window
+// shards) and answers exactly what the uninterrupted run did, wherever
+// its owner died: the spec round-trips through the replicate wire form
+// first, and top-K ranks must match config for config.
 func TestAdoptedWindowedJobMatchesUninterrupted(t *testing.T) {
 	worker := httptest.NewServer(testServer(t).Handler())
 	t.Cleanup(worker.Close)
@@ -425,7 +413,6 @@ func TestAdoptedWindowedJobMatchesUninterrupted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
 	sp := wire.SpaceSpec{Space: "test", Offset: 300, Count: 5000}
 	sweep := wire.SweepRequest{
 		Benchmark:   "gcc",
@@ -435,68 +422,67 @@ func TestAdoptedWindowedJobMatchesUninterrupted(t *testing.T) {
 		Constraints: []wire.Constraint{{Objective: 1, Max: 1000}},
 	}
 	pareto := wire.ParetoRequest{Benchmark: "gcc", Objectives: frontierObjectives, SpaceSpec: sp}
+	const shardsPerJob = (5000 + 399) / 400
 	for _, spec := range []wire.JobSpec{sweep.Spec(), pareto.Spec()} {
-		q := cluster.QueryOf(spec)
-		run := func(ledger []wire.ShardRange, seed cluster.Seed, obs cluster.Observer) (int, []wire.Candidate) {
+		// run carves spec's job the way runFleet does; killAt > 0 cancels
+		// it from inside that merge, as a dying owner stops merging.
+		run := func(spec wire.JobSpec, killAt int) (*cluster.Result, error) {
 			t.Helper()
-			n, segs, err := fleetSegments(ctx, spec.SpaceSpec, nil, ledger)
+			n, pinned, err := fleetDesigns(context.Background(), spec.SpaceSpec, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if n != sp.Count {
-				t.Fatalf("%s: fleetSegments sized the job %d, want %d", spec.Kind, n, sp.Count)
+			if n != sp.Count || pinned != nil {
+				t.Fatalf("%s: fleetDesigns sized the job %d with %d pinned designs, want %d by count", spec.Kind, n, len(pinned), sp.Count)
 			}
-			for _, s := range segs {
-				if s.Designs != nil {
-					t.Fatalf("%s: a named space's segment pinned %d designs", spec.Kind, len(s.Designs))
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			return coord.Run(ctx, cluster.QueryOf(spec), n, nil, func(p cluster.Progress) {
+				if p.Shards == killAt {
+					cancel()
 				}
-			}
-			res, err := coord.Run(ctx, q, segs, seed, obs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res.Evaluated, wire.ToCandidates(res.Candidates)
+			})
 		}
-
-		// The uninterrupted run, replicating its state after every merge.
-		var states []wire.ReplicateRequest
-		var ledger []wire.ShardRange
-		wantN, want := run(nil, cluster.Seed{}, func(p cluster.Progress) {
-			ledger = wire.AddRange(ledger, wire.ShardRange{Start: p.ShardStart, Count: p.ShardLen})
-			st := wire.ReplicateRequest{
-				Evaluated: p.Evaluated, Feasible: p.Feasible, Shards: p.Shards,
-				Snapshot: replicaSnapshot(p), Ledger: append([]wire.ShardRange(nil), ledger...),
+		want, err := run(spec, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Shards != shardsPerJob {
+			t.Fatalf("%s: uninterrupted run merged %d shards, want %d", spec.Kind, want.Shards, shardsPerJob)
+		}
+		for _, k := range []int{1, shardsPerJob / 2, shardsPerJob} {
+			if _, err := run(spec, k); err == nil {
+				t.Fatalf("%s: owner killed after %d merges still finished", spec.Kind, k)
 			}
+			// The adopter holds only the spec, as it arrived on the wire.
+			st := spec.Replica()
+			st.JobID, st.Owner, st.Designs = "job-1", "127.0.0.1:1", sp.Count
 			body, err := json.Marshal(st)
 			if err != nil {
-				t.Error(err)
-				return
+				t.Fatal(err)
 			}
 			var back wire.ReplicateRequest
 			if err := json.Unmarshal(body, &back); err != nil {
-				t.Error(err)
-				return
+				t.Fatal(err)
 			}
-			states = append(states, back)
-		})
-		if len(states) != (sp.Count+399)/400 {
-			t.Fatalf("%s: uninterrupted run merged %d shards, want %d", spec.Kind, len(states), (sp.Count+399)/400)
-		}
-		for _, k := range []int{1, len(states) / 2, len(states) - 1} {
-			st := states[k-1]
-			gotN, got := run(st.Ledger, seedFromReplica(&st), nil)
-			if gotN != wantN {
-				t.Fatalf("%s adopted after %d shards: evaluated %d, want %d", spec.Kind, k, gotN, wantN)
+			got, err := run(back.Spec(), 0)
+			if err != nil {
+				t.Fatal(err)
 			}
+			if got.Evaluated != want.Evaluated || got.Feasible != want.Feasible {
+				t.Fatalf("%s adopted after %d shards: evaluated/feasible %d/%d, want %d/%d",
+					spec.Kind, k, got.Evaluated, got.Feasible, want.Evaluated, want.Feasible)
+			}
+			g, w := wire.ToCandidates(got.Candidates), wire.ToCandidates(want.Candidates)
 			if spec.Kind == wire.JobSweep {
-				g, _ := json.Marshal(got)
-				w, _ := json.Marshal(want)
-				if string(g) != string(w) {
-					t.Fatalf("%s adopted after %d shards: top-K differs rank for rank:\n  got  %s\n  want %s", spec.Kind, k, g, w)
+				gj, _ := json.Marshal(g)
+				wj, _ := json.Marshal(w)
+				if string(gj) != string(wj) {
+					t.Fatalf("%s adopted after %d shards: top-K differs rank for rank:\n  got  %s\n  want %s", spec.Kind, k, gj, wj)
 				}
 				continue
 			}
-			requireSameCandidates(t, fmt.Sprintf("%s adopted after %d shards", spec.Kind, k), got, want)
+			requireSameCandidates(t, fmt.Sprintf("%s adopted after %d shards", spec.Kind, k), g, w)
 		}
 	}
 }

@@ -210,23 +210,24 @@
 // travel, as /v1 jobs stamped scope=local so a shard is evaluated where
 // it lands instead of re-distributed forever. A shard of a named,
 // unsampled space is an [offset, count) window on it (composed with the
-// job's own window, and absolute on an adopted job's ledger complement),
-// and a shard of an explicit or sampled job pins its designs. While a
-// fleet-scope job runs, its owner replicates a compact recovery state to
-// -replicate peers after each merged shard: the job spec, the latest
-// merged cumulative snapshot (with original design indices, so top-K
-// tie-breaking survives the handoff), and the shard ledger — exactly
-// which design ranges have merged. Because collectors are associative
-// and snapshots cumulative, that state is the whole job.
+// job's own window), and a shard of an explicit or sampled job pins its
+// designs. While a fleet-scope job runs, its owner replicates the job's
+// spec to -replicate peers: once as the job starts and again every
+// -heartbeat, with its trace context and a sequence floor, never its
+// progress. Every answer is a deterministic function of the spec
+// and the models, so the spec is the whole recoverable job, and a push
+// stays the same size however far the job has got.
 //
 // When gossip declares an owner dead, the first live replica in the
 // job's (rendezvous-hashed) replica list adopts: it restarts the job
-// under the same job ID with the update sequence continued past the
-// owner's last replicated seq, re-dispatches only the ledger's
-// complement, and merges on top of the snapshot — every design still
-// evaluates exactly once across the handoff, and the final answer is
-// byte-identical to the uninterrupted run (property-tested at every
-// shard boundary in internal/cluster). Non-owners answer /v1/jobs/{id}
+// under the same job ID and re-runs it from scratch, numbering its
+// updates past any seq the owner could have published (the owner's
+// floor plus the design count plus two), so a failed-over stream's
+// sequence keeps rising. The adopted job's progress counters start
+// over; its final answer is byte-identical to the uninterrupted run,
+// with every design evaluated (property-tested for owners killed after
+// every merge count in internal/cluster, and end to end in cmd/dsed).
+// Non-owners answer /v1/jobs/{id}
 // for replicated jobs with a 307 to the owner (or the adopter, once the
 // owner is dead), so a client can ask any peer about any job. The
 // adopter splices the owner's replicated spans into its own trace tree

@@ -103,11 +103,6 @@ type Publisher interface {
 	// JobID names the job being published to — runners use it to tag
 	// trace spans and bind them in the trace store.
 	JobID() string
-	// Seq is the stream's current sequence number. A replicating runner
-	// stamps it into each replication payload so an adopter can continue
-	// the same sequence — a client that failed over mid-stream then keeps
-	// its dedup-by-seq logic without knowing the owner changed.
-	Seq() int
 }
 
 // RunFunc computes one job: it publishes cumulative snapshots through pub
@@ -246,9 +241,11 @@ func (m *Manager) Start(kind wire.JobKind, benchmark string, designs int, run Ru
 
 // StartAdopted submits a job under a caller-supplied identity: the ID of
 // the orphaned job being adopted, with the update sequence pre-advanced
-// past the owner's last replicated Seq. Streaming clients that fail over
-// keep their job ID and their skip-duplicates-by-seq logic; they never
-// learn the owner changed. Adoption bypasses the MaxRunning gate — a
+// to startSeq, past any seq the dead owner could have published.
+// Streaming clients that fail over keep their job ID and their
+// skip-duplicates-by-seq logic; they never learn the owner changed. The
+// adopted job re-runs from scratch, so its progress counters start over
+// while its seq keeps rising. Adoption bypasses the MaxRunning gate — a
 // node must not refuse to rescue an orphan because it is busy.
 func (m *Manager) StartAdopted(id string, kind wire.JobKind, benchmark string, designs, startSeq int, run RunFunc) (*Job, error) {
 	if id == "" {
@@ -673,13 +670,6 @@ func (j *Job) SubscribeFrom(from int) ([]Update, <-chan Update, func()) {
 
 // JobID implements Publisher.
 func (j *Job) JobID() string { return j.ID }
-
-// Seq implements Publisher: the stream's current sequence number.
-func (j *Job) Seq() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.seq
-}
 
 // Done closes when the job settles.
 func (j *Job) Done() <-chan struct{} { return j.done }

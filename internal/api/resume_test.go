@@ -126,9 +126,8 @@ func TestSubscribeFromNegativeActsLikeFreshSubscribe(t *testing.T) {
 }
 
 // TestStartAdoptedContinuesSequence: an adopted job keeps the orphan's
-// ID and continues its update sequence past the owner's last replicated
-// seq, so a failed-over stream reader's dedup-by-seq logic never
-// glitches.
+// ID and starts its update sequence past the floor it is given, so a
+// failed-over stream reader's dedup-by-seq logic never glitches.
 func TestStartAdoptedContinuesSequence(t *testing.T) {
 	m := NewManager(ManagerOptions{})
 	job, publish, finish := steppedJob(t, func(run RunFunc) (*Job, error) {
@@ -143,10 +142,8 @@ func TestStartAdoptedContinuesSequence(t *testing.T) {
 	if len(replay) != 1 || replay[0].Seq != 8 {
 		t.Fatalf("first adopted update has seq %d, want 8 (owner left off at 7)", replay[0].Seq)
 	}
-	// Seq through the Publisher matches, so the adopter's replicator
-	// stamps continuation payloads correctly too.
-	if got := job.Seq(); got != 8 {
-		t.Fatalf("publisher seq %d, want 8", got)
+	if got := job.Status(false).Updates; got != 8 {
+		t.Fatalf("status reports seq %d, want 8", got)
 	}
 	finish()
 	<-job.Done()

@@ -92,11 +92,6 @@ func workerCount(reg *obs.Registry, column, name string) int64 {
 	return reg.Counter("dsed_cluster_worker_"+column+"_total", "", obs.Label{Key: "worker", Value: name}).Value()
 }
 
-// fresh is a fresh job's one pinned segment over designs.
-func fresh(designs []space.Config) []Segment {
-	return []Segment{{Count: len(designs), Designs: designs}}
-}
-
 func newTestCoordinator(t *testing.T, workers []Transport, opts Options) *Coordinator {
 	t.Helper()
 	c, err := New(workers, opts)
@@ -154,7 +149,7 @@ func TestCoordinatorSweepMatchesSingleProcess(t *testing.T) {
 	}
 
 	coord := newTestCoordinator(t, localFleet(4), Options{ShardSize: 32})
-	got, err := coord.Run(context.Background(), q, fresh(designs), Seed{}, nil)
+	got, err := coord.Run(context.Background(), q, len(designs), designs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +178,7 @@ func TestCoordinatorSweepMatchesSingleProcess(t *testing.T) {
 // TestLocalWindowShardsMatchPinnedShards: a named space's shards reach
 // Local as design-less windows and run through SweepWindow. Each window
 // shard's partial must equal the pinned shard's over the same designs,
-// and a fleet job carved from count-only segments must answer exactly
+// and a fleet job carved by count alone must answer exactly
 // what the pinned job does.
 func TestLocalWindowShardsMatchPinnedShards(t *testing.T) {
 	ctx := context.Background()
@@ -225,11 +220,11 @@ func TestLocalWindowShardsMatchPinnedShards(t *testing.T) {
 	pinnedQ.Space = wire.SpaceSpec{}
 	for _, kind := range []wire.JobKind{wire.JobPareto, wire.JobSweep} {
 		q.Kind, pinnedQ.Kind = kind, kind
-		got, err := coord.Run(ctx, q, SegmentsAfter(len(designs), nil), Seed{}, nil)
+		got, err := coord.Run(ctx, q, len(designs), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := coord.Run(ctx, pinnedQ, fresh(designs), Seed{}, nil)
+		want, err := coord.Run(ctx, pinnedQ, len(designs), designs, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,7 +10,7 @@
 // worker holding the benchmark's models, and fold the partial frontiers /
 // top-Ks into the job kind's collector (Query.NewCollector). The merged
 // answer equals the single-process answer candidate-for-candidate. The
-// kind is a value on the Query: Run serves both, fresh or resumed.
+// kind is a value on the Query: Run serves both.
 //
 // The fleet is not a frozen list: the coordinator reads a fleet source
 // (NewFleet) at every placement, so a campaign keeps running while
@@ -214,18 +214,6 @@ type Progress struct {
 	Workers int
 	// Candidates is the merged partial frontier / top-K snapshot.
 	Candidates []explore.Candidate
-	// ShardStart and ShardLen identify the merged shard's design range
-	// [ShardStart, ShardStart+ShardLen) — the unit a replication ledger
-	// records, so a peer adopting the job re-dispatches exactly the
-	// complement.
-	ShardStart int
-	ShardLen   int
-	// Indexed is the snapshot with original design indices preserved
-	// (top-K sweeps only; nil on frontier jobs, which are
-	// index-independent). Top-K selection tie-breaks on indices, so a
-	// snapshot that later re-seeds a collector must carry them for the
-	// resumed answer to stay bit-identical.
-	Indexed []IndexedCandidate
 }
 
 // Observer receives Progress snapshots. It is called under the merge
@@ -239,15 +227,71 @@ type ParetoResult struct {
 	Frontier []explore.Candidate
 }
 
-// ParetoObserved is Run for a fresh frontier job over designs: the
+// ParetoObserved is Run for a frontier job over designs: the
 // frontier-only entry point perfbench drives.
 func (c *Coordinator) ParetoObserved(ctx context.Context, q Query, designs []space.Config, obs Observer) (*ParetoResult, error) {
 	q.Kind = wire.JobPareto
-	res, err := c.Run(ctx, q, []Segment{{Count: len(designs), Designs: designs}}, Seed{}, obs)
+	res, err := c.Run(ctx, q, len(designs), designs, obs)
 	if err != nil {
 		return nil, err
 	}
 	return &ParetoResult{Result: *res, Frontier: res.Candidates}, nil
+}
+
+// Run distributes one job of the query's kind over the fleet: it
+// evaluates the job's n designs shard by shard, folds every shard's
+// partial answer into the kind's collector, and returns the merged
+// answer, which equals the single-process answer over the same designs
+// up to ordering (a top K candidate for candidate). pinned holds the n
+// designs of an explicit list or an LHS sample; it is nil for a named,
+// unsampled space, whose shards travel as windows on Query.Space. obs,
+// when non-nil, sees the merged answer after every shard.
+//
+// A job whose owner died is re-run here from scratch by its adopter:
+// the answer is a deterministic function of the query, the designs and
+// the models, so the restart lands on the same answer byte for byte.
+func (c *Coordinator) Run(ctx context.Context, q Query, n int, pinned []space.Config, obs Observer) (*Result, error) {
+	if n <= 0 {
+		return nil, fmt.Errorf("cluster: no designs to sweep")
+	}
+	if pinned != nil && len(pinned) != n {
+		return nil, fmt.Errorf("cluster: %d pinned designs for a %d-design job", len(pinned), n)
+	}
+	merged := q.NewCollector()
+	var mu sync.Mutex
+	evaluated, feasible, mergedShards := 0, 0, 0
+	shards, retries, err := c.run(ctx, q, &carver{n: n, pinned: pinned}, func(worker string, p *Partial) {
+		c.metrics.mergeSize.Observe(float64(len(p.Candidates)))
+		workers := len(c.fleet())
+		mu.Lock()
+		defer mu.Unlock()
+		// The partial's counters cover the whole shard; its candidates
+		// are only the shard's survivors, so the job's counts are the
+		// partial sums, never the merged collector's.
+		evaluated += p.Evaluated
+		feasible += p.Feasible
+		mergedShards++
+		for _, ic := range p.Candidates {
+			merged.Collect(ic.Index, ic.Candidate)
+		}
+		if obs != nil {
+			answer, _ := Snapshot(merged)
+			obs(Progress{
+				Worker:     worker,
+				Delta:      p.Evaluated,
+				Evaluated:  evaluated,
+				Feasible:   feasible,
+				Shards:     mergedShards,
+				Workers:    workers,
+				Candidates: answer,
+			})
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	answer, _ := Snapshot(merged)
+	return &Result{Evaluated: evaluated, Feasible: feasible, Candidates: answer, Shards: shards, Retries: retries}, nil
 }
 
 // run is the distribution engine: a bounded pool of dispatchers carves
@@ -258,10 +302,9 @@ func (c *Coordinator) ParetoObserved(ctx context.Context, q Query, designs []spa
 // a worker joining mid-run starts taking shards, one dying forfeits only
 // its in-flight shards. merge may be called concurrently; callers
 // serialise their own state.
-func (c *Coordinator) run(ctx context.Context, q Query, segments []Segment,
-	merge func(worker string, s Shard, p *Partial)) (shards, retries int, err error) {
+func (c *Coordinator) run(ctx context.Context, q Query, cv *carver,
+	merge func(worker string, p *Partial)) (shards, retries int, err error) {
 
-	cv := &carver{segments: segments}
 	var (
 		errMu        sync.Mutex
 		errs         []error
@@ -374,7 +417,7 @@ const (
 // being hedged rather than laundering its slowness into the average.
 func (c *Coordinator) runShard(ctx context.Context, q Query, s Shard, first *worker,
 	abort context.CancelCauseFunc, localRetries *atomic.Int64,
-	merge func(worker string, s Shard, p *Partial)) error {
+	merge func(worker string, p *Partial)) error {
 
 	tried := make(map[string]bool)
 	// Buffered to the attempt fan-out ceiling (one primary + one hedge),
@@ -529,7 +572,7 @@ func (c *Coordinator) runShard(ctx context.Context, q Query, s Shard, first *wor
 				}
 				c.tracer.Import(o.p.Spans)
 				c.observe(o.m, s.Count, o.elapsed)
-				merge(o.m.name, s, o.p)
+				merge(o.m.name, o.p)
 				settle()
 				return nil
 			}

@@ -80,7 +80,7 @@ func (l *Local) Evaluate(ctx context.Context, q Query, s Shard) (*Partial, error
 	}
 	_, span = l.Tracer.Start(ctx, "phase:merge")
 	defer span.End()
-	answer, feasible, _ := Snapshot(col)
+	answer, feasible := Snapshot(col)
 	return &Partial{Evaluated: col.Seen(), Feasible: feasible, Candidates: indexed(answer, s.Start)}, nil
 }
 

@@ -61,7 +61,7 @@ func stateFor(c *Coordinator, name string) *worker {
 func TestMembershipLifecycle(t *testing.T) {
 	fleet := &liveFleet{}
 	coord := NewFleet(fleet.read, Options{ShardSize: 8})
-	cv := &carver{segments: []Segment{{Count: 128, Designs: testDesigns(128)}}}
+	cv := &carver{n: 128, pinned: testDesigns(128)}
 	if _, m, _ := coord.nextAssignment(cv, "gcc"); m != nil {
 		t.Fatalf("empty fleet placed a shard on %s", m.name)
 	}
@@ -181,7 +181,7 @@ func TestRejoinKeepsAccountingClean(t *testing.T) {
 	fleet.add(Member{Transport: NewLocal("w", resolveFake)})
 	fleet.add(Member{Transport: NewLocal("other", resolveFake)})
 	coord := NewFleet(fleet.read, Options{ShardSize: 8})
-	cv := &carver{segments: []Segment{{Count: 64, Designs: testDesigns(64)}}}
+	cv := &carver{n: 64, pinned: testDesigns(64)}
 	var old *worker
 	for old == nil {
 		_, m, ok := coord.nextAssignment(cv, "gcc")
@@ -247,7 +247,7 @@ func TestAffinitySpillsOnlyUnderLoad(t *testing.T) {
 		{Transport: NewLocal("other", resolveFake), Capacity: 2},
 	}
 	coord := NewFleet(func() []Member { return fleet }, Options{ShardSize: 8})
-	cv := &carver{segments: []Segment{{Count: 64, Designs: testDesigns(64)}}}
+	cv := &carver{n: 64, pinned: testDesigns(64)}
 	var names []string
 	for {
 		_, m, ok := coord.nextAssignment(cv, "gcc")

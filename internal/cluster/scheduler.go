@@ -3,6 +3,8 @@ package cluster
 import (
 	"slices"
 	"sort"
+
+	"repro/internal/space"
 )
 
 // This file is the coordinator's shard scheduler: shards are carved off
@@ -10,42 +12,31 @@ import (
 // worker about to take it, and each placed on the first worker of one
 // ranking rule (rank) over the fleet source's current answer.
 
-// carver hands out contiguous shards of a sweep's remaining design
-// segments on demand. A fresh sweep is one segment covering the whole
-// list; an adopted sweep's segments are the complement of the replicated
-// shard ledger, with Start offsets preserved so every candidate keeps
-// the index it would have had in the uninterrupted run. Shard boundaries
-// do not affect the merged answer (the reductions are associative and
-// property-tested shard-size-independent), so the carver is free to size
-// every bite for whichever worker takes it. Callers serialise access
-// (the coordinator carves under its own lock).
+// carver hands out contiguous shards of a job's design list on demand.
+// Shard boundaries do not affect the merged answer (the reductions are
+// associative and property-tested shard-size-independent), so the carver
+// is free to size every bite for whichever worker takes it. Each shard's
+// Start is its offset in the job's list, which keeps every candidate's
+// index, and so top-K tie-breaking, independent of the carving. Callers
+// serialise access (the coordinator carves under its own lock).
 type carver struct {
-	segments []Segment
-	seg      int // current segment
-	off      int // offset within it
+	n      int            // the job's design count
+	pinned []space.Config // its designs, when pinned (nil for a window)
+	off    int            // designs carved so far
 }
 
-// take carves the next shard of up to n designs; ok is false when every
-// segment is exhausted. A shard never spans segments: the ranges between
-// them are already merged, and re-evaluating them would double-count.
-func (cv *carver) take(n int) (Shard, bool) {
-	for cv.seg < len(cv.segments) && cv.off >= cv.segments[cv.seg].Count {
-		cv.seg++
-		cv.off = 0
-	}
-	if cv.seg >= len(cv.segments) {
+// take carves the next shard of up to size designs; ok is false once the
+// list is exhausted.
+func (cv *carver) take(size int) (Shard, bool) {
+	if cv.off >= cv.n {
 		return Shard{}, false
 	}
-	if n < 1 {
-		n = 1
+	size = min(max(size, 1), cv.n-cv.off)
+	shard := Shard{Start: cv.off, Count: size}
+	if cv.pinned != nil {
+		shard.Designs = cv.pinned[cv.off : cv.off+size]
 	}
-	s := cv.segments[cv.seg]
-	n = min(n, s.Count-cv.off)
-	shard := Shard{Start: s.Start + cv.off, Count: n}
-	if s.Designs != nil {
-		shard.Designs = s.Designs[cv.off : cv.off+n]
-	}
-	cv.off += n
+	cv.off += size
 	return shard, true
 }
 

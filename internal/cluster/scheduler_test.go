@@ -102,7 +102,7 @@ func TestFewerInflightModelHolderFirst(t *testing.T) {
 	coord.mu.Lock()
 	stateFor(coord, "holder-a").inflight = 2
 	coord.mu.Unlock()
-	cv := &carver{segments: []Segment{{Count: 64, Designs: testDesigns(64)}}}
+	cv := &carver{n: 64, pinned: testDesigns(64)}
 	for i := 0; i < 2; i++ {
 		if _, m, ok := coord.nextAssignment(cv, "gcc"); !ok || m.name != "holder-b" {
 			t.Fatalf("shard %d went to %+v, want the holder with fewer in flight", i, m)
@@ -129,7 +129,7 @@ func TestPoliciesNeverPlaceOnEvicted(t *testing.T) {
 	fleet.add(Member{Transport: lapsed, Benchmarks: []string{"gcc"}})
 	coord := NewFleet(fleet.read, Options{ShardSize: 64})
 	// A placement sees the member while it advertises the models...
-	if _, m, _ := coord.nextAssignment(&carver{segments: fresh(testDesigns(8))}, "gcc"); m == nil || m.name != "lapsed" {
+	if _, m, _ := coord.nextAssignment(&carver{n: 8, pinned: testDesigns(8)}, "gcc"); m == nil || m.name != "lapsed" {
 		t.Fatalf("the advertised model holder was not placed on: %+v", m)
 	} else {
 		coord.release(m)

@@ -82,25 +82,15 @@ func (q Query) NewCollector() Collector {
 
 // Snapshot reads the answer of a collector from Query.NewCollector, the
 // inverse of its kind-to-collector mapping: the top K best first or the
-// frontier; how many designs were feasible (0 on a frontier, where
-// feasibility has no meaning); and, for a top K, its candidates with
-// their original design indices, which tie-breaking needs for a resumed
-// job to stay bit-identical (nil on a frontier, whose merge is
-// index-independent). Any other collector is a programming error and
-// panics.
-func Snapshot(c Collector) (answer []explore.Candidate, feasible int, indexed []IndexedCandidate) {
+// frontier, and how many designs were feasible (0 on a frontier, where
+// feasibility has no meaning). Any other collector is a programming
+// error and panics.
+func Snapshot(c Collector) (answer []explore.Candidate, feasible int) {
 	switch c := c.(type) {
 	case *explore.FrontierCollector:
-		return c.Frontier(), 0, nil
+		return c.Frontier(), 0
 	case *explore.TopK:
-		entries := c.Entries()
-		answer = make([]explore.Candidate, len(entries))
-		indexed = make([]IndexedCandidate, len(entries))
-		for i, e := range entries {
-			answer[i] = e.Candidate
-			indexed[i] = IndexedCandidate{Index: e.Index, Candidate: e.Candidate}
-		}
-		return answer, c.Feasible(), indexed
+		return c.Results(), c.Feasible()
 	}
 	panic(fmt.Sprintf("cluster: Snapshot of a %T, which Query.NewCollector never returns", c))
 }

@@ -181,11 +181,9 @@ func (t *TopK) Results() []Candidate {
 }
 
 // IndexedEntry is one retained candidate together with its position in
-// the original design list — the replication form of a TopK snapshot.
-// Results drops indices, but selection tie-breaks on them, so a
-// snapshot that will later re-enter a collector via Collect (job
-// adoption) must carry them to stay bit-identical with an uninterrupted
-// run.
+// the original design list. Results drops indices, but selection
+// tie-breaks on them, so two collectors hold the same selection only if
+// their entries agree index for index.
 type IndexedEntry struct {
 	Index     int
 	Candidate Candidate

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
 
 	"repro/internal/obs"
 )
@@ -13,9 +12,9 @@ import (
 // membership digests exchanged between symmetric peers (POST /v1/gossip)
 // and the job-replication payloads that let a peer adopt and finish an
 // orphaned sweep (POST /v1/jobs/replicate). Replication is cheap by
-// design — merged snapshots are cumulative and mergeable (PR 3–5), so a
-// job's whole recoverable state is its spec, its latest snapshot, and a
-// ledger of merged shard ranges.
+// design: every answer is a deterministic function of the job's spec and
+// the models, so the spec is a job's whole recoverable state, and an
+// adopter re-runs the job from it.
 
 // Gossip member states, in increasing "badness". For one incarnation a
 // worse state always wins a merge; a node escapes suspicion only by
@@ -134,65 +133,17 @@ type GossipResponse struct {
 // response only once it passes the same checks a request does.
 func (r GossipResponse) Validate() error { return validateDigest(r.Entries) }
 
-// ShardRange is one merged [Start, Start+Count) slice of a sweep's
-// design list — the unit of the replicated shard ledger. A resuming
-// adopter re-dispatches only the complement, so every design is merged
-// exactly once across the handoff.
-type ShardRange struct {
-	Start int `json:"start"`
-	Count int `json:"count"`
-}
-
-// AddRange inserts r into a ledger kept sorted by Start, coalescing
-// adjacent and overlapping ranges, and returns the updated ledger.
-func AddRange(ledger []ShardRange, r ShardRange) []ShardRange {
-	if r.Count <= 0 {
-		return ledger
-	}
-	ledger = append(ledger, r)
-	sort.Slice(ledger, func(i, j int) bool { return ledger[i].Start < ledger[j].Start })
-	out := ledger[:1]
-	for _, next := range ledger[1:] {
-		last := &out[len(out)-1]
-		if next.Start <= last.Start+last.Count {
-			if end := next.Start + next.Count; end > last.Start+last.Count {
-				last.Count = end - last.Start
-			}
-			continue
-		}
-		out = append(out, next)
-	}
-	return out
-}
-
-// RangesTotal sums the designs covered by a (coalesced) ledger.
-func RangesTotal(ledger []ShardRange) int {
-	n := 0
-	for _, r := range ledger {
-		n += r.Count
-	}
-	return n
-}
-
-// SnapshotCandidate is one retained candidate of a replicated cumulative
-// snapshot. Index is the candidate's position in the job's full design
-// list: top-K selection tie-breaks on it, so replicating indices keeps
-// an adopted job's answer bit-identical to the unkilled run. Frontier
-// jobs ignore indices (Index is -1 there).
-type SnapshotCandidate struct {
-	Index     int       `json:"index"`
-	Candidate Candidate `json:"candidate"`
-}
-
 // MaxReplicatedSpans bounds the trace excerpt a replication payload
 // carries; an adopter splices these under the owner's root span so the
 // job's cross-node trace tree survives the owner.
 const MaxReplicatedSpans = 512
 
-// ReplicateRequest is the body of POST /v1/jobs/replicate: the owning
-// node's latest recoverable state for one job, pushed to each of its f
-// replicas after every merged shard. Seq orders payloads (replicas keep
-// the newest); Done retires the entry once the job finishes.
+// ReplicateRequest is the body of POST /v1/jobs/replicate: what a
+// replica needs to adopt one job if its owner dies — the job's identity,
+// its spec and its trace context — pushed to each of the owner's f
+// replicas once as the job starts and again every gossip round while
+// the job runs. Its size does not grow with the job's progress.
+// Done retires the entry once the job finishes.
 type ReplicateRequest struct {
 	JobID string  `json:"job_id"`
 	Kind  JobKind `json:"kind"`
@@ -203,21 +154,17 @@ type ReplicateRequest struct {
 	Replicas  []string `json:"replicas,omitempty"`
 	Benchmark string   `json:"benchmark"`
 	Designs   int      `json:"designs"`
-	Seq       int      `json:"seq"`
+	// Seq is the owner run's stream sequence floor: 0 for a fresh job,
+	// and for an adopted one the sequence number its updates start past.
+	// An adopter's floor exceeds every seq its predecessor could have
+	// published, so replicas drop a lower Seq (a dead owner's late push)
+	// and a failed-over stream's sequence keeps rising.
+	Seq int `json:"seq"`
 
 	// Exactly one of Sweep/Pareto holds the job's spec, with the design
 	// list in resolvable (seed-deterministic) form.
 	Sweep  *SweepRequest  `json:"sweep,omitempty"`
 	Pareto *ParetoRequest `json:"pareto,omitempty"`
-
-	// Merged-so-far state: cumulative counters, the latest merged
-	// snapshot, and the ledger of shard ranges it already covers.
-	Evaluated int                 `json:"evaluated"`
-	Feasible  int                 `json:"feasible"`
-	Shards    int                 `json:"shards"`
-	Retries   int                 `json:"retries"`
-	Snapshot  []SnapshotCandidate `json:"snapshot,omitempty"`
-	Ledger    []ShardRange        `json:"ledger,omitempty"`
 
 	// Trace splice: the owner's root span context plus the spans
 	// recorded so far, so the adopter continues the same tree.
@@ -227,8 +174,8 @@ type ReplicateRequest struct {
 	Done bool `json:"done,omitempty"`
 }
 
-// Replica returns the replication payload of a job with spec j, before
-// any state: its kind, and the spec in the field that kind names.
+// Replica returns the replication payload of a job with spec j: its
+// kind, and the spec in the field that kind names.
 func (j JobSpec) Replica() ReplicateRequest {
 	r := ReplicateRequest{Kind: j.Kind, Benchmark: j.Benchmark}
 	switch req := j.Request().(type) {
@@ -251,11 +198,10 @@ func (r ReplicateRequest) Spec() JobSpec {
 	return JobSpec{Kind: r.Kind}
 }
 
-// Validate rejects malformed replication payloads. An adopter resumes a
-// job from the payload alone, so it is held to what resuming relies on:
-// a spec its own submission would pass, a ledger in the sorted,
-// disjoint, coalesced form AddRange keeps, and a snapshot that re-enters
-// the kind's collector cleanly.
+// Validate rejects malformed replication payloads. An adopter re-runs a
+// job from the payload alone, so it is held to what its own submission
+// would pass: a known kind carrying exactly its spec, a spec that
+// validates, and a design count and sequence floor a restart can use.
 func (r ReplicateRequest) Validate() error {
 	if r.JobID == "" {
 		return errors.New("replicate needs a job id")
@@ -272,33 +218,32 @@ func (r ReplicateRequest) Validate() error {
 	case (r.Sweep != nil) != (r.Kind == JobSweep) || (r.Pareto != nil) != (r.Kind == JobPareto):
 		return fmt.Errorf("a %s replica must carry exactly its %s spec", r.Kind, r.Kind)
 	}
-	spec := r.Spec()
-	if err := spec.Validate(); err != nil {
+	if err := r.Spec().Validate(); err != nil {
 		return fmt.Errorf("replicated spec: %w", err)
 	}
-	if r.Designs <= 0 {
-		return errors.New("replicate needs the job's design count")
+	if r.Designs <= 0 || r.Designs > maxReplicaCount {
+		return fmt.Errorf("replicate design count %d is outside [1, %d]", r.Designs, maxReplicaCount)
+	}
+	if r.Seq < 0 || r.Seq > maxReplicaCount {
+		return fmt.Errorf("replicate seq %d is outside [0, %d]", r.Seq, maxReplicaCount)
 	}
 	if len(r.Spans) > MaxReplicatedSpans {
 		return fmt.Errorf("replicate carries at most %d spans (got %d)", MaxReplicatedSpans, len(r.Spans))
 	}
-	end := -1 // the next range must start past this: the previous range's end
-	for _, rg := range r.Ledger {
-		if rg.Start <= end || rg.Count <= 0 || rg.Count > r.Designs-rg.Start {
-			return fmt.Errorf("ledger range [%d,+%d) is out of order, empty, adjacent to its predecessor or outside the job's %d designs", rg.Start, rg.Count, r.Designs)
-		}
-		end = rg.Start + rg.Count
-	}
-	for _, sc := range r.Snapshot {
-		if len(sc.Candidate.Scores) != len(spec.Objectives) {
-			return fmt.Errorf("snapshot candidate carries %d scores for %d objectives", len(sc.Candidate.Scores), len(spec.Objectives))
-		}
-		if r.Kind == JobSweep && (sc.Index < 0 || sc.Index >= r.Designs) {
-			return fmt.Errorf("top-K snapshot index %d outside the job's %d designs", sc.Index, r.Designs)
-		}
-	}
 	return nil
 }
+
+// maxReplicaCount bounds a payload's design count and sequence floor, so
+// AdoptedSeq cannot overflow.
+const maxReplicaCount = 1 << 30
+
+// AdoptedSeq is the sequence floor an adopter of this job starts its
+// updates past. An owner run publishes one opening update, at most one
+// update per merged shard (a shard holds at least one design) and one
+// final, so it never publishes past Seq + Designs + 2: every update of
+// the adopted run outranks every update the dead owner could have
+// published, and a failed-over stream reader's sequence keeps rising.
+func (r ReplicateRequest) AdoptedSeq() int { return r.Seq + r.Designs + 2 }
 
 // ReplicateResponse acknowledges a replication payload.
 type ReplicateResponse struct {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/space"
 )
 
@@ -193,29 +194,21 @@ func TestSpaceSpecFactorialWindow(t *testing.T) {
 }
 
 // TestReplicateRequestValidate: a replica payload is what an adopter
-// resumes a job from, so Validate holds it to the checks the job's own
-// submission passed, plus the ledger and snapshot invariants resuming
-// relies on.
+// re-runs a job from, so Validate holds it to the checks the job's own
+// submission passed, plus the design count and sequence floor the
+// restart's stream sequence is computed from.
 func TestReplicateRequestValidate(t *testing.T) {
 	objectives := []ObjectiveSpec{{Metric: "CPI"}, {Metric: "Power"}}
 	sweep := func() ReplicateRequest {
 		return ReplicateRequest{
-			JobID: "job-1", Kind: "sweep", Owner: "127.0.0.1:1", Benchmark: "gcc", Designs: 10,
+			JobID: "job-1", Kind: "sweep", Owner: "127.0.0.1:1", Benchmark: "gcc", Designs: 10, Seq: 4,
 			Sweep: &SweepRequest{Benchmark: "gcc", Objectives: objectives, SpaceSpec: SpaceSpec{Space: "test", Sample: 10}, TopK: 2},
-			Snapshot: []SnapshotCandidate{
-				{Index: 0, Candidate: Candidate{Scores: []float64{1, 2}}},
-				{Index: 9, Candidate: Candidate{Scores: []float64{2, 1}}},
-			},
-			Ledger: []ShardRange{{Start: 0, Count: 3}, {Start: 5, Count: 5}},
 		}
 	}
 	pareto := func() ReplicateRequest {
 		r := sweep()
 		r.Kind, r.Sweep = "pareto", nil
 		r.Pareto = &ParetoRequest{Benchmark: "gcc", Objectives: objectives, SpaceSpec: SpaceSpec{Space: "test", Sample: 10}}
-		for i := range r.Snapshot {
-			r.Snapshot[i].Index = -1
-		}
 		return r
 	}
 	for _, tc := range []struct {
@@ -231,19 +224,11 @@ func TestReplicateRequestValidate(t *testing.T) {
 		{"unknown kind", func(r *ReplicateRequest) { r.Kind = "guided" }, true},
 		{"kind without its spec", func(r *ReplicateRequest) { r.Kind = "pareto" }, true},
 		{"both specs", func(r *ReplicateRequest) { r.Pareto = pareto().Pareto }, true},
-		{"unsorted ledger", func(r *ReplicateRequest) { r.Ledger = []ShardRange{{Start: 5, Count: 5}, {Start: 0, Count: 3}} }, true},
-		{"overlapping ledger", func(r *ReplicateRequest) { r.Ledger = []ShardRange{{Start: 0, Count: 5}, {Start: 3, Count: 4}} }, true},
-		{"uncoalesced ledger", func(r *ReplicateRequest) { r.Ledger = []ShardRange{{Start: 0, Count: 3}, {Start: 3, Count: 2}} }, true},
-		{"ledger past the designs", func(r *ReplicateRequest) { r.Ledger = []ShardRange{{Start: 8, Count: 5}} }, true},
-		{"ledger end overflows", func(r *ReplicateRequest) { r.Ledger = []ShardRange{{Start: 1, Count: int(^uint(0) >> 1)}} }, true},
-		{"empty ledger range", func(r *ReplicateRequest) { r.Ledger = []ShardRange{{Start: 1, Count: 0}} }, true},
-		{"snapshot score width", func(r *ReplicateRequest) { r.Snapshot[1].Candidate.Scores = []float64{1, 2, 3, 4} }, true},
-		{"top-K index past the designs", func(r *ReplicateRequest) { r.Snapshot[1].Index = 10 }, true},
-		{"top-K index negative", func(r *ReplicateRequest) { r.Snapshot[0].Index = -1 }, true},
-		{"pareto snapshot score width", func(r *ReplicateRequest) {
-			*r = pareto()
-			r.Snapshot[0].Candidate.Scores = nil
-		}, true},
+		{"no design count", func(r *ReplicateRequest) { r.Designs = 0 }, true},
+		{"design count overflows the floor", func(r *ReplicateRequest) { r.Designs = int(^uint(0) >> 1) }, true},
+		{"negative seq", func(r *ReplicateRequest) { r.Seq = -1 }, true},
+		{"seq overflows the floor", func(r *ReplicateRequest) { r.Seq = int(^uint(0) >> 1) }, true},
+		{"too many spans", func(r *ReplicateRequest) { r.Spans = make([]obs.Span, MaxReplicatedSpans+1) }, true},
 	} {
 		r := sweep()
 		tc.edit(&r)

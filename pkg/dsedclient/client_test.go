@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -317,5 +318,29 @@ func TestJobCancel(t *testing.T) {
 	}
 	if !d.cancelled.Load() {
 		t.Error("abandoning the stream did not cancel the daemon-side job")
+	}
+}
+
+// Benchmarks GETs /v1/benchmarks and decodes the daemon's inventory:
+// trained benchmarks, those it would train on demand, and the metrics
+// it serves.
+func TestBenchmarks(t *testing.T) {
+	var method, path string
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		method, path = r.Method, r.URL.Path
+		w.Header().Set("Content-Type", api.ContentJSON)
+		io.WriteString(w, `{"trained":["gcc"],"trainable_on_demand":["mcf","twolf"],"metrics":["CPI","Power"]}`)
+	}))
+	defer ts.Close()
+	got, err := fastClient(ts.URL).Benchmarks(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if method != http.MethodGet || path != "/v1/benchmarks" {
+		t.Errorf("Benchmarks sent %s %s, want GET /v1/benchmarks", method, path)
+	}
+	want := &BenchmarksResponse{Trained: []string{"gcc"}, TrainableOnDemand: []string{"mcf", "twolf"}, Metrics: []string{"CPI", "Power"}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Benchmarks decoded %+v, want %+v", got, want)
 	}
 }

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # perfgate.sh is the perf regression gate: it measures the hot-path
-# benchmarks of the checked-out tree against a base revision built and
-# run on the same machine in the same job, so host contention hits both
-# sides alike and the gate judges the change, not the hour.
+# benchmarks (the sweep engine, the RBF kernels, the sampler, the
+# frontier reduction and the simulator) of the checked-out tree against
+# a base revision built and run on the same machine in the same job, so
+# host contention hits both sides alike and the gate judges the change,
+# not the hour.
 #
 #   tools/perfgate.sh [base-rev]    # default HEAD^ (a PR merge commit's base)
 #
@@ -15,7 +17,7 @@
 set -euo pipefail
 
 base=${1:-HEAD^}
-pattern='ExploreSweep|PredictBatch|RBFPredict|SampleDesign'
+pattern='ExploreSweep|PredictBatch|RBFPredict|SampleDesign|ParetoFrontier|SimulatorThroughput'
 root=$(git rev-parse --show-toplevel)
 cd "$root"
 work=$(mktemp -d)
