@@ -492,27 +492,34 @@ func randomBenchCandidates(n, dims int) []explore.Candidate {
 
 func BenchmarkParetoFrontier(b *testing.B) {
 	for _, bc := range []struct {
-		name string
-		n    int
-		dims int
-		fn   func([]explore.Candidate) []explore.Candidate
+		name    string
+		n, dims int
 	}{
-		{"fast-n=1k-d=2", 1000, 2, explore.ParetoFrontier},
-		{"brute-n=1k-d=2", 1000, 2, bruteParetoFrontier},
-		{"fast-n=10k-d=2", 10000, 2, explore.ParetoFrontier},
-		{"brute-n=10k-d=2", 10000, 2, bruteParetoFrontier},
-		{"fast-n=10k-d=3", 10000, 3, explore.ParetoFrontier},
-		{"fast-n=100k-d=2", 100000, 2, explore.ParetoFrontier},
+		{"fast-n=1k-d=2", 1000, 2},
+		{"fast-n=10k-d=2", 10000, 2},
+		{"fast-n=10k-d=3", 10000, 3},
+		{"fast-n=100k-d=2", 100000, 2},
 	} {
-		cands := randomBenchCandidates(bc.n, bc.dims)
-		b.Run(bc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if len(bc.fn(cands)) == 0 {
-					b.Fatal("empty frontier")
-				}
-			}
-		})
+		benchFrontier(b, bc.name, randomBenchCandidates(bc.n, bc.dims), explore.ParetoFrontier)
 	}
+}
+
+// BenchmarkParetoFrontierBrute times the test-only O(n²) reference, the
+// yardstick for BenchmarkParetoFrontier's speedup. It ships nowhere, so
+// tools/perfgate.sh does not gate it.
+func BenchmarkParetoFrontierBrute(b *testing.B) {
+	benchFrontier(b, "brute-n=1k-d=2", randomBenchCandidates(1000, 2), bruteParetoFrontier)
+	benchFrontier(b, "brute-n=10k-d=2", randomBenchCandidates(10000, 2), bruteParetoFrontier)
+}
+
+func benchFrontier(b *testing.B, name string, cands []explore.Candidate, fn func([]explore.Candidate) []explore.Candidate) {
+	b.Run(name, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if len(fn(cands)) == 0 {
+				b.Fatal("empty frontier")
+			}
+		}
+	})
 }
 
 // Component micro-benchmarks: substrate throughput numbers.

@@ -62,10 +62,13 @@ func (t *Tracker) OnCommit(dead bool) {
 }
 
 // Tick accumulates one cycle of residency.
-func (t *Tracker) Tick() {
-	t.cycles++
-	t.iqACECycles += uint64(t.curIQACE)
-	t.robACECycles += uint64(t.curROBACE)
+func (t *Tracker) Tick() { t.TickN(1) }
+
+// TickN accumulates k cycles of unchanged residency: exactly k Ticks.
+func (t *Tracker) TickN(k uint64) {
+	t.cycles += k
+	t.iqACECycles += k * uint64(t.curIQACE)
+	t.robACECycles += k * uint64(t.curROBACE)
 }
 
 // CurrentIQACE returns the number of ACE entries resident in the IQ now —

@@ -153,3 +153,20 @@ func TestAVFBoundsProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestTickNIsKTicks(t *testing.T) {
+	a, b := NewTracker(32, 64), NewTracker(32, 64)
+	for _, tr := range []*Tracker{a, b} {
+		tr.OnDispatch(false)
+		tr.OnDispatch(false)
+		tr.OnDispatch(true)
+		tr.OnIssue(false)
+	}
+	for i := 0; i < 37; i++ {
+		a.Tick()
+	}
+	b.TickN(37)
+	if a.Snapshot() != b.Snapshot() {
+		t.Errorf("TickN(37) = %+v, 37 Ticks = %+v", b.Snapshot(), a.Snapshot())
+	}
+}

@@ -16,10 +16,25 @@
 //
 // Every structure the nine design parameters name (fetch width, ROB, IQ,
 // LSQ, both L1s, L2 and the two latencies) has first-class timing effect.
+//
+// Run skips cycles in which nothing can happen. The core is quiescent
+// when this cycle's completion-wheel slot and the ready queue are empty,
+// the ROB head cannot commit (not completed, ROB empty, or the run's
+// commit budget reached), dispatch is blocked (empty fetch buffer, or no
+// ROB, IQ or — for a memory op — LSQ entry), fetch is blocked (an
+// unresolved mispredict, an instruction-fetch stall, or a full buffer),
+// and no DVM controller samples the cycle. A quiescent core stays so
+// until the next wheel completion or the end of the fetch stall, so Run
+// elapses the cycles up to that event in one step: the occupancy sums
+// and the AVF tracker take k cycles at the unchanged occupancies, exactly
+// what k single steps would add. The run is bit-identical to stepping
+// every cycle, including the cycle at which the watchdog reports a
+// deadlock; a run with DVM steps every cycle.
 package cpu
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/avf"
 	"repro/internal/bpred"
@@ -58,7 +73,13 @@ type robEntry struct {
 	completed bool
 
 	pendingDeps int32
-	consumers   []int32
+	// consumers lists the dependence edges of the entries waiting on this
+	// one: edge 2·slot+k is dependence k of the entry at slot, whose
+	// depNext[k] links the next edge.
+	consumers list
+	depNext   [2]int32
+	// nextDone links the next entry completing in the same wheel slot.
+	nextDone int32
 
 	mispredicted bool
 	// Memory hierarchy outcomes recorded at dispatch, consumed by
@@ -67,6 +88,13 @@ type robEntry struct {
 	l2Miss   bool
 	dtlbMiss bool
 }
+
+// list is a FIFO threaded through the ROB entries' own link fields, so the
+// completion wheel and the dependence lists allocate nothing. head and
+// tail are -1 when the list is empty.
+type list struct{ head, tail int32 }
+
+var emptyList = list{head: -1, tail: -1}
 
 // fetchedInst is an instruction waiting in the fetch buffer for dispatch.
 type fetchedInst struct {
@@ -104,7 +132,10 @@ type Core struct {
 	blockedInQ      bool // the blocking branch is still in the fetch queue
 	fetchStallUntil uint64
 
-	wheel [wheelSize][]int32
+	wheel [wheelSize]list // ROB slots completing at cycle ≡ index
+	// wheelOcc has bit s set while wheel[s] holds completions, so the next
+	// pending completion is found a word at a time.
+	wheelOcc [wheelSize / 64]uint64
 
 	outstandingL2 int
 
@@ -158,6 +189,9 @@ func New(cfg space.Config, gen workload.Generator) (*Core, error) {
 	c.rob = make([]robEntry, cfg.ROBSize)
 	c.fetchQ = make([]fetchedInst, 0, 4*cfg.FetchWidth)
 	c.blockedSlot = -1
+	for i := range c.wheel {
+		c.wheel[i] = emptyList
+	}
 	gen.Reset()
 	return c, nil
 }
@@ -184,22 +218,78 @@ func (c *Core) step() {
 		c.fetchHead = 0
 	}
 	c.fetch()
-
-	// Per-cycle accounting.
-	c.c.robOccSum += uint64(c.robCount)
-	c.c.iqOccSum += uint64(c.iqCount)
-	c.c.lsqOccSum += uint64(c.lsqCount)
-	c.tracker.Tick()
 	if c.dvmCtl != nil {
 		c.dvmCtl.Tick(c.tracker.CurrentIQACE())
 	}
-	c.cycle++
+	c.elapse(1)
+}
+
+// elapse accounts k cycles of residency at the current occupancies and
+// advances the clock past them.
+func (c *Core) elapse(k uint64) {
+	c.c.robOccSum += k * uint64(c.robCount)
+	c.c.iqOccSum += k * uint64(c.iqCount)
+	c.c.lsqOccSum += k * uint64(c.lsqCount)
+	c.tracker.TickN(k)
+	c.cycle += k
+}
+
+// idleCycles returns how many cycles, starting with this one and at most
+// limit, would step without effect: nothing completes, issues, commits,
+// dispatches or fetches in them, so Run may elapse them in bulk. It
+// returns 0 when this cycle must step: something can happen in it, a DVM
+// controller samples every cycle, or no event is pending at all (a
+// deadlock, which the watchdog must see cycle by cycle).
+func (c *Core) idleCycles(limit uint64) uint64 {
+	if c.dvmCtl != nil || len(c.readyQ) > 0 {
+		return 0
+	}
+	if c.robCount > 0 && c.committed < c.commitStop && c.rob[c.robHead].completed {
+		return 0
+	}
+	if c.fetchHead < len(c.fetchQ) && !c.windowFull(c.fetchQ[c.fetchHead].inst.Op) {
+		return 0
+	}
+	next, pending := c.nextCompletion()
+	if !c.fetchBlocked && len(c.fetchQ) < cap(c.fetchQ) {
+		if c.cycle >= c.fetchStallUntil {
+			return 0
+		}
+		if stall := c.fetchStallUntil - c.cycle; !pending || stall < next {
+			next, pending = stall, true
+		}
+	}
+	if !pending {
+		return 0
+	}
+	return min(next, limit)
+}
+
+// nextCompletion returns how many cycles from now the nearest non-empty
+// wheel slot lies (0: this cycle's), and false if the wheel is empty.
+func (c *Core) nextCompletion() (uint64, bool) {
+	start := c.cycle % wheelSize
+	w := start / 64
+	word := c.wheelOcc[w] &^ (1<<(start%64) - 1)
+	// One pass over the other words, then the first word's low bits,
+	// which hold the slots that wrap around to the far end of the wheel.
+	for i := 0; i <= len(c.wheelOcc); i++ {
+		if word != 0 {
+			slot := w*64 + uint64(bits.TrailingZeros64(word))
+			return (slot - start + wheelSize) % wheelSize, true
+		}
+		w = (w + 1) % uint64(len(c.wheelOcc))
+		word = c.wheelOcc[w]
+	}
+	return 0, false
 }
 
 // writeback drains this cycle's completions, waking dependents.
 func (c *Core) writeback() {
-	slot := &c.wheel[c.cycle%wheelSize]
-	for _, idx := range *slot {
+	s := c.cycle % wheelSize
+	slot := &c.wheel[s]
+	c.wheelOcc[s/64] &^= 1 << (s % 64)
+	for idx := slot.head; idx >= 0; idx = c.rob[idx].nextDone {
 		e := &c.rob[idx]
 		e.completed = true
 		if e.op == workload.OpLoad && e.l2Miss {
@@ -213,16 +303,16 @@ func (c *Core) writeback() {
 				c.fetchStallUntil = resume
 			}
 		}
-		for _, consumer := range e.consumers {
+		for edge := e.consumers.head; edge >= 0; edge = c.rob[edge/2].depNext[edge%2] {
+			consumer := edge / 2
 			ce := &c.rob[consumer]
 			ce.pendingDeps--
 			if ce.pendingDeps == 0 && ce.inIQ {
 				c.readyQ = append(c.readyQ, consumer)
 			}
 		}
-		e.consumers = e.consumers[:0]
 	}
-	*slot = (*slot)[:0]
+	*slot = emptyList
 }
 
 // commit retires completed instructions in order.
@@ -301,10 +391,22 @@ func (c *Core) issue() {
 		if lat == 0 {
 			lat = 1
 		}
-		done := c.cycle + lat
-		c.wheel[done%wheelSize] = append(c.wheel[done%wheelSize], idx)
+		c.pushDone((c.cycle+lat)%wheelSize, idx)
 		issued++
 	}
+}
+
+// pushDone appends ROB slot idx to wheel slot s.
+func (c *Core) pushDone(s uint64, idx int32) {
+	w := &c.wheel[s]
+	c.rob[idx].nextDone = -1
+	if w.tail < 0 {
+		w.head = idx
+		c.wheelOcc[s/64] |= 1 << (s % 64)
+	} else {
+		c.rob[w.tail].nextDone = idx
+	}
+	w.tail = idx
 }
 
 // loadLatency composes the latency of a load from the hierarchy outcomes
@@ -337,17 +439,13 @@ func (c *Core) dispatch() {
 	for n := 0; n < width && c.fetchHead < len(c.fetchQ); n++ {
 		fi := &c.fetchQ[c.fetchHead]
 		inst := &fi.inst
+		if c.windowFull(inst.Op) {
+			return
+		}
 		needsLSQ := inst.Op == workload.OpLoad || inst.Op == workload.OpStore
-		if c.robCount >= c.cfg.ROBSize || c.iqCount >= c.cfg.IQSize {
-			return
-		}
-		if needsLSQ && c.lsqCount >= c.cfg.LSQSize {
-			return
-		}
 
 		slot := int32((c.robHead + c.robCount) % len(c.rob))
 		e := &c.rob[slot]
-		oldConsumers := e.consumers
 		*e = robEntry{
 			seq:          c.seq,
 			op:           inst.Op,
@@ -355,7 +453,7 @@ func (c *Core) dispatch() {
 			inIQ:         true,
 			usesLSQ:      needsLSQ,
 			mispredicted: fi.mispredicted,
-			consumers:    oldConsumers[:0],
+			consumers:    emptyList,
 		}
 		c.robCount++
 		c.iqCount++
@@ -376,7 +474,7 @@ func (c *Core) dispatch() {
 		// Resolve register dependences against the in-flight window: the
 		// producer of a distance-d dependence occupies the ROB slot d
 		// positions back, provided it has not committed (d < robCount).
-		for _, d := range [2]uint16{inst.Dep1, inst.Dep2} {
+		for k, d := range [2]uint16{inst.Dep1, inst.Dep2} {
 			if d == 0 || int(d) >= c.robCount {
 				continue // no dependence, or producer already committed
 			}
@@ -385,7 +483,7 @@ func (c *Core) dispatch() {
 			if pe.completed {
 				continue
 			}
-			pe.consumers = append(pe.consumers, slot)
+			c.addConsumer(pe, slot, k)
 			e.pendingDeps++
 		}
 		if e.pendingDeps == 0 {
@@ -394,6 +492,28 @@ func (c *Core) dispatch() {
 		c.seq++
 		c.fetchHead++
 	}
+}
+
+// addConsumer appends dependence k of the entry at slot to producer pe's
+// consumers.
+func (c *Core) addConsumer(pe *robEntry, slot int32, k int) {
+	edge := 2*slot + int32(k)
+	c.rob[slot].depNext[k] = -1
+	if t := pe.consumers.tail; t < 0 {
+		pe.consumers.head = edge
+	} else {
+		c.rob[t/2].depNext[t%2] = edge
+	}
+	pe.consumers.tail = edge
+}
+
+// windowFull reports whether an instruction of class op finds no free ROB,
+// IQ or (for a memory op) LSQ entry to dispatch into.
+func (c *Core) windowFull(op workload.OpClass) bool {
+	if c.robCount >= c.cfg.ROBSize || c.iqCount >= c.cfg.IQSize {
+		return true
+	}
+	return (op == workload.OpLoad || op == workload.OpStore) && c.lsqCount >= c.cfg.LSQSize
 }
 
 // accessDataHierarchy probes DTLB, DL1 and L2 for a memory instruction and
@@ -428,8 +548,12 @@ func (c *Core) fetch() {
 		width = room
 	}
 	for n := 0; n < width; n++ {
-		var inst workload.Inst
-		c.gen.Next(&inst)
+		// Generate straight into the buffer slot: a local Inst would escape
+		// through the interface call and cost one allocation per fetch.
+		c.fetchQ = append(c.fetchQ, fetchedInst{})
+		fi := &c.fetchQ[len(c.fetchQ)-1]
+		inst := &fi.inst
+		c.gen.Next(inst)
 		c.c.fetches++
 
 		// Instruction memory.
@@ -453,12 +577,11 @@ func (c *Core) fetch() {
 			}
 		}
 
-		mispred := false
 		stopFetch := false
 		if inst.Op == workload.OpBranch {
 			c.c.branches++
-			mispred = c.predictBranch(&inst)
-			if mispred {
+			fi.mispredicted = c.predictBranch(inst)
+			if fi.mispredicted {
 				c.c.mispredicts++
 				c.fetchBlocked = true
 				c.blockedInQ = true
@@ -469,7 +592,6 @@ func (c *Core) fetch() {
 				stopFetch = true
 			}
 		}
-		c.fetchQ = append(c.fetchQ, fetchedInst{inst: inst, mispredicted: mispred})
 		if stopFetch || c.cycle < c.fetchStallUntil {
 			return
 		}

@@ -80,7 +80,19 @@ func (c *Core) Run(totalInstrs uint64, numSamples int) ([]Interval, error) {
 	c.commitStop = target
 	nextBoundary := c.committed + perSample
 	for c.committed < target {
-		c.step()
+		// Idle cycles elapse in bulk, but never past a check that acts
+		// after a cycle: the watchdog's next one, or the snapshot still
+		// owed when one commit group crossed more than one boundary. So
+		// every interval and a deadlock's cycle come out as if stepped.
+		limit := watchdogCycle + watchdogWindow - c.cycle
+		if c.committed >= nextBoundary {
+			limit = 1
+		}
+		if k := c.idleCycles(limit); k > 0 {
+			c.elapse(k)
+		} else {
+			c.step()
+		}
 		if c.committed >= nextBoundary {
 			iv := c.snapshotInterval(lastCounters, lastCycle, lastCommitted, lastAVF)
 			intervals = append(intervals, iv)

@@ -215,3 +215,27 @@ func TestL2LatencySensitivity(t *testing.T) {
 		t.Errorf("8-cycle L2 (%d) should beat 20-cycle (%d)", cf, cs)
 	}
 }
+
+func TestNextCompletionWrapsTheWheel(t *testing.T) {
+	p, _ := workload.ProfileByName("gcc")
+	c, err := New(space.Baseline(), workload.MustNewGenerator(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.cycle = 5*wheelSize + 1000
+	if _, ok := c.nextCompletion(); ok {
+		t.Fatal("an empty wheel reports a pending completion")
+	}
+	c.pushDone((c.cycle+30)%wheelSize, 0) // wraps past the wheel's end
+	if d, ok := c.nextCompletion(); !ok || d != 30 {
+		t.Fatalf("nextCompletion = %d, %v; want 30, true", d, ok)
+	}
+	c.pushDone((c.cycle+2)%wheelSize, 1) // nearer, in the same word
+	if d, ok := c.nextCompletion(); !ok || d != 2 {
+		t.Fatalf("nextCompletion = %d, %v; want 2, true", d, ok)
+	}
+	c.pushDone(c.cycle%wheelSize, 2)
+	if d, ok := c.nextCompletion(); !ok || d != 0 {
+		t.Fatalf("nextCompletion = %d, %v; want 0, true", d, ok)
+	}
+}

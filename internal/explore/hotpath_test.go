@@ -270,7 +270,7 @@ func TestCollectorSnapshotsDuringSweep(t *testing.T) {
 					return
 				default:
 				}
-				if n := top.Seen(); n > w.Count || top.Feasible() > w.Count || len(top.Results()) > 5 || len(top.Entries()) > 5 {
+				if n := top.Seen(); n > w.Count || top.Feasible() > w.Count || len(top.Results()) > 5 || len(top.entries()) > 5 {
 					t.Errorf("%s: top-K snapshot out of bounds (seen %d)", tc.name, n)
 				}
 				if n := fc.Seen(); n > w.Count {
@@ -289,7 +289,7 @@ func TestCollectorSnapshotsDuringSweep(t *testing.T) {
 		if polls == 0 {
 			t.Errorf("%s: the snapshot reader never ran", tc.name)
 		}
-		if !reflect.DeepEqual(top.Entries(), wantTop.Entries()) || !reflect.DeepEqual(frontierSet(fc.Frontier()), frontierSet(wantFront.Frontier())) {
+		if !reflect.DeepEqual(top.entries(), wantTop.entries()) || !reflect.DeepEqual(frontierSet(fc.Frontier()), frontierSet(wantFront.Frontier())) {
 			t.Errorf("%s: a polled sweep answered differently from an unpolled one", tc.name)
 		}
 	}

@@ -172,7 +172,7 @@ func (t *TopK) siftDown(i int) {
 // copies: the collector recycles its internal buffers as collection
 // continues, so snapshots taken mid-sweep must not alias them.
 func (t *TopK) Results() []Candidate {
-	entries := t.Entries()
+	entries := t.entries()
 	out := make([]Candidate, len(entries))
 	for i, e := range entries {
 		out[i] = e.Candidate
@@ -180,25 +180,25 @@ func (t *TopK) Results() []Candidate {
 	return out
 }
 
-// IndexedEntry is one retained candidate together with its position in
+// indexedEntry is one retained candidate together with its position in
 // the original design list. Results drops indices, but selection
 // tie-breaks on them, so two collectors hold the same selection only if
 // their entries agree index for index.
-type IndexedEntry struct {
+type indexedEntry struct {
 	Index     int
 	Candidate Candidate
 }
 
-// Entries returns the retained candidates with their original design
+// entries returns the retained candidates with their original design
 // indices, best first. Scores are deep copies, like Results.
-func (t *TopK) Entries() []IndexedEntry {
+func (t *TopK) entries() []indexedEntry {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	entries := append([]topkEntry(nil), t.heap...)
 	sort.Slice(entries, func(a, b int) bool { return t.worse(entries[b], entries[a]) })
-	out := make([]IndexedEntry, len(entries))
+	out := make([]indexedEntry, len(entries))
 	for i, e := range entries {
-		out[i] = IndexedEntry{
+		out[i] = indexedEntry{
 			Index:     e.index,
 			Candidate: Candidate{Config: e.c.Config, Scores: append([]float64(nil), e.c.Scores...)},
 		}

@@ -240,7 +240,7 @@ func TestSweepWindowMatchesSweepStream(t *testing.T) {
 					if err := SweepWindow(ctx, w, tc.models, tc.objectives, opts, gotTop, gotFront); err != nil {
 						t.Fatal(err)
 					}
-					if !reflect.DeepEqual(gotTop.Entries(), wantTop.Entries()) ||
+					if !reflect.DeepEqual(gotTop.entries(), wantTop.entries()) ||
 						gotTop.Seen() != wantTop.Seen() || gotTop.Feasible() != wantTop.Feasible() {
 						t.Fatalf("%s: window top-K differs from the list sweep", name)
 					}
@@ -255,7 +255,7 @@ func TestSweepWindowMatchesSweepStream(t *testing.T) {
 					if !reflect.DeepEqual(frontierSet(got), frontierSet(want)) || gotFront.Seen() != w.Count {
 						t.Fatalf("%s: window frontier set differs from the list sweep", name)
 					}
-					for _, e := range gotTop.Entries() {
+					for _, e := range gotTop.entries() {
 						checkDefinitional(t, name, tc, e.Candidate)
 						if e.Candidate.Config != designs[e.Index] {
 							t.Fatalf("%s: top-K entry %d carries the wrong Config", name, e.Index)

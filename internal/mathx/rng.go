@@ -81,20 +81,33 @@ func (r *RNG) Perm(n int) []int {
 	return p
 }
 
-// Geometric returns a geometrically distributed non-negative integer with
-// success probability p in (0, 1].
-func (r *RNG) Geometric(p float64) int {
-	if p >= 1 {
-		return 0
-	}
+// GeometricDist is the geometric distribution of the number of failures
+// before the first success, with success probability p. It holds
+// math.Log(1-p), so a caller drawing many values from one p pays one
+// math.Log per draw.
+type GeometricDist struct {
+	p, logQ float64
+}
+
+// NewGeometricDist returns the distribution for success probability p in
+// (0, 1]. It panics if p <= 0.
+func NewGeometricDist(p float64) GeometricDist {
 	if p <= 0 {
 		panic("mathx: Geometric with non-positive p")
+	}
+	return GeometricDist{p: p, logQ: math.Log(1 - p)}
+}
+
+// Draw returns one geometrically distributed non-negative integer from r.
+func (d GeometricDist) Draw(r *RNG) int {
+	if d.p >= 1 {
+		return 0
 	}
 	u := r.Float64()
 	for u == 0 {
 		u = r.Float64()
 	}
-	return int(math.Log(u) / math.Log(1-p))
+	return int(math.Log(u) / d.logQ)
 }
 
 // Pick returns an index in [0, len(weights)) chosen with probability

@@ -196,7 +196,7 @@ func TestRNGGeometricMean(t *testing.T) {
 	var sum float64
 	n := 20000
 	for i := 0; i < n; i++ {
-		sum += float64(r.Geometric(0.25))
+		sum += float64(NewGeometricDist(0.25).Draw(r))
 	}
 	mean := sum / float64(n)
 	// Mean of geometric (number of failures) = (1-p)/p = 3.
@@ -253,5 +253,31 @@ func TestRanksProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestGeometricDistMatchesInversion: a draw is the textbook inversion
+// ⌊log u / log(1−p)⌋ with both logs taken per draw, bit for bit, and a
+// certain success (p = 1) consumes no random numbers.
+func TestGeometricDistMatchesInversion(t *testing.T) {
+	for _, p := range []float64{0.05, 0.25, 1.0 / 3, 0.5, 0.9, 1} {
+		a, b := NewRNG(7), NewRNG(7)
+		d := NewGeometricDist(p)
+		for i := 0; i < 2000; i++ {
+			want := 0
+			if p < 1 {
+				u := a.Float64()
+				for u == 0 {
+					u = a.Float64()
+				}
+				want = int(math.Log(u) / math.Log(1-p))
+			}
+			if got := d.Draw(b); got != want {
+				t.Fatalf("p=%v draw %d: %d, want %d", p, i, got, want)
+			}
+		}
+		if a.Uint64() != b.Uint64() {
+			t.Fatalf("p=%v: the generators drifted apart", p)
+		}
 	}
 }

@@ -17,7 +17,7 @@ import (
 // bits, via encoding/binary) for every benchmark on the baseline, the
 // train space's smallest and largest corners and a DVM machine, plus one
 // mcf run with a single instruction per sample, so that nearly every
-// interval boundary falls right after a long memory stall.
+// interval boundary lands next to a stretch of idle cycles.
 func TestSimulatorTracePin(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("traces pinned on amd64; %s may fuse multiply-adds differently", runtime.GOARCH)

@@ -205,3 +205,23 @@ func TestMeanCPIConsistent(t *testing.T) {
 		t.Errorf("MeanCPI %v outside sample range [%v, %v]", m, lo, hi)
 	}
 }
+
+// TestRunAllocatesNothingPerInstruction: a run four times as long (same
+// samples) may allocate only a small fixed slack more than the short one,
+// for the growth of the reused ready list.
+func TestRunAllocatesNothingPerInstruction(t *testing.T) {
+	const short, slack = 16384, 8
+	allocs := func(instrs uint64) float64 {
+		opts := Options{Instructions: instrs, Samples: 16}
+		return testing.AllocsPerRun(3, func() {
+			if _, err := Run(space.Baseline(), "gcc", opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	a, b := allocs(short), allocs(4*short)
+	t.Logf("allocations per run: %.0f at %d instructions, %.0f at %d", a, short, b, 4*short)
+	if b > a+slack {
+		t.Errorf("a 4× longer run allocates %.0f times, %.0f more than the short one's %.0f; want at most %d more", b, b-a, a, slack)
+	}
+}

@@ -56,6 +56,9 @@ type generator struct {
 	rng  *mathx.RNG
 	idx  uint64
 
+	// depDist[i] draws phase i's register dependence distances.
+	depDist []mathx.GeometricDist
+
 	// Schedule lookup: stepEnd[i] is the position (within a period) at
 	// which schedule step i ends.
 	stepEnd []uint64
@@ -87,6 +90,10 @@ func NewGenerator(p Profile) (Generator, error) {
 		g.stepEnd[i] = uint64(acc / wsum * float64(p.PeriodInstrs))
 	}
 	g.stepEnd[len(g.stepEnd)-1] = uint64(p.PeriodInstrs) // absorb rounding
+	g.depDist = make([]mathx.GeometricDist, len(p.Phases))
+	for i, ph := range p.Phases {
+		g.depDist[i] = mathx.NewGeometricDist(1 / ph.DepMean)
+	}
 	g.Reset()
 	return g, nil
 }
@@ -222,9 +229,9 @@ func (g *generator) Next(inst *Inst) {
 		g.fillBranch(inst, ph, ps)
 	}
 	if inst.Dep1 == 0 {
-		inst.Dep1 = g.depDistance(ph)
+		inst.Dep1 = g.depDistance(pi)
 		if g.rng.Float64() < 0.6 {
-			inst.Dep2 = g.depDistance(ph)
+			inst.Dep2 = g.depDistance(pi)
 		}
 	}
 	g.idx++
@@ -249,10 +256,10 @@ func opForPC(ph *Phase, pc uint64) OpClass {
 	return OpIntALU
 }
 
-// depDistance draws a register dependence distance with mean ph.DepMean.
-func (g *generator) depDistance(ph *Phase) uint16 {
-	p := 1 / ph.DepMean
-	d := 1 + g.rng.Geometric(p)
+// depDistance draws a register dependence distance with mean DepMean of
+// phase pi.
+func (g *generator) depDistance(pi int) uint16 {
+	d := 1 + g.depDist[pi].Draw(g.rng)
 	if d > maxDepDistance {
 		d = maxDepDistance
 	}

@@ -17,7 +17,7 @@
 set -euo pipefail
 
 base=${1:-HEAD^}
-pattern='ExploreSweep|PredictBatch|RBFPredict|SampleDesign|ParetoFrontier|SimulatorThroughput'
+pattern='ExploreSweep|PredictBatch|RBFPredict|SampleDesign|ParetoFrontier($|/fast)|SimulatorThroughput'
 root=$(git rev-parse --show-toplevel)
 cd "$root"
 work=$(mktemp -d)
