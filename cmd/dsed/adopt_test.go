@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/cluster"
+	"repro/internal/obs"
 	"repro/internal/wire"
 	"repro/pkg/dsedclient"
 )
@@ -188,8 +189,8 @@ func adoptAfter(t *testing.T, req wire.JobRequest, merged, shardSize int) (*api.
 	owner, adopter := peers[0], peers[1]
 
 	gate := make(chan struct{}, 64)
-	owner.local = gatedTransport{Transport: owner.local, gate: gate}
 	owner.clientsMu.Lock()
+	owner.transports[owner.self] = gatedTransport{Transport: owner.local, gate: gate}
 	owner.transports[adopter.self] = gatedTransport{Transport: cluster.NewHTTP(adopter.self, nil), gate: gate}
 	owner.clientsMu.Unlock()
 	for i := 0; i < merged; i++ {
@@ -245,8 +246,18 @@ func adoptAfter(t *testing.T, req wire.JobRequest, merged, shardSize int) (*api.
 	mu.Lock()
 	jobID := id
 	mu.Unlock()
-	for _, ok := adopter.replicas.get(jobID); !ok; _, ok = adopter.replicas.get(jobID) {
-		time.Sleep(time.Millisecond)
+	if jobID == "" {
+		// The job finished before the stream attached, so the stream's
+		// first line was the withheld final: the owner's table names it.
+		jobID = owner.srv.jobs.List(api.ListFilter{})[0].ID
+	}
+	for start := time.Now(); ; time.Sleep(time.Millisecond) {
+		if _, ok := adopter.replicas.get(jobID); ok {
+			break
+		}
+		if time.Since(start) > 30*time.Second {
+			t.Fatalf("the replica never received job %s", jobID)
+		}
 	}
 
 	// The owner dies: it answers nothing, the fleet declares it dead,
@@ -268,24 +279,25 @@ func adoptAfter(t *testing.T, req wire.JobRequest, merged, shardSize int) (*api.
 	if n := adopter.adopted.Value(); n != 1 {
 		t.Fatalf("the adopter counted %d adoptions, want 1", n)
 	}
-	requireAdoptionTrace(t, o.final, string(req.Spec().Kind), owner.self, adopter.self)
+	spans := traceSpans(t, testClient("http://"+adopter.self), o.final.JobID)
+	requireAdoptionTrace(t, spans, string(req.Spec().Kind), owner.self, adopter.self)
 	return o.final, seqs
 }
 
-// requireAdoptionTrace checks that the final update's trace holds the
+// requireAdoptionTrace checks that the adopted job's trace holds the
 // dead owner's job root and, under it, the adopter's "adopt" span.
-func requireAdoptionTrace(t *testing.T, final *api.Update, kind, owner, adopter string) {
+func requireAdoptionTrace(t *testing.T, spans []obs.Span, kind, owner, adopter string) {
 	t.Helper()
 	roots := make(map[string]bool)
-	for _, sp := range final.Spans {
+	for _, sp := range spans {
 		if sp.Name == "job:"+kind && sp.Node == owner {
 			roots[sp.SpanID] = true
 		}
 	}
-	for _, sp := range final.Spans {
+	for _, sp := range spans {
 		if sp.Name == "adopt" && sp.Node == adopter && roots[sp.ParentID] {
 			return
 		}
 	}
-	t.Fatalf("the adopted job's %d spans lack the owner's job:%s root with an adopt span under it", len(final.Spans), kind)
+	t.Fatalf("the adopted job's %d spans lack the owner's job:%s root with an adopt span under it", len(spans), kind)
 }

@@ -64,29 +64,22 @@ func TestWarmEndpoint(t *testing.T) {
 	}
 }
 
-// shardSubmission matches the requests the cluster transport opens a
-// shard with — the /v1 job submissions.
+// shardSubmission matches the requests the cluster transport sends a
+// shard with: POST /v1/shards.
 func shardSubmission(r *http.Request) bool {
-	return r.URL.Path == "/v1/pareto" || r.URL.Path == "/v1/sweeps"
+	return r.URL.Path == "/v1/shards"
 }
 
-// killable wraps a worker handler and aborts every sweep-serving
-// connection once its budget of shard submissions is spent — simulating
-// a worker killed mid-sweep. Job routes (stream, status, cancel) die
-// with it, so a shard whose submission slipped through still fails at
-// its stream.
+// killable wraps a worker handler and aborts every shard connection once
+// its budget of shard requests is spent — simulating a worker killed
+// mid-sweep.
 type killable struct {
 	next   http.Handler
 	budget atomic.Int64
 }
 
 func (k *killable) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	switch {
-	case shardSubmission(r):
-		if k.budget.Add(-1) < 0 {
-			panic(http.ErrAbortHandler)
-		}
-	case strings.HasPrefix(r.URL.Path, "/v1/jobs/") && k.budget.Load() < 0:
+	if shardSubmission(r) && k.budget.Add(-1) < 0 {
 		panic(http.ErrAbortHandler)
 	}
 	k.next.ServeHTTP(w, r)

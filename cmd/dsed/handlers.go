@@ -413,17 +413,14 @@ func (s *Server) runLocal(spec wire.JobSpec, early []space.Config) api.RunFunc {
 			ElapsedMS:  float64(time.Since(start).Microseconds()) / 1000,
 		}
 		mergeSpan.End()
-		jobSpan.End()
-		final.Spans = s.tel.traces.Spans(jobSpan.Context().TraceID)
 		return jobResult(spec, final, false), final, nil
 	}
 }
 
 // startJobSpan opens a job's root-on-this-node span and binds the job
 // ID to its trace in the store, so GET /v1/jobs/{id}/trace can find it.
-// When the submitting request carried a traceparent (an owner's shard
-// dispatch), the job span lands under it and the whole sweep assembles
-// into one fleet-wide tree. Shared by local and fleet job bodies.
+// When the submitting request carried a traceparent, the job span lands
+// under it, in the client's trace. Shared by local and fleet job bodies.
 func startJobSpan(tel *telemetry, ctx context.Context, name string, pub api.Publisher, benchmark string) (context.Context, *obs.ActiveSpan) {
 	ctx, span := tel.tracer.Start(ctx, name)
 	span.SetAttr("job_id", pub.JobID())

@@ -109,9 +109,8 @@ func (a *jobAPI) handleJobStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// ?updates=final suppresses intermediate snapshots: consumers that
-	// only want the answer (the cluster shard transport) keep the
-	// one-stream mechanism without paying serialization for partials
-	// they would discard.
+	// only want the answer keep the one-stream mechanism without paying
+	// serialization for partials they would discard.
 	finalOnly := r.URL.Query().Get("updates") == "final"
 	from := -1
 	if s := r.URL.Query().Get("from_seq"); s != "" {
@@ -175,9 +174,9 @@ func (a *jobAPI) handleJobStream(w http.ResponseWriter, r *http.Request) {
 func (a *jobAPI) submit(w http.ResponseWriter, r *http.Request, spec wire.JobSpec, designs int, run api.RunFunc) {
 	// The job detaches from the request context on purpose (one
 	// impatient client must not abort shared work), but its identity
-	// must not detach with it: re-inject the request ID and the caller's
-	// span context, so a worker's job spans parent under the owner's
-	// dispatch span and one request ID threads the whole fan-out.
+	// must not detach with it: re-inject the request ID and the span
+	// context of a client's traceparent, so the job's spans join the
+	// client's trace and one request ID threads the whole fan-out.
 	reqID := api.RequestID(r.Context())
 	parent, hasParent := obs.SpanFromContext(r.Context())
 	inner := run
@@ -203,9 +202,10 @@ func (a *jobAPI) submit(w http.ResponseWriter, r *http.Request, spec wire.JobSpe
 	writeJSON(w, r, http.StatusAccepted, job.Status(false))
 }
 
-// decodeJob decodes and validates a submission of the given kind and
-// resolves its early designs. The kind picks the strict decode target,
-// so a field of the other kind's body is a 400. A malformed request
+// decodeJob decodes and validates a submission or a shard of the given
+// kind and resolves its early designs. The kind picks the strict decode
+// target, so a field of the other kind's body is a 400, and so is the
+// local scope that once marked a shard. A malformed request
 // fails here, before a job exists, and never triggers an on-demand
 // training run. It writes the 4xx itself and reports whether the
 // request survived.
@@ -219,6 +219,10 @@ func decodeJob(w http.ResponseWriter, r *http.Request, kind wire.JobKind) (wire.
 		return wire.JobSpec{}, nil, false
 	}
 	spec := req.Spec()
+	if spec.Scope == wire.ScopeLocal {
+		httpError(w, r, http.StatusBadRequest, "scope %q is not a job scope: a peer runs a fleet shard at POST /v1/shards", spec.Scope)
+		return wire.JobSpec{}, nil, false
+	}
 	early, err := spec.ResolveEarly()
 	if err != nil {
 		httpError(w, r, http.StatusBadRequest, "%v", err)

@@ -46,7 +46,8 @@
 // fleet: it partitions the job into shards (-shard-size, or adaptively
 // toward -target-shard-ms), places each on the free peer holding the
 // benchmark's models with the fewest shards in flight, runs the shards
-// it places on itself in process, hedges stragglers (-hedge-factor), and
+// it places on itself in process and sends each other one as a single
+// POST /v1/shards, hedges stragglers (-hedge-factor), and
 // merges the partial answers (see internal/cluster) — a job's stream
 // publishes the merged partial after every shard. Each running job's
 // spec is replicated to -replicate peers (POST /v1/jobs/replicate) as it
@@ -217,10 +218,9 @@ func main() {
 	}
 
 	// With peers configured, run the leaderless control plane: this node
-	// is simultaneously a worker (local-scope shards evaluate here) and a
-	// coordinator (fleet-scope jobs shard across whoever gossip says is
-	// alive), with running jobs replicated so a peer adopts them if this
-	// node dies.
+	// is a worker (POST /v1/shards evaluates here) and a coordinator
+	// (its jobs shard across whoever gossip says is alive), with running
+	// jobs replicated so a peer adopts them if this node dies.
 	if peers := splitList(*peerList); len(peers) > 0 {
 		ps := newPeerServer(srv, node, peers, peerOptions{
 			shardSize:     *shardSize,

@@ -60,17 +60,17 @@ type peerOptions struct {
 }
 
 // peerServer is the serving layer of peer mode. It shares the worker's
-// Server (registry, job table, telemetry) so local-scope shards and
-// fleet-scope jobs live in one job table behind one /v1 surface.
+// Server (registry, job table, telemetry): the jobs it owns live in that
+// job table, and the shards other peers send it run synchronously on its
+// own Local, never as jobs.
 type peerServer struct {
 	srv   *Server
 	self  string
 	seeds []string
 	coord *cluster.Coordinator
 	table *gossip.Table
-	// local is this peer's own scheduling member: its shards run in
-	// process (see newSelfWorker).
-	local cluster.Transport
+	// local runs every shard this peer evaluates (see newSelfWorker).
+	local *cluster.Local
 
 	repFactor int
 	interval  time.Duration
@@ -80,7 +80,7 @@ type peerServer struct {
 
 	clientsMu sync.Mutex
 	clients   map[string]*dsedclient.Client
-	// transports caches each remote peer's shard transport, so its
+	// transports caches each peer's shard transport, so a remote peer's
 	// connection pool outlives any one placement.
 	transports map[string]cluster.Transport
 }
@@ -171,16 +171,16 @@ func (ps *peerServer) fleet() []cluster.Member {
 	return out
 }
 
-// transport returns the shard transport for a peer address.
+// transport returns a peer's shard transport: Local for self, else HTTP.
 func (ps *peerServer) transport(addr string) cluster.Transport {
-	if addr == ps.self {
-		return ps.local
-	}
 	ps.clientsMu.Lock()
 	defer ps.clientsMu.Unlock()
 	t, ok := ps.transports[addr]
 	if !ok {
-		t = cluster.NewHTTP(addr, nil)
+		t = ps.local
+		if addr != ps.self {
+			t = cluster.NewHTTP(addr, nil)
+		}
 		ps.transports[addr] = t
 	}
 	return t
@@ -188,7 +188,8 @@ func (ps *peerServer) transport(addr string) cluster.Transport {
 
 // Handler routes the peer's surface: the single daemon's route table
 // with fleet-scope healthz/warm/sweeps/pareto, job routes that follow a
-// job to wherever it lives now, and the gossip and replication seams.
+// job to wherever it lives now, and the shard, gossip and replication
+// seams.
 func (ps *peerServer) Handler() http.Handler {
 	s := ps.srv
 	return s.routes(map[string]http.HandlerFunc{
@@ -196,6 +197,7 @@ func (ps *peerServer) Handler() http.Handler {
 		"/v1/warm":    negotiated(ps.handleWarm),
 		"/v1/sweeps":  negotiated(ps.handleSubmit(wire.JobSweep)),
 		"/v1/pareto":  negotiated(ps.handleSubmit(wire.JobPareto)),
+		"/v1/shards":  negotiated(ps.handleShard),
 		"/v1/gossip":  negotiated(ps.handleGossip),
 		// The literal route wins over /v1/jobs/{id}, so "replicate" is
 		// not a reachable job ID.
@@ -328,22 +330,55 @@ func redirectTo(w http.ResponseWriter, r *http.Request, addr string) {
 	http.Redirect(w, r, "http://"+addr+r.URL.RequestURI(), http.StatusTemporaryRedirect)
 }
 
-// handleSubmit starts a job of the given kind at the request's scope: a
-// local-scope request is a shard another peer placed here and runs on
-// this node's own models; anything else is a fleet-scope job this peer
-// owns, coordinates, and replicates.
+// handleSubmit starts a fleet job of the given kind that this peer
+// owns, coordinates and replicates.
 func (ps *peerServer) handleSubmit(kind wire.JobKind) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		spec, early, ok := decodeJob(w, r, kind)
-		if !ok {
-			return
+		if spec, early, ok := decodeJob(w, r, kind); ok {
+			ps.srv.submit(w, r, spec, len(early), ps.runFleet(spec, early, nil))
 		}
-		run := ps.runFleet(spec, early, nil)
-		if spec.Scope == wire.ScopeLocal {
-			run = ps.srv.runLocal(spec, early)
-		}
-		ps.srv.submit(w, r, spec, len(early), run)
 	}
+}
+
+// handleShard serves POST /v1/shards?kind=: a shard another peer placed
+// here (a window on a named space or pinned designs), run on this peer's
+// Local and answered in one body with only its own spans, recorded in a
+// store of the request's own. The request's context is the shard's: an
+// owner that drops the call (a lost hedge, a cancelled job) stops it.
+func (ps *peerServer) handleShard(w http.ResponseWriter, r *http.Request) {
+	kind := wire.JobKind(r.URL.Query().Get("kind"))
+	if kind != wire.JobSweep && kind != wire.JobPareto {
+		httpError(w, r, http.StatusBadRequest, "unknown kind %q (sweep, pareto)", kind)
+		return
+	}
+	spec, early, ok := decodeJob(w, r, kind)
+	if !ok {
+		return
+	}
+	shard := cluster.Shard{Count: len(early), Designs: early}
+	if win, ok := spec.FactorialWindow(); ok {
+		shard = cluster.Shard{Count: win.Count}
+	} else if early == nil {
+		httpError(w, r, http.StatusBadRequest, "a shard is a window on a named space or a pinned design list, not a sample")
+		return
+	}
+	store := obs.NewTraceStore(1)
+	local := *ps.local
+	local.Tracer = obs.NewTracer(ps.tel().tracer.Node(), store, nil)
+	p, err := local.Evaluate(r.Context(), cluster.QueryOf(spec), shard)
+	if err != nil {
+		httpError(w, r, serverStatus(err), "%v", err)
+		return
+	}
+	cands := make([]wire.Candidate, len(p.Candidates))
+	for i, c := range p.Candidates {
+		cands[i] = wire.Candidate{Config: wire.ToConfigJSON(c.Config), Scores: c.Scores}
+	}
+	// Untraced, each phase opened a trace of its own and none is returned.
+	parent, _ := obs.SpanFromContext(r.Context())
+	writeJSON(w, r, http.StatusOK, wire.ShardResponse{
+		Evaluated: p.Evaluated, Feasible: p.Feasible, Candidates: cands, Spans: store.Spans(parent.TraceID),
+	})
 }
 
 // handleWarm trains locally at local scope, and places models across
@@ -501,8 +536,6 @@ func (ps *peerServer) runFleet(spec wire.JobSpec, early []space.Config, adopted 
 			Candidates: wire.ToCandidates(res.Candidates),
 			ElapsedMS:  float64(time.Since(start).Microseconds()) / 1000,
 		}
-		jobSpan.End()
-		final.Spans = ps.tel().traces.Spans(jobSpan.Context().TraceID)
 		return jobResult(spec, final, true), final, nil
 	}
 }
@@ -743,13 +776,13 @@ func (ps *peerServer) exchange(ctx context.Context, target string) {
 	ps.table.NoteRound(true)
 }
 
-// newSelfWorker builds a peer's transport to itself: a cluster.Local
-// over the peer's own registry, so the shards the owner places on itself
-// skip the submit, stream and DELETE round trips and the job-table entry
-// a remote shard costs. It keeps a worker's observable behaviour: models
+// newSelfWorker builds the cluster.Local a peer runs every shard on,
+// over its own registry: the shards it places on itself, with no HTTP
+// round trip, and the shards other peers send its /v1/shards. Models
 // resolve through Server.sweepModel (so -straggle-per-design applies),
-// the registry's deterministic verdicts stay WorkerRejections, and phase
-// spans and chunk histograms are recorded as a shard job records them.
+// the registry's deterministic verdicts become WorkerRejections, and
+// phase spans and chunk histograms are recorded as a daemon's own jobs
+// record them.
 func newSelfWorker(srv *Server, name string) *cluster.Local {
 	l := cluster.NewLocal(name, func(ctx context.Context, benchmark, metric string) (core.DynamicsModel, error) {
 		m, err := srv.sweepModel(ctx, benchmark, metric)

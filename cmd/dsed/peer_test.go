@@ -480,7 +480,7 @@ func TestReplicatePayloadStaysSpecSized(t *testing.T) {
 
 // A peer evaluates the shards it places on itself in process: no shard
 // request reaches its own handler, each of its dispatches records the
-// phase spans a worker's shard job would, the chunk histograms see its
+// phase spans a remote peer's /v1/shards would, the chunk histograms see its
 // evaluation, and the fleet frontier is the single daemon's.
 func TestPeerOwnShardsStayInProcess(t *testing.T) {
 	entry, recs, peers := twoPeerFleet(t, 500)
@@ -496,14 +496,16 @@ func TestPeerOwnShardsStayInProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := testClient(entry.URL).Run(ctx, req, nil)
+	c := testClient(entry.URL)
+	got, id, err := c.Run(ctx, req, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	spans := traceSpans(t, c, id)
 	if n := len(shards(recs[0])); n != 0 {
 		t.Fatalf("%d shard requests reached the owner's own handler, want 0", n)
 	}
-	own := inProcessWindows(t, got.Spans, peers[0].self, 0)
+	own := inProcessWindows(t, spans, peers[0].self, 0)
 	if len(own) == 0 {
 		t.Fatal("the owner placed no shard on itself")
 	}
@@ -514,7 +516,7 @@ func TestPeerOwnShardsStayInProcess(t *testing.T) {
 
 	// Each in-process dispatch parents its shard's phases.
 	phases := make(map[string]map[string]int) // dispatch span ID -> phase -> count
-	for _, sp := range got.Spans {
+	for _, sp := range spans {
 		if strings.HasPrefix(sp.Name, "phase:") {
 			if phases[sp.ParentID] == nil {
 				phases[sp.ParentID] = make(map[string]int)
@@ -522,7 +524,7 @@ func TestPeerOwnShardsStayInProcess(t *testing.T) {
 			phases[sp.ParentID][sp.Name]++
 		}
 	}
-	for _, sp := range got.Spans {
+	for _, sp := range spans {
 		if sp.Name != "dispatch" || sp.Attrs["worker"] != "http://"+peers[0].self {
 			continue
 		}

@@ -67,7 +67,7 @@ func openTestStore(t *testing.T, dir string, tr registry.Trainer) *registry.Stor
 
 // testServer boots one registry shared by every read-mostly test: gcc
 // pre-trained at a scale that keeps startup around a second.
-func testServer(t *testing.T) *Server {
+func testServer(t testing.TB) *Server {
 	t.Helper()
 	testSrvOnce.Do(func() {
 		store, err := registry.Open(registry.Config{

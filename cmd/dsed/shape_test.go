@@ -82,7 +82,7 @@ func wantShapes(path string, fleet bool) shapeWant {
 	line := []string{"job_id", "seq", "state", "evaluated", "designs", "objectives"}
 	w := shapeWant{opening: keySet{required: line}}
 	w.partial = keySet{required: line, optional: []string{"candidates"}}
-	w.final = keySet{required: plus(line, "candidates", "final", "elapsed_ms", "spans")}
+	w.final = keySet{required: plus(line, "candidates", "final", "elapsed_ms")}
 	w.result = keySet{required: []string{"benchmark", "objectives", "evaluated", "elapsed_ms"}}
 	if sweep {
 		w.partial.optional = plus(w.partial.optional, "feasible")

@@ -49,8 +49,8 @@ func (t *telemetry) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 
 // handleJobTrace serves GET /v1/jobs/{id}/trace: the job's assembled
 // span tree. On a fleet job's owner the tree spans the fleet — the
-// owner's root and dispatch spans with every peer's imported job and
-// phase spans beneath them.
+// owner's root and dispatch spans with every peer's imported phase
+// spans beneath them.
 func (t *telemetry) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	if !requireGet(w, r) {
 		return

@@ -91,8 +91,8 @@ func getText(t *testing.T, base, path string) (string, *http.Response) {
 
 // TestClusterJobTraceConnected is the observability acceptance
 // scenario: a fleet sweep across three peers yields one connected span
-// tree — a single root on the owner, each remote peer's job and phase
-// spans nested under the owner's dispatch spans, one request ID
+// tree — a single root on the owner, each remote peer's phase spans
+// nested under the owner's dispatch spans, one request ID
 // threading every annotated span — and Prometheus expositions on both
 // tiers carrying the core series.
 func TestClusterJobTraceConnected(t *testing.T) {
@@ -149,9 +149,10 @@ func TestClusterJobTraceConnected(t *testing.T) {
 	}
 
 	// Walk the tree: count spans, bucket them by node, and check every
-	// remote peer's job span hangs under an owner dispatch span.
+	// remote peer's predict span hangs under an owner dispatch span, as
+	// the owner's own shards' do.
 	nodes := 0
-	jobSpansPerNode := map[string]int{}
+	predictSpansPerNode := map[string]int{}
 	requestIDs := map[string]bool{}
 	var walk func(n *obs.TraceNode, parent *obs.TraceNode)
 	walk = func(n *obs.TraceNode, parent *obs.TraceNode) {
@@ -159,10 +160,13 @@ func TestClusterJobTraceConnected(t *testing.T) {
 		if id := n.Attrs["request_id"]; id != "" {
 			requestIDs[id] = true
 		}
-		if strings.HasPrefix(n.Name, "job:") {
-			jobSpansPerNode[n.Node]++
-			if n.Node != "owner" && (parent == nil || parent.Name != "dispatch") {
-				t.Errorf("peer job span on %s not nested under a dispatch span", n.Node)
+		if strings.HasPrefix(n.Name, "job:") && n.Node != "owner" {
+			t.Errorf("a job span on peer %s: a remote shard must not be a job", n.Node)
+		}
+		if n.Name == "phase:predict" {
+			predictSpansPerNode[n.Node]++
+			if parent == nil || parent.Name != "dispatch" {
+				t.Errorf("predict span on %s not nested under a dispatch span", n.Node)
 			}
 		}
 		if n.Name == "dispatch" && n.Node != "owner" {
@@ -177,8 +181,8 @@ func TestClusterJobTraceConnected(t *testing.T) {
 		t.Errorf("tree holds %d spans, envelope reports %d — duplicates or orphans", nodes, trace.Spans)
 	}
 	for _, worker := range []string{"w1", "w2"} {
-		if jobSpansPerNode[worker] == 0 {
-			t.Errorf("no job span from peer %s — the trace does not cover the whole fleet", worker)
+		if predictSpansPerNode[worker] == 0 {
+			t.Errorf("no predict span from peer %s — the trace does not cover the whole fleet", worker)
 		}
 	}
 	if len(requestIDs) != 1 || !requestIDs[reqID] {
@@ -186,7 +190,7 @@ func TestClusterJobTraceConnected(t *testing.T) {
 	}
 
 	// The owner's Prometheus exposition carries per-peer shard latency
-	// histograms and the three-column fault taxonomy, its own in-process
+	// histograms and the two-column fault taxonomy, its own in-process
 	// member included.
 	metrics, metricsResp := getText(t, ownerTS.URL, "/v1/metricsz")
 	if metricsResp.StatusCode != http.StatusOK {
@@ -200,7 +204,7 @@ func TestClusterJobTraceConnected(t *testing.T) {
 		if !strings.Contains(metrics, `dsed_cluster_shard_latency_ms_bucket{worker="`+name+`"`) {
 			t.Errorf("no shard latency histogram for worker %s", name)
 		}
-		for _, fault := range []string{"failures", "rejections", "busy"} {
+		for _, fault := range []string{"failures", "rejections"} {
 			if !strings.Contains(metrics, `dsed_cluster_worker_`+fault+`_total{worker="`+name+`"`) {
 				t.Errorf("no %s counter for worker %s", fault, name)
 			}

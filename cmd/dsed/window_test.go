@@ -22,6 +22,7 @@ import (
 	"repro/internal/registry"
 	"repro/internal/space"
 	"repro/internal/wire"
+	"repro/pkg/dsedclient"
 )
 
 // The fleet oracle over windows: shards of a named, unsampled space
@@ -31,8 +32,8 @@ import (
 // recorded HTTP windows plus the owner's own dispatches, read off the
 // job's trace.
 
-// shardRecorder records the shard bodies (local-scope submissions) a
-// peer or worker receives before serving them.
+// shardRecorder records the shard bodies (POST /v1/shards) a peer
+// receives before serving them.
 type shardRecorder struct {
 	next http.Handler
 
@@ -48,11 +49,9 @@ func (rec *shardRecorder) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		r.Body = io.NopCloser(bytes.NewReader(body))
-		if bytes.Contains(body, []byte(`"scope":"local"`)) {
-			rec.mu.Lock()
-			rec.bodies = append(rec.bodies, body)
-			rec.mu.Unlock()
-		}
+		rec.mu.Lock()
+		rec.bodies = append(rec.bodies, body)
+		rec.mu.Unlock()
 	}
 	rec.next.ServeHTTP(w, r)
 }
@@ -90,6 +89,26 @@ func windowsOf(t *testing.T, bodies [][]byte, spaceName string) [][2]int {
 		}
 		out = append(out, [2]int{sp.Offset, sp.Count})
 	}
+	return out
+}
+
+// traceSpans fetches a job's assembled trace through the client and
+// flattens its tree back into spans.
+func traceSpans(t *testing.T, c *dsedclient.Client, jobID string) []obs.Span {
+	t.Helper()
+	trace, err := c.Trace(context.Background(), jobID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []obs.Span
+	var walk func(ns []*obs.TraceNode)
+	walk = func(ns []*obs.TraceNode) {
+		for _, n := range ns {
+			out = append(out, n.Span)
+			walk(n.Children)
+		}
+	}
+	walk(trace.Tree)
 	return out
 }
 
@@ -155,6 +174,8 @@ type fleetSpec struct {
 	// straggle slows the entry peer's in-process shards per design, so a
 	// job stays in flight while the test acts on it.
 	straggle time.Duration
+	// hedge is every peer's -hedge-factor (default 0, no hedging).
+	hedge float64
 	// store serves every peer (default the shared test registry); tel
 	// names peer i's telemetry (default a plane named by its address).
 	store *registry.Store
@@ -166,7 +187,7 @@ type fleetSpec struct {
 // spec.joined into one scheduling fleet by calling the gossip round's
 // steps directly (no background loop, so the view holds still). The
 // entry is peers[0].
-func peerFleet(t *testing.T, spec fleetSpec) (entry *httptest.Server, recs []*shardRecorder, peers []*peerServer) {
+func peerFleet(t testing.TB, spec fleetSpec) (entry *httptest.Server, recs []*shardRecorder, peers []*peerServer) {
 	t.Helper()
 	if spec.peers == 0 {
 		spec.peers = 2
@@ -192,7 +213,7 @@ func peerFleet(t *testing.T, spec fleetSpec) (entry *httptest.Server, recs []*sh
 			srv.straggle = spec.straggle
 			entry = ts
 		}
-		ps := newPeerServer(srv, self, nil, peerOptions{heartbeat: time.Second, shardSize: spec.shardSize, replicate: 1}, nil)
+		ps := newPeerServer(srv, self, nil, peerOptions{heartbeat: time.Second, shardSize: spec.shardSize, replicate: 1, hedgeFactor: spec.hedge}, nil)
 		rec.next = ps.Handler()
 		if spec.wrap != nil {
 			rec.next = spec.wrap(i, rec.next)
@@ -207,7 +228,7 @@ func peerFleet(t *testing.T, spec fleetSpec) (entry *httptest.Server, recs []*sh
 
 // joinFleet converges peers into one gossip view, the first one
 // exchanging digests with every other, as gossip rounds do.
-func joinFleet(t *testing.T, peers ...*peerServer) {
+func joinFleet(t testing.TB, peers ...*peerServer) {
 	t.Helper()
 	for _, ps := range peers[1:] {
 		ps.exchange(context.Background(), peers[0].self)
@@ -267,7 +288,8 @@ func requireSameCandidates(t *testing.T, what string, got, want []wire.Candidate
 func TestFleetWindowedShardsMatchSingleProcess(t *testing.T) {
 	const shardSize = 500 // 5,832 test designs: 11 full shards + 332
 	entry, recs, peers := twoPeerFleet(t, shardSize)
-	resp, _, err := testClient(entry.URL).Run(context.Background(), wire.ParetoRequest{
+	c := testClient(entry.URL)
+	resp, id, err := c.Run(context.Background(), wire.ParetoRequest{
 		Benchmark:  "gcc",
 		Objectives: frontierObjectives,
 		SpaceSpec:  wire.SpaceSpec{Space: "test"},
@@ -279,7 +301,7 @@ func TestFleetWindowedShardsMatchSingleProcess(t *testing.T) {
 	if resp.Evaluated != len(designs) || resp.Shards != 12 {
 		t.Fatalf("fleet evaluated %d designs in %d shards, want %d in 12", resp.Evaluated, resp.Shards, len(designs))
 	}
-	windows := append(windowsOf(t, shards(recs...), "test"), inProcessWindows(t, resp.Spans, peers[0].self, 0)...)
+	windows := append(windowsOf(t, shards(recs...), "test"), inProcessWindows(t, traceSpans(t, c, id), peers[0].self, 0)...)
 	if len(windows) != resp.Shards {
 		t.Fatalf("found %d shard windows for %d shards", len(windows), resp.Shards)
 	}
@@ -299,12 +321,13 @@ func TestFleetSampledShardsStayPinned(t *testing.T) {
 		Objectives: frontierObjectives,
 		SpaceSpec:  wire.SpaceSpec{Space: "test", Sample: 300, Seed: 5},
 	}
-	resp, _, err := testClient(entry.URL).Run(context.Background(), req, nil)
+	c := testClient(entry.URL)
+	resp, id, err := c.Run(context.Background(), req, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bodies := shards(recs...)
-	own := inProcessWindows(t, resp.Spans, peers[0].self, 0)
+	own := inProcessWindows(t, traceSpans(t, c, id), peers[0].self, 0)
 	if len(bodies)+len(own) != resp.Shards || resp.Shards != (300+63)/64 {
 		t.Fatalf("recorded %d remote shard bodies and %d in-process shards for %d shards, want %d",
 			len(bodies), len(own), resp.Shards, (300+63)/64)
@@ -343,14 +366,15 @@ func TestFleetClientWindowMatchesSingleDaemon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := testClient(entry.URL).Run(ctx, req, nil)
+	c := testClient(entry.URL)
+	got, id, err := c.Run(ctx, req, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Evaluated != 3000 || got.Evaluated != want.Evaluated || got.Feasible != want.Feasible {
 		t.Fatalf("fleet evaluated/feasible %d/%d, single daemon %d/%d", got.Evaluated, got.Feasible, want.Evaluated, want.Feasible)
 	}
-	windows := append(windowsOf(t, shards(recs...), "test"), inProcessWindows(t, got.Spans, peers[0].self, 1000)...)
+	windows := append(windowsOf(t, shards(recs...), "test"), inProcessWindows(t, traceSpans(t, c, id), peers[0].self, 1000)...)
 	requireCover(t, windows, [][2]int{{1000, 3000}})
 	if len(got.Candidates) != len(want.Candidates) {
 		t.Fatalf("fleet kept %d candidates, single daemon %d", len(got.Candidates), len(want.Candidates))
@@ -369,9 +393,8 @@ func TestFleetClientWindowMatchesSingleDaemon(t *testing.T) {
 // the frontier of the whole window. An adopter's re-run of an orphaned
 // windowed job is this same run, so it sends the same windows.
 func TestResumedWindowedJobSendsAbsoluteOffsets(t *testing.T) {
-	rec := &shardRecorder{next: testServer(t).Handler()}
-	worker := httptest.NewServer(rec)
-	t.Cleanup(worker.Close)
+	worker, recs, _ := peerFleet(t, fleetSpec{peers: 1})
+	rec := recs[0]
 	coord, err := cluster.New([]cluster.Transport{cluster.NewHTTP(worker.URL, nil)}, cluster.Options{ShardSize: 400})
 	if err != nil {
 		t.Fatal(err)
@@ -407,8 +430,7 @@ func TestResumedWindowedJobSendsAbsoluteOffsets(t *testing.T) {
 // its owner died: the spec round-trips through the replicate wire form
 // first, and top-K ranks must match config for config.
 func TestAdoptedWindowedJobMatchesUninterrupted(t *testing.T) {
-	worker := httptest.NewServer(testServer(t).Handler())
-	t.Cleanup(worker.Close)
+	worker, _, _ := peerFleet(t, fleetSpec{peers: 1})
 	coord, err := cluster.New([]cluster.Transport{cluster.NewHTTP(worker.URL, nil)}, cluster.Options{ShardSize: 400, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)

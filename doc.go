@@ -202,13 +202,14 @@
 // keeps accepting and finishing work.
 //
 // Any peer accepts POST /v1/sweeps (and /v1/pareto, /v1/warm) and
-// coordinates that job over the fleet. The shards it places on itself
-// run in process (a cluster.Local over its own registry, named like the
-// HTTP transport its peers use for it): no HTTP round trip and no
-// job-table entry, while their phase spans and chunk histograms are
-// recorded as a shard job's would be. Only remote shards
-// travel, as /v1 jobs stamped scope=local so a shard is evaluated where
-// it lands instead of re-distributed forever. A shard of a named,
+// coordinates that job over the fleet. Every shard runs on a peer's own
+// cluster.Local over its registry: the shards the owner places on
+// itself in process, and each remote shard as one synchronous
+// POST /v1/shards?kind= (a peer-only route) that the receiving peer runs
+// on the same Local and answers in one body, with the shard's partial
+// and only its own spans. A shard is no job anywhere: no job-table
+// entry, no stream, no DELETE; cancelling the call (a lost hedge, a
+// cancelled job) stops the peer's work. A shard of a named,
 // unsampled space is an [offset, count) window on it (composed with the
 // job's own window), and a shard of an explicit or sampled job pins its
 // designs. While a fleet-scope job runs, its owner replicates the job's
@@ -246,11 +247,9 @@
 // capacity and inventory). The owner's fault taxonomy per peer is in
 // /v1/metricsz: dsed_cluster_worker_failures_total (transport faults and
 // timeouts — a sick peer), dsed_cluster_worker_rejections_total (its
-// deterministic 4xx verdicts on bad requests — not its fault),
-// dsed_cluster_worker_busy_total (retryable 429s — a healthy peer at
-// capacity whose shard spilled elsewhere) and
+// deterministic 4xx verdicts on bad requests — not its fault) and
 // dsed_cluster_shard_hedges_total, so an operator can tell a dead
-// machine from a bad client from a saturated fleet.
+// machine from a bad client from a slow one.
 // Observability: dsed_gossip_rounds_total{result},
 // dsed_gossip_members{state}, dsed_gossip_members_divergence (how far
 // this peer's view lags the freshest beat it has seen),
@@ -321,9 +320,9 @@
 // sixteen buckets from 0.1ms to 10s; size distributions (merge
 // candidates, chunk designs) use the power-of-two obs.SizeBuckets. The
 // series cover every seam of the fleet: per-worker shard dispatch
-// latency and the three-column fault taxonomy
-// (dsed_cluster_worker_failures_total / _rejections_total /
-// _busy_total), shard retries, the fleet's size (dsed_cluster_members)
+// latency and the two-column fault taxonomy
+// (dsed_cluster_worker_failures_total / _rejections_total), shard
+// retries, the fleet's size (dsed_cluster_members)
 // and churn (dsed_cluster_membership_events_total{event=join|rejoin|leave},
 // counted as gossip entries enter and leave the alive set),
 // registry training/load/warm timings and cache hit ratios
@@ -339,10 +338,10 @@
 // Traces answer "where did this job spend its time" across machines.
 // A fleet job opens a root span on its owner; each shard attempt opens a
 // dispatch child whose context rides the HTTP hop as a W3C-shaped
-// traceparent header (plus the request ID); the remote peer parents its
-// own job span under it, brackets the train/encode/predict/merge phases
-// with child spans, and ships its spans back inside the final job
-// update. The owner splices them into its ring-buffered trace
+// traceparent header (plus the request ID); the remote peer records the
+// shard's train/predict/merge phases as child spans of it in a store of
+// that request's own and ships exactly those spans back in its
+// /v1/shards answer. The owner splices them into its ring-buffered trace
 // store (the most recent 256 traces), so one GET returns the assembled
 // cross-node tree once the job is done:
 //

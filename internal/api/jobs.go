@@ -62,10 +62,6 @@ type Update struct {
 	Final     bool    `json:"final,omitempty"`
 	ElapsedMS float64 `json:"elapsed_ms,omitempty"`
 	Error     *Error  `json:"error,omitempty"`
-	// Spans carries the job's finished trace spans on the Final update of
-	// a worker job, so a coordinator that dispatched the job as a shard
-	// can splice them into its own trace tree.
-	Spans []obs.Span `json:"spans,omitempty"`
 }
 
 // JobStatus answers GET /v1/jobs/{id}.

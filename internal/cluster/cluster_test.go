@@ -363,65 +363,6 @@ func TestCoordinatorDoesNotRetryRejections(t *testing.T) {
 	}
 }
 
-// overloaded wraps a Transport and answers its first n shard calls
-// with a retryable busy verdict (the coordinator-side shape of a 429).
-type overloaded struct {
-	Transport
-	remaining atomic.Int64
-}
-
-func (o *overloaded) busy() bool { return o.remaining.Add(-1) >= 0 }
-
-func (o *overloaded) Evaluate(ctx context.Context, q Query, s Shard) (*Partial, error) {
-	if o.busy() {
-		return nil, &WorkerBusy{Worker: o.Name(), Status: 429, Msg: "job table full"}
-	}
-	return o.Transport.Evaluate(ctx, q, s)
-}
-
-// TestCoordinatorBusyVerdictsSpillWithoutFailures: a worker's retryable
-// 429 spills the shard to the rest of the fleet like a failure would, but
-// lands in the busy column — the saturated worker books no transport
-// failures and the sweep loses nothing.
-func TestCoordinatorBusyVerdictsSpillWithoutFailures(t *testing.T) {
-	designs := testDesigns(300)
-	want := singleProcessReference(t, designs)
-
-	loaded := &overloaded{Transport: NewLocal("loaded", resolveFake)}
-	loaded.remaining.Store(5)
-	fleet := []Transport{NewLocal("steady", resolveFake), loaded}
-	reg := obs.NewRegistry(nil)
-	coord := newTestCoordinator(t, fleet, Options{ShardSize: 16, Obs: reg})
-
-	got, err := coord.ParetoObserved(context.Background(), testQuery(), designs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Evaluated != len(designs) {
-		t.Fatalf("evaluated %d designs, want %d (busy spills must not drop shards)", got.Evaluated, len(designs))
-	}
-	wantKeys, gotKeys := candKeys(want.Frontier), candKeys(got.Frontier)
-	if len(wantKeys) != len(gotKeys) {
-		t.Fatalf("frontier has %d points after busy spills, want %d", len(gotKeys), len(wantKeys))
-	}
-	for i := range wantKeys {
-		if wantKeys[i] != gotKeys[i] {
-			t.Fatalf("frontier differs after busy spills at %d", i)
-		}
-	}
-	for _, name := range []string{"steady", "loaded"} {
-		if n := workerCount(reg, "failures", name); n != 0 {
-			t.Errorf("busy verdicts booked %d failures against %s, want 0", n, name)
-		}
-	}
-	if workerCount(reg, "busy", "loaded") == 0 {
-		t.Error("the worker's 429 verdicts were not counted in the busy column")
-	}
-	if n := workerCount(reg, "busy", "steady"); n != 0 {
-		t.Errorf("steady worker booked %d busy verdicts, want 0", n)
-	}
-}
-
 // blocking parks every call until its context dies.
 type blocking struct{ name string }
 

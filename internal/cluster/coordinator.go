@@ -88,7 +88,7 @@ type Options struct {
 	// hedge-storm its first shards.
 	HedgeMinDelay time.Duration
 	// Obs, when set, receives coordinator metrics: per-worker shard
-	// latency histograms and the three-column fault taxonomy, merge
+	// latency histograms and the two-column fault taxonomy, merge
 	// sizes, placements and hedges. Nil disables metric recording.
 	Obs *obs.Registry
 	// Tracer, when set, opens a dispatch span per shard attempt,
@@ -469,7 +469,7 @@ func (c *Coordinator) runShard(ctx context.Context, q Query, s Shard, first *wor
 		}
 		go func() {
 			// The dispatch span's context rides the transport as a
-			// traceparent header, so the worker's own job spans land under
+			// traceparent header, so the worker's phase spans land under
 			// this one.
 			spanCtx, span := c.tracer.Start(attemptCtx, "dispatch")
 			span.SetAttr("worker", m.name)
@@ -484,10 +484,16 @@ func (c *Coordinator) runShard(ctx context.Context, q Query, s Shard, first *wor
 			if err == nil {
 				err = malformed(m.name, q, s, p)
 			}
-			if err == nil {
-				span.SetAttr("status", "ok")
-			} else {
-				span.SetAttr("status", verdict(err))
+			// The status is the attempt's fault-taxonomy column.
+			status := "ok"
+			var rejected *WorkerRejection
+			if errors.As(err, &rejected) {
+				status = "rejected"
+			} else if err != nil {
+				status = "failed"
+			}
+			span.SetAttr("status", status)
+			if err != nil {
 				span.SetAttr("error", err.Error())
 			}
 			span.End()
@@ -598,29 +604,17 @@ func (c *Coordinator) runShard(ctx context.Context, q Query, s Shard, first *wor
 				settle()
 				return ctx.Err()
 			}
-			// A busy verdict spills the shard exactly like a transport
-			// failure, but lands in its own accounting column — saturation
-			// is not sickness and must not trip failure-based alerting.
-			var busyErr *WorkerBusy
 			if running > 0 {
 				// The other attempt (primary or hedge) is still working
 				// the shard; it is the de-facto re-dispatch, already
 				// counted in the hedge series.
-				if errors.As(o.err, &busyErr) {
-					c.noteBusy(o.m, false)
-				} else {
-					c.noteFailure(o.m, false)
-				}
+				c.noteFailure(o.m, false)
 				continue
 			}
 			next := c.claimRetry(q.Benchmark, tried)
-			if errors.As(o.err, &busyErr) {
-				c.noteBusy(o.m, next != nil)
-			} else {
-				// Every failed attempt is the worker's failure, but only a
-				// failure with another worker left to try is a re-dispatch.
-				c.noteFailure(o.m, next != nil)
-			}
+			// Every failed attempt is the worker's failure, but only a
+			// failure with another worker left to try is a re-dispatch.
+			c.noteFailure(o.m, next != nil)
 			if next != nil {
 				localRetries.Add(1)
 			}
@@ -659,13 +653,21 @@ func (c *Coordinator) runShard(ctx context.Context, q Query, s Shard, first *wor
 	}
 }
 
+// maxShardSpans bounds the trace spans one shard's answer may carry. A
+// shard records three (its train, predict and merge phases); a flood
+// would evict other jobs' traces from the owner's bounded store.
+const maxShardSpans = 64
+
 // malformed reports why a shard's partial must not merge: a worker that
-// dropped designs, answered more candidates than the shard holds, or
-// scored them under another objective count runs other code, and
-// merging its answer could corrupt the job or index past a score slice
-// on this dispatcher goroutine. The fleet is trusted over the answer:
-// the shard re-dispatches like any failed attempt.
+// dropped designs, answered more candidates than the shard holds, scored
+// them under another objective count or flooded its trace spans runs
+// other code, and merging its answer could corrupt the job or index past
+// a score slice on this dispatcher goroutine. The fleet is trusted over
+// the answer: the shard re-dispatches like any failed attempt.
 func malformed(worker string, q Query, s Shard, p *Partial) error {
+	if len(p.Spans) > maxShardSpans {
+		return fmt.Errorf("cluster: worker %s answered %d trace spans for one shard, at most %d", worker, len(p.Spans), maxShardSpans)
+	}
 	if p.Evaluated != s.Count || p.Feasible < 0 || p.Feasible > p.Evaluated || len(p.Candidates) > s.Count {
 		return fmt.Errorf("cluster: worker %s answered %d evaluated, %d feasible and %d candidates for a %d-design shard",
 			worker, p.Evaluated, p.Feasible, len(p.Candidates), s.Count)
@@ -735,20 +737,6 @@ func (c *Coordinator) HedgeStats() (issued, won, wasted int) {
 	return c.hedges[hedgeIssued], c.hedges[hedgeWon], c.hedges[hedgeWasted]
 }
 
-// verdict names the fault-taxonomy column an attempt error falls in —
-// the dispatch span's status annotation.
-func verdict(err error) string {
-	var rejected *WorkerRejection
-	if errors.As(err, &rejected) {
-		return "rejected"
-	}
-	var busy *WorkerBusy
-	if errors.As(err, &busy) {
-		return "busy"
-	}
-	return "failed"
-}
-
 // observe books a completed shard: releases the worker's slot and folds
 // the attempt latency into its per-design EWMA (the adaptive shard
 // sizer's input).
@@ -789,9 +777,7 @@ func (c *Coordinator) noteFailure(m *worker, redispatched bool) {
 	if redispatched {
 		c.metrics.retries.Inc()
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	m.inflight--
+	c.release(m)
 }
 
 // noteRejection books a deterministic 4xx verdict, releasing the slot.
@@ -799,23 +785,7 @@ func (c *Coordinator) noteFailure(m *worker, redispatched bool) {
 // their own column and never count toward fleet-health failures.
 func (c *Coordinator) noteRejection(m *worker) {
 	m.inst.rejections.Inc()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	m.inflight--
-}
-
-// noteBusy books a retryable busy verdict (and optionally a re-dispatch),
-// releasing the slot. Busy verdicts mean the worker is saturated, not
-// sick: they count toward the re-dispatch total but never toward the
-// worker's failure column.
-func (c *Coordinator) noteBusy(m *worker, redispatched bool) {
-	m.inst.busy.Inc()
-	if redispatched {
-		c.metrics.retries.Inc()
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	m.inflight--
+	c.release(m)
 }
 
 // WarmResult is the outcome of one fleet warm.

@@ -11,14 +11,12 @@ import (
 	"repro/pkg/dsedclient"
 )
 
-// HTTP is a Transport over the daemon's versioned /v1 API, built on the
-// shared typed client (pkg/dsedclient) so the coordinator speaks to
-// workers exactly like any other consumer. A shard becomes a job of the
-// query's kind — an [offset, count) window when the query's space is
-// named and unsampled, pinned designs otherwise (see shardSpace). The
-// transport submits the job, follows its stream, and hands the
-// coordinator the final partial, so a worker's own progress plumbing is
-// exercised on every shard. Warm drives /v1/warm.
+// HTTP is a Transport over a peer's /v1 API, built on the shared typed
+// client (pkg/dsedclient). A shard is one synchronous POST /v1/shards:
+// a window when the query's space is named and unsampled, pinned designs
+// otherwise (see shardSpace), which the peer runs on its own Local,
+// answering with the shard's partial and spans. Cancelling the call (a
+// lost hedge, an aborted job) stops the peer's work. Warm drives /v1/warm.
 type HTTP struct {
 	c *dsedclient.Client
 }
@@ -53,17 +51,11 @@ func (h *HTTP) Warm(ctx context.Context, benchmarks []string) (int, error) {
 // classify maps a client error onto the coordinator's fault model: a
 // worker's deterministic 4xx verdict is a WorkerRejection (the request,
 // not the worker, is at fault — forward it instead of retrying across
-// the fleet). Verdicts the worker itself marks retryable — 429 from a
-// full job table, say — are transient load, not a judgement on the
-// request or on the worker's health: they become WorkerBusy, which
-// spills the shard to another worker but is accounted apart from
-// transport failures.
+// the fleet); anything else is a transport failure, which moves the
+// shard to another worker.
 func (h *HTTP) classify(err error) error {
 	var ae *dsedclient.APIError
 	if errors.As(err, &ae) && ae.Status >= 400 && ae.Status < 500 {
-		if ae.Retryable {
-			return &WorkerBusy{Worker: h.Name(), Status: ae.Status, Msg: ae.Message}
-		}
 		return &WorkerRejection{Worker: h.Name(), Status: ae.Status, Msg: ae.Message}
 	}
 	return fmt.Errorf("cluster: worker %s: %w", h.Name(), err)
@@ -98,20 +90,17 @@ func (h *HTTP) Evaluate(ctx context.Context, q Query, s Shard) (*Partial, error)
 		TopK:        q.TopK,
 		Objective:   q.Objective,
 		Constraints: constraints,
-		// Shards must evaluate where they land: without the local scope a
-		// symmetric peer would re-distribute its shard to the fleet,
-		// recursing forever.
-		Scope: wire.ScopeLocal,
 	}}
-	final, _, err := h.c.Run(ctx, spec.Request(), nil)
+	// Request names a zero Kind's frontier query a pareto one.
+	resp, err := h.c.Shard(ctx, spec.Request())
 	if err != nil {
 		return nil, h.classify(err)
 	}
 	return &Partial{
-		Evaluated:  final.Evaluated,
-		Feasible:   final.Feasible,
-		Candidates: fromWire(final.Candidates, s.Start),
-		Spans:      final.Spans,
+		Evaluated:  resp.Evaluated,
+		Feasible:   resp.Feasible,
+		Candidates: fromWire(resp.Candidates, s.Start),
+		Spans:      resp.Spans,
 	}, nil
 }
 

@@ -16,11 +16,12 @@ import (
 type ModelResolver func(ctx context.Context, benchmark, metric string) (core.DynamicsModel, error)
 
 // Local is an in-process Transport: shards run directly on the exploration
-// engine with no sockets or serialisation. A peer schedules itself through
-// one (over its own registry), so the shards it places on itself cost no
-// HTTP round trip and no job-table entry; it also gives the coordinator
-// deterministic -race coverage. Results are tagged exactly like HTTP
-// results, so the two transports are interchangeable answer-for-answer.
+// engine with no sockets or serialisation. A peer runs every shard it
+// evaluates through one, over its own registry: the shards it places on
+// itself, and the shards other peers send its POST /v1/shards. It also
+// gives the coordinator deterministic -race coverage. Results are tagged
+// exactly like HTTP results, so the two transports are interchangeable
+// answer-for-answer.
 type Local struct {
 	name    string
 	resolve ModelResolver
@@ -32,7 +33,7 @@ type Local struct {
 	WarmFunc func(ctx context.Context, benchmarks []string) (int, error)
 	// Tracer, when set, records each shard's phase:train, phase:predict
 	// and phase:merge spans under the caller's span (the coordinator's
-	// dispatch span), the phases a worker's shard job records. They land
+	// dispatch span, or the one a /v1/shards request carries). They land
 	// in the tracer's own store, so a Partial from Local carries no Spans.
 	Tracer *obs.Tracer
 	// ChunkDone, when set, observes every evaluation chunk

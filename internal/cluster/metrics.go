@@ -16,7 +16,7 @@ type clusterMetrics struct {
 func newClusterMetrics(reg *obs.Registry) *clusterMetrics {
 	m := &clusterMetrics{reg: reg}
 	m.retries = reg.Counter("dsed_cluster_shard_retries_total",
-		"Shard attempts that failed or spilled and were re-dispatched to another worker.")
+		"Shard attempts that failed and were re-dispatched to another worker.")
 	m.mergeSize = reg.Histogram("dsed_cluster_merge_candidates",
 		"Candidates carried by each merged shard partial.", obs.SizeBuckets)
 	m.placements = reg.Counter("dsed_cluster_placements_total",
@@ -32,7 +32,7 @@ func newClusterMetrics(reg *obs.Registry) *clusterMetrics {
 }
 
 // workerInstruments are one worker's per-name series — the scrapeable
-// fault taxonomy (failures, rejections, busy) plus the shard latency
+// fault taxonomy (failures, rejections) plus the shard latency
 // signal straggler hedging feeds on. They are created when the
 // coordinator first sees the worker's name, so every series exists (at
 // zero) before its first shard or fault, and they outlive a departure:
@@ -42,7 +42,6 @@ type workerInstruments struct {
 	shards     *obs.Counter
 	failures   *obs.Counter
 	rejections *obs.Counter
-	busy       *obs.Counter
 }
 
 func (m *clusterMetrics) worker(name string) workerInstruments {
@@ -56,7 +55,5 @@ func (m *clusterMetrics) worker(name string) workerInstruments {
 			"Transport faults and timeouts booked against the worker.", l),
 		rejections: m.reg.Counter("dsed_cluster_worker_rejections_total",
 			"The worker's deterministic 4xx verdicts (blame the request, not the worker).", l),
-		busy: m.reg.Counter("dsed_cluster_worker_busy_total",
-			"The worker's retryable at-capacity verdicts (load, not sickness).", l),
 	}
 }

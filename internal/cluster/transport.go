@@ -161,9 +161,10 @@ type Partial struct {
 	Feasible int
 	// Candidates is the shard's frontier or its best-first top K.
 	Candidates []IndexedCandidate
-	// Spans carries the worker's trace spans for the shard (nil from
-	// transports that do not trace); the coordinator imports them into
-	// its own trace store so a job's tree spans the whole fleet.
+	// Spans carries a remote worker's trace spans for this shard alone
+	// (nil from Local, which records into its own tracer's store); the
+	// coordinator imports them into its own trace store so a job's tree
+	// spans the whole fleet.
 	Spans []obs.Span
 }
 
@@ -198,29 +199,15 @@ func (e *WorkerRejection) Error() string {
 	return fmt.Sprintf("cluster: worker %s rejected the request (status %d): %s", e.Worker, e.Status, e.Msg)
 }
 
-// WorkerBusy is a worker's own retryable verdict — a 429 from a full job
-// table, say. The worker is alive and the request is fine; it simply has
-// no capacity right now. The coordinator spills the shard to another
-// worker like a transport failure, but books it in its own column: a
-// fleet that is merely saturated must not read as a fleet that is sick.
-type WorkerBusy struct {
-	Worker string
-	Status int
-	Msg    string
-}
-
-func (e *WorkerBusy) Error() string {
-	return fmt.Sprintf("cluster: worker %s is busy (status %d): %s", e.Worker, e.Status, e.Msg)
-}
-
 // Transport is the coordinator's view of one worker. Implementations must
 // be safe for concurrent use: the coordinator dispatches many shards to
 // the same worker at once.
 //
 // Two implementations exist, interchangeable answer for answer: Local
 // runs shards in-process through the exploration engine (a peer's
-// transport to itself, and deterministic -race tests), and HTTP speaks
-// the dsed JSON wire format to a remote daemon.
+// transport to itself, and deterministic -race tests), and HTTP sends
+// each shard to a remote peer's POST /v1/shards, which runs it on that
+// peer's own Local.
 type Transport interface {
 	// Name identifies the worker in placement, logs and health reports.
 	// Names must be unique within a coordinator.

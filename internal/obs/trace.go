@@ -229,9 +229,9 @@ const (
 
 type traceEntry struct {
 	spans []Span
-	// seen dedupes by span ID: a worker ships its trace's cumulative
-	// span list with every shard's final update, so the same span
-	// arrives once per shard and must be recorded once.
+	// seen dedupes by span ID: a span imported more than once (an
+	// adopter's replicated excerpt overlapping what it holds, say) is
+	// recorded once.
 	seen    map[string]struct{}
 	jobs    []string
 	dropped int

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/explore"
 	"repro/internal/mathx"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/space"
 )
@@ -421,9 +422,9 @@ type SweepRequest struct {
 	// Objective indexes Objectives as the minimisation target (default 0).
 	Objective   int          `json:"objective,omitempty"`
 	Constraints []Constraint `json:"constraints,omitempty"`
-	// Scope is empty for an ordinary submission, or ScopeLocal on a
-	// shard dispatched by a coordinating node — a symmetric peer then
-	// evaluates it locally instead of distributing it again.
+	// Scope is WarmRequest's field, decoded here so that a stale peer's
+	// ScopeLocal shard gets a 400 from /v1/sweeps and /v1/pareto naming
+	// /v1/shards, where a fleet shard goes.
 	Scope string `json:"scope,omitempty"`
 }
 
@@ -452,10 +453,9 @@ func (r SweepRequest) Validate() error {
 // Spec implements JobRequest.
 func (r SweepRequest) Spec() JobSpec { return JobSpec{Kind: JobSweep, SweepRequest: r} }
 
-// ScopeLocal marks a request as a shard of a distributed job: the
-// receiving node must evaluate it on its own registry, never fan it out
-// again. Without the marker two symmetric peers would bounce a sweep
-// between their coordinators forever.
+// ScopeLocal marks a warm request as a fleet owner's placement on one
+// peer: the receiving node trains its own registry instead of warming
+// the fleet again.
 const ScopeLocal = "local"
 
 func validateScope(scope string) error {
@@ -540,7 +540,8 @@ type ParetoResponse struct {
 // them — the admin hook a coordinator uses to place models on workers.
 type WarmRequest struct {
 	Benchmarks []string `json:"benchmarks"`
-	// Scope: see SweepRequest.Scope.
+	// Scope is empty to warm the receiving peer's whole fleet, or
+	// ScopeLocal to train the receiving node alone.
 	Scope string `json:"scope,omitempty"`
 }
 
@@ -583,6 +584,16 @@ type ClusterSweepResponse struct {
 	Shards  int `json:"shards"`
 	// Retries counts shard attempts that failed and were re-dispatched.
 	Retries int `json:"retries"`
+}
+
+// ShardResponse answers POST /v1/shards with one fleet shard's partial:
+// designs scored, feasible ones (top-K shards only), its frontier or
+// best-first top K, and the spans recorded for this shard alone.
+type ShardResponse struct {
+	Evaluated  int         `json:"evaluated"`
+	Feasible   int         `json:"feasible,omitempty"`
+	Candidates []Candidate `json:"candidates"`
+	Spans      []obs.Span  `json:"spans,omitempty"`
 }
 
 // ClusterParetoResponse is a fleet frontier job's result.

@@ -5,7 +5,7 @@
 // hand-rolled JSON call sites.
 //
 // Synchronous endpoints (Predict, Warm, Healthy, and the peer seams
-// Gossip and Replicate) are one call each. Exploration is asynchronous:
+// Shard, Gossip and Replicate) are one call each. Exploration is asynchronous:
 // SubmitSweep and SubmitPareto return a job immediately; Job polls it,
 // Stream follows its NDJSON partial-frontier updates (resuming
 // transparently after a disconnect — every update is a cumulative
@@ -315,7 +315,7 @@ func (c *Client) once(ctx context.Context, base, method, path string, payload []
 
 // setTraceHeaders propagates the caller's trace span and request ID, if
 // the context carries them, so an owner's dispatch span parents the
-// peer's job spans and one request ID threads the whole fan-out.
+// peer's shard spans and one request ID threads the whole fan-out.
 func setTraceHeaders(req *http.Request, ctx context.Context) {
 	if sc, ok := obs.SpanFromContext(ctx); ok && sc.Valid() {
 		req.Header.Set(obs.TraceparentHeader, sc.Traceparent())
@@ -328,7 +328,7 @@ func setTraceHeaders(req *http.Request, ctx context.Context) {
 // Trace fetches a finished (or running) job's assembled span tree
 // (GET /v1/jobs/{id}/trace). For a fleet job the tree spans the whole
 // fleet: the owner's root and dispatch spans with every peer's imported
-// job and phase spans beneath them.
+// phase spans beneath them.
 func (c *Client) Trace(ctx context.Context, jobID string) (*obs.JobTrace, error) {
 	var out obs.JobTrace
 	if err := c.do(ctx, http.MethodGet, "/v1/jobs/"+jobID+"/trace", nil, &out); err != nil {
@@ -392,6 +392,19 @@ func (c *Client) WarmScoped(ctx context.Context, benchmarks []string, scope stri
 	var out wire.WarmResponse
 	req := wire.WarmRequest{Benchmarks: benchmarks, Scope: scope}
 	if err := c.do(ctx, http.MethodPost, "/v1/warm", req, &out); err != nil {
+		return nil, err
+	}
+	return &out, nil
+}
+
+// Shard has a peer evaluate one fleet shard (POST /v1/shards?kind=),
+// req being its query over a window or pinned designs, and returns the
+// peer's synchronous answer; cancelling ctx stops the peer's work. A
+// shard is a pure function of the request and the models, so retries
+// are safe.
+func (c *Client) Shard(ctx context.Context, req wire.JobRequest) (*wire.ShardResponse, error) {
+	var out wire.ShardResponse
+	if err := c.do(ctx, http.MethodPost, "/v1/shards?kind="+string(req.Spec().Kind), req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
