@@ -318,13 +318,16 @@ func (s *Server) sweepModel(ctx context.Context, benchmark, metric string) (core
 // straggler so hedged dispatch can be exercised against a real fleet. It
 // is a LevelPredictor like the predictor it wraps, so a sweep takes the
 // same route through it and a straggler answers bit for bit what a
-// healthy worker does.
+// healthy worker does. It offers no mean terms, so a window sweep cannot
+// score its means from the tables and skip the sleep.
 type straggleModel struct {
 	*core.Predictor
 	delay time.Duration
 }
 
 var _ core.LevelPredictor = straggleModel{}
+
+func (straggleModel) MeanTerms() ([]core.MeanTerm, bool) { return nil, false }
 
 func (m straggleModel) PredictMeanLevels(x []float64, lvl []int) float64 {
 	time.Sleep(m.delay)

@@ -710,6 +710,72 @@ func TestOnDemandTrainingExactlyOnce(t *testing.T) {
 	}
 }
 
+// A straggler must straggle on every route: a named-space job under a
+// mean objective is a window sweep, which scores a predictor's mean
+// terms straight from their level tables where it can and so could skip
+// the per-design sleep. On one worker at 1ms per design, an n-design
+// window takes at least n ms, and it answers byte for byte what a
+// healthy daemon does.
+func TestStragglerSleepsOnWindowMeans(t *testing.T) {
+	const n = 120
+	ctx := context.Background()
+	// 32 training designs (tinySpec has 24) grow the CPI mean network's
+	// trees enough that both of its level tables fit, so a healthy
+	// daemon takes the table route.
+	spec := tinySpec()
+	spec.Train = 32
+	store, err := registry.Open(registry.Config{
+		Trainer:   &simTrainer{Spec: spec},
+		Metrics:   []sim.Metric{sim.MetricCPI},
+		Trainable: workload.Names(),
+		Spec:      spec,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := store.LoadOrTrain(ctx, "gcc", sim.MetricCPI)
+	if err != nil {
+		t.Fatal(err)
+	}
+	terms, _ := p.MeanTerms()
+	for _, mt := range terms {
+		if s, _ := mt.Net.TableOffsets(0); s == nil {
+			t.Fatal("the CPI mean network has no table offsets: a healthy window sweep would not score from the tables")
+		}
+	}
+	slow := NewServer(ctx, store, 1, nil, nil)
+	slow.straggle = time.Millisecond
+	slowTS := httptest.NewServer(slow.Handler())
+	t.Cleanup(slowTS.Close)
+	healthyTS := httptest.NewServer(NewServer(ctx, store, 0, nil, nil).Handler())
+	t.Cleanup(healthyTS.Close)
+	req := wire.SweepRequest{
+		Benchmark:  "gcc",
+		Objectives: []wire.ObjectiveSpec{{Metric: "CPI"}},
+		SpaceSpec:  wire.SpaceSpec{Space: "train", Offset: 4321, Count: n},
+		TopK:       10,
+	}
+	var answers [2]string
+	for i, base := range []string{slowTS.URL, healthyTS.URL} {
+		start := time.Now()
+		resp, _, err := testClient(base).Run(ctx, req, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if elapsed := time.Since(start); i == 0 && elapsed < n*time.Millisecond {
+			t.Errorf("straggler answered a %d-design window in %v, want at least %v", n, elapsed, n*time.Millisecond)
+		}
+		raw, err := json.Marshal(resp.Candidates)
+		if err != nil {
+			t.Fatal(err)
+		}
+		answers[i] = string(raw)
+	}
+	if answers[0] != answers[1] {
+		t.Fatalf("straggler's top-K differs from a healthy daemon's:\n  straggler %.300s\n  healthy   %.300s", answers[0], answers[1])
+	}
+}
+
 type errStatus struct {
 	endpoint string
 	status   int

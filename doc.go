@@ -388,8 +388,11 @@
 //     networks' shared declaration (DimLevels) from the caller.
 //     PredictInto and PredictMean resolve and delegate to them, so each
 //     computation has one body and the sweep engine resolves once for
-//     every model sharing a declaration. The baselines (GlobalANN,
-//     LinearWavelet) offer Predict only.
+//     every model sharing a declaration. Its MeanTerms exposes
+//     PredictMeanLevels' fold (the nonzero-basis-mean networks, in order,
+//     with their weights), which a window sweep reproduces from the
+//     networks' tables. The baselines (GlobalANN, LinearWavelet) offer
+//     Predict only.
 //   - internal/rbf: the Gaussian has axis-aligned radii, so each network
 //     with declared levels (core declares the Table 2 feature levels) is
 //     one function f(x) = s(x)·g(x_V) + b. The shared factor s is a single
@@ -398,11 +401,17 @@
 //     is tabulated over the product of the 2–6 varying dimensions'
 //     levels (at most 1<<14 entries; ≤3,072 for every gcc network), so an
 //     on-level design costs each network one exponential and one table
-//     lookup. Off-level values fall back to computing g from per-level
-//     factor columns and on-the-fly factors through the very function
-//     that filled the table, so hits and misses are bit-identical.
+//     lookup. The networks a mean is scored from (core's mean terms) also
+//     tabulate s over the shared dimensions' levels (TabulateShared,
+//     under the same cap; 768 entries for gcc's CPI mean network), so an
+//     on-level design costs such a network two table lookups and one
+//     multiply, and TableOffsets/PredictTables let a sweep address both
+//     tables by summed per-level offsets. Off-level values fall back to
+//     computing s and g through the very functions that filled the
+//     tables, so hits and misses are bit-identical; the product s·g is
+//     written float64(s*g), so no architecture fuses it with the bias.
 //     core.Predictor resolves a design's level indices once and shares
-//     them across its k networks. The table is derived on training and
+//     them across its k networks. The tables are derived on training and
 //     on load, never persisted.
 //   - internal/explore: evalChunks workers hold per-worker scratch (one
 //     trace buffer per model, one flat score matrix per chunk, the
@@ -419,7 +428,18 @@
 //     each declaration's level index (by encoding and resolving real
 //     designs, so they are bit-identical to the list path), and each
 //     worker ticks the odometer (Levels.Seek/Tick), rewriting only the
-//     digits that changed. The package's two Collectors, TopK and
+//     digits that changed. A mean objective on a plain-encoding
+//     LevelPredictor whose mean terms all have both tables, over a
+//     window whose levels all lie on its declaration, takes the lattice
+//     route: per sweep each term's table offsets are mapped onto the
+//     window's levels, each worker carries each term's two table indices
+//     as integer prefix sums along the odometer (updated from the most
+//     significant digit Tick changed), and the score is
+//     PredictMeanLevels' own fold over PredictTables — no exponential,
+//     bit for bit the level route. DVM-feature models, off-declaration
+//     windows, networks over the table cap and models offering no terms
+//     (cmd/dsed's straggler) keep the level route. The package's two
+//     Collectors, TopK and
 //     FrontierCollector, take a whole chunk under their own mutex, test
 //     each candidate's scores first, and decode a Config (Window.Design)
 //     only for the candidates they keep; their snapshot methods are safe

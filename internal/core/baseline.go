@@ -42,6 +42,11 @@ type LevelPredictor interface {
 	// vector x without producing the trace. It agrees with mathx.Mean of
 	// the trace to rounding (the two sum in different orders).
 	PredictMeanLevels(x []float64, lvl []int) float64
+	// MeanTerms exposes PredictMeanLevels' fold (see
+	// Predictor.MeanTerms), so a sweep may score a mean straight from
+	// the term networks' tables, bit-identically. ok false means the
+	// mean must be scored through PredictMeanLevels itself.
+	MeanTerms() (terms []MeanTerm, ok bool)
 	// PredictVecLevelsInto writes the forecast trace at feature vector x
 	// into dst, reusing its backing array when capacity allows, and
 	// returns the filled slice. It is bit-identical to Predict on the

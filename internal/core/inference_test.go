@@ -350,3 +350,63 @@ func TestHaarMeanUsesOneNetwork(t *testing.T) {
 		}
 	}
 }
+
+// TestMeanTermsTabulateOnlyMeanNetworks holds MeanTerms to
+// PredictMeanLevels' definition: the networks with a nonzero basis mean,
+// in network order, weighted by that mean. Only those networks get a
+// shared-factor table (a trace-scored network never reads one; under
+// Haar the one term's tables fit), for a trained and a loaded predictor
+// alike, and folding the terms by hand reproduces PredictMeanLevels bit
+// for bit.
+func TestMeanTermsTabulateOnlyMeanNetworks(t *testing.T) {
+	for _, w := range []wavelet.Transform{wavelet.Haar{}, wavelet.Daubechies4{}} {
+		t.Run(w.Name(), func(t *testing.T) {
+			p, test := trainVariant(t, w, false)
+			var buf bytes.Buffer
+			if err := p.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := Load(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, q := range []*Predictor{p, loaded} {
+				terms, ok := q.MeanTerms()
+				if !ok || len(terms) == 0 {
+					t.Fatalf("MeanTerms = %d terms, ok %v", len(terms), ok)
+				}
+				next := 0
+				for i, net := range q.nets {
+					tabled, _ := net.TableOffsets(0)
+					if q.basisMean[i] == 0 {
+						if tabled != nil {
+							t.Errorf("network %d has a zero basis mean but a shared-factor table", i)
+						}
+						continue
+					}
+					if next == len(terms) || terms[next].Net != net || terms[next].Weight != q.basisMean[i] {
+						t.Fatalf("term %d is not network %d with weight %v", next, i, q.basisMean[i])
+					}
+					if _, haar := w.(wavelet.Haar); haar && tabled == nil {
+						t.Errorf("Haar mean network %d has no table offsets", i)
+					}
+					next++
+				}
+				if next != len(terms) {
+					t.Fatalf("%d terms, %d networks with a nonzero basis mean", len(terms), next)
+				}
+				for _, cfg := range test {
+					x := cfg.Vector()
+					lvl := resolved(q, x)
+					mean := 0.0
+					for _, term := range terms {
+						mean += float64(term.Net.PredictLevels(x, lvl) * term.Weight)
+					}
+					if got := q.PredictMeanLevels(x, lvl); got != mean {
+						t.Fatalf("PredictMeanLevels %v, folded terms %v", got, mean)
+					}
+				}
+			}
+		})
+	}
+}

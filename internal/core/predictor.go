@@ -112,6 +112,11 @@ type Predictor struct {
 	// average coefficient's basis mean is exactly 1 and every detail's is
 	// exactly 0, so a mean costs one network.
 	basisMean []float64
+	// meanTerms are the networks with a nonzero basis mean, in network
+	// order: the only ones PredictMeanLevels evaluates. Each has its
+	// shared-factor table built (rbf.Network.TabulateShared); the other
+	// networks do not, since only means are scored design by design.
+	meanTerms []MeanTerm
 
 	// levels is the level declaration every factored network shares
 	// (nil when they do not share one). PredictInto resolves a design's
@@ -127,7 +132,22 @@ func (p *Predictor) bindBasis() {
 	p.basis = waveletBasis(p.opts.Wavelet, p.traceLen, p.selected)
 	p.basisLo, p.basisHi = basisSpans(p.basis)
 	p.basisMean = basisMeans(p.basis)
+	p.meanTerms = nil
+	for i, bm := range p.basisMean {
+		if bm != 0 {
+			p.nets[i].TabulateShared()
+			p.meanTerms = append(p.meanTerms, MeanTerm{Net: p.nets[i], Weight: bm})
+		}
+	}
 	p.bindLevels()
+}
+
+// MeanTerm is one term of a predictor's coefficient-space mean: the
+// network of a selected coefficient whose reconstruction basis has a
+// nonzero mean, and that mean.
+type MeanTerm struct {
+	Net    *rbf.Network
+	Weight float64
 }
 
 // bindLevels records the networks' shared level declaration. A network on
@@ -373,8 +393,8 @@ func (p *Predictor) PredictVecLevelsInto(x []float64, lvl []int, dst []float64) 
 	for i := hi0; i < len(dst); i++ {
 		dst[i] = 0
 	}
-	for i := range p.selected {
-		c := p.coefficient(i, x, lvl)
+	for i, net := range p.nets {
+		c := coefficient(net, x, lvl)
 		// Accumulate only over the basis vector's nonzero support —
 		// fine-scale wavelets touch a handful of samples, so most passes
 		// are short. Skipped entries would only ever add exact zeros.
@@ -407,13 +427,13 @@ func (p *Predictor) resolveLevels(x []float64, buf *[space.MaxFeatures]int) []in
 	return lvl
 }
 
-// coefficient evaluates network i at x. With resolved level indices it
-// runs PredictLevels, which is bit-identical to the network's own Predict.
-func (p *Predictor) coefficient(i int, x []float64, lvl []int) float64 {
+// coefficient evaluates net at x. With resolved level indices it runs
+// PredictLevels, which is bit-identical to the network's own Predict.
+func coefficient(net *rbf.Network, x []float64, lvl []int) float64 {
 	if len(lvl) > 0 {
-		return p.nets[i].PredictLevels(x, lvl)
+		return net.PredictLevels(x, lvl)
 	}
-	return p.nets[i].Predict(x)
+	return net.Predict(x)
 }
 
 // PredictMean returns the mean of the forecast trace for cfg, scored in
@@ -434,16 +454,23 @@ func (p *Predictor) PredictMean(cfg space.Config) float64 {
 // Haar transform one network (the average coefficient) is evaluated
 // instead of k. It agrees with mathx.Mean of the trace to rounding; a
 // model that does not select a coefficient with a nonzero basis mean
-// scores 0.
+// scores 0. The fold is MeanTerms' definition, which a sweep may
+// reproduce from the networks' tables.
 func (p *Predictor) PredictMeanLevels(x []float64, lvl []int) float64 {
 	mean := 0.0
-	for i, bm := range p.basisMean {
-		if bm != 0 {
-			mean += p.coefficient(i, x, lvl) * bm
-		}
+	for _, t := range p.meanTerms {
+		// The explicit conversion keeps every architecture from fusing
+		// the product into the sum, so all routes round alike.
+		mean += float64(coefficient(t.Net, x, lvl) * t.Weight)
 	}
 	return mean
 }
+
+// MeanTerms returns the terms PredictMeanLevels folds, in its order: the
+// mean at a design is 0.0 plus, term by term, float64(c · Weight), where
+// c is the term network's prediction at the design. ok is always true for
+// a Predictor. Callers must not modify the terms.
+func (p *Predictor) MeanTerms() (terms []MeanTerm, ok bool) { return p.meanTerms, true }
 
 // DimLevels returns the level declaration every factored network shares
 // — the one PredictMeanLevels and PredictVecLevelsInto take level indices

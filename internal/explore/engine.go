@@ -70,6 +70,7 @@ type evalKind uint8
 
 const (
 	evalMeanLevels  evalKind = iota // mean objective on a core.LevelPredictor
+	evalMeanLattice                 // mean objective scored from its terms' tables (windows)
 	evalTraceLevels                 // trace objective on a core.LevelPredictor
 	evalPredict                     // DynamicsModel.Predict: needs the Config
 )
@@ -81,6 +82,8 @@ type modelPlan struct {
 	// group indexes plan.decls (level kinds); -1 for a LevelPredictor
 	// without a declaration, which is handed empty level indices.
 	group int
+	// terms indexes plan.terms: the lattice kind's mean terms.
+	terms [2]int
 	model core.DynamicsModel
 	lev   core.LevelPredictor
 	score func([]float64) float64
@@ -94,11 +97,28 @@ type plan struct {
 	models []modelPlan
 	decls  [][][]float64
 	width  []int
+	// terms are the lattice kind's mean terms, model after model.
+	terms []latticeTerm
 	// needVec and needDVM say which feature encoding the level kinds
 	// share (the plain encoding is a prefix of the DVM one); needCfg that
 	// some model is scored from the Config itself.
 	needVec, needDVM, needCfg bool
 }
+
+// latticeTerm is one core.MeanTerm on a window sweep's lattice route:
+// off[q][l] is level l of the window's parameter q as offsets into the
+// term network's two tables (rbf.Network.TableOffsets of the level's
+// declaration index). A design's offsets sum, in integers, to the table
+// indices rbf.Network.PredictTables evaluates.
+type latticeTerm struct {
+	net    *rbf.Network
+	weight float64
+	off    [space.NumParams][]tabOff
+}
+
+// tabOff is a pair of offsets (or indices) into a network's shared-factor
+// table (s) and level table (g).
+type tabOff struct{ s, g int }
 
 func newPlan(models []core.DynamicsModel, objectives []Objective) *plan {
 	p := &plan{models: make([]modelPlan, len(models))}
@@ -189,11 +209,66 @@ func (p *plan) levelTables(w *space.Window) *levelTables {
 	return t
 }
 
+// bindLattice moves a window sweep's mean objectives onto the lattice
+// route where it is exact: the model offers its mean terms, takes the
+// plain encoding (DVM features read the window Base's constants, which
+// the tables do not offset), every window level lies on its declaration,
+// and every term network has both tables. Any other model keeps its
+// route. Only level kinds still left need the encoding afterwards.
+func (p *plan) bindLattice(w *space.Window, t *levelTables) {
+	levels := 0
+	for q := range w.Levels {
+		levels += len(w.Levels[q])
+	}
+	for m := range p.models {
+		mp := &p.models[m]
+		if mp.kind != evalMeanLevels || mp.group < 0 || mp.nfeat != space.NumParams || !onDeclaration(&t.lvl[mp.group]) {
+			continue
+		}
+		terms, ok := mp.lev.MeanTerms()
+		if !ok || slices.ContainsFunc(terms, func(mt core.MeanTerm) bool {
+			s, _ := mt.Net.TableOffsets(0)
+			return s == nil
+		}) {
+			continue
+		}
+		mp.kind, mp.terms = evalMeanLattice, [2]int{len(p.terms), len(p.terms) + len(terms)}
+		for _, mt := range terms {
+			lt := latticeTerm{net: mt.Net, weight: mt.Weight}
+			flat := make([]tabOff, levels)
+			for q, decl := range t.lvl[mp.group] {
+				so, vo := mt.Net.TableOffsets(q)
+				lt.off[q], flat = flat[:len(decl):len(decl)], flat[len(decl):]
+				for l, d := range decl {
+					lt.off[q][l] = tabOff{so[d], vo[d]}
+				}
+			}
+			p.terms = append(p.terms, lt)
+		}
+	}
+	p.needVec = slices.ContainsFunc(p.models, func(mp modelPlan) bool {
+		return mp.kind == evalMeanLevels || mp.kind == evalTraceLevels
+	})
+}
+
+// onDeclaration reports whether every window level resolved onto the
+// declaration.
+func onDeclaration(lvl *[space.NumParams][]int) bool {
+	for _, ls := range lvl {
+		if slices.Contains(ls, -1) {
+			return false
+		}
+	}
+	return true
+}
+
 // worker is one sweep goroutine's scratch: its chunk's scores, one trace
 // buffer per model, the current design's encoding x and its level
 // indices per declaration group, each model's view of those indices,
-// and — on window sweeps whose models need one — the current design's
-// decoded Config.
+// per lattice term the prefix sums of the current design's table offsets
+// (pre[t][q] sums parameters before q; pre[t][NumParams] is the design's
+// table indices), and — on window sweeps whose models need one — the
+// current design's decoded Config.
 type worker struct {
 	p      *plan
 	scores []float64
@@ -201,6 +276,7 @@ type worker struct {
 	x      [space.MaxFeatures]float64
 	lvls   [][space.MaxFeatures]int
 	lvl    [][]int
+	pre    [][space.NumParams + 1]tabOff
 	cfg    space.Config
 }
 
@@ -211,6 +287,7 @@ func (p *plan) newWorker(chunk int) *worker {
 		traces: make([][]float64, len(p.models)),
 		lvls:   make([][space.MaxFeatures]int, len(p.decls)),
 		lvl:    make([][]int, len(p.models)),
+		pre:    make([][space.NumParams + 1]tabOff, len(p.terms)),
 	}
 	// Each level-kind model views its group's indices, widened to its own
 	// encoding; a model without a declaration keeps an empty view.
@@ -230,6 +307,8 @@ func (w *worker) score(s []float64, cfg *space.Config) {
 		switch mp.kind {
 		case evalMeanLevels:
 			s[m] = mp.lev.PredictMeanLevels(w.x[:mp.nfeat], w.lvl[m])
+		case evalMeanLattice:
+			s[m] = w.latticeMean(mp)
 		case evalTraceLevels:
 			w.traces[m] = mp.lev.PredictVecLevelsInto(w.x[:mp.nfeat], w.lvl[m], w.traces[m])
 			s[m] = mp.score(w.traces[m])
@@ -237,6 +316,20 @@ func (w *worker) score(s []float64, cfg *space.Config) {
 			s[m] = mp.score(mp.model.Predict(*cfg))
 		}
 	}
+}
+
+// latticeMean is PredictMeanLevels' fold (core.Predictor.MeanTerms) on
+// the current design's table indices: each term's coefficient is
+// PredictTables, PredictLevels' on-level arithmetic. The product is
+// converted explicitly, as in PredictMeanLevels, so that no architecture
+// fuses it into the sum.
+func (w *worker) latticeMean(mp *modelPlan) float64 {
+	mean := 0.0
+	for t := mp.terms[0]; t < mp.terms[1]; t++ {
+		lt, at := &w.p.terms[t], &w.pre[t][space.NumParams]
+		mean += float64(lt.net.PredictTables(at.s, at.g) * lt.weight)
+	}
+	return mean
 }
 
 // scoreList scores a chunk of a materialised list: each design is
@@ -285,13 +378,24 @@ func (w *worker) scoreWindow(win *space.Window, t *levelTables, start, end int) 
 }
 
 // setDigits rewrites parameters from..NumParams-1 of the current design
-// from its level indices idx.
+// from its level indices idx: the encoding and level indices when some
+// model reads them, and every lattice term's offset prefix sums, which
+// are exact in integers however they are grouped.
 func (w *worker) setDigits(t *levelTables, idx *[space.NumParams]int, from int) {
-	for q := from; q < space.NumParams; q++ {
-		l := idx[q]
-		w.x[q] = t.feat[q][l]
-		for g := range w.lvls {
-			w.lvls[g][q] = t.lvl[g][q][l]
+	if w.p.needVec {
+		for q := from; q < space.NumParams; q++ {
+			l := idx[q]
+			w.x[q] = t.feat[q][l]
+			for g := range w.lvls {
+				w.lvls[g][q] = t.lvl[g][q][l]
+			}
+		}
+	}
+	for i := range w.p.terms {
+		off, pre := &w.p.terms[i].off, &w.pre[i]
+		for q := from; q < space.NumParams; q++ {
+			o := off[q][idx[q]]
+			pre[q+1] = tabOff{pre[q].s + o.s, pre[q].g + o.g}
 		}
 	}
 }
@@ -321,6 +425,7 @@ func evalChunks(ctx context.Context, src source, models []core.DynamicsModel, ob
 	var tables *levelTables
 	if src.win != nil {
 		tables = p.levelTables(src.win)
+		p.bindLattice(src.win, tables)
 	}
 	var cursor atomic.Int64
 	var wg sync.WaitGroup

@@ -54,11 +54,14 @@ type Options struct {
 	// of every listed value are precomputed, and when every varying
 	// dimension lists its levels and their product is at most
 	// maxLevelTable, g itself is tabulated, so an on-level input costs
-	// one exponential and one table lookup. Off-level values fall back to
-	// computing the identical factors on the fly, bit-identically. The
-	// training design matrix holds the activations s · P_c, so H·w and
-	// Predict's s · Σ w_c·P_c differ only by ~1e-12 relative rounding. The
-	// factor columns and level table are derived, never persisted.
+	// one exponential and one table lookup. Network.TabulateShared
+	// tabulates s the same way over the shared dimensions' levels; an
+	// on-level input of such a network costs two table lookups and one
+	// multiply. Off-level values fall back to computing the identical
+	// factors on the fly, bit-identically. The training design matrix
+	// holds the activations s · P_c, so H·w and Predict's s · Σ w_c·P_c
+	// differ only by ~1e-12 relative rounding. The factor columns and
+	// both tables are derived, never persisted.
 	DimLevels [][]float64
 }
 
@@ -110,13 +113,22 @@ type Network struct {
 	// and g = Σ_c w_c · P_c with P_c the product of the varying
 	// dimensions' factors. varyTabFac caches the m-length factor columns
 	// of the declared level values; levelTab caches g itself over every
-	// combination of varying-dimension levels. Neither is persisted.
-	factored    bool
-	dimLevels   [][]float64 // bound declaration, persisted with the model
-	varyTabVal  [][]float64 // per varying dim: declared values
-	varyTabFac  [][]float64 // per varying dim: columns, flattened [vi*m+c]
-	levelTab    []float64   // g per level combination; nil when not built
-	levelStride []int       // per varying dim: mixed-radix stride into levelTab
+	// combination of varying-dimension levels, and sharedTab (built only
+	// by TabulateShared) caches s over every combination of
+	// shared-dimension levels. None of them is persisted.
+	factored     bool
+	dimLevels    [][]float64 // bound declaration, persisted with the model
+	varyTabVal   [][]float64 // per varying dim: declared values
+	varyTabFac   [][]float64 // per varying dim: columns, flattened [vi*m+c]
+	levelTab     []float64   // g per level combination; nil when not built
+	levelStride  []int       // per varying dim: mixed-radix stride into levelTab
+	sharedTab    []float64   // s per shared-level combination; nil when not built
+	sharedStride []int       // per shared dim: mixed-radix stride into sharedTab
+	// sharedOff[j][l] and varyOff[j][l] are level l of input dimension
+	// j's offsets into sharedTab and levelTab (TableOffsets); nil unless
+	// both tables exist.
+	sharedOff [][]int
+	varyOff   [][]int
 
 	lambda      float64
 	gcv         float64
@@ -192,6 +204,8 @@ func (n *Network) bindDimLevels(levels [][]float64) {
 	n.dimLevels = nil
 	n.varyTabVal, n.varyTabFac = nil, nil
 	n.levelTab, n.levelStride = nil, nil
+	n.sharedTab, n.sharedStride = nil, nil
+	n.sharedOff, n.varyOff = nil, nil
 	m := len(n.centers)
 	if len(levels) == 0 || m == 0 || m > maxFactoredCenters || n.dim > maxFactoredDims {
 		return
@@ -236,19 +250,9 @@ func (n *Network) buildLevelTable() {
 	if !n.factored {
 		return
 	}
-	size := 1
-	for k := range n.varyIdx {
-		nl := len(n.varyTabVal[k])
-		if nl == 0 || size*nl > maxLevelTable {
-			return
-		}
-		size *= nl
-	}
-	n.levelStride = make([]int, len(n.varyIdx))
-	st := 1
-	for k := len(n.varyIdx) - 1; k >= 0; k-- {
-		n.levelStride[k] = st
-		st *= len(n.varyTabVal[k])
+	stride, size := mixedRadix(n.dimLevels, n.varyIdx)
+	if stride == nil {
+		return
 	}
 	m := len(n.centers)
 	tab := make([]float64, size)
@@ -260,14 +264,120 @@ func (n *Network) buildLevelTable() {
 		}
 		// Every column is resolved, so varyingSum never reads x.
 		tab[i] = n.varyingSum(nil, &cols)
-		for k := len(n.varyIdx) - 1; k >= 0; k-- {
-			if digit[k]++; digit[k] < len(n.varyTabVal[k]) {
-				break
-			}
-			digit[k] = 0
+		tick(n.dimLevels, n.varyIdx, &digit)
+	}
+	n.levelTab, n.levelStride = tab, stride
+}
+
+// mixedRadix lays out a table over the product of the declared levels of
+// dimensions dims, row-major (the last listed dimension is the least
+// significant digit). It returns each dimension's stride and the table
+// size, or a nil stride when some dimension is continuous or the product
+// exceeds maxLevelTable.
+func mixedRadix(levels [][]float64, dims []int) ([]int, int) {
+	stride := make([]int, len(dims))
+	size := 1
+	for k := len(dims) - 1; k >= 0; k-- {
+		nl := len(levelsAt(levels, dims[k]))
+		if nl == 0 || size*nl > maxLevelTable {
+			return nil, 0
+		}
+		stride[k] = size
+		size *= nl
+	}
+	return stride, size
+}
+
+// tick advances digit, the level indices of dimensions dims, to the next
+// entry of mixedRadix's layout.
+func tick(levels [][]float64, dims []int, digit *[maxFactoredDims]int) {
+	for k := len(dims) - 1; k >= 0; k-- {
+		if digit[k]++; digit[k] < len(levelsAt(levels, dims[k])) {
+			return
+		}
+		digit[k] = 0
+	}
+}
+
+// TabulateShared tabulates the shared factor s = exp(−sharedSum) over
+// the mixed-radix product of the shared dimensions' declared levels,
+// laid out like the level table. Each entry is computed by sharedFactor
+// — the function an input with an off-level shared dimension falls back
+// to — so table hits are bit-identical to misses. A network without a
+// declaration, with a continuous shared dimension, or whose product
+// exceeds maxLevelTable gets no table. When the level table exists too,
+// TableOffsets and PredictTables become available. It modifies the
+// network, so it must run before the network is shared between
+// goroutines.
+func (n *Network) TabulateShared() {
+	n.sharedTab, n.sharedStride = nil, nil
+	n.sharedOff, n.varyOff = nil, nil
+	if !n.factored {
+		return
+	}
+	stride, size := mixedRadix(n.dimLevels, n.sharedIdx)
+	if stride == nil {
+		return
+	}
+	tab := make([]float64, size)
+	x := make([]float64, n.dim)
+	var digit [maxFactoredDims]int
+	for i := range tab {
+		for k, j := range n.sharedIdx {
+			x[j] = n.dimLevels[j][digit[k]]
+		}
+		tab[i] = n.sharedFactor(x)
+		tick(n.dimLevels, n.sharedIdx, &digit)
+	}
+	n.sharedTab, n.sharedStride = tab, stride
+	if n.levelTab == nil {
+		return
+	}
+	// Every dimension is shared or varying, and each kind's table exists,
+	// so every dimension declares its levels.
+	n.sharedOff = make([][]int, n.dim)
+	n.varyOff = make([][]int, n.dim)
+	for j := range n.sharedOff {
+		nl := len(n.dimLevels[j])
+		n.sharedOff[j], n.varyOff[j] = make([]int, nl), make([]int, nl)
+	}
+	for k, j := range n.sharedIdx {
+		for l := range n.sharedOff[j] {
+			n.sharedOff[j][l] = l * stride[k]
 		}
 	}
-	n.levelTab = tab
+	for k, j := range n.varyIdx {
+		for l := range n.varyOff[j] {
+			n.varyOff[j][l] = l * n.levelStride[k]
+		}
+	}
+}
+
+// TableOffsets returns, per declared level l of input dimension j, that
+// level's offset into the shared-factor table (shared[l]) and into the
+// level table (vary[l]); a dimension offsets only one of the two, the
+// other's entries are 0. A design whose every dimension is on-level sits
+// at the sums over j of its levels' offsets, which PredictTables
+// evaluates. Both are nil unless TabulateShared built the shared table
+// and the level table exists. Callers must not modify them.
+func (n *Network) TableOffsets(j int) (shared, vary []int) {
+	if n.sharedOff == nil {
+		return nil, nil
+	}
+	return n.sharedOff[j], n.varyOff[j]
+}
+
+// PredictTables evaluates the network at the design whose TableOffsets
+// sum to si in the shared-factor table and gi in the level table. It is
+// PredictLevels' on-level arithmetic, so the two are bit-identical; the
+// product is converted explicitly so that no architecture fuses it with
+// the bias into one rounding.
+func (n *Network) PredictTables(si, gi int) float64 {
+	out := float64(n.sharedTab[si] * n.levelTab[gi])
+	if n.hasBias {
+		out += n.weights[len(n.centers)]
+	}
+	return out
 }
 
 // ResolveLevels writes into lvl[j], for every j < len(lvl), the index of
@@ -564,57 +674,73 @@ func (n *Network) evalBasisInto(x []float64, dst []float64) {
 
 // Predict evaluates the network at x. It allocates nothing, so concurrent
 // sweep workers can call it on shared networks at full speed. A factored
-// network resolves x's level indices in its varying dimensions and
-// evaluates through PredictLevels, so the two are bit-identical.
+// network resolves x's level indices in every dimension it has a table
+// for and evaluates through PredictLevels, so the two are bit-identical.
 func (n *Network) Predict(x []float64) float64 {
 	if !n.factored {
 		return n.predictFused(x)
 	}
 	var lvl [maxFactoredDims]int
 	n.resolveVarying(x, &lvl)
+	if n.sharedTab != nil {
+		// PredictLevels reads the shared dimensions' indices only when
+		// the shared table exists; they must be resolved, not zero.
+		for _, j := range n.sharedIdx {
+			lvl[j] = indexOf(n.dimLevels[j], x[j])
+		}
+	}
 	return n.PredictLevels(x, lvl[:])
 }
 
 // PredictLevels evaluates the network at x given lvl, x's per-dimension
 // level indices as ResolveLevels writes them against this network's
-// declaration (DimLevels). When every varying dimension is on-level and
-// the level table exists, the factored kernel costs one shared exponential
-// and one table lookup; otherwise the varying sum is computed from the
-// factor columns, falling back to on-the-fly factors for off-level values.
-// lvl must cover every input dimension; networks without a declaration
-// ignore it.
+// declaration (DimLevels). When every dimension is on-level and both
+// tables exist, the factored kernel costs two table lookups and one
+// multiply; a missing shared table (or an off-level shared dimension)
+// costs the shared exponential instead, and a missing level table (or
+// an off-level varying dimension) computes the varying sum from the
+// factor columns, falling back to on-the-fly factors for off-level
+// values. lvl must cover every input dimension; networks without a
+// declaration ignore it.
 func (n *Network) PredictLevels(x []float64, lvl []int) float64 {
 	if !n.factored {
 		return n.predictFused(x)
 	}
-	g, ok := n.tableLookup(lvl)
+	g, ok := lookup(n.levelTab, n.varyIdx, n.levelStride, lvl)
 	if !ok {
 		var cols [maxFactoredDims][]float64
 		n.levelCols(lvl, &cols)
 		g = n.varyingSum(x, &cols)
 	}
-	out := n.sharedFactor(x) * g
+	s, ok := lookup(n.sharedTab, n.sharedIdx, n.sharedStride, lvl)
+	if !ok {
+		s = n.sharedFactor(x)
+	}
+	// The explicit conversion keeps every architecture from fusing the
+	// product with the bias: PredictTables rounds the same way.
+	out := float64(s * g)
 	if n.hasBias {
 		out += n.weights[len(n.centers)]
 	}
 	return out
 }
 
-// tableLookup returns the tabulated varying sum for level indices lvl, or
-// false when there is no table or some varying dimension is off-level.
-func (n *Network) tableLookup(lvl []int) (float64, bool) {
-	if n.levelTab == nil {
+// lookup returns the entry of tab, laid out over dimensions dims with
+// strides stride, at level indices lvl, or false when there is no table
+// or some of those dimensions is off-level.
+func lookup(tab []float64, dims, stride, lvl []int) (float64, bool) {
+	if tab == nil {
 		return 0, false
 	}
 	idx := 0
-	for k, j := range n.varyIdx {
+	for k, j := range dims {
 		l := lvl[j]
 		if l < 0 {
 			return 0, false
 		}
-		idx += l * n.levelStride[k]
+		idx += l * stride[k]
 	}
-	return n.levelTab[idx], true
+	return tab[idx], true
 }
 
 // predictFused evaluates the fused exp-of-sum kernel (no declaration).

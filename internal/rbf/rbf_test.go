@@ -491,6 +491,119 @@ func TestLevelTableBitIdenticalTable2(t *testing.T) {
 	}
 }
 
+// tableIndices sums x's TableOffsets over every dimension: the two table
+// indices PredictTables takes.
+func tableIndices(n *Network, lvl []int) (si, gi int) {
+	for j, l := range lvl {
+		so, vo := n.TableOffsets(j)
+		si += so[l]
+		gi += vo[l]
+	}
+	return si, gi
+}
+
+// TestSharedTableBitIdenticalTable2 tabulates the shared factor of a
+// network trained on Table 2 designs with the canonical feature levels
+// declared. At every sampled on-level design, PredictTables at the summed
+// TableOffsets, PredictLevels and Predict (which must resolve the shared
+// dimensions itself before reading the table) equal the on-the-fly
+// kernel bit for bit; an off-level shared or varying dimension misses a
+// table and still does.
+func TestSharedTableBitIdenticalTable2(t *testing.T) {
+	rng := mathx.NewRNG(15)
+	designs := space.SampleDesign(60, space.TrainLevels(), space.Baseline(), 4, rng)
+	levels := space.FeatureLevels(false)
+	xs := make([][]float64, len(designs))
+	ys := make([]float64, len(designs))
+	for i, d := range designs {
+		x := d.Vector()
+		xs[i] = x
+		ys[i] = 2*(1-x[0]) + 0.6*x[3]*x[5] + 0.3*math.Sin(4*x[6])
+	}
+	net := trainLevels(t, xs, ys, levels)
+	if s, _ := net.TableOffsets(0); s != nil {
+		t.Fatal("table offsets exist before TabulateShared")
+	}
+	net.TabulateShared()
+	want := 1
+	for _, j := range net.sharedIdx {
+		want *= len(levels[j])
+	}
+	if len(net.sharedIdx) == 0 || len(net.sharedTab) != want {
+		t.Fatalf("shared dims %v: shared table has %d entries, want the product %d", net.sharedIdx, len(net.sharedTab), want)
+	}
+	lvl := make([]int, len(levels))
+	for i, d := range space.Random(4000, space.TestLevels(), space.Baseline(), rng) {
+		x := d.Vector()
+		if i%2 == 1 {
+			x = designs[i%len(designs)].Vector()
+		}
+		ref := onTheFly(net, x)
+		ResolveLevels(levels, x, lvl)
+		si, gi := tableIndices(net, lvl)
+		if got := net.PredictTables(si, gi); got != ref {
+			t.Fatalf("design %d: PredictTables %v, on-the-fly %v (must be bit-identical)", i, got, ref)
+		}
+		if got := net.PredictLevels(x, lvl); got != ref {
+			t.Fatalf("design %d: PredictLevels %v, on-the-fly %v", i, got, ref)
+		}
+		if got := net.Predict(x); got != ref {
+			t.Fatalf("design %d: Predict %v, on-the-fly %v", i, got, ref)
+		}
+		for _, dims := range [][]int{net.sharedIdx, net.varyIdx} {
+			off := offLevel(x, dims[i%len(dims)])
+			ResolveLevels(levels, off, lvl)
+			offRef := onTheFly(net, off)
+			if got := net.PredictLevels(off, lvl); got != offRef {
+				t.Fatalf("design %d off-level: PredictLevels %v, on-the-fly %v", i, got, offRef)
+			}
+			if got := net.Predict(off); got != offRef {
+				t.Fatalf("design %d off-level: Predict %v, on-the-fly %v", i, got, offRef)
+			}
+		}
+	}
+}
+
+// TestSharedTableCapFallback declares eleven dimensions of four levels
+// but trains on data that varies in only the first three, so at least
+// eight dimensions are shared and their product (4⁸) exceeds
+// maxLevelTable: TabulateShared must leave no table and no offsets, and
+// the network keeps predicting bit-identically through the shared
+// exponential, also at inputs that vary in every dimension.
+func TestSharedTableCapFallback(t *testing.T) {
+	rng := mathx.NewRNG(16)
+	levels := gridLevels(11, 4)
+	xs, ys := makeLevelData(rng, levels, 300)
+	for _, x := range xs {
+		for j := 3; j < len(x); j++ {
+			x[j] = levels[j][1]
+		}
+	}
+	net := trainLevels(t, xs, ys, levels)
+	net.TabulateShared()
+	if net.sharedTab != nil || len(net.sharedIdx) < 8 {
+		t.Fatalf("%d shared dims of 4 levels: shared table built=%v; want more than maxLevelTable entries and no table", len(net.sharedIdx), net.sharedTab != nil)
+	}
+	if s, v := net.TableOffsets(0); s != nil || v != nil {
+		t.Fatal("table offsets without a shared table")
+	}
+	probes, _ := makeLevelData(rng, levels, 100)
+	for i := range probes[:50] {
+		probes = append(probes, offLevel(probes[i], i%len(levels)))
+	}
+	lvl := make([]int, len(levels))
+	for i, x := range probes {
+		ref := onTheFly(net, x)
+		ResolveLevels(levels, x, lvl)
+		if got := net.PredictLevels(x, lvl); got != ref {
+			t.Fatalf("probe %d: PredictLevels %v, on-the-fly %v", i, got, ref)
+		}
+		if got := net.Predict(x); got != ref {
+			t.Fatalf("probe %d: Predict %v, on-the-fly %v", i, got, ref)
+		}
+	}
+}
+
 // TestPredictMatchesClosedForm checks every kernel path against the
 // defining formula Σ w·exp(−‖(x−μ)/θ‖²) + b.
 func TestPredictMatchesClosedForm(t *testing.T) {

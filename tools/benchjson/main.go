@@ -14,8 +14,12 @@
 //
 // ns/op regresses when new > old·(1+tol/100); rate units (anything
 // ending in "/s", e.g. designs/s — higher is better) regress when
-// new < old·(1−tol/100). A gated benchmark missing from the new summary
-// is a regression too: the gate must not pass by deletion.
+// new < old·(1−tol/100). allocs/op is gated exactly on zero-allocation
+// benchmarks: one whose old summary reports 0 allocs/op regresses when
+// the new one reports any (both sides need -benchmem). A gated
+// benchmark missing from the new summary is a regression too: the gate
+// must not pass by deletion. Summaries parsed under different Go
+// versions are compared with a warning.
 package main
 
 import (
@@ -39,6 +43,9 @@ type Benchmark struct {
 	NsPerOp    float64 `json:"ns_per_op,omitempty"`
 	BytesPerOp float64 `json:"bytes_per_op,omitempty"`
 	AllocsOp   float64 `json:"allocs_per_op,omitempty"`
+	// Mem reports that the line carried -benchmem's columns, so a zero
+	// AllocsOp was measured rather than left out.
+	Mem bool `json:"benchmem,omitempty"`
 	// Extra holds any custom unit the benchmark reported via
 	// b.ReportMetric (e.g. designs/s), keyed by unit name.
 	Extra map[string]float64 `json:"extra,omitempty"`
@@ -171,6 +178,9 @@ func best(s *Summary, filter *regexp.Regexp) map[string]Benchmark {
 		if b.NsPerOp > 0 && (have.NsPerOp == 0 || b.NsPerOp < have.NsPerOp) {
 			have.NsPerOp = b.NsPerOp
 		}
+		if b.Mem && (!have.Mem || b.AllocsOp < have.AllocsOp) {
+			have.Mem, have.AllocsOp = true, b.AllocsOp
+		}
 		for unit, v := range b.Extra {
 			if strings.HasSuffix(unit, "/s") && v > have.Extra[unit] {
 				have.Extra[unit] = v
@@ -198,6 +208,9 @@ func compareSummaries(oldSum, newSum *Summary, tolerance float64, filter *regexp
 		regressed = true
 		fmt.Fprintf(w, "REGRESSION: "+format+"\n", args...)
 	}
+	if oldSum.GoVersion != newSum.GoVersion {
+		fmt.Fprintf(w, "WARNING: go_version differs (old %s, new %s): the toolchain may account for part of any difference\n", oldSum.GoVersion, newSum.GoVersion)
+	}
 	for _, key := range keys {
 		ob := oldBest[key]
 		nb, ok := newBest[key]
@@ -211,6 +224,13 @@ func compareSummaries(oldSum, newSum *Summary, tolerance float64, filter *regexp
 				fail("%s: %.0f ns/op, was %.0f (limit %.0f at %+.0f%%)", key, nb.NsPerOp, ob.NsPerOp, limit, tolerance)
 			} else {
 				fmt.Fprintf(w, "ok: %s: %.0f ns/op, was %.0f\n", key, nb.NsPerOp, ob.NsPerOp)
+			}
+		}
+		if ob.Mem && ob.AllocsOp == 0 && nb.Mem {
+			if nb.AllocsOp > 0 {
+				fail("%s: %.0f allocs/op, was 0 (zero-allocation benchmarks are gated exactly)", key, nb.AllocsOp)
+			} else {
+				fmt.Fprintf(w, "ok: %s: 0 allocs/op\n", key)
 			}
 		}
 		for unit, ov := range ob.Extra {
@@ -298,9 +318,9 @@ func parseBenchLine(line string) (Benchmark, bool) {
 		case "ns/op":
 			b.NsPerOp = value
 		case "B/op":
-			b.BytesPerOp = value
+			b.BytesPerOp, b.Mem = value, true
 		case "allocs/op":
-			b.AllocsOp = value
+			b.AllocsOp, b.Mem = value, true
 		default:
 			if b.Extra == nil {
 				b.Extra = make(map[string]float64)

@@ -208,3 +208,59 @@ func TestCompareBestOfRepeats(t *testing.T) {
 		t.Errorf("best-of-repeats should absorb one noisy repetition:\n%s", out)
 	}
 }
+
+func TestParseRecordsBenchmem(t *testing.T) {
+	b, ok := parseBenchLine("BenchmarkRBFPredict-8  1000  52000 ns/op  0 B/op  0 allocs/op")
+	if !ok || !b.Mem || b.AllocsOp != 0 {
+		t.Errorf("a -benchmem line with 0 allocs/op = %+v, want Mem set", b)
+	}
+	b, ok = parseBenchLine("BenchmarkRBFPredict-8  1000  52000 ns/op")
+	if !ok || b.Mem {
+		t.Errorf("a line without -benchmem columns = %+v, want Mem unset", b)
+	}
+}
+
+func TestCompareZeroAllocsGatedExactly(t *testing.T) {
+	zero := Benchmark{Name: "BenchmarkRBFPredictLevels-8", Package: "repro", NsPerOp: 1000, Mem: true}
+	one := zero
+	one.AllocsOp = 1
+	for _, tc := range []struct {
+		name      string
+		old, new  []Benchmark
+		regressed bool
+	}{
+		{"zero stays zero", []Benchmark{zero}, []Benchmark{zero}, false},
+		{"zero to one", []Benchmark{zero}, []Benchmark{one}, true},
+		// Best of repeats: a true allocation per op shows in every one.
+		{"one noisy repetition", []Benchmark{zero}, []Benchmark{one, zero}, false},
+		{"allocating base is not gated", []Benchmark{one}, []Benchmark{{Name: one.Name, Package: "repro", NsPerOp: 1000, AllocsOp: 40, Mem: true}}, false},
+		{"base without -benchmem", []Benchmark{{Name: zero.Name, Package: "repro", NsPerOp: 1000}}, []Benchmark{one}, false},
+	} {
+		regressed, out, err := runCompare(t, mkSummary(tc.old...), mkSummary(tc.new...), 25, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if regressed != tc.regressed {
+			t.Errorf("%s: regressed = %v, want %v:\n%s", tc.name, regressed, tc.regressed, out)
+		}
+		if tc.regressed && !strings.Contains(out, "allocs/op") {
+			t.Errorf("%s: the report should name allocs/op:\n%s", tc.name, out)
+		}
+	}
+}
+
+func TestCompareWarnsOnGoVersionSkew(t *testing.T) {
+	b := Benchmark{Name: "BenchmarkRBFPredict-8", Package: "repro", NsPerOp: 1000}
+	newSum := mkSummary(b)
+	newSum.GoVersion = "go1.23"
+	regressed, out, err := runCompare(t, mkSummary(b), newSum, 25, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if regressed || !strings.Contains(out, "WARNING: go_version differs") {
+		t.Errorf("toolchain skew should warn, not fail (regressed %v):\n%s", regressed, out)
+	}
+	if _, out, _ := runCompare(t, mkSummary(b), mkSummary(b), 25, ""); strings.Contains(out, "WARNING") {
+		t.Errorf("equal toolchains should not warn:\n%s", out)
+	}
+}

@@ -11,8 +11,9 @@
 # Both sides are compiled with `go test -c` (the base from a temporary
 # git worktree) and run interleaved per benchmark, A B B A twice, so each
 # side gets four repetitions of every benchmark within the same few
-# seconds. benchjson then judges the best repetition per benchmark at
-# the usual 25% tolerance; the exit status is benchjson's (1 = a
+# seconds, with -benchmem. benchjson then judges the best repetition per
+# benchmark at the usual 25% tolerance, and allocs/op exactly where the
+# base allocates nothing; the exit status is benchjson's (1 = a
 # regression).
 set -euo pipefail
 
@@ -39,7 +40,7 @@ run() {
   local dir=$root
   [ "$1" = base ] && dir=$work/base
   (cd "$dir" && "$work/$1.test" -test.run='^$' -test.bench="^$2\$" \
-    -test.benchtime=300ms -test.count=1 -test.timeout=20m) | tee -a "$work/$1.txt"
+    -test.benchtime=300ms -test.benchmem -test.count=1 -test.timeout=20m) | tee -a "$work/$1.txt"
 }
 for bench in $("$work/head.test" -test.list="$pattern" | grep '^Benchmark'); do
   for side in base head head base base head head base; do
