@@ -411,13 +411,13 @@ func BenchmarkRBFPredict(b *testing.B) {
 	}
 }
 
-// BenchmarkRBFPredictLevels is BenchmarkRBFPredict on the path a
-// level-driven sweep takes: a network trained on Table 2 designs with the
-// canonical feature levels declared, evaluated at on-level designs, so
-// each call is one shared exponential plus one level-table lookup. Each
-// op evaluates 1024 designs, keeping a 10-iteration CI run well above
-// timer resolution.
-func BenchmarkRBFPredictLevels(b *testing.B) {
+// levelBenchNetwork trains the network the level benchmarks time: Table 2
+// designs with the canonical feature levels declared, and the shared
+// factor tabulated (rbf.Network.TabulateShared), as core tabulates every
+// network a sweep scores a mean from. It returns 1024 on-level designs'
+// encodings and their level indices, resolved as a sweep resolves them.
+func levelBenchNetwork(b *testing.B) (net *rbf.Network, probes [][]float64, lvls [][]int) {
+	b.Helper()
 	rng := mathx.NewRNG(9)
 	train := space.SampleDesign(48, space.TrainLevels(), space.Baseline(), 4, rng)
 	xs := make([][]float64, len(train))
@@ -427,24 +427,68 @@ func BenchmarkRBFPredictLevels(b *testing.B) {
 		xs[i] = x
 		ys[i] = math.Sin(3*x[0]) + 0.5*x[1]*x[2] + 0.1*x[8]
 	}
-	net, err := rbf.Train(xs, ys, rbf.Options{DimLevels: space.FeatureLevels(false)})
+	levels := space.FeatureLevels(false)
+	net, err := rbf.Train(xs, ys, rbf.Options{DimLevels: levels})
 	if err != nil {
 		b.Fatal(err)
 	}
+	net.TabulateShared()
+	if s, _ := net.TableOffsets(0); s == nil {
+		b.Fatal("the benchmark network has no table offsets")
+	}
 	designs := space.Random(1024, space.TrainLevels(), space.Baseline(), rng)
-	probes := make([][]float64, len(designs))
+	probes = make([][]float64, len(designs))
+	lvls = make([][]int, len(designs))
 	for i, cfg := range designs {
 		probes[i] = cfg.Vector()
+		lvls[i] = make([]int, len(levels))
+		rbf.ResolveLevels(levels, probes[i], lvls[i])
 	}
+	return net, probes, lvls
+}
+
+// BenchmarkRBFPredictLevels is BenchmarkRBFPredict on the level route of
+// a network a sweep scores a mean from: PredictLevels at on-level designs
+// whose level indices the caller resolved, as a sweep resolves them once
+// per design for every network, so each call reads both tables (two
+// lookups and one multiply). Each op evaluates 1024 designs, keeping a
+// 10-iteration CI run well above timer resolution.
+func BenchmarkRBFPredictLevels(b *testing.B) {
+	net, probes, lvls := levelBenchNetwork(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, x := range probes {
-			if v := net.Predict(x); math.IsNaN(v) {
+		for k, x := range probes {
+			if v := net.PredictLevels(x, lvls[k]); math.IsNaN(v) {
 				b.Fatal("NaN prediction")
 			}
 		}
 	}
 	b.ReportMetric(float64(len(probes))*float64(b.N)/b.Elapsed().Seconds(), "designs/s")
+}
+
+// BenchmarkRBFPredictTables times the lattice route's kernel: the same
+// network and designs as BenchmarkRBFPredictLevels, each addressed by its
+// two table indices (the sums of its levels' TableOffsets, which a window
+// sweep carries along the odometer) and evaluated by PredictTables.
+func BenchmarkRBFPredictTables(b *testing.B) {
+	net, _, lvls := levelBenchNetwork(b)
+	idx := make([][2]int, len(lvls))
+	for i, lvl := range lvls {
+		for j, l := range lvl {
+			so, vo := net.TableOffsets(j)
+			idx[i][0] += so[l]
+			idx[i][1] += vo[l]
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, at := range idx {
+			if v := net.PredictTables(at[0], at[1]); math.IsNaN(v) {
+				b.Fatal("NaN prediction")
+			}
+		}
+	}
+	b.ReportMetric(float64(len(idx))*float64(b.N)/b.Elapsed().Seconds(), "designs/s")
 }
 
 // bruteDominates mirrors the O(n²) reference scan so BenchmarkParetoFrontier

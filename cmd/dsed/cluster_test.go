@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/sim"
 	"repro/internal/wire"
 )
 
@@ -133,6 +134,7 @@ func paretoBody() map[string]any {
 // to ordering) to a single daemon's on the same sweep spec.
 func TestClusterParetoMatchesSingleProcess(t *testing.T) {
 	fleetTS, singleTS, _ := clusterFixture(t, 32, 1<<30)
+	requireLatticeModels(t, testServer(t).store, sim.MetricCPI, sim.MetricPower)
 
 	var single wire.ParetoResponse
 	if status := runJob(t, singleTS, "/v1/pareto", paretoBody(), &single); status != http.StatusOK {

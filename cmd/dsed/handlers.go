@@ -483,9 +483,12 @@ func (s *Server) phasePredict(ctx context.Context, c candidateSpace, models []co
 }
 
 // chunkDone is the explore engine's per-chunk observer: pre-registered
-// histograms, no allocation, safe at evaluation-chunk rate.
-func (s *Server) chunkDone(designs int, elapsed time.Duration) {
-	s.chunkN.Observe(float64(designs))
+// instruments, no allocation, safe at evaluation-chunk rate. chunkN
+// counts the designs a chunk covered and scored those it scored, which
+// a pruning window sweep keeps below them.
+func (s *Server) chunkDone(covered, scored int, elapsed time.Duration) {
+	s.chunkN.Observe(float64(covered))
+	s.scored.Add(int64(scored))
 	s.chunkMS.Observe(float64(elapsed.Microseconds()) / 1000)
 }
 

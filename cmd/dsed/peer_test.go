@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/obs"
+	"repro/internal/sim"
 	"repro/internal/wire"
 	"repro/pkg/dsedclient"
 )
@@ -492,9 +493,16 @@ func TestPeerOwnShardsStayInProcess(t *testing.T) {
 		SpaceSpec:  wire.SpaceSpec{Space: "test"},
 	}
 	ctx := context.Background()
+	requireLatticeModels(t, testServer(t).store, sim.MetricCPI, sim.MetricPower)
+	scored := testServer(t).scored.Value()
 	want, _, err := testClient(single.URL).Run(ctx, req, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The lone daemon's one window prunes: it scores fewer designs than it
+	// covers, and answers the same frontier as the fleet's small shards.
+	if scored = testServer(t).scored.Value() - scored; scored <= 0 || scored >= int64(want.Evaluated) {
+		t.Fatalf("the lone daemon scored %d of %d designs; want a pruned window", scored, want.Evaluated)
 	}
 	c := testClient(entry.URL)
 	got, id, err := c.Run(ctx, req, nil)

@@ -34,6 +34,7 @@ type Server struct {
 	// ChunkDone hook on every job sweep.
 	chunkMS *obs.Histogram
 	chunkN  *obs.Histogram
+	scored  *obs.Counter
 	// straggle, when positive, injects a per-design sleep into every
 	// sweep-job model (-straggle-per-design): a deliberate straggler for
 	// exercising a fleet's hedged dispatch end-to-end.
@@ -61,6 +62,8 @@ func NewServer(ctx context.Context, store *registry.Store, workers int, reqLog *
 			"Evaluation chunk duration on the sweep hot path.", obs.LatencyMSBuckets),
 		chunkN: tel.reg.Histogram("dsed_explore_chunk_designs",
 			"Designs per evaluation chunk.", obs.SizeBuckets),
+		scored: tel.reg.Counter("dsed_explore_designs_scored_total",
+			"Designs the sweep hot path scored; below the chunks' designs when a window sweep pruned dominated ones."),
 		jobAPI: jobAPI{
 			jobs: api.NewManager(api.ManagerOptions{
 				ErrorStatus: serverStatus,

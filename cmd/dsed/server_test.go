@@ -30,9 +30,35 @@ var (
 	testSrvErr  error
 )
 
-// tinySpec keeps training around a second per benchmark.
+// tinySpec keeps training around a second per benchmark. Its 32
+// training designs grow gcc's mean networks enough that both level
+// tables fit (requireLatticeModels), so window sweeps take the lattice
+// route production takes, and Pareto windows prune.
 func tinySpec() registry.Spec {
-	return registry.Spec{Train: 24, Candidates: 2, Seed: 7, Samples: 16, Instructions: 16384, Coefficients: 8}
+	return registry.Spec{Train: 32, Candidates: 2, Seed: 7, Samples: 16, Instructions: 16384, Coefficients: 8}
+}
+
+// requireLatticeModels fails the test unless every mean network of the
+// store's gcc models for the metrics has both level tables and bound
+// tables: a window sweep scores such models from the tables, and a
+// Pareto window sweep over them prunes.
+func requireLatticeModels(t *testing.T, store *registry.Store, metrics ...sim.Metric) {
+	t.Helper()
+	for _, m := range metrics {
+		p, err := store.LoadOrTrain(context.Background(), "gcc", m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		terms, _ := p.MeanTerms()
+		if len(terms) == 0 {
+			t.Fatalf("gcc %v has no mean terms", m)
+		}
+		for _, mt := range terms {
+			if s, _ := mt.Net.TableOffsets(0); s == nil || mt.Net.BoundDim() == 0 {
+				t.Fatalf("a gcc %v mean network has no table offsets or bound tables: window sweeps would not take the lattice route", m)
+			}
+		}
+	}
 }
 
 func tinyTrainer() *simTrainer {
@@ -719,30 +745,17 @@ func TestOnDemandTrainingExactlyOnce(t *testing.T) {
 func TestStragglerSleepsOnWindowMeans(t *testing.T) {
 	const n = 120
 	ctx := context.Background()
-	// 32 training designs (tinySpec has 24) grow the CPI mean network's
-	// trees enough that both of its level tables fit, so a healthy
-	// daemon takes the table route.
-	spec := tinySpec()
-	spec.Train = 32
+	// A healthy daemon scores the CPI mean from the tables.
 	store, err := registry.Open(registry.Config{
-		Trainer:   &simTrainer{Spec: spec},
+		Trainer:   tinyTrainer(),
 		Metrics:   []sim.Metric{sim.MetricCPI},
 		Trainable: workload.Names(),
-		Spec:      spec,
+		Spec:      tinySpec(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := store.LoadOrTrain(ctx, "gcc", sim.MetricCPI)
-	if err != nil {
-		t.Fatal(err)
-	}
-	terms, _ := p.MeanTerms()
-	for _, mt := range terms {
-		if s, _ := mt.Net.TableOffsets(0); s == nil {
-			t.Fatal("the CPI mean network has no table offsets: a healthy window sweep would not score from the tables")
-		}
-	}
+	requireLatticeModels(t, store, sim.MetricCPI)
 	slow := NewServer(ctx, store, 1, nil, nil)
 	slow.straggle = time.Millisecond
 	slowTS := httptest.NewServer(slow.Handler())

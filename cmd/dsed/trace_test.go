@@ -223,6 +223,7 @@ func TestClusterJobTraceConnected(t *testing.T) {
 		`dsed_registry_train_ms_bucket{benchmark="gcc"`,
 		"dsed_registry_cache_total",
 		"dsed_explore_chunk_ms_bucket",
+		"dsed_explore_designs_scored_total",
 		"dsed_jobs_finished_total",
 	} {
 		if !strings.Contains(wMetrics, series) {

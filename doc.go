@@ -167,9 +167,10 @@
 //
 // A fleet job's stream publishes the merged partial frontier after
 // every shard, so partial results flow peer → owner → client while the
-// fleet sweeps. The owner's shard transport is itself a dsedclient:
-// each remote shard is a /v1 job on its peer, submitted and streamed. A
-// shard of a named, unsampled space travels as a window on it —
+// fleet sweeps. Each remote shard is one synchronous peer-only
+// POST /v1/shards call that answers the shard's partial in one body (see
+// the fleet section below). A shard of a named, unsampled space travels
+// as a window on it —
 // {"space":"train","offset":o,"count":n}, a few dozen bytes the peer
 // resolves to exactly the designs the owner carved
 // (space.Levels.FactorialRange) — while shards of explicit or sampled
@@ -406,7 +407,13 @@
 //     under the same cap; 768 entries for gcc's CPI mean network), so an
 //     on-level design costs such a network two table lookups and one
 //     multiply, and TableOffsets/PredictTables let a sweep address both
-//     tables by summed per-level offsets. Off-level values fall back to
+//     tables by summed per-level offsets. TabulateShared also reduces
+//     both tables over a subtree's free digits (the shortest suffix of
+//     dimensions with at least 64 declared designs) into per-block
+//     min/max tables sized by the fixed digits alone, so BoundTables
+//     bounds PredictTables over a whole subtree from the same prefix
+//     sums: the four corner products, rounded as PredictTables rounds,
+//     exactly. Off-level values fall back to
 //     computing s and g through the very functions that filled the
 //     tables, so hits and misses are bit-identical; the product s·g is
 //     written float64(s*g), so no architecture fuses it with the bias.
@@ -438,7 +445,27 @@
 //     PredictMeanLevels' own fold over PredictTables — no exponential,
 //     bit for bit the level route. DVM-feature models, off-declaration
 //     windows, networks over the table cap and models offering no terms
-//     (cmd/dsed's straggler) keep the level route. The package's two
+//     (cmd/dsed's straggler) keep the level route. A window sweep whose
+//     every model is on the lattice and whose every collector is a
+//     FrontierCollector prunes: before scoring a whole subtree of the
+//     odometer (the designs sharing every digit but the last three on
+//     the train levels, 64 of them), a worker folds each term's
+//     BoundTables at the subtree's prefix sums, exactly as latticeMean
+//     folds PredictTables, into a low corner no design of the subtree
+//     can score below, and skips the subtree with one odometer step when
+//     a point it already scored in this sweep (its incumbent: a capped
+//     Pareto set of its subtrees' per-objective minimisers) is strictly
+//     lower in every objective. Such a design is dominated by a real
+//     point of the same sweep, so the final frontier, a shard's partial
+//     and Seen (which counts skipped designs) are byte-identical to an
+//     unpruned sweep; only mid-sweep snapshots may lack points an
+//     unpruned sweep would have held for a while. Skipped rows are
+//     marked in the chunk, which FrontierCollector passes over;
+//     Options.ChunkDone reports designs scored beside designs covered
+//     (dsed_explore_designs_scored_total). TopK, whose feasible count
+//     needs every score, and list sweeps score every design. On gcc's
+//     production CPI/Power models a frontier-full sweep scores ~5% of
+//     its 245,760 designs. The package's two
 //     Collectors, TopK and
 //     FrontierCollector, take a whole chunk under their own mutex, test
 //     each candidate's scores first, and decode a Config (Window.Design)

@@ -38,7 +38,7 @@ type Local struct {
 	Tracer *obs.Tracer
 	// ChunkDone, when set, observes every evaluation chunk
 	// (explore.Options.ChunkDone).
-	ChunkDone func(designs int, elapsed time.Duration)
+	ChunkDone func(covered, scored int, elapsed time.Duration)
 }
 
 // NewLocal builds an in-process worker over a model source.

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"context"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -38,6 +39,24 @@ type chunk struct {
 	// Configs are decoded from win on demand.
 	cfgs []space.Config
 	win  *space.Window
+	// skip marks the rows of a pruning window sweep's pruned subtrees
+	// (bit j of skip[j/64]); their scores were never written. It is nil
+	// when the sweep does not prune.
+	skip []uint64
+}
+
+// next returns the first row at or after j that is not marked in skip,
+// or c.n when none is left.
+func (c *chunk) next(j int) int {
+	if c.skip == nil {
+		return j
+	}
+	for ; j < c.n; j = j | 63 + 1 {
+		if left := ^c.skip[j>>6] >> (j & 63); left != 0 {
+			return min(j+bits.TrailingZeros64(left), c.n)
+		}
+	}
+	return c.n
 }
 
 // scoresOf returns design j's scores (worker scratch).
@@ -57,8 +76,17 @@ func (c *chunk) config(j int) space.Config {
 
 // collect streams the source's designs into the collectors, each of
 // which takes a whole chunk concurrently under its own lock.
+//
+// A window sweep whose collectors are all FrontierCollectors prunes: a
+// FrontierCollector keeps only non-dominated designs, so a subtree whose
+// every design some already scored point dominates need not be scored
+// (see worker.scoreWindow). TopK's feasible count needs every score.
 func collect(ctx context.Context, src source, models []core.DynamicsModel, objectives []Objective, opts Options, collectors []Collector) error {
-	return evalChunks(ctx, src, models, objectives, opts, func(c *chunk) {
+	prune := src.win != nil && !slices.ContainsFunc(collectors, func(c Collector) bool {
+		_, ok := c.(*FrontierCollector)
+		return !ok
+	})
+	return evalChunks(ctx, src, models, objectives, opts, prune, func(c *chunk) {
 		for _, col := range collectors {
 			col.collectChunk(c)
 		}
@@ -103,6 +131,10 @@ type plan struct {
 	// share (the plain encoding is a prefix of the DVM one); needCfg that
 	// some model is scored from the Config itself.
 	needVec, needDVM, needCfg bool
+	// bound is the first free digit of the subtrees a pruning window
+	// sweep tests (bindPrune), and sub their design count; bound is 0
+	// when the sweep does not prune.
+	bound, sub int
 }
 
 // latticeTerm is one core.MeanTerm on a window sweep's lattice route:
@@ -251,6 +283,24 @@ func (p *plan) bindLattice(w *space.Window, t *levelTables) {
 	})
 }
 
+// bindPrune lets a window sweep prune subtrees when every model takes
+// the lattice route and every term network bounds the same subtrees
+// (rbf.Network.BoundDim). A model off the lattice has no finite low
+// corner, so no subtree of such a sweep could ever be pruned.
+func (p *plan) bindPrune(w *space.Window) {
+	if slices.ContainsFunc(p.models, func(mp modelPlan) bool { return mp.kind != evalMeanLattice }) || len(p.terms) == 0 {
+		return
+	}
+	d := p.terms[0].net.BoundDim()
+	if d == 0 || slices.ContainsFunc(p.terms, func(lt latticeTerm) bool { return lt.net.BoundDim() != d }) {
+		return
+	}
+	p.bound, p.sub = d, 1
+	for q := d; q < space.NumParams; q++ {
+		p.sub *= len(w.Levels[q])
+	}
+}
+
 // onDeclaration reports whether every window level resolved onto the
 // declaration.
 func onDeclaration(lvl *[space.NumParams][]int) bool {
@@ -268,7 +318,10 @@ func onDeclaration(lvl *[space.NumParams][]int) bool {
 // per lattice term the prefix sums of the current design's table offsets
 // (pre[t][q] sums parameters before q; pre[t][NumParams] is the design's
 // table indices), and — on window sweeps whose models need one — the
-// current design's decoded Config.
+// current design's decoded Config. A pruning worker also keeps its
+// incumbent, a subtree's low corner (lo, one score per model), per model
+// the row of the lowest score among the designs it scored since the last
+// subtree boundary (best, -1 when none), and its chunk's skip bitmap.
 type worker struct {
 	p      *plan
 	scores []float64
@@ -278,6 +331,10 @@ type worker struct {
 	lvl    [][]int
 	pre    [][space.NumParams + 1]tabOff
 	cfg    space.Config
+	inc    incumbent
+	lo     []float64
+	best   []int
+	skip   []uint64
 }
 
 func (p *plan) newWorker(chunk int) *worker {
@@ -288,6 +345,15 @@ func (p *plan) newWorker(chunk int) *worker {
 		lvls:   make([][space.MaxFeatures]int, len(p.decls)),
 		lvl:    make([][]int, len(p.models)),
 		pre:    make([][space.NumParams + 1]tabOff, len(p.terms)),
+	}
+	if p.bound > 0 {
+		w.inc = newIncumbent(len(p.models))
+		w.lo = make([]float64, len(p.models))
+		w.best = make([]int, len(p.models))
+		w.skip = make([]uint64, (chunk+63)/64)
+		for m := range w.best {
+			w.best[m] = -1
+		}
 	}
 	// Each level-kind model views its group's indices, widened to its own
 	// encoding; a model without a declaration keeps an empty view.
@@ -332,6 +398,36 @@ func (w *worker) latticeMean(mp *modelPlan) float64 {
 	return mean
 }
 
+// latticeLow is latticeMean's fold over the low ends of its terms'
+// values across the subtree whose free digits start at the plan's bound
+// under the current design (rbf.Network.BoundTables at the prefix sums
+// before that digit). Each step of the fold is monotone — the product by
+// a negative weight in the term's high end — so no design of the subtree
+// scores below it, exactly. The product is converted explicitly, as in
+// latticeMean, so that no architecture fuses it into the sum.
+func (w *worker) latticeLow(mp *modelPlan) float64 {
+	low := 0.0
+	for t := mp.terms[0]; t < mp.terms[1]; t++ {
+		lt, at := &w.p.terms[t], &w.pre[t][w.p.bound]
+		lo, hi := lt.net.BoundTables(at.s, at.g)
+		if lt.weight < 0 {
+			lo = hi
+		}
+		low += float64(lo * lt.weight)
+	}
+	return low
+}
+
+// dominated reports whether a point of the worker's incumbent beats the
+// low corner of the subtree under the current design in every objective,
+// so that it dominates every design of the subtree.
+func (w *worker) dominated() bool {
+	for m := range w.p.models {
+		w.lo[m] = w.latticeLow(&w.p.models[m])
+	}
+	return w.inc.beats(w.lo)
+}
+
 // scoreList scores a chunk of a materialised list: each design is
 // encoded once and its level indices resolved once per declaration
 // group, for every model.
@@ -357,23 +453,92 @@ func (w *worker) scoreList(cfgs []space.Config) {
 // scoreWindow scores window designs [start, end) in level-index space:
 // it seeks the odometer once, then each tick rewrites only the digits
 // that changed in x and the level indices. A Config is decoded per design
-// only when some model is scored from one.
-func (w *worker) scoreWindow(win *space.Window, t *levelTables, start, end int) {
-	nm := len(w.p.models)
+// only when some model is scored from one. It returns how many designs
+// it scored.
+//
+// A pruning sweep (plan.bound > 0) tests each subtree the chunk holds
+// whole — the designs sharing every digit before bound, aligned on the
+// window's space — before scoring it. When a point the worker already
+// scored in this sweep beats the subtree's low corner in every
+// objective, every design of the subtree is dominated: it is marked in
+// the chunk's skip bitmap and stepped over with one tick at digit
+// bound-1. At every subtree boundary, and at the chunk's end, the
+// incumbent is offered the designs the worker scored since the last one
+// that score lowest in some objective (offerBest): a few offers per
+// subtree, where offering every design would cost more than scoring it
+// once the frontier is large.
+func (w *worker) scoreWindow(win *space.Window, t *levelTables, start, end int) int {
+	nm, n := len(w.p.models), end-start
 	w.x = t.base
 	for g := range w.lvls {
 		w.lvls[g] = t.lvl0[g]
 	}
 	idx := win.Levels.Seek(win.Offset + start)
 	w.setDigits(t, &idx, 0)
+	// next is the next row a whole subtree may start at.
+	next, prune := n, w.p.bound > 0
+	if prune {
+		clear(w.skip)
+		next = (w.p.sub - (win.Offset+start)%w.p.sub) % w.p.sub
+	}
 	var cfg *space.Config
-	for j := 0; j < end-start; j++ {
+	scored := 0
+	for j := 0; j < n; {
+		if j == next {
+			w.offerBest()
+			if next += w.p.sub; next <= n && w.dominated() {
+				markRows(w.skip, j, next)
+				j = next
+				w.setDigits(t, &idx, win.Levels.TickAt(&idx, w.p.bound-1))
+				continue
+			}
+		}
 		if w.p.needCfg {
 			w.cfg = win.Levels.Design(win.Base, idx)
 			cfg = &w.cfg
 		}
 		w.score(w.scores[j*nm:(j+1)*nm:(j+1)*nm], cfg)
+		if prune {
+			w.track(j)
+		}
+		scored++
+		j++
 		w.setDigits(t, &idx, win.Levels.Tick(&idx))
+	}
+	if prune {
+		w.offerBest()
+	}
+	return scored
+}
+
+// track records scored row j as the lowest in each objective where it
+// scores below the current best row.
+func (w *worker) track(j int) {
+	nm := len(w.best)
+	for m, b := range w.best {
+		if b < 0 || w.scores[j*nm+m] < w.scores[b*nm+m] {
+			w.best[m] = j
+		}
+	}
+}
+
+// offerBest offers the incumbent each tracked row and resets the tracking.
+func (w *worker) offerBest() {
+	nm := len(w.best)
+	for m, b := range w.best {
+		if b >= 0 {
+			w.inc.offer(w.scores[b*nm : (b+1)*nm])
+			w.best[m] = -1
+		}
+	}
+}
+
+// markRows sets bits [from, to) of the bitmap, a word at a time.
+func markRows(bitmap []uint64, from, to int) {
+	for from < to {
+		n := min(to-from, 64-from&63)
+		bitmap[from>>6] |= ^uint64(0) >> (64 - n) << (from & 63)
+		from += n
 	}
 }
 
@@ -413,7 +578,7 @@ func (w *worker) setDigits(t *levelTables, idx *[space.NumParams]int, from int) 
 // declaration group — or, on a window, read from per-level tables — and
 // scores a mean objective in coefficient space, never producing a trace.
 // Any other model is scored through Predict on the design's Config.
-func evalChunks(ctx context.Context, src source, models []core.DynamicsModel, objectives []Objective, opts Options, emit func(c *chunk)) error {
+func evalChunks(ctx context.Context, src source, models []core.DynamicsModel, objectives []Objective, opts Options, prune bool, emit func(c *chunk)) error {
 	n := src.len()
 	workers := opts.workers()
 	if workers > n {
@@ -426,6 +591,9 @@ func evalChunks(ctx context.Context, src source, models []core.DynamicsModel, ob
 	if src.win != nil {
 		tables = p.levelTables(src.win)
 		p.bindLattice(src.win, tables)
+		if prune {
+			p.bindPrune(src.win)
+		}
 	}
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
@@ -434,7 +602,7 @@ func evalChunks(ctx context.Context, src source, models []core.DynamicsModel, ob
 		go func() {
 			defer wg.Done()
 			w := p.newWorker(size)
-			c := &chunk{m: len(models), win: src.win}
+			c := &chunk{m: len(models), win: src.win, skip: w.skip}
 			for {
 				start := int(cursor.Add(int64(size))) - size
 				if start >= n || ctx.Err() != nil {
@@ -445,8 +613,9 @@ func evalChunks(ctx context.Context, src source, models []core.DynamicsModel, ob
 				if opts.ChunkDone != nil {
 					t0 = time.Now()
 				}
+				scored := end - start
 				if src.win != nil {
-					w.scoreWindow(src.win, tables, start, end)
+					scored = w.scoreWindow(src.win, tables, start, end)
 				} else {
 					c.cfgs = src.designs[start:end]
 					w.scoreList(c.cfgs)
@@ -454,7 +623,7 @@ func evalChunks(ctx context.Context, src source, models []core.DynamicsModel, ob
 				c.start, c.n, c.scores = start, end-start, w.scores[:(end-start)*len(models)]
 				emit(c)
 				if opts.ChunkDone != nil {
-					opts.ChunkDone(end-start, time.Since(t0))
+					opts.ChunkDone(end-start, scored, time.Since(t0))
 				}
 				if opts.Progress != nil {
 					opts.Progress(int(completed.Add(int64(end - start))))

@@ -111,11 +111,14 @@ type Options struct {
 	// It must be cheap — it sits on the evaluation hot path.
 	Progress func(completed int)
 	// ChunkDone, when set, receives each finished chunk's design count
-	// and wall time — the per-chunk latency signal observability layers
-	// feed into histograms. Like Progress it is called concurrently from
-	// worker goroutines and must be cheap and allocation-free; when nil
-	// the engine does not even read the clock.
-	ChunkDone func(designs int, elapsed time.Duration)
+	// (covered), how many of those designs were scored, and its wall time
+	// — the per-chunk signals observability layers feed into histograms
+	// and counters. scored equals covered except on a window sweep that
+	// skipped dominated designs unscored (see SweepWindow). Like Progress
+	// it is called concurrently from worker goroutines and must be cheap
+	// and allocation-free; when nil the engine does not even read the
+	// clock.
+	ChunkDone func(covered, scored int, elapsed time.Duration)
 }
 
 func (o Options) workers() int {
@@ -150,7 +153,7 @@ func SweepContext(ctx context.Context, designs []space.Config, models []core.Dyn
 	// result exactly once.
 	m := len(models)
 	backing := make([]float64, len(designs)*m)
-	err := evalChunks(ctx, source{designs: designs}, models, objectives, opts, func(c *chunk) {
+	err := evalChunks(ctx, source{designs: designs}, models, objectives, opts, false, func(c *chunk) {
 		for j := 0; j < c.n; j++ {
 			i := c.start + j
 			dst := backing[i*m : (i+1)*m : (i+1)*m]
@@ -209,6 +212,14 @@ func SweepStream(ctx context.Context, designs []space.Config, models []core.Dyna
 // the package doc). Collectors see the same candidates with the same
 // indices (counted from the window's start), so results are
 // byte-identical to SweepStream over the materialised window.
+//
+// When every collector is a FrontierCollector and every model scores a
+// mean from its networks' tables, the sweep prunes: a worker skips,
+// unscored, each whole subtree of the window's odometer whose lowest
+// possible scores (an exact bound from the tables) a point it already
+// scored beats in every objective. Skipped designs are dominated, so the
+// final frontier and Seen are unchanged; Options.ChunkDone reports them
+// as covered but not scored.
 func SweepWindow(ctx context.Context, w space.Window, models []core.DynamicsModel, objectives []Objective, opts Options, collectors ...Collector) error {
 	if err := validateModels(models, objectives); err != nil {
 		return err

@@ -163,7 +163,7 @@ func TestInstrumentedSweepSteadyStateAllocs(t *testing.T) {
 	opts := Options{
 		Workers:  1,
 		Progress: func(completed int) { progress.SetMax(float64(completed)) },
-		ChunkDone: func(designs int, elapsed time.Duration) {
+		ChunkDone: func(designs, _ int, elapsed time.Duration) {
 			chunkN.Observe(float64(designs))
 			chunkMS.Observe(float64(elapsed.Microseconds()) / 1000)
 		},
@@ -200,7 +200,7 @@ func TestWindowSweepSteadyStateAllocs(t *testing.T) {
 	opts := Options{
 		Workers:   1,
 		Progress:  func(c int) { completed = c },
-		ChunkDone: func(int, time.Duration) {},
+		ChunkDone: func(int, int, time.Duration) {},
 	}
 	allocs := testing.AllocsPerRun(3, func() {
 		top := NewTopK(8, 0, nil)
@@ -213,6 +213,31 @@ func TestWindowSweepSteadyStateAllocs(t *testing.T) {
 	}
 	if completed != n {
 		t.Errorf("progress reached %d, want %d", completed, n)
+	}
+}
+
+// TestPruningWindowSweepSteadyStateAllocs is the zero-alloc contract on
+// a pruning window sweep: two lattice models into a FrontierCollector
+// alone, so subtree tests, skips and the worker's incumbent run on the
+// hot path. The sweep must prune, and every design must still count.
+func TestPruningWindowSweepSteadyStateAllocs(t *testing.T) {
+	cpi, power := pruneModels(t)
+	models := []core.DynamicsModel{cpi, power}
+	objectives := []Objective{MeanObjective("cpi"), MeanObjective("power")}
+	const n = 65536
+	w := space.Window{Levels: space.TrainLevels(), Base: space.Baseline(), Offset: 4321, Count: n}
+	ctx := context.Background()
+	opts, covered, scored := countScored(1)
+	allocs := testing.AllocsPerRun(3, func() {
+		if err := SweepWindow(ctx, w, models, objectives, opts, NewFrontierCollector()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perDesign := allocs / n; perDesign > 0.01 {
+		t.Errorf("pruning window sweep allocates %.4f/design (%.0f total), want ≤0.01", perDesign, allocs)
+	}
+	if covered.Load() != 4*n || scored.Load() >= covered.Load() {
+		t.Errorf("4 sweeps covered %d designs and scored %d; want %d covered and fewer scored", covered.Load(), scored.Load(), 4*n)
 	}
 }
 

@@ -226,3 +226,87 @@ func bruteFrontier(cands []Candidate, idx []int) []int {
 	}
 	return keep
 }
+
+// incumbentCap caps a sweep worker's incumbent. Each subtree test scans
+// it, so it stays small even when the frontier is large; pruning against
+// fewer points only prunes less, never wrongly.
+const incumbentCap = 64
+
+// incumbent is a pruning sweep worker's capped Pareto set of score
+// vectors it has scored in the current sweep (worker.offerBest) — every
+// one a real design's scores, so a member that beats a subtree's low
+// corner in every objective dominates every design of the subtree. Its
+// vectors live in one preallocated array, so offering a vector allocates
+// nothing. Once full, it drops an arriving vector that evicts no member.
+type incumbent struct {
+	m, n int
+	pts  []float64 // n vectors of m scores, member i at pts[i*m:]
+	// hint indexes the member that last beat a corner; it is tried
+	// first, like FrontierCollector's.
+	hint int
+}
+
+func newIncumbent(m int) incumbent {
+	return incumbent{m: m, pts: make([]float64, incumbentCap*m)}
+}
+
+func (in *incumbent) at(i int) []float64 { return in.pts[i*in.m : (i+1)*in.m : (i+1)*in.m] }
+
+// offer adds s unless a member is at least as good in every objective,
+// evicting the members s dominates.
+func (in *incumbent) offer(s []float64) {
+	for i := 0; i < in.n; i++ {
+		if covers(in.at(i), s) {
+			return
+		}
+	}
+	kept := 0
+	for i := 0; i < in.n; i++ {
+		if dominatesScores(s, in.at(i)) {
+			continue
+		}
+		if kept != i {
+			copy(in.at(kept), in.at(i))
+		}
+		kept++
+	}
+	if in.n = kept; in.n < incumbentCap {
+		copy(in.at(in.n), s)
+		in.n++
+	}
+}
+
+// beats reports whether some member is strictly below lo in every
+// objective. A NaN anywhere compares false, so it never beats.
+func (in *incumbent) beats(lo []float64) bool {
+	if in.hint < in.n && below(in.at(in.hint), lo) {
+		return true
+	}
+	for i := 0; i < in.n; i++ {
+		if below(in.at(i), lo) {
+			in.hint = i
+			return true
+		}
+	}
+	return false
+}
+
+// covers reports whether a is at least as good as b in every objective.
+func covers(a, b []float64) bool {
+	for i := range a {
+		if !(a[i] <= b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// below reports whether a is strictly better than b in every objective.
+func below(a, b []float64) bool {
+	for i := range a {
+		if !(a[i] < b[i]) {
+			return false
+		}
+	}
+	return true
+}

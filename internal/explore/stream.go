@@ -227,6 +227,14 @@ func (t *TopK) Feasible() int {
 // independent of arrival order. Memory stays proportional to the
 // frontier, not the sweep. Its methods are safe for concurrent use, so a
 // snapshot may be taken while a sweep collects.
+//
+// A window sweep whose collectors are all FrontierCollectors may skip
+// subtrees of designs that a point scored earlier in the same sweep
+// dominates (see SweepWindow): such designs count in Seen but are never
+// offered. None of them could be on the frontier, so the final frontier
+// is byte-identical to an unpruned sweep's, but a snapshot taken
+// mid-sweep may lack a point an unpruned sweep would have held until a
+// later arrival evicted it.
 type FrontierCollector struct {
 	mu       sync.Mutex
 	seen     int
@@ -262,7 +270,7 @@ func (f *FrontierCollector) collectChunk(c *chunk) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.seen += c.n
-	for j := 0; j < c.n; j++ {
+	for j := c.next(0); j < c.n; j = c.next(j + 1) {
 		if m := f.admit(c.scoresOf(j)); m != nil {
 			m.Config = c.config(j)
 		}

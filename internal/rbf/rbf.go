@@ -129,6 +129,15 @@ type Network struct {
 	// both tables exist.
 	sharedOff [][]int
 	varyOff   [][]int
+	// Bound tables (TabulateShared, with both tables): dimensions from
+	// boundDim on are a subtree's free digits (boundDim is 0 when there
+	// are no bound tables). The free digits of a subtree whose fixed
+	// digits' offsets sum to si reach the sBlock shared-table entries from
+	// si on, and sBound[si/sBlock] holds their least and greatest; gBlock
+	// and gBound do the same for the level table.
+	boundDim       int
+	sBlock, gBlock int
+	sBound, gBound []span
 
 	lambda      float64
 	gcv         float64
@@ -206,6 +215,7 @@ func (n *Network) bindDimLevels(levels [][]float64) {
 	n.levelTab, n.levelStride = nil, nil
 	n.sharedTab, n.sharedStride = nil, nil
 	n.sharedOff, n.varyOff = nil, nil
+	n.boundDim, n.sBound, n.gBound = 0, nil, nil
 	m := len(n.centers)
 	if len(levels) == 0 || m == 0 || m > maxFactoredCenters || n.dim > maxFactoredDims {
 		return
@@ -306,12 +316,14 @@ func tick(levels [][]float64, dims []int, digit *[maxFactoredDims]int) {
 // to — so table hits are bit-identical to misses. A network without a
 // declaration, with a continuous shared dimension, or whose product
 // exceeds maxLevelTable gets no table. When the level table exists too,
-// TableOffsets and PredictTables become available. It modifies the
-// network, so it must run before the network is shared between
-// goroutines.
+// TableOffsets and PredictTables become available, and so do BoundDim
+// and BoundTables when the declaration spans at least minBoundDesigns
+// designs. It modifies the network, so it must run before the network
+// is shared between goroutines.
 func (n *Network) TabulateShared() {
 	n.sharedTab, n.sharedStride = nil, nil
 	n.sharedOff, n.varyOff = nil, nil
+	n.boundDim, n.sBound, n.gBound = 0, nil, nil
 	if !n.factored {
 		return
 	}
@@ -351,6 +363,57 @@ func (n *Network) TabulateShared() {
 			n.varyOff[j][l] = l * n.levelStride[k]
 		}
 	}
+	n.buildBounds()
+}
+
+// minBoundDesigns is the least number of declared designs a bound
+// table's subtree spans: the free digits are the shortest suffix of
+// dimensions whose declared level product reaches it (4·4·4 on the
+// Table 2 train levels).
+const minBoundDesigns = 64
+
+// span is the least and greatest of a block of table entries.
+type span struct{ lo, hi float64 }
+
+// buildBounds reduces both tables over the free digits of a subtree:
+// the shortest suffix of dimensions with at least minBoundDesigns
+// declared designs. A declaration with fewer designs in all gets no
+// bound tables, since its one subtree would have no fixed digit. The
+// tables are sized by the fixed dimensions' levels only.
+func (n *Network) buildBounds() {
+	d, designs := n.dim, 1
+	for d > 0 && designs < minBoundDesigns {
+		d--
+		designs *= len(n.dimLevels[d])
+	}
+	if designs < minBoundDesigns || d == 0 {
+		return
+	}
+	n.boundDim = d
+	n.sBlock, n.sBound = blockBounds(n.sharedTab, n.sharedIdx, n.sharedStride, d)
+	n.gBlock, n.gBound = blockBounds(n.levelTab, n.varyIdx, n.levelStride, d)
+}
+
+// blockBounds splits tab, laid out by mixedRadix over dimensions dims
+// (ascending) with strides stride, into blocks of the entries that
+// dimensions from d on reach with the earlier ones fixed, and returns
+// the block size and each block's least and greatest entry. The builtin
+// min and max carry a NaN entry into its block's bounds.
+func blockBounds(tab []float64, dims, stride []int, d int) (int, []span) {
+	block := len(tab)
+	if k := sort.SearchInts(dims, d); k > 0 {
+		block = stride[k-1]
+	}
+	out := make([]span, len(tab)/block)
+	for i := range out {
+		b := tab[i*block : (i+1)*block]
+		lo, hi := b[0], b[0]
+		for _, v := range b[1:] {
+			lo, hi = min(lo, v), max(hi, v)
+		}
+		out[i] = span{lo, hi}
+	}
+	return block, out
 }
 
 // TableOffsets returns, per declared level l of input dimension j, that
@@ -378,6 +441,35 @@ func (n *Network) PredictTables(si, gi int) float64 {
 		out += n.weights[len(n.centers)]
 	}
 	return out
+}
+
+// BoundDim returns the first dimension of the subtrees BoundTables
+// bounds: dimensions BoundDim() onwards are a subtree's free digits. It
+// is 0 when the network has no bound tables (no TableOffsets, or fewer
+// than minBoundDesigns declared designs).
+func (n *Network) BoundDim() int { return n.boundDim }
+
+// BoundTables bounds PredictTables over a subtree: the designs whose
+// dimensions before BoundDim sit at levels whose TableOffsets sum to si
+// and gi, and whose later dimensions take any declared level. Every such
+// design's PredictTables value v satisfies lo ≤ v ≤ hi exactly: s and g
+// range over their tables' blocks, the product s·g is bilinear, so its
+// extremes over the box are at the four corners, and rounding
+// (float64(s*g), then the bias, as PredictTables does) is monotone. The
+// products are converted explicitly, like PredictTables', so that no
+// architecture fuses one with the bias and rounds a bound past the value
+// it bounds. A NaN anywhere in the blocks makes both bounds NaN.
+func (n *Network) BoundTables(si, gi int) (lo, hi float64) {
+	s, g := n.sBound[si/n.sBlock], n.gBound[gi/n.gBlock]
+	a, b := float64(s.lo*g.lo), float64(s.lo*g.hi)
+	c, d := float64(s.hi*g.lo), float64(s.hi*g.hi)
+	lo, hi = min(a, b, c, d), max(a, b, c, d)
+	if n.hasBias {
+		bias := n.weights[len(n.centers)]
+		lo += bias
+		hi += bias
+	}
+	return lo, hi
 }
 
 // ResolveLevels writes into lvl[j], for every j < len(lvl), the index of

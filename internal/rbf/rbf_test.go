@@ -2,6 +2,7 @@ package rbf
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -584,8 +585,8 @@ func TestSharedTableCapFallback(t *testing.T) {
 	if net.sharedTab != nil || len(net.sharedIdx) < 8 {
 		t.Fatalf("%d shared dims of 4 levels: shared table built=%v; want more than maxLevelTable entries and no table", len(net.sharedIdx), net.sharedTab != nil)
 	}
-	if s, v := net.TableOffsets(0); s != nil || v != nil {
-		t.Fatal("table offsets without a shared table")
+	if s, v := net.TableOffsets(0); s != nil || v != nil || net.BoundDim() != 0 {
+		t.Fatal("table offsets or bound tables without a shared table")
 	}
 	probes, _ := makeLevelData(rng, levels, 100)
 	for i := range probes[:50] {
@@ -719,5 +720,87 @@ func TestPredictionBoundedProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestBoundTablesHoldEveryDesign walks every design of the Table 2
+// declaration (245,760) through PredictTables and requires each value to
+// lie within BoundTables of its subtree: the designs sharing its digits
+// before BoundDim, 4·4·4 of them. The bound tables are sized by the
+// fixed digits only. A declaration with fewer than minBoundDesigns
+// designs, and a network without a shared table, get no bound tables.
+func TestBoundTablesHoldEveryDesign(t *testing.T) {
+	rng := mathx.NewRNG(15)
+	designs := space.SampleDesign(60, space.TrainLevels(), space.Baseline(), 4, rng)
+	levels := space.FeatureLevels(false)
+	xs := make([][]float64, len(designs))
+	ys := make([]float64, len(designs))
+	for i, d := range designs {
+		x := d.Vector()
+		xs[i] = x
+		ys[i] = math.Cos(5*x[0]+2*x[3]) - 0.3*math.Sin(4*x[7]) + 0.2*x[8]*x[5]
+	}
+	net := trainLevels(t, xs, ys, levels)
+	if net.BoundDim() != 0 {
+		t.Fatal("bound tables exist before TabulateShared")
+	}
+	net.TabulateShared()
+	d := net.BoundDim()
+	if d != 6 {
+		t.Fatalf("BoundDim = %d, want 6 (the last three dimensions span 4·4·4 designs)", d)
+	}
+	prefix := 1
+	for _, ls := range levels[:d] {
+		prefix *= len(ls)
+	}
+	if len(net.sBound) > prefix || len(net.gBound) > prefix || len(net.sBound)*len(net.gBound) < 2 {
+		t.Fatalf("bound tables of %d and %d entries; want at most the %d fixed-digit combinations", len(net.sBound), len(net.gBound), prefix)
+	}
+	var digit [space.NumParams]int
+	var lo, hi float64
+	subtrees, tight := 0, 0
+	var signs [2]bool // a negative and a positive level-table entry
+	for i := 0; ; i++ {
+		si, gi, psi, pgi := 0, 0, 0, 0
+		for j, l := range digit {
+			so, vo := net.TableOffsets(j)
+			si, gi = si+so[l], gi+vo[l]
+			if j < d {
+				psi, pgi = psi+so[l], pgi+vo[l]
+			}
+		}
+		if slices.Equal(digit[d:], make([]int, space.NumParams-d)) {
+			lo, hi = net.BoundTables(psi, pgi)
+			subtrees++
+		}
+		signs[0], signs[1] = signs[0] || net.levelTab[gi] < 0, signs[1] || net.levelTab[gi] > 0
+		v := net.PredictTables(si, gi)
+		if v < lo || v > hi {
+			t.Fatalf("design %d (levels %v): PredictTables %v outside its subtree's bounds [%v, %v]", i, digit, v, lo, hi)
+		}
+		if v == lo {
+			tight++
+		}
+		j := space.NumParams - 1
+		for ; j >= 0; j-- {
+			if digit[j]++; digit[j] < len(levels[j]) {
+				break
+			}
+			digit[j] = 0
+		}
+		if j < 0 {
+			break
+		}
+	}
+	if subtrees != prefix || tight == 0 || !signs[0] || !signs[1] {
+		t.Fatalf("%d subtrees (want %d), %d designs at their subtree's low bound (want some), level-table signs (−, +) seen %v (want both)", subtrees, prefix, tight, signs)
+	}
+
+	grid := gridLevels(3, 3)
+	sx, sy := makeLevelData(rng, grid, 100)
+	small := trainLevels(t, sx, sy, grid)
+	small.TabulateShared()
+	if s, _ := small.TableOffsets(0); s == nil || small.BoundDim() != 0 {
+		t.Fatalf("a 27-design declaration: offsets %v, BoundDim %d; want offsets and no bound tables", s != nil, small.BoundDim())
 	}
 }

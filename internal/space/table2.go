@@ -128,7 +128,15 @@ func (l *Levels) Seek(i int) [NumParams]int {
 // NumParams-1 changed, the rest did not. Ticking past the last design
 // wraps to design 0.
 func (l *Levels) Tick(idx *[NumParams]int) int {
-	p := NumParams - 1
+	return l.TickAt(idx, NumParams-1)
+}
+
+// TickAt advances digit p of idx by one, carrying into the more
+// significant digits, and returns the most significant parameter whose
+// level changed, like Tick. With digits p+1 onwards at level 0 it steps
+// over the whole subtree of designs that share idx's first p+1 digits:
+// the Levels' product from p+1 on, in one step.
+func (l *Levels) TickAt(idx *[NumParams]int, p int) int {
 	for ; p > 0; p-- {
 		if idx[p]++; idx[p] < len(l[p]) {
 			return p

@@ -5,15 +5,18 @@
 # forbids it. Every route that scores a mean — rbf's PredictLevels and
 # PredictTables, core's PredictMeanLevels and the sweep engine's lattice
 # route — must round alike on every architecture, so these functions
-# must carry no FMADDD, FMSUBD, FNMADDD or FNMSUBD. It is a
-# cross-compile, so it needs no arm64 host.
+# must carry no FMADDD, FMSUBD, FNMADDD or FNMSUBD. So must the bounds a
+# pruning sweep skips subtrees by (rbf's BoundTables and the engine's
+# latticeLow): they are exact only if they round as the scores do, and a
+# fused bound could exceed an unfused score by an ulp and prune a
+# frontier point. It is a cross-compile, so it needs no arm64 host.
 #
 #   bash tools/fmacheck.sh
 set -euo pipefail
 
 root=$(git rev-parse --show-toplevel)
 cd "$root"
-funcs='^repro/internal/(rbf\.\(\*Network\)\.(PredictLevels|PredictTables)|core\.\(\*Predictor\)\.PredictMeanLevels|explore\.\(\*worker\)\.(latticeMean|score|scoreWindow))$'
+funcs='^repro/internal/(rbf\.\(\*Network\)\.(PredictLevels|PredictTables|BoundTables)|core\.\(\*Predictor\)\.PredictMeanLevels|explore\.\(\*worker\)\.(latticeMean|latticeLow|score|scoreWindow))$'
 GOARCH=arm64 go build -gcflags=-S ./internal/rbf ./internal/core ./internal/explore 2>&1 |
   awk -v re="$funcs" '
     / STEXT / { fn = ($1 ~ re) ? $1 : ""; if (fn != "") seen[fn] = 1; next }
@@ -21,7 +24,7 @@ GOARCH=arm64 go build -gcflags=-S ./internal/rbf ./internal/core ./internal/expl
     END {
       n = 0
       for (f in seen) n++
-      if (n != 6) { print "fmacheck: found " n " of the 6 checked functions in the assembly"; exit 1 }
+      if (n != 8) { print "fmacheck: found " n " of the 8 checked functions in the assembly"; exit 1 }
       if (bad) exit 1
-      print "fmacheck: no fused multiply-add in the 6 level-route functions"
+      print "fmacheck: no fused multiply-add in the 8 level-route functions"
     }'
