@@ -383,40 +383,43 @@ func BenchmarkPredictBatch(b *testing.B) {
 
 // BenchmarkRBFPredict isolates one RBF network evaluation — the innermost
 // kernel under everything above (each wavelet coefficient is one such
-// network). Gated in CI so a kernel-level regression is caught even when
-// coarser benchmarks absorb it in noise.
+// network). It times Predict of a network declared with the Table 2
+// feature levels, as core declares every network, at one on-level design
+// and without the shared-factor table: the route of the networks a
+// PredictInto evaluates besides the mean terms (one level-table lookup
+// and the shared exponential). Gated in CI so a kernel-level regression
+// is caught even when coarser benchmarks absorb it in noise.
 func BenchmarkRBFPredict(b *testing.B) {
-	rng := mathx.NewRNG(9)
-	const dims = 9
-	xs := make([][]float64, 192)
-	ys := make([]float64, len(xs))
-	for i := range xs {
-		x := make([]float64, dims)
-		for d := range x {
-			x[d] = rng.Float64()
-		}
-		xs[i] = x
-		ys[i] = math.Sin(3*x[0]) + 0.5*x[1]*x[2] + 0.1*x[8]
+	net, probes := levelBenchTrain(b)
+	benchPredict(b, net, probes[17])
+}
+
+// BenchmarkRBFPredictOffLevel is BenchmarkRBFPredict at a design whose
+// every feature lies between the declared levels, so no table or factor
+// column applies and every factor is computed on the fly — the fallback
+// of an off-level input, and the only route of an undeclared network.
+func BenchmarkRBFPredictOffLevel(b *testing.B) {
+	net, probes := levelBenchTrain(b)
+	off := append([]float64(nil), probes[17]...)
+	for j := range off {
+		off[j] += 0.0137
 	}
-	net, err := rbf.Train(xs, ys, rbf.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	probe := xs[17]
+	benchPredict(b, net, off)
+}
+
+func benchPredict(b *testing.B, net *rbf.Network, x []float64) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if v := net.Predict(probe); math.IsNaN(v) {
+		if v := net.Predict(x); math.IsNaN(v) {
 			b.Fatal("NaN prediction")
 		}
 	}
 }
 
-// levelBenchNetwork trains the network the level benchmarks time: Table 2
-// designs with the canonical feature levels declared, and the shared
-// factor tabulated (rbf.Network.TabulateShared), as core tabulates every
-// network a sweep scores a mean from. It returns 1024 on-level designs'
-// encodings and their level indices, resolved as a sweep resolves them.
-func levelBenchNetwork(b *testing.B) (net *rbf.Network, probes [][]float64, lvls [][]int) {
+// levelBenchTrain trains the network the RBF kernel benchmarks time: 48
+// Table 2 designs with the canonical feature levels declared. It returns
+// the encodings of 1024 other on-level designs.
+func levelBenchTrain(b *testing.B) (*rbf.Network, [][]float64) {
 	b.Helper()
 	rng := mathx.NewRNG(9)
 	train := space.SampleDesign(48, space.TrainLevels(), space.Baseline(), 4, rng)
@@ -427,22 +430,34 @@ func levelBenchNetwork(b *testing.B) (net *rbf.Network, probes [][]float64, lvls
 		xs[i] = x
 		ys[i] = math.Sin(3*x[0]) + 0.5*x[1]*x[2] + 0.1*x[8]
 	}
-	levels := space.FeatureLevels(false)
-	net, err := rbf.Train(xs, ys, rbf.Options{DimLevels: levels})
+	net, err := rbf.Train(xs, ys, rbf.Options{DimLevels: space.FeatureLevels(false)})
 	if err != nil {
 		b.Fatal(err)
 	}
+	designs := space.Random(1024, space.TrainLevels(), space.Baseline(), rng)
+	probes := make([][]float64, len(designs))
+	for i, cfg := range designs {
+		probes[i] = cfg.Vector()
+	}
+	return net, probes
+}
+
+// levelBenchNetwork is levelBenchTrain's network with the shared factor
+// tabulated (rbf.Network.TabulateShared), as core tabulates every network
+// a sweep scores a mean from, and the probes' level indices, resolved as
+// a sweep resolves them.
+func levelBenchNetwork(b *testing.B) (net *rbf.Network, probes [][]float64, lvls [][]int) {
+	b.Helper()
+	net, probes = levelBenchTrain(b)
 	net.TabulateShared()
 	if s, _ := net.TableOffsets(0); s == nil {
 		b.Fatal("the benchmark network has no table offsets")
 	}
-	designs := space.Random(1024, space.TrainLevels(), space.Baseline(), rng)
-	probes = make([][]float64, len(designs))
-	lvls = make([][]int, len(designs))
-	for i, cfg := range designs {
-		probes[i] = cfg.Vector()
+	levels := net.DimLevels()
+	lvls = make([][]int, len(probes))
+	for i, x := range probes {
 		lvls[i] = make([]int, len(levels))
-		rbf.ResolveLevels(levels, probes[i], lvls[i])
+		rbf.ResolveLevels(levels, x, lvls[i])
 	}
 	return net, probes, lvls
 }

@@ -394,9 +394,10 @@
 //     with their weights), which a window sweep reproduces from the
 //     networks' tables. The baselines (GlobalANN, LinearWavelet) offer
 //     Predict only.
-//   - internal/rbf: the Gaussian has axis-aligned radii, so each network
-//     with declared levels (core declares the Table 2 feature levels) is
-//     one function f(x) = s(x)·g(x_V) + b. The shared factor s is a single
+//   - internal/rbf: the Gaussian has axis-aligned radii, so every network
+//     is one function f(x) = s(x)·g(x_V) + b, with one kernel body (a
+//     network without a level declaration has every dimension continuous;
+//     core declares the Table 2 feature levels). The shared factor s is a single
 //     table-driven ExpFast (relative error under 1e-10) over the
 //     dimensions the regression tree never split on. The varying part g
 //     is tabulated over the product of the 2–6 varying dimensions'
@@ -503,7 +504,9 @@
 // BenchmarkExploreSweepFactorial, whose collector=topk cases time the
 // scoring path and whose frontier cases are dominated by their synthetic
 // models' 3,543-point frontier, BenchmarkPredictBatch,
-// BenchmarkRBFPredict and its on-level twin BenchmarkRBFPredictLevels,
+// BenchmarkRBFPredict (a declared network's Predict at one on-level
+// design) with its off-level twin BenchmarkRBFPredictOffLevel and the
+// level routes BenchmarkRBFPredictLevels and BenchmarkRBFPredictTables,
 // BenchmarkSampleDesign); the one with the highest N is current. Record
 // a new point (and commit it under the PR's number when a PR moves the
 // needle) with:

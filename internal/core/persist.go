@@ -61,7 +61,7 @@ func Load(r io.Reader) (*Predictor, error) {
 	if f.FormatVersion != predictorFormatVersion {
 		return nil, fmt.Errorf("core: predictor format %d, want %d", f.FormatVersion, predictorFormatVersion)
 	}
-	if !wavelet.IsPowerOfTwo(f.TraceLen) {
+	if !validTraceLen(f.TraceLen) {
 		return nil, fmt.Errorf("core: persisted trace length %d invalid", f.TraceLen)
 	}
 	if len(f.Selected) != len(f.Nets) {
@@ -80,9 +80,17 @@ func Load(r io.Reader) (*Predictor, error) {
 		}
 		seen[pos] = true
 	}
+	width := Options{UseDVMFeatures: f.UseDVMFeatures}.numFeatures()
 	for i, net := range f.Nets {
-		if net == nil {
+		switch {
+		case net == nil:
 			return nil, fmt.Errorf("core: network %d is null", i)
+		case net.NumInputs() != width:
+			return nil, fmt.Errorf("core: network %d takes %d inputs, the encoding has %d", i, net.NumInputs(), width)
+		case len(net.DimLevels()) == 0:
+			// Saved before every network declared its levels, so its
+			// weights were fit against a retired kernel.
+			return nil, fmt.Errorf("core: network %d has no level declaration (a predictor from an older build)", i)
 		}
 	}
 	w, err := waveletByName(f.Wavelet)

@@ -74,18 +74,25 @@ func (o Options) withDefaults() Options {
 	if o.NumCoefficients <= 0 {
 		o.NumCoefficients = 16
 	}
-	if o.RBF.DimLevels == nil {
+	if len(o.RBF.DimLevels) == 0 {
 		// Declare the canonical Table 2 feature levels so the RBF networks
-		// adopt the factored kernel and tabulate it over the declared
-		// levels: a level-driven sweep then costs each network one shared
-		// exponential and one table lookup. Off-level inputs still work
-		// (the factors are computed on the fly), so this only chooses the
-		// kernel's evaluation strategy; callers may override it with their
-		// own declaration.
+		// tabulate the kernel over them: a level-driven sweep then costs
+		// each network one shared exponential and one table lookup.
+		// Off-level inputs still work (the factors are computed on the
+		// fly), so this only chooses what is tabulated; callers may
+		// override it with their own declaration. Every network a
+		// Predictor holds is declared, which Load relies on.
 		o.RBF.DimLevels = space.FeatureLevels(o.UseDVMFeatures)
 	}
 	return o
 }
+
+// maxTraceLen bounds a predictor's trace length: inference precomputes one
+// trace-length basis vector per network, so Load must not take the length
+// from a file unchecked.
+const maxTraceLen = 1 << 16
+
+func validTraceLen(n int) bool { return wavelet.IsPowerOfTwo(n) && n <= maxTraceLen }
 
 // Predictor forecasts one benchmark's dynamics in one metric domain across
 // the design space.
@@ -118,9 +125,9 @@ type Predictor struct {
 	// networks do not, since only means are scored design by design.
 	meanTerms []MeanTerm
 
-	// levels is the level declaration every factored network shares
-	// (nil when they do not share one). PredictInto resolves a design's
-	// level indices against it once and hands them to all k networks.
+	// levels is the level declaration every network shares (nil when
+	// they do not share one). PredictInto resolves a design's level
+	// indices against it once and hands them to all k networks.
 	levels [][]float64
 }
 
@@ -150,17 +157,13 @@ type MeanTerm struct {
 	Weight float64
 }
 
-// bindLevels records the networks' shared level declaration. A network on
-// the fused kernel ignores level indices; if two factored networks were
-// bound to different declarations, levels stays nil and each network
-// resolves its own.
+// bindLevels records the networks' shared level declaration. If two
+// networks were bound to different declarations, levels stays nil and
+// each network resolves its own.
 func (p *Predictor) bindLevels() {
 	p.levels = nil
 	for _, net := range p.nets {
 		l := net.DimLevels()
-		if l == nil {
-			continue
-		}
 		if p.levels == nil {
 			p.levels = l
 		} else if !slices.EqualFunc(p.levels, l, slices.Equal[[]float64]) {
@@ -263,8 +266,8 @@ func Train(configs []space.Config, traces [][]float64, opts Options) (*Predictor
 		return nil, fmt.Errorf("core: need matching configs (%d) and traces (%d)", len(configs), len(traces))
 	}
 	n := len(traces[0])
-	if !wavelet.IsPowerOfTwo(n) {
-		return nil, fmt.Errorf("core: trace length %d not a power of two", n)
+	if !validTraceLen(n) {
+		return nil, fmt.Errorf("core: trace length %d not a power of two up to %d", n, maxTraceLen)
 	}
 	for i, tr := range traces {
 		if len(tr) != n {
@@ -472,7 +475,7 @@ func (p *Predictor) PredictMeanLevels(x []float64, lvl []int) float64 {
 // a Predictor. Callers must not modify the terms.
 func (p *Predictor) MeanTerms() (terms []MeanTerm, ok bool) { return p.meanTerms, true }
 
-// DimLevels returns the level declaration every factored network shares
+// DimLevels returns the level declaration every network shares
 // — the one PredictMeanLevels and PredictVecLevelsInto take level indices
 // against — or nil when the networks share none. Callers must not modify
 // it.

@@ -16,10 +16,10 @@ type networkFile struct {
 	Lambda      float64     `json:"lambda"`
 	GCV         float64     `json:"gcv"`
 	RadiusScale float64     `json:"radius_scale"`
-	// DimLevels persists the factored-kernel declaration (Options.DimLevels)
-	// so a loaded network evaluates through the same kernel its weights
-	// were fit against. The factor columns and level table derived from it
-	// are rebuilt on load, never stored.
+	// DimLevels persists the level declaration (Options.DimLevels) so a
+	// loaded network tabulates the levels it was trained to tabulate; it is
+	// absent for a network trained without one. The factor columns and
+	// level table derived from it are rebuilt on load, never stored.
 	DimLevels [][]float64 `json:"dim_levels,omitempty"`
 }
 
@@ -53,6 +53,9 @@ func (n *Network) UnmarshalJSON(data []byte) error {
 	if len(f.Weights) != want {
 		return fmt.Errorf("rbf: %d weights for %d basis terms", len(f.Weights), want)
 	}
+	if len(f.Centers) > 0 && len(f.Centers[0]) > maxDims {
+		return fmt.Errorf("rbf: %d input dimensions, at most %d supported", len(f.Centers[0]), maxDims)
+	}
 	for i := range f.Centers {
 		if len(f.Centers[i]) != len(f.Radii[i]) {
 			return fmt.Errorf("rbf: basis %d center/radius dimension mismatch", i)
@@ -79,8 +82,7 @@ func (n *Network) UnmarshalJSON(data []byte) error {
 	// Rebuild the derived inference tables (centres, 1/radius
 	// reciprocals, factor columns, level table): a loaded network must
 	// predict exactly like the one that was saved.
-	n.finalize()
-	n.bindDimLevels(f.DimLevels)
+	n.finalize(f.DimLevels)
 	n.buildLevelTable()
 	return nil
 }

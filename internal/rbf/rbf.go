@@ -10,7 +10,8 @@
 // where μᵢ is the centre vector and θᵢ the per-dimension radius vector of
 // the i-th basis function, both derived from a tree node's hyperrectangle.
 // Output weights are fit by ridge regression with the penalty chosen by
-// generalised cross-validation (GCV).
+// generalised cross-validation (GCV). Every network evaluates one kernel
+// body, split by dimension as Options.DimLevels describes.
 package rbf
 
 import (
@@ -44,10 +45,11 @@ type Options struct {
 	MaxCenters int
 	// NoBias omits the constant bias term when true.
 	NoBias bool
-	// DimLevels, when non-nil, lists per input dimension the values
-	// inference will overwhelmingly see (e.g. normalised design-space
-	// levels; an empty list marks a continuous dimension). The network
-	// then adopts the factored kernel f(x) = s(x) · g(x_V) + b: s is one
+	// DimLevels lists per input dimension the values inference will
+	// overwhelmingly see (e.g. normalised design-space levels); an empty
+	// list, or a dimension past the end, marks a continuous dimension,
+	// and a nil declaration makes every dimension continuous. Every
+	// network evaluates the kernel as f(x) = s(x) · g(x_V) + b: s is one
 	// exponential of the shared dimensions' squared distance, and
 	// g = Σ_c w_c · P_c, where P_c multiplies the varying dimensions'
 	// factors exp(−((xⱼ−μⱼ)/θⱼ)²) in ascending dimension order. Factors
@@ -97,9 +99,8 @@ type Network struct {
 	// of once per (input, centre). Bench traces typically depend on two or
 	// three of the nine swept parameters, so most dimensions factor out.
 	// The remaining *varying* dimensions are flattened row-major (stride
-	// len(varyIdx)) with 1/radius reciprocals precomputed, so the inner
-	// loop is a cache-friendly multiply-add with no division and no
-	// per-centre pointer chase.
+	// len(varyIdx)) with 1/radius reciprocals precomputed, so factors are
+	// computed with no division and no per-centre pointer chase.
 	dim          int
 	sharedIdx    []int     // input indices with identical (centre, radius) everywhere
 	sharedCenter []float64 // centre components for sharedIdx
@@ -108,16 +109,15 @@ type Network struct {
 	flatCenters  []float64 // varying centre components, row-major per centre
 	flatInvRad   []float64 // varying 1/radius components, row-major per centre
 
-	// Factored-kernel tables (Options.DimLevels). When factored is true
-	// the network is f(x) = s(x) · g(x_V) + b, where s = exp(−sharedSum)
-	// and g = Σ_c w_c · P_c with P_c the product of the varying
-	// dimensions' factors. varyTabFac caches the m-length factor columns
-	// of the declared level values; levelTab caches g itself over every
+	// Level tables (Options.DimLevels). The network is
+	// f(x) = s(x) · g(x_V) + b, where s = exp(−sharedSum) and
+	// g = Σ_c w_c · P_c with P_c the product of the varying dimensions'
+	// factors. varyTabFac caches the m-length factor columns of the
+	// declared level values; levelTab caches g itself over every
 	// combination of varying-dimension levels, and sharedTab (built only
 	// by TabulateShared) caches s over every combination of
 	// shared-dimension levels. None of them is persisted.
-	factored     bool
-	dimLevels    [][]float64 // bound declaration, persisted with the model
+	dimLevels    [][]float64 // bound declaration (nil: all continuous), persisted with the model
 	varyTabVal   [][]float64 // per varying dim: declared values
 	varyTabFac   [][]float64 // per varying dim: columns, flattened [vi*m+c]
 	levelTab     []float64   // g per level combination; nil when not built
@@ -145,10 +145,14 @@ type Network struct {
 	tree        *regtree.Tree
 }
 
-// finalize derives the factored inference tables. It must run before the
-// first Predict — after training builds the basis and after UnmarshalJSON
-// restores it.
-func (n *Network) finalize() {
+// finalize derives the inference tables from the basis and binds the
+// level declaration levels, precomputing each varying dimension's factors
+// at its declared values (none for a continuous dimension) and dropping
+// every table derived from an earlier binding. It must run before the
+// training design matrix is built and before the first Predict — after
+// training builds the basis and after UnmarshalJSON restores it. The
+// input dimension must not exceed maxDims.
+func (n *Network) finalize(levels [][]float64) {
 	n.dim = 0
 	if len(n.centers) > 0 {
 		n.dim = len(n.centers[0])
@@ -172,57 +176,21 @@ func (n *Network) finalize() {
 			n.varyIdx = append(n.varyIdx, j)
 		}
 	}
-	stride := len(n.varyIdx)
-	n.flatCenters = make([]float64, 0, len(n.centers)*stride)
-	n.flatInvRad = make([]float64, 0, len(n.centers)*stride)
+	m, stride := len(n.centers), len(n.varyIdx)
+	n.flatCenters = make([]float64, 0, m*stride)
+	n.flatInvRad = make([]float64, 0, m*stride)
 	for i, center := range n.centers {
 		for _, j := range n.varyIdx {
 			n.flatCenters = append(n.flatCenters, center[j])
 			n.flatInvRad = append(n.flatInvRad, 1/n.radii[i][j])
 		}
 	}
-}
 
-// maxFactoredCenters and maxFactoredDims bound the factored kernel's
-// per-call stack scratch; larger networks keep the fused kernel.
-const (
-	maxFactoredCenters = 256
-	maxFactoredDims    = 16
-)
-
-// maxLevelTable caps the entries of a network's level table (8 bytes
-// each). Every Table 2 network needs at most a few thousand; a declaration
-// whose varying-dimension level product exceeds the cap keeps evaluating
-// the varying sum on the fly.
-const maxLevelTable = 1 << 14
-
-// dimFactor is the single definition of one dimension's kernel factor —
-// table construction and on-the-fly fallback both call it, so hits and
-// misses are bit-identical.
-func dimFactor(x, center, invRad float64) float64 {
-	d := (x - center) * invRad
-	return mathx.ExpFast(-(d * d))
-}
-
-// bindDimLevels switches the network to the factored kernel and
-// precomputes per-dimension factors for the declared level values. It
-// must run after finalize and before the training design matrix is built;
-// a nil declaration (or an oversized basis) leaves the fused kernel.
-func (n *Network) bindDimLevels(levels [][]float64) {
-	n.factored = false
-	n.dimLevels = nil
-	n.varyTabVal, n.varyTabFac = nil, nil
+	n.dimLevels = levels
 	n.levelTab, n.levelStride = nil, nil
 	n.sharedTab, n.sharedStride = nil, nil
 	n.sharedOff, n.varyOff = nil, nil
 	n.boundDim, n.sBound, n.gBound = 0, nil, nil
-	m := len(n.centers)
-	if len(levels) == 0 || m == 0 || m > maxFactoredCenters || n.dim > maxFactoredDims {
-		return
-	}
-	n.factored = true
-	n.dimLevels = levels
-	stride := len(n.varyIdx)
 	n.varyTabVal = make([][]float64, stride)
 	n.varyTabFac = make([][]float64, stride)
 	for k, j := range n.varyIdx {
@@ -236,6 +204,25 @@ func (n *Network) bindDimLevels(levels [][]float64) {
 		}
 		n.varyTabFac[k] = fac
 	}
+}
+
+// maxDims bounds the input dimension, and with it the kernel's per-call
+// stack scratch of level indices and factor columns; Train and
+// UnmarshalJSON refuse wider inputs.
+const maxDims = 16
+
+// maxLevelTable caps the entries of a network's level table (8 bytes
+// each). Every Table 2 network needs at most a few thousand; a declaration
+// whose varying-dimension level product exceeds the cap keeps evaluating
+// the varying sum on the fly.
+const maxLevelTable = 1 << 14
+
+// dimFactor is the single definition of one dimension's kernel factor —
+// table construction and on-the-fly fallback both call it, so hits and
+// misses are bit-identical.
+func dimFactor(x, center, invRad float64) float64 {
+	d := (x - center) * invRad
+	return mathx.ExpFast(-(d * d))
 }
 
 // levelsAt returns dimension j's declared levels (nil past the end of the
@@ -257,17 +244,14 @@ func levelsAt(levels [][]float64, j int) []float64 {
 // product above maxLevelTable, leaves no table.
 func (n *Network) buildLevelTable() {
 	n.levelTab, n.levelStride = nil, nil
-	if !n.factored {
-		return
-	}
 	stride, size := mixedRadix(n.dimLevels, n.varyIdx)
 	if stride == nil {
 		return
 	}
 	m := len(n.centers)
 	tab := make([]float64, size)
-	var digit [maxFactoredDims]int
-	var cols [maxFactoredDims][]float64
+	var digit [maxDims]int
+	var cols [maxDims][]float64
 	for i := range tab {
 		for k, l := range digit[:len(n.varyIdx)] {
 			cols[k] = n.varyTabFac[k][l*m : (l+1)*m]
@@ -300,7 +284,7 @@ func mixedRadix(levels [][]float64, dims []int) ([]int, int) {
 
 // tick advances digit, the level indices of dimensions dims, to the next
 // entry of mixedRadix's layout.
-func tick(levels [][]float64, dims []int, digit *[maxFactoredDims]int) {
+func tick(levels [][]float64, dims []int, digit *[maxDims]int) {
 	for k := len(dims) - 1; k >= 0; k-- {
 		if digit[k]++; digit[k] < len(levelsAt(levels, dims[k])) {
 			return
@@ -313,27 +297,24 @@ func tick(levels [][]float64, dims []int, digit *[maxFactoredDims]int) {
 // the mixed-radix product of the shared dimensions' declared levels,
 // laid out like the level table. Each entry is computed by sharedFactor
 // — the function an input with an off-level shared dimension falls back
-// to — so table hits are bit-identical to misses. A network without a
-// declaration, with a continuous shared dimension, or whose product
-// exceeds maxLevelTable gets no table. When the level table exists too,
-// TableOffsets and PredictTables become available, and so do BoundDim
-// and BoundTables when the declaration spans at least minBoundDesigns
-// designs. It modifies the network, so it must run before the network
-// is shared between goroutines.
+// to — so table hits are bit-identical to misses. A network with a
+// continuous shared dimension (every one, without a declaration), or
+// whose product exceeds maxLevelTable, gets no table. When the level
+// table exists too, TableOffsets and PredictTables become available, and
+// so do BoundDim and BoundTables when the declaration spans at least
+// minBoundDesigns designs. It modifies the network, so it must run before
+// the network is shared between goroutines.
 func (n *Network) TabulateShared() {
 	n.sharedTab, n.sharedStride = nil, nil
 	n.sharedOff, n.varyOff = nil, nil
 	n.boundDim, n.sBound, n.gBound = 0, nil, nil
-	if !n.factored {
-		return
-	}
 	stride, size := mixedRadix(n.dimLevels, n.sharedIdx)
 	if stride == nil {
 		return
 	}
 	tab := make([]float64, size)
 	x := make([]float64, n.dim)
-	var digit [maxFactoredDims]int
+	var digit [maxDims]int
 	for i := range tab {
 		for k, j := range n.sharedIdx {
 			x[j] = n.dimLevels[j][digit[k]]
@@ -493,7 +474,7 @@ func indexOf(vs []float64, v float64) int {
 }
 
 // sharedFactor computes the shared dimensions' common factor
-// exp(−sharedSum): one fused exponential for all of them, since the
+// exp(−sharedSum): one exponential for all of them, since the
 // result is identical for every centre anyway.
 func (n *Network) sharedFactor(x []float64) float64 {
 	return mathx.ExpFast(-n.sharedSum(x))
@@ -502,7 +483,7 @@ func (n *Network) sharedFactor(x []float64) float64 {
 // levelCols picks, per varying dimension, the precomputed factor column of
 // level lvl[j] (nil when the value is off-level and must be computed on
 // the fly).
-func (n *Network) levelCols(lvl []int, cols *[maxFactoredDims][]float64) {
+func (n *Network) levelCols(lvl []int, cols *[maxDims][]float64) {
 	m := len(n.centers)
 	for k, j := range n.varyIdx {
 		cols[k] = nil
@@ -517,7 +498,7 @@ func (n *Network) levelCols(lvl []int, cols *[maxFactoredDims][]float64) {
 // order — the same order whether a dimension hits its column or falls
 // back to dimFactor, so hits and misses are bit-identical. With init 1
 // this is P_c.
-func (n *Network) varyingBlock(init float64, x []float64, cols *[maxFactoredDims][]float64, c0, cn int, prod *[blockSize]float64) {
+func (n *Network) varyingBlock(init float64, x []float64, cols *[maxDims][]float64, c0, cn int, prod *[blockSize]float64) {
 	for i := 0; i < cn; i++ {
 		prod[i] = init
 	}
@@ -538,10 +519,10 @@ func (n *Network) varyingBlock(init float64, x []float64, cols *[maxFactoredDims
 	}
 }
 
-// varyingSum is the single definition of the factored kernel's varying
-// part g(x_V) = Σ_c w_c · P_c, summed in centre order. Level-table
+// varyingSum is the single definition of the kernel's varying part
+// g(x_V) = Σ_c w_c · P_c, summed in centre order. Level-table
 // construction and every table miss call it.
-func (n *Network) varyingSum(x []float64, cols *[maxFactoredDims][]float64) float64 {
+func (n *Network) varyingSum(x []float64, cols *[maxDims][]float64) float64 {
 	var prod [blockSize]float64
 	var g float64
 	m := len(n.centers)
@@ -555,17 +536,18 @@ func (n *Network) varyingSum(x []float64, cols *[maxFactoredDims][]float64) floa
 	return g
 }
 
-// evalFactored writes every basis activation s · P_c into
-// dst[0:NumCenters] under the factored kernel, multiplying s in first and
-// then each varying factor, which keeps the design matrix — and so the
-// fitted weights — independent of how inference groups the kernel.
-// Declared level values hit the precomputed columns; anything else falls
-// back to dimFactor, bit-identically.
-func (n *Network) evalFactored(x []float64, dst []float64) {
+// evalBasisInto writes every basis activation s · P_c into
+// dst[0:NumCenters]. Training builds the design matrix through this
+// function, multiplying s in first and then each varying factor, which
+// keeps the design matrix — and so the fitted weights — independent of
+// how inference groups the kernel. Declared level values hit the
+// precomputed columns; anything else falls back to dimFactor,
+// bit-identically.
+func (n *Network) evalBasisInto(x []float64, dst []float64) {
 	s := n.sharedFactor(x)
-	var lvl [maxFactoredDims]int
+	var lvl [maxDims]int
 	n.resolveVarying(x, &lvl)
-	var cols [maxFactoredDims][]float64
+	var cols [maxDims][]float64
 	n.levelCols(lvl[:], &cols)
 	var prod [blockSize]float64
 	m := len(n.centers)
@@ -577,17 +559,21 @@ func (n *Network) evalFactored(x []float64, dst []float64) {
 }
 
 // resolveVarying is ResolveLevels against the network's own declaration,
-// restricted to the varying dimensions (the only ones the factored kernel
-// indexes).
-func (n *Network) resolveVarying(x []float64, lvl *[maxFactoredDims]int) {
+// restricted to the varying dimensions (the only ones the factor columns
+// index).
+func (n *Network) resolveVarying(x []float64, lvl *[maxDims]int) {
 	for k, j := range n.varyIdx {
 		lvl[j] = indexOf(n.varyTabVal[k], x[j])
 	}
 }
 
-// Train fits an RBF network to xs (n samples × d features) and ys.
+// Train fits an RBF network to xs (n samples × d features, d at most 16)
+// and ys.
 func Train(xs [][]float64, ys []float64, opts Options) (*Network, error) {
 	opts = opts.withDefaults()
+	if len(xs) > 0 && len(xs[0]) > maxDims {
+		return nil, fmt.Errorf("rbf: %d input dimensions, at most %d supported", len(xs[0]), maxDims)
+	}
 	tree, err := regtree.Fit(xs, ys, opts.Tree)
 	if err != nil {
 		return nil, fmt.Errorf("rbf: %w", err)
@@ -638,12 +624,11 @@ func fitAtScale(tree *regtree.Tree, nodes []*regtree.Node, xs [][]float64, ys []
 		net.centers = append(net.centers, center)
 		net.radii = append(net.radii, radius)
 	}
-	// Finalize (and bind the declared level factors) before building H so
+	// Finalize (binding the declared level factors) before building H so
 	// training evaluates each activation s · P_c through the same factor
 	// columns Predict uses. Predict groups the kernel as s · Σ w_c·P_c, so
 	// H·w and Predict agree to ~1e-12 relative rounding.
-	net.finalize()
-	net.bindDimLevels(opts.DimLevels)
+	net.finalize(opts.DimLevels)
 
 	n := len(xs)
 	m := len(net.centers)
@@ -702,10 +687,10 @@ func fitAtScale(tree *regtree.Tree, nodes []*regtree.Node, xs [][]float64, ys []
 	return net, nil
 }
 
-// blockSize is how many centres have their squared distances accumulated
-// before the exponentials are taken: large enough that the independent
-// mathx.ExpFast chains pipeline, small enough that the sums buffer lives
-// in registers/stack.
+// blockSize is how many centres' varying products are built side by side:
+// large enough that the independent mathx.ExpFast chains of on-the-fly
+// factors pipeline, small enough that the product buffer lives in
+// registers/stack.
 const blockSize = 16
 
 // sharedSum computes the squared-distance contribution of the shared
@@ -719,60 +704,12 @@ func (n *Network) sharedSum(x []float64) float64 {
 	return s
 }
 
-// blockSums writes the negated squared-distance sums for centres
-// [c0, c0+cn) into sums, accumulating only the varying dimensions on top
-// of the precomputed shared contribution. This is the single definition of
-// the fused kernel's basis-function argument: predictFused and
-// evalBasisInto (and through it the training design matrix) both evaluate
-// distances through this function.
-func (n *Network) blockSums(x []float64, shared float64, c0, cn int, sums *[blockSize]float64) {
-	stride := len(n.varyIdx)
-	base := c0 * stride
-	for i := 0; i < cn; i++ {
-		sum := shared
-		fc := n.flatCenters[base : base+stride]
-		fr := n.flatInvRad[base : base+stride]
-		for k, j := range n.varyIdx {
-			d := (x[j] - fc[k]) * fr[k]
-			sum += d * d
-		}
-		sums[i] = -sum
-		base += stride
-	}
-}
-
-// evalBasisInto writes every basis activation exp(−‖(x−μᵢ)/θᵢ‖²) into
-// dst[0:NumCenters]. Training builds the design matrix through this
-// function, so the fitted weights see the kernel Predict evaluates.
-func (n *Network) evalBasisInto(x []float64, dst []float64) {
-	if n.factored {
-		n.evalFactored(x, dst)
-		return
-	}
-	shared := n.sharedSum(x)
-	var sums [blockSize]float64
-	m := len(n.centers)
-	for c0 := 0; c0 < m; c0 += blockSize {
-		cn := m - c0
-		if cn > blockSize {
-			cn = blockSize
-		}
-		n.blockSums(x, shared, c0, cn, &sums)
-		for i := 0; i < cn; i++ {
-			dst[c0+i] = mathx.ExpFast(sums[i])
-		}
-	}
-}
-
 // Predict evaluates the network at x. It allocates nothing, so concurrent
-// sweep workers can call it on shared networks at full speed. A factored
-// network resolves x's level indices in every dimension it has a table
-// for and evaluates through PredictLevels, so the two are bit-identical.
+// sweep workers can call it on shared networks at full speed. It resolves
+// x's level indices in every dimension the network has a table for and
+// evaluates through PredictLevels, so the two are bit-identical.
 func (n *Network) Predict(x []float64) float64 {
-	if !n.factored {
-		return n.predictFused(x)
-	}
-	var lvl [maxFactoredDims]int
+	var lvl [maxDims]int
 	n.resolveVarying(x, &lvl)
 	if n.sharedTab != nil {
 		// PredictLevels reads the shared dimensions' indices only when
@@ -787,20 +724,17 @@ func (n *Network) Predict(x []float64) float64 {
 // PredictLevels evaluates the network at x given lvl, x's per-dimension
 // level indices as ResolveLevels writes them against this network's
 // declaration (DimLevels). When every dimension is on-level and both
-// tables exist, the factored kernel costs two table lookups and one
+// tables exist, the kernel costs two table lookups and one
 // multiply; a missing shared table (or an off-level shared dimension)
 // costs the shared exponential instead, and a missing level table (or
 // an off-level varying dimension) computes the varying sum from the
 // factor columns, falling back to on-the-fly factors for off-level
-// values. lvl must cover every input dimension; networks without a
-// declaration ignore it.
+// values. lvl must cover every input dimension; without a declaration
+// every index is -1.
 func (n *Network) PredictLevels(x []float64, lvl []int) float64 {
-	if !n.factored {
-		return n.predictFused(x)
-	}
 	g, ok := lookup(n.levelTab, n.varyIdx, n.levelStride, lvl)
 	if !ok {
-		var cols [maxFactoredDims][]float64
+		var cols [maxDims][]float64
 		n.levelCols(lvl, &cols)
 		g = n.varyingSum(x, &cols)
 	}
@@ -835,44 +769,13 @@ func lookup(tab []float64, dims, stride, lvl []int) (float64, bool) {
 	return tab[idx], true
 }
 
-// predictFused evaluates the fused exp-of-sum kernel (no declaration).
-// Centres are processed in blocks: squared distances for a block are
-// accumulated first, then the exponentials are taken back to back so
-// their independent dependency chains overlap in the pipeline.
-func (n *Network) predictFused(x []float64) float64 {
-	shared := n.sharedSum(x)
-	var sums [blockSize]float64
-	var out float64
-	m := len(n.centers)
-	for c0 := 0; c0 < m; c0 += blockSize {
-		cn := min(m-c0, blockSize)
-		n.blockSums(x, shared, c0, cn, &sums)
-		for i := 0; i < cn; i++ {
-			out += n.weights[c0+i] * mathx.ExpFast(sums[i])
-		}
-	}
-	if n.hasBias {
-		out += n.weights[m]
-	}
-	return out
-}
-
-// PredictBatch evaluates the network at every row of xs, writing results
-// into dst (which must have len(xs) capacity; pass dst[:0] of a reused
-// buffer for an allocation-free call) and returning the filled slice.
-// Each output is bit-identical to Predict on the same row — the batch
-// form exists so block evaluation amortises bounds checks and keeps the
-// flattened centre tables hot in cache across designs.
-func (n *Network) PredictBatch(xs [][]float64, dst []float64) []float64 {
-	for _, x := range xs {
-		dst = append(dst, n.Predict(x))
-	}
-	return dst
-}
-
-// DimLevels returns the level declaration the network's factored kernel is
-// bound to (nil for the fused kernel). Callers must not modify it.
+// DimLevels returns the level declaration the network is bound to (nil
+// when it was trained without one: every dimension continuous). Callers
+// must not modify it.
 func (n *Network) DimLevels() [][]float64 { return n.dimLevels }
+
+// NumInputs returns the input dimension the network was trained on.
+func (n *Network) NumInputs() int { return n.dim }
 
 // NumCenters returns the number of basis functions (excluding the bias).
 func (n *Network) NumCenters() int { return len(n.centers) }

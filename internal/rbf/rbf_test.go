@@ -1,6 +1,7 @@
 package rbf
 
 import (
+	"encoding/json"
 	"math"
 	"slices"
 	"testing"
@@ -90,6 +91,11 @@ func TestTrainErrors(t *testing.T) {
 	if _, err := Train(nil, nil, Options{}); err == nil {
 		t.Error("empty input should fail")
 	}
+	wide := [][]float64{make([]float64, maxDims+1), make([]float64, maxDims+1)}
+	wide[1][0] = 1
+	if _, err := Train(wide, []float64{0, 1}, Options{}); err == nil {
+		t.Errorf("%d input dimensions should fail", maxDims+1)
+	}
 }
 
 func TestMaxCentersCap(t *testing.T) {
@@ -153,7 +159,7 @@ func TestGaussianShape(t *testing.T) {
 		centers: [][]float64{{0.5, 0.5}},
 		radii:   [][]float64{{0.2, 0.2}},
 	}
-	net.finalize()
+	net.finalize(nil)
 	basis := make([]float64, 1)
 	at := func(x []float64) float64 {
 		net.evalBasisInto(x, basis)
@@ -170,8 +176,8 @@ func TestGaussianShape(t *testing.T) {
 	}
 }
 
-// TestSharedDimFactorization checks the factored evaluation against the
-// unfactored definition: with one dimension identical across centres and
+// TestSharedDimFactorization checks the kernel's shared/varying split
+// against its definition: with one dimension identical across centres and
 // one varying, activations must equal the kernel evaluated over all
 // dimensions, and finalize must classify the dimensions correctly.
 func TestSharedDimFactorization(t *testing.T) {
@@ -179,7 +185,7 @@ func TestSharedDimFactorization(t *testing.T) {
 		centers: [][]float64{{0.5, 0.2}, {0.5, 0.8}, {0.5, 0.4}},
 		radii:   [][]float64{{0.3, 0.1}, {0.3, 0.25}, {0.3, 0.15}},
 	}
-	net.finalize()
+	net.finalize(nil)
 	if len(net.sharedIdx) != 1 || net.sharedIdx[0] != 0 {
 		t.Fatalf("sharedIdx = %v, want [0]", net.sharedIdx)
 	}
@@ -202,25 +208,6 @@ func TestSharedDimFactorization(t *testing.T) {
 	}
 }
 
-func TestPredictBatchMatchesPredict(t *testing.T) {
-	rng := mathx.NewRNG(9)
-	xs, ys := makeSmooth(rng, 150)
-	net, err := Train(xs, ys, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	probes, _ := makeSmooth(rng, 40)
-	dst := net.PredictBatch(probes, make([]float64, 0, len(probes)))
-	if len(dst) != len(probes) {
-		t.Fatalf("PredictBatch returned %d results for %d inputs", len(dst), len(probes))
-	}
-	for i, x := range probes {
-		if got, want := dst[i], net.Predict(x); got != want {
-			t.Errorf("probe %d: PredictBatch = %v, Predict = %v (must be bit-identical)", i, got, want)
-		}
-	}
-}
-
 func TestPredictZeroAllocs(t *testing.T) {
 	rng := mathx.NewRNG(10)
 	xs, ys := makeSmooth(rng, 150)
@@ -234,13 +221,6 @@ func TestPredictZeroAllocs(t *testing.T) {
 		sink = net.Predict(probe)
 	}); allocs != 0 {
 		t.Errorf("Predict allocates %v per call, want 0", allocs)
-	}
-	probes, _ := makeSmooth(rng, 16)
-	dst := make([]float64, 0, len(probes))
-	if allocs := testing.AllocsPerRun(100, func() {
-		dst = net.PredictBatch(probes, dst[:0])
-	}); allocs != 0 {
-		t.Errorf("PredictBatch allocates %v per call, want 0", allocs)
 	}
 
 	// On-level probes take the level-table path; off-level ones the
@@ -286,7 +266,7 @@ func TestPersistRoundTripBitIdentical(t *testing.T) {
 		net    *Network
 		probes [][]float64
 	}{
-		{"fused/continuous", net, continuous},
+		{"undeclared/continuous", net, continuous},
 		{"levels/on-level", lnet, onLevel},
 		{"levels/off-level", lnet, offLevelProbes},
 	} {
@@ -305,6 +285,25 @@ func TestPersistRoundTripBitIdentical(t *testing.T) {
 			if got, want := restored.Predict(x), tc.net.Predict(x); got != want {
 				t.Errorf("%s probe %d: restored Predict = %v, original = %v (must be bit-identical)", tc.name, i, got, want)
 			}
+		}
+	}
+}
+
+// TestUnmarshalRefusesWideInputs: the kernel's scratch holds maxDims
+// input dimensions, so a file with wider centres is refused, not loaded.
+func TestUnmarshalRefusesWideInputs(t *testing.T) {
+	for _, dims := range []int{maxDims, maxDims + 1} {
+		ones := make([]float64, dims)
+		for j := range ones {
+			ones[j] = 1
+		}
+		blob, err := json.Marshal(networkFile{Centers: [][]float64{ones}, Radii: [][]float64{ones}, Weights: []float64{1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var n Network
+		if err := n.UnmarshalJSON(blob); (err != nil) != (dims > maxDims) {
+			t.Errorf("%d-wide centres: UnmarshalJSON error %v", dims, err)
 		}
 	}
 }
@@ -343,8 +342,8 @@ func trainLevels(t *testing.T, xs [][]float64, ys []float64, levels [][]float64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !net.factored || net.levelTab == nil {
-		t.Fatalf("network with declared levels has factored=%v, level table %v", net.factored, net.levelTab != nil)
+	if net.levelTab == nil {
+		t.Fatal("network with declared levels has no level table")
 	}
 	if len(net.varyIdx) < 2 {
 		t.Fatalf("varying dims %v: test data must make the basis vary in ≥2 dimensions", net.varyIdx)
@@ -359,10 +358,10 @@ func offLevel(x []float64, j int) []float64 {
 	return y
 }
 
-// onTheFly evaluates the factored kernel with every factor computed by
+// onTheFly evaluates the kernel with every factor computed by
 // dimFactor — no factor column, no level table.
 func onTheFly(n *Network, x []float64) float64 {
-	var cols [maxFactoredDims][]float64
+	var cols [maxDims][]float64
 	out := n.sharedFactor(x) * n.varyingSum(x, &cols)
 	if n.hasBias {
 		out += n.weights[len(n.centers)]
@@ -402,7 +401,7 @@ func closedFormTol(n *Network) float64 {
 // fastest, matching the level table's row-major order).
 func forEachLevelCombo(n *Network, base []float64, fn func(i int, x []float64)) {
 	x := append([]float64(nil), base...)
-	var digit [maxFactoredDims]int
+	var digit [maxDims]int
 	for i := 0; ; i++ {
 		for k, j := range n.varyIdx {
 			x[j] = n.varyTabVal[k][digit[k]]
@@ -463,7 +462,7 @@ func TestLevelTableBitIdenticalTable2(t *testing.T) {
 	for _, base := range [][]float64{space.Baseline().Vector(), xs[7]} {
 		forEachLevelCombo(net, base, func(i int, x []float64) {
 			ref := onTheFly(net, x)
-			var cols [maxFactoredDims][]float64
+			var cols [maxDims][]float64
 			if g := net.varyingSum(x, &cols); net.levelTab[i] != g {
 				t.Fatalf("combo %d: table entry %v, on-the-fly varying sum %v", i, net.levelTab[i], g)
 			}
@@ -610,14 +609,14 @@ func TestSharedTableCapFallback(t *testing.T) {
 func TestPredictMatchesClosedForm(t *testing.T) {
 	rng := mathx.NewRNG(13)
 	xs, ys := makeSmooth(rng, 150)
-	fused, err := Train(xs, ys, Options{})
+	undeclared, err := Train(xs, ys, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	continuous, _ := makeSmooth(rng, 50)
 	levels := gridLevels(4, 5)
 	lxs, lys := makeLevelData(rng, levels, 200)
-	factored := trainLevels(t, lxs, lys, levels)
+	declared := trainLevels(t, lxs, lys, levels)
 	onLevel, _ := makeLevelData(rng, levels, 50)
 	offLevelProbes := make([][]float64, len(onLevel))
 	for i, x := range onLevel {
@@ -628,9 +627,9 @@ func TestPredictMatchesClosedForm(t *testing.T) {
 		net    *Network
 		probes [][]float64
 	}{
-		{"fused", fused, continuous},
-		{"levels/on-level", factored, onLevel},
-		{"levels/off-level", factored, offLevelProbes},
+		{"undeclared", undeclared, continuous},
+		{"levels/on-level", declared, onLevel},
+		{"levels/off-level", declared, offLevelProbes},
 	} {
 		tol := closedFormTol(tc.net)
 		for i, x := range tc.probes {
@@ -644,8 +643,9 @@ func TestPredictMatchesClosedForm(t *testing.T) {
 // TestLevelTableCapFallback declares a superset of the training levels
 // whose varying-dimension product exceeds maxLevelTable. The network must
 // skip the table yet predict bit-identically to one trained on the same
-// data with the small declaration: both fit through the same factor
-// values, so even their weights agree.
+// data with the small declaration, and so must one trained with no
+// declaration at all: all three fit through the same factor values, so
+// even their weights agree.
 func TestLevelTableCapFallback(t *testing.T) {
 	rng := mathx.NewRNG(14)
 	small := gridLevels(4, 5)
@@ -656,9 +656,15 @@ func TestLevelTableCapFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !capped.factored || capped.levelTab != nil {
-		t.Fatalf("201 levels in %d varying dims: factored=%v, level table built=%v; want factored without a table",
-			len(capped.varyIdx), capped.factored, capped.levelTab != nil)
+	if capped.levelTab != nil {
+		t.Fatalf("201 levels in %d varying dims: level table built; want none", len(capped.varyIdx))
+	}
+	undeclared, err := Train(xs, ys, Options{Tree: regtree.Options{MinLeafSize: 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if undeclared.DimLevels() != nil || undeclared.levelTab != nil {
+		t.Fatal("a network trained without a declaration has one, or a level table")
 	}
 	probes, _ := makeLevelData(rng, small, 100)
 	for i := range probes[:50] {
@@ -673,6 +679,13 @@ func TestLevelTableCapFallback(t *testing.T) {
 		ResolveLevels(big, x, lvl)
 		if got := capped.PredictLevels(x, lvl); got != want {
 			t.Fatalf("probe %d: capped PredictLevels %v, tabled %v", i, got, want)
+		}
+		if got := undeclared.Predict(x); got != want {
+			t.Fatalf("probe %d: undeclared Predict %v, tabled %v", i, got, want)
+		}
+		ResolveLevels(nil, x, lvl)
+		if got := undeclared.PredictLevels(x, lvl); got != want {
+			t.Fatalf("probe %d: undeclared PredictLevels %v, tabled %v", i, got, want)
 		}
 	}
 }

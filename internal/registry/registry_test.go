@@ -305,6 +305,50 @@ func TestCorruptModelFallsBackToRetraining(t *testing.T) {
 	}
 }
 
+// TestUndeclaredModelFallsBackToRetraining: a model file whose networks
+// carry no level declaration predates the declared kernel, so core.Load
+// refuses it; the warm start drops it, keeps its intact sibling and
+// retrains it on demand.
+func TestUndeclaredModelFallsBackToRetraining(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := openStore(t, dir, &countingTrainer{}).LoadOrTrain(context.Background(), "gcc", sim.MetricCPI); err != nil {
+		t.Fatal(err)
+	}
+	victim := filepath.Join(dir, modelFileName("gcc", sim.MetricCPI))
+	data, err := os.ReadFile(victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file map[string]any
+	if err := json.Unmarshal(data, &file); err != nil {
+		t.Fatal(err)
+	}
+	for _, net := range file["nets"].([]any) {
+		delete(net.(map[string]any), "dim_levels")
+	}
+	if data, err = json.Marshal(file); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(victim, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	tr := &countingTrainer{}
+	s := openStore(t, dir, tr)
+	if _, ok := s.Get("gcc", sim.MetricPower); !ok {
+		t.Error("intact sibling model should warm-start")
+	}
+	if _, ok := s.Get("gcc", sim.MetricCPI); ok {
+		t.Fatal("a model without level declarations should not warm-start")
+	}
+	if _, err := s.LoadOrTrain(context.Background(), "gcc", sim.MetricCPI); err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.calls.Load(); got != 1 {
+		t.Fatalf("retraining the undeclared model ran %d times, want 1", got)
+	}
+}
+
 func TestManifestVersionMismatchColdStarts(t *testing.T) {
 	dir := t.TempDir()
 	s1 := openStore(t, dir, &countingTrainer{})

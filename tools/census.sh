@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # census.sh is the production-reachability census of the serving and
-# control plane: it runs the daemons the way CI and a user do, with
-# coverage instrumentation on, and lists every plane function no run
+# control plane and of the modelling core: it runs the daemons the way CI
+# and a user do, and every experiment of the paper, with coverage
+# instrumentation on, and lists every plane and core function no run
 # reached. A function on that list is either dead code or a fault path;
 # for the latter, a unit test has to be what drives it.
 #
@@ -14,8 +15,11 @@
 #      to the work directory;
 #   3. run `dse -daemon` pareto over the full factorial and a sampled
 #      sweep, on a lone daemon and on a two-peer `-parallel 1` fleet;
-#   4. merge the counters with `go tool covdata textfmt` and print the
-#      plane functions at 0%.
+#   4. run `dse -exp all -scale quick` (every table, figure, ablation and
+#      the scorecard) in process;
+#   5. merge the counters with `go tool covdata textfmt` and print the
+#      plane functions at 0%, then those of the modelling core
+#      (internal/{rbf,core,mathx,stats,wavelet,space,explore}).
 # Every daemon is stopped with SIGTERM, so it flushes its counters
 # (a SIGKILLed process writes none). Ports 9101-9104, 9201-9204,
 # 9401-9404 and 9501-9504 must be free. Exit status 1 means a leg
@@ -98,7 +102,10 @@ wait_for() {
   return 1
 }
 
-tiny="-benchmarks gcc -metrics CPI,Power -train 8 -candidates 2 -samples 16 -instrs 16384 -k 8 -quiet"
+# 32 training designs is the least that gives gcc's mean networks both
+# level tables, so window jobs take the lattice and prune routes that
+# dsed's default scale takes.
+tiny="-benchmarks gcc -metrics CPI,Power -train 32 -candidates 2 -samples 16 -instrs 16384 -k 8 -quiet"
 # shellcheck disable=SC2086
 "$work/dsed" -addr 127.0.0.1:9501 $tiny &
 wait_for 127.0.0.1:9501/v1/healthz '"status":"ok"' && run_dse 127.0.0.1:9501 "a lone daemon"
@@ -112,10 +119,22 @@ peer="-heartbeat 1s -parallel 1 -replicate 1"
 wait_for 127.0.0.1:9502/v1/metricsz '^dsed_cluster_members 2$' && run_dse 127.0.0.1:9502 "a two-peer fleet"
 stop
 
+if "$work/dse" -exp all -scale quick > "$work/all.log" 2>&1; then
+  echo "census: dse -exp all -scale quick: ok"
+else
+  echo "census: dse -exp all -scale quick: FAILED (log: $work/all.log)"
+  tail -5 "$work/all.log"
+  status=1
+fi
+
 go tool covdata textfmt -i="$work/cover" -o "$work/cover.txt" || exit 2
 go tool cover -func="$work/cover.txt" > "$work/funcs.txt" || exit 2
-plane='repro/(cmd/dsed|internal/(api|cluster|gossip|wire)|pkg/dsedclient)/'
-echo "census: plane functions no run reached (file:line function):"
-grep -E "^$plane" "$work/funcs.txt" | awk '$NF == "0.0%" { sub(/^repro\//, "", $1); print "  " $1, $2 }'
-echo "census: $(grep -E "^$plane" "$work/funcs.txt" | awk '$NF == "0.0%"' | wc -l) unreached of $(grep -cE "^$plane" "$work/funcs.txt") plane functions"
+# unreached LABEL PATTERN lists the functions under PATTERN at 0%.
+unreached() {
+  echo "census: $1 functions no run reached (file:line function):"
+  grep -E "^$2" "$work/funcs.txt" | awk '$NF == "0.0%" { sub(/^repro\//, "", $1); print "  " $1, $2 }'
+  echo "census: $(grep -E "^$2" "$work/funcs.txt" | awk '$NF == "0.0%"' | wc -l) unreached of $(grep -cE "^$2" "$work/funcs.txt") $1 functions"
+}
+unreached plane 'repro/(cmd/dsed|internal/(api|cluster|gossip|wire)|pkg/dsedclient)/'
+unreached core 'repro/internal/(rbf|core|mathx|stats|wavelet|space|explore)/'
 exit $status
