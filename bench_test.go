@@ -13,7 +13,9 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/explore"
@@ -683,6 +685,85 @@ func BenchmarkExploreSweepFactorial(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(w.Count)*float64(b.N)/b.Elapsed().Seconds(), "designs/s")
+		})
+	}
+}
+
+// benchShardModels trains two Haar predictors whose mean objectives
+// conflict in fetch width and agree in ROB and IQ size, so a train-window
+// frontier has a few dozen points, as gcc's CPI/Power one does (41),
+// rather than benchExploreModels' 3,543.
+func benchShardModels(b *testing.B) []core.DynamicsModel {
+	b.Helper()
+	train := space.LHS(100, space.TrainLevels(), space.Baseline(), mathx.NewRNG(40))
+	fit := func(trace func(x []float64, s int) float64) core.DynamicsModel {
+		traces := make([][]float64, len(train))
+		for i, cfg := range train {
+			x := cfg.Vector()
+			traces[i] = make([]float64, 64)
+			for s := range traces[i] {
+				traces[i][s] = trace(x, s)
+			}
+		}
+		p, err := core.Train(train, traces, core.Options{NumCoefficients: 8})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return p
+	}
+	return []core.DynamicsModel{
+		fit(func(x []float64, s int) float64 { return 3 - 2*x[0] + 1.5*x[1] + x[2] + 0.1*x[8]*float64(s%2) }),
+		fit(func(x []float64, s int) float64 { return 20 + 60*x[0] + 20*x[1] + 10*x[2] + 2*x[7] }),
+	}
+}
+
+// BenchmarkExploreSweepShards sweeps the train factorial as a fleet
+// owner carves it: 120 windows of 2,048 designs, one after another, each
+// into its own FrontierCollector on 1 worker, each partial merged and the
+// merged frontier snapshotted as every merge does. The seeded case seeds
+// each shard with cluster.IncumbentOf that snapshot, as the coordinator
+// does, so shards prune against the job's frontier instead of starting
+// from an empty incumbent (fresh). scored/op counts the designs scored.
+func BenchmarkExploreSweepShards(b *testing.B) {
+	models := benchShardModels(b)
+	levels := space.TrainLevels()
+	objectives := []explore.Objective{
+		explore.MeanObjective("cpi"),
+		explore.MeanObjective("power"),
+	}
+	const shard = 2048
+	n := levels.NumDesigns()
+	for _, seeded := range []bool{false, true} {
+		name := "fresh"
+		if seeded {
+			name = "seeded"
+		}
+		b.Run(name, func(b *testing.B) {
+			scored := 0
+			opts := explore.Options{Workers: 1, ChunkDone: func(_, s int, _ time.Duration) { scored += s }}
+			for i := 0; i < b.N; i++ {
+				merged := explore.NewFrontierCollector()
+				var incumbent [][]float64
+				for start := 0; start < n; start += shard {
+					w := space.Window{Levels: levels, Base: space.Baseline(), Offset: start, Count: min(shard, n-start)}
+					fc := explore.NewFrontierCollector()
+					if seeded {
+						fc.Seed(incumbent)
+					}
+					if err := explore.SweepWindow(context.Background(), w, models, objectives, opts, fc); err != nil {
+						b.Fatal(err)
+					}
+					for j, c := range fc.Frontier() {
+						merged.Collect(start+j, c)
+					}
+					incumbent = cluster.IncumbentOf(merged.Frontier())
+				}
+				if len(incumbent) == 0 {
+					b.Fatal("empty frontier")
+				}
+			}
+			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "designs/s")
+			b.ReportMetric(float64(scored)/float64(b.N), "scored/op")
 		})
 	}
 }

@@ -353,7 +353,7 @@ func mustMetric(name string) sim.Metric {
 // models.
 func (s *Server) handleSubmit(kind wire.JobKind) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if spec, early, ok := decodeJob(w, r, kind); ok {
+		if spec, early, ok := decodeJob(w, r, kind, false); ok {
 			s.submit(w, r, spec, len(early), s.runLocal(spec, early))
 		}
 	}

@@ -202,23 +202,35 @@ func (a *jobAPI) submit(w http.ResponseWriter, r *http.Request, spec wire.JobSpe
 	writeJSON(w, r, http.StatusAccepted, job.Status(false))
 }
 
-// decodeJob decodes and validates a submission or a shard of the given
-// kind and resolves its early designs. The kind picks the strict decode
-// target, so a field of the other kind's body is a 400, and so is the
-// local scope that once marked a shard. A malformed request
-// fails here, before a job exists, and never triggers an on-demand
-// training run. It writes the 4xx itself and reports whether the
-// request survived.
-func decodeJob(w http.ResponseWriter, r *http.Request, kind wire.JobKind) (wire.JobSpec, []space.Config, bool) {
+// decodeJob decodes and validates a submission, or a shard when shard
+// is set, of the given kind and resolves its early designs. The kind
+// picks the strict decode target, so a field of the other kind's body is
+// a 400, and so is the local scope that once marked a shard. An
+// incumbent is a 400 naming /v1/shards on a submission, and on a shard
+// other than a frontier window, whose sweep is the only one that prunes.
+// A malformed request fails here, before a job exists, and never
+// triggers an on-demand training run. It writes the 4xx itself and
+// reports whether the request survived.
+func decodeJob(w http.ResponseWriter, r *http.Request, kind wire.JobKind, shard bool) (wire.JobSpec, []space.Config, bool) {
 	req := wire.NewJobRequest(kind)
 	if !decodePost(w, r, req) {
 		return wire.JobSpec{}, nil, false
+	}
+	spec := req.Spec()
+	if spec.Incumbent != nil {
+		if !shard {
+			httpError(w, r, http.StatusBadRequest, "incumbent is not a job field: a peer seeds a fleet shard at POST /v1/shards")
+			return wire.JobSpec{}, nil, false
+		}
+		if _, window := spec.FactorialWindow(); kind != wire.JobPareto || !window {
+			httpError(w, r, http.StatusBadRequest, "incumbent seeds only a frontier shard over a window of a named space at POST /v1/shards")
+			return wire.JobSpec{}, nil, false
+		}
 	}
 	if err := req.Validate(); err != nil {
 		httpError(w, r, http.StatusBadRequest, "%v", err)
 		return wire.JobSpec{}, nil, false
 	}
-	spec := req.Spec()
 	if spec.Scope == wire.ScopeLocal {
 		httpError(w, r, http.StatusBadRequest, "scope %q is not a job scope: a peer runs a fleet shard at POST /v1/shards", spec.Scope)
 		return wire.JobSpec{}, nil, false

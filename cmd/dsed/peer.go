@@ -334,16 +334,17 @@ func redirectTo(w http.ResponseWriter, r *http.Request, addr string) {
 // owns, coordinates and replicates.
 func (ps *peerServer) handleSubmit(kind wire.JobKind) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if spec, early, ok := decodeJob(w, r, kind); ok {
+		if spec, early, ok := decodeJob(w, r, kind, false); ok {
 			ps.srv.submit(w, r, spec, len(early), ps.runFleet(spec, early, nil))
 		}
 	}
 }
 
 // handleShard serves POST /v1/shards?kind=: a shard another peer placed
-// here (a window on a named space or pinned designs), run on this peer's
-// Local and answered in one body with only its own spans, recorded in a
-// store of the request's own. The request's context is the shard's: an
+// here (a window on a named space or pinned designs; a frontier window
+// may carry its owner's incumbent, see cluster.Shard.Incumbent), run on
+// this peer's Local and answered in one body with only its own spans,
+// recorded in a store of the request's own. The request's context is the shard's: an
 // owner that drops the call (a lost hedge, a cancelled job) stops it.
 func (ps *peerServer) handleShard(w http.ResponseWriter, r *http.Request) {
 	kind := wire.JobKind(r.URL.Query().Get("kind"))
@@ -351,13 +352,13 @@ func (ps *peerServer) handleShard(w http.ResponseWriter, r *http.Request) {
 		httpError(w, r, http.StatusBadRequest, "unknown kind %q (sweep, pareto)", kind)
 		return
 	}
-	spec, early, ok := decodeJob(w, r, kind)
+	spec, early, ok := decodeJob(w, r, kind, true)
 	if !ok {
 		return
 	}
 	shard := cluster.Shard{Count: len(early), Designs: early}
 	if win, ok := spec.FactorialWindow(); ok {
-		shard = cluster.Shard{Count: win.Count}
+		shard = cluster.Shard{Count: win.Count, Incumbent: spec.Incumbent}
 	} else if early == nil {
 		httpError(w, r, http.StatusBadRequest, "a shard is a window on a named space or a pinned design list, not a sample")
 		return

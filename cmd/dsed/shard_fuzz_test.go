@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -109,6 +110,11 @@ func FuzzShardResponse(f *testing.F) {
 	})
 }
 
+// incumbentShard is fuzzShardBody carrying the given incumbent.
+func incumbentShard(incumbent string) string {
+	return strings.TrimSuffix(fuzzShardBody, "}") + `,"incumbent":` + incumbent + "}"
+}
+
 func FuzzShardRequest(f *testing.F) {
 	for _, seed := range []struct{ kind, body string }{
 		{"pareto", fuzzShardBody},
@@ -119,6 +125,11 @@ func FuzzShardRequest(f *testing.F) {
 		{"pareto", `{"benchmark":"gcc","objectives":[{"metric":"CPI"}],"scope":"local"}`},
 		{"pareto", `{}`},
 		{"", `{"benchmark":"gcc"}`},
+		{"pareto", incumbentShard(`[[1.25,40],[1.5,30.5],[2,20]]`)},
+		{"pareto", incumbentShard(`[` + strings.Repeat(`[1,2],`, wire.MaxIncumbent) + `[1,2]]`)},
+		{"pareto", incumbentShard(`[[NaN,2]]`)},
+		{"pareto", incumbentShard(`[[1.25,40],[1.5]]`)},
+		{"sweep", incumbentShard(`[[1.25,40]]`)},
 	} {
 		f.Add(seed.kind, []byte(seed.body))
 	}

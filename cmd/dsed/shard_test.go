@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -202,6 +203,57 @@ func TestHedgeCancelsRemoteShard(t *testing.T) {
 	for i, s := range ended {
 		if s.err == nil || s.status != http.StatusServiceUnavailable {
 			t.Errorf("gated shard %d ended with context error %v and status %d, want cancelled and 503", i, s.err, s.status)
+		}
+	}
+}
+
+// TestShardIncumbentRefusals: an incumbent seeds only a frontier shard
+// over a window at POST /v1/shards, with at most wire.MaxIncumbent points
+// of one finite score per objective. A job submission carrying one is a
+// 400 naming /v1/shards, as a local scope is; so is a top-K or pinned
+// shard carrying one, and any malformed incumbent.
+func TestShardIncumbentRefusals(t *testing.T) {
+	_, _, peers := peerFleet(t, fleetSpec{peers: 1})
+	h := peers[0].Handler()
+	points := func(n int) string {
+		p := make([]string, n)
+		for i := range p {
+			p[i] = fmt.Sprintf("[%d.5,%d]", i, 90-i)
+		}
+		return "[" + strings.Join(p, ",") + "]"
+	}
+	window := func(incumbent string) string {
+		return `{"benchmark":"gcc","objectives":[{"metric":"CPI"},{"metric":"Power"}],"space":"test","offset":0,"count":100,"incumbent":` + incumbent + `}`
+	}
+	if rec := postShard(h, "pareto", []byte(window(points(wire.MaxIncumbent))), ""); rec.Code != http.StatusOK {
+		t.Fatalf("a %d-point incumbent answered %d: %s", wire.MaxIncumbent, rec.Code, rec.Body)
+	}
+	for _, tc := range []struct {
+		name, kind, body string
+	}{
+		{"too many points", "pareto", window(points(wire.MaxIncumbent + 1))},
+		{"width mismatch", "pareto", window(`[[1.5,2],[1.5]]`)},
+		{"NaN", "pareto", window(`[[NaN,2]]`)},
+		{"overflow", "pareto", window(`[[1e999,2]]`)},
+		{"top-K shard", "sweep", window(points(2))},
+		{"pinned shard", "pareto", `{"benchmark":"gcc","objectives":[{"metric":"CPI"}],"designs":[{"fetch_width":2}],"incumbent":[[1]]}`},
+	} {
+		if rec := postShard(h, tc.kind, []byte(tc.body), ""); rec.Code != http.StatusBadRequest {
+			t.Errorf("%s: answered %d, want 400: %s", tc.name, rec.Code, rec.Body)
+		}
+	}
+	single := testServer(t).Handler()
+	for _, h := range []http.Handler{h, single} {
+		for _, path := range []string{"/v1/pareto", "/v1/sweeps"} {
+			for _, inc := range []string{points(2), points(wire.MaxIncumbent + 1)} {
+				req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(window(inc)))
+				req.Header.Set("Content-Type", "application/json")
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, req)
+				if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "/v1/shards") {
+					t.Errorf("incumbent on %s answered %d, want a 400 naming /v1/shards: %s", path, rec.Code, rec.Body)
+				}
+			}
 		}
 	}
 }

@@ -508,3 +508,79 @@ func TestAdoptedWindowedJobMatchesUninterrupted(t *testing.T) {
 		}
 	}
 }
+
+// Every remote shard of a frontier job carved after the first merge
+// carries a non-empty incumbent from the merged frontier: at most
+// wire.MaxIncumbent points of one score per objective, inside the 1 KB
+// windowed body, and its dispatch span counts the points it sent. The
+// answer stays the single-process frontier. A top-K job's shards carry
+// none.
+func TestWindowedShardsCarryIncumbent(t *testing.T) {
+	worker, recs, _ := peerFleet(t, fleetSpec{peers: 1})
+	store := obs.NewTraceStore(0)
+	tracer := obs.NewTracer("owner", store, nil)
+	// One dispatcher: shard i is carved after shard i-1 merged.
+	coord, err := cluster.New([]cluster.Transport{cluster.NewHTTP(worker.URL, nil)},
+		cluster.Options{ShardSize: 400, Parallelism: 1, Tracer: tracer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := wire.SpaceSpec{Space: "test", Offset: 300, Count: 5000}
+	pareto := wire.ParetoRequest{Benchmark: "gcc", Objectives: frontierObjectives, SpaceSpec: sp}
+	designs, err := sp.ResolveLate(context.Background(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, root := tracer.Start(context.Background(), "job")
+	res, err := coord.Run(ctx, cluster.QueryOf(pareto.Spec()), len(designs), nil, nil)
+	root.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameCandidates(t, "seeded windowed frontier", wire.ToCandidates(res.Candidates), singleFrontier(t, designs))
+	bodies := shards(recs[0])
+	requireCover(t, windowsOf(t, bodies, "test"), [][2]int{{300, 5000}})
+	if len(bodies) != res.Shards || len(bodies) < 3 {
+		t.Fatalf("%d shard bodies for %d shards, want several", len(bodies), res.Shards)
+	}
+	var sent []int
+	for i, body := range bodies {
+		var req wire.ParetoRequest
+		if err := json.Unmarshal(body, &req); err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 && len(req.Incumbent) == 0 || i == 0 && req.Incumbent != nil {
+			t.Fatalf("shard body %d carries %d incumbent points, want none first and some after: %s", i, len(req.Incumbent), body)
+		}
+		if len(req.Incumbent) > wire.MaxIncumbent || slices.ContainsFunc(req.Incumbent, func(p []float64) bool { return len(p) != len(frontierObjectives) }) {
+			t.Fatalf("shard body %d carries a malformed incumbent: %s", i, body)
+		}
+		sent = append(sent, len(req.Incumbent))
+	}
+	var attrs []int
+	for _, s := range store.Spans(root.Context().TraceID) {
+		if s.Name == "dispatch" {
+			n, err := strconv.Atoi(s.Attrs["incumbent"])
+			if err != nil {
+				t.Fatalf("dispatch span incumbent attribute %q: %v", s.Attrs["incumbent"], err)
+			}
+			attrs = append(attrs, n)
+		}
+	}
+	slices.Sort(attrs)
+	slices.Sort(sent)
+	if !slices.Equal(attrs, sent) {
+		t.Fatalf("dispatch spans count %v incumbent points, the bodies carried %v", attrs, sent)
+	}
+
+	sweep := wire.SweepRequest{Benchmark: "gcc", Objectives: frontierObjectives, SpaceSpec: sp, TopK: 5}
+	before := len(shards(recs[0]))
+	if _, err := coord.Run(context.Background(), cluster.QueryOf(sweep.Spec()), len(designs), nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, body := range shards(recs[0])[before:] {
+		if bytes.Contains(body, []byte(`"incumbent"`)) {
+			t.Fatalf("a top-K shard carries an incumbent: %s", body)
+		}
+	}
+}

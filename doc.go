@@ -213,7 +213,16 @@
 // cancelled job) stops the peer's work. A shard of a named,
 // unsampled space is an [offset, count) window on it (composed with the
 // job's own window), and a shard of an explicit or sampled job pins its
-// designs. While a fleet-scope job runs, its owner replicates the job's
+// designs. A frontier job's window shard also carries an incumbent: at
+// most 16 score vectors of the owner's merged frontier as of the last
+// merge, evenly spaced along the first objective with both extremes
+// kept. The shard's sweep seeds its prune test with them and its answer
+// leaves out what they beat in every objective, so the fleet's shards
+// prune nearly as one window does. Each vector is a real design's
+// scores that the final merge keeps or dominates, so final answers,
+// evaluated counts and shard counts stay byte-identical; only partial
+// snapshots differ. Top-K and pinned shards carry none. While a
+// fleet-scope job runs, its owner replicates the job's
 // spec to -replicate peers: once as the job starts and again every
 // -heartbeat, with its trace context and a sequence floor, never its
 // progress. Every answer is a deterministic function of the spec

@@ -247,6 +247,11 @@ func (c *Coordinator) ParetoObserved(ctx context.Context, q Query, designs []spa
 // unsampled space, whose shards travel as windows on Query.Space. obs,
 // when non-nil, sees the merged answer after every shard.
 //
+// A frontier job over windows seeds every shard carved after its first
+// merge with the merged frontier's IncumbentOf, refreshed from the
+// snapshot each merge takes, so shards prune as one window does. That
+// changes partials, never the merged answer (see Shard.Incumbent).
+//
 // A job whose owner died is re-run here from scratch by its adopter:
 // the answer is a deterministic function of the query, the designs and
 // the models, so the restart lands on the same answer byte for byte.
@@ -258,9 +263,11 @@ func (c *Coordinator) Run(ctx context.Context, q Query, n int, pinned []space.Co
 		return nil, fmt.Errorf("cluster: %d pinned designs for a %d-design job", len(pinned), n)
 	}
 	merged := q.NewCollector()
+	seeds := q.Kind != wire.JobSweep && pinned == nil
+	cv := &carver{n: n, pinned: pinned}
 	var mu sync.Mutex
 	evaluated, feasible, mergedShards := 0, 0, 0
-	shards, retries, err := c.run(ctx, q, &carver{n: n, pinned: pinned}, func(worker string, p *Partial) {
+	shards, retries, err := c.run(ctx, q, cv, func(worker string, p *Partial) {
 		c.metrics.mergeSize.Observe(float64(len(p.Candidates)))
 		workers := len(c.fleet())
 		mu.Lock()
@@ -274,8 +281,15 @@ func (c *Coordinator) Run(ctx context.Context, q Query, n int, pinned []space.Co
 		for _, ic := range p.Candidates {
 			merged.Collect(ic.Index, ic.Candidate)
 		}
+		if obs == nil && !seeds {
+			return
+		}
+		answer, _ := Snapshot(merged)
+		if seeds {
+			inc := IncumbentOf(answer)
+			cv.incumbent.Store(&inc)
+		}
 		if obs != nil {
-			answer, _ := Snapshot(merged)
 			obs(Progress{
 				Worker:     worker,
 				Delta:      p.Evaluated,
@@ -292,6 +306,24 @@ func (c *Coordinator) Run(ctx context.Context, q Query, n int, pinned []space.Co
 	}
 	answer, _ := Snapshot(merged)
 	return &Result{Evaluated: evaluated, Feasible: feasible, Candidates: answer, Shards: shards, Retries: retries}, nil
+}
+
+// IncumbentOf picks a shard's incumbent from a frontier sorted by its
+// first objective: at most wire.MaxIncumbent score vectors, evenly
+// spaced by rank along that order, both extremes always included. The
+// vectors alias the frontier's.
+func IncumbentOf(frontier []explore.Candidate) [][]float64 {
+	n := len(frontier)
+	k := min(n, wire.MaxIncumbent)
+	out := make([][]float64, k)
+	for i := range out {
+		j := 0
+		if k > 1 {
+			j = i * (n - 1) / (k - 1)
+		}
+		out[i] = frontier[j].Scores
+	}
+	return out
 }
 
 // run is the distribution engine: a bounded pool of dispatchers carves
@@ -475,6 +507,7 @@ func (c *Coordinator) runShard(ctx context.Context, q Query, s Shard, first *wor
 			span.SetAttr("worker", m.name)
 			span.SetAttr("shard_start", strconv.Itoa(s.Start))
 			span.SetAttr("designs", strconv.Itoa(s.Count))
+			span.SetAttr("incumbent", strconv.Itoa(len(s.Incumbent)))
 			if hedge {
 				span.SetAttr("hedge", "true")
 			}

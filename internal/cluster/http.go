@@ -14,8 +14,9 @@ import (
 // HTTP is a Transport over a peer's /v1 API, built on the shared typed
 // client (pkg/dsedclient). A shard is one synchronous POST /v1/shards:
 // a window when the query's space is named and unsampled, pinned designs
-// otherwise (see shardSpace), which the peer runs on its own Local,
-// answering with the shard's partial and spans. Cancelling the call (a
+// otherwise (see shardSpace), plus the shard's incumbent as the body's
+// "incumbent" field, which the peer runs on its own Local, answering
+// with the shard's partial and spans. Cancelling the call (a
 // lost hedge, an aborted job) stops the peer's work. Warm drives /v1/warm.
 type HTTP struct {
 	c *dsedclient.Client
@@ -90,6 +91,7 @@ func (h *HTTP) Evaluate(ctx context.Context, q Query, s Shard) (*Partial, error)
 		TopK:        q.TopK,
 		Objective:   q.Objective,
 		Constraints: constraints,
+		Incumbent:   s.Incumbent,
 	}}
 	// Request names a zero Kind's frontier query a pareto one.
 	resp, err := h.c.Shard(ctx, spec.Request())

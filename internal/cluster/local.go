@@ -59,13 +59,18 @@ func (l *Local) Warm(ctx context.Context, benchmarks []string) (int, error) {
 
 // Evaluate implements Transport: the shard streams through the query's
 // collector — a pinned shard's designs, or the window a design-less
-// shard names on the query's space.
+// shard names on the query's space — seeded on a frontier job with the
+// shard's incumbent, so the sweep prunes against it from its first
+// subtree and the partial leaves out the candidates it beats.
 func (l *Local) Evaluate(ctx context.Context, q Query, s Shard) (*Partial, error) {
 	models, objectives, err := q.Resolve(ctx, l.Tracer, l.resolve)
 	if err != nil {
 		return nil, err
 	}
 	col := q.NewCollector()
+	if fc, ok := col.(*explore.FrontierCollector); ok {
+		fc.Seed(s.Incumbent)
+	}
 	_, span := l.Tracer.Start(ctx, "phase:predict")
 	opts := explore.Options{Workers: l.Workers, ChunkDone: l.ChunkDone}
 	if s.Designs != nil {

@@ -3,6 +3,7 @@ package cluster
 import (
 	"slices"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/space"
 )
@@ -23,6 +24,10 @@ type carver struct {
 	n      int            // the job's design count
 	pinned []space.Config // its designs, when pinned (nil for a window)
 	off    int            // designs carved so far
+	// incumbent is what each shard carved from now on carries as
+	// Shard.Incumbent; a frontier job's Run replaces it after every
+	// merge of its window shards.
+	incumbent atomic.Pointer[[][]float64]
 }
 
 // take carves the next shard of up to size designs; ok is false once the
@@ -35,6 +40,9 @@ func (cv *carver) take(size int) (Shard, bool) {
 	shard := Shard{Start: cv.off, Count: size}
 	if cv.pinned != nil {
 		shard.Designs = cv.pinned[cv.off : cv.off+size]
+	}
+	if inc := cv.incumbent.Load(); inc != nil {
+		shard.Incumbent = *inc
 	}
 	cv.off += size
 	return shard, true

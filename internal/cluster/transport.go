@@ -138,6 +138,15 @@ type Shard struct {
 	// list or an LHS sample) and is nil for a named, unsampled space,
 	// whose shard is a window on Query.Space (see Query.Window).
 	Designs []space.Config
+	// Incumbent is the seed of a frontier job's window shard: at most
+	// wire.MaxIncumbent score vectors of the job's merged frontier when
+	// the shard was carved (IncumbentOf), read-only and shared between
+	// shards. The shard's sweep prunes the subtrees they beat and its
+	// partial leaves out the candidates they beat
+	// (explore.FrontierCollector.Seed). The merged answer is unchanged:
+	// each vector is a real design's scores that the job's frontier
+	// holds or dominates. Top-K and pinned shards carry none.
+	Incumbent [][]float64
 }
 
 // Window returns the factorial window shard s names on the query's

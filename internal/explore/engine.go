@@ -2,6 +2,7 @@ package explore
 
 import (
 	"context"
+	"fmt"
 	"math/bits"
 	"slices"
 	"sync"
@@ -81,12 +82,29 @@ func (c *chunk) config(j int) space.Config {
 // FrontierCollector keeps only non-dominated designs, so a subtree whose
 // every design some already scored point dominates need not be scored
 // (see worker.scoreWindow). TopK's feasible count needs every score.
+// When the one collector of a pruning sweep is seeded
+// (FrontierCollector.Seed), its seed vectors start every worker's
+// incumbent: that collector drops whatever they beat anyway, but another
+// collector of the same sweep would not.
 func collect(ctx context.Context, src source, models []core.DynamicsModel, objectives []Objective, opts Options, collectors []Collector) error {
-	prune := src.win != nil && !slices.ContainsFunc(collectors, func(c Collector) bool {
-		_, ok := c.(*FrontierCollector)
-		return !ok
-	})
-	return evalChunks(ctx, src, models, objectives, opts, prune, func(c *chunk) {
+	prune := src.win != nil
+	for _, c := range collectors {
+		fc, ok := c.(*FrontierCollector)
+		if !ok {
+			prune = false
+			continue
+		}
+		for _, s := range fc.seedPoints() {
+			if len(s) != len(models) {
+				return fmt.Errorf("explore: a seed vector holds %d scores for %d objectives", len(s), len(models))
+			}
+		}
+	}
+	var seed [][]float64
+	if prune && len(collectors) == 1 {
+		seed = collectors[0].(*FrontierCollector).seedPoints()
+	}
+	return evalChunks(ctx, src, models, objectives, opts, prune, seed, func(c *chunk) {
 		for _, col := range collectors {
 			col.collectChunk(c)
 		}
@@ -133,8 +151,10 @@ type plan struct {
 	needVec, needDVM, needCfg bool
 	// bound is the first free digit of the subtrees a pruning window
 	// sweep tests (bindPrune), and sub their design count; bound is 0
-	// when the sweep does not prune.
+	// when the sweep does not prune. seed holds the score vectors every
+	// pruning worker's incumbent starts from (see collect).
 	bound, sub int
+	seed       [][]float64
 }
 
 // latticeTerm is one core.MeanTerm on a window sweep's lattice route:
@@ -319,9 +339,10 @@ func onDeclaration(lvl *[space.NumParams][]int) bool {
 // (pre[t][q] sums parameters before q; pre[t][NumParams] is the design's
 // table indices), and — on window sweeps whose models need one — the
 // current design's decoded Config. A pruning worker also keeps its
-// incumbent, a subtree's low corner (lo, one score per model), per model
-// the row of the lowest score among the designs it scored since the last
-// subtree boundary (best, -1 when none), and its chunk's skip bitmap.
+// incumbent (seeded with plan.seed), a subtree's low corner (lo, one
+// score per model), per model the row of the lowest score among the
+// designs it scored since the last subtree boundary (best, -1 when
+// none), and its chunk's skip bitmap.
 type worker struct {
 	p      *plan
 	scores []float64
@@ -348,6 +369,9 @@ func (p *plan) newWorker(chunk int) *worker {
 	}
 	if p.bound > 0 {
 		w.inc = newIncumbent(len(p.models))
+		for _, s := range p.seed {
+			w.inc.offer(s)
+		}
 		w.lo = make([]float64, len(p.models))
 		w.best = make([]int, len(p.models))
 		w.skip = make([]uint64, (chunk+63)/64)
@@ -458,15 +482,16 @@ func (w *worker) scoreList(cfgs []space.Config) {
 //
 // A pruning sweep (plan.bound > 0) tests each subtree the chunk holds
 // whole — the designs sharing every digit before bound, aligned on the
-// window's space — before scoring it. When a point the worker already
-// scored in this sweep beats the subtree's low corner in every
-// objective, every design of the subtree is dominated: it is marked in
-// the chunk's skip bitmap and stepped over with one tick at digit
-// bound-1. At every subtree boundary, and at the chunk's end, the
-// incumbent is offered the designs the worker scored since the last one
-// that score lowest in some objective (offerBest): a few offers per
-// subtree, where offering every design would cost more than scoring it
-// once the frontier is large.
+// window's space — before scoring it. When a point of the worker's
+// incumbent (a seed vector, or one the worker already scored in this
+// sweep) beats the subtree's low corner in every objective, every
+// design of the subtree is dominated: it is marked in the chunk's skip
+// bitmap and stepped over with one tick at digit bound-1. At every
+// subtree boundary, and at the chunk's end, the incumbent is offered the
+// designs the worker scored since the last one that score lowest in
+// some objective (offerBest): a few offers per subtree, where offering
+// every design would cost more than scoring it once the frontier is
+// large.
 func (w *worker) scoreWindow(win *space.Window, t *levelTables, start, end int) int {
 	nm, n := len(w.p.models), end-start
 	w.x = t.base
@@ -578,7 +603,7 @@ func (w *worker) setDigits(t *levelTables, idx *[space.NumParams]int, from int) 
 // declaration group — or, on a window, read from per-level tables — and
 // scores a mean objective in coefficient space, never producing a trace.
 // Any other model is scored through Predict on the design's Config.
-func evalChunks(ctx context.Context, src source, models []core.DynamicsModel, objectives []Objective, opts Options, prune bool, emit func(c *chunk)) error {
+func evalChunks(ctx context.Context, src source, models []core.DynamicsModel, objectives []Objective, opts Options, prune bool, seed [][]float64, emit func(c *chunk)) error {
 	n := src.len()
 	workers := opts.workers()
 	if workers > n {
@@ -593,6 +618,7 @@ func evalChunks(ctx context.Context, src source, models []core.DynamicsModel, ob
 		p.bindLattice(src.win, tables)
 		if prune {
 			p.bindPrune(src.win)
+			p.seed = seed
 		}
 	}
 	var cursor atomic.Int64

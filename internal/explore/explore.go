@@ -153,7 +153,7 @@ func SweepContext(ctx context.Context, designs []space.Config, models []core.Dyn
 	// result exactly once.
 	m := len(models)
 	backing := make([]float64, len(designs)*m)
-	err := evalChunks(ctx, source{designs: designs}, models, objectives, opts, false, func(c *chunk) {
+	err := evalChunks(ctx, source{designs: designs}, models, objectives, opts, false, nil, func(c *chunk) {
 		for j := 0; j < c.n; j++ {
 			i := c.start + j
 			dst := backing[i*m : (i+1)*m : (i+1)*m]
@@ -219,7 +219,8 @@ func SweepStream(ctx context.Context, designs []space.Config, models []core.Dyna
 // possible scores (an exact bound from the tables) a point it already
 // scored beats in every objective. Skipped designs are dominated, so the
 // final frontier and Seen are unchanged; Options.ChunkDone reports them
-// as covered but not scored.
+// as covered but not scored. A sweep into one seeded FrontierCollector
+// also skips the subtrees a seed vector beats, from the first one on.
 func SweepWindow(ctx context.Context, w space.Window, models []core.DynamicsModel, objectives []Objective, opts Options, collectors ...Collector) error {
 	if err := validateModels(models, objectives); err != nil {
 		return err

@@ -256,6 +256,10 @@ func sortedScoreSet(cands []Candidate) [][]float64 {
 	return out
 }
 
+// lexLess is the order sorted frontiers follow (lexCmp), as a less
+// function for sort.SliceStable references.
+func lexLess(a, b []float64) bool { return lexCmp(a, b) < 0 }
+
 func sameFrontier(a, b []Candidate) bool {
 	if len(a) != len(b) {
 		return false

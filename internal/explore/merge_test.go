@@ -175,3 +175,56 @@ func TestTopKMergeRejectsMismatchedRules(t *testing.T) {
 	b := NewTopK(5, 0, nil)
 	a.Merge(b)
 }
+
+// TestFrontierOrderMatchesStableSort holds Frontier's index-permutation
+// sort to the reflection sort it replaced (sort.SliceStable by lexLess
+// over deep copies) on tie-heavy frontiers: duplicate score vectors, and
+// first-objective ties that the later objectives order, must come back
+// in the same order, collector order breaking exact ties.
+func TestFrontierOrderMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := range 40 {
+		nObj := 2 + trial%3
+		f := NewFrontierCollector()
+		for i := range 50 + rng.Intn(400) {
+			// Every vector sums to the same total, so none dominates
+			// another and all join the frontier, with few distinct values
+			// per objective.
+			scores := make([]float64, nObj)
+			sum := 0
+			for j := range nObj - 1 {
+				v := rng.Intn(4)
+				scores[j], sum = float64(v)/4, sum+v
+			}
+			scores[nObj-1] = float64(3*(nObj-1)-sum) / 4
+			cfg := space.Baseline()
+			cfg.ROBSize = 96 + i
+			f.Collect(i, Candidate{Config: cfg, Scores: scores})
+		}
+		// Duplicates of members, arriving in a shuffled order, survive.
+		members := append([]Candidate(nil), f.frontier...)
+		rng.Shuffle(len(members), func(i, j int) { members[i], members[j] = members[j], members[i] })
+		for i, m := range members[:len(members)/2] {
+			m.Config.IQSize = 1000 + i
+			f.Collect(0, Candidate{Config: m.Config, Scores: append([]float64(nil), m.Scores...)})
+		}
+		want := make([]Candidate, len(f.frontier))
+		for i, c := range f.frontier {
+			want[i] = Candidate{Config: c.Config, Scores: append([]float64(nil), c.Scores...)}
+		}
+		sort.SliceStable(want, func(a, b int) bool { return lexLess(want[a].Scores, want[b].Scores) })
+		got := f.Frontier()
+		ties := 0
+		for i := range want {
+			if fmt.Sprint(got[i]) != fmt.Sprint(want[i]) {
+				t.Fatalf("trial %d: rank %d is %v, the stable sort's %v", trial, i, got[i], want[i])
+			}
+			if i > 0 && want[i].Scores[0] == want[i-1].Scores[0] {
+				ties++
+			}
+		}
+		if len(got) != len(want) || ties == 0 {
+			t.Fatalf("trial %d: %d points for %d, %d first-objective ties", trial, len(got), len(want), ties)
+		}
+	}
+}

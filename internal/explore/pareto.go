@@ -35,8 +35,6 @@ func lexCmp(a, b []float64) int {
 	return 0
 }
 
-func lexLess(a, b []float64) bool { return lexCmp(a, b) < 0 }
-
 // lexKey2 is the flat sort key for two-objective frontiers.
 type lexKey2 struct {
 	a, b float64
@@ -233,9 +231,10 @@ func bruteFrontier(cands []Candidate, idx []int) []int {
 const incumbentCap = 64
 
 // incumbent is a pruning sweep worker's capped Pareto set of score
-// vectors it has scored in the current sweep (worker.offerBest) — every
-// one a real design's scores, so a member that beats a subtree's low
-// corner in every objective dominates every design of the subtree. Its
+// vectors: the sweep's seed, if any (FrontierCollector.Seed), then those
+// it has scored in the current sweep (worker.offerBest) — every one a
+// real design's scores, so a member that beats a subtree's low corner in
+// every objective dominates every design of the subtree. Its
 // vectors live in one preallocated array, so offering a vector allocates
 // nothing. Once full, it drops an arriving vector that evicts no member.
 type incumbent struct {

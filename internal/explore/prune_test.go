@@ -4,11 +4,13 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/mathx"
 	"repro/internal/space"
 )
 
@@ -222,5 +224,136 @@ func TestLatticeLowBoundsEverySubtree(t *testing.T) {
 		if tight == 0 {
 			t.Errorf("weights ×%v: no design scored its subtree's low corner; the bound is never tight", scale)
 		}
+	}
+}
+
+// TestSeededPruneMatchesUnseeded seeds pruning window sweeps, as a fleet
+// shard is seeded with its job's merged frontier, and holds them to the
+// unseeded sweep. Seeds are random subsets of the window's true frontier
+// scores, mixed with the scores of real designs that frontier dominates:
+// neither beats a frontier point, so the frontier must come back byte
+// for byte, with Seen and the covered count at every design, and no
+// more designs scored than unseeded on one worker. A shard of the window
+// seeded with the whole frontier answers its own unseeded frontier less
+// exactly the points a seed vector beats in every objective.
+func TestSeededPruneMatchesUnseeded(t *testing.T) {
+	cpi, power := pruneModels(t)
+	models := []core.DynamicsModel{cpi, power}
+	objectives := []Objective{MeanObjective("cpi"), MeanObjective("power")}
+	train := space.TrainLevels()
+	ctx := context.Background()
+	rng := mathx.NewRNG(33)
+	for _, w := range []space.Window{
+		{Levels: train, Count: train.NumDesigns()},
+		{Levels: train, Offset: 12345, Count: 20011},
+		{Levels: space.TestLevels(), Offset: 777, Count: 3001},
+	} {
+		w.Base = space.Baseline()
+		sweep := func(workers int, seed [][]float64) (*FrontierCollector, int64) {
+			t.Helper()
+			opts, covered, scored := countScored(workers)
+			fc := NewFrontierCollector()
+			fc.Seed(seed)
+			if err := SweepWindow(ctx, w, models, objectives, opts, fc); err != nil {
+				t.Fatal(err)
+			}
+			if fc.Seen() != w.Count || covered.Load() != int64(w.Count) {
+				t.Fatalf("window %d+%d: Seen %d, covered %d; want %d", w.Offset, w.Count, fc.Seen(), covered.Load(), w.Count)
+			}
+			return fc, scored.Load()
+		}
+		ref, base := sweep(1, nil)
+		want := ref.Frontier()
+		// Real designs the frontier dominates: every 499th design of the
+		// window, scored by the unpruned list sweep.
+		var sample []space.Config
+		for i, d := range w.Designs() {
+			if i%499 == 0 {
+				sample = append(sample, d)
+			}
+		}
+		res, err := SweepContext(ctx, sample, models, objectives, Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var dominated [][]float64
+		for _, c := range res.Evaluated {
+			if slices.ContainsFunc(want, func(f Candidate) bool { return dominatesScores(f.Scores, c.Scores) }) {
+				dominated = append(dominated, c.Scores)
+			}
+		}
+		if len(dominated) == 0 || len(want) < 4 {
+			t.Fatalf("window %d+%d: %d frontier points, %d dominated samples; the case tests nothing", w.Offset, w.Count, len(want), len(dominated))
+		}
+		fewer := false
+		for trial := range 12 {
+			var seed [][]float64
+			for _, c := range want {
+				if rng.Float64() < 0.4 || trial == 0 {
+					seed = append(seed, c.Scores)
+				}
+			}
+			for range trial % 4 {
+				seed = append(seed, dominated[rng.Intn(len(dominated))])
+			}
+			for i := len(seed) - 1; i > 0; i-- {
+				j := rng.Intn(i + 1)
+				seed[i], seed[j] = seed[j], seed[i]
+			}
+			for _, workers := range []int{1, 2} {
+				fc, scored := sweep(workers, seed)
+				got := fc.Frontier()
+				if workers == 1 && !reflect.DeepEqual(got, want) {
+					t.Fatalf("window %d+%d trial %d: seeded frontier differs from the unseeded one", w.Offset, w.Count, trial)
+				}
+				if !reflect.DeepEqual(frontierSet(got), frontierSet(want)) {
+					t.Fatalf("window %d+%d trial %d workers=%d: seeded frontier set differs", w.Offset, w.Count, trial, workers)
+				}
+				if workers == 1 && scored > base {
+					t.Fatalf("window %d+%d trial %d: seeded sweep scored %d designs, unseeded %d", w.Offset, w.Count, trial, scored, base)
+				}
+				fewer = fewer || scored < base
+			}
+		}
+		if !fewer {
+			t.Errorf("window %d+%d: no seed pruned anything the unseeded sweep scored", w.Offset, w.Count)
+		}
+
+		// One 2,048-design shard of the window, seeded with the window's
+		// whole frontier.
+		shard := space.Window{Levels: w.Levels, Base: w.Base, Offset: w.Offset + w.Count/3, Count: 2048}
+		seed := make([][]float64, len(want))
+		for i, c := range want {
+			seed[i] = c.Scores
+		}
+		alone := NewFrontierCollector()
+		seeded := NewFrontierCollector()
+		seeded.Seed(seed)
+		for _, fc := range []*FrontierCollector{alone, seeded} {
+			if err := SweepWindow(ctx, shard, models, objectives, Options{Workers: 1}, fc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		wantShard := slices.DeleteFunc(alone.Frontier(), func(c Candidate) bool {
+			return slices.ContainsFunc(seed, func(s []float64) bool { return below(s, c.Scores) })
+		})
+		if got := seeded.Frontier(); !reflect.DeepEqual(got, wantShard) {
+			t.Fatalf("window %d+%d: seeded shard kept %d points, want its %d unbeaten ones", w.Offset, w.Count, len(got), len(wantShard))
+		}
+	}
+}
+
+// TestSeedRejectsWidthMismatch: a seed vector with a score per objective
+// is the sweep's contract; any other width is an error, not a silent
+// prefix comparison.
+func TestSeedRejectsWidthMismatch(t *testing.T) {
+	cpi, power := pruneModels(t)
+	fc := NewFrontierCollector()
+	fc.Seed([][]float64{{1}})
+	w := space.Window{Levels: space.TrainLevels(), Base: space.Baseline(), Count: 100}
+	err := SweepWindow(context.Background(), w, []core.DynamicsModel{cpi, power},
+		[]Objective{MeanObjective("cpi"), MeanObjective("power")}, Options{Workers: 1}, fc)
+	if err == nil {
+		t.Fatal("a one-score seed vector on a two-objective sweep was accepted")
 	}
 }

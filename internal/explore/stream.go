@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"slices"
 	"sort"
 	"sync"
 )
@@ -249,6 +250,8 @@ type FrontierCollector struct {
 	// rejects the next arrival without a scan. Rejecting on any member's
 	// dominance is correct, so the hint needs no upkeep when members move.
 	hint int
+	// seed holds Seed's vectors.
+	seed [][]float64
 }
 
 // NewFrontierCollector builds an empty streaming frontier.
@@ -277,6 +280,40 @@ func (f *FrontierCollector) collectChunk(c *chunk) {
 	}
 }
 
+// Seed gives f score vectors of real designs scored outside its sweep —
+// a fleet shard's job's merged frontier so far — each with one score per
+// objective. f then keeps only candidates that no seed vector is strictly
+// below in every objective, and a window sweep into f alone starts each
+// worker's prune test with them (see SweepWindow). Whatever a seed
+// vector beats is dominated by a real design, so on a job whose frontier
+// holds that design (or one dominating it), merging f's answer changes
+// nothing: a seeded shard's partial is its unseeded frontier less the
+// points a seed vector beats. Call Seed before f collects anything; f
+// keeps the vectors, which must not change afterwards.
+func (f *FrontierCollector) Seed(points [][]float64) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.seed = points
+}
+
+// seedPoints returns the seed vectors.
+func (f *FrontierCollector) seedPoints() [][]float64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.seed
+}
+
+// beaten reports whether a seed vector is strictly below scores in
+// every objective.
+func (f *FrontierCollector) beaten(scores []float64) bool {
+	for _, p := range f.seed {
+		if below(p, scores) {
+			return true
+		}
+	}
+	return false
+}
+
 // add is Collect without the lock and the seen counter.
 func (f *FrontierCollector) add(c Candidate) {
 	if m := f.admit(c.Scores); m != nil {
@@ -287,7 +324,8 @@ func (f *FrontierCollector) add(c Candidate) {
 // admit offers a candidate's scores to the frontier. When no member
 // dominates them it evicts the members they dominate, appends a member
 // holding a copy of the scores, and returns it for the caller to fill in
-// its Config; otherwise it returns nil.
+// its Config; otherwise, or when a seed vector beats them, it returns
+// nil.
 func (f *FrontierCollector) admit(scores []float64) *Candidate {
 	if f.hint < len(f.frontier) && dominatesScores(f.frontier[f.hint].Scores, scores) {
 		return nil
@@ -309,6 +347,12 @@ func (f *FrontierCollector) admit(scores []float64) *Candidate {
 			f.frontier[kept] = *old
 		}
 		kept++
+	}
+	if f.beaten(scores) {
+		// A member these scores dominate is beaten too, so dropping the
+		// ones evicted keeps the seeded frontier.
+		f.frontier = f.frontier[:kept]
+		return nil
 	}
 	var buf []float64
 	if n := len(f.free); n > 0 {
@@ -343,16 +387,29 @@ func (f *FrontierCollector) Seen() int {
 }
 
 // Frontier returns the current non-dominated set sorted by the first
-// objective (ascending, ties by the second and so on). Scores are deep
-// copies: the collector recycles evicted members' buffers as collection
-// continues, so snapshots taken mid-sweep must not alias them.
+// objective (ascending, ties by the second and so on; exact ties keep
+// the collector's order). Scores are deep copies, in one backing array:
+// the collector recycles evicted members' buffers as collection
+// continues, so snapshots taken mid-sweep must not alias them. Only an
+// index permutation is sorted, and each Candidate is copied once, in
+// its final place.
 func (f *FrontierCollector) Frontier() []Candidate {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := make([]Candidate, len(f.frontier))
+	order := make([]int32, len(f.frontier))
+	total := 0
 	for i, c := range f.frontier {
-		out[i] = Candidate{Config: c.Config, Scores: append([]float64(nil), c.Scores...)}
+		order[i] = int32(i)
+		total += len(c.Scores)
 	}
-	sort.SliceStable(out, func(a, b int) bool { return lexLess(out[a].Scores, out[b].Scores) })
+	slices.SortStableFunc(order, func(a, b int32) int { return lexCmp(f.frontier[a].Scores, f.frontier[b].Scores) })
+	out := make([]Candidate, len(order))
+	backing := make([]float64, 0, total)
+	for i, j := range order {
+		c := &f.frontier[j]
+		lo := len(backing)
+		backing = append(backing, c.Scores...)
+		out[i] = Candidate{Config: c.Config, Scores: backing[lo:len(backing):len(backing)]}
+	}
 	return out
 }

@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/explore"
 	"repro/internal/mathx"
@@ -408,7 +409,7 @@ func (j JobSpec) Request() JobRequest {
 	if j.Kind == JobSweep {
 		return j.SweepRequest
 	}
-	return ParetoRequest{Benchmark: j.Benchmark, Objectives: j.Objectives, SpaceSpec: j.SpaceSpec, Scope: j.Scope}
+	return ParetoRequest{Benchmark: j.Benchmark, Objectives: j.Objectives, SpaceSpec: j.SpaceSpec, Scope: j.Scope, Incumbent: j.Incumbent}
 }
 
 // SweepRequest is the body of POST /v1/sweeps: streaming top-K
@@ -426,6 +427,10 @@ type SweepRequest struct {
 	// ScopeLocal shard gets a 400 from /v1/sweeps and /v1/pareto naming
 	// /v1/shards, where a fleet shard goes.
 	Scope string `json:"scope,omitempty"`
+	// Incumbent is ParetoRequest's shard field, decoded here so that a
+	// top-K shard or a job submission carrying one gets a 400 (see
+	// ParetoRequest.Incumbent).
+	Incumbent [][]float64 `json:"incumbent,omitempty"`
 }
 
 // Validate rejects malformed sweep requests — empty or unknown
@@ -447,6 +452,9 @@ func (r SweepRequest) Validate() error {
 			return fmt.Errorf("constraint objective index %d out of range", con.Objective)
 		}
 	}
+	if err := validateIncumbent(r.Incumbent, len(r.Objectives)); err != nil {
+		return err
+	}
 	return validateScope(r.Scope)
 }
 
@@ -457,6 +465,30 @@ func (r SweepRequest) Spec() JobSpec { return JobSpec{Kind: JobSweep, SweepReque
 // peer: the receiving node trains its own registry instead of warming
 // the fleet again.
 const ScopeLocal = "local"
+
+// MaxIncumbent bounds a shard's incumbent. Every subtree test of the
+// shard's sweep scans it, and it keeps a windowed shard body under 1 KB.
+const MaxIncumbent = 16
+
+// validateIncumbent holds a shard's incumbent to the shape
+// cluster.IncumbentOf sends: at most MaxIncumbent vectors of exactly one
+// finite score per objective.
+func validateIncumbent(inc [][]float64, objectives int) error {
+	if len(inc) > MaxIncumbent {
+		return fmt.Errorf("incumbent holds %d points, at most %d", len(inc), MaxIncumbent)
+	}
+	for i, p := range inc {
+		if len(p) != objectives {
+			return fmt.Errorf("incumbent point %d holds %d scores for %d objectives", i, len(p), objectives)
+		}
+		for _, v := range p {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("incumbent point %d holds a non-finite score", i)
+			}
+		}
+	}
+	return nil
+}
 
 func validateScope(scope string) error {
 	if scope != "" && scope != ScopeLocal {
@@ -505,6 +537,12 @@ type ParetoRequest struct {
 	SpaceSpec
 	// Scope: see SweepRequest.Scope.
 	Scope string `json:"scope,omitempty"`
+	// Incumbent is a frontier shard's seed: at most MaxIncumbent score
+	// vectors, one finite score per objective, that its owner took from
+	// the job's merged frontier so far. The peer prunes the subtrees they
+	// beat and drops the candidates they beat from its answer. Only
+	// POST /v1/shards accepts it, on a window of a named space.
+	Incumbent [][]float64 `json:"incumbent,omitempty"`
 }
 
 // Validate rejects malformed frontier requests; shared by local and
@@ -516,13 +554,16 @@ func (r ParetoRequest) Validate() error {
 	if err := r.SpaceSpec.Validate(); err != nil {
 		return err
 	}
+	if err := validateIncumbent(r.Incumbent, len(r.Objectives)); err != nil {
+		return err
+	}
 	return validateScope(r.Scope)
 }
 
 // Spec implements JobRequest.
 func (r ParetoRequest) Spec() JobSpec {
 	return JobSpec{Kind: JobPareto, SweepRequest: SweepRequest{
-		Benchmark: r.Benchmark, Objectives: r.Objectives, SpaceSpec: r.SpaceSpec, Scope: r.Scope,
+		Benchmark: r.Benchmark, Objectives: r.Objectives, SpaceSpec: r.SpaceSpec, Scope: r.Scope, Incumbent: r.Incumbent,
 	}}
 }
 
