@@ -190,7 +190,7 @@ func adoptAfter(t *testing.T, req wire.JobRequest, merged, shardSize int) (*api.
 
 	gate := make(chan struct{}, 64)
 	owner.clientsMu.Lock()
-	owner.transports[owner.self] = gatedTransport{Transport: owner.local, gate: gate}
+	owner.transports[owner.self] = gatedTransport{Transport: owner.srv.local, gate: gate}
 	owner.transports[adopter.self] = gatedTransport{Transport: cluster.NewHTTP(adopter.self, nil), gate: gate}
 	owner.clientsMu.Unlock()
 	for i := 0; i < merged; i++ {

@@ -163,7 +163,7 @@ func TestClusterParetoSurvivesWorkerDeath(t *testing.T) {
 	// owner's in-process shards finish long before a remote round trip:
 	// unslowed, the owner drains the job before the remote peer is
 	// offered the shard it dies on.
-	owner.srv.straggle = time.Millisecond
+	owner.srv.local.Stall = time.Millisecond
 
 	var single wire.ParetoResponse
 	if status := runJob(t, singleTS, "/v1/pareto", paretoBody(), &single); status != http.StatusOK {

@@ -298,45 +298,14 @@ func (s *Server) handleBatchPredict(w http.ResponseWriter, r *http.Request, req 
 }
 
 // sweepModel resolves the model one objective of a sweep scores with:
-// the registry's predictor (trained on demand), behind the
-// -straggle-per-design fault injection when it is on. It is the model
-// source of both this daemon's own jobs and a peer's in-process shards.
+// the registry's predictor, trained on demand. It is the model source of
+// both this daemon's own jobs and its Local's shards.
 func (s *Server) sweepModel(ctx context.Context, benchmark, metric string) (core.DynamicsModel, error) {
 	p, err := s.store.LoadOrTrain(ctx, benchmark, mustMetric(metric))
 	if err != nil {
 		return nil, err
 	}
-	if s.straggle > 0 {
-		return straggleModel{Predictor: p, delay: s.straggle}, nil
-	}
 	return p, nil
-}
-
-// straggleModel is -straggle-per-design fault injection: it sleeps once
-// per scored design in both entry points a sweep scores a
-// core.LevelPredictor through, turning this worker into a deterministic
-// straggler so hedged dispatch can be exercised against a real fleet. It
-// is a LevelPredictor like the predictor it wraps, so a sweep takes the
-// same route through it and a straggler answers bit for bit what a
-// healthy worker does. It offers no mean terms, so a window sweep cannot
-// score its means from the tables and skip the sleep.
-type straggleModel struct {
-	*core.Predictor
-	delay time.Duration
-}
-
-var _ core.LevelPredictor = straggleModel{}
-
-func (straggleModel) MeanTerms() ([]core.MeanTerm, bool) { return nil, false }
-
-func (m straggleModel) PredictMeanLevels(x []float64, lvl []int) float64 {
-	time.Sleep(m.delay)
-	return m.Predictor.PredictMeanLevels(x, lvl)
-}
-
-func (m straggleModel) PredictVecLevelsInto(x []float64, lvl []int, dst []float64) []float64 {
-	time.Sleep(m.delay)
-	return m.Predictor.PredictVecLevelsInto(x, lvl, dst)
 }
 
 // mustMetric parses a metric name that already passed Validate; drift
@@ -361,11 +330,11 @@ func (s *Server) handleSubmit(kind wire.JobKind) http.HandlerFunc {
 
 // runLocal is the job body on this daemon's own models, for either
 // kind: resolve models (training on demand), resolve the space, and
-// stream the sweep through the kind's collector, publishing its partial
-// answer on a ticker while the engine runs (the collectors' snapshots
-// are safe mid-sweep). A frontier job's incremental FrontierCollector
-// equals the batch ParetoFrontier over the same designs
-// (property-tested in internal/explore).
+// sweep it on the daemon's Local into the kind's collector, publishing
+// its partial answer on a ticker while the engine runs (the collectors'
+// snapshots are safe mid-sweep). A frontier job's incremental
+// FrontierCollector equals the batch ParetoFrontier over the same
+// designs (property-tested in internal/explore).
 func (s *Server) runLocal(spec wire.JobSpec, early []space.Config) api.RunFunc {
 	q := cluster.QueryOf(spec)
 	return func(ctx context.Context, pub api.Publisher) (any, api.Update, error) {
@@ -375,7 +344,7 @@ func (s *Server) runLocal(spec wire.JobSpec, early []space.Config) api.RunFunc {
 		if err != nil {
 			return nil, api.Update{}, err
 		}
-		designs, err := s.candidates(ctx, q.Space, early)
+		designs, pinned, err := resolveSpace(ctx, s.tel.tracer, q.Space, early)
 		if err != nil {
 			return nil, api.Update{}, err
 		}
@@ -383,14 +352,9 @@ func (s *Server) runLocal(spec wire.JobSpec, early []space.Config) api.RunFunc {
 		names := wire.ObjectiveNames(objectives)
 		// The opening snapshot: a subscriber sees the job's shape (design
 		// total, objectives) before the first results land.
-		pub.Publish(api.Update{Designs: designs.count(), Objectives: names})
-		var evaluated gauge
+		pub.Publish(api.Update{Designs: designs, Objectives: names})
 		stopTicks := startSnapshotTicker(ctx, pub, func() api.Update {
-			u := api.Update{
-				Evaluated:  evaluated.value(),
-				Designs:    designs.count(),
-				Objectives: names,
-			}
+			u := api.Update{Evaluated: col.Seen(), Designs: designs, Objectives: names}
 			// The partial answer is built only for an attached stream;
 			// pollers still see the counters advance.
 			if pub.Streaming() {
@@ -400,7 +364,7 @@ func (s *Server) runLocal(spec wire.JobSpec, early []space.Config) api.RunFunc {
 			return u
 		})
 		start := time.Now()
-		err = s.phasePredict(ctx, designs, models, objectives, &evaluated, col)
+		err = s.local.Sweep(ctx, q, cluster.Shard{Count: designs, Designs: pinned}, models, objectives, col)
 		stopTicks()
 		if err != nil {
 			return nil, api.Update{}, err
@@ -409,7 +373,7 @@ func (s *Server) runLocal(spec wire.JobSpec, early []space.Config) api.RunFunc {
 		answer, feasible := cluster.Snapshot(col)
 		final := api.Update{
 			Evaluated:  col.Seen(),
-			Designs:    designs.count(),
+			Designs:    designs,
 			Feasible:   feasible,
 			Objectives: names,
 			Candidates: wire.ToCandidates(answer),
@@ -435,51 +399,27 @@ func startJobSpan(tel *telemetry, ctx context.Context, name string, pub api.Publ
 	return ctx, span
 }
 
-// candidateSpace is a job's candidate designs: either a window of a
-// named factorial that the sweep workers enumerate chunk by chunk, or a
-// materialised list (explicit designs or an LHS sample).
-type candidateSpace struct {
-	window  space.Window
-	designs []space.Config
-}
-
-// count is the number of candidate designs.
-func (c candidateSpace) count() int {
-	if c.designs != nil {
-		return len(c.designs)
-	}
-	return c.window.Count
-}
-
-// candidates resolves a job's space after its models. An unsampled named
-// space, windowed or whole, stays a window and never materialises; an
-// explicit list is early itself, and a sample is drawn under a
-// "phase:encode" span, stopping with ctx's error if the job is cancelled.
-func (s *Server) candidates(ctx context.Context, sp wire.SpaceSpec, early []space.Config) (candidateSpace, error) {
+// resolveSpace resolves a job's space, after its models, to its design
+// count and, for a pinned list, its designs. Lone, fleet and adopted
+// jobs take this one path, so an adopter rebuilds the dead owner's list
+// exactly. An unsampled named space, windowed or whole, stays a count:
+// the sweep workers (or a fleet's window shards) enumerate it, and it is
+// never materialised. An explicit list is early itself, and a sample is
+// drawn under a "phase:encode" span, stopping with ctx's error if the
+// job is cancelled.
+func resolveSpace(ctx context.Context, tracer *obs.Tracer, sp wire.SpaceSpec, early []space.Config) (int, []space.Config, error) {
 	if w, ok := sp.FactorialWindow(); ok {
-		return candidateSpace{window: w}, nil
+		return w.Count, nil, nil
 	}
-	spanCtx, span := s.tel.tracer.Start(ctx, "phase:encode")
+	ctx, span := tracer.Start(ctx, "phase:encode")
 	defer span.End()
-	designs, err := sp.ResolveLate(spanCtx, early)
+	designs, err := sp.ResolveLate(ctx, early)
 	if err != nil {
 		span.SetAttr("error", err.Error())
-		return candidateSpace{}, err
+		return 0, nil, err
 	}
 	span.SetAttr("designs", strconv.Itoa(len(designs)))
-	return candidateSpace{designs: designs}, nil
-}
-
-// phasePredict streams the candidates through the collector under a
-// "phase:predict" span, reporting progress into evaluated.
-func (s *Server) phasePredict(ctx context.Context, c candidateSpace, models []core.DynamicsModel, objectives []explore.Objective, evaluated *gauge, col explore.Collector) error {
-	_, span := s.tel.tracer.Start(ctx, "phase:predict")
-	defer span.End()
-	opts := explore.Options{Workers: s.workers, Progress: evaluated.observe, ChunkDone: s.chunkDone}
-	if c.designs != nil {
-		return explore.SweepStream(ctx, c.designs, models, objectives, opts, col)
-	}
-	return explore.SweepWindow(ctx, c.window, models, objectives, opts, col)
+	return len(designs), designs, nil
 }
 
 // chunkDone is the explore engine's per-chunk observer: pre-registered

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"net/http"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/api"
@@ -16,8 +15,8 @@ import (
 
 // This file is the serving side of the async job API shared by a single
 // daemon and a peer: the /v1/jobs/{id} route family (status, NDJSON
-// stream, cancel), the submit glue, and the progress gauge the local job
-// runners publish.
+// stream, cancel), the submit glue, and the cadence a local job
+// publishes its progress snapshots on.
 
 // jobAPI embeds the job table into a serving layer.
 type jobAPI struct {
@@ -267,18 +266,3 @@ func jobResult(spec wire.JobSpec, u api.Update, fleet bool) any {
 // that publishing never competes with evaluation, fine enough that a
 // human watching the stream sees the frontier grow.
 const streamInterval = 100 * time.Millisecond
-
-// gauge is a monotone high-water mark over explore.Options.Progress
-// callbacks, which may arrive slightly out of order across workers.
-type gauge struct{ v atomic.Int64 }
-
-func (g *gauge) observe(n int) {
-	for {
-		cur := g.v.Load()
-		if int64(n) <= cur || g.v.CompareAndSwap(cur, int64(n)) {
-			return
-		}
-	}
-}
-
-func (g *gauge) value() int { return int(g.v.Load()) }

@@ -117,7 +117,7 @@ func main() {
 		peerList   = flag.String("peers", "", "comma-separated peer addresses (host:port); run as a symmetric peer: a full worker that also coordinates fleet-scope jobs, with membership by gossip and job survival by replication")
 		replicate  = flag.Int("replicate", 1, "with -peers: push each running job's spec to this many peers, any of which can adopt and re-run the job if this node dies")
 		hedgeF     = flag.Float64("hedge-factor", 3, "straggler hedging for the fleet jobs this peer owns: re-dispatch a shard when its elapsed time exceeds this multiple of its expected duration; 0 disables hedging")
-		straggle   = flag.Duration("straggle-per-design", 0, "fault injection: sleep this long per evaluated design on sweep jobs, making this daemon a deliberate straggler for hedging tests; 0 disables")
+		straggle   = flag.Duration("straggle-per-design", 0, "fault injection: after each evaluation chunk of every sweep, stall this long per design the chunk covered, making this daemon a deliberate straggler for hedging tests; 0 disables")
 	)
 	flag.Parse()
 
@@ -213,8 +213,8 @@ func main() {
 
 	srv := NewServer(ctx, store, *parallel, reqLog, tel)
 	if *straggle > 0 {
-		srv.straggle = *straggle
-		logger.Printf("fault injection: straggling %v per design on sweep jobs", *straggle)
+		srv.local.Stall = *straggle
+		logger.Printf("fault injection: straggling %v per design on sweeps", *straggle)
 	}
 
 	// With peers configured, run the leaderless control plane: this node

@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/explore"
 	"repro/internal/gossip"
 	"repro/internal/obs"
@@ -69,8 +68,6 @@ type peerServer struct {
 	seeds []string
 	coord *cluster.Coordinator
 	table *gossip.Table
-	// local runs every shard this peer evaluates (see newSelfWorker).
-	local *cluster.Local
 
 	repFactor int
 	interval  time.Duration
@@ -105,12 +102,15 @@ func newPeerServer(srv *Server, self string, peers []string, opts peerOptions, l
 		DeadAfter:    3 * interval,
 		Obs:          srv.tel.reg,
 	})
+	// The fleet knows this peer's in-process worker by its address.
+	local := newSelfWorker(srv, "http://"+self)
+	local.Stall = srv.local.Stall
+	srv.local = local
 	ps := &peerServer{
 		srv:       srv,
 		self:      self,
 		seeds:     peers,
 		table:     table,
-		local:     newSelfWorker(srv, "http://"+self),
 		repFactor: opts.replicate,
 		interval:  interval,
 		replicas:  &replicaTable{entries: make(map[string]replicaEntry)},
@@ -177,7 +177,7 @@ func (ps *peerServer) transport(addr string) cluster.Transport {
 	defer ps.clientsMu.Unlock()
 	t, ok := ps.transports[addr]
 	if !ok {
-		t = ps.local
+		t = ps.srv.local
 		if addr != ps.self {
 			t = cluster.NewHTTP(addr, nil)
 		}
@@ -364,7 +364,7 @@ func (ps *peerServer) handleShard(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	store := obs.NewTraceStore(1)
-	local := *ps.local
+	local := *ps.srv.local
 	local.Tracer = obs.NewTracer(ps.tel().tracer.Node(), store, nil)
 	p, err := local.Evaluate(r.Context(), cluster.QueryOf(spec), shard)
 	if err != nil {
@@ -416,20 +416,6 @@ func (ps *peerServer) handleWarm(w http.ResponseWriter, r *http.Request) {
 		ElapsedMS:  float64(time.Since(start).Microseconds()) / 1000,
 		Errors:     errStrings,
 	})
-}
-
-// fleetDesigns resolves a distributed job's space to its design count
-// and, for a pinned list, its designs. Fresh and adopted jobs take this
-// one path, so an adopter rebuilds the dead owner's list exactly. An
-// unsampled named space stays a count: its shards travel as windows on
-// it, so the owner never materialises it. An explicit list or a sample
-// is resolved (a sample is drawn, stopping if ctx ends) and pinned.
-func fleetDesigns(ctx context.Context, sp wire.SpaceSpec, early []space.Config) (int, []space.Config, error) {
-	if w, ok := sp.FactorialWindow(); ok {
-		return w.Count, nil, nil
-	}
-	designs, err := sp.ResolveLate(ctx, early)
-	return len(designs), designs, err
 }
 
 // objectiveNames labels the specs through the same Build path a worker
@@ -492,7 +478,7 @@ func (ps *peerServer) runFleet(spec wire.JobSpec, early []space.Config, adopted 
 			seqFloor = adopted.AdoptedSeq()
 		}
 		defer jobSpan.End()
-		designs, pinned, err := fleetDesigns(ctx, spec.SpaceSpec, early)
+		designs, pinned, err := resolveSpace(ctx, ps.tel().tracer, spec.SpaceSpec, early)
 		if err != nil {
 			return nil, api.Update{}, err
 		}
@@ -775,40 +761,6 @@ func (ps *peerServer) exchange(ctx context.Context, target string) {
 	ps.table.Merge(resp.Entries)
 	ps.table.Witness(target)
 	ps.table.NoteRound(true)
-}
-
-// newSelfWorker builds the cluster.Local a peer runs every shard on,
-// over its own registry: the shards it places on itself, with no HTTP
-// round trip, and the shards other peers send its /v1/shards. Models
-// resolve through Server.sweepModel (so -straggle-per-design applies),
-// the registry's deterministic verdicts become WorkerRejections, and
-// phase spans and chunk histograms are recorded as a daemon's own jobs
-// record them.
-func newSelfWorker(srv *Server, name string) *cluster.Local {
-	l := cluster.NewLocal(name, func(ctx context.Context, benchmark, metric string) (core.DynamicsModel, error) {
-		m, err := srv.sweepModel(ctx, benchmark, metric)
-		return m, selfVerdict(name, err)
-	})
-	l.Workers = srv.workers
-	l.Tracer = srv.tel.tracer
-	l.ChunkDone = srv.chunkDone
-	l.WarmFunc = func(ctx context.Context, benchmarks []string) (int, error) {
-		n, _, err := srv.warm(ctx, benchmarks)
-		return n, selfVerdict(name, err)
-	}
-	return l
-}
-
-// selfVerdict classifies a registry error the way the HTTP transport
-// classifies the 4xx the same error becomes on a remote peer: a
-// deterministic verdict on the request is a WorkerRejection, so it
-// aborts the job instead of booking a failure and retrying the shard
-// on every peer.
-func selfVerdict(name string, err error) error {
-	if st := registryStatus(err); err != nil && st >= 400 && st < 500 {
-		return &cluster.WorkerRejection{Worker: name, Status: st, Msg: err.Error()}
-	}
-	return err
 }
 
 // adoptOrphans scans the replica table for jobs whose owner the fleet

@@ -355,7 +355,7 @@ func TestFleetJobRetiresReplicas(t *testing.T) {
 	// The peer straggles, so the in-process shard it places on itself is
 	// still running when the test cancels the job.
 	srv := NewServer(context.Background(), testServer(t).store, 1, nil, nil)
-	srv.straggle = time.Millisecond
+	srv.local.Stall = time.Millisecond
 	var handler http.Handler
 	peerTS := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		handler.ServeHTTP(w, r)
@@ -428,7 +428,7 @@ func TestReplicatePayloadStaysSpecSized(t *testing.T) {
 	// The peer straggles and pushes every 5ms, so several pushes land
 	// while the job's shards merge.
 	srv := NewServer(context.Background(), testServer(t).store, 1, nil, nil)
-	srv.straggle = time.Millisecond
+	srv.local.Stall = time.Millisecond
 	var handler http.Handler
 	peerTS := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		handler.ServeHTTP(w, r)

@@ -35,10 +35,10 @@ type Server struct {
 	chunkMS *obs.Histogram
 	chunkN  *obs.Histogram
 	scored  *obs.Counter
-	// straggle, when positive, injects a per-design sleep into every
-	// sweep-job model (-straggle-per-design): a deliberate straggler for
-	// exercising a fleet's hedged dispatch end-to-end.
-	straggle time.Duration
+	// local is the in-process evaluator every sweep this daemon runs
+	// goes through: its own jobs' and, in peer mode, its shards (see
+	// newSelfWorker). Its Stall is -straggle-per-design.
+	local *cluster.Local
 	jobAPI
 }
 
@@ -51,7 +51,7 @@ func NewServer(ctx context.Context, store *registry.Store, workers int, reqLog *
 	if tel == nil {
 		tel = newTelemetry("worker")
 	}
-	return &Server{
+	s := &Server{
 		store:   store,
 		workers: workers,
 		started: time.Now(),
@@ -73,6 +73,42 @@ func NewServer(ctx context.Context, store *registry.Store, workers int, reqLog *
 			tel: tel,
 		},
 	}
+	s.local = newSelfWorker(s, "local")
+	return s
+}
+
+// newSelfWorker builds the cluster.Local a daemon runs every sweep on,
+// over its own registry: its own jobs, and in peer mode the shards it
+// places on itself, with no HTTP round trip, and the shards other peers
+// send its /v1/shards. Shard models resolve through Server.sweepModel,
+// the registry's deterministic verdicts become WorkerRejections, and
+// phase spans and chunk histograms are recorded as a daemon's own jobs
+// record them.
+func newSelfWorker(srv *Server, name string) *cluster.Local {
+	l := cluster.NewLocal(name, func(ctx context.Context, benchmark, metric string) (core.DynamicsModel, error) {
+		m, err := srv.sweepModel(ctx, benchmark, metric)
+		return m, selfVerdict(name, err)
+	})
+	l.Workers = srv.workers
+	l.Tracer = srv.tel.tracer
+	l.ChunkDone = srv.chunkDone
+	l.WarmFunc = func(ctx context.Context, benchmarks []string) (int, error) {
+		n, _, err := srv.warm(ctx, benchmarks)
+		return n, selfVerdict(name, err)
+	}
+	return l
+}
+
+// selfVerdict classifies a registry error the way the HTTP transport
+// classifies the 4xx the same error becomes on a remote peer: a
+// deterministic verdict on the request is a WorkerRejection, so it
+// aborts the job instead of booking a failure and retrying the shard
+// on every peer.
+func selfVerdict(name string, err error) error {
+	if st := registryStatus(err); err != nil && st >= 400 && st < 500 {
+		return &cluster.WorkerRejection{Worker: name, Status: st, Msg: err.Error()}
+	}
+	return err
 }
 
 // Handler serves a single daemon: the /v1 route table as is.

@@ -49,7 +49,7 @@ func requireLatticeModels(t *testing.T, store *registry.Store, metrics ...sim.Me
 		if err != nil {
 			t.Fatal(err)
 		}
-		terms, _ := p.MeanTerms()
+		terms := p.MeanTerms()
 		if len(terms) == 0 {
 			t.Fatalf("gcc %v has no mean terms", m)
 		}
@@ -738,10 +738,10 @@ func TestOnDemandTrainingExactlyOnce(t *testing.T) {
 
 // A straggler must straggle on every route: a named-space job under a
 // mean objective is a window sweep, which scores a predictor's mean
-// terms straight from their level tables where it can and so could skip
-// the per-design sleep. On one worker at 1ms per design, an n-design
-// window takes at least n ms, and it answers byte for byte what a
-// healthy daemon does.
+// terms straight from their level tables. The stall is paid per covered
+// design after each chunk, whatever route scored it, so on one worker
+// at 1ms per design an n-design window takes at least n ms, and it
+// answers byte for byte what a healthy daemon does.
 func TestStragglerSleepsOnWindowMeans(t *testing.T) {
 	const n = 120
 	ctx := context.Background()
@@ -757,7 +757,7 @@ func TestStragglerSleepsOnWindowMeans(t *testing.T) {
 	}
 	requireLatticeModels(t, store, sim.MetricCPI)
 	slow := NewServer(ctx, store, 1, nil, nil)
-	slow.straggle = time.Millisecond
+	slow.local.Stall = time.Millisecond
 	slowTS := httptest.NewServer(slow.Handler())
 	t.Cleanup(slowTS.Close)
 	healthyTS := httptest.NewServer(NewServer(ctx, store, 0, nil, nil).Handler())
@@ -789,6 +789,41 @@ func TestStragglerSleepsOnWindowMeans(t *testing.T) {
 	}
 }
 
+// A straggling lone job reports its progress from its collector: the
+// streamed evaluated counts never decrease, partials arrive while the
+// straggler stalls, and the last count is the job's design total — on a
+// pruning frontier window too, whose skipped designs count as covered.
+func TestStragglerStreamsMonotoneProgress(t *testing.T) {
+	slow := NewServer(context.Background(), testServer(t).store, 2, nil, nil)
+	slow.local.Stall = 400 * time.Microsecond
+	ts := httptest.NewServer(slow.Handler())
+	t.Cleanup(ts.Close)
+	const n = 2000
+	req := wire.ParetoRequest{Benchmark: "gcc", Objectives: frontierObjectives, SpaceSpec: wire.SpaceSpec{Space: "train", Offset: 777, Count: n}}
+	var evaluated []int
+	final, _, err := testClient(ts.URL).Run(context.Background(), req, func(u api.Update) {
+		evaluated = append(evaluated, u.Evaluated)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	midway := 0
+	for i, e := range evaluated {
+		if i > 0 && e < evaluated[i-1] {
+			t.Fatalf("streamed evaluated went from %d down to %d: %v", evaluated[i-1], e, evaluated)
+		}
+		if e > 0 && e < n {
+			midway++
+		}
+	}
+	if midway == 0 {
+		t.Errorf("no partial reported progress short of the %d designs: %v", n, evaluated)
+	}
+	if final.Evaluated != n || final.Designs != n || evaluated[len(evaluated)-1] != n {
+		t.Fatalf("final evaluated %d of %d designs (stream %v), want all %d", final.Evaluated, final.Designs, evaluated, n)
+	}
+}
+
 type errStatus struct {
 	endpoint string
 	status   int
@@ -799,12 +834,12 @@ func (e errStatus) Error() string { return e.endpoint + ": unexpected status" }
 func intp(v int) *int { return &v }
 
 // -straggle-per-design slows a worker down without changing its answers:
-// the straggling models offer the predictor's own scoring entry points,
-// so a window sweep and a pinned-list sweep, under mean and worst-case
-// objectives, answer byte for byte what a healthy daemon does.
+// the stall sits between chunks, outside the scoring, so a window sweep
+// and a pinned-list sweep, under mean and worst-case objectives, answer
+// byte for byte what a healthy daemon does.
 func TestStragglerAnswersMatchHealthyWorker(t *testing.T) {
 	slow := NewServer(context.Background(), testServer(t).store, 0, nil, nil)
-	slow.straggle = time.Microsecond
+	slow.local.Stall = time.Microsecond
 	slowTS := httptest.NewServer(slow.Handler())
 	t.Cleanup(slowTS.Close)
 	healthyTS := httptest.NewServer(testServer(t).Handler())

@@ -108,7 +108,11 @@ func TestV1StreamedFrontierMatchesSingleProcess(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			fleetTS, singleTS, _ := clusterFixture(t, tc.shardSize, tc.budget)
+			fleetTS, singleTS, owner := clusterFixture(t, tc.shardSize, tc.budget)
+			// The owner straggles, so the job outlives the client's
+			// stream attach: a subscriber that arrives after the final
+			// update sees only that.
+			owner.srv.local.Stall = 100 * time.Microsecond
 			var single wire.ParetoResponse
 			if s := runJob(t, singleTS, "/v1/pareto", paretoBody(), &single); s != http.StatusOK {
 				t.Fatalf("single-process pareto status %d", s)

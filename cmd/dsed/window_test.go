@@ -210,7 +210,7 @@ func peerFleet(t testing.TB, spec fleetSpec) (entry *httptest.Server, recs []*sh
 		}
 		srv := NewServer(context.Background(), store, 0, nil, tel)
 		if i == 0 {
-			srv.straggle = spec.straggle
+			srv.local.Stall = spec.straggle
 			entry = ts
 		}
 		ps := newPeerServer(srv, self, nil, peerOptions{heartbeat: time.Second, shardSize: spec.shardSize, replicate: 1, hedgeFactor: spec.hedge}, nil)
@@ -425,7 +425,7 @@ func TestResumedWindowedJobSendsAbsoluteOffsets(t *testing.T) {
 }
 
 // An adopted windowed job re-runs through the path every fleet job
-// takes (the replicated spec, fleetDesigns, count-only carving, window
+// takes (the replicated spec, resolveSpace, count-only carving, window
 // shards) and answers exactly what the uninterrupted run did, wherever
 // its owner died: the spec round-trips through the replicate wire form
 // first, and top-K ranks must match config for config.
@@ -450,12 +450,12 @@ func TestAdoptedWindowedJobMatchesUninterrupted(t *testing.T) {
 		// it from inside that merge, as a dying owner stops merging.
 		run := func(spec wire.JobSpec, killAt int) (*cluster.Result, error) {
 			t.Helper()
-			n, pinned, err := fleetDesigns(context.Background(), spec.SpaceSpec, nil)
+			n, pinned, err := resolveSpace(context.Background(), nil, spec.SpaceSpec, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if n != sp.Count || pinned != nil {
-				t.Fatalf("%s: fleetDesigns sized the job %d with %d pinned designs, want %d by count", spec.Kind, n, len(pinned), sp.Count)
+				t.Fatalf("%s: resolveSpace sized the job %d with %d pinned designs, want %d by count", spec.Kind, n, len(pinned), sp.Count)
 			}
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()

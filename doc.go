@@ -149,9 +149,10 @@
 // its shard holds, is a worker fault and re-dispatches like a failed
 // attempt. The shard link is a Transport with three methods (Name, Warm,
 // Evaluate); two implement it, interchangeable answer for answer: an
-// in-process Local, through which a peer evaluates the shards it places
-// on itself (and which gives the cluster package deterministic -race
-// tests), and HTTP, which speaks the ordinary dsed wire format.
+// in-process Local, the daemon's one evaluator — a lone daemon's jobs
+// sweep through it (Local.Sweep), and a peer evaluates its shards on it
+// (it also gives the cluster package deterministic -race tests) — and
+// HTTP, which speaks the ordinary dsed wire format.
 //
 // A fleet is a -peers list, and a lone dsed is its degenerate case:
 // every peer is a full worker that also coordinates the jobs submitted
@@ -390,15 +391,16 @@
 //     every detail's exactly 0, so a mean costs one network instead of k
 //     plus a trace reconstruction. It agrees with the trace mean to
 //     rounding (within 1e-15 relative, tested), and /v1/predict reports
-//     the same value. core.LevelPredictor is the one refinement of
-//     DynamicsModel the sweep engine scores through: PredictMeanLevels
-//     and PredictVecLevelsInto take a design's pre-encoded feature vector
-//     (the plain encoding is a strict prefix of the DVM one, so one
-//     encoding serves every model) and its level indices against the
-//     networks' shared declaration (DimLevels) from the caller.
-//     PredictInto and PredictMean resolve and delegate to them, so each
-//     computation has one body and the sweep engine resolves once for
-//     every model sharing a declaration. Its MeanTerms exposes
+//     the same value. The sweep engine scores a *core.Predictor through
+//     its level entry points: PredictMeanLevels and PredictVecLevelsInto
+//     take a design's pre-encoded feature vector (the plain encoding is a
+//     strict prefix of the DVM one, so one encoding serves every model)
+//     and its level indices against the networks' one shared declaration
+//     (DimLevels; Train binds every network to it and Load refuses a file
+//     whose networks differ) from the caller. PredictInto and
+//     PredictMean resolve and delegate to them, so each computation has
+//     one body and the sweep engine resolves once for every model
+//     sharing a declaration. MeanTerms exposes
 //     PredictMeanLevels' fold (the nonzero-basis-mean networks, in order,
 //     with their weights), which a window sweep reproduces from the
 //     networks' tables. The baselines (GlobalANN, LinearWavelet) offer
@@ -434,7 +436,7 @@
 //     trace buffer per model, one flat score matrix per chunk, the
 //     current design's encoding and level indices) and emit scores only —
 //     zero heap allocations per design in steady state. A model takes one
-//     of two routes: a core.LevelPredictor is scored through
+//     of two routes: a *core.Predictor is scored through
 //     PredictMeanLevels (mean objectives) or PredictVecLevelsInto (trace
 //     objectives, bit-identical to Predict); any other model through
 //     Predict on the design's Config. On a list each design is encoded
@@ -446,7 +448,7 @@
 //     designs, so they are bit-identical to the list path), and each
 //     worker ticks the odometer (Levels.Seek/Tick), rewriting only the
 //     digits that changed. A mean objective on a plain-encoding
-//     LevelPredictor whose mean terms all have both tables, over a
+//     Predictor whose mean terms all have both tables, over a
 //     window whose levels all lie on its declaration, takes the lattice
 //     route: per sweep each term's table offsets are mapped onto the
 //     window's levels, each worker carries each term's two table indices
@@ -454,12 +456,13 @@
 //     significant digit Tick changed), and the score is
 //     PredictMeanLevels' own fold over PredictTables — no exponential,
 //     bit for bit the level route. DVM-feature models, off-declaration
-//     windows, networks over the table cap and models offering no terms
-//     (cmd/dsed's straggler) keep the level route. A window sweep whose
-//     every model is on the lattice and whose every collector is a
-//     FrontierCollector prunes: before scoring a whole subtree of the
-//     odometer (the designs sharing every digit but the last three on
-//     the train levels, 64 of them), a worker folds each term's
+//     windows and networks over the table cap keep the level route. A
+//     window sweep whose every model is on the lattice and whose every
+//     collector is a FrontierCollector prunes: its chunks are whole
+//     subtrees of the odometer (the designs sharing every digit but the
+//     last three on the train levels, 64 of them), cut on the subtree
+//     boundaries of the window's space so a window of any size or offset
+//     prunes, and before scoring a subtree a worker folds each term's
 //     BoundTables at the subtree's prefix sums, exactly as latticeMean
 //     folds PredictTables, into a low corner no design of the subtree
 //     can score below, and skips the subtree with one odometer step when

@@ -70,7 +70,7 @@ func singleProcessReference(t *testing.T, designs []space.Config) *explore.Resul
 	pow, _ := resolveFake(context.Background(), "gcc", "Power")
 	obj0, _ := (wire.ObjectiveSpec{Metric: "CPI"}).Build()
 	obj1, _ := (wire.ObjectiveSpec{Metric: "Power", Kind: "worst"}).Build()
-	res, err := explore.Sweep(designs, []core.DynamicsModel{cpi, pow}, []explore.Objective{obj0, obj1})
+	res, err := explore.SweepContext(context.Background(), designs, []core.DynamicsModel{cpi, pow}, []explore.Objective{obj0, obj1}, explore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,6 +172,52 @@ func TestCoordinatorSweepMatchesSingleProcess(t *testing.T) {
 					i, j, got.Candidates[i].Scores[j], wantCands[i].Scores[j])
 			}
 		}
+	}
+}
+
+// TestLocalStallStopsAtCancel: a straggling Local holds each sweep
+// worker Stall per covered design after every chunk, but a cancelled
+// shard (a lost hedge, a cancelled job) stops waiting at once, returns
+// the context's error and still observes the chunk it stalled after.
+func TestLocalStallStopsAtCancel(t *testing.T) {
+	local := NewLocal("slow", resolveFake)
+	local.Workers = 1
+	local.Stall = time.Hour
+	var chunks atomic.Int64
+	local.ChunkDone = func(int, int, time.Duration) { chunks.Add(1) }
+	q := testQuery()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	models, objectives, err := q.Resolve(ctx, nil, resolveFake)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := q.NewCollector()
+	done := make(chan error, 1)
+	go func() {
+		done <- local.Sweep(ctx, q, Shard{Count: 64, Designs: testDesigns(64)}, models, objectives, col)
+	}()
+	// The collector takes a chunk before its worker stalls.
+	for deadline := time.Now().Add(5 * time.Second); col.Seen() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the first chunk never reached the collector")
+		}
+	}
+	cancel()
+	start := time.Now()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled straggler returned %v, want context.Canceled", err)
+		}
+		if d := time.Since(start); d > 50*time.Millisecond {
+			t.Errorf("cancelled straggler returned %v after cancel, want within 50ms", d)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a cancelled straggler kept stalling")
+	}
+	if chunks.Load() == 0 {
+		t.Error("the stalled chunk was never observed")
 	}
 }
 

@@ -15,13 +15,13 @@ import (
 // any other model source.
 type ModelResolver func(ctx context.Context, benchmark, metric string) (core.DynamicsModel, error)
 
-// Local is an in-process Transport: shards run directly on the exploration
-// engine with no sockets or serialisation. A peer runs every shard it
-// evaluates through one, over its own registry: the shards it places on
-// itself, and the shards other peers send its POST /v1/shards. It also
-// gives the coordinator deterministic -race coverage. Results are tagged
-// exactly like HTTP results, so the two transports are interchangeable
-// answer-for-answer.
+// Local is the in-process evaluator: shards run directly on the
+// exploration engine with no sockets or serialisation. A daemon runs
+// every sweep through one over its own registry: its own jobs (Sweep)
+// and, as a peer, its shards (Evaluate), those it places on itself and
+// those other peers POST to /v1/shards. It also gives the coordinator
+// deterministic -race coverage. Results are tagged exactly like HTTP
+// results, so the two transports are interchangeable answer-for-answer.
 type Local struct {
 	name    string
 	resolve ModelResolver
@@ -39,6 +39,13 @@ type Local struct {
 	// ChunkDone, when set, observes every evaluation chunk
 	// (explore.Options.ChunkDone).
 	ChunkDone func(covered, scored int, elapsed time.Duration)
+	// Stall, when positive, makes this worker a deliberate straggler
+	// (fault injection for hedged dispatch): after each chunk, a sweep
+	// worker waits Stall per design the chunk covered, pruned ones
+	// included, or until the sweep's context ends, and ChunkDone sees
+	// the chunk last its stall longer. Scoring, so every answer, is
+	// untouched.
+	Stall time.Duration
 }
 
 // NewLocal builds an in-process worker over a model source.
@@ -57,11 +64,12 @@ func (l *Local) Warm(ctx context.Context, benchmarks []string) (int, error) {
 	return l.WarmFunc(ctx, benchmarks)
 }
 
-// Evaluate implements Transport: the shard streams through the query's
-// collector — a pinned shard's designs, or the window a design-less
-// shard names on the query's space — seeded on a frontier job with the
-// shard's incumbent, so the sweep prunes against it from its first
-// subtree and the partial leaves out the candidates it beats.
+// Evaluate implements Transport: it resolves the query's models, then
+// sweeps the shard into the query's collector (Sweep) — seeded on a
+// frontier job with the shard's incumbent, so the sweep prunes against
+// it from its first subtree and the partial leaves out the candidates
+// it beats — and reads the partial answer back under a "phase:merge"
+// span.
 func (l *Local) Evaluate(ctx context.Context, q Query, s Shard) (*Partial, error) {
 	models, objectives, err := q.Resolve(ctx, l.Tracer, l.resolve)
 	if err != nil {
@@ -71,23 +79,50 @@ func (l *Local) Evaluate(ctx context.Context, q Query, s Shard) (*Partial, error
 	if fc, ok := col.(*explore.FrontierCollector); ok {
 		fc.Seed(s.Incumbent)
 	}
-	_, span := l.Tracer.Start(ctx, "phase:predict")
-	opts := explore.Options{Workers: l.Workers, ChunkDone: l.ChunkDone}
-	if s.Designs != nil {
-		err = explore.SweepStream(ctx, s.Designs, models, objectives, opts, col)
-	} else if w, ok := q.Window(s); ok {
-		err = explore.SweepWindow(ctx, w, models, objectives, opts, col)
-	} else {
-		err = fmt.Errorf("cluster: shard [%d,%d) has no designs and its space %q names no window", s.Start, s.Start+s.Count, q.Space.Space)
-	}
-	span.End()
-	if err != nil {
+	if err := l.Sweep(ctx, q, s, models, objectives, col); err != nil {
 		return nil, err
 	}
-	_, span = l.Tracer.Start(ctx, "phase:merge")
+	_, span := l.Tracer.Start(ctx, "phase:merge")
 	defer span.End()
 	answer, feasible := Snapshot(col)
 	return &Partial{Evaluated: col.Seen(), Feasible: feasible, Candidates: indexed(answer, s.Start)}, nil
+}
+
+// Sweep streams shard s of q through col under a "phase:predict" span:
+// a pinned shard's designs, or the window a design-less shard names on
+// the query's space. models and objectives are q's, resolved.
+func (l *Local) Sweep(ctx context.Context, q Query, s Shard, models []core.DynamicsModel, objectives []explore.Objective, col Collector) error {
+	_, span := l.Tracer.Start(ctx, "phase:predict")
+	defer span.End()
+	opts := explore.Options{Workers: l.Workers, ChunkDone: l.ChunkDone}
+	if l.Stall > 0 {
+		opts.ChunkDone = l.stall(ctx)
+	}
+	if s.Designs != nil {
+		return explore.SweepStream(ctx, s.Designs, models, objectives, opts, col)
+	}
+	if w, ok := q.Window(s); ok {
+		return explore.SweepWindow(ctx, w, models, objectives, opts, col)
+	}
+	return fmt.Errorf("cluster: shard [%d,%d) has no designs and its space %q names no window", s.Start, s.Start+s.Count, q.Space.Space)
+}
+
+// stall is a straggling sweep's ChunkDone: it holds the worker Stall
+// per covered design, or until ctx ends, then observes the chunk as
+// lasting its stall longer.
+func (l *Local) stall(ctx context.Context) func(covered, scored int, elapsed time.Duration) {
+	return func(covered, scored int, elapsed time.Duration) {
+		wait := time.Duration(covered) * l.Stall
+		t := time.NewTimer(wait)
+		select {
+		case <-ctx.Done():
+		case <-t.C:
+		}
+		t.Stop()
+		if l.ChunkDone != nil {
+			l.ChunkDone(covered, scored, elapsed+wait)
+		}
+	}
 }
 
 var _ Transport = (*Local)(nil)

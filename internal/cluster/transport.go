@@ -214,9 +214,9 @@ func (e *WorkerRejection) Error() string {
 //
 // Two implementations exist, interchangeable answer for answer: Local
 // runs shards in-process through the exploration engine (a peer's
-// transport to itself, and deterministic -race tests), and HTTP sends
-// each shard to a remote peer's POST /v1/shards, which runs it on that
-// peer's own Local.
+// transport to itself, the evaluator of a lone daemon's jobs too, and
+// deterministic -race tests), and HTTP sends each shard to a remote
+// peer's POST /v1/shards, which runs it on that peer's own Local.
 type Transport interface {
 	// Name identifies the worker in placement, logs and health reports.
 	// Names must be unique within a coordinator.

@@ -21,41 +21,6 @@ type DynamicsModel interface {
 	Predict(cfg space.Config) []float64
 }
 
-// LevelPredictor is the sweep engine's refinement of DynamicsModel: a
-// model that scores a design from its feature encoding x plus x's level
-// indices lvl against the model's level declaration (DimLevels), exactly
-// as rbf.ResolveLevels writes them. A sweep resolves once per design for
-// every model sharing the declaration — or, on a full-factorial window,
-// precomputes the indices per parameter level — so no network resolves
-// its own. When DimLevels is nil, lvl is empty and each network resolves
-// x itself. Sweeps encode each design once and share the vector: the
-// plain encoding is a prefix of the DVM encoding, so one VectorDVMInto
-// pass serves models of either flavour via x[:NumFeatures()].
-type LevelPredictor interface {
-	DynamicsModel
-	// NumFeatures is the width of the encoding the model consumes
-	// (space.NumParams, or space.MaxFeatures with DVM features).
-	NumFeatures() int
-	// DimLevels is the declaration lvl resolves against, or nil.
-	DimLevels() [][]float64
-	// PredictMeanLevels returns the forecast trace's mean at feature
-	// vector x without producing the trace. It agrees with mathx.Mean of
-	// the trace to rounding (the two sum in different orders).
-	PredictMeanLevels(x []float64, lvl []int) float64
-	// MeanTerms exposes PredictMeanLevels' fold (see
-	// Predictor.MeanTerms), so a sweep may score a mean straight from
-	// the term networks' tables, bit-identically. ok false means the
-	// mean must be scored through PredictMeanLevels itself.
-	MeanTerms() (terms []MeanTerm, ok bool)
-	// PredictVecLevelsInto writes the forecast trace at feature vector x
-	// into dst, reusing its backing array when capacity allows, and
-	// returns the filled slice. It is bit-identical to Predict on the
-	// design x encodes.
-	PredictVecLevelsInto(x []float64, lvl []int, dst []float64) []float64
-}
-
-var _ LevelPredictor = (*Predictor)(nil)
-
 // GlobalANN is the monolithic neural-network baseline of prior work
 // (Ipek et al., Joseph et al.): a single RBF network trained to predict the
 // *aggregate* metric. Its trace prediction is necessarily flat — it has no

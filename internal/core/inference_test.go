@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/json"
 	"math"
 	"testing"
 
@@ -172,7 +171,7 @@ func TestPredictIntoZeroAllocs(t *testing.T) {
 }
 
 // resolved returns x's level indices the way a sweep hands them to p:
-// resolved against its DimLevels, or empty when it has none.
+// resolved against its DimLevels.
 func resolved(p *Predictor, x []float64) []int {
 	var buf [space.MaxFeatures]int
 	return p.resolveLevels(x, &buf)
@@ -193,7 +192,9 @@ func predictMeanVec(p *Predictor, x []float64) float64 {
 // TestSharedLevelResolution proves that resolving a design's level indices
 // once per design and handing them to every network forecasts bit-for-bit
 // like each network resolving its own — for trained and loaded
-// predictors, both feature encodings, and on- and off-level inputs.
+// predictors, both feature encodings, and on- and off-level inputs. Every
+// network's coefficient under the shared resolution is its own Predict,
+// so the traces accumulated from them are too.
 func TestSharedLevelResolution(t *testing.T) {
 	for _, dvm := range []bool{false, true} {
 		p, test := trainVariant(t, wavelet.Haar{}, dvm)
@@ -206,24 +207,16 @@ func TestSharedLevelResolution(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, q := range []*Predictor{p, loaded} {
-			if q.levels == nil {
-				t.Fatalf("dvm=%v: predictor has no shared level declaration", dvm)
-			}
-			perNet := *q
-			perNet.levels = nil
-			var xs [][]float64
 			for i, cfg := range test {
 				x := q.opts.featureVector(cfg)
 				off := append([]float64(nil), x...)
 				off[i%len(off)] += 0.0137
-				xs = append(xs, x, off)
-			}
-			for i, x := range xs {
-				got := predictVec(q, x, nil)
-				want := predictVec(&perNet, x, nil)
-				for j := range want {
-					if got[j] != want[j] {
-						t.Fatalf("dvm=%v input %d sample %d: shared resolution %v, per-network %v", dvm, i, j, got[j], want[j])
+				for _, x := range [][]float64{x, off} {
+					lvl := resolved(q, x)
+					for k, net := range q.nets {
+						if got, want := net.PredictLevels(x, lvl), net.Predict(x); got != want {
+							t.Fatalf("dvm=%v design %d network %d: shared resolution %v, per-network %v", dvm, i, k, got, want)
+						}
 					}
 				}
 			}
@@ -232,45 +225,16 @@ func TestSharedLevelResolution(t *testing.T) {
 }
 
 // A saved model whose networks declare different levels (hand-edited, or
-// written by another tool) must not share one resolution: each network
-// resolves against its own declaration. Dropping a declared level only
-// moves that value to the on-the-fly path, so forecasts stay
-// bit-identical.
-func TestLoadMismatchedLevelsResolvesPerNetwork(t *testing.T) {
-	p, test := trainVariant(t, wavelet.Haar{}, false)
+// written by another tool) has no one declaration to resolve a design
+// against, so Load refuses it; Train never writes one.
+func TestLoadRefusesMismatchedLevels(t *testing.T) {
+	p, _ := trainVariant(t, wavelet.Haar{}, false)
 	var buf bytes.Buffer
 	if err := p.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var file map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &file); err != nil {
-		t.Fatal(err)
-	}
-	net := file["nets"].([]any)[1].(map[string]any)
-	levels := net["dim_levels"].([]any)
-	for j, l := range levels {
-		if vs := l.([]any); len(vs) > 1 {
-			levels[j] = vs[1:]
-		}
-	}
-	edited, err := json.Marshal(file)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := Load(bytes.NewReader(edited))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.levels != nil {
-		t.Fatal("networks with different declarations share one level resolution")
-	}
-	for i, cfg := range test {
-		want, got := p.Predict(cfg), q.Predict(cfg)
-		for j := range want {
-			if got[j] != want[j] {
-				t.Fatalf("design %d sample %d: edited model %v, original %v", i, j, got[j], want[j])
-			}
-		}
+	if _, err := Load(bytes.NewReader(mismatchLevels(t, buf.Bytes()))); err == nil {
+		t.Fatal("Load accepted networks that declare different levels")
 	}
 }
 
@@ -371,9 +335,9 @@ func TestMeanTermsTabulateOnlyMeanNetworks(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, q := range []*Predictor{p, loaded} {
-				terms, ok := q.MeanTerms()
-				if !ok || len(terms) == 0 {
-					t.Fatalf("MeanTerms = %d terms, ok %v", len(terms), ok)
+				terms := q.MeanTerms()
+				if len(terms) == 0 {
+					t.Fatal("MeanTerms is empty")
 				}
 				next := 0
 				for i, net := range q.nets {

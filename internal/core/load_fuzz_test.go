@@ -45,6 +45,28 @@ func editNets(tb testing.TB, blob []byte, edit func(net map[string]any)) []byte 
 // every network declared one lack it.
 func stripLevels(net map[string]any) { delete(net, "dim_levels") }
 
+// mismatchLevels trims the second network's level declaration (each
+// dimension loses its first level), so the networks declare different
+// levels.
+func mismatchLevels(tb testing.TB, blob []byte) []byte {
+	tb.Helper()
+	var file map[string]any
+	if err := json.Unmarshal(blob, &file); err != nil {
+		tb.Fatal(err)
+	}
+	levels := file["nets"].([]any)[1].(map[string]any)["dim_levels"].([]any)
+	for j, l := range levels {
+		if vs := l.([]any); len(vs) > 1 {
+			levels[j] = vs[1:]
+		}
+	}
+	out, err := json.Marshal(file)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out
+}
+
 // widen pads every centre and radius of a network to 17 inputs.
 func widen(net map[string]any) {
 	for _, key := range []string{"centers", "radii"} {
@@ -94,6 +116,7 @@ func FuzzLoad(f *testing.F) {
 	f.Add(blob)
 	f.Add(editNets(f, blob, stripLevels))
 	f.Add(editNets(f, blob, widen))
+	f.Add(mismatchLevels(f, blob))
 	f.Add(blob[:len(blob)/2])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := Load(bytes.NewReader(data))

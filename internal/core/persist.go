@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/rbf"
 	"repro/internal/wavelet"
@@ -91,6 +92,10 @@ func Load(r io.Reader) (*Predictor, error) {
 			// Saved before every network declared its levels, so its
 			// weights were fit against a retired kernel.
 			return nil, fmt.Errorf("core: network %d has no level declaration (a predictor from an older build)", i)
+		case !slices.EqualFunc(net.DimLevels(), f.Nets[0].DimLevels(), slices.Equal[[]float64]):
+			// Train binds every network to one declaration, which a
+			// design's level indices are resolved against once.
+			return nil, fmt.Errorf("core: network %d declares other levels than network 0", i)
 		}
 	}
 	w, err := waveletByName(f.Wavelet)

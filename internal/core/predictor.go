@@ -23,7 +23,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 
 	"repro/internal/mathx"
@@ -125,9 +124,10 @@ type Predictor struct {
 	// networks do not, since only means are scored design by design.
 	meanTerms []MeanTerm
 
-	// levels is the level declaration every network shares (nil when
-	// they do not share one). PredictInto resolves a design's level
-	// indices against it once and hands them to all k networks.
+	// levels is the level declaration every network shares (Train binds
+	// them all to one and Load refuses a file whose networks differ).
+	// PredictInto resolves a design's level indices against it once and
+	// hands them to all k networks.
 	levels [][]float64
 }
 
@@ -146,7 +146,7 @@ func (p *Predictor) bindBasis() {
 			p.meanTerms = append(p.meanTerms, MeanTerm{Net: p.nets[i], Weight: bm})
 		}
 	}
-	p.bindLevels()
+	p.levels = p.nets[0].DimLevels()
 }
 
 // MeanTerm is one term of a predictor's coefficient-space mean: the
@@ -155,22 +155,6 @@ func (p *Predictor) bindBasis() {
 type MeanTerm struct {
 	Net    *rbf.Network
 	Weight float64
-}
-
-// bindLevels records the networks' shared level declaration. If two
-// networks were bound to different declarations, levels stays nil and
-// each network resolves its own.
-func (p *Predictor) bindLevels() {
-	p.levels = nil
-	for _, net := range p.nets {
-		l := net.DimLevels()
-		if p.levels == nil {
-			p.levels = l
-		} else if !slices.EqualFunc(p.levels, l, slices.Equal[[]float64]) {
-			p.levels = nil
-			return
-		}
-	}
 }
 
 // featureVector applies the configured input encoding.
@@ -370,12 +354,20 @@ func (p *Predictor) PredictInto(cfg space.Config, dst []float64) []float64 {
 	return p.PredictVecLevelsInto(x, p.resolveLevels(x, &lbuf), dst)
 }
 
-// NumFeatures implements LevelPredictor.
+// NumFeatures is the width of the encoding the predictor consumes
+// (space.NumParams, or space.MaxFeatures with DVM features). The plain
+// encoding is a prefix of the DVM one, so a sweep encodes each design
+// once and hands every predictor x[:NumFeatures()].
 func (p *Predictor) NumFeatures() int { return p.opts.numFeatures() }
 
 // PredictVecLevelsInto writes the forecast trace for the encoded design
-// x, given x's level indices lvl against DimLevels (empty when DimLevels
-// is nil), into dst; see LevelPredictor.
+// x, given x's level indices lvl against DimLevels (as rbf.ResolveLevels
+// writes them), into dst, reusing its backing array when capacity
+// allows, and returns the filled slice. It is bit-identical to Predict
+// on the design x encodes. A sweep resolves lvl once per design for
+// every predictor sharing the declaration — or, on a full-factorial
+// window, reads it from per-level tables — so no network resolves its
+// own.
 func (p *Predictor) PredictVecLevelsInto(x []float64, lvl []int, dst []float64) []float64 {
 	dst = sizeTrace(dst, p.traceLen)
 	if len(p.selected) == 0 {
@@ -397,7 +389,7 @@ func (p *Predictor) PredictVecLevelsInto(x []float64, lvl []int, dst []float64) 
 		dst[i] = 0
 	}
 	for i, net := range p.nets {
-		c := coefficient(net, x, lvl)
+		c := net.PredictLevels(x, lvl)
 		// Accumulate only over the basis vector's nonzero support —
 		// fine-scale wavelets touch a handful of samples, so most passes
 		// are short. Skipped entries would only ever add exact zeros.
@@ -420,23 +412,11 @@ func (p *Predictor) PredictVecLevelsInto(x []float64, lvl []int, dst []float64) 
 }
 
 // resolveLevels resolves x's level indices once for all k networks into
-// buf, returning an empty slice when the networks share no declaration.
+// buf.
 func (p *Predictor) resolveLevels(x []float64, buf *[space.MaxFeatures]int) []int {
-	if p.levels == nil || len(x) > len(buf) {
-		return buf[:0]
-	}
 	lvl := buf[:len(x)]
 	rbf.ResolveLevels(p.levels, x, lvl)
 	return lvl
-}
-
-// coefficient evaluates net at x. With resolved level indices it runs
-// PredictLevels, which is bit-identical to the network's own Predict.
-func coefficient(net *rbf.Network, x []float64, lvl []int) float64 {
-	if len(lvl) > 0 {
-		return net.PredictLevels(x, lvl)
-	}
-	return net.Predict(x)
 }
 
 // PredictMean returns the mean of the forecast trace for cfg, scored in
@@ -450,12 +430,12 @@ func (p *Predictor) PredictMean(cfg space.Config) float64 {
 }
 
 // PredictMeanLevels returns the mean of the forecast trace for the
-// encoded design x, given x's level indices lvl against DimLevels (empty
-// when DimLevels is nil); see LevelPredictor. The mean is linear in the
-// coefficients, so it is Σ c_i·basisMean[i] over only the networks whose
-// basis mean is nonzero: no trace is reconstructed, and under the paper's
-// Haar transform one network (the average coefficient) is evaluated
-// instead of k. It agrees with mathx.Mean of the trace to rounding; a
+// encoded design x, given x's level indices lvl against DimLevels (see
+// PredictVecLevelsInto), without producing the trace. The mean is
+// linear in the coefficients, so it is Σ c_i·basisMean[i] over only the
+// networks whose basis mean is nonzero: no trace is reconstructed, and
+// under the paper's Haar transform one network (the average
+// coefficient) is evaluated instead of k. It agrees with mathx.Mean of the trace to rounding; a
 // model that does not select a coefficient with a nonzero basis mean
 // scores 0. The fold is MeanTerms' definition, which a sweep may
 // reproduce from the networks' tables.
@@ -464,21 +444,21 @@ func (p *Predictor) PredictMeanLevels(x []float64, lvl []int) float64 {
 	for _, t := range p.meanTerms {
 		// The explicit conversion keeps every architecture from fusing
 		// the product into the sum, so all routes round alike.
-		mean += float64(coefficient(t.Net, x, lvl) * t.Weight)
+		mean += float64(t.Net.PredictLevels(x, lvl) * t.Weight)
 	}
 	return mean
 }
 
 // MeanTerms returns the terms PredictMeanLevels folds, in its order: the
 // mean at a design is 0.0 plus, term by term, float64(c · Weight), where
-// c is the term network's prediction at the design. ok is always true for
-// a Predictor. Callers must not modify the terms.
-func (p *Predictor) MeanTerms() (terms []MeanTerm, ok bool) { return p.meanTerms, true }
+// c is the term network's prediction at the design, so a sweep may
+// score a mean straight from the term networks' tables, bit-identically.
+// Callers must not modify the terms.
+func (p *Predictor) MeanTerms() []MeanTerm { return p.meanTerms }
 
-// DimLevels returns the level declaration every network shares
-// — the one PredictMeanLevels and PredictVecLevelsInto take level indices
-// against — or nil when the networks share none. Callers must not modify
-// it.
+// DimLevels returns the level declaration every network shares — the
+// one PredictMeanLevels and PredictVecLevelsInto take level indices
+// against. Callers must not modify it.
 func (p *Predictor) DimLevels() [][]float64 { return p.levels }
 
 // PredictBatch forecasts every configuration in cfgs, writing trace i into

@@ -115,9 +115,9 @@ func collect(ctx context.Context, src source, models []core.DynamicsModel, objec
 type evalKind uint8
 
 const (
-	evalMeanLevels  evalKind = iota // mean objective on a core.LevelPredictor
+	evalMeanLevels  evalKind = iota // mean objective on a *core.Predictor
 	evalMeanLattice                 // mean objective scored from its terms' tables (windows)
-	evalTraceLevels                 // trace objective on a core.LevelPredictor
+	evalTraceLevels                 // trace objective on a *core.Predictor
 	evalPredict                     // DynamicsModel.Predict: needs the Config
 )
 
@@ -125,13 +125,11 @@ const (
 type modelPlan struct {
 	kind  evalKind
 	nfeat int // width of the model's encoding (level kinds)
-	// group indexes plan.decls (level kinds); -1 for a LevelPredictor
-	// without a declaration, which is handed empty level indices.
-	group int
+	group int // indexes plan.decls (level kinds)
 	// terms indexes plan.terms: the lattice kind's mean terms.
 	terms [2]int
 	model core.DynamicsModel
-	lev   core.LevelPredictor
+	lev   *core.Predictor
 	score func([]float64) float64
 }
 
@@ -175,15 +173,13 @@ type tabOff struct{ s, g int }
 func newPlan(models []core.DynamicsModel, objectives []Objective) *plan {
 	p := &plan{models: make([]modelPlan, len(models))}
 	for i, model := range models {
-		mp := modelPlan{kind: evalPredict, group: -1, model: model, score: objectives[i].Score}
-		if lp, ok := model.(core.LevelPredictor); ok {
+		mp := modelPlan{kind: evalPredict, model: model, score: objectives[i].Score}
+		if lp, ok := model.(*core.Predictor); ok {
 			mp.kind, mp.lev, mp.nfeat = evalTraceLevels, lp, lp.NumFeatures()
 			if objectives[i].mean {
 				mp.kind = evalMeanLevels
 			}
-			if decl := lp.DimLevels(); decl != nil {
-				mp.group = p.declGroup(decl, mp.nfeat)
-			}
+			mp.group = p.declGroup(lp.DimLevels(), mp.nfeat)
 			p.needVec = true
 			p.needDVM = p.needDVM || mp.nfeat > space.NumParams
 		} else {
@@ -262,11 +258,11 @@ func (p *plan) levelTables(w *space.Window) *levelTables {
 }
 
 // bindLattice moves a window sweep's mean objectives onto the lattice
-// route where it is exact: the model offers its mean terms, takes the
-// plain encoding (DVM features read the window Base's constants, which
-// the tables do not offset), every window level lies on its declaration,
-// and every term network has both tables. Any other model keeps its
-// route. Only level kinds still left need the encoding afterwards.
+// route where it is exact: the model takes the plain encoding (DVM
+// features read the window Base's constants, which the tables do not
+// offset), every window level lies on its declaration, and every term
+// network has both tables. Any other model keeps its route. Only level
+// kinds still left need the encoding afterwards.
 func (p *plan) bindLattice(w *space.Window, t *levelTables) {
 	levels := 0
 	for q := range w.Levels {
@@ -274,11 +270,11 @@ func (p *plan) bindLattice(w *space.Window, t *levelTables) {
 	}
 	for m := range p.models {
 		mp := &p.models[m]
-		if mp.kind != evalMeanLevels || mp.group < 0 || mp.nfeat != space.NumParams || !onDeclaration(&t.lvl[mp.group]) {
+		if mp.kind != evalMeanLevels || mp.nfeat != space.NumParams || !onDeclaration(&t.lvl[mp.group]) {
 			continue
 		}
-		terms, ok := mp.lev.MeanTerms()
-		if !ok || slices.ContainsFunc(terms, func(mt core.MeanTerm) bool {
+		terms := mp.lev.MeanTerms()
+		if slices.ContainsFunc(terms, func(mt core.MeanTerm) bool {
 			s, _ := mt.Net.TableOffsets(0)
 			return s == nil
 		}) {
@@ -380,9 +376,9 @@ func (p *plan) newWorker(chunk int) *worker {
 		}
 	}
 	// Each level-kind model views its group's indices, widened to its own
-	// encoding; a model without a declaration keeps an empty view.
+	// encoding.
 	for m, mp := range p.models {
-		if mp.group >= 0 {
+		if mp.kind != evalPredict {
 			w.lvl[m] = w.lvls[mp.group][:mp.nfeat]
 		}
 	}
@@ -598,7 +594,7 @@ func (w *worker) setDigits(t *levelTables, idx *[space.NumParams]int, from int) 
 // must copy out what it retains.
 //
 // Each worker holds its own scratch (see worker), so the steady-state
-// sweep performs zero heap allocations per design. A core.LevelPredictor
+// sweep performs zero heap allocations per design. A *core.Predictor
 // is handed level indices resolved once per design for its whole
 // declaration group — or, on a window, read from per-level tables — and
 // scores a mean objective in coefficient space, never producing a trace.
@@ -609,16 +605,24 @@ func evalChunks(ctx context.Context, src source, models []core.DynamicsModel, ob
 	if workers > n {
 		workers = n
 	}
-	var completed atomic.Int64
 	size := min(max(n/(workers*8), 1), 512)
 	p := newPlan(models, objectives)
 	var tables *levelTables
+	// shift moves chunk boundaries onto multiples of size in the window's
+	// space; the first chunk is short when the window starts off one.
+	shift := 0
 	if src.win != nil {
 		tables = p.levelTables(src.win)
 		p.bindLattice(src.win, tables)
 		if prune {
 			p.bindPrune(src.win)
 			p.seed = seed
+		}
+		// A pruning sweep tests only the subtrees a chunk holds whole, so
+		// its chunks are whole subtrees, aligned as the subtrees are.
+		if p.bound > 0 {
+			size = (size + p.sub - 1) / p.sub * p.sub
+			shift = src.win.Offset % size
 		}
 	}
 	var cursor atomic.Int64
@@ -630,11 +634,12 @@ func evalChunks(ctx context.Context, src source, models []core.DynamicsModel, ob
 			w := p.newWorker(size)
 			c := &chunk{m: len(models), win: src.win, skip: w.skip}
 			for {
-				start := int(cursor.Add(int64(size))) - size
+				start := int(cursor.Add(int64(size))) - size - shift
 				if start >= n || ctx.Err() != nil {
 					return
 				}
 				end := min(start+size, n)
+				start = max(start, 0)
 				var t0 time.Time
 				if opts.ChunkDone != nil {
 					t0 = time.Now()
@@ -650,9 +655,6 @@ func evalChunks(ctx context.Context, src source, models []core.DynamicsModel, ob
 				emit(c)
 				if opts.ChunkDone != nil {
 					opts.ChunkDone(end-start, scored, time.Since(t0))
-				}
-				if opts.Progress != nil {
-					opts.Progress(int(completed.Add(int64(end - start))))
 				}
 			}
 		}()

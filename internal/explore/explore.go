@@ -46,14 +46,14 @@ type Objective struct {
 	Score func(trace []float64) float64
 
 	// mean marks MeanObjective, whose score is linear in the model's
-	// coefficients: sweeps score it through core.LevelPredictor's
+	// coefficients: sweeps score it through core.Predictor's
 	// PredictMeanLevels without predicting the trace.
 	mean bool
 }
 
 // MeanObjective scores by trace mean — aggregate behaviour. Sweeps score
-// it in coefficient space (core.LevelPredictor.PredictMeanLevels) when
-// the model is a LevelPredictor, which agrees with mathx.Mean of the
+// it in coefficient space (core.Predictor.PredictMeanLevels) when the
+// model is a *core.Predictor, which agrees with mathx.Mean of the
 // predicted trace to rounding.
 func MeanObjective(name string) Objective {
 	return Objective{Name: name, Score: mathx.Mean, mean: true}
@@ -104,20 +104,15 @@ type Result struct {
 type Options struct {
 	// Workers bounds evaluation parallelism. 0 means GOMAXPROCS.
 	Workers int
-	// Progress, when set, receives cumulative completed-design counts as
-	// the sweep proceeds (once per finished chunk). It is called
-	// concurrently from worker goroutines and counts may arrive slightly
-	// out of order; consumers wanting a monotone gauge keep the maximum.
-	// It must be cheap — it sits on the evaluation hot path.
-	Progress func(completed int)
 	// ChunkDone, when set, receives each finished chunk's design count
 	// (covered), how many of those designs were scored, and its wall time
 	// — the per-chunk signals observability layers feed into histograms
 	// and counters. scored equals covered except on a window sweep that
-	// skipped dominated designs unscored (see SweepWindow). Like Progress
-	// it is called concurrently from worker goroutines and must be cheap
-	// and allocation-free; when nil the engine does not even read the
-	// clock.
+	// skipped dominated designs unscored (see SweepWindow). It is called
+	// concurrently from worker goroutines, after the collectors took the
+	// chunk, and holds up only its own worker: it must be cheap and
+	// allocation-free unless slowing the sweep is its purpose. When nil
+	// the engine does not even read the clock.
 	ChunkDone func(covered, scored int, elapsed time.Duration)
 }
 
@@ -126,15 +121,6 @@ func (o Options) workers() int {
 		return o.Workers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// Sweep predicts dynamics for every design and scores it under each
-// (model, objective) pair. models[i] produces the trace scored by
-// objectives[i]; the two slices must align. It is SweepContext with a
-// background context and default engine options.
-func Sweep(designs []space.Config, models []core.DynamicsModel, objectives []Objective) (*Result, error) {
-	//dsedlint:ignore ctxflow frozen pre-context compatibility wrapper; new callers use SweepContext
-	return SweepContext(context.Background(), designs, models, objectives, Options{})
 }
 
 // SweepContext evaluates every design on a bounded worker pool and

@@ -50,8 +50,8 @@ func testModels() []core.DynamicsModel {
 
 func sweepOrFatal(t *testing.T) *Result {
 	t.Helper()
-	res, err := Sweep(testDesigns(), testModels(),
-		[]Objective{MeanObjective("cpi"), MeanObjective("power")})
+	res, err := SweepContext(context.Background(), testDesigns(), testModels(),
+		[]Objective{MeanObjective("cpi"), MeanObjective("power")}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,10 +196,11 @@ func TestBestWithConstraints(t *testing.T) {
 }
 
 func TestSweepValidation(t *testing.T) {
-	if _, err := Sweep(nil, testModels(), []Objective{MeanObjective("a"), MeanObjective("b")}); err == nil {
+	ctx := context.Background()
+	if _, err := SweepContext(ctx, nil, testModels(), []Objective{MeanObjective("a"), MeanObjective("b")}, Options{}); err == nil {
 		t.Error("empty design list should fail")
 	}
-	if _, err := Sweep(testDesigns(), testModels(), []Objective{MeanObjective("a")}); err == nil {
+	if _, err := SweepContext(ctx, testDesigns(), testModels(), []Objective{MeanObjective("a")}, Options{}); err == nil {
 		t.Error("model/objective mismatch should fail")
 	}
 }

@@ -55,8 +55,8 @@ func syntheticSet(trace func(x []float64, s int) float64) ([]space.Config, [][]f
 	return train, traces
 }
 
-// predictOnly hides a model's core.LevelPredictor methods so sweeps fall
-// back to the allocating Predict route.
+// predictOnly hides a *core.Predictor behind core.DynamicsModel, so
+// sweeps score it through the allocating Predict route.
 type predictOnly struct{ m core.DynamicsModel }
 
 func (p predictOnly) Predict(cfg space.Config) []float64 { return p.m.Predict(cfg) }
@@ -145,8 +145,8 @@ func TestSweepSteadyStateAllocs(t *testing.T) {
 
 // TestInstrumentedSweepSteadyStateAllocs re-proves the zero-alloc
 // contract with the observability hooks attached the way cmd/dsed
-// attaches them: a Progress gauge and a ChunkDone observer feeding
-// pre-registered obs histograms. Instrumentation must not buy its
+// attaches them: a ChunkDone observer feeding pre-registered obs
+// histograms and a counter. Instrumentation must not buy its
 // latency signal with per-design garbage.
 func TestInstrumentedSweepSteadyStateAllocs(t *testing.T) {
 	models := trainedModels(t)
@@ -159,13 +159,13 @@ func TestInstrumentedSweepSteadyStateAllocs(t *testing.T) {
 	reg := obs.NewRegistry(nil)
 	chunkMS := reg.Histogram("dsed_explore_chunk_ms", "", obs.LatencyMSBuckets)
 	chunkN := reg.Histogram("dsed_explore_chunk_designs", "", obs.SizeBuckets)
-	progress := reg.Gauge("dsed_explore_evaluated", "")
+	covered := reg.Counter("dsed_explore_designs_covered_total", "")
 	opts := Options{
-		Workers:  1,
-		Progress: func(completed int) { progress.SetMax(float64(completed)) },
+		Workers: 1,
 		ChunkDone: func(designs, _ int, elapsed time.Duration) {
 			chunkN.Observe(float64(designs))
 			chunkMS.Observe(float64(elapsed.Microseconds()) / 1000)
+			covered.Add(int64(designs))
 		},
 	}
 
@@ -181,8 +181,9 @@ func TestInstrumentedSweepSteadyStateAllocs(t *testing.T) {
 	if chunkMS.Count() == 0 || chunkN.Count() == 0 {
 		t.Errorf("chunk observer never fired")
 	}
-	if got := progress.Value(); got != n {
-		t.Errorf("progress gauge = %v, want %d", got, n)
+	// AllocsPerRun sweeps once more than it averages over.
+	if got := covered.Value(); got != 4*n {
+		t.Errorf("chunks covered %v designs over 4 sweeps, want %d", got, 4*n)
 	}
 }
 
@@ -199,10 +200,10 @@ func TestWindowSweepSteadyStateAllocs(t *testing.T) {
 	var completed int
 	opts := Options{
 		Workers:   1,
-		Progress:  func(c int) { completed = c },
-		ChunkDone: func(int, int, time.Duration) {},
+		ChunkDone: func(covered, _ int, _ time.Duration) { completed += covered },
 	}
 	allocs := testing.AllocsPerRun(3, func() {
+		completed = 0
 		top := NewTopK(8, 0, nil)
 		if err := SweepWindow(ctx, w, models, objectives, opts, top, NewFrontierCollector()); err != nil {
 			t.Fatal(err)

@@ -88,10 +88,7 @@ func latticeCases(t *testing.T) []latticeCase {
 		p    *core.Predictor
 		want bool
 	}{{"capped", capped, false}, {"no-average", noAvg, true}} {
-		terms, ok := c.p.MeanTerms()
-		if !ok {
-			t.Fatalf("%s: a predictor offers no mean terms", c.name)
-		}
+		terms := c.p.MeanTerms()
 		for _, mt := range terms {
 			if s, _ := mt.Net.TableOffsets(0); s != nil {
 				t.Fatalf("%s: a mean network has both tables", c.name)

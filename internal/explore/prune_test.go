@@ -144,6 +144,37 @@ func TestPruneMatchesListSweep(t *testing.T) {
 	}
 }
 
+// TestSmallWindowsPrune holds a pruning sweep to chunks cut on subtree
+// boundaries: a window too small for full-size chunks, and one that
+// starts off a subtree boundary, still prune on one worker, and answer
+// byte for byte what the unpruned list sweep does.
+func TestSmallWindowsPrune(t *testing.T) {
+	cpi, power := pruneModels(t)
+	models := []core.DynamicsModel{cpi, power}
+	objectives := []Objective{MeanObjective("cpi"), MeanObjective("power")}
+	ctx := context.Background()
+	for _, w := range []space.Window{
+		{Levels: space.TrainLevels(), Base: space.Baseline(), Count: 500},
+		{Levels: space.TrainLevels(), Base: space.Baseline(), Offset: 4633, Count: 1000},
+	} {
+		ref := NewFrontierCollector()
+		if err := SweepStream(ctx, w.Designs(), models, objectives, Options{Workers: 1}, ref); err != nil {
+			t.Fatal(err)
+		}
+		opts, covered, scored := countScored(1)
+		fc := NewFrontierCollector()
+		if err := SweepWindow(ctx, w, models, objectives, opts, fc); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(fc.Frontier(), ref.Frontier()) || fc.Seen() != ref.Seen() {
+			t.Fatalf("offset %d count %d: pruned frontier (seen %d) differs from the list sweep's (seen %d)", w.Offset, w.Count, fc.Seen(), ref.Seen())
+		}
+		if covered.Load() != int64(w.Count) || scored.Load() >= covered.Load() {
+			t.Errorf("offset %d count %d: scored %d of %d covered designs; want fewer than all %d", w.Offset, w.Count, scored.Load(), covered.Load(), w.Count)
+		}
+	}
+}
+
 // TestPruneOnlyForFrontiers checks the pruning scope: a sweep that also
 // feeds a TopK, whose feasible count needs every score, and a list sweep
 // score every design; a window sweep into FrontierCollectors alone skips

@@ -1,9 +1,7 @@
 package explore
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"reflect"
@@ -85,7 +83,6 @@ func indexCases(t *testing.T) []indexCase {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mixed := mismatchedLevels(t, plain.(*core.Predictor))
 	return []indexCase{
 		{
 			name:       "haar+dvm",
@@ -96,11 +93,6 @@ func indexCases(t *testing.T) []indexCase {
 			name:       "globalANN",
 			models:     []core.DynamicsModel{global, plain, global},
 			objectives: []Objective{MeanObjective("global"), MeanObjective("plain"), WorstCaseObjective("global_peak")},
-		},
-		{
-			name:       "nil-levels",
-			models:     []core.DynamicsModel{mixed, plain, mixed},
-			objectives: []Objective{MeanObjective("mixed"), MeanObjective("plain"), WorstCaseObjective("mixed_peak")},
 		},
 		{
 			name:       "objectives",
@@ -146,41 +138,6 @@ func definitionalScore(m core.DynamicsModel, obj Objective, cfg space.Config) fl
 		return p.PredictMean(cfg)
 	}
 	return obj.Score(m.Predict(cfg))
-}
-
-// mismatchedLevels round-trips p through Save and Load with its second
-// network's level declaration trimmed (each dimension loses its first
-// level), so its networks disagree and the loaded predictor's DimLevels
-// is nil. A dropped level only moves that value to the network's
-// on-the-fly path, so it forecasts bit-identically to p.
-func mismatchedLevels(t *testing.T, p *core.Predictor) core.DynamicsModel {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := p.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var file map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &file); err != nil {
-		t.Fatal(err)
-	}
-	levels := file["nets"].([]any)[1].(map[string]any)["dim_levels"].([]any)
-	for j, l := range levels {
-		if vs := l.([]any); len(vs) > 1 {
-			levels[j] = vs[1:]
-		}
-	}
-	edited, err := json.Marshal(file)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := core.Load(bytes.NewReader(edited))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.DimLevels() != nil {
-		t.Fatal("a predictor whose networks disagree on their levels has a DimLevels")
-	}
-	return q
 }
 
 // frontierSet renders a frontier as a sorted list of (scores, config)

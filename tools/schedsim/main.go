@@ -266,7 +266,7 @@ func reference(designs []space.Config) ([]string, error) {
 	pow, _ := resolve(context.Background(), "gcc", "Power")
 	obj0, _ := (wire.ObjectiveSpec{Metric: "CPI"}).Build()
 	obj1, _ := (wire.ObjectiveSpec{Metric: "Power", Kind: "worst"}).Build()
-	res, err := explore.Sweep(designs, []core.DynamicsModel{cpi, pow}, []explore.Objective{obj0, obj1})
+	res, err := explore.SweepContext(context.Background(), designs, []core.DynamicsModel{cpi, pow}, []explore.Objective{obj0, obj1}, explore.Options{})
 	if err != nil {
 		return nil, err
 	}
