@@ -355,11 +355,13 @@ func runRemote(ctx context.Context, addr, exp, benchmarks string, sample int, se
 }
 
 // partialLine renders one streamed update as a "partial:" line. Only a
-// partial answer counts: the final update is printed separately, and a
+// partial answer counts: the final update is printed separately, a
 // job's opening snapshot carries only its shape (nothing evaluated yet),
-// so ok is false for both.
+// and a fleet merge between stream cadence points carries counters
+// without candidates (progress, not a partial answer), so ok is false
+// for all three.
 func partialLine(u api.Update) (line string, ok bool) {
-	if u.Final || u.Evaluated == 0 {
+	if u.Final || u.Evaluated == 0 || (u.Shards > 0 && len(u.Candidates) == 0) {
 		return "", false
 	}
 	line = fmt.Sprintf("partial: evaluated %d/%d, %d candidates", u.Evaluated, u.Designs, len(u.Candidates))

@@ -15,8 +15,8 @@ import (
 
 // This file is the serving side of the async job API shared by a single
 // daemon and a peer: the /v1/jobs/{id} route family (status, NDJSON
-// stream, cancel), the submit glue, and the cadence a local job
-// publishes its progress snapshots on.
+// stream, cancel), the submit glue, and the cadence on which every job
+// attaches its partial answer to its progress snapshots.
 
 // jobAPI embeds the job table into a serving layer.
 type jobAPI struct {
@@ -93,7 +93,9 @@ func (a *jobAPI) handleJob(w http.ResponseWriter, r *http.Request) {
 // reconnecting client passes ?from_seq= (the last Seq it saw) and gets
 // the retained updates after that point replayed as a delta; past the
 // retention horizon — or without the parameter — it is primed with the
-// latest cumulative snapshot, so disconnects lose nothing either way.
+// latest cumulative snapshot, whose counters are current (a fleet job's
+// may lack candidates until the next cadence point, see
+// streamInterval).
 func (a *jobAPI) handleJobStream(w http.ResponseWriter, r *http.Request) {
 	if !requireGet(w, r) {
 		return
@@ -262,7 +264,10 @@ func jobResult(spec wire.JobSpec, u api.Update, fleet bool) any {
 	return resp
 }
 
-// streamInterval paces a local job's progress snapshots: coarse enough
-// that publishing never competes with evaluation, fine enough that a
-// human watching the stream sees the frontier grow.
+// streamInterval paces every job's partial answers: a local job's
+// ticker publishes one snapshot per interval, and a fleet job, which
+// publishes counters at every merged shard, attaches its merged answer
+// to at most one merge per interval. Coarse enough that encoding the
+// answer never competes with evaluation, fine enough that a human
+// watching the stream sees the frontier grow.
 const streamInterval = 100 * time.Millisecond

@@ -453,10 +453,12 @@ func clusterStatus(err error) int {
 // both fresh jobs (adopted nil) and adopted ones. An adopted job re-runs
 // the dead owner's spec from scratch under its job ID, splices into its
 // trace, and numbers its updates past any seq the owner could have
-// published. Every merged shard publishes the cumulative partial, while
-// the job's replicator keeps the spec at its replicas. spec keeps the
-// design list in seed-deterministic resolvable form, so an adopter
-// rebuilds the identical list.
+// published. Every merged shard publishes the job's counters and its
+// attribution; the cumulative partial answer rides along on the stream
+// cadence only (see streamInterval), while the job's replicator keeps
+// the spec at its replicas. spec keeps the design list in
+// seed-deterministic resolvable form, so an adopter rebuilds the
+// identical list.
 func (ps *peerServer) runFleet(spec wire.JobSpec, early []space.Config, adopted *wire.ReplicateRequest) api.RunFunc {
 	return func(ctx context.Context, pub api.Publisher) (any, api.Update, error) {
 		var jobSpan *obs.ActiveSpan
@@ -493,6 +495,10 @@ func (ps *peerServer) runFleet(spec wire.JobSpec, early []space.Config, adopted 
 		// the first merged shard lands.
 		pub.Publish(api.Update{Designs: designs, Objectives: names})
 		start := time.Now()
+		// last is when a merge last attached the partial answer. The
+		// observer runs under the coordinator's merge lock, so it needs
+		// no lock of its own.
+		var last time.Time
 		res, err := ps.coord.Run(ctx, cluster.QueryOf(spec), designs, pinned, func(p cluster.Progress) {
 			u := api.Update{
 				Evaluated:  p.Evaluated,
@@ -504,8 +510,13 @@ func (ps *peerServer) runFleet(spec wire.JobSpec, early []space.Config, adopted 
 				Delta:      p.Delta,
 				Objectives: names,
 			}
-			if pub.Streaming() {
+			// The partial answer is encoded only while a stream is
+			// attached, and at most once per streamInterval: the first
+			// merge after the first subscriber attaches carries it, and
+			// a merge between cadence points publishes counters alone.
+			if now := time.Now(); pub.Streaming() && now.Sub(last) >= streamInterval {
 				u.Candidates = wire.ToCandidates(p.Candidates)
+				last = now
 			}
 			pub.Publish(u)
 		})

@@ -83,9 +83,14 @@
 // Exploration is long-running by nature — predictor-driven sweeps over
 // millions of design points — so it is a job, not an RPC. Submission
 // answers 202 with a job ID immediately; progress streams as NDJSON,
-// one cumulative snapshot per line (partial frontier / feasible top-K,
-// designs evaluated, per-peer attribution on a fleet job), ending
-// with the final update:
+// one cumulative snapshot per line, ending with the final update. A
+// lone daemon's job publishes designs evaluated and its partial
+// frontier / feasible top-K every 100 ms. A fleet job publishes its
+// counters and per-peer attribution at every merged shard, and attaches
+// the merged partial answer at the same 100 ms cadence: to the first
+// merge after a stream attaches, then to at most one merge per
+// interval, so a line without candidates leaves the last partial
+// standing:
 //
 //	job=$(curl -s localhost:8090/v1/pareto -d '{"benchmark":"gcc","objectives":[{"metric":"CPI"},{"metric":"Power"}],"space":"test"}' | sed 's/.*"id":"\([^"]*\)".*/\1/')
 //	curl -sN localhost:8090/v1/jobs/$job/stream      # NDJSON partial frontiers (?updates=final for just the answer)
@@ -93,9 +98,11 @@
 //	curl -s  -X DELETE localhost:8090/v1/jobs/$job   # cancel a running job; release a finished one
 //	curl -s localhost:8090/v1/sweeps -d '{"benchmark":"gcc","objectives":[{"metric":"CPI"},{"metric":"Power","kind":"worst"}],"space":"train","top_k":5,"constraints":[{"objective":1,"max":60}]}'
 //
-// Because every streamed update is a cumulative snapshot, a client that
-// disconnects simply re-opens the stream and is current after one line —
-// pkg/dsedclient's iterator does this automatically.
+// Because every streamed update is cumulative, a client that
+// disconnects re-opens the stream at ?from_seq= (the last seq it saw)
+// and misses nothing — pkg/dsedclient's iterator does this
+// automatically, and its Run opens at ?from_seq=0, so its callback sees
+// the retained partials even of a job that settled before it attached.
 //
 // The unversioned routes (/predict, /sweep, /pareto, /warm, /healthz,
 // /benchmarks, /metrics, /cluster/sweep, /cluster/pareto, /register,

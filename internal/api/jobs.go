@@ -16,9 +16,12 @@ import (
 // requests return a job ID immediately and run detached from the
 // submitting request, publishing cumulative progress snapshots (partial
 // frontiers / top-K) that GET /v1/jobs/{id}/stream replays as NDJSON.
-// Every published Update is a complete snapshot, not a delta, so a
-// subscriber that joins late — or reconnects after a disconnect — is
-// current after its first line.
+// Every published Update is cumulative, not a delta: its counters are
+// current, and Candidates, when present, is the whole partial answer.
+// A fleet job attaches Candidates on the stream cadence only, so a
+// subscriber that joins late has current counters after its first line
+// and the partial answer by the next cadence point, and one that
+// reconnects with ?from_seq= keeps the last partial it saw.
 
 // JobState is a job's lifecycle phase.
 type JobState string
@@ -56,7 +59,11 @@ type Update struct {
 	Delta  int    `json:"delta,omitempty"`
 	// Objectives labels the score columns (set once resolved).
 	Objectives []string `json:"objectives,omitempty"`
-	// Candidates is the cumulative partial result, already merged.
+	// Candidates is the cumulative partial result, already merged. It
+	// is absent while no stream is attached, and on a fleet job's
+	// counters update: a merge that lands less than one stream interval
+	// after the last merge that carried it. A client keeps the last
+	// partial it saw.
 	Candidates []wire.Candidate `json:"candidates,omitempty"`
 	// Final marks the last update of the stream.
 	Final     bool    `json:"final,omitempty"`
@@ -586,9 +593,11 @@ func (j *Job) publishLocked(u Update) {
 }
 
 // Subscribe attaches a stream reader: the channel is primed with the
-// latest snapshot (so a late or reconnecting subscriber is current
-// immediately), then receives subsequent updates, and closes after the
-// final one. The returned cancel detaches the subscriber.
+// latest snapshot (so a late or reconnecting subscriber's counters are
+// current immediately; on a running fleet job that snapshot may be a
+// counters update without Candidates, which the next cadence point
+// brings), then receives subsequent updates, and closes after the final
+// one. The returned cancel detaches the subscriber.
 func (j *Job) Subscribe() (<-chan Update, func()) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -616,16 +625,19 @@ func (j *Job) Subscribe() (<-chan Update, func()) {
 }
 
 // historyCap bounds per-job retained updates for SubscribeFrom replay.
-// Updates are cumulative snapshots, so a reconnecting reader past the
-// horizon loses nothing by falling back to the latest one; the ring only
-// exists to spare well-behaved reconnects the full-snapshot re-send.
+// Updates are cumulative, so a reconnecting reader past the horizon
+// loses no counters by falling back to the latest one, though on a
+// running fleet job that one may lack Candidates until the next cadence
+// point; the ring spares well-behaved reconnects the full-snapshot
+// re-send and lets a reader that attaches at ?from_seq=0 see the
+// partials of a job that settled before it attached.
 const historyCap = 64
 
 // SubscribeFrom is Subscribe for a reader resuming after a dropped
 // connection: replay holds the retained updates with Seq > from, oldest
 // first, and ch then delivers everything after those. If from predates
 // the retained history (or is negative), replay degrades to the latest
-// cumulative snapshot alone — still correct, just not a delta. The
+// cumulative snapshot alone, as Subscribe primes a reader. The
 // subscriber is registered under the same lock that builds replay, so no
 // update can fall between the two.
 func (j *Job) SubscribeFrom(from int) ([]Update, <-chan Update, func()) {

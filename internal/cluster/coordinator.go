@@ -198,7 +198,9 @@ type Result struct {
 // top-K) so far, not a delta, so any snapshot alone is a valid partial
 // answer. Updates arrive at shard granularity (a shard's partial is the
 // smallest mergeable unit — folding a worker's unfinished shard would
-// double-count when the finished one lands).
+// double-count when the finished one lands). Every merge delivers one;
+// the observer decides which to forward in full, and a job observer
+// forwards Candidates at its stream cadence only, counters always.
 type Progress struct {
 	// Worker is the fleet member whose shard was just merged; Delta is
 	// how many designs that shard contributed.
@@ -216,9 +218,10 @@ type Progress struct {
 	Candidates []explore.Candidate
 }
 
-// Observer receives Progress snapshots. It is called under the merge
-// lock (snapshots are consistent and ordered) and must not call back
-// into the coordinator.
+// Observer receives Progress snapshots, one per merged shard. It is
+// called under the merge lock (snapshots are consistent and ordered, and
+// state the observer keeps across calls needs no lock of its own) and
+// must not call back into the coordinator.
 type Observer func(Progress)
 
 // ParetoResult is Run's answer to a fresh frontier job.

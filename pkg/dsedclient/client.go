@@ -8,9 +8,9 @@
 // Shard, Gossip and Replicate) are one call each. Exploration is asynchronous:
 // SubmitSweep and SubmitPareto return a job immediately; Job polls it,
 // Stream follows its NDJSON partial-frontier updates (resuming
-// transparently after a disconnect — every update is a cumulative
-// snapshot, so the resumed stream is current from its first line), and
-// Cancel aborts it. Run bundles submit → stream → final into one
+// transparently after a disconnect from the last Seq it saw — every
+// update is cumulative, so a consumer keeps the last partial frontier
+// it saw until a newer one arrives), and Cancel aborts it. Run bundles submit → stream → final into one
 // blocking call of either kind with an optional per-update callback.
 //
 // Errors from /v1 endpoints decode into *APIError carrying the

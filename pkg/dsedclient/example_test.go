@@ -37,10 +37,14 @@ func ExampleClient_Run() {
 		},
 		SpaceSpec: wire.SpaceSpec{Space: "test", Sample: 4096, Seed: 1},
 	}, func(u api.Update) {
-		// Every update is a cumulative snapshot: the whole merged
-		// frontier so far, not a delta.
-		fmt.Printf("%d/%d designs, %d frontier points (last shard from %q)\n",
-			u.Evaluated, u.Designs, len(u.Candidates), u.Worker)
+		// Every update is cumulative, not a delta. Candidates, when
+		// present, is the whole merged frontier so far; a fleet merge
+		// between stream cadence points carries the counters alone.
+		if u.Candidates == nil {
+			fmt.Printf("%d/%d designs (last shard from %q)\n", u.Evaluated, u.Designs, u.Worker)
+			return
+		}
+		fmt.Printf("%d/%d designs, %d frontier points\n", u.Evaluated, u.Designs, len(u.Candidates))
 	})
 	if err != nil {
 		log.Fatal(err)

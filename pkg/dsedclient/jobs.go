@@ -72,6 +72,14 @@ type Stream struct {
 	// finalOnly asks the daemon to suppress intermediate snapshots
 	// (?updates=final) — for consumers that only want the answer.
 	finalOnly bool
+	// replay opens the first attach at ?from_seq=0, replaying every
+	// retained update instead of priming with the latest snapshot, so a
+	// consumer of a job that settled before the stream attached still
+	// sees its partials.
+	replay bool
+	// maxLine bounds one NDJSON line; a longer one is an error, never
+	// an unbounded read.
+	maxLine int
 
 	body       io.ReadCloser
 	br         *bufio.Reader
@@ -83,14 +91,15 @@ type Stream struct {
 
 // Stream opens a streaming iterator over the job's partial results. The
 // connection is opened lazily on the first Next; a mid-stream disconnect
-// reconnects transparently (the daemon replays the latest cumulative
-// snapshot, so nothing is lost) up to the client's retry budget.
+// reconnects transparently (it resumes after the last Seq it saw, so
+// nothing is lost) up to the client's retry budget.
 func (c *Client) Stream(ctx context.Context, jobID string) *Stream {
-	return &Stream{c: c, ctx: ctx, id: jobID}
+	return &Stream{c: c, ctx: ctx, id: jobID, maxLine: maxResponse}
 }
 
 // Next returns the next update. After the Final update it returns
-// io.EOF. Duplicate snapshots replayed across a reconnect are skipped.
+// io.EOF. Updates come back in strictly rising Seq: duplicate snapshots
+// replayed across a reconnect are skipped.
 func (s *Stream) Next() (*api.Update, error) {
 	for {
 		if s.done {
@@ -104,7 +113,11 @@ func (s *Stream) Next() (*api.Update, error) {
 				continue
 			}
 		}
-		line, err := s.br.ReadBytes('\n')
+		line, err := s.readLine()
+		if errors.Is(err, errLineTooLong) {
+			s.closeBody()
+			return nil, fmt.Errorf("dsed: job %s update: %w (%d bytes)", s.id, err, s.maxLine)
+		}
 		if err != nil {
 			s.closeBody()
 			if err := s.resume(err); err != nil {
@@ -120,7 +133,7 @@ func (s *Stream) Next() (*api.Update, error) {
 			return nil, fmt.Errorf("dsed: decoding job %s update: %w", s.id, err)
 		}
 		s.reconnects = 0
-		if u.Seq <= s.lastSeq && !u.Final {
+		if u.Seq <= s.lastSeq {
 			continue // replayed snapshot we already saw
 		}
 		s.lastSeq = u.Seq
@@ -129,6 +142,26 @@ func (s *Stream) Next() (*api.Update, error) {
 			s.closeBody()
 		}
 		return &u, nil
+	}
+}
+
+// errLineTooLong rejects an NDJSON line over the stream's bound.
+var errLineTooLong = errors.New("stream line too long")
+
+// readLine reads one NDJSON line, its newline included, failing with
+// errLineTooLong past maxLine bytes. Like bufio.Reader.ReadBytes, it
+// returns what it read with the error when the body ends mid-line.
+func (s *Stream) readLine() ([]byte, error) {
+	var line []byte
+	for {
+		frag, err := s.br.ReadSlice('\n')
+		if len(line)+len(frag) > s.maxLine {
+			return nil, errLineTooLong
+		}
+		line = append(line, frag...)
+		if err != bufio.ErrBufferFull {
+			return line, err
+		}
 	}
 }
 
@@ -176,10 +209,11 @@ func (s *Stream) connect() error {
 		url += sep + "updates=final"
 		sep = "&"
 	}
-	if s.lastSeq > 0 {
-		// Delta resume: replay only what this stream has not seen. The
-		// daemon degrades to the latest cumulative snapshot past its
-		// retention horizon, and Next skips duplicates by Seq either way.
+	if s.lastSeq > 0 || s.replay {
+		// Delta resume: replay only what this stream has not seen (all
+		// of it on a replaying first attach). The daemon degrades to the
+		// latest cumulative snapshot past its retention horizon, and Next
+		// skips duplicates by Seq either way.
 		url += sep + "from_seq=" + strconv.Itoa(s.lastSeq)
 	}
 	req, err := http.NewRequestWithContext(s.ctx, http.MethodGet, url, nil)
@@ -234,16 +268,20 @@ func errorFromUpdate(e *api.Error) *APIError {
 
 // follow runs submit → stream → final for one job, invoking onUpdate for
 // every update (including the final one), and returns the terminal
-// update. Without an onUpdate the daemon is asked to suppress
-// intermediate snapshots entirely (?updates=final) — no partial-frontier
-// serialization for a consumer that would discard it. If ctx dies
-// mid-stream the job is cancelled on the daemon too, so an abandoned
-// caller does not leak server-side work; after the final update the job
-// is DELETEd (best effort), releasing its retained result immediately
-// instead of waiting out the daemon's retention window.
+// update. With an onUpdate the stream opens at ?from_seq=0, so the
+// callback sees the job's retained partials even when the job settled
+// before the stream attached. Without one the daemon is asked to
+// suppress intermediate snapshots entirely (?updates=final) — no
+// partial-frontier serialization for a consumer that would discard
+// it. If ctx dies mid-stream the job is cancelled on the daemon too, so
+// an abandoned caller does not leak server-side work; after the final
+// update the job is DELETEd (best effort), releasing its retained
+// result immediately instead of waiting out the daemon's retention
+// window.
 func (c *Client) follow(ctx context.Context, id string, onUpdate func(api.Update)) (*api.Update, error) {
 	st := c.Stream(ctx, id)
 	st.finalOnly = onUpdate == nil
+	st.replay = onUpdate != nil
 	defer st.Close()
 	for {
 		u, err := st.Next()
