@@ -46,10 +46,10 @@ func (s *Server) modelInfos() []modelInfo {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if !requireGet(w, r) {
+	if !api.RequireGet(w, r) {
 		return
 	}
-	writeJSON(w, r, http.StatusOK, map[string]any{
+	api.WriteJSON(w, r, http.StatusOK, map[string]any{
 		"status":         "ok",
 		"uptime_seconds": time.Since(s.started).Seconds(),
 		"trainings":      s.store.Trainings(),
@@ -60,7 +60,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // handleBenchmarks lists what the daemon can answer for: benchmarks with
 // models in memory, and benchmarks it would train on first request.
 func (s *Server) handleBenchmarks(w http.ResponseWriter, r *http.Request) {
-	if !requireGet(w, r) {
+	if !api.RequireGet(w, r) {
 		return
 	}
 	// "Trained" means every served metric is in memory: a partially
@@ -80,7 +80,7 @@ func (s *Server) handleBenchmarks(w http.ResponseWriter, r *http.Request) {
 			onDemand = append(onDemand, b)
 		}
 	}
-	writeJSON(w, r, http.StatusOK, map[string]any{
+	api.WriteJSON(w, r, http.StatusOK, map[string]any{
 		"trained":             trained,
 		"trainable_on_demand": onDemand,
 		"metrics":             metricStrings(metrics),
@@ -102,11 +102,11 @@ func metricStrings(ms []sim.Metric) []string {
 // sweep pays for them.
 func (s *Server) handleWarm(w http.ResponseWriter, r *http.Request) {
 	var req wire.WarmRequest
-	if !decodePost(w, r, &req) {
+	if !api.DecodePost(w, r, &req) {
 		return
 	}
 	if err := req.Validate(); err != nil {
-		httpError(w, r, http.StatusBadRequest, "%v", err)
+		api.WriteError(w, r, http.StatusBadRequest, "%v", err)
 		return
 	}
 	s.warmLocal(w, r, req)
@@ -120,14 +120,14 @@ func (s *Server) warmLocal(w http.ResponseWriter, r *http.Request, req wire.Warm
 	start := time.Now()
 	trainings, failures, err := s.warm(r.Context(), req.Benchmarks)
 	if err != nil {
-		httpError(w, r, registryStatus(err), "%v", err)
+		api.WriteError(w, r, registryStatus(err), "%v", err)
 		return
 	}
 	errStrings := make([]string, len(failures))
 	for i, e := range failures {
 		errStrings[i] = e.Error()
 	}
-	writeJSON(w, r, http.StatusOK, wire.WarmResponse{
+	api.WriteJSON(w, r, http.StatusOK, wire.WarmResponse{
 		Benchmarks: req.Benchmarks,
 		Trainings:  trainings,
 		ElapsedMS:  float64(time.Since(start).Microseconds()) / 1000,
@@ -163,7 +163,7 @@ func (s *Server) warm(ctx context.Context, benchmarks []string) (trainings int, 
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	var req wire.PredictRequest
-	if !decodePost(w, r, &req) {
+	if !api.DecodePost(w, r, &req) {
 		return
 	}
 	if len(req.Configs) > 0 || len(req.Metrics) > 0 {
@@ -174,18 +174,18 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	// request must not trigger an on-demand training run.
 	cfg, err := req.Config.Apply(space.Baseline())
 	if err != nil {
-		httpError(w, r, http.StatusBadRequest, "%v", err)
+		api.WriteError(w, r, http.StatusBadRequest, "%v", err)
 		return
 	}
 	p, m, status, err := s.model(r.Context(), req.Benchmark, req.Metric)
 	if err != nil {
-		httpError(w, r, status, "%v", err)
+		api.WriteError(w, r, status, "%v", err)
 		return
 	}
 	// The mean is scored in coefficient space, exactly as a sweep's mean
 	// objective scores this config.
 	trace := p.Predict(cfg)
-	writeJSON(w, r, http.StatusOK, wire.PredictResponse{
+	api.WriteJSON(w, r, http.StatusOK, wire.PredictResponse{
 		Benchmark: req.Benchmark,
 		Metric:    m.String(),
 		Config:    wire.ToConfigJSON(cfg),
@@ -206,26 +206,26 @@ const maxBatchConfigs = 4096
 // most.
 func (s *Server) handleBatchPredict(w http.ResponseWriter, r *http.Request, req wire.PredictRequest) {
 	if req.Metric != "" || req.Config != (wire.ConfigSpec{}) {
-		httpError(w, r, http.StatusBadRequest, "use either the single form (metric, config) or the batch form (metrics, configs), not both")
+		api.WriteError(w, r, http.StatusBadRequest, "use either the single form (metric, config) or the batch form (metrics, configs), not both")
 		return
 	}
 	if len(req.Metrics) == 0 {
-		httpError(w, r, http.StatusBadRequest, "batch predict needs a non-empty metrics list")
+		api.WriteError(w, r, http.StatusBadRequest, "batch predict needs a non-empty metrics list")
 		return
 	}
 	if len(req.Configs) == 0 {
-		httpError(w, r, http.StatusBadRequest, "batch predict needs a non-empty configs list")
+		api.WriteError(w, r, http.StatusBadRequest, "batch predict needs a non-empty configs list")
 		return
 	}
 	// The body limit alone doesn't bound the configs × metrics product
 	// (1 MiB of empty configs and repeated metric names expands
 	// quadratically); cap both factors explicitly.
 	if len(req.Configs) > maxBatchConfigs {
-		httpError(w, r, http.StatusBadRequest, "batch predict accepts at most %d configs (got %d)", maxBatchConfigs, len(req.Configs))
+		api.WriteError(w, r, http.StatusBadRequest, "batch predict accepts at most %d configs (got %d)", maxBatchConfigs, len(req.Configs))
 		return
 	}
 	if len(req.Metrics) > int(sim.NumMetrics) {
-		httpError(w, r, http.StatusBadRequest, "batch predict accepts at most %d metrics (got %d)", sim.NumMetrics, len(req.Metrics))
+		api.WriteError(w, r, http.StatusBadRequest, "batch predict accepts at most %d metrics (got %d)", sim.NumMetrics, len(req.Metrics))
 		return
 	}
 	// Dedupe on the parsed metric, not the raw name: parsing is
@@ -234,11 +234,11 @@ func (s *Server) handleBatchPredict(w http.ResponseWriter, r *http.Request, req 
 	for _, name := range req.Metrics {
 		m, err := wire.ParseMetric(name)
 		if err != nil {
-			httpError(w, r, http.StatusBadRequest, "%v", err)
+			api.WriteError(w, r, http.StatusBadRequest, "%v", err)
 			return
 		}
 		if seenMetric[m] {
-			httpError(w, r, http.StatusBadRequest, "metric %q listed twice", name)
+			api.WriteError(w, r, http.StatusBadRequest, "metric %q listed twice", name)
 			return
 		}
 		seenMetric[m] = true
@@ -249,7 +249,7 @@ func (s *Server) handleBatchPredict(w http.ResponseWriter, r *http.Request, req 
 	for i, cs := range req.Configs {
 		cfg, err := cs.Apply(space.Baseline())
 		if err != nil {
-			httpError(w, r, http.StatusBadRequest, "config %d: %v", i, err)
+			api.WriteError(w, r, http.StatusBadRequest, "config %d: %v", i, err)
 			return
 		}
 		configs[i] = cfg
@@ -259,7 +259,7 @@ func (s *Server) handleBatchPredict(w http.ResponseWriter, r *http.Request, req 
 	for i, name := range req.Metrics {
 		p, m, status, err := s.model(r.Context(), req.Benchmark, name)
 		if err != nil {
-			httpError(w, r, status, "metric %d: %v", i, err)
+			api.WriteError(w, r, status, "metric %d: %v", i, err)
 			return
 		}
 		preds[i], names[i] = p, m.String()
@@ -281,14 +281,14 @@ func (s *Server) handleBatchPredict(w http.ResponseWriter, r *http.Request, req 
 		results[i] = row
 	})
 	if err != nil {
-		httpError(w, r, http.StatusServiceUnavailable, "%v", err)
+		api.WriteError(w, r, http.StatusServiceUnavailable, "%v", err)
 		return
 	}
 	wireConfigs := make([]wire.ConfigJSON, len(configs))
 	for i, cfg := range configs {
 		wireConfigs[i] = wire.ToConfigJSON(cfg)
 	}
-	writeJSON(w, r, http.StatusOK, wire.BatchPredictResponse{
+	api.WriteJSON(w, r, http.StatusOK, wire.BatchPredictResponse{
 		Benchmark: req.Benchmark,
 		Metrics:   names,
 		Configs:   wireConfigs,

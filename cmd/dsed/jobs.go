@@ -28,7 +28,7 @@ type jobAPI struct {
 // by ?state=, ?benchmark= and ?kind=, page-bounded by ?limit=. Results
 // stay behind GET /v1/jobs/{id}.
 func (a *jobAPI) handleJobs(w http.ResponseWriter, r *http.Request) {
-	if !requireGet(w, r) {
+	if !api.RequireGet(w, r) {
 		return
 	}
 	q := r.URL.Query()
@@ -40,25 +40,25 @@ func (a *jobAPI) handleJobs(w http.ResponseWriter, r *http.Request) {
 	switch f.State {
 	case "", api.StateRunning, api.StateDone, api.StateFailed, api.StateCanceled:
 	default:
-		httpError(w, r, http.StatusBadRequest, "unknown state %q (running, done, failed, canceled)", f.State)
+		api.WriteError(w, r, http.StatusBadRequest, "unknown state %q (running, done, failed, canceled)", f.State)
 		return
 	}
 	switch f.Kind {
 	case "", wire.JobSweep, wire.JobPareto:
 	default:
-		httpError(w, r, http.StatusBadRequest, "unknown kind %q (sweep, pareto)", f.Kind)
+		api.WriteError(w, r, http.StatusBadRequest, "unknown kind %q (sweep, pareto)", f.Kind)
 		return
 	}
 	if s := q.Get("limit"); s != "" {
 		n, err := strconv.Atoi(s)
 		if err != nil || n <= 0 {
-			httpError(w, r, http.StatusBadRequest, "limit must be a positive integer, got %q", s)
+			api.WriteError(w, r, http.StatusBadRequest, "limit must be a positive integer, got %q", s)
 			return
 		}
 		f.Limit = n
 	}
 	jobs := a.jobs.List(f)
-	writeJSON(w, r, http.StatusOK, map[string]any{
+	api.WriteJSON(w, r, http.StatusOK, map[string]any{
 		"jobs":  jobs,
 		"count": len(jobs),
 	})
@@ -72,72 +72,58 @@ func (a *jobAPI) handleJob(w http.ResponseWriter, r *http.Request) {
 	case http.MethodGet:
 		job, err := a.jobs.Get(id)
 		if err != nil {
-			httpError(w, r, http.StatusNotFound, "%v", err)
+			api.WriteError(w, r, http.StatusNotFound, "%v", err)
 			return
 		}
-		writeJSON(w, r, http.StatusOK, job.Status(true))
+		api.WriteJSON(w, r, http.StatusOK, job.Status(true))
 	case http.MethodDelete:
 		job, err := a.jobs.Cancel(id)
 		if err != nil {
-			httpError(w, r, http.StatusNotFound, "%v", err)
+			api.WriteError(w, r, http.StatusNotFound, "%v", err)
 			return
 		}
-		writeJSON(w, r, http.StatusOK, job.Status(false))
+		api.WriteJSON(w, r, http.StatusOK, job.Status(false))
 	default:
-		httpError(w, r, http.StatusMethodNotAllowed, "use GET to poll or DELETE to cancel")
+		api.WriteError(w, r, http.StatusMethodNotAllowed, "use GET to poll or DELETE to cancel")
 	}
 }
 
 // handleJobStream serves GET /v1/jobs/{id}/stream: NDJSON, one
-// cumulative snapshot per line, ending with the final update. A
-// reconnecting client passes ?from_seq= (the last Seq it saw) and gets
-// the retained updates after that point replayed as a delta; past the
-// retention horizon — or without the parameter — it is primed with the
+// cumulative snapshot per line, ending with the final update. A reader
+// passes ?from_seq= (the last Seq it saw, or 0 for every retained line)
+// and gets the retained updates after that point replayed first; past
+// the retention horizon, or without the parameter, it is primed with the
 // latest cumulative snapshot, whose counters are current (a fleet job's
 // may lack candidates until the next cadence point, see
 // streamInterval).
 func (a *jobAPI) handleJobStream(w http.ResponseWriter, r *http.Request) {
-	if !requireGet(w, r) {
+	if !api.RequireGet(w, r) {
 		return
 	}
 	if !api.Negotiable(r, api.ContentNDJSON) {
-		httpError(w, r, http.StatusNotAcceptable, "the job stream answers %s", api.ContentNDJSON)
+		api.WriteError(w, r, http.StatusNotAcceptable, "the job stream answers %s", api.ContentNDJSON)
 		return
 	}
 	job, err := a.jobs.Get(r.PathValue("id"))
 	if err != nil {
-		httpError(w, r, http.StatusNotFound, "%v", err)
+		api.WriteError(w, r, http.StatusNotFound, "%v", err)
 		return
 	}
-	// ?updates=final suppresses intermediate snapshots: consumers that
-	// only want the answer keep the one-stream mechanism without paying
-	// serialization for partials they would discard.
-	finalOnly := r.URL.Query().Get("updates") == "final"
 	from := -1
 	if s := r.URL.Query().Get("from_seq"); s != "" {
 		n, err := strconv.Atoi(s)
 		if err != nil || n < 0 {
-			httpError(w, r, http.StatusBadRequest, "from_seq must be a non-negative integer, got %q", s)
+			api.WriteError(w, r, http.StatusBadRequest, "from_seq must be a non-negative integer, got %q", s)
 			return
 		}
 		from = n
 	}
-	var replay []api.Update
-	var updates <-chan api.Update
-	var unsubscribe func()
-	if from >= 0 {
-		replay, updates, unsubscribe = job.SubscribeFrom(from)
-	} else {
-		updates, unsubscribe = job.Subscribe()
-	}
+	replay, updates, unsubscribe := job.SubscribeFrom(from)
 	defer unsubscribe()
 	w.Header().Set("Content-Type", api.ContentNDJSON)
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 	emit := func(u api.Update) (done bool) {
-		if finalOnly && !u.Final {
-			return false
-		}
 		// Pooled buffered encoding: one allocation-free marshal and a
 		// single Write per NDJSON line, so a sweep streaming snapshots
 		// at shard rate does not allocate per update.
@@ -196,11 +182,11 @@ func (a *jobAPI) submit(w http.ResponseWriter, r *http.Request, spec wire.JobSpe
 		if errors.Is(err, api.ErrTooManyJobs) {
 			status = http.StatusTooManyRequests
 		}
-		httpError(w, r, status, "%v", err)
+		api.WriteError(w, r, status, "%v", err)
 		return
 	}
 	w.Header().Set("Location", "/v1/jobs/"+job.ID)
-	writeJSON(w, r, http.StatusAccepted, job.Status(false))
+	api.WriteJSON(w, r, http.StatusAccepted, job.Status(false))
 }
 
 // decodeJob decodes and validates a submission, or a shard when shard
@@ -214,31 +200,31 @@ func (a *jobAPI) submit(w http.ResponseWriter, r *http.Request, spec wire.JobSpe
 // reports whether the request survived.
 func decodeJob(w http.ResponseWriter, r *http.Request, kind wire.JobKind, shard bool) (wire.JobSpec, []space.Config, bool) {
 	req := wire.NewJobRequest(kind)
-	if !decodePost(w, r, req) {
+	if !api.DecodePost(w, r, req) {
 		return wire.JobSpec{}, nil, false
 	}
 	spec := req.Spec()
 	if spec.Incumbent != nil {
 		if !shard {
-			httpError(w, r, http.StatusBadRequest, "incumbent is not a job field: a peer seeds a fleet shard at POST /v1/shards")
+			api.WriteError(w, r, http.StatusBadRequest, "incumbent is not a job field: a peer seeds a fleet shard at POST /v1/shards")
 			return wire.JobSpec{}, nil, false
 		}
 		if _, window := spec.FactorialWindow(); kind != wire.JobPareto || !window {
-			httpError(w, r, http.StatusBadRequest, "incumbent seeds only a frontier shard over a window of a named space at POST /v1/shards")
+			api.WriteError(w, r, http.StatusBadRequest, "incumbent seeds only a frontier shard over a window of a named space at POST /v1/shards")
 			return wire.JobSpec{}, nil, false
 		}
 	}
 	if err := req.Validate(); err != nil {
-		httpError(w, r, http.StatusBadRequest, "%v", err)
+		api.WriteError(w, r, http.StatusBadRequest, "%v", err)
 		return wire.JobSpec{}, nil, false
 	}
 	if spec.Scope == wire.ScopeLocal {
-		httpError(w, r, http.StatusBadRequest, "scope %q is not a job scope: a peer runs a fleet shard at POST /v1/shards", spec.Scope)
+		api.WriteError(w, r, http.StatusBadRequest, "scope %q is not a job scope: a peer runs a fleet shard at POST /v1/shards", spec.Scope)
 		return wire.JobSpec{}, nil, false
 	}
 	early, err := spec.ResolveEarly()
 	if err != nil {
-		httpError(w, r, http.StatusBadRequest, "%v", err)
+		api.WriteError(w, r, http.StatusBadRequest, "%v", err)
 		return wire.JobSpec{}, nil, false
 	}
 	return spec, early, true

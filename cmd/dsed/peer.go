@@ -209,7 +209,7 @@ func (ps *peerServer) Handler() http.Handler {
 }
 
 func (ps *peerServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if !requireGet(w, r) {
+	if !api.RequireGet(w, r) {
 		return
 	}
 	members := ps.table.Snapshot()
@@ -233,7 +233,7 @@ func (ps *peerServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		}
 		peers[i] = entry
 	}
-	writeJSON(w, r, http.StatusOK, map[string]any{
+	api.WriteJSON(w, r, http.StatusOK, map[string]any{
 		"status":             "ok",
 		"mode":               "peer",
 		"self":               ps.self,
@@ -252,16 +252,16 @@ func (ps *peerServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // send our digest back. The next placement already sees the merged view.
 func (ps *peerServer) handleGossip(w http.ResponseWriter, r *http.Request) {
 	var req wire.GossipRequest
-	if !decodePost(w, r, &req) {
+	if !api.DecodePost(w, r, &req) {
 		return
 	}
 	if err := req.Validate(); err != nil {
-		httpError(w, r, http.StatusBadRequest, "%v", err)
+		api.WriteError(w, r, http.StatusBadRequest, "%v", err)
 		return
 	}
 	ps.table.Merge(req.Entries)
 	ps.table.Witness(req.From)
-	writeJSON(w, r, http.StatusOK, wire.GossipResponse{From: ps.self, Entries: ps.table.Digest()})
+	api.WriteJSON(w, r, http.StatusOK, wire.GossipResponse{From: ps.self, Entries: ps.table.Digest()})
 }
 
 // handleReplicate accepts a job's spec payload from its owner. A push
@@ -269,11 +269,11 @@ func (ps *peerServer) handleGossip(w http.ResponseWriter, r *http.Request) {
 // Done notice retires the entry.
 func (ps *peerServer) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	var req wire.ReplicateRequest
-	if !decodePost(w, r, &req) {
+	if !api.DecodePost(w, r, &req) {
 		return
 	}
 	if err := req.Validate(); err != nil {
-		httpError(w, r, http.StatusBadRequest, "%v", err)
+		api.WriteError(w, r, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if req.Done {
@@ -281,7 +281,7 @@ func (ps *peerServer) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	} else {
 		ps.replicas.put(req)
 	}
-	writeJSON(w, r, http.StatusOK, wire.ReplicateResponse{JobID: req.JobID, Seq: req.Seq})
+	api.WriteJSON(w, r, http.StatusOK, wire.ReplicateResponse{JobID: req.JobID, Seq: req.Seq})
 }
 
 // routeJob follows a job to wherever it lives now. A job in the local
@@ -349,7 +349,7 @@ func (ps *peerServer) handleSubmit(kind wire.JobKind) http.HandlerFunc {
 func (ps *peerServer) handleShard(w http.ResponseWriter, r *http.Request) {
 	kind := wire.JobKind(r.URL.Query().Get("kind"))
 	if kind != wire.JobSweep && kind != wire.JobPareto {
-		httpError(w, r, http.StatusBadRequest, "unknown kind %q (sweep, pareto)", kind)
+		api.WriteError(w, r, http.StatusBadRequest, "unknown kind %q (sweep, pareto)", kind)
 		return
 	}
 	spec, early, ok := decodeJob(w, r, kind, true)
@@ -360,7 +360,7 @@ func (ps *peerServer) handleShard(w http.ResponseWriter, r *http.Request) {
 	if win, ok := spec.FactorialWindow(); ok {
 		shard = cluster.Shard{Count: win.Count, Incumbent: spec.Incumbent}
 	} else if early == nil {
-		httpError(w, r, http.StatusBadRequest, "a shard is a window on a named space or a pinned design list, not a sample")
+		api.WriteError(w, r, http.StatusBadRequest, "a shard is a window on a named space or a pinned design list, not a sample")
 		return
 	}
 	store := obs.NewTraceStore(1)
@@ -368,7 +368,7 @@ func (ps *peerServer) handleShard(w http.ResponseWriter, r *http.Request) {
 	local.Tracer = obs.NewTracer(ps.tel().tracer.Node(), store, nil)
 	p, err := local.Evaluate(r.Context(), cluster.QueryOf(spec), shard)
 	if err != nil {
-		httpError(w, r, serverStatus(err), "%v", err)
+		api.WriteError(w, r, serverStatus(err), "%v", err)
 		return
 	}
 	cands := make([]wire.Candidate, len(p.Candidates))
@@ -377,7 +377,7 @@ func (ps *peerServer) handleShard(w http.ResponseWriter, r *http.Request) {
 	}
 	// Untraced, each phase opened a trace of its own and none is returned.
 	parent, _ := obs.SpanFromContext(r.Context())
-	writeJSON(w, r, http.StatusOK, wire.ShardResponse{
+	api.WriteJSON(w, r, http.StatusOK, wire.ShardResponse{
 		Evaluated: p.Evaluated, Feasible: p.Feasible, Candidates: cands, Spans: store.Spans(parent.TraceID),
 	})
 }
@@ -388,11 +388,11 @@ func (ps *peerServer) handleShard(w http.ResponseWriter, r *http.Request) {
 // that stand.
 func (ps *peerServer) handleWarm(w http.ResponseWriter, r *http.Request) {
 	var req wire.WarmRequest
-	if !decodePost(w, r, &req) {
+	if !api.DecodePost(w, r, &req) {
 		return
 	}
 	if err := req.Validate(); err != nil {
-		httpError(w, r, http.StatusBadRequest, "%v", err)
+		api.WriteError(w, r, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if req.Scope == wire.ScopeLocal {
@@ -403,14 +403,14 @@ func (ps *peerServer) handleWarm(w http.ResponseWriter, r *http.Request) {
 	res := ps.coord.Warm(r.Context(), req.Benchmarks)
 	if res.Workers > 0 && len(res.Errors) == res.Workers {
 		err := errors.Join(res.Errors...)
-		httpError(w, r, clusterStatus(err), "%v", err)
+		api.WriteError(w, r, clusterStatus(err), "%v", err)
 		return
 	}
 	errStrings := make([]string, len(res.Errors))
 	for i, e := range res.Errors {
 		errStrings[i] = e.Error()
 	}
-	writeJSON(w, r, http.StatusOK, wire.WarmResponse{
+	api.WriteJSON(w, r, http.StatusOK, wire.WarmResponse{
 		Benchmarks: req.Benchmarks,
 		Trainings:  res.Trainings,
 		ElapsedMS:  float64(time.Since(start).Microseconds()) / 1000,
@@ -515,7 +515,7 @@ func (ps *peerServer) runFleet(spec wire.JobSpec, early []space.Config, adopted 
 			// merge after the first subscriber attaches carries it, and
 			// a merge between cadence points publishes counters alone.
 			if now := time.Now(); pub.Streaming() && now.Sub(last) >= streamInterval {
-				u.Candidates = wire.ToCandidates(p.Candidates)
+				u.Candidates = wire.ToCandidates(p.Answer())
 				last = now
 			}
 			pub.Publish(u)

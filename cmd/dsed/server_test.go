@@ -421,7 +421,7 @@ func TestRequestBodyLimit(t *testing.T) {
 	// A syntactically valid request whose config list alone exceeds the
 	// body budget: the decoder must hit the limit, not an unknown field.
 	huge := `{"benchmark":"gcc","metrics":["CPI"],"configs":[` +
-		strings.Repeat(`{"fetch_width":4},`, maxRequestBody/16) +
+		strings.Repeat(`{"fetch_width":4},`, api.MaxRequestBody/16) +
 		`{"fetch_width":4}]}`
 	resp, err := http.Post(ts.URL+"/v1/predict", "application/json", strings.NewReader(huge))
 	if err != nil {

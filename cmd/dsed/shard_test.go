@@ -182,7 +182,8 @@ func TestHedgeCancelsRemoteShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameCandidates(t, "hedged fleet frontier", got.Candidates, want.Candidates)
-	if _, won, _ := peers[0].coord.HedgeStats(); won == 0 {
+	won := peers[0].tel().reg.Counter("dsed_cluster_shard_hedges_total", "", obs.Label{Key: "result", Value: "won"})
+	if won.Value() == 0 {
 		t.Fatal("no hedge won against the gated peer")
 	}
 	deadline := time.Now().Add(5 * time.Second)

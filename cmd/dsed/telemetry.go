@@ -8,6 +8,7 @@ import (
 	"net/http/pprof"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/obs"
 )
 
@@ -39,7 +40,7 @@ func newTelemetry(node string) *telemetry {
 // handleMetricsz serves the Prometheus text exposition of every series
 // in the registry.
 func (t *telemetry) handleMetricsz(w http.ResponseWriter, r *http.Request) {
-	if !requireGet(w, r) {
+	if !api.RequireGet(w, r) {
 		return
 	}
 	w.Header().Set("Content-Type", obs.ContentType)
@@ -52,17 +53,17 @@ func (t *telemetry) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 // owner's root and dispatch spans with every peer's imported phase
 // spans beneath them.
 func (t *telemetry) handleJobTrace(w http.ResponseWriter, r *http.Request) {
-	if !requireGet(w, r) {
+	if !api.RequireGet(w, r) {
 		return
 	}
 	id := r.PathValue("id")
 	traceID, ok := t.traces.TraceForJob(id)
 	if !ok {
-		httpError(w, r, http.StatusNotFound, "no trace recorded for job %q (unknown, evicted, or not started)", id)
+		api.WriteError(w, r, http.StatusNotFound, "no trace recorded for job %q (unknown, evicted, or not started)", id)
 		return
 	}
 	spans := t.traces.Spans(traceID)
-	writeJSON(w, r, http.StatusOK, obs.JobTrace{
+	api.WriteJSON(w, r, http.StatusOK, obs.JobTrace{
 		JobID:   id,
 		TraceID: traceID,
 		Spans:   len(spans),

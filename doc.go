@@ -93,7 +93,7 @@
 // standing:
 //
 //	job=$(curl -s localhost:8090/v1/pareto -d '{"benchmark":"gcc","objectives":[{"metric":"CPI"},{"metric":"Power"}],"space":"test"}' | sed 's/.*"id":"\([^"]*\)".*/\1/')
-//	curl -sN localhost:8090/v1/jobs/$job/stream      # NDJSON partial frontiers (?updates=final for just the answer)
+//	curl -sN localhost:8090/v1/jobs/$job/stream      # NDJSON partial frontiers (?from_seq=0 replays the retained ones)
 //	curl -s  localhost:8090/v1/jobs/$job             # status + result once done
 //	curl -s  -X DELETE localhost:8090/v1/jobs/$job   # cancel a running job; release a finished one
 //	curl -s localhost:8090/v1/sweeps -d '{"benchmark":"gcc","objectives":[{"metric":"CPI"},{"metric":"Power","kind":"worst"}],"space":"train","top_k":5,"constraints":[{"objective":1,"max":60}]}'

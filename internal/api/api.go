@@ -27,9 +27,6 @@ import (
 	"sync"
 )
 
-// Version is the current API version prefix.
-const Version = "/v1"
-
 // MaxRequestBody bounds every POST body; oversized requests are rejected
 // with 413 before they reach the JSON decoder.
 const MaxRequestBody = 1 << 20

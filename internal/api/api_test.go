@@ -95,9 +95,14 @@ func TestJobLifecycle(t *testing.T) {
 	}
 
 	// Subscribers are primed with the latest snapshot.
-	ch, cancel := job.Subscribe()
+	replay, ch, cancel := job.SubscribeFrom(-1)
 	defer cancel()
-	u := <-ch
+	var u Update
+	if len(replay) > 0 {
+		u = replay[0]
+	} else {
+		u = <-ch
+	}
 	if u.Evaluated != 40 || u.State != StateRunning || u.Seq != 1 {
 		t.Fatalf("primed snapshot wrong: %+v", u)
 	}
@@ -109,7 +114,7 @@ func TestJobLifecycle(t *testing.T) {
 	<-job.Done()
 
 	var final *Update
-	for u := range ch {
+	for _, u := range drain(ch) {
 		u := u
 		final = &u
 	}
@@ -122,15 +127,23 @@ func TestJobLifecycle(t *testing.T) {
 	}
 
 	// A post-completion subscriber still gets the final snapshot.
-	ch2, cancel2 := job.Subscribe()
+	replay2, ch2, cancel2 := job.SubscribeFrom(-1)
 	defer cancel2()
-	u2, ok := <-ch2
-	if !ok || !u2.Final {
-		t.Fatalf("late subscriber got %+v (ok=%v), want the final update", u2, ok)
+	if len(replay2) != 1 || !replay2[0].Final {
+		t.Fatalf("late subscriber got %+v, want the final update", replay2)
 	}
 	if _, ok := <-ch2; ok {
 		t.Error("late subscriber's channel not closed after the final update")
 	}
+}
+
+// drain reads a subscriber's channel until it closes.
+func drain(ch <-chan Update) []Update {
+	var out []Update
+	for u := range ch {
+		out = append(out, u)
+	}
+	return out
 }
 
 func TestJobFailureMapsStatus(t *testing.T) {
@@ -213,7 +226,7 @@ func TestBaseContextShutdownCancelsJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, cancel := job.Subscribe()
+	replay, ch, cancel := job.SubscribeFrom(-1)
 	defer cancel()
 	shutdown()
 	<-job.Done()
@@ -221,7 +234,7 @@ func TestBaseContextShutdownCancelsJobs(t *testing.T) {
 		t.Fatalf("job settled %q on daemon shutdown, want canceled", st.State)
 	}
 	sawFinal := false
-	for u := range ch {
+	for _, u := range append(replay, drain(ch)...) {
 		if u.Final {
 			sawFinal = true
 		}
@@ -282,7 +295,7 @@ func TestSlowSubscriberCoalesces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, cancel := job.Subscribe()
+	replay, ch, cancel := job.SubscribeFrom(-1)
 	defer cancel()
 	close(release)
 	<-job.Done()
@@ -290,7 +303,7 @@ func TestSlowSubscriberCoalesces(t *testing.T) {
 	// intermediates may be dropped, but the final update must survive
 	// and evaluated counts must be nondecreasing.
 	last, sawFinal := -1, false
-	for u := range ch {
+	for _, u := range append(replay, drain(ch)...) {
 		if u.Evaluated < last {
 			t.Errorf("evaluated went backwards: %d after %d", u.Evaluated, last)
 		}

@@ -592,38 +592,6 @@ func (j *Job) publishLocked(u Update) {
 	}
 }
 
-// Subscribe attaches a stream reader: the channel is primed with the
-// latest snapshot (so a late or reconnecting subscriber's counters are
-// current immediately; on a running fleet job that snapshot may be a
-// counters update without Candidates, which the next cadence point
-// brings), then receives subsequent updates, and closes after the final
-// one. The returned cancel detaches the subscriber.
-func (j *Job) Subscribe() (<-chan Update, func()) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	ch := make(chan Update, 8)
-	if j.last != nil {
-		ch <- *j.last
-	}
-	if j.state.Terminal() {
-		close(ch)
-		return ch, func() {}
-	}
-	id := j.nextSub
-	j.nextSub++
-	j.subs[id] = ch
-	j.subsGauge.Add(1)
-	return ch, func() {
-		j.mu.Lock()
-		defer j.mu.Unlock()
-		if _, ok := j.subs[id]; ok {
-			delete(j.subs, id)
-			close(ch)
-			j.subsGauge.Add(-1)
-		}
-	}
-}
-
 // historyCap bounds per-job retained updates for SubscribeFrom replay.
 // Updates are cumulative, so a reconnecting reader past the horizon
 // loses no counters by falling back to the latest one, though on a
@@ -633,13 +601,15 @@ func (j *Job) Subscribe() (<-chan Update, func()) {
 // partials of a job that settled before it attached.
 const historyCap = 64
 
-// SubscribeFrom is Subscribe for a reader resuming after a dropped
-// connection: replay holds the retained updates with Seq > from, oldest
-// first, and ch then delivers everything after those. If from predates
-// the retained history (or is negative), replay degrades to the latest
-// cumulative snapshot alone, as Subscribe primes a reader. The
+// SubscribeFrom attaches a stream reader: replay holds the retained
+// updates with Seq > from, oldest first, and ch then delivers everything
+// after those and closes after the final one. If from is negative (a
+// fresh reader) or predates the retained history, replay degrades to the
+// latest cumulative snapshot alone, so the reader's counters are current
+// immediately; on a running fleet job that snapshot may be a counters
+// update without Candidates, which the next cadence point brings. The
 // subscriber is registered under the same lock that builds replay, so no
-// update can fall between the two.
+// update can fall between the two. The returned cancel detaches it.
 func (j *Job) SubscribeFrom(from int) ([]Update, <-chan Update, func()) {
 	j.mu.Lock()
 	defer j.mu.Unlock()

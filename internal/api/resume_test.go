@@ -108,7 +108,7 @@ func TestSubscribeFromPastHorizonFallsBackToSnapshot(t *testing.T) {
 }
 
 // TestSubscribeFromNegativeActsLikeFreshSubscribe: from=-1 (no prior
-// stream position) primes with the latest snapshot, matching Subscribe.
+// stream position) primes a fresh reader with the latest snapshot alone.
 func TestSubscribeFromNegativeActsLikeFreshSubscribe(t *testing.T) {
 	m := NewManager(ManagerOptions{})
 	job, publish, finish := steppedJob(t, func(run RunFunc) (*Job, error) {

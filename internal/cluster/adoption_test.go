@@ -18,8 +18,8 @@ import (
 // killAfter runs a job of q over designs on owner and cancels it from
 // inside its k-th merge (k = 0: before it dispatches anything), the way
 // a dead owner stops merging. It returns the last progress the owner
-// observed.
-func killAfter(t *testing.T, owner *Coordinator, q Query, designs []space.Config, k int) Progress {
+// observed and the merged answer it carried.
+func killAfter(t *testing.T, owner *Coordinator, q Query, designs []space.Config, k int) (Progress, []explore.Candidate) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -27,9 +27,10 @@ func killAfter(t *testing.T, owner *Coordinator, q Query, designs []space.Config
 		cancel()
 	}
 	var last Progress
+	var answer []explore.Candidate
 	_, err := owner.Run(ctx, q, len(designs), designs, func(p Progress) {
 		if p.Shards <= k {
-			last = p
+			last, answer = p, p.Answer()
 		}
 		if p.Shards == k {
 			cancel()
@@ -41,7 +42,7 @@ func killAfter(t *testing.T, owner *Coordinator, q Query, designs []space.Config
 	if last.Shards != k {
 		t.Fatalf("owner observed %d merges before its death, want %d", last.Shards, k)
 	}
-	return last
+	return last, answer
 }
 
 // TestParetoAdoptionAtEveryShardBoundary is the job-survival property
@@ -138,7 +139,7 @@ func TestResumeWithEverythingMerged(t *testing.T) {
 	q := testQuery()
 	q.Kind = wire.JobSweep
 	q.TopK = 5
-	last := killAfter(t, newTestCoordinator(t, localFleet(2), Options{ShardSize: 16, Parallelism: 1}), q, designs, 4)
+	last, answer := killAfter(t, newTestCoordinator(t, localFleet(2), Options{ShardSize: 16, Parallelism: 1}), q, designs, 4)
 	if last.Evaluated != len(designs) {
 		t.Fatalf("owner merged %d designs before its death, want all %d", last.Evaluated, len(designs))
 	}
@@ -150,7 +151,7 @@ func TestResumeWithEverythingMerged(t *testing.T) {
 	if res.Evaluated != len(designs) || res.Feasible != last.Feasible {
 		t.Fatalf("re-run evaluated %d (%d feasible), want %d (%d)", res.Evaluated, res.Feasible, len(designs), last.Feasible)
 	}
-	requireSameRanks(t, 4, res.Candidates, last.Candidates)
+	requireSameRanks(t, 4, res.Candidates, answer)
 }
 
 // TestResumeRejectsEmptyJob: a job over no designs, or whose pinned list

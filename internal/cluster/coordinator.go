@@ -47,7 +47,9 @@ import (
 	"repro/internal/wire"
 )
 
-// Options tunes the coordinator.
+// Options tunes the coordinator. Two limits are not options: a shard
+// attempt's timeout (shardTimeout, 5 minutes) and the capacity of a
+// worker that advertises none (workerCapacity, 4).
 type Options struct {
 	// ShardSize is the number of designs per shard (default 2048 — large
 	// enough to amortise one HTTP round trip, small enough that a shard
@@ -63,16 +65,6 @@ type Options struct {
 	// Parallelism bounds in-flight shards (default 2 per live worker at
 	// sweep start).
 	Parallelism int
-	// ShardTimeout bounds one shard attempt on one worker (default 5
-	// minutes — generous enough for a cold benchmark training on demand
-	// inside the request). A worker that accepts the connection but
-	// never answers counts as failed and the shard moves on, instead of
-	// hanging the whole sweep.
-	ShardTimeout time.Duration
-	// WorkerCapacity is the default concurrent-shard budget per worker
-	// before placement treats it as saturated; a worker's advertised
-	// capacity overrides it (default 4).
-	WorkerCapacity int
 	// HedgeFactor enables straggler speculation: when a shard's elapsed
 	// time exceeds HedgeFactor × its expected duration (the worker's
 	// per-design EWMA — or, before it has one, the fleet median — times
@@ -107,6 +99,17 @@ type Options struct {
 // it retry cost and load balance — does not depend on the job's space.
 const maxShardSize = 4096
 
+// shardTimeout bounds one shard attempt on one worker: generous enough
+// for a cold benchmark training on demand inside the request. A worker
+// that accepts the connection but never answers counts as failed and the
+// shard moves on, instead of hanging the whole sweep.
+const shardTimeout = 5 * time.Minute
+
+// workerCapacity is the concurrent-shard budget of a worker that
+// advertises none (Member.Capacity 0), past which placement treats it as
+// saturated.
+const workerCapacity = 4
+
 // minShardSize floors adaptive sizing: below this the HTTP round trip
 // dominates and the scheduler would churn on noise.
 const minShardSize = 16
@@ -117,12 +120,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ShardSize > maxShardSize {
 		o.ShardSize = maxShardSize
-	}
-	if o.ShardTimeout <= 0 {
-		o.ShardTimeout = 5 * time.Minute
-	}
-	if o.WorkerCapacity <= 0 {
-		o.WorkerCapacity = 4
 	}
 	if o.HedgeMinDelay <= 0 {
 		o.HedgeMinDelay = 25 * time.Millisecond
@@ -144,7 +141,6 @@ type Coordinator struct {
 	workers map[string]*worker
 	gen     uint64
 	deal    int
-	hedges  map[string]int
 }
 
 // New builds a coordinator over a fixed fleet of workers. Their names
@@ -176,7 +172,6 @@ func NewFleet(fleet func() []Member, opts Options) *Coordinator {
 		tracer:  opts.Tracer,
 		fleet:   fleet,
 		workers: make(map[string]*worker),
-		hedges:  make(map[string]int),
 	}
 }
 
@@ -194,13 +189,13 @@ type Result struct {
 
 // Progress is one merged-partial snapshot of an in-flight distributed
 // sweep — the worker → coordinator → client streaming unit. Snapshots
-// are cumulative: Candidates is the whole merged frontier (or feasible
+// are cumulative: Answer builds the whole merged frontier (or feasible
 // top-K) so far, not a delta, so any snapshot alone is a valid partial
 // answer. Updates arrive at shard granularity (a shard's partial is the
 // smallest mergeable unit — folding a worker's unfinished shard would
 // double-count when the finished one lands). Every merge delivers one;
 // the observer decides which to forward in full, and a job observer
-// forwards Candidates at its stream cadence only, counters always.
+// calls Answer at its stream cadence only, forwarding counters always.
 type Progress struct {
 	// Worker is the fleet member whose shard was just merged; Delta is
 	// how many designs that shard contributed.
@@ -214,8 +209,10 @@ type Progress struct {
 	// Workers is the live fleet size at this snapshot — it moves as
 	// members join and lapse mid-sweep.
 	Workers int
-	// Candidates is the merged partial frontier / top-K snapshot.
-	Candidates []explore.Candidate
+	// Answer returns the merged partial frontier / top-K, built on its
+	// first call at this merge. It is valid only inside the observer
+	// call, under the merge lock.
+	Answer func() []explore.Candidate
 }
 
 // Observer receives Progress snapshots, one per merged shard. It is
@@ -248,11 +245,12 @@ func (c *Coordinator) ParetoObserved(ctx context.Context, q Query, designs []spa
 // up to ordering (a top K candidate for candidate). pinned holds the n
 // designs of an explicit list or an LHS sample; it is nil for a named,
 // unsampled space, whose shards travel as windows on Query.Space. obs,
-// when non-nil, sees the merged answer after every shard.
+// when non-nil, sees the merged counters after every shard, and the
+// merged answer when it asks for it.
 //
 // A frontier job over windows seeds every shard carved after its first
-// merge with the merged frontier's IncumbentOf, refreshed from the
-// snapshot each merge takes, so shards prune as one window does. That
+// merge with the merged frontier's IncumbentOf, refreshed from a
+// snapshot at each merge, so shards prune as one window does. That
 // changes partials, never the merged answer (see Shard.Incumbent).
 //
 // A job whose owner died is re-run here from scratch by its adopter:
@@ -284,23 +282,25 @@ func (c *Coordinator) Run(ctx context.Context, q Query, n int, pinned []space.Co
 		for _, ic := range p.Candidates {
 			merged.Collect(ic.Index, ic.Candidate)
 		}
-		if obs == nil && !seeds {
-			return
-		}
-		answer, _ := Snapshot(merged)
+		// The snapshot is built at most once per merge, and only when
+		// the incumbent refresh or the observer needs it.
+		answer := sync.OnceValue(func() []explore.Candidate {
+			a, _ := Snapshot(merged)
+			return a
+		})
 		if seeds {
-			inc := IncumbentOf(answer)
+			inc := IncumbentOf(answer())
 			cv.incumbent.Store(&inc)
 		}
 		if obs != nil {
 			obs(Progress{
-				Worker:     worker,
-				Delta:      p.Evaluated,
-				Evaluated:  evaluated,
-				Feasible:   feasible,
-				Shards:     mergedShards,
-				Workers:    workers,
-				Candidates: answer,
+				Worker:    worker,
+				Delta:     p.Evaluated,
+				Evaluated: evaluated,
+				Feasible:  feasible,
+				Shards:    mergedShards,
+				Workers:   workers,
+				Answer:    answer,
 			})
 		}
 	})
@@ -423,7 +423,7 @@ type attemptResult struct {
 }
 
 // Hedge outcome names — the `result` label of
-// dsed_cluster_shard_hedges_total and the keys of Coordinator.hedges.
+// dsed_cluster_shard_hedges_total, the one record of hedge outcomes.
 const (
 	hedgeIssued = "issued"
 	hedgeWon    = "won"
@@ -433,7 +433,7 @@ const (
 // runShard drives one shard to completion: the assigned worker first,
 // then — on transport failure — whichever untried live worker the
 // scheduler prefers next, until one answers or no live worker is left to
-// try. Each attempt is bounded by ShardTimeout, so a wedged worker counts
+// try. Each attempt is bounded by shardTimeout, so a wedged worker counts
 // as failed instead of hanging the sweep. A claimed slot keeps its
 // worker's scheduler state alive until it settles, so a worker that
 // leaves and returns mid-attempt has this shard's accounting settle
@@ -495,7 +495,7 @@ func (c *Coordinator) runShard(ctx context.Context, q Query, s Shard, first *wor
 
 	launch := func(m *worker, hedge bool) {
 		tried[m.name] = true
-		attemptCtx, cancel := context.WithTimeout(ctx, c.opts.ShardTimeout)
+		attemptCtx, cancel := context.WithTimeout(ctx, shardTimeout)
 		cancels = append(cancels, cancel)
 		running++
 		if !hedge {
@@ -558,7 +558,7 @@ func (c *Coordinator) runShard(ctx context.Context, q Query, s Shard, first *wor
 		}
 		if hedged && !hedgeSettled {
 			hedgeSettled = true
-			c.noteHedge(hedgeWasted)
+			c.metrics.hedges[hedgeWasted].Inc()
 		}
 	}
 
@@ -607,9 +607,9 @@ func (c *Coordinator) runShard(ctx context.Context, q Query, s Shard, first *wor
 				if hedged && !hedgeSettled {
 					hedgeSettled = true
 					if o.hedge {
-						c.noteHedge(hedgeWon)
+						c.metrics.hedges[hedgeWon].Inc()
 					} else {
-						c.noteHedge(hedgeWasted)
+						c.metrics.hedges[hedgeWasted].Inc()
 					}
 				}
 				c.tracer.Import(o.p.Spans)
@@ -679,7 +679,7 @@ func (c *Coordinator) runShard(ctx context.Context, q Query, s Shard, first *wor
 				break
 			}
 			hedged = true
-			c.noteHedge(hedgeIssued)
+			c.metrics.hedges[hedgeIssued].Inc()
 			launch(h, true)
 
 		case <-ctx.Done():
@@ -754,23 +754,6 @@ func (c *Coordinator) fleetEWMALocked() float64 {
 	}
 	sort.Float64s(samples)
 	return samples[len(samples)/2]
-}
-
-// noteHedge books one hedge outcome in both surfaces (the obs series and
-// the HedgeStats totals).
-func (c *Coordinator) noteHedge(result string) {
-	c.metrics.hedges[result].Inc()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.hedges[result]++
-}
-
-// HedgeStats reports lifetime hedge totals: speculative attempts issued,
-// hedges whose answer merged first, and hedges that bought nothing.
-func (c *Coordinator) HedgeStats() (issued, won, wasted int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hedges[hedgeIssued], c.hedges[hedgeWon], c.hedges[hedgeWasted]
 }
 
 // observe books a completed shard: releases the worker's slot and folds

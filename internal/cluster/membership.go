@@ -17,8 +17,8 @@ import (
 type Member struct {
 	Transport
 	// Capacity bounds how many shards the coordinator schedules on the
-	// worker at once before placement treats it as saturated (0 = the
-	// coordinator's default).
+	// worker at once before placement treats it as saturated (0 =
+	// workerCapacity).
 	Capacity int
 	// Benchmarks is the worker's trained-model inventory: the benchmarks
 	// whose every served metric is already in its registry. The scheduler
@@ -84,7 +84,7 @@ func (c *Coordinator) capacityFor(advertised int) int {
 	if advertised > 0 {
 		return advertised
 	}
-	return c.opts.WorkerCapacity
+	return workerCapacity
 }
 
 // now is the coordinator's clock (injectable for deterministic tests).

@@ -143,8 +143,8 @@ func TestAffinityRoutesToModelHolder(t *testing.T) {
 	idle1 := &counting{Transport: NewLocal("idle1", resolveFake)}
 	idle2 := &counting{Transport: NewLocal("idle2", resolveFake)}
 	// Only the holder advertises gcc's trained models.
-	fleet := []Member{{Transport: holder, Benchmarks: []string{"gcc"}}, {Transport: idle1}, {Transport: idle2}}
-	coord := NewFleet(func() []Member { return fleet }, Options{ShardSize: 16, WorkerCapacity: 64})
+	fleet := []Member{{Transport: holder, Capacity: 64, Benchmarks: []string{"gcc"}}, {Transport: idle1, Capacity: 64}, {Transport: idle2, Capacity: 64}}
+	coord := NewFleet(func() []Member { return fleet }, Options{ShardSize: 16})
 
 	designs := testDesigns(200)
 	want := singleProcessReference(t, designs)

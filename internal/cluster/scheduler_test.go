@@ -158,11 +158,13 @@ func TestPoliciesNeverPlaceOnEvicted(t *testing.T) {
 func TestHedgingRescuesStuckWorker(t *testing.T) {
 	fast := NewLocal("fast", resolveFake)
 	stuck := blocking{name: "stuck"}
+	reg := obs.NewRegistry(nil)
 	coord := newTestCoordinator(t, []Transport{fast, stuck}, Options{
 		ShardSize:     64,
 		Parallelism:   2,
 		HedgeFactor:   2,
 		HedgeMinDelay: time.Millisecond,
+		Obs:           reg,
 	})
 	designs := testDesigns(500)
 	res, err := coord.ParetoObserved(context.Background(), testQuery(), designs, nil)
@@ -176,7 +178,7 @@ func TestHedgingRescuesStuckWorker(t *testing.T) {
 	if !reflect.DeepEqual(candKeys(res.Frontier), candKeys(want.Frontier)) {
 		t.Fatal("hedged frontier diverged from single-process answer")
 	}
-	issued, won, wasted := coord.HedgeStats()
+	issued, won, wasted := hedgeCounts(reg)
 	if won == 0 {
 		t.Fatalf("no hedge won against a stuck worker (issued=%d wasted=%d)", issued, wasted)
 	}
@@ -209,9 +211,11 @@ func TestHedgeDuplicatesMergeExactlyOnce(t *testing.T) {
 		slowTransport{Transport: NewLocal("slow-a", resolveFake), delay: 15 * time.Millisecond},
 		slowTransport{Transport: NewLocal("slow-b", resolveFake), delay: 15 * time.Millisecond},
 	}
+	reg := obs.NewRegistry(nil)
 	coord := newTestCoordinator(t, workers, Options{
 		ShardSize:   50,
 		Parallelism: 2,
+		Obs:         reg,
 		// An aggressive trigger: after the first completions price the
 		// fleet, nearly every shard hedges — and with both workers equally
 		// slow, both attempts usually finish.
@@ -230,7 +234,7 @@ func TestHedgeDuplicatesMergeExactlyOnce(t *testing.T) {
 	if !reflect.DeepEqual(candKeys(res.Frontier), candKeys(want.Frontier)) {
 		t.Fatal("hedged frontier diverged from single-process answer")
 	}
-	issued, won, wasted := coord.HedgeStats()
+	issued, won, wasted := hedgeCounts(reg)
 	if issued == 0 {
 		t.Fatal("no hedges issued under an aggressive hedge factor")
 	}
@@ -242,13 +246,23 @@ func TestHedgeDuplicatesMergeExactlyOnce(t *testing.T) {
 // TestHedgingDisabledIssuesNone: the default configuration must never
 // speculate.
 func TestHedgingDisabledIssuesNone(t *testing.T) {
-	coord := newTestCoordinator(t, localFleet(2), Options{ShardSize: 64})
+	reg := obs.NewRegistry(nil)
+	coord := newTestCoordinator(t, localFleet(2), Options{ShardSize: 64, Obs: reg})
 	if _, err := coord.ParetoObserved(context.Background(), testQuery(), testDesigns(300), nil); err != nil {
 		t.Fatal(err)
 	}
-	if issued, won, wasted := coord.HedgeStats(); issued+won+wasted != 0 {
+	if issued, won, wasted := hedgeCounts(reg); issued+won+wasted != 0 {
 		t.Fatalf("hedges booked with hedging disabled: %d/%d/%d", issued, won, wasted)
 	}
+}
+
+// hedgeCounts reads the dsed_cluster_shard_hedges_total series by
+// outcome.
+func hedgeCounts(reg *obs.Registry) (issued, won, wasted int64) {
+	read := func(result string) int64 {
+		return reg.Counter("dsed_cluster_shard_hedges_total", "", obs.Label{Key: "result", Value: result}).Value()
+	}
+	return read(hedgeIssued), read(hedgeWon), read(hedgeWasted)
 }
 
 // TestFleetEWMAMedian pins the cold-worker expectation hedging prices

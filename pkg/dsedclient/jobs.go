@@ -69,9 +69,6 @@ type Stream struct {
 	c   *Client
 	ctx context.Context
 	id  string
-	// finalOnly asks the daemon to suppress intermediate snapshots
-	// (?updates=final) — for consumers that only want the answer.
-	finalOnly bool
 	// replay opens the first attach at ?from_seq=0, replaying every
 	// retained update instead of priming with the latest snapshot, so a
 	// consumer of a job that settled before the stream attached still
@@ -204,17 +201,12 @@ func (s *Stream) resume(cause error) error {
 func (s *Stream) connect() error {
 	s.endpoint = s.c.endpoint()
 	url := s.endpoint + "/v1/jobs/" + s.id + "/stream"
-	sep := "?"
-	if s.finalOnly {
-		url += sep + "updates=final"
-		sep = "&"
-	}
 	if s.lastSeq > 0 || s.replay {
 		// Delta resume: replay only what this stream has not seen (all
 		// of it on a replaying first attach). The daemon degrades to the
 		// latest cumulative snapshot past its retention horizon, and Next
 		// skips duplicates by Seq either way.
-		url += sep + "from_seq=" + strconv.Itoa(s.lastSeq)
+		url += "?from_seq=" + strconv.Itoa(s.lastSeq)
 	}
 	req, err := http.NewRequestWithContext(s.ctx, http.MethodGet, url, nil)
 	if err != nil {
@@ -266,22 +258,18 @@ func errorFromUpdate(e *api.Error) *APIError {
 	}
 }
 
-// follow runs submit → stream → final for one job, invoking onUpdate for
-// every update (including the final one), and returns the terminal
-// update. With an onUpdate the stream opens at ?from_seq=0, so the
-// callback sees the job's retained partials even when the job settled
-// before the stream attached. Without one the daemon is asked to
-// suppress intermediate snapshots entirely (?updates=final) — no
-// partial-frontier serialization for a consumer that would discard
-// it. If ctx dies mid-stream the job is cancelled on the daemon too, so
-// an abandoned caller does not leak server-side work; after the final
-// update the job is DELETEd (best effort), releasing its retained
-// result immediately instead of waiting out the daemon's retention
-// window.
+// follow runs submit → stream → final for one job, invoking onUpdate (if
+// non-nil) for every update, the final one included, and returns the
+// terminal update. The stream opens at ?from_seq=0, so the updates are
+// the job's retained partials even when the job settled before the
+// stream attached. If ctx dies mid-stream the job is cancelled on the
+// daemon too, so an abandoned caller does not leak server-side work;
+// after the final update the job is DELETEd (best effort), releasing its
+// retained result immediately instead of waiting out the daemon's
+// retention window.
 func (c *Client) follow(ctx context.Context, id string, onUpdate func(api.Update)) (*api.Update, error) {
 	st := c.Stream(ctx, id)
-	st.finalOnly = onUpdate == nil
-	st.replay = onUpdate != nil
+	st.replay = true
 	defer st.Close()
 	for {
 		u, err := st.Next()
@@ -316,10 +304,11 @@ func (c *Client) cancelDetached(id string) {
 
 // Run is the blocking convenience over the async API: submit a job of
 // either kind (a wire.ParetoRequest or a wire.SweepRequest), stream its
-// cumulative snapshots through onUpdate (nil to ignore), and return the
-// final update — the merged answer in Candidates, with a peer fleet's
-// distribution accounting (zero against a single daemon) — and the job's
-// ID, which GET /v1/jobs/{id}/trace takes.
+// cumulative snapshots from the first retained one through onUpdate (nil
+// to ignore), and return the final update — the merged answer in
+// Candidates, with a peer fleet's distribution accounting (zero against
+// a single daemon) — and the job's ID, which GET /v1/jobs/{id}/trace
+// takes.
 func (c *Client) Run(ctx context.Context, req wire.JobRequest, onUpdate func(api.Update)) (final *api.Update, jobID string, err error) {
 	st, err := c.submit(ctx, req)
 	if err != nil {

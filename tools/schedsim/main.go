@@ -41,6 +41,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/explore"
 	"repro/internal/mathx"
+	"repro/internal/obs"
 	"repro/internal/space"
 	"repro/internal/wire"
 )
@@ -64,9 +65,9 @@ type result struct {
 	hedged    bool
 	makespan  time.Duration
 	retries   int
-	issued    int
-	won       int
-	wasted    int
+	issued    int64
+	won       int64
+	wasted    int64
 	exact     bool
 }
 
@@ -146,7 +147,8 @@ func runLeg(ctx context.Context, cfg config, slowFirst, hedged bool, designs []s
 		}
 		members = append(members, cluster.Member{Transport: slowed(name, cfg.slowDelay)})
 	}
-	opts := cluster.Options{ShardSize: cfg.shardSize}
+	reg := obs.NewRegistry(nil)
+	opts := cluster.Options{ShardSize: cfg.shardSize, Obs: reg}
 	if hedged {
 		opts.HedgeFactor = cfg.hedge
 	}
@@ -187,15 +189,17 @@ func runLeg(ctx context.Context, cfg config, slowFirst, hedged bool, designs []s
 	if err != nil {
 		return result{}, err
 	}
-	issued, won, wasted := coord.HedgeStats()
+	hedges := func(result string) int64 {
+		return reg.Counter("dsed_cluster_shard_hedges_total", "", obs.Label{Key: "result", Value: result}).Value()
+	}
 	return result{
 		slowFirst: slowFirst,
 		hedged:    hedged,
 		makespan:  time.Since(start),
 		retries:   res.Retries,
-		issued:    issued,
-		won:       won,
-		wasted:    wasted,
+		issued:    hedges("issued"),
+		won:       hedges("won"),
+		wasted:    hedges("wasted"),
 		exact:     reflect.DeepEqual(keys(res.Frontier), want) && res.Evaluated == len(designs),
 	}, nil
 }
